@@ -111,15 +111,16 @@ let transfer_chunk = 512
 (* Move [elements] I32 values through one capacity-[transfer_capacity]
    queue between a producer and a consumer fiber; returns wall ns.
    [spsc] seals the queue onto the single-producer/single-consumer fast
-   path (what Runtime does for 1:1 edges); the default keeps the
-   broadcast MPMC bookkeeping, isolating exactly that overhead. *)
+   path (what Runtime does for 1:1 edges); the default leaves it
+   unsealed, on the broadcast MPMC bookkeeping, isolating exactly that
+   overhead. *)
 let time_element_path ?(spsc = false) ~elements () =
   let q =
     Cgsim.Bqueue.create ~name:"xfer-elem" ~dtype:Cgsim.Dtype.I32 ~capacity:transfer_capacity ()
   in
   let p = Cgsim.Bqueue.add_producer q in
   let c = Cgsim.Bqueue.add_consumer q in
-  Cgsim.Bqueue.seal ~spsc q;
+  if spsc then Cgsim.Bqueue.seal q;
   let s = Cgsim.Sched.create () in
   let v = Cgsim.Value.Int 7 in
   Cgsim.Sched.spawn s ~name:"producer" (fun () ->

@@ -73,9 +73,9 @@ trap 'rm -f "$TRACE" "$MICRO_JSON" "$LINT_JSON" "$FUZZ_JSON" "$SERVE_COLD_JSON" 
 # Every request's output is verified inside the bench; nonzero exit on
 # any wrong result.  Both paths run separately so the cold fallback
 # (fresh instance per attempt) can never silently rot behind the warm
-# cache.  Run_config defaults keep operator fusion and the unboxed data
-# plane ON here, so these smokes also assert warm-vs-cold equivalence
-# with fusion enabled.  Schema cgsim-bench-serve/3.
+# cache.  Run_config defaults keep operator fusion ON here, so these
+# smokes also assert warm-vs-cold equivalence with fusion enabled.
+# Schema cgsim-bench-serve/3.
 dune exec bench/main.exe -- serve --smoke --domains 1,2 --warm off --json "$SERVE_COLD_JSON"
 test -s "$SERVE_COLD_JSON" || { echo "ci: cold serve JSON is empty" >&2; exit 1; }
 dune exec bench/main.exe -- check-json "$SERVE_COLD_JSON"
@@ -155,5 +155,15 @@ if grep -rnE '(Runtime|Pool|Sim)\.(instantiate|execute|run)_opts' lib bin bench 
   exit 1
 fi
 echo "no shim references"
+
+echo "== one-data-path gate =="
+# The block_io / spsc / unboxed switches and their element-loop and
+# boxed-scalar second paths were removed: storage follows the dtype,
+# ports always take the block transfers, and SPSC sealing is automatic.
+if grep -rnE 'with_block_io|with_spsc|with_unboxed|~unboxed|seal ~spsc' lib bin bench test; then
+  echo "ci: caller references a removed data-path switch" >&2
+  exit 1
+fi
+echo "no data-path switch references"
 
 echo "== ci passed =="

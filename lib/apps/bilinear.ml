@@ -102,8 +102,14 @@ let graph () =
 
 let image = lazy (Workloads.Images.synthetic ~width:256 ~height:256)
 
+(* Pool domains build request sources concurrently; forcing a lazy from
+   two domains at once raises [CamlinternalLazy.Undefined], so the first
+   force is serialized. *)
+let image_lock = Mutex.create ()
+
 let input_quads ~reps =
-  Workloads.Images.sample_quads ~seed:7 (Lazy.force image) (reps * quads_per_block)
+  let image = Mutex.protect image_lock (fun () -> Lazy.force image) in
+  Workloads.Images.sample_quads ~seed:7 image (reps * quads_per_block)
 
 let sources ~reps =
   [ Cgsim.Io.of_array (Array.map quad_value (input_quads ~reps)) ]

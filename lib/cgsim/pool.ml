@@ -76,13 +76,10 @@ let next_unit_float st =
 let config_key_equal (a : Run_config.t) (b : Run_config.t) =
   a.Run_config.hooks == b.Run_config.hooks
   && a.Run_config.queue_capacity = b.Run_config.queue_capacity
-  && a.Run_config.block_io = b.Run_config.block_io
-  && a.Run_config.spsc = b.Run_config.spsc
   && a.Run_config.lint = b.Run_config.lint
   && a.Run_config.deadline_ns = b.Run_config.deadline_ns
   && a.Run_config.max_steps = b.Run_config.max_steps
   && a.Run_config.fuse = b.Run_config.fuse
-  && a.Run_config.unboxed = b.Run_config.unboxed
   && (match a.Run_config.faults, b.Run_config.faults with
       | None, None -> true
       | Some x, Some y -> x == y

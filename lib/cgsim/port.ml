@@ -70,27 +70,6 @@ let put_window2 wa wb va vb =
     done
   end
 
-(* Fallback block accessors for bindings whose transport has no native
-   block operation (element loops, semantically identical). *)
-let block_get_of_get get n = Array.init n (fun _ -> get ())
-
-let block_put_of_put put vs = Array.iter put vs
-
-(* Derive the unboxed accessors from the boxed block path, for bindings
-   whose transport has no native unboxed operation: box/unbox at the
-   boundary, one block transaction underneath.  The float writer rounds
-   F32 payloads before boxing, matching unboxed-storage semantics. *)
-let floats_of_block get_block n = Array.map Value.to_float (get_block n)
-
-let ints_of_block get_block n = Array.map Value.to_int (get_block n)
-
-let block_of_floats dtype put_block fs =
-  match dtype with
-  | Dtype.F32 -> put_block (Array.map (fun f -> Value.Float (Value.round_f32 f)) fs)
-  | _ -> put_block (Array.map (fun f -> Value.Float f) fs)
-
-let block_of_ints put_block is = put_block (Array.map (fun i -> Value.Int i) is)
-
 let get_f32 r = Value.to_float (get r)
 
 let get_int r = Value.to_int (get r)

@@ -75,26 +75,6 @@ val put_window_int : writer -> int array -> unit
     Raises [Invalid_argument] if the arrays differ in length. *)
 val put_window2 : writer -> writer -> Value.t array -> Value.t array -> unit
 
-(** Derive block accessors from scalar ones, for bindings whose transport
-    has no native block operation.  Semantically identical to an element
-    loop. *)
-val block_get_of_get : (unit -> Value.t) -> int -> Value.t array
-
-val block_put_of_put : (Value.t -> unit) -> Value.t array -> unit
-
-(** Derive unboxed accessors from a boxed block path, for transports
-    with no native unboxed operation: one block transaction underneath,
-    box/unbox at the boundary.  [block_of_floats] rounds F32 payloads
-    before boxing, matching unboxed-storage semantics. *)
-
-val floats_of_block : (int -> Value.t array) -> int -> float array
-
-val ints_of_block : (int -> Value.t array) -> int -> int array
-
-val block_of_floats : Dtype.t -> (Value.t array -> unit) -> float array -> unit
-
-val block_of_ints : (Value.t array -> unit) -> int array -> unit
-
 (** {1 Scalar conveniences} *)
 
 val get_f32 : reader -> float

@@ -1,9 +1,9 @@
 (* The single knob record for every execution path.
 
    Before this existed, Runtime/Pool/X86sim each grew their own sprawl of
-   optional arguments (?hooks ?queue_capacity ?block_io ?spsc ?lint) and
-   every new capability (deadlines, retries, faults) would have tripled
-   the sprawl.  A Run_config is built once — [default |> with_*] — and
+   optional arguments (?hooks ?queue_capacity ?lint ...) and every new
+   capability (deadlines, retries, faults) would have tripled the
+   sprawl.  A Run_config is built once — [default |> with_*] — and
    threaded through instantiate/execute/Pool.run/X86sim.Sim.run. *)
 
 type lint_level =
@@ -15,8 +15,6 @@ type lint_level =
 type t = {
   hooks : Hooks.t;
   queue_capacity : int option;
-  block_io : bool;
-  spsc : bool;
   lint : lint_level;
   deadline_ns : float option;
   max_steps : int option;
@@ -29,7 +27,6 @@ type t = {
   warm : bool;
   batch : int;
   fuse : bool;
-  unboxed : bool;
   auto_capacity : bool;
 }
 
@@ -37,8 +34,6 @@ let default =
   {
     hooks = Hooks.none;
     queue_capacity = None;
-    block_io = true;
-    spsc = true;
     lint = `Warn;
     deadline_ns = None;
     max_steps = None;
@@ -51,14 +46,11 @@ let default =
     warm = true;
     batch = 1;
     fuse = true;
-    unboxed = true;
     auto_capacity = false;
   }
 
 let with_hooks hooks t = { t with hooks }
 let with_queue_capacity c t = { t with queue_capacity = Some c }
-let with_block_io block_io t = { t with block_io }
-let with_spsc spsc t = { t with spsc }
 let with_lint lint t = { t with lint }
 let with_deadline_ns d t = { t with deadline_ns = Some d }
 let with_deadline_ms d t = { t with deadline_ns = Some (d *. 1e6) }
@@ -82,5 +74,4 @@ let with_batch batch t =
   { t with batch }
 
 let with_fuse fuse t = { t with fuse }
-let with_unboxed unboxed t = { t with unboxed }
 let with_auto_capacity auto_capacity t = { t with auto_capacity }

@@ -22,8 +22,6 @@ type t = {
   hooks : Hooks.t;  (** Port/body interception; default {!Hooks.none}. *)
   queue_capacity : int option;
       (** Override every net's resolved queue depth; default per-net. *)
-  block_io : bool;  (** Block-transfer fast path (default [true]). *)
-  spsc : bool;  (** SPSC queue fast path (default [true]). *)
   lint : lint_level;  (** Pre-flight static analysis (default [`Warn]). *)
   deadline_ns : float option;
       (** Wall-clock budget per run (per attempt under {!Pool}). *)
@@ -56,13 +54,7 @@ type t = {
           fiber, passing windows directly with no intermediate queue.
           Only lint-clean chains identified by the analysis pass are
           fused; everything else falls back transparently.  [false]
-          keeps one fiber + one queue per hop — the equivalence
-          baseline. *)
-  unboxed : bool;
-      (** Unboxed data plane (default [true]): back scalar-dtype queue
-          storage with [Bigarray.Array1] so block transfers move flat
-          memory instead of boxed {!Value.t}s.  [false] forces boxed
-          storage everywhere — the equivalence baseline. *)
+          keeps one fiber + one queue per hop. *)
   auto_capacity : bool;
       (** Capacity synthesis (default [false]): at {!Runtime.compile}
           time, raise each net's queue depth to the minimal
@@ -78,8 +70,6 @@ val default : t
 
 val with_hooks : Hooks.t -> t -> t
 val with_queue_capacity : int -> t -> t
-val with_block_io : bool -> t -> t
-val with_spsc : bool -> t -> t
 val with_lint : lint_level -> t -> t
 val with_deadline_ns : float -> t -> t
 val with_deadline_ms : float -> t -> t
@@ -95,5 +85,4 @@ val with_warm : bool -> t -> t
 val with_batch : int -> t -> t
 
 val with_fuse : bool -> t -> t
-val with_unboxed : bool -> t -> t
 val with_auto_capacity : bool -> t -> t

@@ -121,6 +121,13 @@ let fusion_hook : (Serialized.t -> int list list) option ref = ref None
 
 let set_fusion_hook f = fusion_hook := Some f
 
+(* An analysis hook that raises is a bug in the analysis: fail the
+   compile naming the graph and the hook rather than silently running
+   with no proposals. *)
+let call_hook ~hook_name hook (g : Serialized.t) =
+  try hook g
+  with e -> fail "graph %s: %s hook raised %s" g.Serialized.gname hook_name (Printexc.to_string e)
+
 (* Re-validate proposed chains against the structural facts the
    single-fiber pump protocol needs; a chain that fails any check is
    dropped (transparent fallback to normal queued execution), never an
@@ -132,7 +139,7 @@ let resolve_chains ~(config : Run_config.t) (g : Serialized.t) =
   | None -> [||], Array.make n_nets false
   | Some hook ->
     let n_kernels = Array.length g.Serialized.kernels in
-    let proposed = try hook g with _ -> [] in
+    let proposed = call_hook ~hook_name:"fusion" hook g in
     let claimed = Array.make n_kernels false in
     let fused = Array.make n_nets false in
     let dir_nets dir k =
@@ -410,7 +417,7 @@ let resolve_graph ~(config : Run_config.t) (g : Serialized.t) =
        (fun (id, depth) ->
          if id >= 0 && id < Array.length capacities then
            capacities.(id) <- max capacities.(id) depth)
-       (try hook g with _ -> []));
+       (call_hook ~hook_name:"capacity" hook g));
   let pure = Array.for_all (fun k -> k.Kernel.purity = Kernel.Pure) kernels in
   let batchable =
     pure && Array.for_all (fun k -> k.Kernel.stateless) kernels
@@ -509,17 +516,12 @@ let new_instance (c : compiled) =
       (fun id (n : Serialized.net) ->
         (* Fused nets keep an index-aligned placeholder queue (never
            endpointed, minimal ring) so per-net arrays stay dense. *)
-        if c.c_fused.(id) then
-          Bqueue.create ~unboxed:false
-            ~name:(Printf.sprintf "%s/net%d" g.Serialized.gname n.net_id)
-            ~dtype:n.dtype ~capacity:1 ()
-        else
-          Bqueue.create ~unboxed:config.Run_config.unboxed
-            ~name:(Printf.sprintf "%s/net%d" g.Serialized.gname n.net_id)
-            ~dtype:n.dtype ~capacity:c.c_capacities.(id) ())
+        let capacity = if c.c_fused.(id) then 1 else c.c_capacities.(id) in
+        Bqueue.create
+          ~name:(Printf.sprintf "%s/net%d" g.Serialized.gname n.net_id)
+          ~dtype:n.dtype ~capacity ())
       g.Serialized.nets
   in
-  let block_io = config.Run_config.block_io in
   let kernels =
     Array.mapi
       (fun idx (inst : Serialized.kernel_inst) ->
@@ -535,8 +537,7 @@ let new_instance (c : compiled) =
               match f_edges.(net_id), spec.Kernel.dir with
               | Some e, Kernel.In ->
                 (* Fused hand-off: reads pull the upstream pump directly,
-                   no queue transaction, so block_io granularity does not
-                   apply. *)
+                   no queue transaction. *)
                 Wire_in
                   ( port_idx,
                     {
@@ -563,7 +564,6 @@ let new_instance (c : compiled) =
                     } )
               | None, Kernel.In ->
                 let cns = Bqueue.add_consumer q in
-                let boxed_block_get = Port.block_get_of_get (fun () -> Bqueue.get cns) in
                 Wire_in
                   ( port_idx,
                     {
@@ -572,33 +572,22 @@ let new_instance (c : compiled) =
                       r_get = (fun () -> Bqueue.get cns);
                       r_peek = (fun () -> Bqueue.peek cns);
                       r_available = (fun () -> Bqueue.available cns);
-                      r_get_block =
-                        (if block_io then fun n -> Bqueue.get_block cns n
-                         else boxed_block_get);
-                      r_get_floats =
-                        (if block_io then fun n -> Bqueue.get_floats cns n
-                         else Port.floats_of_block boxed_block_get);
-                      r_get_ints =
-                        (if block_io then fun n -> Bqueue.get_ints cns n
-                         else Port.ints_of_block boxed_block_get);
+                      r_get_block = (fun n -> Bqueue.get_block cns n);
+                      r_get_floats = (fun n -> Bqueue.get_floats cns n);
+                      r_get_ints = (fun n -> Bqueue.get_ints cns n);
                     } )
               | None, Kernel.Out ->
                 let p = Bqueue.add_producer q in
                 producers := p :: !producers;
-                let boxed_block_put = Port.block_put_of_put (fun v -> Bqueue.put p v) in
                 Wire_out
                   ( port_idx,
                     {
                       Port.w_name = pname;
                       w_dtype = spec.Kernel.dtype;
                       w_put = (fun v -> Bqueue.put p v);
-                      w_put_block = (if block_io then Bqueue.put_block p else boxed_block_put);
-                      w_put_floats =
-                        (if block_io then Bqueue.put_floats p
-                         else Port.block_of_floats spec.Kernel.dtype boxed_block_put);
-                      w_put_ints =
-                        (if block_io then Bqueue.put_ints p
-                         else Port.block_of_ints boxed_block_put);
+                      w_put_block = Bqueue.put_block p;
+                      w_put_floats = Bqueue.put_floats p;
+                      w_put_ints = Bqueue.put_ints p;
                       w_space = (fun () -> Bqueue.space q);
                     } ))
             inst.ports
@@ -633,7 +622,7 @@ let new_instance (c : compiled) =
   in
   check_wiring ~g ~fused:c.c_fused queues;
   Array.iteri
-    (fun id q -> if not c.c_fused.(id) then Bqueue.seal ~spsc:config.Run_config.spsc q)
+    (fun id q -> if not c.c_fused.(id) then Bqueue.seal q)
     queues;
   {
     graph = g;
@@ -779,58 +768,44 @@ let arm t =
       let source = t.cur_sources.(i) in
       let q = t.queues.(net_id) in
       let p = t.in_producers.(i) in
+      let chunk = io_chunk q in
+      let dt = Bqueue.dtype q in
+      (* Scalar nets pump flat payloads straight into the bigarray ring —
+         source data never boxes. *)
       let body =
-        if config.Run_config.block_io then begin
-          let chunk = io_chunk q in
-          let dt = Bqueue.dtype q in
-          (* On unboxed scalar nets, pump flat payloads straight into the
-             bigarray ring — source data never boxes. *)
-          if Bqueue.is_unboxed q && Dtype.is_float dt then begin
-            let pull_floats = Io.source_pull_floats source in
-            fun () ->
-              let rec loop () =
-                let fs = pull_floats chunk in
-                if Array.length fs > 0 then begin
-                  Bqueue.put_floats p fs;
-                  loop ()
-                end
-              in
-              loop ()
-          end
-          else if Bqueue.is_unboxed q && Dtype.is_integer dt then begin
-            let pull_ints = Io.source_pull_ints source in
-            fun () ->
-              let rec loop () =
-                let is = pull_ints chunk in
-                if Array.length is > 0 then begin
-                  Bqueue.put_ints p is;
-                  loop ()
-                end
-              in
-              loop ()
-          end
-          else begin
-            let pull_block = Io.source_pull_block source in
-            fun () ->
-              let rec loop () =
-                let vs = pull_block chunk in
-                if Array.length vs > 0 then begin
-                  Bqueue.put_block p vs;
-                  loop ()
-                end
-              in
-              loop ()
-          end
-        end
-        else begin
-          let pull = Io.source_pull source in
+        if Dtype.is_float dt then begin
+          let pull_floats = Io.source_pull_floats source in
           fun () ->
             let rec loop () =
-              match pull () with
-              | Some v ->
-                Bqueue.put p v;
+              let fs = pull_floats chunk in
+              if Array.length fs > 0 then begin
+                Bqueue.put_floats p fs;
                 loop ()
-              | None -> ()
+              end
+            in
+            loop ()
+        end
+        else if Dtype.is_integer dt then begin
+          let pull_ints = Io.source_pull_ints source in
+          fun () ->
+            let rec loop () =
+              let is = pull_ints chunk in
+              if Array.length is > 0 then begin
+                Bqueue.put_ints p is;
+                loop ()
+              end
+            in
+            loop ()
+        end
+        else begin
+          let pull_block = Io.source_pull_block source in
+          fun () ->
+            let rec loop () =
+              let vs = pull_block chunk in
+              if Array.length vs > 0 then begin
+                Bqueue.put_block p vs;
+                loop ()
+              end
             in
             loop ()
         end
@@ -843,36 +818,27 @@ let arm t =
       let sink = t.cur_sinks.(i) in
       let q = t.queues.(net_id) in
       let c = t.out_consumers.(i) in
+      let chunk = io_chunk q in
+      let dt = Bqueue.dtype q in
       let body =
-        if config.Run_config.block_io then begin
-          let chunk = io_chunk q in
-          let dt = Bqueue.dtype q in
-          if Bqueue.is_unboxed q && Dtype.is_float dt then fun () ->
-            let rec loop () =
-              let fs = Bqueue.get_floats_some c ~max:chunk in
-              Io.sink_push_floats sink fs;
-              loop ()
-            in
+        if Dtype.is_float dt then fun () ->
+          let rec loop () =
+            let fs = Bqueue.get_floats_some c ~max:chunk in
+            Io.sink_push_floats sink fs;
             loop ()
-          else if Bqueue.is_unboxed q && Dtype.is_integer dt then fun () ->
-            let rec loop () =
-              let is = Bqueue.get_ints_some c ~max:chunk in
-              Io.sink_push_ints sink is;
-              loop ()
-            in
+          in
+          loop ()
+        else if Dtype.is_integer dt then fun () ->
+          let rec loop () =
+            let is = Bqueue.get_ints_some c ~max:chunk in
+            Io.sink_push_ints sink is;
             loop ()
-          else fun () ->
-            let rec loop () =
-              let vs = Bqueue.get_some c ~max:chunk in
-              Io.sink_push_block sink vs;
-              loop ()
-            in
-            loop ()
-        end
+          in
+          loop ()
         else fun () ->
           let rec loop () =
-            let v = Bqueue.get c in
-            Io.sink_push sink v;
+            let vs = Bqueue.get_some c ~max:chunk in
+            Io.sink_push_block sink vs;
             loop ()
           in
           loop ()

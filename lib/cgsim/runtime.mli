@@ -58,7 +58,8 @@ val preflight : lint:lint_level -> Serialized.t -> unit
     execution.  Accepted chains run as one fiber with direct hand-off
     edges ({!Fused}) in place of queues.  Installed by the [analysis]
     library at link time ([Analysis.Fusion.chains]); without a hook
-    nothing fuses. *)
+    nothing fuses.  A hook that raises fails the compile with
+    {!Runtime_error} naming the graph and the hook. *)
 val set_fusion_hook : (Serialized.t -> int list list) -> unit
 
 (** Install the capacity-synthesis analysis used by {!compile} when
@@ -68,7 +69,7 @@ val set_fusion_hook : (Serialized.t -> int list list) -> unit
     (never lowers one, so deliberately over-sized queues are left
     alone).  Installed by the [analysis] library at link time
     ([Analysis.Capacity.suggest]); without a hook, [auto_capacity] is a
-    no-op. *)
+    no-op.  A hook that raises fails the compile with {!Runtime_error}. *)
 val set_capacity_hook : (Serialized.t -> (int * int) list) -> unit
 
 (** Hooks letting a simulator intercept every kernel-port access without
@@ -145,10 +146,10 @@ val stats_exn : outcome -> Sched.stats
 
 (** [instantiate g] reconstructs the graph under [config] (default
     {!Run_config.default}).  Queue capacities derive from each net's
-    resolved settings unless [config.queue_capacity] overrides them all;
-    [config.block_io]/[config.spsc] select the block-transfer and SPSC
-    fast paths (with [false], semantically identical slow paths — the
-    equivalence baselines).  [config.hooks] are installed around every
+    resolved settings unless [config.queue_capacity] overrides them all.
+    Ports always take the block transfers, scalar nets always use flat
+    storage, and every 1:1 net is sealed onto the SPSC path
+    ({!Bqueue.seal}).  [config.hooks] are installed around every
     kernel port and body; [config.faults] wraps innermost.  Raises
     {!Runtime_error} when a kernel key is missing from the registry or
     the serialized form is invalid. *)

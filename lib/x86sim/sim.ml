@@ -58,8 +58,7 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
                only matter to aiesim. *)
             max deep_stream_depth (Cgsim.Settings.resolved_depth ~elem_bytes n.settings)
         in
-        Tqueue.create ~unboxed:config.Cgsim.Run_config.unboxed
-          ~name:(Printf.sprintf "%s/net%d" g.gname n.net_id) ~dtype:n.dtype ~capacity ())
+        Tqueue.create ~name:(Printf.sprintf "%s/net%d" g.gname n.net_id) ~dtype:n.dtype ~capacity ())
       g.nets
   in
   let failures = ref [] in

@@ -147,53 +147,6 @@ let test_x86sim_matches_cgsim () =
         Alcotest.failf "%s: cgsim and x86sim outputs differ" h.Apps.Harness.name)
     Apps.Harness.all
 
-(* The block fast path and the per-element fallback must be
-   indistinguishable from outside: bit-identical sink contents for
-   every app. *)
-let test_block_io_equivalence () =
-  List.iter
-    (fun (h : Apps.Harness.t) ->
-      let reps = 2 in
-      let run_with ~block_io =
-        let g = h.Apps.Harness.graph () in
-        let sinks, contents = h.Apps.Harness.make_sinks () in
-        ignore
-          (Cgsim.Runtime.execute_exn
-             ~config:Cgsim.Run_config.(with_block_io block_io default)
-             g ~sources:(h.Apps.Harness.sources ~reps) ~sinks);
-        contents ()
-      in
-      let blocked = run_with ~block_io:true in
-      let element = run_with ~block_io:false in
-      if List.length blocked <> List.length element then
-        Alcotest.failf "%s: block and element paths differ in length" h.Apps.Harness.name;
-      if not (List.for_all2 Cgsim.Value.equal blocked element) then
-        Alcotest.failf "%s: block and element paths differ" h.Apps.Harness.name)
-    Apps.Harness.all
-
-(* Same bar for the SPSC fast path: sealed 1:1 edges and the forced
-   broadcast path must give bit-identical sink contents for every app. *)
-let test_spsc_equivalence () =
-  List.iter
-    (fun (h : Apps.Harness.t) ->
-      let reps = 2 in
-      let run_with ~spsc =
-        let g = h.Apps.Harness.graph () in
-        let sinks, contents = h.Apps.Harness.make_sinks () in
-        ignore
-          (Cgsim.Runtime.execute_exn
-             ~config:Cgsim.Run_config.(with_spsc spsc default)
-             g ~sources:(h.Apps.Harness.sources ~reps) ~sinks);
-        contents ()
-      in
-      let fast = run_with ~spsc:true in
-      let slow = run_with ~spsc:false in
-      if List.length fast <> List.length slow then
-        Alcotest.failf "%s: spsc and mpmc paths differ in length" h.Apps.Harness.name;
-      if not (List.for_all2 Cgsim.Value.equal fast slow) then
-        Alcotest.failf "%s: spsc and mpmc paths differ" h.Apps.Harness.name)
-    Apps.Harness.all
-
 (* Whole apps served through the pool: every request's output checks
    against the scalar reference, with more requests than domains. *)
 let test_pool_serves_apps () =
@@ -220,6 +173,36 @@ let test_pool_serves_apps () =
         stats.Cgsim.Pool.results)
     Apps.Harness.all
 
+(* Bilinear's request sources force a module-level lazy image.  This runs
+   before any other test touches bilinear, so the first force happens on
+   the pool's domains, concurrently. *)
+let test_bilinear_fresh_pool () =
+  let h = Apps.Harness.bilinear in
+  let reps = 1 and requests = 64 in
+  let g = h.Apps.Harness.graph () in
+  let contents = Array.init requests (fun _ -> Atomic.make (fun () -> [])) in
+  let pool = Cgsim.Pool.create ~domains:2 () in
+  let results =
+    Fun.protect
+      ~finally:(fun () -> Cgsim.Pool.shutdown pool)
+      (fun () ->
+        List.init requests (fun r ->
+            Cgsim.Pool.submit pool g ~io:(fun _ ->
+                let sinks, c = h.Apps.Harness.make_sinks () in
+                Atomic.set contents.(r) c;
+                h.Apps.Harness.sources ~reps, sinks))
+        |> List.map Cgsim.Pool.await)
+  in
+  List.iteri
+    (fun r (res : Cgsim.Pool.request_result) ->
+      match res.Cgsim.Pool.outcome with
+      | Cgsim.Runtime.Completed _ ->
+        check_ok
+          (Printf.sprintf "bilinear req %d (fresh pool)" r)
+          (h.Apps.Harness.check ~reps ((Atomic.get contents.(r)) ()))
+      | o -> Alcotest.failf "bilinear req %d: %a" r Cgsim.Runtime.pp_outcome o)
+    results
+
 let () =
   Alcotest.run "apps"
     [
@@ -237,12 +220,12 @@ let () =
             [ prop_bitonic_sorts_anything; prop_bilinear_group_matches_scalar ] );
       ( "cgsim-end-to-end",
         [
+          Alcotest.test_case "bilinear x64 on a fresh 2-domain pool" `Quick
+            test_bilinear_fresh_pool;
           Alcotest.test_case "bitonic x8" `Quick (cgsim_case Apps.Harness.bitonic 8);
           Alcotest.test_case "farrow x2" `Quick (cgsim_case Apps.Harness.farrow 2);
           Alcotest.test_case "iir x2" `Quick (cgsim_case Apps.Harness.iir 2);
           Alcotest.test_case "bilinear x3" `Quick (cgsim_case Apps.Harness.bilinear 3);
-          Alcotest.test_case "block == element path" `Quick test_block_io_equivalence;
-          Alcotest.test_case "spsc == mpmc path" `Quick test_spsc_equivalence;
           Alcotest.test_case "pool serves all apps" `Quick test_pool_serves_apps;
         ] );
       ( "x86sim-end-to-end",

@@ -1,8 +1,8 @@
 (* Operator-fusion tests: chain discovery on the serialized graph, the
    CG-I103 lint surface, transparent runtime fallback on bogus
    proposals, fused==unfused output equivalence — on the four evaluation
-   apps under every fast-path configuration and on randomized
-   rate-matched SPSC chains. *)
+   apps with fusion on and off and on randomized rate-matched SPSC
+   chains. *)
 
 module R = Cgsim.Runtime
 module F = Analysis.Fusion
@@ -314,6 +314,19 @@ let test_fuse_off_ignores_hook () =
       floats_equal "fuse-off output" (expected_scaled factors fallback_input) out;
       Alcotest.(check int) "hook not consulted with fuse off" 0 !hits)
 
+(* A hook that raises is an analysis bug, not a bogus proposal: the
+   compile fails naming the graph and the hook. *)
+let test_raising_hook_is_an_error () =
+  let g = chain_graph ~name:"fz_raise" ~rate:2 [ 2; 3 ] in
+  with_hook
+    (fun _ -> failwith "analysis bug")
+    (fun () ->
+      match R.compile g with
+      | exception R.Runtime_error msg ->
+        Alcotest.(check bool) ("names graph and hook: " ^ msg) true
+          (String.starts_with ~prefix:"graph fz_raise: fusion hook raised" msg)
+      | _ -> Alcotest.fail "a raising fusion hook must fail the compile")
+
 (* ------------------------------------------------------------------ *)
 (* Equivalence: apps x fast-path configurations                       *)
 (* ------------------------------------------------------------------ *)
@@ -323,10 +336,6 @@ let fastpath_configs =
     [
       "default", default;
       "fuse-off", with_fuse false default;
-      "unboxed-off", with_unboxed false default;
-      ( "all-fast-paths-off",
-        default |> with_spsc false |> with_block_io false |> with_fuse false
-        |> with_unboxed false );
     ]
 
 let values_equal msg (a : Cgsim.Value.t list) (b : Cgsim.Value.t list) =
@@ -346,25 +355,19 @@ let run_app_checked msg (h : Apps.Harness.t) ~config ~reps =
    | Error e -> Alcotest.failf "%s: %s" msg e);
   out
 
-(* Every app produces reference-correct and bit-identical output under
-   all four configurations: fusion and the unboxed plane are pure
-   optimizations. *)
+(* Every app produces reference-correct and bit-identical output with
+   fusion on and off: fusion is a pure optimization. *)
 let test_apps_equivalent_across_configs () =
   List.iter
     (fun (h : Apps.Harness.t) ->
-      let baseline =
-        run_app_checked
-          (h.Apps.Harness.name ^ "/baseline")
-          h
-          ~config:(snd (List.nth fastpath_configs 3))
-          ~reps:2
-      in
-      List.iter
-        (fun (cname, config) ->
-          let label = Printf.sprintf "%s/%s" h.Apps.Harness.name cname in
-          let out = run_app_checked label h ~config ~reps:2 in
-          values_equal label baseline out)
-        fastpath_configs)
+      match
+        List.map
+          (fun (cname, config) ->
+            run_app_checked (Printf.sprintf "%s/%s" h.Apps.Harness.name cname) h ~config ~reps:2)
+          fastpath_configs
+      with
+      | baseline :: rest -> List.iter (values_equal h.Apps.Harness.name baseline) rest
+      | [] -> ())
     Apps.Harness.all
 
 (* ------------------------------------------------------------------ *)
@@ -372,7 +375,7 @@ let test_apps_equivalent_across_configs () =
 (* ------------------------------------------------------------------ *)
 
 (* One trial: derive a chain shape from a seeded Workloads.Prng, run it
-   under all four configurations, require bit-identical output. *)
+   with fusion on and off, require bit-identical output. *)
 let random_chain_trial seed =
   let rng = Workloads.Prng.create ~seed in
   let n = Workloads.Prng.int_range rng ~lo:2 ~hi:5 in
@@ -428,6 +431,7 @@ let () =
           Alcotest.test_case "bogus proposal" `Quick test_bogus_proposal_falls_back;
           Alcotest.test_case "out-of-range proposal" `Quick test_out_of_range_proposal_falls_back;
           Alcotest.test_case "fuse off ignores hook" `Quick test_fuse_off_ignores_hook;
+          Alcotest.test_case "raising hook is an error" `Quick test_raising_hook_is_an_error;
         ] );
       ( "equivalence",
         [

@@ -107,13 +107,11 @@ let fastpath_configs =
   Cgsim.Run_config.
     [
       "default", default;
-      "spsc-off", with_spsc false default;
-      "block-io-off", with_block_io false default;
-      "both-off", (default |> with_spsc false |> with_block_io false);
+      "fuse-off", with_fuse false default;
     ]
 
-(* reset-and-rerun == fresh run, for every app under every fast-path
-   combination.  The first run after [new_instance] is the fresh
+(* reset-and-rerun == fresh run, for every app with fusion on and off.
+   The first run after [new_instance] is the fresh
    baseline; the post-reset run must match it bit for bit. *)
 let test_reset_matches_fresh_all_apps () =
   List.iter
