@@ -15,10 +15,9 @@
      loop (f32, int), which is what pushes a block hop under the
      2 ns/element budget.
 
-   Argument order mirrors the OCaml helpers in bqueue.ml: stores into
-   the ring are (ba, src, soff, idx, len), loads out of it are
-   (ba, dst, idx, doff, len), so the dispatchers can partially apply
-   (ba, payload) and hand the chunk loop a (soff/idx/len) closure.
+   Argument order, as declared in ring.ml: stores into the ring are
+   (ba, src, soff, idx, len), loads out of it are (ba, dst, idx, doff,
+   len).
 
    Layout assumptions, all guaranteed by the runtime this builds
    against: float arrays are flat (FLAT_FLOAT_ARRAY is the default),
