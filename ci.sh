@@ -166,4 +166,14 @@ if grep -rnE 'with_block_io|with_spsc|with_unboxed|~unboxed|seal ~spsc' lib bin 
 fi
 echo "no data-path switch references"
 
+echo "== GC-settings gate =="
+# Library code must not mutate process-wide GC state: a Gc.set reaches
+# only the calling domain's minor heap (domains spawned later start at
+# the default size) and leaks into every other user of the process.
+if grep -rn 'Gc\.set' lib; then
+  echo "ci: library code calls Gc.set" >&2
+  exit 1
+fi
+echo "no Gc.set in lib/"
+
 echo "== ci passed =="

@@ -76,13 +76,15 @@ let emit ev =
   | Some r -> push r ev
   | None -> ()
 
-let vop ?(slots = 1) name = emit (Vop { name; slots })
+(* Kernel bodies call these per intrinsic: test the switch before the
+   event is allocated, so untraced runs allocate nothing here. *)
+let vop ?(slots = 1) name = if !enabled then emit (Vop { name; slots })
 
-let sop ?(count = 1) name = emit (Sop { name; count })
+let sop ?(count = 1) name = if !enabled then emit (Sop { name; count })
 
-let load ~bytes = emit (Load { bytes })
+let load ~bytes = if !enabled then emit (Load { bytes })
 
-let store ~bytes = emit (Store { bytes })
+let store ~bytes = if !enabled then emit (Store { bytes })
 
 let mark_iteration () = emit Iteration_mark
 

@@ -1,74 +1,165 @@
+(* Every op is a monomorphic loop over [float array] or [int array].  A
+   shared higher-order lane helper would cost a closure call per lane and,
+   for floats, box both arguments and the result: without flambda (and
+   under dune's -opaque dev profile) nothing inlines it away. *)
+
 let check_lanes name a b =
   if Array.length a <> Array.length b then
     invalid_arg
       (Printf.sprintf "aie: %s: lane mismatch (%d vs %d)" name (Array.length a) (Array.length b))
 
-let r32 = Cgsim.Value.round_f32
+let fsplat lanes v = Array.make lanes (Cgsim.Value.round_f32 v)
 
-let fsplat lanes v = Array.make lanes (r32 v)
+let fadd (a : float array) (b : float array) =
+  check_lanes "fadd" a b;
+  let r = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    r.(i) <- Cgsim.Value.round_f32 (a.(i) +. b.(i))
+  done;
+  r
 
-let map2 name f a b =
-  check_lanes name a b;
-  Array.init (Array.length a) (fun i -> f a.(i) b.(i))
+let fsub (a : float array) (b : float array) =
+  check_lanes "fsub" a b;
+  let r = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    r.(i) <- Cgsim.Value.round_f32 (a.(i) -. b.(i))
+  done;
+  r
 
-let fadd a b = map2 "fadd" (fun x y -> r32 (x +. y)) a b
+let fmul (a : float array) (b : float array) =
+  check_lanes "fmul" a b;
+  let r = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    r.(i) <- Cgsim.Value.round_f32 (a.(i) *. b.(i))
+  done;
+  r
 
-let fsub a b = map2 "fsub" (fun x y -> r32 (x -. y)) a b
-
-let fmul a b = map2 "fmul" (fun x y -> r32 (x *. y)) a b
-
-let fmac acc a b =
+let fmac (acc : float array) (a : float array) (b : float array) =
   check_lanes "fmac" acc a;
   check_lanes "fmac" a b;
-  Array.init (Array.length acc) (fun i -> r32 (acc.(i) +. (a.(i) *. b.(i))))
+  let r = Array.create_float (Array.length acc) in
+  for i = 0 to Array.length acc - 1 do
+    r.(i) <- Cgsim.Value.round_f32 (acc.(i) +. (a.(i) *. b.(i)))
+  done;
+  r
 
-let fmax a b = map2 "fmax" (fun x y -> if x >= y then x else y) a b
+(* A NaN in either lane compares false, so the second operand wins. *)
+let fmax (a : float array) (b : float array) =
+  check_lanes "fmax" a b;
+  let r = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    let x = a.(i) and y = b.(i) in
+    r.(i) <- (if x >= y then x else y)
+  done;
+  r
 
-let fmin a b = map2 "fmin" (fun x y -> if x <= y then x else y) a b
+let fmin (a : float array) (b : float array) =
+  check_lanes "fmin" a b;
+  let r = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    let x = a.(i) and y = b.(i) in
+    r.(i) <- (if x <= y then x else y)
+  done;
+  r
 
-let fshuffle v idx =
-  Array.map
-    (fun i ->
-      if i < 0 || i >= Array.length v then
-        invalid_arg (Printf.sprintf "aie: fshuffle index %d out of range" i)
-      else v.(i))
-    idx
+let fshuffle (v : float array) idx =
+  let r = Array.create_float (Array.length idx) in
+  for i = 0 to Array.length idx - 1 do
+    let j = idx.(i) in
+    if j < 0 || j >= Array.length v then
+      invalid_arg (Printf.sprintf "aie: fshuffle index %d out of range" j);
+    r.(i) <- v.(j)
+  done;
+  r
 
-let fselect mask a b =
+let fselect mask (a : float array) (b : float array) =
   check_lanes "fselect" a b;
   if Array.length mask <> Array.length a then invalid_arg "aie: fselect mask lane mismatch";
-  Array.init (Array.length a) (fun i -> if mask.(i) then a.(i) else b.(i))
+  let r = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    r.(i) <- (if mask.(i) then a.(i) else b.(i))
+  done;
+  r
 
-let fsum v = Array.fold_left ( +. ) 0.0 v
+let fsum (v : float array) =
+  let t = Array.copy v in
+  let w = ref (Array.length t) in
+  while !w > 1 do
+    let h = (!w + 1) / 2 in
+    for i = 0 to !w - h - 1 do
+      t.(i) <- Cgsim.Value.round_f32 (t.(i) +. t.(i + h))
+    done;
+    w := h
+  done;
+  if Array.length t = 0 then 0.0 else t.(0)
 
 let isplat lanes v = Array.make lanes v
 
-let iadd a b = map2 "iadd" ( + ) a b
+let iadd (a : int array) (b : int array) =
+  check_lanes "iadd" a b;
+  let r = Array.make (Array.length a) 0 in
+  for i = 0 to Array.length a - 1 do
+    r.(i) <- a.(i) + b.(i)
+  done;
+  r
 
-let isub a b = map2 "isub" ( - ) a b
+let isub (a : int array) (b : int array) =
+  check_lanes "isub" a b;
+  let r = Array.make (Array.length a) 0 in
+  for i = 0 to Array.length a - 1 do
+    r.(i) <- a.(i) - b.(i)
+  done;
+  r
 
-let imul a b = map2 "imul" ( * ) a b
+let imul (a : int array) (b : int array) =
+  check_lanes "imul" a b;
+  let r = Array.make (Array.length a) 0 in
+  for i = 0 to Array.length a - 1 do
+    r.(i) <- a.(i) * b.(i)
+  done;
+  r
 
-let imac acc a b =
+let imac (acc : int array) (a : int array) (b : int array) =
   check_lanes "imac" acc a;
   check_lanes "imac" a b;
-  Array.init (Array.length acc) (fun i -> acc.(i) + (a.(i) * b.(i)))
+  let r = Array.make (Array.length acc) 0 in
+  for i = 0 to Array.length acc - 1 do
+    r.(i) <- acc.(i) + (a.(i) * b.(i))
+  done;
+  r
 
-let ishuffle v idx =
-  Array.map
-    (fun i ->
-      if i < 0 || i >= Array.length v then
-        invalid_arg (Printf.sprintf "aie: ishuffle index %d out of range" i)
-      else v.(i))
-    idx
+let ishuffle (v : int array) idx =
+  let r = Array.make (Array.length idx) 0 in
+  for i = 0 to Array.length idx - 1 do
+    let j = idx.(i) in
+    if j < 0 || j >= Array.length v then
+      invalid_arg (Printf.sprintf "aie: ishuffle index %d out of range" j);
+    r.(i) <- v.(j)
+  done;
+  r
 
-let srs dtype shift acc =
+let srs dtype shift (acc : int array) =
   if shift < 0 then invalid_arg "aie: srs with negative shift";
   (* Round to nearest (ties toward +inf): add half, then arithmetic shift.
      This is the AIE default rounding mode for accumulator moves. *)
   let half = if shift = 0 then 0 else 1 lsl (shift - 1) in
-  Array.map (fun x -> Cgsim.Value.clamp_int dtype ((x + half) asr shift)) acc
+  let r = Array.make (Array.length acc) 0 in
+  (match Cgsim.Value.int_range dtype with
+   | None ->
+     for i = 0 to Array.length acc - 1 do
+       r.(i) <- (acc.(i) + half) asr shift
+     done
+   | Some (lo, hi) ->
+     for i = 0 to Array.length acc - 1 do
+       let x = (acc.(i) + half) asr shift in
+       r.(i) <- (if x < lo then lo else if x > hi then hi else x)
+     done);
+  r
 
-let ups shift v =
+let ups shift (v : int array) =
   if shift < 0 then invalid_arg "aie: ups with negative shift";
-  Array.map (fun x -> x lsl shift) v
+  let r = Array.make (Array.length v) 0 in
+  for i = 0 to Array.length v - 1 do
+    r.(i) <- v.(i) lsl shift
+  done;
+  r

@@ -3,7 +3,15 @@
     AIE vector registers are modelled as plain OCaml arrays: [float array]
     for fp32 lanes and [int array] for integer lanes.  These helpers are
     the functional semantics only; {!Intrinsics} wraps them with cost
-    emission.  All operations are lane-wise and length-checked. *)
+    emission.  All operations are lane-wise and length-checked: a lane
+    mismatch or an out-of-range shuffle index raises [Invalid_argument]
+    with an ["aie: "] message.
+
+    Kernel bodies spend most of a cgsim run in these ops, so each one is
+    a monomorphic loop that allocates only its result array: no closure
+    call and no boxed float per lane.  fp32 results are rounded to single
+    precision; [fmax]/[fmin] return the second operand when either lane
+    is NaN. *)
 
 val check_lanes : string -> 'a array -> 'b array -> unit
 (** Raises [Invalid_argument] when lane counts differ. *)
@@ -27,6 +35,10 @@ val fshuffle : float array -> int array -> float array
 (** [fselect mask a b] takes a.(i) when mask.(i), else b.(i). *)
 val fselect : bool array -> float array -> float array -> float array
 
+(** [fsum v] reduces by a halving tree, the shape {!Intrinsics.fpsum}
+    charges: each level adds the upper half of the live lanes onto the
+    lower half (an odd middle lane carries over), rounding every add to
+    f32.  [fsum [||] = 0.0]; one lane is returned as is. *)
 val fsum : float array -> float
 
 (** {1 integer lanes} *)

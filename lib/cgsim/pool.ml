@@ -192,7 +192,6 @@ type t = {
   mutable p_joined : bool;
   mutable p_workers : unit Domain.t array;
   p_t0 : float;
-  p_gc : Gc.control;
   p_executing : int Atomic.t;
   p_served : int Atomic.t;
   p_steals : int Atomic.t;
@@ -206,6 +205,7 @@ type t = {
   p_max_steps : int Atomic.t;  (* fuel exhausted *)
   p_cancelled : int Atomic.t;
   p_failed : int Atomic.t;
+  p_callback_failed : int Atomic.t;  (* on_complete raised *)
   p_shed : int Atomic.t;
   p_retried_ok : int Atomic.t;
   p_consec_failures : int Atomic.t;
@@ -256,7 +256,13 @@ let record_result pool (p : pending) (res : request_result) =
   Atomic.decr pool.p_executing;
   match p.pr_on_complete with
   | None -> ()
-  | Some f -> ( try f res with _ -> ())
+  | Some f -> (
+    (* The result is already published, so a raising callback loses only
+       its own work; raising on would kill this worker domain. *)
+    try f res
+    with _ ->
+      Atomic.incr pool.p_callback_failed;
+      Obs.Flight.note Obs.Flight.Note ~arg:(float_of_int h.h_id) "pool.callback_failed")
 
 (* Instance acquisition: pop a reset instance from the warm entry, or
    build a fresh one (the cold path — also the warm pool's fill path).
@@ -612,11 +618,6 @@ let worker pool domain () =
 
 let create ?(config = Run_config.default) ~domains () =
   if domains <= 0 then invalid_arg "cgsim: Pool.create needs a positive domain count";
-  (* OCaml 5 minor collections stop every domain; the same larger minor
-     heap x86sim uses keeps the parallel instances off each other's
-     backs.  Restored at shutdown. *)
-  let gc = Gc.get () in
-  Gc.set { gc with Gc.minor_heap_size = max gc.Gc.minor_heap_size (8 * 1024 * 1024) };
   let pool =
     {
       p_config = config;
@@ -630,7 +631,6 @@ let create ?(config = Run_config.default) ~domains () =
       p_joined = false;
       p_workers = [||];
       p_t0 = Obs.Clock.now_ns ();
-      p_gc = gc;
       p_executing = Atomic.make 0;
       p_served = Atomic.make 0;
       p_steals = Atomic.make 0;
@@ -643,6 +643,7 @@ let create ?(config = Run_config.default) ~domains () =
       p_max_steps = Atomic.make 0;
       p_cancelled = Atomic.make 0;
       p_failed = Atomic.make 0;
+      p_callback_failed = Atomic.make 0;
       p_shed = Atomic.make 0;
       p_retried_ok = Atomic.make 0;
       p_consec_failures = Atomic.make 0;
@@ -743,6 +744,7 @@ let metrics pool =
   addc "pool.outcome:max-steps" (Atomic.get pool.p_max_steps);
   addc "pool.outcome:cancelled" (Atomic.get pool.p_cancelled);
   addc "pool.outcome:failed" (Atomic.get pool.p_failed);
+  addc "pool.callback_failed" (Atomic.get pool.p_callback_failed);
   addc "pool.shed" (Atomic.get pool.p_shed);
   addc "pool.retries" (Atomic.get pool.p_retries);
   addc "pool.steals" (Atomic.get pool.p_steals);
@@ -760,8 +762,7 @@ let shutdown pool =
     pool.p_joined <- true;
     Condition.broadcast pool.p_cond;
     Mutex.unlock pool.p_lock;
-    Array.iter Domain.join pool.p_workers;
-    Gc.set pool.p_gc
+    Array.iter Domain.join pool.p_workers
   end
 
 (* ------------------------------------------------------------------ *)

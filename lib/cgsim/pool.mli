@@ -132,7 +132,9 @@ val create : ?config:Run_config.t -> domains:int -> unit -> t
     [req_latency_ns] counts from it (open-loop latency semantics).
     [?on_complete] runs on the executing domain right after the result
     is published — network front ends use it to write the response
-    without a dedicated waiter; exceptions it raises are swallowed.
+    without a dedicated waiter.  An exception it raises does not reach
+    the worker: it is counted as [pool.callback_failed] in {!metrics}
+    and noted in the domain's {!Obs.Flight} ring (arg = request id).
 
     Per-request failures — including {!Runtime.Runtime_error} raised
     during wiring — are captured in the {!request_result}, never raised;
@@ -178,9 +180,10 @@ val served : t -> int
 
 (** Live always-on pool metrics: the ["pool.request"] latency HDR
     histogram (per-domain recorders merged at snapshot time),
-    [pool.outcome:<label>] and [pool.shed] counters, retry/steal/warm/
-    cold/batch totals and a [pool.domains] gauge.  Populated with
-    tracing off; safe to call while requests are in flight. *)
+    [pool.outcome:<label>], [pool.shed] and [pool.callback_failed]
+    counters, retry/steal/warm/cold/batch totals and a [pool.domains]
+    gauge.  Populated with tracing off; safe to call while requests are
+    in flight. *)
 val metrics : t -> Obs.Metrics.snapshot
 
 (** Stop accepting new submissions, finish every queued and in-flight

@@ -177,10 +177,6 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
      still running when the deadline fires — the threaded analogue of the
      cooperative scheduler's parked-fiber snapshot. *)
   let flags = List.map (fun (name, _) -> name, Atomic.make false) bodies in
-  (* OCaml 5 minor collections stop every domain; a larger minor heap
-     keeps the preemptive simulator's domains off each other's backs. *)
-  let gc = Gc.get () in
-  Gc.set { gc with Gc.minor_heap_size = max gc.Gc.minor_heap_size (8 * 1024 * 1024) };
   let t0 = Obs.Clock.now_ns () in
   let all_done = Atomic.make false in
   let deadline_hit = ref None in
@@ -232,7 +228,6 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
   Atomic.set all_done true;
   (match watchdog with Some w -> Domain.join w | None -> ());
   let wall_ns = Obs.Clock.now_ns () -. t0 in
-  Gc.set gc;
   let failed = List.rev !failures in
   match failed with
   | (name, exn) :: _ -> Kernel_failed { graph = g.gname; thread = name; exn; wall_ns }

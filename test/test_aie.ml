@@ -54,10 +54,210 @@ let prop_srs_monotone =
       hi.(0) >= lo.(0))
 
 let test_vec_f32_rounding () =
-  (* fadd results are rounded to single precision. *)
+  (* fadd results are rounded to single precision, and so is every add
+     of fsum's reduction tree. *)
   let big = 16777216.0 (* 2^24 *) in
   let r = Aie.Vec.fadd [| big |] [| 1.0 |] in
-  Alcotest.(check (float 0.0)) "f32 precision loss" big r.(0)
+  Alcotest.(check (float 0.0)) "f32 precision loss" big r.(0);
+  Alcotest.(check (float 0.0)) "fsum rounds to f32" big (Aie.Vec.fsum [| big; 1.0 |])
+
+(* ------------------------------------------------------------------ *)
+(* Vec: differential check against a per-lane scalar reference        *)
+(* ------------------------------------------------------------------ *)
+
+(* Round to f32 through Int32 bits: an independent route to the same
+   C cast that Cgsim.Value.round_f32 performs. *)
+let ref_r32 x = Int32.float_of_bits (Int32.bits_of_float x)
+
+let ref_map2 f a b = Array.init (Array.length a) (fun i -> f a.(i) b.(i))
+
+let ref_map3 f a b c = Array.init (Array.length a) (fun i -> f a.(i) b.(i) c.(i))
+
+(* One level adds lane i + ceil(w/2) onto lane i; an odd middle lane
+   carries over unchanged. *)
+let rec ref_fsum v =
+  let w = Array.length v in
+  if w = 0 then 0.0
+  else if w = 1 then v.(0)
+  else begin
+    let h = (w + 1) / 2 in
+    ref_fsum (Array.init h (fun i -> if i + h < w then ref_r32 (v.(i) +. v.(i + h)) else v.(i)))
+  end
+
+let special_floats =
+  [ nan; -.nan; 0.0; -0.0; infinity; neg_infinity;
+    1e-40 (* f32 subnormal *); -1.4e-45; 5e-324 (* f64 subnormal *);
+    3.4028235e38; 3.5e38 (* rounds to f32 inf *); -1e39; max_float; 16777216.0; 1.0; -1.0 ]
+
+let gen_lane_float =
+  QCheck.Gen.(
+    frequency
+      [ 2, oneofl special_floats; 3, map ref_r32 (float_range (-1e6) 1e6); 1, float ])
+
+let gen_lane_int =
+  QCheck.Gen.(
+    frequency
+      [ 1, oneofl [ 0; 1; -1; max_int; min_int; 1 lsl 40; -(1 lsl 40); 32767; -32768 ];
+        4, int_range (-1_000_000) 1_000_000; 1, int ])
+
+type vec_case = {
+  fa : float array;
+  fb : float array;
+  fc : float array;
+  ia : int array;
+  ib : int array;
+  ic : int array;
+  idx : int array;
+  mask : bool array;
+  shift : int;
+}
+
+let gen_vec_case =
+  QCheck.Gen.(
+    int_range 1 18 >>= fun n ->
+    let fv = array_size (return n) gen_lane_float and iv = array_size (return n) gen_lane_int in
+    fv >>= fun fa -> fv >>= fun fb -> fv >>= fun fc ->
+    iv >>= fun ia -> iv >>= fun ib -> iv >>= fun ic ->
+    array_size (int_range 0 20) (int_range 0 (n - 1)) >>= fun idx ->
+    array_size (return n) bool >>= fun mask ->
+    int_range 0 40 >|= fun shift -> { fa; fb; fc; ia; ib; ic; idx; mask; shift })
+
+let show_floats v =
+  String.concat "; " (Array.to_list (Array.map (fun x -> Printf.sprintf "%h" x) v))
+
+let show_vec_case c =
+  Printf.sprintf "fa=[%s] fb=[%s] fc=[%s] ia=%d lanes idx=%d lanes shift=%d" (show_floats c.fa)
+    (show_floats c.fb) (show_floats c.fc) (Array.length c.ia) (Array.length c.idx) c.shift
+
+(* Bit for bit, except that any NaN matches any NaN: when both operands
+   of an add are NaN, which one propagates depends on the operand order
+   the code generator picks, and IEEE 754 leaves it unspecified. *)
+let same_bits x y =
+  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) || (Float.is_nan x && Float.is_nan y)
+
+let expect_floats op want got =
+  if not (Array.length want = Array.length got && Array.for_all2 same_bits want got) then
+    QCheck.Test.fail_reportf "%s: want [%s], got [%s]" op (show_floats want) (show_floats got)
+
+let expect_ints op want got =
+  if want <> got then QCheck.Test.fail_reportf "%s: int lanes differ" op
+
+let int_dtypes = Cgsim.Dtype.[ I8; I16; I32; I64; U8; U16; U32 ]
+
+let prop_vec_matches_reference =
+  QCheck.Test.make ~name:"vec == per-lane reference (bit for bit)" ~count:500
+    (QCheck.make ~print:show_vec_case gen_vec_case)
+    (fun c ->
+      let open Aie.Vec in
+      let n = Array.length c.fa in
+      expect_floats "fsplat" (Array.make n (ref_r32 c.fa.(0))) (fsplat n c.fa.(0));
+      expect_floats "fadd" (ref_map2 (fun x y -> ref_r32 (x +. y)) c.fa c.fb) (fadd c.fa c.fb);
+      expect_floats "fsub" (ref_map2 (fun x y -> ref_r32 (x -. y)) c.fa c.fb) (fsub c.fa c.fb);
+      expect_floats "fmul" (ref_map2 (fun x y -> ref_r32 (x *. y)) c.fa c.fb) (fmul c.fa c.fb);
+      expect_floats "fmac"
+        (ref_map3 (fun acc x y -> ref_r32 (acc +. (x *. y))) c.fc c.fa c.fb)
+        (fmac c.fc c.fa c.fb);
+      expect_floats "fmax"
+        (ref_map2 (fun x y -> if x >= y then x else y) c.fa c.fb)
+        (fmax c.fa c.fb);
+      expect_floats "fmin"
+        (ref_map2 (fun x y -> if x <= y then x else y) c.fa c.fb)
+        (fmin c.fa c.fb);
+      expect_floats "fshuffle" (Array.map (fun j -> c.fa.(j)) c.idx) (fshuffle c.fa c.idx);
+      expect_floats "fselect"
+        (Array.init n (fun i -> if c.mask.(i) then c.fa.(i) else c.fb.(i)))
+        (fselect c.mask c.fa c.fb);
+      expect_floats "fsum" [| ref_fsum c.fa |] [| fsum c.fa |];
+      expect_ints "isplat" (Array.make n c.ia.(0)) (isplat n c.ia.(0));
+      expect_ints "iadd" (ref_map2 ( + ) c.ia c.ib) (iadd c.ia c.ib);
+      expect_ints "isub" (ref_map2 ( - ) c.ia c.ib) (isub c.ia c.ib);
+      expect_ints "imul" (ref_map2 ( * ) c.ia c.ib) (imul c.ia c.ib);
+      expect_ints "imac"
+        (ref_map3 (fun acc x y -> acc + (x * y)) c.ic c.ia c.ib)
+        (imac c.ic c.ia c.ib);
+      expect_ints "ishuffle" (Array.map (fun j -> c.ia.(j)) c.idx) (ishuffle c.ia c.idx);
+      let half = if c.shift = 0 then 0 else 1 lsl (c.shift - 1) in
+      List.iter
+        (fun dt ->
+          expect_ints
+            ("srs " ^ Cgsim.Dtype.to_string dt)
+            (Array.map (fun x -> Cgsim.Value.clamp_int dt ((x + half) asr c.shift)) c.ia)
+            (srs dt c.shift c.ia))
+        int_dtypes;
+      expect_ints "ups" (Array.map (fun x -> x lsl c.shift) c.ia) (ups c.shift c.ia);
+      true)
+
+(* Rejected by Vec's own checks, not by an array bounds check further in. *)
+let raises_invalid f =
+  match f () with
+  | exception Invalid_argument msg -> String.starts_with ~prefix:"aie: " msg
+  | _ -> false
+
+let prop_vec_rejects_bad_lanes =
+  QCheck.Test.make ~name:"vec rejects lane mismatch and out-of-range shuffles" ~count:200
+    QCheck.(pair (int_range 1 18) (int_range 1 18))
+    (fun (n, m) ->
+      let open Aie.Vec in
+      let f k = Array.make k 1.0 and i k = Array.make k 1 in
+      let mismatched =
+        [ "fadd", (fun () -> ignore (fadd (f n) (f m)));
+          "fsub", (fun () -> ignore (fsub (f n) (f m)));
+          "fmul", (fun () -> ignore (fmul (f n) (f m)));
+          "fmac acc", (fun () -> ignore (fmac (f m) (f n) (f n)));
+          "fmac b", (fun () -> ignore (fmac (f n) (f n) (f m)));
+          "fmax", (fun () -> ignore (fmax (f n) (f m)));
+          "fmin", (fun () -> ignore (fmin (f n) (f m)));
+          "fselect", (fun () -> ignore (fselect (Array.make n true) (f n) (f m)));
+          "fselect mask", (fun () -> ignore (fselect (Array.make m true) (f n) (f n)));
+          "iadd", (fun () -> ignore (iadd (i n) (i m)));
+          "isub", (fun () -> ignore (isub (i n) (i m)));
+          "imul", (fun () -> ignore (imul (i n) (i m)));
+          "imac acc", (fun () -> ignore (imac (i m) (i n) (i n)));
+          "imac b", (fun () -> ignore (imac (i n) (i n) (i m))) ]
+      in
+      List.iter
+        (fun (op, call) ->
+          if n <> m && not (raises_invalid call) then
+            QCheck.Test.fail_reportf "%s: %d vs %d lanes accepted" op n m)
+        mismatched;
+      List.iter
+        (fun j ->
+          if not (raises_invalid (fun () -> ignore (fshuffle (f n) [| 0; j |]))) then
+            QCheck.Test.fail_reportf "fshuffle index %d of %d lanes accepted" j n;
+          if not (raises_invalid (fun () -> ignore (ishuffle (i n) [| 0; j |]))) then
+            QCheck.Test.fail_reportf "ishuffle index %d of %d lanes accepted" j n)
+        [ -1; n ];
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation: untraced kernel bodies allocate only their results     *)
+(* ------------------------------------------------------------------ *)
+
+let words_per_call f =
+  ignore (Sys.opaque_identity (f ()));
+  let calls = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let test_untraced_allocation () =
+  Alcotest.(check bool) "tracing off" false !Aie.Trace.enabled;
+  let lanes = 16 in
+  (* a 16-lane float or int array: header + 16 words *)
+  let result_words = float_of_int (lanes + 1) in
+  let a = Array.init lanes float_of_int and b = Array.make lanes 0.5 in
+  let acc = Array.init lanes (fun i -> i * 40000) in
+  let at_most what bound f =
+    let w = words_per_call f in
+    if w > bound then Alcotest.failf "%s allocates %.1f words per call (bound %.0f)" what w bound
+  in
+  at_most "fpmax" (result_words +. 4.) (fun () -> Aie.Intrinsics.fpmax a b);
+  at_most "fpmac" (result_words +. 4.) (fun () -> Aie.Intrinsics.fpmac a a b);
+  at_most "srs16" (result_words +. 4.) (fun () -> Aie.Intrinsics.srs16 ~shift:4 acc);
+  at_most "Trace.vop" 2. (fun () -> Aie.Trace.vop ~slots:2 "fpmac");
+  at_most "Trace.sop" 2. (fun () -> Aie.Trace.sop ~count:3 "addr")
 
 (* ------------------------------------------------------------------ *)
 (* Intrinsics: cost emission                                          *)
@@ -307,6 +507,9 @@ let () =
           Alcotest.test_case "srs semantics" `Quick test_vec_srs_semantics;
           Alcotest.test_case "f32 rounding" `Quick test_vec_f32_rounding;
           QCheck_alcotest.to_alcotest prop_srs_monotone;
+          QCheck_alcotest.to_alcotest prop_vec_matches_reference;
+          QCheck_alcotest.to_alcotest prop_vec_rejects_bad_lanes;
+          Alcotest.test_case "untraced allocation" `Quick test_untraced_allocation;
         ] );
       ( "intrinsics",
         [

@@ -366,6 +366,46 @@ let test_pool_breaker_reset_by_success () =
   Alcotest.(check bool) "under threshold: closed" false stats.Cgsim.Pool.breaker_tripped;
   Alcotest.(check int) "nothing shed" 0 stats.Cgsim.Pool.counts.Cgsim.Pool.n_shed
 
+let test_pool_callback_raise_counted () =
+  (* A raising on_complete still leaves the result awaitable; the pool
+     counts the failure and notes it, with the request id, in the worker
+     domain's flight ring (read back from a later callback on that
+     domain). *)
+  let pool = Cgsim.Pool.create ~domains:1 () in
+  let g = chain_graph () in
+  let io _ = [ chain_input 4 ], [ Cgsim.Io.null () ] in
+  let flight = Atomic.make [] in
+  let res, id =
+    Fun.protect
+      ~finally:(fun () -> Cgsim.Pool.shutdown pool)
+      (fun () ->
+        let h = Cgsim.Pool.submit pool g ~io ~on_complete:(fun _ -> failwith "callback boom") in
+        let res = Cgsim.Pool.await h in
+        let h2 =
+          Cgsim.Pool.submit pool g ~io ~on_complete:(fun _ ->
+              Atomic.set flight (Obs.Flight.snapshot ()))
+        in
+        ignore (Cgsim.Pool.await h2);
+        res, Cgsim.Pool.handle_id h)
+  in
+  (match res.Cgsim.Pool.outcome with
+   | Cgsim.Runtime.Completed _ -> ()
+   | o -> Alcotest.failf "expected Completed, got %a" Cgsim.Runtime.pp_outcome o);
+  let failed =
+    List.filter_map
+      (fun (c : Obs.Metrics.counter_snapshot) ->
+        if c.Obs.Metrics.c_name = "pool.callback_failed" then Some c.Obs.Metrics.total else None)
+      (Cgsim.Pool.metrics pool).Obs.Metrics.counters
+  in
+  Alcotest.(check (list (float 0.0))) "pool.callback_failed" [ 1.0 ] failed;
+  Alcotest.(check bool)
+    "flight note names the request" true
+    (List.exists
+       (fun (e : Obs.Flight.entry) ->
+         e.Obs.Flight.fl_name = "pool.callback_failed"
+         && e.Obs.Flight.fl_arg = float_of_int id)
+       (Atomic.get flight))
+
 (* ------------------------------------------------------------------ *)
 (* x86sim: watchdog deadline and failure outcomes                      *)
 (* ------------------------------------------------------------------ *)
@@ -449,6 +489,7 @@ let () =
           Alcotest.test_case "deadline on divergent" `Quick test_pool_deadline_divergent_graph;
           Alcotest.test_case "breaker opens and sheds" `Quick test_pool_breaker_sheds;
           Alcotest.test_case "closed under threshold" `Quick test_pool_breaker_reset_by_success;
+          Alcotest.test_case "raising callback counted" `Quick test_pool_callback_raise_counted;
         ] );
       ( "x86sim",
         [
