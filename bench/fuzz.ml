@@ -2,8 +2,8 @@
    verdicts held against actual runtime behavior.
 
    Delegates generation to {!Workloads.Sdf_gen} and the per-case oracle
-   to {!Sdf_oracle}; this wrapper sweeps the deterministic case mix,
-   reports per-category agreement, optionally writes machine-readable
+   to {!Workloads.Sdf_oracle}; this wrapper sweeps the deterministic
+   case mix, reports per-category agreement, optionally writes machine-readable
    JSON (schema "cgsim-bench-fuzz/1"), and exits nonzero on any
    disagreement — the CI gate ci.sh runs in its fuzz-smoke step. *)
 
@@ -33,7 +33,7 @@ let run ?json ?count ~smoke () =
   let problems = ref [] in
   for i = 0 to count - 1 do
     let case = G.nth_case i in
-    let bad = Sdf_oracle.check case in
+    let bad = Workloads.Sdf_oracle.check case in
     bump (label_of case) (bad <> []);
     problems := List.rev_append bad !problems;
     if (i + 1) mod 60 = 0 || i + 1 = count then

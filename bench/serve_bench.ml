@@ -43,7 +43,7 @@ let serve_batch = 8
 (* Static predicted ceiling: profile a few single-domain requests with
    fusion off (so the self-time histograms stay per kernel instance),
    turn the Obs.Profile rows into a per-kernel ns/request cost model,
-   and ask Analysis.Throughput for the sequential bound — the req/s one
+   and ask Cgsim.Throughput for the sequential bound — the req/s one
    domain cannot beat.  Printed and recorded next to the measured
    numbers so the static analyser is held against reality on every
    benchmark run. *)
@@ -72,12 +72,12 @@ let predict_ceiling ~reps (t : Apps.Harness.t) g =
         else None)
       rows
   in
-  match Analysis.Throughput.bound ~cost g with
+  match Cgsim.Throughput.bound ~cost g with
   | None -> None
   | Some b ->
-    (match Analysis.Throughput.sequential_per_sec b with
+    (match Cgsim.Throughput.sequential_per_sec b with
      | None -> None
-     | Some rps -> Some (rps, b.Analysis.Throughput.b_bottleneck))
+     | Some rps -> Some (rps, b.Cgsim.Throughput.b_bottleneck))
 
 type app_run = {
   domains : int;

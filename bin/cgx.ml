@@ -100,15 +100,15 @@ let lint_cmd =
           List.map
             (fun (g : Cgc.Ast.graph) ->
               let serialized = Cgc.Consteval.eval_graph env g in
-              let caps = if suggest || json then Analysis.Capacity.suggest serialized else [] in
+              let caps = if suggest || json then Cgsim.Capacity.suggest serialized else [] in
               let bottleneck =
                 if json then
                   Option.map
-                    (fun b -> b.Analysis.Throughput.b_bottleneck)
-                    (Analysis.Throughput.bound serialized)
+                    (fun b -> b.Cgsim.Throughput.b_bottleneck)
+                    (Cgsim.Throughput.bound serialized)
                 else None
               in
-              g.Cgc.Ast.g_name, serialized, Analysis.Lint.run serialized, caps, bottleneck)
+              g.Cgc.Ast.g_name, serialized, Cgsim.Lint.run serialized, caps, bottleneck)
             graphs
         in
         if json then
@@ -122,14 +122,14 @@ let lint_cmd =
                       Obs.Json.Arr
                         (List.map
                            (fun (name, _, diags, caps, bottleneck) ->
-                             Analysis.Report.to_json ~suggested_capacities:caps
+                             Cgsim.Report.to_json ~suggested_capacities:caps
                                ?predicted_bottleneck:bottleneck ~graph:name diags)
                            linted) );
                   ]))
         else
           List.iter
             (fun (name, serialized, diags, caps, _) ->
-              Printf.printf "graph %s: %s\n" name (Analysis.Report.summary diags);
+              Printf.printf "graph %s: %s\n" name (Cgsim.Report.summary diags);
               List.iter
                 (fun d -> print_endline ("  " ^ Cgsim.Diagnostic.render d))
                 (Cgsim.Diagnostic.sort diags);

@@ -176,4 +176,18 @@ if grep -rn 'Gc\.set' lib; then
 fi
 echo "no Gc.set in lib/"
 
+echo "== analysis-in-compile gate =="
+# Lint, fusion and capacity synthesis are part of Runtime.compile: the
+# link-time hooks that used to install them into global refs, and the
+# separate analysis / sdf_oracle libraries they forced, must not return.
+if grep -rnE 'set_lint_hook|set_fusion_hook|set_capacity_hook|install_runtime_hook|linkall' lib bin bench test; then
+  echo "ci: caller references a removed analysis hook or -linkall" >&2
+  exit 1
+fi
+if find . -path ./_build -prune -o -name dune -print | xargs grep -nwE 'analysis|sdf_oracle' | grep -v ':[0-9]*: *;'; then
+  echo "ci: a dune file still names the analysis or sdf_oracle library" >&2
+  exit 1
+fi
+echo "no analysis hooks or split libraries"
+
 echo "== ci passed =="

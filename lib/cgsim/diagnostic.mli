@@ -2,7 +2,7 @@
 
     One diagnostic type for every layer that judges a graph: the
     serialized-form validator ({!Serialized.validate_diags}), the static
-    analyzer ([lib/analysis]), the CGC front-end ([Cgc.Diag] renders its
+    analyzer ({!Lint}), the CGC front-end ([Cgc.Diag] renders its
     located errors through {!render}) and the extractor.  A diagnostic is
     plain data — severity, a stable code like ["CG-E201"], a message, the
     kernel instances and nets it concerns, and an optional source span

@@ -616,43 +616,48 @@ let worker pool domain () =
   in
   loop ()
 
+(* A pool with no workers yet: [start] spawns them. *)
+let make ~config ~domains =
+  {
+    p_config = config;
+    p_domains = domains;
+    p_lock = Mutex.create ();
+    p_cond = Condition.create ();
+    p_queues = Array.init domains (fun _ -> Queue.create ());
+    p_stop = false;
+    p_next_id = 0;
+    p_queued = 0;
+    p_joined = false;
+    p_workers = [||];
+    p_t0 = Obs.Clock.now_ns ();
+    p_executing = Atomic.make 0;
+    p_served = Atomic.make 0;
+    p_steals = Atomic.make 0;
+    p_retries = Atomic.make 0;
+    p_warm_hits = Atomic.make 0;
+    p_cold_builds = Atomic.make 0;
+    p_batched = Atomic.make 0;
+    p_completed = Atomic.make 0;
+    p_deadline = Atomic.make 0;
+    p_max_steps = Atomic.make 0;
+    p_cancelled = Atomic.make 0;
+    p_failed = Atomic.make 0;
+    p_callback_failed = Atomic.make 0;
+    p_shed = Atomic.make 0;
+    p_retried_ok = Atomic.make 0;
+    p_consec_failures = Atomic.make 0;
+    p_breaker_tripped = Atomic.make false;
+    p_breaker_flight = ref [];
+    p_lat_hdrs = Array.init domains (fun _ -> Obs.Hdr.create ());
+  }
+
+let start pool =
+  pool.p_workers <- Array.init pool.p_domains (fun d -> Domain.spawn (worker pool d))
+
 let create ?(config = Run_config.default) ~domains () =
   if domains <= 0 then invalid_arg "cgsim: Pool.create needs a positive domain count";
-  let pool =
-    {
-      p_config = config;
-      p_domains = domains;
-      p_lock = Mutex.create ();
-      p_cond = Condition.create ();
-      p_queues = Array.init domains (fun _ -> Queue.create ());
-      p_stop = false;
-      p_next_id = 0;
-      p_queued = 0;
-      p_joined = false;
-      p_workers = [||];
-      p_t0 = Obs.Clock.now_ns ();
-      p_executing = Atomic.make 0;
-      p_served = Atomic.make 0;
-      p_steals = Atomic.make 0;
-      p_retries = Atomic.make 0;
-      p_warm_hits = Atomic.make 0;
-      p_cold_builds = Atomic.make 0;
-      p_batched = Atomic.make 0;
-      p_completed = Atomic.make 0;
-      p_deadline = Atomic.make 0;
-      p_max_steps = Atomic.make 0;
-      p_cancelled = Atomic.make 0;
-      p_failed = Atomic.make 0;
-      p_callback_failed = Atomic.make 0;
-      p_shed = Atomic.make 0;
-      p_retried_ok = Atomic.make 0;
-      p_consec_failures = Atomic.make 0;
-      p_breaker_tripped = Atomic.make false;
-      p_breaker_flight = ref [];
-      p_lat_hdrs = Array.init domains (fun _ -> Obs.Hdr.create ());
-    }
-  in
-  pool.p_workers <- Array.init domains (fun d -> Domain.spawn (worker pool d));
+  let pool = make ~config ~domains in
+  start pool;
   pool
 
 let submit pool ?config ?not_before_ns ?on_complete ~io (g : Serialized.t) =
@@ -792,13 +797,16 @@ let run ?(config = Run_config.default) ?arrivals ~domains ~requests ~io (g : Ser
    | Some a when Array.length a <> requests ->
      invalid_arg "cgsim: Pool.run ~arrivals must have one offset per request"
    | Some _ | None -> ());
-  let pool = create ~config ~domains () in
+  (* Queue every request before any worker exists, so a batchable
+     request never runs alone just because a worker woke early. *)
+  let pool = make ~config ~domains in
   let t0 = pool.p_t0 in
   let handles =
     Array.init requests (fun r ->
         let not_before_ns = Option.map (fun a -> t0 +. a.(r)) arrivals in
         submit pool ?not_before_ns ~io g)
   in
+  start pool;
   let results = Array.map await handles in
   shutdown pool;
   let wall_ns = Obs.Clock.now_ns () -. t0 in

@@ -216,10 +216,11 @@ type stats = {
 (** [run ~domains ~requests ~io g] executes [requests] independent
     instances of [g] on [domains] parallel domains under [config]
     (default {!Run_config.default}): a {!create}/{!submit}/{!await}/
-    {!shutdown} round in one call.  [io r] is called on the executing
-    domain, once per attempt, to build the sources and sinks for request
-    [r].  The graph is compiled (and linted) once up front, not per
-    request.
+    {!shutdown} round in one call, except that every request is queued
+    before the worker domains start, so batchable requests are always
+    there to be batched.  [io r] is called on the executing domain, once
+    per attempt, to build the sources and sinks for request [r].  The
+    graph is compiled (and linted) once up front, not per request.
 
     [?arrivals] switches the pool from closed-loop (execute as fast as
     the domains allow) to open-loop: [arrivals.(r)] is request [r]'s

@@ -52,18 +52,16 @@ type t = {
       (** Operator fusion (default [true]): collapse chains of
           rate-matched single-producer/single-consumer kernels into one
           fiber, passing windows directly with no intermediate queue.
-          Only lint-clean chains identified by the analysis pass are
-          fused; everything else falls back transparently.  [false]
-          keeps one fiber + one queue per hop. *)
+          Only the lint-clean chains {!Fusion.chains} finds are fused;
+          everything else keeps its queues.  [false] keeps one fiber +
+          one queue per hop. *)
   auto_capacity : bool;
       (** Capacity synthesis (default [false]): at {!Runtime.compile}
           time, raise each net's queue depth to the minimal
           deadlock-free capacity suggested by the static analyzer's
-          capacity pass ([Analysis.Capacity], finding CG-I204).
+          capacity pass ({!Capacity.suggest}, finding CG-I204).
           Depths are only ever raised, never lowered, so a clean graph
-          is untouched.  No-op unless the [analysis] library is linked
-          (the suggestion hook installs itself, like the lint and
-          fusion hooks). *)
+          is untouched. *)
 }
 
 val default : t

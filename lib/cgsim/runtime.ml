@@ -86,21 +86,14 @@ let obs_hooks () =
 
 type lint_level = Run_config.lint_level
 
-(* The static analyzer (lib/analysis) installs itself here at module-init
-   time; cgsim itself cannot depend on it without a cycle.  When no hook
-   is installed, pre-flight linting quietly does nothing. *)
-let lint_hook : (Serialized.t -> Diagnostic.t list) option ref = ref None
-
-let set_lint_hook f = lint_hook := Some f
-
+(* The pre-flight: at [`Warn] print warning- and error-level findings
+   and proceed, at [`Error] refuse a graph with error-level findings. *)
 let preflight ~lint (g : Serialized.t) =
-  match lint, !lint_hook with
-  | `Off, _ | _, None -> ()
-  | (`Warn | `Error), Some hook ->
+  match lint with
+  | `Off -> ()
+  | `Warn | `Error ->
     let diags =
-      List.filter
-        (fun d -> d.Diagnostic.severity <> Diagnostic.Info)
-        (hook g)
+      List.filter (fun d -> d.Diagnostic.severity <> Diagnostic.Info) (Lint.run g)
     in
     if diags <> [] then begin
       match lint, Diagnostic.max_severity diags with
@@ -110,120 +103,6 @@ let preflight ~lint (g : Serialized.t) =
       | _ ->
         List.iter (fun d -> prerr_endline (Diagnostic.render d)) diags
     end
-
-(* The fusion analysis (lib/analysis) installs itself here at module-init
-   time, like the linter.  It proposes chains of kernel indices
-   (upstream first) whose members are rate-matched and connected by
-   exclusive SPSC nets; [compile] collapses each accepted chain into one
-   fiber with direct hand-off edges ({!Fused}) instead of queues.  With
-   no hook installed, or [Run_config.fuse] off, nothing fuses. *)
-let fusion_hook : (Serialized.t -> int list list) option ref = ref None
-
-let set_fusion_hook f = fusion_hook := Some f
-
-(* An analysis hook that raises is a bug in the analysis: fail the
-   compile naming the graph and the hook rather than silently running
-   with no proposals. *)
-let call_hook ~hook_name hook (g : Serialized.t) =
-  try hook g
-  with e -> fail "graph %s: %s hook raised %s" g.Serialized.gname hook_name (Printexc.to_string e)
-
-(* Re-validate proposed chains against the structural facts the
-   single-fiber pump protocol needs; a chain that fails any check is
-   dropped (transparent fallback to normal queued execution), never an
-   error.  Returns the accepted chains as (member kernel indices,
-   interior net ids) plus the per-net fused flags. *)
-let resolve_chains ~(config : Run_config.t) (g : Serialized.t) =
-  let n_nets = Array.length g.Serialized.nets in
-  match (if config.Run_config.fuse then !fusion_hook else None) with
-  | None -> [||], Array.make n_nets false
-  | Some hook ->
-    let n_kernels = Array.length g.Serialized.kernels in
-    let proposed = call_hook ~hook_name:"fusion" hook g in
-    let claimed = Array.make n_kernels false in
-    let fused = Array.make n_nets false in
-    let dir_nets dir k =
-      let inst = g.Serialized.kernels.(k) in
-      let acc = ref [] in
-      Array.iteri
-        (fun pi (spec : Kernel.port_spec) ->
-          if spec.Kernel.dir = dir then acc := inst.Serialized.port_nets.(pi) :: !acc)
-        inst.Serialized.ports;
-      !acc
-    in
-    (* The unique exclusive non-global net written by [a] and read by
-       [b], if there is exactly one. *)
-    let pair_net a b =
-      let hits = ref [] in
-      Array.iteri
-        (fun id (n : Serialized.net) ->
-          if n.Serialized.global_input = None && n.Serialized.global_output = None
-             && (match n.Serialized.writers with
-                 | [ w ] -> w.Serialized.kernel_idx = a
-                 | _ -> false)
-             && (match n.Serialized.readers with
-                 | [ r ] -> r.Serialized.kernel_idx = b
-                 | _ -> false)
-          then hits := id :: !hits)
-        g.Serialized.nets;
-      match !hits with [ id ] -> Some id | _ -> None
-    in
-    let accepted = ref [] in
-    List.iter
-      (fun chain ->
-        let members = Array.of_list chain in
-        let m = Array.length members in
-        let distinct =
-          m >= 2
-          && Array.for_all (fun k -> k >= 0 && k < n_kernels && not claimed.(k)) members
-          &&
-          let seen = Hashtbl.create m in
-          Array.for_all
-            (fun k ->
-              if Hashtbl.mem seen k then false
-              else begin
-                Hashtbl.add seen k ();
-                true
-              end)
-            members
-        in
-        if distinct then begin
-          let edges = Array.init (m - 1) (fun i -> pair_net members.(i) members.(i + 1)) in
-          let connected = Array.for_all Option.is_some edges in
-          if connected then begin
-            let edges = Array.map Option.get edges in
-            (* Shape the pump protocol supports: every non-tail member's
-               sole output is its chain edge (its body is the downstream
-               edge's pump), every non-head member's sole input is the
-               edge from its predecessor.  Head inputs and tail outputs
-               stay real. *)
-            let shape_ok = ref true in
-            for i = 0 to m - 2 do
-              if dir_nets Kernel.Out members.(i) <> [ edges.(i) ] then shape_ok := false
-            done;
-            for i = 1 to m - 1 do
-              if dir_nets Kernel.In members.(i) <> [ edges.(i - 1) ] then shape_ok := false
-            done;
-            if !shape_ok then begin
-              Array.iter (fun k -> claimed.(k) <- true) members;
-              Array.iter (fun id -> fused.(id) <- true) edges;
-              accepted := (members, edges) :: !accepted
-            end
-          end
-        end)
-      proposed;
-    Array.of_list (List.rev !accepted), fused
-
-(* The capacity-synthesis analysis (lib/analysis) installs itself here
-   at module-init time, like the linter and the fusion pass.  It maps a
-   graph to (net id, minimal deadlock-free depth) suggestions;
-   [resolve_graph] raises the corresponding queue capacities when
-   [Run_config.auto_capacity] is on.  Depths are only ever raised — a
-   suggestion below the resolved depth is ignored — so the synthesis
-   can never shrink a queue the user sized deliberately. *)
-let capacity_hook : (Serialized.t -> (int * int) list) option ref = ref None
-
-let set_capacity_hook f = capacity_hook := Some f
 
 (* ------------------------------------------------------------------ *)
 (* Structured outcomes                                                 *)
@@ -300,8 +179,9 @@ let pp_outcome ppf = function
 
    - [compiled]: everything derivable from the Serialized.t + Run_config
      pair alone — validation, registry resolution, per-net queue
-     capacities, precomputed fiber profiler keys, graph purity and the
-     pre-flight lint verdict.  Built once, shared freely.
+     capacities, precomputed fiber profiler keys, the batching gate, the
+     fusion chains and the pre-flight lint verdict.  Built once, shared
+     freely.
 
    - [t] (an instance): the mutable per-request state — queues with their
      registered endpoints and sealed SPSC plan, the scheduler, failure
@@ -317,13 +197,9 @@ type compiled = {
   c_kernels : Kernel.t array;  (* registry-resolved, indexed like kernels *)
   c_prof_keys : string array;  (* per kernel inst, for Sched.spawn *)
   c_capacities : int array;  (* per net id *)
-  c_chains : (int array * int array) array;
-      (* accepted fusion chains: member kernel indices (upstream first)
-         and the net ids of the interior edges between them *)
+  c_chains : Fusion.chain array;
   c_fused : bool array;  (* per net id: replaced by a Fused.edge *)
-  c_pure : bool;  (* every kernel body declared Pure *)
-  c_batchable : bool;  (* every kernel Pure AND stateless: concat-safe *)
-  c_linted : bool;  (* pre-flight verdict already established *)
+  c_batchable : bool;  (* Pool_safety.batching_safe: concat-safe *)
 }
 
 (* One kernel port wired to its queue endpoint.  Raw (unhooked) port
@@ -361,7 +237,6 @@ type t = {
   mutable cur_sources : Io.source array;  (* the current run's I/O *)
   mutable cur_sinks : Io.sink array;
   mutable ran : bool;
-  mutable linted : bool;
   mutable failure : failure option;  (* first kernel failure, with context *)
 }
 
@@ -383,7 +258,11 @@ let cancel t = Sched.cancel t.sched
    by the queue capacity so a chunk is at most one full ring. *)
 let io_chunk q = max 1 (min (Bqueue.capacity q) 1024)
 
-let resolve_graph ~(config : Run_config.t) (g : Serialized.t) =
+(* Validation first, then the pre-flight lint: at [`Error] a failing
+   graph is refused here, before any instance exists or any kernel body
+   runs.  Capacity synthesis only ever raises a depth, so a queue the
+   user sized deliberately is never shrunk. *)
+let compile ?(config = Run_config.default) (g : Serialized.t) =
   (match Serialized.validate_diags g with
    | [] -> ()
    | diags ->
@@ -397,11 +276,7 @@ let resolve_graph ~(config : Run_config.t) (g : Serialized.t) =
         | None -> fail "graph %s references unregistered kernel %s" g.Serialized.gname inst.key)
       g.Serialized.kernels
   in
-  let prof_keys =
-    Array.map
-      (fun (inst : Serialized.kernel_inst) -> Obs.Profile.prefix ^ inst.Serialized.inst_name)
-      g.Serialized.kernels
-  in
+  preflight ~lint:config.Run_config.lint g;
   let capacities =
     Array.map
       (fun (n : Serialized.net) ->
@@ -410,54 +285,38 @@ let resolve_graph ~(config : Run_config.t) (g : Serialized.t) =
         | None -> Settings.resolved_depth ~elem_bytes:(Dtype.size_bytes n.dtype) n.settings)
       g.Serialized.nets
   in
-  (match (if config.Run_config.auto_capacity then !capacity_hook else None) with
-   | None -> ()
-   | Some hook ->
-     List.iter
-       (fun (id, depth) ->
-         if id >= 0 && id < Array.length capacities then
-           capacities.(id) <- max capacities.(id) depth)
-       (call_hook ~hook_name:"capacity" hook g));
-  let pure = Array.for_all (fun k -> k.Kernel.purity = Kernel.Pure) kernels in
-  let batchable =
-    pure && Array.for_all (fun k -> k.Kernel.stateless) kernels
+  if config.Run_config.auto_capacity then
+    List.iter
+      (fun (id, depth) -> capacities.(id) <- max capacities.(id) depth)
+      (Capacity.suggest g);
+  let chains =
+    if config.Run_config.fuse then Array.of_list (Fusion.chains g) else [||]
   in
-  kernels, prof_keys, capacities, pure, batchable
-
-let compile_internal ~linted ~(config : Run_config.t) (g : Serialized.t) =
-  let kernels, prof_keys, capacities, pure, batchable = resolve_graph ~config g in
-  let chains, fused = resolve_chains ~config g in
+  let fused = Array.make (Array.length g.Serialized.nets) false in
+  Array.iter
+    (fun (ch : Fusion.chain) -> Array.iter (fun id -> fused.(id) <- true) ch.interior)
+    chains;
   {
     c_graph = g;
     c_config = config;
     c_kernels = kernels;
-    c_prof_keys = prof_keys;
+    c_prof_keys =
+      Array.map
+        (fun (inst : Serialized.kernel_inst) -> Obs.Profile.prefix ^ inst.Serialized.inst_name)
+        g.Serialized.kernels;
     c_capacities = capacities;
     c_chains = chains;
     c_fused = fused;
-    c_pure = pure;
-    c_batchable = batchable;
-    c_linted = linted;
+    c_batchable = Pool_safety.batching_safe g;
   }
-
-let compile ?(config = Run_config.default) (g : Serialized.t) =
-  let c = compile_internal ~linted:true ~config g in
-  (* The lint verdict is part of the compiled artifact: warm hits and
-     retries reuse it instead of re-running the analyzer. *)
-  preflight ~lint:config.Run_config.lint g;
-  c
 
 let compiled_graph c = c.c_graph
 
 let compiled_config c = c.c_config
 
-let compiled_pure c = c.c_pure
-
 let compiled_batchable c = c.c_batchable
 
-(* Accepted fusion chains, as kernel indices upstream-first (empty when
-   fusion is off, no analysis is linked, or nothing qualified). *)
-let compiled_chains c = Array.map fst c.c_chains
+let compiled_chains c = Array.map (fun (ch : Fusion.chain) -> ch.members) c.c_chains
 
 (* Every net must end wiring with at least one producer and one consumer
    on its queue: a producer-less queue never closes (its readers would
@@ -603,10 +462,10 @@ let new_instance (c : compiled) =
   in
   let chains =
     Array.map
-      (fun (members, edge_nets) ->
+      (fun (ch : Fusion.chain) ->
         {
-          ch_members = members;
-          ch_edges = Array.map (fun id -> Option.get f_edges.(id)) edge_nets;
+          ch_members = ch.members;
+          ch_edges = Array.map (fun id -> Option.get f_edges.(id)) ch.interior;
         })
       c.c_chains
   in
@@ -638,21 +497,15 @@ let new_instance (c : compiled) =
     cur_sources = [||];
     cur_sinks = [||];
     ran = false;
-    linted = c.c_linted;
     failure = None;
   }
 
-(* [instantiate] keeps its historical semantics: the graph is validated
-   and wired here, but the pre-flight lint still happens at the first
-   [run] (the compiled artifact of a bare instantiate carries no
-   verdict). *)
-let instantiate ?(config = Run_config.default) (g : Serialized.t) =
-  new_instance (compile_internal ~linted:false ~config g)
+let instantiate ?config (g : Serialized.t) = new_instance (compile ?config g)
 
 (* Restore a used instance to pristine: ring cursors, producer-open
    flags, scheduler state and the failure slot all return to their
    just-built values; nothing is reallocated and the endpoint set (and
-   with it the sealed SPSC plan and lint verdict) is preserved. *)
+   with it the sealed SPSC plan) is preserved. *)
 let reset t =
   Array.iter Bqueue.reset t.queues;
   Array.iter (function Some e -> Fused.reset e | None -> ()) t.f_edges;
@@ -866,14 +719,6 @@ let occupancy_snapshot t =
 let run t ~sources ~sinks =
   if t.ran then
     fail "runtime context for %s already ran; reset it (or instantiate again)" t.graph.gname;
-  (* Pre-flight static analysis happens before any fiber is scheduled:
-     at [`Error] a failing graph is refused before a single kernel body
-     executes.  A compiled graph's verdict (and a reset instance's) is
-     reused — warm hits and retries never re-lint. *)
-  if not t.linted then begin
-    preflight ~lint:t.config.Run_config.lint t.graph;
-    t.linted <- true
-  end;
   t.ran <- true;
   let n_in = Array.length t.graph.Serialized.input_order in
   let n_out = Array.length t.graph.Serialized.output_order in

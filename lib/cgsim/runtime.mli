@@ -13,9 +13,9 @@
     {!run_exn}/{!execute_exn} for the raising convenience.
 
     The lifecycle is split between an immutable {!compiled} graph
-    (validation, registry resolution, queue capacities, profiler keys,
-    purity, lint verdict — everything derivable from the
-    {!Serialized.t} + {!Run_config.t} pair alone) and cheap per-request
+    (validation, registry resolution, lint verdict, queue capacities,
+    fusion chains, profiler keys, batching gate — everything derivable
+    from the {!Serialized.t} + {!Run_config.t} pair alone) and cheap per-request
     instances: {!new_instance} builds one, a run uses it, and {!reset}
     restores it to pristine without reallocation so warm serving reuses
     queues, endpoints and the sealed SPSC plan.  {!instantiate} remains
@@ -35,42 +35,11 @@ exception Runtime_error of string
     kernel body executes). *)
 type lint_level = Run_config.lint_level
 
-(** Install the static analyzer used by {!run}'s pre-flight.  The
-    [analysis] library installs [Analysis.Lint.run] here when it is
-    linked; without a hook the pre-flight is a no-op.  (Dependency
-    injection: cgsim cannot depend on the analyzer directly.) *)
-val set_lint_hook : (Serialized.t -> Diagnostic.t list) -> unit
-
-(** Run the installed lint hook on a graph at the given level without
-    instantiating it — the entry {!run} uses for its pre-flight, exposed
-    for components (e.g. {!Pool}) that execute one graph many times and
-    want to lint it once. *)
+(** Run {!Lint.run} on a graph at the given level without compiling it —
+    the pre-flight {!compile} performs, exposed for backends (x86sim)
+    that execute a graph without a compiled artifact.  Raises
+    {!Runtime_error} at [`Error] when any finding is error-level. *)
 val preflight : lint:lint_level -> Serialized.t -> unit
-
-(** Install the operator-fusion analysis used by {!compile} when
-    [Run_config.fuse] is on.  The hook proposes chains of kernel indices
-    (upstream first) that are rate-matched and connected by exclusive
-    SPSC nets; the runtime re-validates each proposal structurally —
-    consecutive members joined by exactly one non-global
-    single-writer/single-reader net, non-tail members with that edge as
-    their only output, non-head members with it as their only input —
-    and silently drops chains that fail, falling back to queued
-    execution.  Accepted chains run as one fiber with direct hand-off
-    edges ({!Fused}) in place of queues.  Installed by the [analysis]
-    library at link time ([Analysis.Fusion.chains]); without a hook
-    nothing fuses.  A hook that raises fails the compile with
-    {!Runtime_error} naming the graph and the hook. *)
-val set_fusion_hook : (Serialized.t -> int list list) -> unit
-
-(** Install the capacity-synthesis analysis used by {!compile} when
-    [Run_config.auto_capacity] is on.  The hook maps a graph to
-    [(net_id, minimal deadlock-free depth)] suggestions; the runtime
-    raises each suggested net's queue capacity to the suggested depth
-    (never lowers one, so deliberately over-sized queues are left
-    alone).  Installed by the [analysis] library at link time
-    ([Analysis.Capacity.suggest]); without a hook, [auto_capacity] is a
-    no-op.  A hook that raises fails the compile with {!Runtime_error}. *)
-val set_capacity_hook : (Serialized.t -> (int * int) list) -> unit
 
 (** Hooks letting a simulator intercept every kernel-port access without
     changing kernel code — the mechanism aiesim uses to count stream
@@ -144,46 +113,49 @@ val pp_outcome : Format.formatter -> outcome -> unit
     {!Runtime_error} with the corresponding message. *)
 val stats_exn : outcome -> Sched.stats
 
-(** [instantiate g] reconstructs the graph under [config] (default
+(** [instantiate g] is [new_instance (compile ?config g)]: it
+    reconstructs the graph under [config] (default
     {!Run_config.default}).  Queue capacities derive from each net's
     resolved settings unless [config.queue_capacity] overrides them all.
     Ports always take the block transfers, scalar nets always use flat
     storage, and every 1:1 net is sealed onto the SPSC path
     ({!Bqueue.seal}).  [config.hooks] are installed around every
     kernel port and body; [config.faults] wraps innermost.  Raises
-    {!Runtime_error} when a kernel key is missing from the registry or
-    the serialized form is invalid. *)
+    exactly as {!compile} does. *)
 val instantiate : ?config:Run_config.t -> Serialized.t -> t
 
 (** {1 Compile-once serving}
 
-    [compile g] does the per-graph work once: validation, registry
-    resolution, per-net queue-capacity resolution, profiler-key
-    precomputation, the purity check that gates request batching, and
-    the pre-flight lint at [config.lint] — the verdict is part of the
-    artifact, so instances built from it (and their resets) never
-    re-lint.  Raises exactly as {!instantiate} would on an invalid
-    graph, and as {!run}'s pre-flight would at [`Error]. *)
+    [compile g] does the per-graph work once, in order:
+    - structural validation and registry resolution ({!Runtime_error}
+      on an invalid graph or an unregistered kernel key);
+    - the pre-flight {!Lint.run} at [config.lint] ({!preflight}): at
+      [`Error] a graph with error-level findings is refused here,
+      before any kernel body runs;
+    - per-net queue capacities, raised to {!Capacity.suggest}'s
+      minimal deadlock-free depths when [config.auto_capacity] is on;
+    - the {!Fusion.chains} to run as single fibers when [config.fuse]
+      is on;
+    - profiler keys and the batching gate.
+
+    Instances built from the artifact (and their resets) never re-lint.
+    An exception raised inside an analysis pass propagates unchanged. *)
 val compile : ?config:Run_config.t -> Serialized.t -> compiled
 
 val compiled_graph : compiled -> Serialized.t
 
 val compiled_config : compiled -> Run_config.t
 
-(** Whether every kernel body is declared [Pure] ({!Kernel.define}'s
-    [?pure:true]) — the property concurrent {!Pool} serving relies on. *)
-val compiled_pure : compiled -> bool
-
-(** Whether every kernel is additionally declared [stateless]
-    (concatenation-safe: no memory across inputs within a run) — the
-    gate for pumping several requests through one warm run.  Implies
-    {!compiled_pure}. *)
+(** {!Pool_safety.batching_safe} on the graph: every kernel is declared
+    [Pure] and [stateless] (concatenation-safe: no memory across inputs
+    within a run) — the gate for pumping several requests through one
+    warm run. *)
 val compiled_batchable : compiled -> bool
 
 (** The fusion chains this artifact will execute, as kernel indices into
     the graph's kernel array, upstream first — empty when fusion is off
-    ([Run_config.fuse = false]), no fusion hook is linked, or no chain
-    qualified.  Exposed for tests and bench reporting. *)
+    ([Run_config.fuse = false]) or no chain qualified.  Exposed for
+    tests and bench reporting. *)
 val compiled_chains : compiled -> int array array
 
 (** [new_instance c] builds the per-request state: queues at the
@@ -196,8 +168,7 @@ val new_instance : compiled -> t
 (** [reset t] restores a used instance to its just-built state without
     reallocating: ring cursors and sequence numbers return to zero,
     producers reopen, the scheduler empties and the failure slot clears,
-    while the endpoint set, sealed SPSC plan and lint verdict are
-    preserved.  Works after any outcome, including [Kernel_failed] and
+    while the endpoint set and sealed SPSC plan are preserved.  Works after any outcome, including [Kernel_failed] and
     [Deadline_exceeded] (every run drives remaining fibers to
     termination first).  Must not be called while {!run} is in progress
     (raises [Invalid_argument]). *)
@@ -213,9 +184,8 @@ val reset : t -> unit
     are enforced at every scheduling boundary, and a kernel failure is
     captured with its backtrace and source span rather than escaping.
 
-    Wiring errors (wrong source/sink counts, miswired nets, failed
-    [`Error]-level pre-flight) still raise — those are caller bugs, not
-    run outcomes. *)
+    Wiring errors (wrong source/sink counts, miswired nets) still raise
+    — those are caller bugs, not run outcomes. *)
 val run : t -> sources:Io.source list -> sinks:Io.sink list -> outcome
 
 (** {!run} then {!stats_exn}: raises {!Runtime_error} on any outcome

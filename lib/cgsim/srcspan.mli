@@ -6,8 +6,8 @@
     CGC front-end) because the serialized form — the flat artifact every
     downstream consumer reads — must be expressible without a dependency
     on the front-end; builder-made graphs simply leave it unset.  The
-    static analyzer ({!module:Analysis} in [lib/analysis]) attaches these
-    spans to its diagnostics so lint findings point at CGC source. *)
+    static analyzer ({!Lint} and its passes) attaches these spans to its
+    diagnostics so lint findings point at CGC source. *)
 
 type t = {
   file : string;

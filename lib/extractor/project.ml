@@ -62,15 +62,15 @@ let readme (g : Cgc.Ast.graph) (serialized : Cgsim.Serialized.t) host_kernels li
        (fun (d : Cgsim.Diagnostic.t) -> d.Cgsim.Diagnostic.severity <> Cgsim.Diagnostic.Info)
        lint
    with
-   | [] -> addf "The graph lints clean (%s).\n" (Analysis.Report.summary lint)
+   | [] -> addf "The graph lints clean (%s).\n" (Cgsim.Report.summary lint)
    | visible ->
-     addf "The linter reported %s on this graph:\n\n" (Analysis.Report.summary lint);
+     addf "The linter reported %s on this graph:\n\n" (Cgsim.Report.summary lint);
      List.iter (fun d -> addf "- %s\n" (Cgsim.Diagnostic.render d)) visible);
   Buffer.contents buf
 
 let extract env (g : Cgc.Ast.graph) =
   let serialized = Cgc.Consteval.eval_graph env g in
-  let lint = Analysis.Lint.run serialized in
+  let lint = Cgsim.Lint.run serialized in
   (match Cgsim.Diagnostic.max_severity lint with
    | Some Cgsim.Diagnostic.Error ->
      let errors =

@@ -32,7 +32,7 @@ type t = {
     [[extract_compute_graph]]; with [all_graphs] every graph. *)
 val extractable_graphs : ?all_graphs:bool -> Cgc.Sema.env -> Cgc.Ast.graph list
 
-(** Extract one graph.  The graph is linted first ({!Analysis.Lint.run});
+(** Extract one graph.  The graph is linted first ({!Cgsim.Lint.run});
     error-level findings abort extraction with {!Extract_error} listing
     them, and surviving warnings are carried in [lint] and embedded in
     the generated [README.md].  Raises {!Extract_error} (or the

@@ -23,10 +23,8 @@
 
     Clean graphs must lint clean, draw no capacity suggestions, and
     complete on both cgsim and x86sim with bit-identical outputs of the
-    statically known length.  [Sdf_oracle.check] (its own library, so
-    [workloads] itself never links [analysis] and arms no runtime
-    hooks) asserts exactly these correspondences; [Sdf_oracle.run_suite]
-    sweeps them over the deterministic {!nth_case} mix.  Everything
+    statically known length.  {!Sdf_oracle.check} asserts exactly
+    these correspondences; {!Sdf_oracle.run_suite} sweeps them over the deterministic {!nth_case} mix.  Everything
     derives from explicit seeds, so any reported disagreement
     reproduces exactly. *)
 

@@ -1,10 +1,10 @@
-(* Tests for the static analyzer (lib/analysis): rate/balance analysis,
+(* Tests for the static analyzer (lib/cgsim/analysis): rate/balance analysis,
    capacity-aware deadlock detection, fan-out/settings hazards, pool
    safety, the shared reporter, and the three surfaces that consume the
    findings (runtime pre-flight, cgx-style linting of CGC sources, and
    the extractor gate). *)
 
-open Analysis
+open Cgsim
 module D = Cgsim.Diagnostic
 
 let contains needle hay =
@@ -490,7 +490,6 @@ let test_stateful_spot_check () =
 (* ------------------------------------------------------------------ *)
 
 let test_runtime_refuses_at_error () =
-  Lint.install_runtime_hook ();
   let executed = ref false in
   let fb_settings = Cgsim.Settings.with_depth 4 Cgsim.Settings.stream in
   let fwd =

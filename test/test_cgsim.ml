@@ -1058,6 +1058,120 @@ let test_runtime_diamond_closed_form () =
   Alcotest.(check (array (float 0.0))) "diamond closed form"
     (Array.map (fun x -> 8.0 *. x) input) (contents ())
 
+(* ------------------------------------------------------------------ *)
+(* Compile: pre-flight lint and fusion need no extra library          *)
+(* ------------------------------------------------------------------ *)
+
+let rated_body_ran = ref false
+
+let rated_scale =
+  Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"test_rated_scale" ~pure:true
+    ~stateless:true ~rates:[ "in", 1; "out", 1 ]
+    [
+      Cgsim.Kernel.in_port "in" Cgsim.Dtype.F32;
+      Cgsim.Kernel.out_port "out" Cgsim.Dtype.F32;
+    ]
+    (fun b ->
+      rated_body_ran := true;
+      let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
+      while true do
+        Cgsim.Port.put_f32 o (2.0 *. Cgsim.Port.get_f32 i)
+      done)
+
+(* 2:1 decimator: on one branch of a diamond it makes the graph
+   unbalanceable. *)
+let rated_decim =
+  Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"test_rated_decim" ~pure:true
+    ~stateless:true ~rates:[ "in", 2; "out", 1 ]
+    [
+      Cgsim.Kernel.in_port "in" Cgsim.Dtype.F32;
+      Cgsim.Kernel.out_port "out" Cgsim.Dtype.F32;
+    ]
+    (fun b ->
+      rated_body_ran := true;
+      let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
+      while true do
+        let v = Cgsim.Port.get_f32 i in
+        ignore (Cgsim.Port.get_f32 i);
+        Cgsim.Port.put_f32 o v
+      done)
+
+let rated_add =
+  Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"test_rated_add" ~pure:true
+    ~stateless:true ~rates:[ "a", 1; "b", 1; "sum", 1 ]
+    [
+      Cgsim.Kernel.in_port "a" Cgsim.Dtype.F32;
+      Cgsim.Kernel.in_port "b" Cgsim.Dtype.F32;
+      Cgsim.Kernel.out_port "sum" Cgsim.Dtype.F32;
+    ]
+    (fun b ->
+      rated_body_ran := true;
+      let a = Cgsim.Kernel.rd b 0 and bb = Cgsim.Kernel.rd b 1 and o = Cgsim.Kernel.wr b 0 in
+      while true do
+        let x = Cgsim.Port.get_f32 a in
+        Cgsim.Port.put_f32 o (x +. Cgsim.Port.get_f32 bb)
+      done)
+
+let () = List.iter Cgsim.Registry.register [ rated_scale; rated_decim; rated_add ]
+
+let test_compile_fuses_chain () =
+  let g =
+    Cgsim.Builder.make ~name:"rated_chain" ~inputs:[ "x", Cgsim.Dtype.F32 ] (fun b conns ->
+        let a = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+        let c = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+        let out = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+        ignore (Cgsim.Builder.add_kernel b rated_scale [ List.hd conns; a ]);
+        ignore (Cgsim.Builder.add_kernel b rated_scale [ a; c ]);
+        ignore (Cgsim.Builder.add_kernel b rated_scale [ c; out ]);
+        [ out ])
+  in
+  let c = Cgsim.Runtime.compile g in
+  Alcotest.(check (array (array int))) "one 3-kernel chain" [| [| 0; 1; 2 |] |]
+    (Cgsim.Runtime.compiled_chains c);
+  let sink, read = Cgsim.Io.f32_buffer () in
+  let input = Array.init 16 float_of_int in
+  ignore
+    (Cgsim.Runtime.stats_exn
+       (Cgsim.Runtime.run (Cgsim.Runtime.new_instance c)
+          ~sources:[ Cgsim.Io.of_f32_array input ]
+          ~sinks:[ sink ]));
+  Alcotest.(check (array (float 0.0))) "fused output" (Array.map (fun x -> 8.0 *. x) input)
+    (read ())
+
+let test_compile_lint_error_refuses () =
+  (* m is broadcast to a 2:1 decimator and a 1:1 scale that meet again
+     at a 1:1 add: no repetition vector balances both paths. *)
+  let g =
+    Cgsim.Builder.make ~name:"rated_unbalanced" ~inputs:[ "x", Cgsim.Dtype.F32 ]
+      (fun b conns ->
+        let m = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+        let l = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+        let r = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+        let out = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+        ignore (Cgsim.Builder.add_kernel b rated_scale [ List.hd conns; m ]);
+        ignore (Cgsim.Builder.add_kernel b rated_decim [ m; l ]);
+        ignore (Cgsim.Builder.add_kernel b rated_scale [ m; r ]);
+        ignore (Cgsim.Builder.add_kernel b rated_add [ l; r; out ]);
+        [ out ])
+  in
+  rated_body_ran := false;
+  (match
+     Cgsim.Runtime.execute ~config:Cgsim.Run_config.(with_lint `Error default) g
+       ~sources:[ Cgsim.Io.of_f32_array (Array.make 8 1.0) ]
+       ~sinks:[ Cgsim.Io.null () ]
+   with
+   | exception Cgsim.Runtime.Runtime_error msg ->
+     let nl = String.length "CG-E101" in
+     let rec at i =
+       i + nl <= String.length msg && (String.sub msg i nl = "CG-E101" || at (i + 1))
+     in
+     Alcotest.(check bool) ("names the imbalance: " ^ msg) true (at 0)
+   | _ -> Alcotest.fail "an unbalanced graph must be refused at lint `Error");
+  Alcotest.(check bool) "no kernel body ran" false !rated_body_ran;
+  Alcotest.(check (array (array int))) "an unbalanced graph never fuses" [||]
+    (Cgsim.Runtime.compiled_chains
+       (Cgsim.Runtime.compile ~config:Cgsim.Run_config.(with_lint `Off default) g))
+
 let test_runtime_missing_consumer () =
   (* Hand-build a graph whose kernel output net has neither readers nor a
      global output: structurally valid, but every element written would
@@ -1240,6 +1354,12 @@ let () =
           Alcotest.test_case "missing consumer" `Quick test_runtime_missing_consumer;
         ]
         @ qsuite [ prop_pipeline_random ] );
+      ( "compile",
+        [
+          Alcotest.test_case "fuses a rate-matched chain" `Quick test_compile_fuses_chain;
+          Alcotest.test_case "lint Error refuses imbalance" `Quick
+            test_compile_lint_error_refuses;
+        ] );
       ( "pool",
         [
           Alcotest.test_case "1 domain == sequential" `Quick

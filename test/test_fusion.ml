@@ -1,11 +1,10 @@
 (* Operator-fusion tests: chain discovery on the serialized graph, the
-   CG-I103 lint surface, transparent runtime fallback on bogus
-   proposals, fused==unfused output equivalence — on the four evaluation
-   apps with fusion on and off and on randomized rate-matched SPSC
-   chains. *)
+   CG-I103 lint surface, the fuse switch at compile, fused==unfused
+   output equivalence — on the four evaluation apps with fusion on and
+   off and on randomized rate-matched SPSC chains. *)
 
 module R = Cgsim.Runtime
-module F = Analysis.Fusion
+module F = Cgsim.Fusion
 module D = Cgsim.Diagnostic
 
 (* ------------------------------------------------------------------ *)
@@ -131,7 +130,7 @@ let floats_equal msg (a : float array) (b : float array) =
 let test_discovers_linear_chain () =
   let g = chain_graph ~name:"fz_linear3" ~rate:4 [ 2; 3; 5 ] in
   match F.chains g with
-  | [ [ a; b; c ] ] ->
+  | [ { F.members = [| a; b; c |]; interior = [| _; _ |] } ] ->
     let name k = g.Cgsim.Serialized.kernels.(k).Cgsim.Serialized.inst_name in
     Alcotest.(check bool) "upstream first" true
       (String.length (name a) > 0 && String.length (name b) > 0 && String.length (name c) > 0)
@@ -189,13 +188,13 @@ let test_no_chain_on_rate_mismatch () =
         [ out1; out2 ])
   in
   Alcotest.(check bool) "rate solve rejects" true
-    (D.max_severity (Analysis.Rates.analyze g) = Some D.Error);
+    (D.max_severity (Cgsim.Rates.analyze g) = Some D.Error);
   Alcotest.(check int) "no chains" 0 (List.length (F.chains g))
 
 let test_two_kernel_chain_minimum () =
   let g = chain_graph ~name:"fz_linear2" ~rate:1 [ 2; 3 ] in
   match F.chains g with
-  | [ [ _; _ ] ] -> ()
+  | [ { F.members = [| _; _ |]; interior = [| _ |] } ] -> ()
   | chains -> Alcotest.failf "expected one 2-kernel chain, got %d" (List.length chains)
 
 (* ------------------------------------------------------------------ *)
@@ -214,7 +213,7 @@ let test_cg_i103_emitted () =
 
 let test_cg_i103_in_lint_driver () =
   let g = chain_graph ~name:"fz_lintable2" ~rate:2 [ 2; 3 ] in
-  let codes = List.map (fun d -> d.D.code) (Analysis.Lint.run g) in
+  let codes = List.map (fun d -> d.D.code) (Cgsim.Lint.run g) in
   Alcotest.(check bool) "lint driver surfaces CG-I103" true (List.mem "CG-I103" codes)
 
 let test_clean_graph_no_i103 () =
@@ -252,7 +251,7 @@ let test_cg_i103_suppressed () =
   let g = chain_with_suppress ~name:"fz_lintsup" ~spec:(fun _ -> Some "CG-I103") [ 2; 3 ] in
   Alcotest.(check bool) "pass itself still reports the chain" true
     (List.exists (fun (d : D.t) -> d.D.code = "CG-I103") (F.analyze g));
-  let codes = List.map (fun (d : D.t) -> d.D.code) (Analysis.Lint.run g) in
+  let codes = List.map (fun (d : D.t) -> d.D.code) (Cgsim.Lint.run g) in
   Alcotest.(check bool) "lint driver honors lint.suppress" false (List.mem "CG-I103" codes)
 
 let test_cg_i103_partial_suppress_still_fires () =
@@ -262,70 +261,31 @@ let test_cg_i103_partial_suppress_still_fires () =
       ~spec:(fun i -> if i = 0 then Some "CG-I103" else None)
       [ 2; 3; 4 ]
   in
-  let codes = List.map (fun (d : D.t) -> d.D.code) (Analysis.Lint.run g) in
+  let codes = List.map (fun (d : D.t) -> d.D.code) (Cgsim.Lint.run g) in
   Alcotest.(check bool) "partially suppressed chain still reported" true
     (List.mem "CG-I103" codes)
 
 (* ------------------------------------------------------------------ *)
-(* Runtime fallback                                                   *)
+(* Compile: the fuse switch                                          *)
 (* ------------------------------------------------------------------ *)
 
-let with_hook hook f =
-  Cgsim.Runtime.set_fusion_hook hook;
-  Fun.protect ~finally:(fun () -> Cgsim.Runtime.set_fusion_hook F.chains) f
-
-let fallback_input = Array.init 64 (fun i -> float_of_int i)
+let fuse_off_input = Array.init 64 (fun i -> float_of_int i)
 
 let expected_scaled factors input =
   let f = List.fold_left (fun acc x -> acc *. float_of_int x) 1.0 factors in
   Array.map (fun x -> Cgsim.Value.round_f32 (Cgsim.Value.round_f32 x *. f)) input
 
-(* A proposal the runtime must reject (members not adjacent on an
-   exclusive hop) falls back to per-kernel fibers, transparently. *)
-let test_bogus_proposal_falls_back () =
-  let factors = [ 2; 3; 5 ] in
-  let g = chain_graph ~name:"fz_bogus" ~rate:4 factors in
-  with_hook
-    (fun _ -> [ [ 0; 2 ] ])
-    (fun () ->
-      let out = run_chain ~config:Cgsim.Run_config.default g fallback_input in
-      floats_equal "bogus proposal output" (expected_scaled factors fallback_input) out)
-
-let test_out_of_range_proposal_falls_back () =
-  let factors = [ 2; 3 ] in
-  let g = chain_graph ~name:"fz_oor" ~rate:2 factors in
-  with_hook
-    (fun _ -> [ [ 7; 9 ] ])
-    (fun () ->
-      let out = run_chain ~config:Cgsim.Run_config.default g fallback_input in
-      floats_equal "out-of-range proposal output" (expected_scaled factors fallback_input) out)
-
-let test_fuse_off_ignores_hook () =
+(* With fusion off a fusible graph compiles no chain and still runs
+   to the reference output through its queues. *)
+let test_fuse_off_compiles_no_chains () =
   let factors = [ 2; 3; 5 ] in
   let g = chain_graph ~name:"fz_off" ~rate:4 factors in
-  let hits = ref 0 in
-  with_hook
-    (fun g ->
-      incr hits;
-      F.chains g)
-    (fun () ->
-      let config = Cgsim.Run_config.(with_fuse false default) in
-      let out = run_chain ~config g fallback_input in
-      floats_equal "fuse-off output" (expected_scaled factors fallback_input) out;
-      Alcotest.(check int) "hook not consulted with fuse off" 0 !hits)
-
-(* A hook that raises is an analysis bug, not a bogus proposal: the
-   compile fails naming the graph and the hook. *)
-let test_raising_hook_is_an_error () =
-  let g = chain_graph ~name:"fz_raise" ~rate:2 [ 2; 3 ] in
-  with_hook
-    (fun _ -> failwith "analysis bug")
-    (fun () ->
-      match R.compile g with
-      | exception R.Runtime_error msg ->
-        Alcotest.(check bool) ("names graph and hook: " ^ msg) true
-          (String.starts_with ~prefix:"graph fz_raise: fusion hook raised" msg)
-      | _ -> Alcotest.fail "a raising fusion hook must fail the compile")
+  Alcotest.(check int) "fusible" 1 (Array.length (R.compiled_chains (R.compile g)));
+  let config = Cgsim.Run_config.(with_fuse false default) in
+  Alcotest.(check int) "no chains with fuse off" 0
+    (Array.length (R.compiled_chains (R.compile ~config g)));
+  floats_equal "fuse-off output" (expected_scaled factors fuse_off_input)
+    (run_chain ~config g fuse_off_input)
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence: apps x fast-path configurations                       *)
@@ -426,12 +386,10 @@ let () =
           Alcotest.test_case "partial suppress still fires" `Quick
             test_cg_i103_partial_suppress_still_fires;
         ] );
-      ( "fallback",
+      ( "compile",
         [
-          Alcotest.test_case "bogus proposal" `Quick test_bogus_proposal_falls_back;
-          Alcotest.test_case "out-of-range proposal" `Quick test_out_of_range_proposal_falls_back;
-          Alcotest.test_case "fuse off ignores hook" `Quick test_fuse_off_ignores_hook;
-          Alcotest.test_case "raising hook is an error" `Quick test_raising_hook_is_an_error;
+          Alcotest.test_case "fuse off compiles no chains" `Quick
+            test_fuse_off_compiles_no_chains;
         ] );
       ( "equivalence",
         [

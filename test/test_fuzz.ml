@@ -10,7 +10,7 @@
    explicit seeds: a failure here reproduces exactly. *)
 
 module G = Workloads.Sdf_gen
-module O = Sdf_oracle
+module O = Workloads.Sdf_oracle
 module D = Cgsim.Diagnostic
 
 let check_agrees name case =
@@ -83,7 +83,7 @@ let test_capacity_minimality () =
       | None -> Alcotest.failf "seed %d: under-capacity case lost its cycle" seed
     in
     let need = case.G.c_fb_need in
-    let suggested = Analysis.Capacity.suggest case.G.c_graph in
+    let suggested = Cgsim.Capacity.suggest case.G.c_graph in
     Alcotest.(check (option int))
       (Printf.sprintf "seed %d: suggested depth is the cycle demand" seed)
       (Some need)
@@ -103,7 +103,7 @@ let test_capacity_minimality () =
     Alcotest.(check (list (pair int int)))
       (Printf.sprintf "seed %d: repaired graph suggests nothing" seed)
       []
-      (Analysis.Capacity.suggest (at case.G.c_graph need))
+      (Cgsim.Capacity.suggest (at case.G.c_graph need))
   done
 
 (* Runtime.compile applies the same suggestion behind auto_capacity. *)
@@ -132,28 +132,28 @@ let prop_solve_balanced =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let case = G.generate ~seed () in
-      let sol = Analysis.Rates.solve case.G.c_graph in
-      sol.Analysis.Rates.balanced
-      && List.length sol.Analysis.Rates.repetitions
+      let sol = Cgsim.Rates.solve case.G.c_graph in
+      sol.Cgsim.Rates.balanced
+      && List.length sol.Cgsim.Rates.repetitions
          = Array.length case.G.c_graph.Cgsim.Serialized.kernels
-      && List.for_all (fun (_, r) -> r >= 1) sol.Analysis.Rates.repetitions)
+      && List.for_all (fun (_, r) -> r >= 1) sol.Cgsim.Rates.repetitions)
 
 let prop_solve_flags_imbalance =
   QCheck.Test.make ~name:"Rates.solve flags every injected imbalance" ~count:80
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let case = G.generate ~defect:G.Imbalance ~seed () in
-      not (Analysis.Rates.solve case.G.c_graph).Analysis.Rates.balanced)
+      not (Cgsim.Rates.solve case.G.c_graph).Cgsim.Rates.balanced)
 
 (* The same two claims swept deterministically, so the contract is
    pinned on a fixed seed range regardless of qcheck's own PRNG. *)
 let test_solve_deterministic_sweep () =
   for seed = 100 to 149 do
     let clean = G.generate ~seed () in
-    if not (Analysis.Rates.solve clean.G.c_graph).Analysis.Rates.balanced then
+    if not (Cgsim.Rates.solve clean.G.c_graph).Cgsim.Rates.balanced then
       Alcotest.failf "seed %d: balanced graph reported unbalanced" seed;
     let bad = G.generate ~defect:G.Imbalance ~seed () in
-    if (Analysis.Rates.solve bad.G.c_graph).Analysis.Rates.balanced then
+    if (Cgsim.Rates.solve bad.G.c_graph).Cgsim.Rates.balanced then
       Alcotest.failf "seed %d: injected imbalance not flagged" seed
   done
 

@@ -364,8 +364,13 @@ let test_drain_completes_inflight () =
      before the EOF.  (A request the reader only picks up after stop is
      refused with a structured shutting-down error instead — also not a
      drop — but this test wants the completion path, so it waits past
-     the accept race.) *)
+     the accept race: until the reader has decoded all three frames,
+     then long enough for the last one to reach the pool.) *)
   let ids = List.init 3 (fun _ -> Serve.Client.send_run client ~graph:"farrow" inputs) in
+  let give_up = Unix.gettimeofday () +. 10.0 in
+  while Serve.Server.served server < List.length ids && Unix.gettimeofday () < give_up do
+    Unix.sleepf 0.001
+  done;
   Unix.sleepf 0.1;
   Serve.Server.stop server;
   let got =

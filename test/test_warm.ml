@@ -251,18 +251,24 @@ let test_reset_after_max_steps () =
 
 let test_compiled_purity_and_analysis () =
   Alcotest.(check bool) "stateless chain is batching-safe" true
-    (Analysis.Pool_safety.batching_safe (pure_graph ()));
+    (Cgsim.Pool_safety.batching_safe (pure_graph ()));
   Alcotest.(check bool) "pure-but-stateful graph is not" false
-    (Analysis.Pool_safety.batching_safe (prefix_sum_graph ()));
+    (Cgsim.Pool_safety.batching_safe (prefix_sum_graph ()));
   Alcotest.(check bool) "unannotated graph is not" false
-    (Analysis.Pool_safety.batching_safe (opaque_graph ()));
+    (Cgsim.Pool_safety.batching_safe (opaque_graph ()));
   Alcotest.(check bool) "compiled_batchable agrees (stateless)" true
     (R.compiled_batchable (R.compile (pure_graph ())));
-  Alcotest.(check bool) "compiled_pure but not batchable (prefix sum)" true
-    (let c = R.compile (prefix_sum_graph ()) in
-     R.compiled_pure c && not (R.compiled_batchable c));
-  Alcotest.(check bool) "compiled_pure agrees (opaque)" false
-    (R.compiled_pure (R.compile (opaque_graph ())));
+  Alcotest.(check bool) "compiled_batchable agrees (prefix sum)" false
+    (R.compiled_batchable (R.compile (prefix_sum_graph ())));
+  (* The prefix sum is pure, yet not batchable: it keeps a running
+     total across its input stream. *)
+  Alcotest.(check bool) "prefix sum is pure" true
+    (Array.for_all
+       (fun (inst : Cgsim.Serialized.kernel_inst) ->
+         match Cgsim.Registry.find inst.Cgsim.Serialized.key with
+         | Some k -> k.Cgsim.Kernel.purity = Cgsim.Kernel.Pure
+         | None -> false)
+       (prefix_sum_graph ()).Cgsim.Serialized.kernels);
   (* ~stateless requires ~pure:true. *)
   (match
      Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"warm_bad" ~stateless:true
@@ -282,7 +288,7 @@ let test_compiled_purity_and_analysis () =
         | _ -> false
       in
       Alcotest.(check bool) (h.Apps.Harness.name ^ " batching-safe") expected
-        (Analysis.Pool_safety.batching_safe (h.Apps.Harness.graph ())))
+        (Cgsim.Pool_safety.batching_safe (h.Apps.Harness.graph ())))
     Apps.Harness.all
 
 (* ------------------------------------------------------------------ *)
