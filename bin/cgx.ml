@@ -290,7 +290,7 @@ let serve_cmd =
         in
         Serve.Server.install_signal_handlers server;
         Printf.eprintf "[cgx serve] listening on %s (%d domains, %d graphs)\n%!"
-          (Serve.Addr.to_string addr) domains (List.length graphs);
+          (Serve.Addr.to_string (Serve.Server.addr server)) domains (List.length graphs);
         Serve.Server.serve server;
         Printf.eprintf "[cgx serve] drained after %d requests\n%!" (Serve.Server.served server))
   in
@@ -298,8 +298,9 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Serve compute graphs over a socket: a long-lived daemon owning a warm instance pool, \
-          speaking the versioned cgx-serve/1 length-prefixed JSON protocol.  SIGTERM drains \
-          gracefully: in-flight requests complete and their replies are written before exit.")
+          speaking the versioned cgx-serve/2 length-prefixed JSON protocol, scalar streams packed as \
+          bit-exact hex.  SIGTERM drains gracefully: in-flight requests complete and their replies \
+          are written before exit.")
     Term.(
       const run $ Cgx_args.listen $ Cgx_args.domains $ Cgx_args.include_dirs
       $ extra_graph_files_arg $ Cgx_args.deadline_ms $ Cgx_args.retries $ Cgx_args.breaker

@@ -109,7 +109,7 @@ dune exec bench/main.exe -- check-json "$LOAD_JSON"
 test -s "$LOAD_PROM" || { echo "ci: loadtest exposition is empty" >&2; exit 1; }
 dune exec bench/main.exe -- check-prom "$LOAD_PROM"
 
-echo "== serve daemon smoke (cgx serve over a Unix socket, wire protocol cgx-serve/1) =="
+echo "== serve daemon smoke (cgx serve over a Unix socket, wire protocol cgx-serve/2) =="
 SERVE_SOCK=$(mktemp -u -t ci-serve-XXXXXX.sock)
 DAEMON_PROM=$(mktemp -t ci-daemon-XXXXXX.prom)
 REMOTE_JSON=$(mktemp -t ci-remote-XXXXXX.json)

@@ -15,8 +15,7 @@ type t =
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let escape_to buf s =
-  Buffer.add_char buf '"';
+let escape_slow buf s =
   String.iter
     (fun c ->
       match c with
@@ -27,7 +26,19 @@ let escape_to buf s =
       | '\t' -> Buffer.add_string buf "\\t"
       | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
-    s;
+    s
+
+(* Most strings (keys, labels, packed hex payloads) need no escaping:
+   one scan, then one blit. *)
+let rec plain s i n =
+  i = n
+  ||
+  let c = String.unsafe_get s i in
+  c <> '"' && c <> '\\' && c >= ' ' && plain s (i + 1) n
+
+let escape_to buf s =
+  Buffer.add_char buf '"';
+  if plain s 0 (String.length s) then Buffer.add_string buf s else escape_slow buf s;
   Buffer.add_char buf '"'
 
 let number_to buf f =
@@ -101,8 +112,7 @@ let parse_literal st word value =
   end
   else perr st "invalid literal"
 
-let parse_string st =
-  expect st '"';
+let parse_string_slow st =
   let buf = Buffer.create 16 in
   let rec go () =
     match peek st with
@@ -139,6 +149,26 @@ let parse_string st =
   go ();
   Buffer.contents buf
 
+(* Fast path: scan to the closing quote; a string with no backslash is
+   one [String.sub].  Otherwise re-read it through the escape decoder. *)
+let parse_string st =
+  expect st '"';
+  let src = st.src and start = st.pos in
+  let n = String.length src in
+  let rec scan i =
+    if i = n then i
+    else
+      match String.unsafe_get src i with
+      | '"' | '\\' -> i
+      | _ -> scan (i + 1)
+  in
+  let stop = scan start in
+  if stop < n && String.unsafe_get src stop = '"' then begin
+    st.pos <- stop + 1;
+    String.sub src start (stop - start)
+  end
+  else parse_string_slow st
+
 let parse_number st =
   let start = st.pos in
   let is_num_char c =
@@ -152,10 +182,16 @@ let parse_number st =
   | Some f -> f
   | None -> perr st "invalid number %S" text
 
-let rec parse_value st =
+let max_depth = 512
+
+(* [depth] counts the enclosing arrays and objects.  The parser
+   recurses once per level, so the cap bounds both its stack and the
+   time a hostile document can hold it. *)
+let rec parse_value st depth =
   skip_ws st;
   match peek st with
   | None -> perr st "unexpected end of input"
+  | Some ('{' | '[') when depth >= max_depth -> perr st "nesting deeper than %d" max_depth
   | Some '{' ->
     advance st;
     skip_ws st;
@@ -169,7 +205,7 @@ let rec parse_value st =
         let k = parse_string st in
         skip_ws st;
         expect st ':';
-        let v = parse_value st in
+        let v = parse_value st (depth + 1) in
         skip_ws st;
         match peek st with
         | Some ',' ->
@@ -191,7 +227,7 @@ let rec parse_value st =
     end
     else begin
       let rec items acc =
-        let v = parse_value st in
+        let v = parse_value st (depth + 1) in
         skip_ws st;
         match peek st with
         | Some ',' ->
@@ -212,7 +248,7 @@ let rec parse_value st =
 
 let of_string s =
   let st = { src = s; pos = 0 } in
-  match parse_value st with
+  match parse_value st 0 with
   | v ->
     skip_ws st;
     if st.pos <> String.length s then Error (Printf.sprintf "trailing data at %d" st.pos)

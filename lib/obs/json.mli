@@ -12,8 +12,12 @@ type t =
 
 val to_string : t -> string
 
-(** Strict parse of a complete document (trailing garbage is an error).
-    Non-ASCII [\u] escapes decode as ['?'] — trace content is ASCII. *)
+(** Arrays and objects nested deeper than this (512) are a parse error. *)
+val max_depth : int
+
+(** Strict parse of a complete document (trailing garbage and nesting
+    deeper than {!max_depth} are errors).  Non-ASCII [\u] escapes
+    decode as ['?'] — trace content is ASCII. *)
 val of_string : string -> (t, string) result
 
 val member : string -> t -> t option

@@ -1,4 +1,4 @@
-(** Client side of the [cgx-serve/1] protocol: one connection, blocking
+(** Client side of the [cgx-serve/2] protocol: one connection, blocking
     or pipelined use.
 
     Blocking ({!run}, {!metrics}, {!ping}): send one request, wait for

@@ -42,20 +42,28 @@ let create ?(config = Run_config.default) ?stats_interval_s ~graphs ~domains ~li
    | Addr.Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
   Unix.bind fd (Addr.sockaddr listen);
   Unix.listen fd 64;
+  let bound =
+    match listen, Unix.getsockname fd with
+    | Addr.Tcp (host, 0), Unix.ADDR_INET (_, port) -> Addr.Tcp (host, port)
+    | _ -> listen
+  in
   let stop_r, stop_w = Unix.pipe () in
+  let metrics = Obs.Metrics.create () in
+  (* Present from the start, so a scrape can tell "none" from "unknown". *)
+  Obs.Metrics.add metrics "serve.conn_error" 0.0;
   {
     s_pool = pool;
     s_config = config;
     s_graphs = graphs;
     s_listen_fd = fd;
-    s_addr = listen;
+    s_addr = bound;
     s_stop_r = stop_r;
     s_stop_w = stop_w;
     s_stop_requested = Atomic.make false;
     s_stopping = Atomic.make false;
     s_conns = ref [];
     s_conns_lock = Mutex.create ();
-    s_metrics = Obs.Metrics.create ();
+    s_metrics = metrics;
     s_served = Atomic.make 0;
     s_stats_interval = stats_interval_s;
   }
@@ -205,9 +213,10 @@ let handle_run t conn id (rq : Wire.run_request) =
         error_reply t conn id Wire.Bad_request (Printexc.to_string exn)
     end
 
+(* [served] counts a request once it is answered or handed to the pool,
+   so a drain that starts after the count has seen it cannot refuse it. *)
 let handle_request t conn (req : Wire.request) =
-  Atomic.incr t.s_served;
-  match req.Wire.q_body with
+  (match req.Wire.q_body with
   | Wire.Ping ->
     Obs.Metrics.incr t.s_metrics "serve.request:ping";
     send conn { Wire.p_id = req.Wire.q_id; p_body = Wire.Pong }
@@ -218,11 +227,18 @@ let handle_request t conn (req : Wire.request) =
     Obs.Metrics.incr t.s_metrics "serve.request:run";
     if Atomic.get t.s_stopping then
       error_reply t conn req.Wire.q_id Wire.Shutting_down "server is draining"
-    else handle_run t conn req.Wire.q_id rq
+    else handle_run t conn req.Wire.q_id rq);
+  Atomic.incr t.s_served
 
 (* ------------------------------------------------------------------ *)
 (* Connection lifecycle                                                *)
 (* ------------------------------------------------------------------ *)
+
+(* An exception out of a connection's reader: count it, name it on
+   stderr, and keep serving the other connections. *)
+let conn_error t exn =
+  Obs.Metrics.incr t.s_metrics "serve.conn_error";
+  Printf.eprintf "[cgx serve] connection error: %s\n%!" (Printexc.to_string exn)
 
 let handle_conn t conn =
   (try
@@ -246,7 +262,7 @@ let handle_conn t conn =
            loop ())
      in
      loop ()
-   with _ -> ());
+   with exn -> conn_error t exn);
   (* Drain this connection: every accepted request writes its reply
      before the socket closes. *)
   Mutex.lock conn.c_ilock;
@@ -275,6 +291,11 @@ let spawn_conn t fd =
   Mutex.unlock t.s_conns_lock;
   conn.c_domain <- Some (Domain.spawn (fun () -> handle_conn t conn))
 
+let join t conn =
+  match conn.c_domain with
+  | Some d -> ( try Domain.join d with exn -> conn_error t exn)
+  | None -> ()
+
 (* Join finished connection domains so a long-lived daemon does not
    accumulate them.  Runs on the accept-loop domain only. *)
 let reap t =
@@ -282,9 +303,7 @@ let reap t =
   let finished, live = List.partition (fun c -> Atomic.get c.c_done) !(t.s_conns) in
   t.s_conns := live;
   Mutex.unlock t.s_conns_lock;
-  List.iter
-    (fun c -> match c.c_domain with Some d -> ( try Domain.join d with _ -> ()) | None -> ())
-    finished
+  List.iter (join t) finished
 
 let log_stats t =
   let snap = Pool.metrics t.s_pool in
@@ -319,9 +338,7 @@ let drain t =
       if not (Atomic.get c.c_done) then
         try Unix.shutdown c.c_fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
     conns;
-  List.iter
-    (fun c -> match c.c_domain with Some d -> ( try Domain.join d with _ -> ()) | None -> ())
-    conns;
+  List.iter (join t) conns;
   Pool.shutdown t.s_pool;
   try
     Unix.close t.s_stop_r;

@@ -24,7 +24,10 @@
     {b Metrics.}  A [metrics] request returns the Prometheus exposition
     of the pool's live metrics merged with the server's own families
     ([cgsim_serve_connection_total], [cgsim_serve_request_total{id=...}],
-    [cgsim_serve_error_total{id=...}]).  With [stats_interval_s] set,
+    [cgsim_serve_error_total{id=...}], [cgsim_serve_conn_error_total]).
+    A connection whose reader dies of an exception (a peer reset, say)
+    bumps [serve.conn_error] and prints one stderr line naming the
+    exception; the daemon keeps serving.  With [stats_interval_s] set,
     the accept loop also prints a one-line serving summary (served /
     in-flight / warm hits / cold builds / breaker state) to stderr at
     that period. *)
@@ -59,8 +62,11 @@ val stop : t -> unit
 (** Route SIGTERM and SIGINT to {!stop}. *)
 val install_signal_handlers : t -> unit
 
-(** The address {!create} bound. *)
+(** The address {!create} bound; a TCP port 0 reads back as the port
+    the kernel picked. *)
 val addr : t -> Addr.t
 
-(** Requests served since start (any type, including refusals). *)
+(** Requests served since start (any type, including refusals).  A
+    request counts once it has been answered or handed to the pool, so
+    a {!stop} issued after the count includes it cannot refuse it. *)
 val served : t -> int

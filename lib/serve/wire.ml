@@ -1,4 +1,4 @@
-let proto = "cgx-serve/1"
+let proto = "cgx-serve/2"
 
 let max_frame_bytes = 16 * 1024 * 1024
 
@@ -90,45 +90,153 @@ let read_frame fd =
 
 module J = Obs.Json
 
-(* Hexadecimal float notation round-trips every finite double exactly
-   (and "nan"/"infinity" cover the rest); decimal strings do the same
-   for ints.  Obs.Json's %.6g number printing stays confined to
-   timings, where precision loss is harmless. *)
+let ( let* ) r f =
+  match r with
+  | Ok v -> f v
+  | Error _ as e -> e
+
+(* Every scalar crosses as its 64-bit word in 16 lowercase hex digits,
+   most significant first: [Int64.bits_of_float] for a Float (NaN
+   payloads and signed zeros survive), [Int64.of_int] for an Int.
+   Words travel as two 32-bit halves in plain ints, so neither direction
+   boxes an [Int64] per digit.  Obs.Json's %.6g number printing stays
+   confined to timings, where precision loss is harmless. *)
+type scalar =
+  | F64
+  | I64
+
+(* Byte -> its two hex digits, packed for one little-endian 16-bit
+   store (the first digit in the low byte). *)
+let hex_pairs =
+  let digit d = Char.code "0123456789abcdef".[d] in
+  Array.init 256 (fun x -> digit (x lsr 4) lor (digit (x land 0xf) lsl 8))
+
+(* The low 32 bits of [w] as 8 hex digits at [off]. *)
+let put_hex32 b off w =
+  Bytes.set_uint16_le b off (Array.unsafe_get hex_pairs ((w lsr 24) land 0xff));
+  Bytes.set_uint16_le b (off + 2) (Array.unsafe_get hex_pairs ((w lsr 16) land 0xff));
+  Bytes.set_uint16_le b (off + 4) (Array.unsafe_get hex_pairs ((w lsr 8) land 0xff));
+  Bytes.set_uint16_le b (off + 6) (Array.unsafe_get hex_pairs (w land 0xff))
+
+let put_float b off f =
+  let w = Int64.bits_of_float f in
+  put_hex32 b off (Int64.to_int (Int64.shift_right_logical w 32));
+  put_hex32 b (off + 8) (Int64.to_int w)
+
+let put_int b off i =
+  put_hex32 b off (i asr 32);
+  put_hex32 b (off + 8) i
+
+let word put x =
+  let b = Bytes.create 16 in
+  put b 0 x;
+  Bytes.unsafe_to_string b
+
+(* Digit values, -1 for every other byte.  Uppercase is refused: the
+   encoding is canonical. *)
+let hex_value =
+  Array.init 256 (fun c ->
+      match Char.chr c with
+      | '0' .. '9' -> c - Char.code '0'
+      | 'a' .. 'f' -> c - Char.code 'a' + 10
+      | _ -> -1)
+
+(* The 32-bit value of the 8 hex digits at [off], or a negative number
+   if one is not a digit: a -1 sets every high bit and they stay set. *)
+let get_hex32 s off =
+  let w = ref 0 in
+  for k = 0 to 7 do
+    w := (!w lsl 4) lor Array.unsafe_get hex_value (Char.code (String.unsafe_get s (off + k)))
+  done;
+  !w
+
+(* The scalars of a string of words; [what] names it in errors. *)
+let words kind what s =
+  let n = String.length s in
+  if n mod 16 <> 0 then
+    Error (Printf.sprintf "%s of %d digits is not a whole number of 16-digit words" what n)
+  else
+    (* Back to front, so the list needs no reversal. *)
+    let rec go off acc =
+      if off < 0 then Ok acc
+      else
+        let hi = get_hex32 s off and lo = get_hex32 s (off + 8) in
+        if hi < 0 || lo < 0 then Error (Printf.sprintf "non-hex digit in %s word %d" what (off / 16))
+        else
+          match kind with
+          | F64 ->
+            let w = Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo) in
+            go (off - 16) (Cgsim.Value.Float (Int64.float_of_bits w) :: acc)
+          | I64 ->
+            (* A native int holds the word iff bits 63 and 62 agree. *)
+            if hi lsr 31 <> (hi lsr 30) land 1 then
+              Error (Printf.sprintf "%s word %d does not fit a native int" what (off / 16))
+            else go (off - 16) (Cgsim.Value.Int ((hi lsl 32) lor lo) :: acc)
+    in
+    go (n - 16) []
+
+(* Tagged form, for elements a packed slot cannot carry (Vec, Rec) and
+   for mixed slots: one object per element. *)
 let rec json_of_value = function
-  | Cgsim.Value.Float f -> J.Obj [ ("F", J.Str (Printf.sprintf "%h" f)) ]
-  | Cgsim.Value.Int i -> J.Obj [ ("I", J.Str (string_of_int i)) ]
+  | Cgsim.Value.Float f -> J.Obj [ ("F", J.Str (word put_float f)) ]
+  | Cgsim.Value.Int i -> J.Obj [ ("I", J.Str (word put_int i)) ]
   | Cgsim.Value.Vec a -> J.Obj [ ("V", J.Arr (Array.to_list a |> List.map json_of_value)) ]
   | Cgsim.Value.Rec fs -> J.Obj [ ("R", J.Obj (List.map (fun (k, v) -> (k, json_of_value v)) fs)) ]
 
+let scalar_of_json kind s =
+  match words kind "tagged scalar" s with
+  | Ok [ v ] -> Ok v
+  | Ok _ -> Error (Printf.sprintf "a tagged scalar is one 16-digit word, not %S" s)
+  | Error _ as e -> e
+
 let rec value_of_json j =
   match j with
-  | J.Obj [ ("F", J.Str s) ] -> (
-    match float_of_string_opt s with
-    | Some f -> Ok (Cgsim.Value.Float f)
-    | None -> Error (Printf.sprintf "bad float literal %S" s))
-  | J.Obj [ ("I", J.Str s) ] -> (
-    match int_of_string_opt s with
-    | Some i -> Ok (Cgsim.Value.Int i)
-    | None -> Error (Printf.sprintf "bad int literal %S" s))
+  | J.Obj [ ("F", J.Str s) ] -> scalar_of_json F64 s
+  | J.Obj [ ("I", J.Str s) ] -> scalar_of_json I64 s
   | J.Obj [ ("V", J.Arr elts) ] ->
-    let rec go acc = function
-      | [] -> Ok (Cgsim.Value.Vec (Array.of_list (List.rev acc)))
-      | e :: rest -> (
-        match value_of_json e with
-        | Ok v -> go (v :: acc) rest
-        | Error _ as e -> e)
-    in
-    go [] elts
+    let* vs = values_of_json elts in
+    Ok (Cgsim.Value.Vec (Array.of_list vs))
   | J.Obj [ ("R", J.Obj fields) ] ->
     let rec go acc = function
       | [] -> Ok (Cgsim.Value.Rec (List.rev acc))
-      | (k, fv) :: rest -> (
-        match value_of_json fv with
-        | Ok v -> go ((k, v) :: acc) rest
-        | Error _ as e -> e)
+      | (k, fv) :: rest ->
+        let* v = value_of_json fv in
+        go ((k, v) :: acc) rest
     in
     go [] fields
   | _ -> Error "expected a tagged value object ({\"F\"|\"I\"|\"V\"|\"R\": ...})"
+
+and values_of_json elts =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | e :: rest ->
+      let* v = value_of_json e in
+      go (v :: acc) rest
+  in
+  go [] elts
+
+(* Packed form: a slot whose elements are all Float (or all Int) is one
+   string of words, {"F64":hex} (or {"I64":hex}); an empty slot packs
+   as F64.  Anything else falls back to the tagged array. *)
+let json_of_slot elems =
+  let b = Bytes.create (16 * List.length elems) in
+  let rec pack kind off = function
+    | [] -> J.Obj [ ((match kind with F64 -> "F64" | I64 -> "I64"), J.Str (Bytes.unsafe_to_string b)) ]
+    | Cgsim.Value.Float f :: rest when kind = F64 ->
+      put_float b off f;
+      pack kind (off + 16) rest
+    | Cgsim.Value.Int i :: rest when kind = I64 ->
+      put_int b off i;
+      pack kind (off + 16) rest
+    | _ -> J.Arr (List.map json_of_value elems)
+  in
+  pack (match elems with Cgsim.Value.Int _ :: _ -> I64 | _ -> F64) 0 elems
+
+let slot_of_json = function
+  | J.Obj [ ("F64", J.Str s) ] -> words F64 "F64 slot" s
+  | J.Obj [ ("I64", J.Str s) ] -> words I64 "I64 slot" s
+  | J.Arr elems -> values_of_json elems
+  | _ -> Error "a slot must be {\"F64\":hex}, {\"I64\":hex} or an array of tagged values"
 
 (* ------------------------------------------------------------------ *)
 (* Envelope types                                                      *)
@@ -224,14 +332,13 @@ let decode_error_message = function
 
 let envelope id fields = J.Obj (("proto", J.Str proto) :: ("id", J.Str (string_of_int id)) :: fields)
 
-let json_of_inputs slots =
-  J.Arr (List.map (fun elems -> J.Arr (List.map json_of_value elems)) slots)
+let json_of_slots slots = J.Arr (List.map json_of_slot slots)
 
 let encode_request { q_id; q_body } =
   let fields =
     match q_body with
     | Run rq ->
-      [ ("type", J.Str "run"); ("graph", J.Str rq.rq_graph); ("inputs", json_of_inputs rq.rq_inputs) ]
+      [ ("type", J.Str "run"); ("graph", J.Str rq.rq_graph); ("inputs", json_of_slots rq.rq_inputs) ]
       @ (match rq.rq_deadline_ms with
          | Some d -> [ ("deadline_ms", J.Num d) ]
          | None -> [])
@@ -256,7 +363,7 @@ let encode_reply { p_id; p_body } =
         ("run_ns", J.Num rp.rp_run_ns);
       ]
       @ (match rp.rp_outcome with
-         | Completed outs -> [ ("outputs", json_of_inputs outs) ]
+         | Completed outs -> [ ("outputs", json_of_slots outs) ]
          | Deadline { d_parked; d_last_kernel; _ } ->
            [ ("parked", J.Arr (List.map (fun s -> J.Str s) d_parked)) ]
            @ (match d_last_kernel with
@@ -275,11 +382,6 @@ let encode_reply { p_id; p_body } =
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
 (* ------------------------------------------------------------------ *)
-
-let ( let* ) r f =
-  match r with
-  | Ok v -> f v
-  | Error _ as e -> e
 
 let str_field j name =
   match J.member name j with
@@ -306,32 +408,26 @@ let check_envelope payload =
       let* ty = str_field j "type" in
       Ok (j, id, ty)
 
-let decode_inputs j =
-  match J.member "inputs" j with
+let slots_field j name =
+  match J.member name j with
   | Some (J.Arr slots) ->
-    let rec go_slots acc = function
+    let rec go acc = function
       | [] -> Ok (List.rev acc)
-      | J.Arr elems :: rest ->
-        let rec go_elems eacc = function
-          | [] -> go_slots (List.rev eacc :: acc) rest
-          | e :: more -> (
-            match value_of_json e with
-            | Ok v -> go_elems (v :: eacc) more
-            | Error m -> Stdlib.Error (Malformed m))
-        in
-        go_elems [] elems
-      | _ -> Error (Malformed "each input slot must be an array of values")
+      | slot :: rest -> (
+        match slot_of_json slot with
+        | Ok elems -> go (elems :: acc) rest
+        | Error m -> Stdlib.Error (Malformed (Printf.sprintf "field %S: %s" name m)))
     in
-    go_slots [] slots
-  | Some _ -> Error (Malformed "field \"inputs\" must be an array of arrays")
-  | None -> Error (Malformed "missing field \"inputs\"")
+    go [] slots
+  | Some _ -> Error (Malformed (Printf.sprintf "field %S must be an array of slots" name))
+  | None -> Error (Malformed (Printf.sprintf "missing field %S" name))
 
 let decode_request payload =
   let* j, q_id, ty = check_envelope payload in
   match ty with
   | "run" ->
     let* rq_graph = str_field j "graph" in
-    let* rq_inputs = decode_inputs j in
+    let* rq_inputs = slots_field j "inputs" in
     let* rq_deadline_ms =
       match J.member "deadline_ms" j with
       | Some (J.Num d) -> Ok (Some d)
@@ -368,14 +464,9 @@ let decode_reply payload =
     let* run_ns = num_field j "run_ns" in
     let* rp_outcome =
       match label with
-      | "completed" -> (
-        match J.member "outputs" j with
-        | Some _ ->
-          let* outs =
-            decode_inputs (J.Obj [ ("inputs", Option.get (J.member "outputs" j)) ])
-          in
-          Ok (Completed outs)
-        | None -> Error (Malformed "completed result missing \"outputs\""))
+      | "completed" ->
+        let* outs = slots_field j "outputs" in
+        Ok (Completed outs)
       | "deadline" | "max-steps" ->
         let d_parked =
           match J.member "parked" j with

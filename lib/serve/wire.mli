@@ -1,4 +1,4 @@
-(** The [cgx-serve/1] wire protocol: length-prefixed JSON frames with a
+(** The [cgx-serve/2] wire protocol: length-prefixed JSON frames with a
     versioned envelope, plus the strict codec both ends share.
 
     {b Framing.}  A frame is a 4-byte big-endian payload length followed
@@ -10,7 +10,7 @@
     length, undecodable JSON is reported by the decoders.
 
     {b Envelope.}  Every payload is a JSON object carrying
-    [{"proto":"cgx-serve/1","id":"<n>", "type":...}].  The [proto]
+    [{"proto":"cgx-serve/2","id":"<n>", "type":...}].  The [proto]
     field is checked first and a mismatch is distinguished from mere
     malformedness ({!decode_error}), so a server can answer an
     incompatible client with a structured [version-mismatch] error
@@ -18,15 +18,20 @@
     client and echoed verbatim in the matching reply — replies to
     pipelined requests may arrive out of submission order.
 
-    {b Values.}  Stream elements ({!Cgsim.Value.t}) cross the wire as
-    tagged objects — [{"F":"0x1.5p+3"}], [{"I":"42"}], [{"V":[...]}],
-    [{"R":{...}}] — with floats in hexadecimal notation and integers in
-    decimal strings.  The string forms make the codec bit-exact:
-    [Obs.Json] prints numbers with [%.6g], which is fine for timings but
-    would corrupt payload data, and a serve round-trip must be
-    bit-identical to an in-process run. *)
+    {b Values.}  Every scalar ({!Cgsim.Value.t} [Float]/[Int]) crosses
+    as its 64-bit word in 16 lowercase hex digits, most significant
+    first: [Int64.bits_of_float] or [Int64.of_int].  A request input
+    slot or reply output slot whose elements are all [Float] is one
+    string of words, [{"F64":"3ff8..."}]; all [Int], [{"I64":"..."}];
+    anything else ([Vec]/[Rec] elements, mixed slots) is an array of
+    tagged values — [{"F":word}], [{"I":word}], [{"V":[...]}],
+    [{"R":{...}}].  The string forms make the codec bit-exact (NaN
+    payloads included): [Obs.Json] prints numbers with [%.6g], which is
+    fine for timings but would corrupt payload data, and a serve
+    round-trip must be bit-identical to an in-process run.  A peer on
+    [cgx-serve/1] (one tagged object per element) gets [Wrong_version]. *)
 
-(** Protocol identifier carried by every frame: ["cgx-serve/1"]. *)
+(** Protocol identifier carried by every frame: ["cgx-serve/2"]. *)
 val proto : string
 
 (** Refuse frames above this payload size (16 MiB). *)
@@ -131,9 +136,11 @@ type reply = {
 
 (** {1 Codec}
 
-    Encoders never fail.  Decoders are strict: unknown [type] tags,
-    missing fields and malformed values are errors, and the protocol
-    version is checked before anything else. *)
+    Encoders never fail.  Decoders are strict and never raise: unknown
+    [type] tags, missing fields, malformed values, a packed string whose
+    length is not a multiple of 16 or that holds a non-hex digit, and
+    JSON nested deeper than {!Obs.Json.max_depth} are all [Malformed],
+    and the protocol version is checked before anything else. *)
 
 type decode_error =
   | Wrong_version of string  (** The peer's [proto] field, verbatim. *)
@@ -146,7 +153,8 @@ val decode_request : string -> (request, decode_error) result
 val encode_reply : reply -> string
 val decode_reply : string -> (reply, decode_error) result
 
-(** Exposed for tests: the tagged bit-exact {!Cgsim.Value.t} codec. *)
+(** Exposed for tests: the tagged bit-exact {!Cgsim.Value.t} codec used
+    for slots that do not pack. *)
 val json_of_value : Cgsim.Value.t -> Obs.Json.t
 
 val value_of_json : Obs.Json.t -> (Cgsim.Value.t, string) result

@@ -1,10 +1,12 @@
-(* cgx serve tests: the wire codec must be bit-exact and reject every
-   malformed frame shape; a live daemon over a Unix socket must serve
-   all four evaluation apps bit-identically to in-process execution,
-   expose valid Prometheus metrics showing warm-cache hits, shed at the
-   door when the breaker is open, answer an incompatible peer with a
-   structured version-mismatch error, and drain on stop without dropping
-   an in-flight request. *)
+(* cgx serve tests: the wire codec must be bit-exact (fuzzed over NaN
+   payloads, signed zeros, subnormals and extreme ints) and reject every
+   malformed frame shape without raising; a live daemon over a Unix
+   socket must serve all four evaluation apps bit-identically to
+   in-process execution, expose valid Prometheus metrics showing
+   warm-cache hits, shed at the door when the breaker is open, answer a
+   cgx-serve/1 peer with a structured version-mismatch error, count a
+   peer reset as a connection error and keep serving, and drain on stop
+   without dropping an in-flight request. *)
 
 module W = Serve.Wire
 module R = Cgsim.Runtime
@@ -80,9 +82,12 @@ let awkward_values =
     Cgsim.Value.Float (-0.0);
     Cgsim.Value.Float (4.0 *. atan 1.0);
     Cgsim.Value.Float (Float.succ 1.0);
+    Cgsim.Value.Float (Int64.float_of_bits 0xfff0000000000001L);
+    Cgsim.Value.Float Float.infinity;
     Cgsim.Value.Int 42;
     Cgsim.Value.Int (-1);
     Cgsim.Value.Int max_int;
+    Cgsim.Value.Int min_int;
     Cgsim.Value.Vec [| Cgsim.Value.Float 1.5; Cgsim.Value.Int 7 |];
     Cgsim.Value.Rec
       [ "re", Cgsim.Value.Float 0.30000000000000004; "im", Cgsim.Value.Float (-2.5) ];
@@ -206,6 +211,258 @@ let test_reply_roundtrip () =
         | _ -> Alcotest.fail "body type changed"))
     replies
 
+let run_request inputs =
+  {
+    W.q_id = 1;
+    q_body = W.Run { rq_graph = "g"; rq_inputs = inputs; rq_deadline_ms = None; rq_seed = None };
+  }
+
+let completed_reply outputs =
+  {
+    W.p_id = 1;
+    p_body =
+      W.Result
+        {
+          rp_outcome = W.Completed outputs;
+          rp_attempts = 1;
+          rp_domain = 0;
+          rp_server_ns = 1.0;
+          rp_run_ns = 1.0;
+        };
+  }
+
+(* A run frame with [slots] spliced in verbatim as its "inputs". *)
+let raw_run slots =
+  Printf.sprintf "{\"proto\":%S,\"id\":\"1\",\"type\":\"run\",\"graph\":\"g\",\"inputs\":[%s]}"
+    W.proto slots
+
+let test_slot_forms () =
+  let module V = Cgsim.Value in
+  let slots =
+    [
+      [ V.Float 1.5; V.Float (-0.0) ];
+      [ V.Int (-1); V.Int 42 ];
+      [ V.Rec [ "re", V.Float 1.0 ] ];
+      [ V.Float 1.0; V.Int 1 ];
+      [];
+    ]
+  in
+  let j =
+    match Obs.Json.of_string (W.encode_request (run_request slots)) with
+    | Ok j -> j
+    | Error m -> Alcotest.failf "encoded request is not JSON: %s" m
+  in
+  let form = function
+    | Obs.Json.Obj [ (tag, Obs.Json.Str hex) ] -> tag ^ ":" ^ hex
+    | Obs.Json.Arr l -> Printf.sprintf "tagged:%d" (List.length l)
+    | _ -> "other"
+  in
+  Alcotest.(check (list string))
+    "one form per slot"
+    [
+      "F64:3ff80000000000008000000000000000";
+      "I64:ffffffffffffffff000000000000002a";
+      "tagged:1";
+      "tagged:2";
+      "F64:";
+    ]
+    (match Obs.Json.member "inputs" j with
+     | Some (Obs.Json.Arr l) -> List.map form l
+     | _ -> [])
+
+let test_strict_packed_decoder () =
+  List.iter
+    (fun (what, slots) ->
+      match W.decode_request (raw_run slots) with
+      | Error (W.Malformed _) -> ()
+      | Error (W.Wrong_version _) -> Alcotest.failf "%s: read as version skew" what
+      | Ok _ -> Alcotest.failf "%s: decoded" what
+      | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+    [
+      "short word", {|{"F64":"3ff800000000000"}|};
+      "word and a half", {|{"F64":"3ff80000000000003ff80000"}|};
+      "non-hex digit", {|{"F64":"3ff800000000000g"}|};
+      "uppercase digit", {|{"F64":"3FF8000000000000"}|};
+      "escaped control character", {|{"I64":"000000000000002\n"}|};
+      "tagged float literal", {|[{"F":"0x1.8p+3"}]|};
+      "tagged two words", {|[{"I":"00000000000000010000000000000002"}]|};
+      "int wider than a native int", {|{"I64":"4000000000000000"}|};
+      "unknown packed tag", {|{"F32":"3fc00000"}|};
+      "packed number", {|{"F64":1.5}|};
+    ];
+  match W.decode_request (raw_run {|{"I64":"c000000000000000"},{"F64":"7ff0000000000001"}|}) with
+  | Ok { W.q_body = W.Run { rq_inputs = [ [ Cgsim.Value.Int i ]; [ Cgsim.Value.Float f ] ]; _ }; _ } ->
+    Alcotest.(check int) "min_int" min_int i;
+    Alcotest.(check int64) "NaN payload" 0x7ff0000000000001L (Int64.bits_of_float f)
+  | Ok _ -> Alcotest.fail "wrong slots"
+  | Error e -> Alcotest.failf "valid packed slots refused: %s" (W.decode_error_message e)
+
+(* qcheck: slots of every form, with the awkward scalars over-drawn. *)
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 1,
+          oneofl
+            [ 0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan; 5e-324; -2.2e-308;
+              Float.max_float ] );
+        (* Any bit pattern: NaN payloads and subnormals included. *)
+        2, map Int64.float_of_bits ui64;
+        1, float;
+      ])
+
+let gen_int = QCheck.Gen.(frequency [ 1, oneofl [ 0; -1; max_int; min_int ]; 3, int ])
+
+let gen_value =
+  QCheck.Gen.(
+    fix (fun self depth ->
+        let scalar =
+          [ 2, map (fun f -> Cgsim.Value.Float f) gen_float; 2, map (fun i -> Cgsim.Value.Int i) gen_int ]
+        in
+        if depth = 0 then frequency scalar
+        else
+          frequency
+            (scalar
+            @ [
+                1, map (fun l -> Cgsim.Value.Vec (Array.of_list l)) (list_size (int_bound 4) (self (depth - 1)));
+                ( 1,
+                  map
+                    (fun l -> Cgsim.Value.Rec (List.mapi (fun i v -> Printf.sprintf "f%d" i, v) l))
+                    (list_size (int_bound 3) (self (depth - 1))) );
+              ]))
+      2)
+
+let gen_slot =
+  QCheck.Gen.(
+    frequency
+      [
+        3, list_size (int_bound 40) (map (fun f -> Cgsim.Value.Float f) gen_float);
+        2, list_size (int_bound 40) (map (fun i -> Cgsim.Value.Int i) gen_int);
+        2, list_size (int_bound 8) gen_value;
+        1, return [];
+      ])
+
+let gen_slots = QCheck.Gen.(list_size (int_bound 4) gen_slot)
+
+let show_slots slots =
+  String.concat " | " (List.map (fun l -> String.concat " " (List.map Cgsim.Value.to_string l)) slots)
+
+let slots_bits_equal a b = List.length a = List.length b && List.for_all2 values_bits_equal a b
+
+let prop_roundtrip =
+  QCheck.Test.make ~name:"codec round-trip is bit-exact on random slots" ~count:500
+    (QCheck.make ~print:show_slots gen_slots)
+    (fun slots ->
+      (match W.decode_request (W.encode_request (run_request slots)) with
+       | Ok { W.q_body = W.Run { rq_inputs; _ }; _ } ->
+         if not (slots_bits_equal slots rq_inputs) then QCheck.Test.fail_report "request inputs differ"
+       | Ok _ -> QCheck.Test.fail_report "request body changed"
+       | Error e -> QCheck.Test.fail_reportf "request: %s" (W.decode_error_message e));
+      match W.decode_reply (W.encode_reply (completed_reply slots)) with
+      | Ok { W.p_body = W.Result { rp_outcome = W.Completed outs; _ }; _ } ->
+        slots_bits_equal slots outs || QCheck.Test.fail_report "reply outputs differ"
+      | Ok _ -> QCheck.Test.fail_report "reply body changed"
+      | Error e -> QCheck.Test.fail_reportf "reply: %s" (W.decode_error_message e))
+
+(* Ways to damage a valid frame. *)
+type mutation =
+  | Truncate of int
+  | Flip of int * int  (* byte, bit *)
+  | Length_prefix of int
+  | Drop_hex of int * int  (* which packed digit, how many (1..15) *)
+  | Bad_digit of int * char
+
+let show_mutation = function
+  | Truncate n -> Printf.sprintf "truncate to %d" n
+  | Flip (i, b) -> Printf.sprintf "flip bit %d of byte %d" b i
+  | Length_prefix n -> Printf.sprintf "length prefix %d" n
+  | Drop_hex (i, k) -> Printf.sprintf "drop %d hex digits at %d" k i
+  | Bad_digit (i, c) -> Printf.sprintf "hex digit %d := %C" i c
+
+let gen_mutation =
+  QCheck.Gen.(
+    let pos = int_bound 1_000_000 in
+    let non_hex = map (function '0' .. '9' | 'a' .. 'f' -> 'G' | c -> c) char in
+    oneof
+      [
+        map (fun n -> Truncate n) pos;
+        map2 (fun i b -> Flip (i, b)) pos (int_bound 7);
+        map (fun n -> Length_prefix n) (oneof [ int_bound 4096; int_bound (W.max_frame_bytes * 2) ]);
+        map2 (fun i k -> Drop_hex (i, 1 + k)) pos (int_bound 14);
+        map2 (fun i c -> Bad_digit (i, c)) pos non_hex;
+      ])
+
+(* Byte offsets of every packed hex digit in [payload]. *)
+let hex_positions payload =
+  let n = String.length payload in
+  let rec scan i acc =
+    if i + 7 > n then List.rev acc
+    else
+      let tag = String.sub payload i 7 in
+      if tag = {|"F64":"|} || tag = {|"I64":"|} then begin
+        let j = ref (i + 7) and acc = ref acc in
+        while payload.[!j] <> '"' do
+          acc := !j :: !acc;
+          incr j
+        done;
+        scan !j !acc
+      end
+      else scan (i + 1) acc
+  in
+  scan 0 []
+
+(* The damaged frame of [payload] (which must hold a packed digit), and
+   whether the damage can never leave a decodable frame: every mutation
+   but a bit flip, and a length prefix other than the true one. *)
+let mutate payload m =
+  let framed = W.frame payload in
+  let n = String.length framed in
+  let splice i cut by =
+    W.frame (String.sub payload 0 i ^ by ^ String.sub payload (i + cut) (String.length payload - i - cut))
+  in
+  let hex i =
+    let ps = hex_positions payload in
+    List.nth ps (i mod List.length ps)
+  in
+  match m with
+  | Truncate k -> (String.sub framed 0 (k mod n), true)
+  | Flip (i, bit) ->
+    let b = Bytes.of_string framed in
+    let i = i mod n in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+    (Bytes.to_string b, false)
+  | Length_prefix len ->
+    let b = Bytes.of_string framed in
+    Bytes.set_int32_be b 0 (Int32.of_int len);
+    (Bytes.to_string b, len <> n - 4)
+  | Drop_hex (i, k) ->
+    let p = hex i in
+    (splice p (min k (String.length payload - p)) "", true)
+  | Bad_digit (i, c) -> (splice (hex i) 1 (String.make 1 c), true)
+
+let prop_mutation =
+  QCheck.Test.make ~name:"damaged frames are refused, never raise" ~count:1000
+    (QCheck.make
+       ~print:(fun (slots, m) -> show_slots slots ^ " / " ^ show_mutation m)
+       QCheck.Gen.(pair gen_slots gen_mutation))
+    (fun (slots, m) ->
+      (* A float slot in front guarantees packed digits to damage. *)
+      let slots = [ Cgsim.Value.Float 1.0; Cgsim.Value.Float Float.nan ] :: slots in
+      let check payload decodes =
+        let damaged, must_fail = mutate payload m in
+        match W.unframe (Bytes.of_string damaged) ~pos:0 with
+        | Error _ -> true
+        | Ok (payload, _) ->
+          (* Both decoders see every payload: neither may raise. *)
+          ignore (W.decode_request payload, W.decode_reply payload);
+          (not (must_fail && decodes payload))
+          || QCheck.Test.fail_reportf "decoded after %s" (show_mutation m)
+      in
+      try
+        check (W.encode_request (run_request slots)) (fun p -> Result.is_ok (W.decode_request p))
+        && check (W.encode_reply (completed_reply slots)) (fun p -> Result.is_ok (W.decode_reply p))
+      with e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 (* ------------------------------------------------------------------ *)
 (* Framing and rejection                                              *)
 (* ------------------------------------------------------------------ *)
@@ -230,7 +487,7 @@ let test_frame_roundtrip () =
    | Ok _ -> Alcotest.fail "expected Eof at end of buffer")
 
 let test_frame_rejection () =
-  let framed = W.frame "{\"proto\":\"cgx-serve/1\"}" in
+  let framed = W.frame (Printf.sprintf "{\"proto\":%S}" W.proto) in
   (* Truncated inside the payload and inside the length prefix. *)
   List.iter
     (fun keep ->
@@ -259,9 +516,9 @@ let test_frame_rejection () =
       "not json at all";
       "[1,2,3]";
       "{}";
-      "{\"proto\":\"cgx-serve/1\",\"id\":\"0\"}";
-      "{\"proto\":\"cgx-serve/1\",\"id\":\"0\",\"type\":\"frobnicate\"}";
-      "{\"proto\":\"cgx-serve/1\",\"id\":12,\"type\":\"ping\"}";
+      Printf.sprintf "{\"proto\":%S,\"id\":\"0\"}" W.proto;
+      Printf.sprintf "{\"proto\":%S,\"id\":\"0\",\"type\":\"frobnicate\"}" W.proto;
+      Printf.sprintf "{\"proto\":%S,\"id\":12,\"type\":\"ping\"}" W.proto;
     ];
   (* Version skew is distinguished from malformedness — and checked
      before anything else in the envelope. *)
@@ -273,6 +530,30 @@ let test_frame_rejection () =
   | Error (W.Wrong_version _) -> ()
   | Error (W.Malformed m) -> Alcotest.failf "proto must be checked first: %s" m
   | Ok _ -> Alcotest.fail "wrong-version frame decoded"
+
+(* Nesting is capped: a legal-size frame of 8M nested arrays is refused
+   at the cap instead of holding the reader for a minute. *)
+let test_deep_nesting_rejected () =
+  let nested d = String.make d '[' ^ String.make d ']' in
+  (match Obs.Json.of_string (nested Obs.Json.max_depth) with
+   | Ok _ -> ()
+   | Error m -> Alcotest.failf "depth %d refused: %s" Obs.Json.max_depth m);
+  (match Obs.Json.of_string (nested (Obs.Json.max_depth + 1)) with
+   | Ok _ -> Alcotest.fail "nesting past the cap parsed"
+   | Error _ -> ());
+  let framed = W.frame (nested 8_000_000) in
+  let payload =
+    match W.unframe (Bytes.unsafe_of_string framed) ~pos:0 with
+    | Ok (p, _) -> p
+    | Error e -> Alcotest.failf "8M-deep frame not legal: %s" (W.frame_error_message e)
+  in
+  let t0 = Unix.gettimeofday () in
+  (match W.decode_request payload with
+   | Error (W.Malformed _) -> ()
+   | Error (W.Wrong_version v) -> Alcotest.failf "read as version %S" v
+   | Ok _ -> Alcotest.fail "8M-deep frame decoded");
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > 0.25 then Alcotest.failf "8M-deep frame took %.3f s to refuse" dt
 
 (* ------------------------------------------------------------------ *)
 (* Daemon lifecycle                                                   *)
@@ -359,19 +640,17 @@ let test_drain_completes_inflight () =
   let reps = 4 in
   let h = Apps.Harness.farrow in
   let inputs = List.map drain_source (h.Apps.Harness.sources ~reps) in
-  (* Pipeline a batch, give the reader time to accept it, then stop the
-     server with replies still pending: drain must deliver every one
-     before the EOF.  (A request the reader only picks up after stop is
-     refused with a structured shutting-down error instead — also not a
-     drop — but this test wants the completion path, so it waits past
-     the accept race: until the reader has decoded all three frames,
-     then long enough for the last one to reach the pool.) *)
+  (* Pipeline a batch, wait until the reader has handed all of it to the
+     pool, then stop the server with replies still pending: drain must
+     deliver every one before the EOF.  (A request the reader only picks
+     up after stop is refused with a structured shutting-down error
+     instead — also not a drop — but this test wants the completion
+     path; [served] counts a run only once it is submitted.) *)
   let ids = List.init 3 (fun _ -> Serve.Client.send_run client ~graph:"farrow" inputs) in
   let give_up = Unix.gettimeofday () +. 10.0 in
   while Serve.Server.served server < List.length ids && Unix.gettimeofday () < give_up do
     Unix.sleepf 0.001
   done;
-  Unix.sleepf 0.1;
   Serve.Server.stop server;
   let got =
     List.map
@@ -421,11 +700,11 @@ let test_breaker_shed_and_version_mismatch () =
       Serve.Server.stop server;
       Domain.join serving)
     (fun () ->
-      (* An incompatible peer gets a structured version-mismatch error,
-         not a dropped connection. *)
+      (* A peer still on the previous protocol gets a structured
+         version-mismatch error, not a dropped connection. *)
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_UNIX path);
-      W.write_frame fd "{\"proto\":\"cgx-serve/999\",\"id\":\"0\",\"type\":\"ping\"}";
+      W.write_frame fd "{\"proto\":\"cgx-serve/1\",\"id\":\"0\",\"type\":\"ping\"}";
       (match W.read_frame fd with
        | Error e -> Alcotest.failf "no reply to version skew: %s" (W.frame_error_message e)
        | Ok payload -> (
@@ -454,6 +733,59 @@ let test_breaker_shed_and_version_mismatch () =
               (W.run_outcome_label rp.W.rp_outcome) rp.W.rp_attempts
           | Error m -> Alcotest.failf "second request: %s" m))
 
+(* The value of an unlabelled counter in a Prometheus exposition. *)
+let prom_counter exposition name =
+  List.find_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ n; v ] when String.equal n name -> float_of_string_opt v
+      | _ -> None)
+    (String.split_on_char '\n' exposition)
+
+(* A peer that resets mid-frame kills only its own reader: the error is
+   counted and named, and the daemon keeps serving other connections.
+   TCP, because only a TCP reset (SO_LINGER 0, then close) makes the
+   reader's read raise instead of seeing EOF. *)
+let test_peer_reset_counted () =
+  let server =
+    Serve.Server.create ~graphs:all_graphs ~domains:1 ~listen:(Serve.Addr.Tcp ("127.0.0.1", 0)) ()
+  in
+  let addr = Serve.Server.addr server in
+  let serving = Domain.spawn (fun () -> Serve.Server.serve server) in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.stop server;
+      Domain.join serving)
+    (fun () ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Serve.Addr.sockaddr addr);
+      let half = W.frame (W.encode_request { W.q_id = 0; q_body = W.Ping }) in
+      ignore (Unix.write_substring fd half 0 (String.length half / 2));
+      Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
+      Unix.close fd;
+      let client = Serve.Client.connect ~retries:10 addr in
+      Fun.protect ~finally:(fun () -> Serve.Client.close client) (fun () ->
+          let scrape () =
+            match Serve.Client.metrics client with
+            | Ok text -> prom_counter text "cgsim_serve_conn_error_total"
+            | Error m -> Alcotest.failf "metrics: %s" m
+          in
+          let give_up = Unix.gettimeofday () +. 10.0 in
+          let rec wait () =
+            match scrape () with
+            | Some n when n >= 1.0 || Unix.gettimeofday () > give_up -> n
+            | _ ->
+              Unix.sleepf 0.005;
+              wait ()
+          in
+          Alcotest.(check (float 0.0)) "conn_error counted once" 1.0 (wait ());
+          let h = Apps.Harness.bitonic in
+          let inputs = List.map drain_source (h.Apps.Harness.sources ~reps:1) in
+          match Serve.Client.run client ~graph:"bitonic" inputs with
+          | Ok { W.rp_outcome = W.Completed _; _ } -> ()
+          | Ok rp -> Alcotest.failf "after the reset: %s" (W.run_outcome_label rp.W.rp_outcome)
+          | Error m -> Alcotest.failf "after the reset: %s" m))
+
 let () =
   Alcotest.run "serve"
     [
@@ -462,12 +794,17 @@ let () =
           Alcotest.test_case "value round-trip is bit-exact" `Quick test_value_roundtrip;
           Alcotest.test_case "request round-trip" `Quick test_request_roundtrip;
           Alcotest.test_case "reply round-trip" `Quick test_reply_roundtrip;
+          Alcotest.test_case "slot forms: F64, I64, tagged" `Quick test_slot_forms;
+          Alcotest.test_case "packed decoder is strict" `Quick test_strict_packed_decoder;
+          QCheck_alcotest.to_alcotest prop_roundtrip;
+          QCheck_alcotest.to_alcotest prop_mutation;
         ] );
       ( "framing",
         [
           Alcotest.test_case "frame/unframe round-trip" `Quick test_frame_roundtrip;
           Alcotest.test_case "truncated, oversized and garbage frames rejected" `Quick
             test_frame_rejection;
+          Alcotest.test_case "deep nesting refused at the cap" `Quick test_deep_nesting_rejected;
         ] );
       ( "daemon",
         [
@@ -477,5 +814,7 @@ let () =
             test_drain_completes_inflight;
           Alcotest.test_case "breaker shed at the door; version mismatch answered" `Quick
             test_breaker_shed_and_version_mismatch;
+          Alcotest.test_case "peer reset counted as a connection error" `Quick
+            test_peer_reset_counted;
         ] );
     ]
