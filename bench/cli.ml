@@ -16,7 +16,6 @@ type opts = {
   schema : string option;  (* --schema NAME: expected "schema" field *)
   smoke : bool;  (* --smoke: reduced quotas for CI *)
   chaos : bool;  (* --chaos: seeded fault injection *)
-  fuse : bool option;  (* --fuse on|off *)
   warm : bool option;  (* --warm on|off *)
   domains : int list option;  (* --domains CSV *)
   requests : int option;  (* --requests N *)
@@ -34,7 +33,6 @@ let none =
     schema = None;
     smoke = false;
     chaos = false;
-    fuse = None;
     warm = None;
     domains = None;
     requests = None;
@@ -45,8 +43,8 @@ let none =
 
 let all_options =
   [
-    "--json"; "--metrics"; "--trace"; "--folded"; "--schema"; "--smoke"; "--chaos"; "--fuse";
-    "--warm"; "--domains"; "--requests"; "--count"; "--rates"; "--remote";
+    "--json"; "--metrics"; "--trace"; "--folded"; "--schema"; "--smoke"; "--chaos"; "--warm";
+    "--domains"; "--requests"; "--count"; "--rates"; "--remote";
   ]
 
 let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
@@ -99,9 +97,6 @@ let parse ~cmd ~accept tokens =
       | "--remote" -> with_value (fun acc v -> Ok { acc with remote = Some v })
       | "--smoke" -> go { acc with smoke = true } rest
       | "--chaos" -> go { acc with chaos = true } rest
-      | "--fuse" ->
-        with_value (fun acc v ->
-            Result.map (fun b -> { acc with fuse = Some b }) (parse_on_off tok v))
       | "--warm" ->
         with_value (fun acc v ->
             Result.map (fun b -> { acc with warm = Some b }) (parse_on_off tok v))

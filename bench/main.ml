@@ -14,14 +14,14 @@
 
    profile [--trace FILE] [--json FILE] [--folded FILE] [--smoke]
 
-   micro [--json FILE] [--smoke] [--fuse on|off]
+   micro [--json FILE] [--smoke]
 
    serve benchmarks parallel request serving over Cgsim.Pool:
      --json FILE    write requests/sec + scaling per app as JSON
      --smoke        fewer requests and domain counts for CI
      --domains CSV  domain counts to sweep (default 1,2,4,8)
      --requests N   requests per app per domain count
-     --warm on|off  restrict to the warm (instance cache + batching) or
+     --warm on|off  restrict to the warm (instance cache) or
                     cold (fresh instance per attempt) path; default runs
                     both and asserts per-request output equality
      --chaos        serve under deterministic fault injection instead:
@@ -56,7 +56,7 @@
 let usage () =
   print_endline
     "usage: main.exe [table1|table2|table2-quick|profile [--trace FILE] [--json FILE] \
-     [--folded FILE] [--smoke]|micro [--json FILE] [--smoke] [--fuse on|off]|serve [--json FILE] [--smoke] \
+     [--folded FILE] [--smoke]|micro [--json FILE] [--smoke]|serve [--json FILE] [--smoke] \
      [--domains CSV] [--requests N] [--warm on|off] [--chaos]|loadtest [--json FILE] [--metrics FILE] \
      [--rates CSV] [--requests N] [--chaos] [--remote ADDR] [--smoke]|ablation|fuzz [--json FILE] [--count N] \
      [--smoke]|check-json FILE [--schema NAME]|check-prom FILE]...";
@@ -89,7 +89,7 @@ let parse_actions args =
     | "table2" :: rest -> Table2 :: go rest
     | "table2-quick" :: rest -> Table2_quick :: go rest
     | "micro" :: rest ->
-      parse_opts ~cmd:"micro" ~accept:[ "--json"; "--smoke"; "--fuse" ] rest (fun o rest ->
+      parse_opts ~cmd:"micro" ~accept:[ "--json"; "--smoke" ] rest (fun o rest ->
           Micro o :: go rest)
     | "serve" :: rest ->
       parse_opts ~cmd:"serve"
@@ -169,7 +169,7 @@ let run = function
   | Table2_quick -> Table2.run ~scale:0.5 ()
   | Profile o ->
     Profile.run ?trace:o.Cli.trace ?json:o.Cli.json ?folded:o.Cli.folded ~smoke:o.Cli.smoke ()
-  | Micro o -> Micro.run ?json:o.Cli.json ~smoke:o.Cli.smoke ?fuse:o.Cli.fuse ()
+  | Micro o -> Micro.run ?json:o.Cli.json ~smoke:o.Cli.smoke ()
   | Serve_pool o ->
     if o.Cli.chaos then Serve_bench.run_chaos ?json:o.Cli.json ~smoke:o.Cli.smoke ?requests:o.Cli.requests ()
     else

@@ -7,10 +7,11 @@
    queue transfer on the same queue configuration backs the block
    fast-path claim in docs/PERFORMANCE.md — the block side rides the
    unboxed (bigarray-backed) data plane, so it is a bounds-checked blit.
-   A fused-vs-unfused comparison on a three-kernel rate-matched chain
-   backs the operator-fusion claim.  [run ~json:file] writes every
-   number as machine-readable JSON (schema "cgsim-bench-micro/3") so CI
-   can parse it back and the repo can commit a baseline. *)
+   A three-kernel rate-matched chain row gives the per-element cost of
+   the runtime's one-fiber-per-kernel execution.  [run ~json:file]
+   writes every number as machine-readable JSON (schema
+   "cgsim-bench-micro/4") so CI can parse it back and the repo can
+   commit a baseline. *)
 
 open Bechamel
 open Toolkit
@@ -215,35 +216,29 @@ let compare_spsc ~smoke =
     sp_speedup = mpmc_ns /. spsc_ns;
   }
 
-type fusion_comparison = {
-  f_kernels : int;
-  f_rate : int;
-  f_elements : int;
-  unfused_ns_per_elem : float;
-  fused_ns_per_elem : float;
-  f_speedup : float;
+type chain_timing = {
+  c_kernels : int;
+  c_rate : int;
+  c_elements : int;
+  c_ns_per_elem : float;
 }
 
-(* Three rate-matched F32 scale kernels in a line — the memcpy-class
-   chain operator fusion targets: each hop moves whole 64-element
-   windows and the per-window arithmetic is a single multiply, so queue
-   transfer and fiber hand-off dominate.  Unfused, every hop is a
-   Bqueue with a scheduler round-trip per window; fused, the runtime
-   collapses all three kernels into one fiber passing windows through
-   direct hand-off edges.
+(* Three rate-matched F32 scale kernels in a line: each hop moves whole
+   64-element windows and the per-window arithmetic is a single multiply,
+   so queue transfer and fiber hand-off dominate.  Every hop is a Bqueue
+   with a scheduler round-trip per window — the per-hop cost any
+   compile-time schedule for such a chain has to beat.
 
    The graph boundary (source and sink) nets get a deep DMA-style
-   buffer so the comparison isolates the inter-kernel hops: both
-   configurations pay the same boundary cost, and the chain-internal
-   nets keep the realistic default stream depth — exactly the queues
-   fusion removes. *)
-let fusion_rate = 64
+   buffer so the row isolates the inter-kernel hops; the chain-internal
+   nets keep the realistic default stream depth. *)
+let chain_rate = 64
 
-let fusion_boundary_depth = 4096
+let chain_boundary_depth = 4096
 
-let fusion_scale_kernel ?in_settings ?out_settings name factor =
-  Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name ~pure:true ~stateless:true
-    ~rates:[ "in", fusion_rate; "out", fusion_rate ]
+let chain_scale_kernel ?in_settings ?out_settings name factor =
+  Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name ~pure:true
+    ~rates:[ "in", chain_rate; "out", chain_rate ]
     [
       Cgsim.Kernel.in_port ?settings:in_settings "in" Cgsim.Dtype.F32;
       Cgsim.Kernel.out_port ?settings:out_settings "out" Cgsim.Dtype.F32;
@@ -251,30 +246,30 @@ let fusion_scale_kernel ?in_settings ?out_settings name factor =
     (fun b ->
       let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
       while true do
-        let w = Cgsim.Port.get_window_f32 i fusion_rate in
-        for k = 0 to fusion_rate - 1 do
+        let w = Cgsim.Port.get_window_f32 i chain_rate in
+        for k = 0 to chain_rate - 1 do
           w.(k) <- w.(k) *. factor
         done;
         Cgsim.Port.put_window_f32 o w
       done)
 
-let fusion_kernels =
+let chain_kernels =
   lazy
-    (let deep = Cgsim.Settings.(with_depth fusion_boundary_depth default) in
+    (let deep = Cgsim.Settings.(with_depth chain_boundary_depth default) in
      let ks =
        [
-         fusion_scale_kernel ~in_settings:deep "micro_scale_a" 2.0;
-         fusion_scale_kernel "micro_scale_b" 3.0;
-         fusion_scale_kernel ~out_settings:deep "micro_scale_c" 0.5;
+         chain_scale_kernel ~in_settings:deep "micro_scale_a" 2.0;
+         chain_scale_kernel "micro_scale_b" 3.0;
+         chain_scale_kernel ~out_settings:deep "micro_scale_c" 0.5;
        ]
      in
      List.iter Cgsim.Registry.register ks;
      ks)
 
-let fusion_graph () =
-  match Lazy.force fusion_kernels with
+let chain_graph () =
+  match Lazy.force chain_kernels with
   | [ ka; kb; kc ] ->
-    Cgsim.Builder.make ~name:"micro_fusion_chain" ~inputs:[ "in", Cgsim.Dtype.F32 ]
+    Cgsim.Builder.make ~name:"micro_chain" ~inputs:[ "in", Cgsim.Dtype.F32 ]
       (fun b conns ->
         let n1 = Cgsim.Builder.net b Cgsim.Dtype.F32 in
         let n2 = Cgsim.Builder.net b Cgsim.Dtype.F32 in
@@ -285,35 +280,30 @@ let fusion_graph () =
         [ out ])
   | _ -> assert false
 
-let time_fusion ~fuse ~elements =
-  let g = fusion_graph () in
-  let config = Cgsim.Run_config.(with_fuse fuse default) in
+let time_chain ~elements =
+  let g = chain_graph () in
   let input = Array.init elements (fun i -> float_of_int (i land 1023)) in
-  let inst = Cgsim.Runtime.new_instance (Cgsim.Runtime.compile ~config g) in
+  let inst = Cgsim.Runtime.new_instance (Cgsim.Runtime.compile g) in
   let sink, _ = Cgsim.Io.f32_buffer () in
   let t0 = Obs.Clock.now_ns () in
   (match Cgsim.Runtime.run inst ~sources:[ Cgsim.Io.of_f32_array input ] ~sinks:[ sink ] with
    | Cgsim.Runtime.Completed _ -> ()
-   | o -> Format.kasprintf failwith "fusion bench: %a" Cgsim.Runtime.pp_outcome o);
+   | o -> Format.kasprintf failwith "chain bench: %a" Cgsim.Runtime.pp_outcome o);
   Obs.Clock.now_ns () -. t0
 
-let compare_fusion ~smoke =
+let time_chain_row ~smoke =
   let elements = if smoke then 16384 else 262144 in
   let rounds = if smoke then 2 else 5 in
   (* Earlier sections (bechamel, block transfer) leave a large live major
-     heap; compact so both configs start from the same GC state instead of
-     paying for their predecessors' garbage. *)
+     heap; compact so the row starts from the same GC state whatever ran
+     before it. *)
   Gc.compact ();
-  let unfused_ns = best_of rounds (fun () -> time_fusion ~fuse:false ~elements) in
-  let fused_ns = best_of rounds (fun () -> time_fusion ~fuse:true ~elements) in
-  let n = float_of_int elements in
+  let ns = best_of rounds (fun () -> time_chain ~elements) in
   {
-    f_kernels = 3;
-    f_rate = fusion_rate;
-    f_elements = elements;
-    unfused_ns_per_elem = unfused_ns /. n;
-    fused_ns_per_elem = fused_ns /. n;
-    f_speedup = unfused_ns /. fused_ns;
+    c_kernels = 3;
+    c_rate = chain_rate;
+    c_elements = elements;
+    c_ns_per_elem = ns /. float_of_int elements;
   }
 
 type warm_comparison = {
@@ -330,11 +320,10 @@ type warm_comparison = {
    does — against warm: compile once, one instance, reset between
    requests.  The per-request saving is what {!Cgsim.Pool}'s warm cache
    banks per attempt. *)
-let compare_warm ~smoke ~fuse =
+let compare_warm ~smoke =
   let h = Apps.Harness.bitonic in
   let reps = 4 in
   let requests = if smoke then 32 else 256 in
-  let config = Cgsim.Run_config.(with_fuse fuse default) in
   let run_request inst =
     let sinks, _ = h.Apps.Harness.make_sinks () in
     match Cgsim.Runtime.run inst ~sources:(h.Apps.Harness.sources ~reps) ~sinks with
@@ -345,12 +334,12 @@ let compare_warm ~smoke ~fuse =
   let cold () =
     let t0 = Obs.Clock.now_ns () in
     for _ = 1 to requests do
-      run_request (Cgsim.Runtime.instantiate ~config g)
+      run_request (Cgsim.Runtime.instantiate g)
     done;
     Obs.Clock.now_ns () -. t0
   in
   let warm () =
-    let inst = Cgsim.Runtime.new_instance (Cgsim.Runtime.compile ~config g) in
+    let inst = Cgsim.Runtime.new_instance (Cgsim.Runtime.compile g) in
     let t0 = Obs.Clock.now_ns () in
     for _ = 1 to requests do
       Cgsim.Runtime.reset inst;
@@ -390,24 +379,21 @@ let json_of_spsc (sp : spsc_comparison) =
       "speedup", Obs.Json.Num sp.sp_speedup;
     ]
 
-let json_of_fusion (f : fusion_comparison) =
+let json_of_chain (c : chain_timing) =
   Obs.Json.Obj
     [
-      "kernels", Obs.Json.Num (float_of_int f.f_kernels);
-      "rate", Obs.Json.Num (float_of_int f.f_rate);
-      "elements", Obs.Json.Num (float_of_int f.f_elements);
-      "unfused_ns_per_elem", Obs.Json.Num f.unfused_ns_per_elem;
-      "fused_ns_per_elem", Obs.Json.Num f.fused_ns_per_elem;
-      "speedup", Obs.Json.Num f.f_speedup;
+      "kernels", Obs.Json.Num (float_of_int c.c_kernels);
+      "rate", Obs.Json.Num (float_of_int c.c_rate);
+      "elements", Obs.Json.Num (float_of_int c.c_elements);
+      "ns_per_elem", Obs.Json.Num c.c_ns_per_elem;
     ]
 
-let json_of_run ~smoke ~fuse ~bechamel (cmp : block_comparison) (sp : spsc_comparison)
-    (fc : fusion_comparison) (w : warm_comparison) =
+let json_of_run ~smoke ~bechamel (cmp : block_comparison) (sp : spsc_comparison)
+    (ch : chain_timing) (w : warm_comparison) =
   Obs.Json.Obj
     [
-      "schema", Obs.Json.Str "cgsim-bench-micro/3";
+      "schema", Obs.Json.Str "cgsim-bench-micro/4";
       "smoke", Obs.Json.Bool smoke;
-      "fuse", Obs.Json.Bool fuse;
       ( "results",
         Obs.Json.Arr
           (List.map
@@ -425,16 +411,16 @@ let json_of_run ~smoke ~fuse ~bechamel (cmp : block_comparison) (sp : spsc_compa
             "speedup", Obs.Json.Num cmp.speedup;
           ] );
       "spsc", json_of_spsc sp;
-      "fusion", json_of_fusion fc;
+      "chain", json_of_chain ch;
       "warm_serve", json_of_warm w;
     ]
 
-let run ?json ?(smoke = false) ?(fuse = true) () =
-  (* Measure fusion first: it is the most GC/process-state-sensitive
-     comparison, and the bechamel + transfer sections leave the process
+let run ?json ?(smoke = false) () =
+  (* Time the chain first: it is the most GC/process-state-sensitive
+     row, and the bechamel + transfer sections leave the process
      measurably slower (larger heap, hot allocator) in a way that best-of
      minima do not recover from. *)
-  let fc = compare_fusion ~smoke in
+  let ch = time_chain_row ~smoke in
   Printf.printf "\n== Micro-benchmarks (bechamel) ==\n%!";
   let quota = if smoke then 0.02 else 0.25 in
   let bechamel = bechamel_results ~quota in
@@ -451,12 +437,9 @@ let run ?json ?(smoke = false) ?(fuse = true) () =
   Printf.printf "%-45s %12.2f ns/elem\n" "MPMC path (broadcast bookkeeping)" sp.mpmc_ns_per_elem;
   Printf.printf "%-45s %12.2f ns/elem\n" "SPSC path (sealed 1:1)" sp.spsc_ns_per_elem;
   Printf.printf "%-45s %12.2fx\n%!" "speedup" sp.sp_speedup;
-  Printf.printf "\n== Operator fusion (%d rate-matched kernels, window=%d) ==\n%!" fc.f_kernels
-    fc.f_rate;
-  Printf.printf "%-45s %12.2f ns/elem\n" "unfused (one fiber + queue per hop)" fc.unfused_ns_per_elem;
-  Printf.printf "%-45s %12.2f ns/elem\n" "fused (one fiber, direct hand-off)" fc.fused_ns_per_elem;
-  Printf.printf "%-45s %12.2fx\n%!" "speedup" fc.f_speedup;
-  let w = compare_warm ~smoke ~fuse in
+  Printf.printf "\n== Chain (%d rate-matched kernels, window=%d) ==\n%!" ch.c_kernels ch.c_rate;
+  Printf.printf "%-45s %12.2f ns/elem\n%!" "one fiber + queue per hop" ch.c_ns_per_elem;
+  let w = compare_warm ~smoke in
   Printf.printf "\n== Warm serving (bitonic, %d reps/request, %d requests) ==\n%!" w.w_reps
     w.w_requests;
   Printf.printf "%-45s %12.2f us/req\n" "cold (instantiate per request)" w.cold_us_per_req;
@@ -465,7 +448,7 @@ let run ?json ?(smoke = false) ?(fuse = true) () =
   match json with
   | None -> ()
   | Some file ->
-    let doc = json_of_run ~smoke ~fuse ~bechamel cmp sp fc w in
+    let doc = json_of_run ~smoke ~bechamel cmp sp ch w in
     (try Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc (Obs.Json.to_string doc))
      with Sys_error msg ->
        Printf.eprintf "error: cannot write %s: %s\n" file msg;

@@ -6,8 +6,7 @@
    is a real fraction of the work — the regime warm pools exist for).
    For every domain count the same batch of requests is served twice:
    cold ([Run_config.warm = false]: a fresh Runtime instance per
-   attempt) and warm (the default warm-instance cache plus pure-graph
-   request batching).  Every request's output is verified against the
+   attempt) and warm (the default warm-instance cache).  Every request's output is verified against the
    scalar reference on both paths, and the warm output of each request
    is additionally asserted equal to its cold output — the speedup
    cannot quietly come from a semantic change.
@@ -19,7 +18,7 @@
    carry "oversubscribed": true so baseline consumers can filter them
    out of scaling comparisons.
 
-   [run ~json:file] writes schema "cgsim-bench-serve/3"; check-json
+   [run ~json:file] writes schema "cgsim-bench-serve/4"; check-json
    validates it in CI.  [~warm:(Some true)] / [(Some false)] restricts
    the sweep to one path (the CI smoke runs each separately so the cold
    fallback cannot rot); the default [None] measures both and asserts
@@ -37,11 +36,7 @@ let smoke_domains = [ 1; 2 ]
 let serve_reps ~smoke (t : Apps.Harness.t) =
   max 1 (t.Apps.Harness.table2_reps / if smoke then 512 else 256)
 
-(* Requests multiplexed through one warm run when the graph is pure. *)
-let serve_batch = 8
-
-(* Static predicted ceiling: profile a few single-domain requests with
-   fusion off (so the self-time histograms stay per kernel instance),
+(* Static predicted ceiling: profile a few single-domain requests,
    turn the Obs.Profile rows into a per-kernel ns/request cost model,
    and ask Cgsim.Throughput for the sequential bound — the req/s one
    domain cannot beat.  Printed and recorded next to the measured
@@ -51,7 +46,7 @@ let probe_requests = 4
 
 let predict_ceiling ~reps (t : Apps.Harness.t) g =
   let config =
-    Cgsim.Run_config.(default |> with_lint `Off |> with_fuse false |> with_warm false)
+    Cgsim.Run_config.(default |> with_lint `Off |> with_warm false)
   in
   let (), session =
     Obs.Trace.with_session (fun () ->
@@ -87,7 +82,6 @@ type app_run = {
   steals : int;
   warm_hits : int;
   cold_builds : int;
-  batched : int;
   outputs : Cgsim.Value.t list array;  (* per request, for cross-mode equality *)
   mutable errors : string list;
 }
@@ -126,7 +120,6 @@ let run_app ~mode ~config ~domains ~requests ~reps (t : Apps.Harness.t) g =
     steals = stats.Cgsim.Pool.steals;
     warm_hits = stats.Cgsim.Pool.warm_hits;
     cold_builds = stats.Cgsim.Pool.cold_builds;
-    batched = stats.Cgsim.Pool.batched;
     outputs;
     errors = List.rev !errors;
   }
@@ -163,7 +156,6 @@ let json_of_app_run ~base_wall ~host_cores (r : app_run) =
       "steals", Obs.Json.Num (float_of_int r.steals);
       "warm_hits", Obs.Json.Num (float_of_int r.warm_hits);
       "cold_builds", Obs.Json.Num (float_of_int r.cold_builds);
-      "batched", Obs.Json.Num (float_of_int r.batched);
       "errors", Obs.Json.Arr (List.map (fun e -> Obs.Json.Str e) r.errors);
     ]
 
@@ -186,8 +178,7 @@ let run ?json ?(smoke = false) ?(domains = if smoke then smoke_domains else defa
       (fun (t : Apps.Harness.t) ->
         let reps = serve_reps ~smoke t in
         let g = t.Apps.Harness.graph () in
-        Printf.printf "\n%-10s (%d reps/request, batch %d when pure)\n%!" t.Apps.Harness.name
-          reps serve_batch;
+        Printf.printf "\n%-10s (%d reps/request)\n%!" t.Apps.Harness.name reps;
         let predicted = predict_ceiling ~reps t g in
         (match predicted with
          | Some (rps, bn) ->
@@ -200,7 +191,7 @@ let run ?json ?(smoke = false) ?(domains = if smoke then smoke_domains else defa
           List.concat_map
             (fun d ->
               let cold_cfg = Cgsim.Run_config.(with_warm false default) in
-              let warm_cfg = Cgsim.Run_config.(with_batch serve_batch default) in
+              let warm_cfg = Cgsim.Run_config.default in
               let one mode =
                 let config = if mode = "cold" then cold_cfg else warm_cfg in
                 run_app ~mode ~config ~domains:d ~requests ~reps t g
@@ -222,10 +213,10 @@ let run ?json ?(smoke = false) ?(domains = if smoke then smoke_domains else defa
             let speedup = base_wall r.mode /. r.wall_ns in
             Printf.printf
               "  domains=%d %-5s %8.1f ms  %9.1f req/s  speedup %5.2fx  eff %4.0f%%  steals %d  \
-               warm %d  batched %d\n%!"
+               warm %d\n%!"
               r.domains r.mode (r.wall_ns /. 1e6) r.rps speedup
               (100.0 *. speedup /. float_of_int r.domains)
-              r.steals r.warm_hits r.batched;
+              r.steals r.warm_hits;
             List.iter
               (fun e ->
                 incr failures;
@@ -248,7 +239,6 @@ let run ?json ?(smoke = false) ?(domains = if smoke then smoke_domains else defa
             "name", Obs.Json.Str t.Apps.Harness.name;
             "reps_per_request", Obs.Json.Num (float_of_int reps);
             "requests", Obs.Json.Num (float_of_int requests);
-            "batch", Obs.Json.Num (float_of_int serve_batch);
             ( "predicted_rps",
               match predicted with
               | Some (rps, _) -> Obs.Json.Num rps
@@ -274,7 +264,7 @@ let run ?json ?(smoke = false) ?(domains = if smoke then smoke_domains else defa
      let doc =
        Obs.Json.Obj
          [
-           "schema", Obs.Json.Str "cgsim-bench-serve/3";
+           "schema", Obs.Json.Str "cgsim-bench-serve/4";
            "smoke", Obs.Json.Bool smoke;
            "host_cores", Obs.Json.Num (float_of_int host_cores);
            ( "modes",

@@ -28,17 +28,12 @@ test -s "$TRACE" || { echo "ci: trace file is empty" >&2; exit 1; }
 grep -q '"traceEvents"' "$TRACE" || { echo "ci: trace file has no traceEvents" >&2; exit 1; }
 echo "trace OK: $(wc -c < "$TRACE") bytes"
 
-echo "== micro smoke (block + fusion fast paths, JSON output) =="
-# Run once with operator fusion on (the default) and once with it off:
-# both paths must complete, produce valid JSON and carry the v3 schema.
-dune exec bench/main.exe -- micro --smoke --fuse on --json "$MICRO_JSON"
-test -s "$MICRO_JSON" || { echo "ci: micro JSON (fuse on) is empty" >&2; exit 1; }
+echo "== micro smoke (block transfer, SPSC, chain and warm rows, JSON output) =="
+dune exec bench/main.exe -- micro --smoke --json "$MICRO_JSON"
+test -s "$MICRO_JSON" || { echo "ci: micro JSON is empty" >&2; exit 1; }
 # check-json re-parses with the strict Obs.Json parser and fails on
 # malformed output, a missing schema marker, or a schema mismatch.
-dune exec bench/main.exe -- check-json "$MICRO_JSON" --schema cgsim-bench-micro/3
-dune exec bench/main.exe -- micro --smoke --fuse off --json "$MICRO_JSON"
-test -s "$MICRO_JSON" || { echo "ci: micro JSON (fuse off) is empty" >&2; exit 1; }
-dune exec bench/main.exe -- check-json "$MICRO_JSON" --schema cgsim-bench-micro/3
+dune exec bench/main.exe -- check-json "$MICRO_JSON" --schema cgsim-bench-micro/4
 
 echo "== graph lint (examples/cgc, JSON output) =="
 LINT_JSON=$(mktemp -t ci-lint-XXXXXX.json)
@@ -73,9 +68,7 @@ trap 'rm -f "$TRACE" "$MICRO_JSON" "$LINT_JSON" "$FUZZ_JSON" "$SERVE_COLD_JSON" 
 # Every request's output is verified inside the bench; nonzero exit on
 # any wrong result.  Both paths run separately so the cold fallback
 # (fresh instance per attempt) can never silently rot behind the warm
-# cache.  Run_config defaults keep operator fusion ON here, so these
-# smokes also assert warm-vs-cold equivalence with fusion enabled.
-# Schema cgsim-bench-serve/3.
+# cache.  Schema cgsim-bench-serve/4.
 dune exec bench/main.exe -- serve --smoke --domains 1,2 --warm off --json "$SERVE_COLD_JSON"
 test -s "$SERVE_COLD_JSON" || { echo "ci: cold serve JSON is empty" >&2; exit 1; }
 dune exec bench/main.exe -- check-json "$SERVE_COLD_JSON"
@@ -177,17 +170,24 @@ fi
 echo "no Gc.set in lib/"
 
 echo "== analysis-in-compile gate =="
-# Lint, fusion and capacity synthesis are part of Runtime.compile: the
+# Lint and capacity synthesis are part of Runtime.compile: the
 # link-time hooks that used to install them into global refs, and the
 # separate analysis / sdf_oracle libraries they forced, must not return.
 if grep -rnE 'set_lint_hook|set_fusion_hook|set_capacity_hook|install_runtime_hook|linkall' lib bin bench test; then
   echo "ci: caller references a removed analysis hook or -linkall" >&2
   exit 1
 fi
+# The runtime has one execution mode, one fiber per kernel and one
+# queue per net: operator fusion and multi-request batching were
+# removed, and their entry points must not come back.
+if grep -rnE 'Fused\.|Fusion\.|with_fuse|with_batch|execute_batch|batching_safe|CG-I103' lib bin bench test; then
+  echo "ci: caller references removed operator fusion or request batching" >&2
+  exit 1
+fi
 if find . -path ./_build -prune -o -name dune -print | xargs grep -nwE 'analysis|sdf_oracle' | grep -v ':[0-9]*: *;'; then
   echo "ci: a dune file still names the analysis or sdf_oracle library" >&2
   exit 1
 fi
-echo "no analysis hooks or split libraries"
+echo "no analysis hooks, split libraries, fusion or batching"
 
 echo "== ci passed =="

@@ -163,14 +163,11 @@ let capture ?(config = Cgsim.Run_config.default) (d : Deploy.t) ~sources ~sinks 
     List.iter (fun (name, _) -> Aie.Trace.unbind name) recorders
   in
   (* The caller's hooks (if any) wrap the capture wrappers, so capture
-     records the traffic the kernels actually performed.  Fusion is
-     forced off: replay models one tile per kernel, so capture must see
-     every kernel on its own fiber with real queues between them. *)
+     records the traffic the kernels actually performed. *)
   let config =
-    Cgsim.Run_config.with_fuse false
-      (Cgsim.Run_config.with_hooks
-         (Cgsim.Runtime.compose_hooks config.Cgsim.Run_config.hooks hooks)
-         config)
+    Cgsim.Run_config.with_hooks
+      (Cgsim.Runtime.compose_hooks config.Cgsim.Run_config.hooks hooks)
+      config
   in
   let ctx = Cgsim.Runtime.instantiate ~config g in
   let outcome =

@@ -73,7 +73,7 @@ let blend_group quads =
 let kernel =
   Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"bilinear_kernel"
     ~rates:[ "req", 1; "out", 1 ]
-    ~pure:true ~stateless:true
+    ~pure:true
     [
       Cgsim.Kernel.in_port "req" quad_dtype;
       Cgsim.Kernel.out_port "out" Cgsim.Dtype.U16;

@@ -37,7 +37,7 @@ let sort_vector v =
 let kernel =
   Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"bitonic_kernel"
     ~rates:[ "in", lanes; "out", lanes ]
-    ~pure:true ~stateless:true
+    ~pure:true
     [
       Cgsim.Kernel.in_port "in" Cgsim.Dtype.F32;
       Cgsim.Kernel.out_port "out" Cgsim.Dtype.F32;

@@ -33,7 +33,6 @@ let run (g : S.t) =
           Throughput.analyze g;
           Hazards.analyze g;
           Pool_safety.analyze g;
-          Fusion.analyze g;
         ]
     in
     D.sort (List.filter (fun d -> not (is_suppressed g d)) findings)

@@ -4,7 +4,7 @@
     when it reports errors the graph's indices cannot be trusted, so the
     deeper passes are skipped and only the structural findings are
     returned.  Otherwise the rates, deadlock, capacity, throughput,
-    hazards, pool-safety and fusion passes run, and their findings are
+    hazards and pool-safety passes run, and their findings are
     filtered through per-net suppression and sorted errors-first.
     {!Runtime.compile} runs this as its pre-flight whenever
     [Run_config.lint] is not [`Off].

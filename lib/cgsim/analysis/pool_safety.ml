@@ -1,19 +1,6 @@
 module S = Serialized
 module D = Diagnostic
 
-(* The gate {!Pool} request batching relies on: every kernel
-   instance resolves, is declared [Pure] AND [stateless].  Purity alone
-   (no state shared between instances) is not enough — a filter with a
-   local delay line is pure yet produces different output for
-   concatenated streams, which is exactly what batching feeds it. *)
-let batching_safe (g : S.t) =
-  Array.for_all
-    (fun (inst : S.kernel_inst) ->
-      match Registry.find inst.S.key with
-      | None -> false
-      | Some k -> k.Kernel.purity = Kernel.Pure && k.Kernel.stateless)
-    g.S.kernels
-
 let analyze (g : S.t) =
   let diags = ref [] in
   let unknown = ref [] in

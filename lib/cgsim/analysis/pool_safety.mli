@@ -13,12 +13,3 @@
       declared their purity, as a nudge to annotate them. *)
 
 val analyze : Serialized.t -> Diagnostic.t list
-
-(** [batching_safe g] is [true] iff every kernel instance resolves
-    through the registry to a definition declared [~pure:true] {e and}
-    [~stateless:true] — the property {!Pool} requires before
-    multiplexing several requests through one warm run (compiled into
-    {!Runtime.compiled_batchable}).  Purity alone is weaker: it admits kernels with local
-    per-run memory (delay lines, accumulators), which are pool-safe but
-    not concatenation-safe. *)
-val batching_safe : Serialized.t -> bool

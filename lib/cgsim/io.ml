@@ -9,7 +9,6 @@ type source = {
          [make_pull_block]; the runtime selects it on float nets so
          source data never boxes.  Independent iterator. *)
   make_pull_ints : unit -> int -> int array;
-  length : int option;
 }
 
 type sink = {
@@ -64,7 +63,6 @@ let of_list values =
     make_pull_block;
     make_pull_floats = floats_of_block make_pull_block;
     make_pull_ints = ints_of_block make_pull_block;
-    length = Some (List.length values);
   }
 
 let of_array values =
@@ -96,7 +94,6 @@ let of_array values =
     make_pull_block;
     make_pull_floats = floats_of_block make_pull_block;
     make_pull_ints = ints_of_block make_pull_block;
-    length = Some (Array.length values);
   }
 
 (* Flat slice pulls over native float/int backing arrays: the chunk is
@@ -138,7 +135,6 @@ let of_f32_array values =
     make_pull_block = (fun () -> (Lazy.force boxed).make_pull_block ());
     make_pull_floats = flat_float_pull rounded;
     make_pull_ints = ints_of_block (fun () -> (Lazy.force boxed).make_pull_block ());
-    length = Some (Array.length rounded);
   }
 
 let of_int_array dtype values =
@@ -151,7 +147,6 @@ let of_int_array dtype values =
     make_pull_block = (fun () -> (Lazy.force boxed).make_pull_block ());
     make_pull_floats = floats_of_block (fun () -> (Lazy.force boxed).make_pull_block ());
     make_pull_ints = flat_int_pull wrapped;
-    length = Some (Array.length wrapped);
   }
 
 let repeat n values =
@@ -185,63 +180,7 @@ let repeat n values =
     make_pull_block;
     make_pull_floats = floats_of_block make_pull_block;
     make_pull_ints = ints_of_block make_pull_block;
-    length = Some total;
   }
-
-let concat sources =
-  match sources with
-  | [] -> invalid_arg "cgsim: Io.concat needs at least one source"
-  | [ s ] -> s
-  | _ ->
-    let arr = Array.of_list sources in
-    let n = Array.length arr in
-    let length =
-      Array.fold_left
-        (fun acc s -> match acc, s.length with Some a, Some l -> Some (a + l) | _ -> None)
-        (Some 0) arr
-    in
-    let make_pull () =
-      let idx = ref 0 in
-      let cur = ref (arr.(0).make_pull ()) in
-      let rec pull () =
-        match !cur () with
-        | Some _ as v -> v
-        | None ->
-          if !idx + 1 >= n then None
-          else begin
-            incr idx;
-            cur := arr.(!idx).make_pull ();
-            pull ()
-          end
-      in
-      pull
-    in
-    (* One chunked iterator shape for all three block pulls, so the
-       batching path (concat of per-request sources) stays unboxed when
-       its parts are. *)
-    let chunked part () =
-      let idx = ref 0 in
-      let cur = ref (part arr.(0) ()) in
-      let rec pull_block want =
-        let chunk = !cur want in
-        if Array.length chunk > 0 then chunk
-        else if !idx + 1 >= n then [||]
-        else begin
-          incr idx;
-          cur := part arr.(!idx) ();
-          pull_block want
-        end
-      in
-      pull_block
-    in
-    {
-      src_name = "concat-source";
-      make_pull;
-      make_pull_block = chunked (fun s -> s.make_pull_block);
-      make_pull_floats = chunked (fun s -> s.make_pull_floats);
-      make_pull_ints = chunked (fun s -> s.make_pull_ints);
-      length;
-    }
 
 let of_fun f =
   let make_pull_block = block_of_pull (fun () -> f) in
@@ -251,7 +190,6 @@ let of_fun f =
     make_pull_block;
     make_pull_floats = floats_of_block make_pull_block;
     make_pull_ints = ints_of_block make_pull_block;
-    length = None;
   }
 
 let rtp v =
@@ -271,7 +209,6 @@ let rtp v =
     make_pull_block;
     make_pull_floats = floats_of_block make_pull_block;
     make_pull_ints = ints_of_block make_pull_block;
-    length = Some 1;
   }
 
 let source_name s = s.src_name
@@ -387,8 +324,6 @@ let source_pull_block s = s.make_pull_block ()
 let source_pull_floats s = s.make_pull_floats ()
 
 let source_pull_ints s = s.make_pull_ints ()
-
-let source_length s = s.length
 
 let sink_push_block s vs = s.push_block vs
 

@@ -30,12 +30,6 @@ val repeat : int -> Value.t list -> source
 (** Pull-based source: called until it returns [None]. *)
 val of_fun : (unit -> Value.t option) -> source
 
-(** [concat srcs] streams each source to exhaustion in order — the batching
-    path uses it to pump several requests' inputs through one warm run.
-    Length is the sum when every part's length is known.  Raises
-    [Invalid_argument] on the empty list. *)
-val concat : source list -> source
-
 (** Runtime-parameter source: writes one scalar, then closes. *)
 val rtp : Value.t -> source
 
@@ -83,16 +77,13 @@ val source_pull_block : source -> int -> Value.t array
 
 (** Unboxed block pulls, same contract as {!source_pull_block} with flat
     float/int payloads.  Sources with native float/int backing
-    ({!of_f32_array}, {!of_int_array}, and {!concat} over them) serve
+    ({!of_f32_array}, {!of_int_array}) serve
     [Array.sub] slices with no boxing; others unbox a boxed block at the
     boundary.  The runtime drives these on every scalar net so source
     data goes straight into bigarray queue storage. *)
 val source_pull_floats : source -> int -> float array
 
 val source_pull_ints : source -> int -> int array
-
-(** Elements the source will produce, when statically known. *)
-val source_length : source -> int option
 
 (** Push a whole block; equivalent to pushing each element in order. *)
 val sink_push_block : sink -> Value.t array -> unit

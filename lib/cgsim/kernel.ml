@@ -54,10 +54,9 @@ type t = {
   body : body;
   rates : int array option;
   purity : purity;
-  stateless : bool;
 }
 
-let define ?rates ?pure ?(stateless = false) ~realm ~name ports body =
+let define ?rates ?pure ~realm ~name ports body =
   if name = "" then invalid_arg "cgsim: kernel name must be non-empty";
   if ports = [] then invalid_arg ("cgsim: kernel " ^ name ^ " must declare at least one port");
   let seen = Hashtbl.create 8 in
@@ -94,10 +93,7 @@ let define ?rates ?pure ?(stateless = false) ~realm ~name ports body =
            ports_arr)
   in
   let purity = match pure with None -> Unknown | Some true -> Pure | Some false -> Stateful in
-  if stateless && purity <> Pure then
-    invalid_arg
-      (Printf.sprintf "cgsim: kernel %s declares ~stateless but not ~pure:true" name);
-  { name; realm; ports = ports_arr; body; rates; purity; stateless }
+  { name; realm; ports = ports_arr; body; rates; purity }
 
 let rate k idx =
   match k.rates with

@@ -66,13 +66,6 @@ type t = {
           aligned with [ports]; [None] when undeclared.  Consumed by the
           static analyzer's SDF balance and deadlock passes. *)
   purity : purity;
-  stateless : bool;
-      (** Whether the body carries no memory {e across} inputs within one
-          run — its output for a concatenation of streams is the
-          concatenation of its per-stream outputs.  Strictly stronger
-          than [purity = Pure] (which only rules out state shared
-          {e between} instances): a filter with a local delay line is
-          [Pure] but not stateless.  Gates {!Pool} request batching. *)
 }
 
 (** [define ~realm ~name ports body] validates the port list (non-empty
@@ -82,14 +75,10 @@ type t = {
     must exist, every rate must be non-negative; RTP ports conventionally
     declare [0]).  [pure] declares pool-safety: [~pure:true] promises the
     body keeps all mutable state local, [~pure:false] flags shared
-    mutable state.  [stateless] additionally promises no memory across
-    inputs within a run (concatenation-safe; requires [~pure:true],
-    [Invalid_argument] otherwise).  Omitting any leaves the metadata
-    undeclared. *)
+    mutable state.  Omitting either leaves the metadata undeclared. *)
 val define :
   ?rates:(string * int) list ->
   ?pure:bool ->
-  ?stateless:bool ->
   realm:realm ->
   name:string ->
   port_spec list ->

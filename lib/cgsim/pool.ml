@@ -69,17 +69,20 @@ let next_unit_float st =
    the cold path too (a cold config still resolves here); only the idle
    instance list is warm-only. *)
 
-(* Run_config compatibility for cache keying.  Scalar knobs compare
-   structurally; hooks and fault plans compare physically (closures have
-   no structural equality — and two distinct plans genuinely are
-   different keys, since their shared fire budgets are entry state). *)
+(* Run_config compatibility for cache keying: exactly the fields
+   [Runtime] reads, since a compiled artifact and its instances bake
+   them in (capacities, lint verdict, hook and fault wrapping, run
+   budgets).  Scalar knobs compare structurally; hooks and fault plans
+   compare physically (closures have no structural equality — and two
+   distinct plans genuinely are different keys, since their shared fire
+   budgets are entry state). *)
 let config_key_equal (a : Run_config.t) (b : Run_config.t) =
   a.Run_config.hooks == b.Run_config.hooks
   && a.Run_config.queue_capacity = b.Run_config.queue_capacity
   && a.Run_config.lint = b.Run_config.lint
   && a.Run_config.deadline_ns = b.Run_config.deadline_ns
   && a.Run_config.max_steps = b.Run_config.max_steps
-  && a.Run_config.fuse = b.Run_config.fuse
+  && a.Run_config.auto_capacity = b.Run_config.auto_capacity
   && (match a.Run_config.faults, b.Run_config.faults with
       | None, None -> true
       | Some x, Some y -> x == y
@@ -174,7 +177,6 @@ type pending = {
   pr_config : Run_config.t;
   pr_compiled : Runtime.compiled;
   pr_entry : cache_entry option;  (* Some = warm instance reuse *)
-  pr_batchable : bool;  (* eligible for multiplexed batch runs *)
   pr_arrival : float option;  (* absolute Clock.now_ns instant *)
   pr_io : int -> Io.source list * Io.sink list;
   pr_on_complete : (request_result -> unit) option;
@@ -198,7 +200,6 @@ type t = {
   p_retries : int Atomic.t;
   p_warm_hits : int Atomic.t;
   p_cold_builds : int Atomic.t;
-  p_batched : int Atomic.t;
   (* final-outcome tallies, keyed like Runtime.outcome_label *)
   p_completed : int Atomic.t;
   p_deadline : int Atomic.t;  (* wall-clock deadline *)
@@ -453,117 +454,14 @@ let execute pool ~domain ~stolen (p : pending) =
         req_latency_ns = latency }
   end
 
-(* Batched execution: pump the requests' inputs through ONE warm run via
-   per-slot source concatenation, then demultiplex the outputs by even
-   split.  Only attempted when every request supplies length-known
-   sources of identical per-slot length (so the split point is defined);
-   any other shape, a non-Completed outcome or an output count not
-   divisible by the batch size falls back to individual execution —
-   correctness never depends on batching.  Returns [true] when the whole
-   batch was served. *)
-let execute_batch pool ~domain (ps : pending list) =
-  let p0 = List.hd ps in
-  let n = List.length ps in
-  let cg = Runtime.compiled_graph p0.pr_compiled in
-  let n_in = Array.length cg.Serialized.input_order in
-  let n_out = Array.length cg.Serialized.output_order in
-  let t0 = Obs.Clock.now_ns () in
-  let ios = List.map (fun p -> p, p.pr_io p.pr_handle.h_id) ps in
-  let shapes_ok =
-    List.for_all
-      (fun (_, (srcs, snks)) -> List.length srcs = n_in && List.length snks = n_out)
-      ios
-  in
-  let slot_sources i = List.map (fun (_, (srcs, _)) -> List.nth srcs i) ios in
-  let lengths_ok =
-    shapes_ok
-    && List.for_all
-         (fun i ->
-           match List.map Io.source_length (slot_sources i) with
-           | Some l0 :: rest -> List.for_all (fun l -> l = Some l0) rest
-           | _ -> false)
-         (List.init n_in Fun.id)
-  in
-  if not lengths_ok then false
-  else begin
-    let sources = List.map (fun i -> Io.concat (slot_sources i)) (List.init n_in Fun.id) in
-    let collectors = List.init n_out (fun _ -> Io.buffer ()) in
-    let t = acquire pool p0 in
-    match Runtime.run t ~sources ~sinks:(List.map fst collectors) with
-    | Runtime.Completed _ as outcome ->
-      release p0 t;
-      let outputs =
-        List.map (fun (_, contents) -> Array.of_list (contents ())) collectors
-      in
-      if not (List.for_all (fun arr -> Array.length arr mod n = 0) outputs) then false
-      else begin
-        let finished = Obs.Clock.now_ns () in
-        let dt = (finished -. t0) /. float_of_int n in
-        List.iteri
-          (fun k (p, (_, snks)) ->
-            List.iteri
-              (fun j snk ->
-                let arr = List.nth outputs j in
-                let per = Array.length arr / n in
-                Io.sink_push_block snk (Array.sub arr (k * per) per))
-              snks;
-            Obs.Hdr.record pool.p_lat_hdrs.(domain) dt;
-            record_result pool p
-              { req_id = p.pr_handle.h_id; domain; stolen = false; outcome; attempts = 1;
-                shed = false; req_wall_ns = dt; req_latency_ns = dt })
-          ios;
-        Atomic.set pool.p_consec_failures 0;
-        Atomic.fetch_and_add pool.p_batched n |> ignore;
-        if !Obs.Trace.on then begin
-          Obs.Trace.span
-            ~track:(Printf.sprintf "serve-domain-%d" domain)
-            ~cat:"pool" ~pid:3
-            ~name:(Printf.sprintf "batch-%d" n)
-            ~ts_ns:t0 ~dur_ns:(finished -. t0) ();
-          Obs.Trace.add_metric "pool.batched" (float_of_int n)
-        end;
-        true
-      end
-    | _other ->
-      release p0 t;
-      false
-    | exception _ -> false (* instance dropped; individual path decides *)
-  end
-
-(* Work selection, under p_lock.  Owner takes the oldest of its own FIFO
-   (batch-popping consecutive compatible requests when batching is on);
-   a drained owner steals the oldest queued request of another domain.
-   Stolen requests are never batched. *)
-type work =
-  | Single of pending * bool  (* pending, stolen *)
-  | Batch of pending list
-
+(* Work selection, under p_lock: the owner takes the oldest of its own
+   FIFO; a drained owner steals the oldest queued request of another
+   domain.  Returns the request and whether it was stolen. *)
 let pop_work pool domain =
-  let own = pool.p_queues.(domain) in
-  match Queue.take_opt own with
+  match Queue.take_opt pool.p_queues.(domain) with
   | Some p ->
     pool.p_queued <- pool.p_queued - 1;
-    let batch_n = p.pr_config.Run_config.batch in
-    if p.pr_batchable && batch_n > 1 then begin
-      let rec collect acc k =
-        if k >= batch_n then List.rev acc
-        else
-          match Queue.peek_opt own with
-          | Some q
-            when q.pr_batchable
-                 && q.pr_compiled == p.pr_compiled
-                 && q.pr_config == p.pr_config
-                 && not q.pr_handle.h_cancelled ->
-            ignore (Queue.take own);
-            pool.p_queued <- pool.p_queued - 1;
-            collect (q :: acc) (k + 1)
-          | _ -> List.rev acc
-      in
-      match collect [ p ] 1 with
-      | [ only ] -> Some (Single (only, false))
-      | ps -> Some (Batch ps)
-    end
-    else Some (Single (p, false))
+    Some (p, false)
   | None ->
     let rec try_steal k =
       if k >= pool.p_domains then None
@@ -572,7 +470,7 @@ let pop_work pool domain =
         | Some p ->
           pool.p_queued <- pool.p_queued - 1;
           Atomic.incr pool.p_steals;
-          Some (Single (p, true))
+          Some (p, true)
         | None -> try_steal (k + 1)
     in
     try_steal 1
@@ -599,19 +497,8 @@ let worker pool domain () =
     in
     match take () with
     | None -> ()
-    | Some (Single (p, stolen)) ->
+    | Some (p, stolen) ->
       execute pool ~domain ~stolen p;
-      loop ()
-    | Some (Batch ps) ->
-      (* p_executing counts the batch as one unit of in-flight work. *)
-      if breaker_open pool || not (execute_batch pool ~domain ps) then begin
-        (* Individual fallback executes (or sheds) every member; the
-           batch's single p_executing slot stays held throughout, and
-           record_result decrements once per member — rebalance. *)
-        Atomic.fetch_and_add pool.p_executing (List.length ps - 1) |> ignore;
-        List.iter (execute pool ~domain ~stolen:false) ps
-      end
-      else Atomic.fetch_and_add pool.p_executing (List.length ps - 1) |> ignore;
       loop ()
   in
   loop ()
@@ -636,7 +523,6 @@ let make ~config ~domains =
     p_retries = Atomic.make 0;
     p_warm_hits = Atomic.make 0;
     p_cold_builds = Atomic.make 0;
-    p_batched = Atomic.make 0;
     p_completed = Atomic.make 0;
     p_deadline = Atomic.make 0;
     p_max_steps = Atomic.make 0;
@@ -666,13 +552,6 @@ let submit pool ?config ?not_before_ns ?on_complete ~io (g : Serialized.t) =
      errors are caller bugs and raise here, never from a worker. *)
   let entry = acquire_entry g config in
   let pr_entry = if config.Run_config.warm then Some entry else None in
-  let pr_batchable =
-    config.Run_config.batch > 1
-    && Runtime.compiled_batchable entry.e_compiled
-    && pr_entry <> None
-    && not_before_ns = None
-    && config.Run_config.faults = None
-  in
   Mutex.lock pool.p_lock;
   if pool.p_stop then begin
     Mutex.unlock pool.p_lock;
@@ -697,7 +576,6 @@ let submit pool ?config ?not_before_ns ?on_complete ~io (g : Serialized.t) =
       pr_config = config;
       pr_compiled = entry.e_compiled;
       pr_entry;
-      pr_batchable;
       pr_arrival = not_before_ns;
       pr_io = io;
       pr_on_complete = on_complete;
@@ -755,7 +633,6 @@ let metrics pool =
   addc "pool.steals" (Atomic.get pool.p_steals);
   addc "pool.warm_hit" (Atomic.get pool.p_warm_hits);
   addc "pool.cold" (Atomic.get pool.p_cold_builds);
-  addc "pool.batched" (Atomic.get pool.p_batched);
   Obs.Metrics.high_water m "pool.domains" (float_of_int pool.p_domains);
   Obs.Metrics.snapshot m
 
@@ -782,7 +659,6 @@ type stats = {
   retries : int;
   warm_hits : int;
   cold_builds : int;
-  batched : int;
   breaker_tripped : bool;
   counts : outcome_counts;
   wall_ns : float;
@@ -797,8 +673,8 @@ let run ?(config = Run_config.default) ?arrivals ~domains ~requests ~io (g : Ser
    | Some a when Array.length a <> requests ->
      invalid_arg "cgsim: Pool.run ~arrivals must have one offset per request"
    | Some _ | None -> ());
-  (* Queue every request before any worker exists, so a batchable
-     request never runs alone just because a worker woke early. *)
+  (* Queue every request before any worker exists, so each domain starts
+     on its own round-robin share and steals only once that is drained. *)
   let pool = make ~config ~domains in
   let t0 = pool.p_t0 in
   let handles =
@@ -818,7 +694,6 @@ let run ?(config = Run_config.default) ?arrivals ~domains ~requests ~io (g : Ser
     retries = Atomic.get pool.p_retries;
     warm_hits = Atomic.get pool.p_warm_hits;
     cold_builds = Atomic.get pool.p_cold_builds;
-    batched = Atomic.get pool.p_batched;
     breaker_tripped = Atomic.get pool.p_breaker_tripped;
     counts = count_outcomes results;
     wall_ns;

@@ -21,25 +21,13 @@
     {b Warm serving} (default, [config.warm]): the graph is
     {!Runtime.compile}d once — validation, registry resolution and the
     pre-flight lint verdict live in a bounded process-wide cache keyed
-    by graph identity + config compatibility (LRU-evicted; see
+    by graph identity + the {!Run_config.t} fields {!Runtime} reads
+    (LRU-evicted; see
     {!clear_warm_cache}) — and served requests draw {!Runtime.reset}
     instances from the entry's idle pool instead of rebuilding queues
     and wiring per attempt.  An instance whose reset fails is dropped.
     [config.warm = false] forces the cold path: a fresh instance per
     attempt (the compiled artifact is still cached, instances are not).
-
-    {b Batching} ([config.batch] > 1): when a request's compiled graph
-    is provably batchable (every kernel declared [~pure:true] {e and}
-    [~stateless:true] — purity alone admits local delay lines, which
-    concatenation would corrupt), it has no scheduled arrival and no
-    fault plan is installed, a domain pops up to [batch] consecutive
-    same-graph/same-config requests of its own queue at once,
-    concatenates their per-slot inputs ({!Io.concat}), pumps them
-    through one warm run and demultiplexes the outputs by even split.
-    Requests with unknown or mismatched input lengths, non-[Completed]
-    batch outcomes or outputs not divisible by the batch size fall back
-    to individual execution — batching is a fast path, never a semantic
-    change.  Stolen requests are never batched.
 
     Requests are distributed round-robin across per-domain work queues;
     a domain that drains its own queue steals the oldest queued request
@@ -181,7 +169,7 @@ val served : t -> int
 (** Live always-on pool metrics: the ["pool.request"] latency HDR
     histogram (per-domain recorders merged at snapshot time),
     [pool.outcome:<label>], [pool.shed] and [pool.callback_failed]
-    counters, retry/steal/warm/cold/batch totals and a [pool.domains]
+    counters, retry/steal/warm/cold totals and a [pool.domains]
     gauge.  Populated with tracing off; safe to call while requests are
     in flight. *)
 val metrics : t -> Obs.Metrics.snapshot
@@ -201,7 +189,6 @@ type stats = {
   retries : int;  (** Retry attempts across all requests. *)
   warm_hits : int;  (** Attempts served by a reused (reset) instance. *)
   cold_builds : int;  (** Attempts that built a fresh instance. *)
-  batched : int;  (** Requests served through a multiplexed batch run. *)
   breaker_tripped : bool;  (** The circuit opened at least once. *)
   counts : outcome_counts;
   wall_ns : float;  (** Whole-pool wall time, create to shutdown. *)
@@ -217,8 +204,8 @@ type stats = {
     instances of [g] on [domains] parallel domains under [config]
     (default {!Run_config.default}): a {!create}/{!submit}/{!await}/
     {!shutdown} round in one call, except that every request is queued
-    before the worker domains start, so batchable requests are always
-    there to be batched.  [io r] is called on the executing domain, once
+    before the worker domains start, so each domain begins on its own
+    round-robin share.  [io r] is called on the executing domain, once
     per attempt, to build the sources and sinks for request [r].  The
     graph is compiled (and linted) once up front, not per request.
 

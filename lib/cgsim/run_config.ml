@@ -25,8 +25,6 @@ type t = {
   faults : Faults.t option;
   seed : int;
   warm : bool;
-  batch : int;
-  fuse : bool;
   auto_capacity : bool;
 }
 
@@ -44,8 +42,6 @@ let default =
     faults = None;
     seed = 1;
     warm = true;
-    batch = 1;
-    fuse = true;
     auto_capacity = false;
   }
 
@@ -69,9 +65,4 @@ let with_faults faults t = { t with faults = Some faults }
 let with_seed seed t = { t with seed }
 let with_warm warm t = { t with warm }
 
-let with_batch batch t =
-  if batch < 1 then invalid_arg "cgsim: Run_config.with_batch needs a positive batch size";
-  { t with batch }
-
-let with_fuse fuse t = { t with fuse }
 let with_auto_capacity auto_capacity t = { t with auto_capacity }

@@ -43,18 +43,6 @@ type t = {
           instances (compile once, {!Runtime.reset} between requests);
           default [true].  [false] forces the cold path — a fresh
           instantiation per attempt. *)
-  batch : int;
-      (** {!Pool} only: maximum requests pumped through one warm run when
-          the graph is provably batchable (every kernel declared
-          [~pure:true] and [~stateless:true]); default 1 (no batching).
-          Ignored on the cold path and for open-loop arrivals. *)
-  fuse : bool;
-      (** Operator fusion (default [true]): collapse chains of
-          rate-matched single-producer/single-consumer kernels into one
-          fiber, passing windows directly with no intermediate queue.
-          Only the lint-clean chains {!Fusion.chains} finds are fused;
-          everything else keeps its queues.  [false] keeps one fiber +
-          one queue per hop. *)
   auto_capacity : bool;
       (** Capacity synthesis (default [false]): at {!Runtime.compile}
           time, raise each net's queue depth to the minimal
@@ -78,9 +66,4 @@ val with_breaker : int -> t -> t
 val with_faults : Faults.t -> t -> t
 val with_seed : int -> t -> t
 val with_warm : bool -> t -> t
-
-(** Raises [Invalid_argument] unless the batch size is positive. *)
-val with_batch : int -> t -> t
-
-val with_fuse : bool -> t -> t
 val with_auto_capacity : bool -> t -> t

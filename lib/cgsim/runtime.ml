@@ -179,9 +179,8 @@ let pp_outcome ppf = function
 
    - [compiled]: everything derivable from the Serialized.t + Run_config
      pair alone — validation, registry resolution, per-net queue
-     capacities, precomputed fiber profiler keys, the batching gate, the
-     fusion chains and the pre-flight lint verdict.  Built once, shared
-     freely.
+     capacities, precomputed fiber profiler keys and the pre-flight lint
+     verdict.  Built once, shared freely.
 
    - [t] (an instance): the mutable per-request state — queues with their
      registered endpoints and sealed SPSC plan, the scheduler, failure
@@ -197,9 +196,6 @@ type compiled = {
   c_kernels : Kernel.t array;  (* registry-resolved, indexed like kernels *)
   c_prof_keys : string array;  (* per kernel inst, for Sched.spawn *)
   c_capacities : int array;  (* per net id *)
-  c_chains : Fusion.chain array;
-  c_fused : bool array;  (* per net id: replaced by a Fused.edge *)
-  c_batchable : bool;  (* Pool_safety.batching_safe: concat-safe *)
 }
 
 (* One kernel port wired to its queue endpoint.  Raw (unhooked) port
@@ -216,20 +212,10 @@ type wired_kernel = {
   wk_producers : Bqueue.producer list;  (* closed when the fiber ends *)
 }
 
-(* One fused chain, instantiated: members index [t.kernels]; edge [i]
-   hands off between members [i] and [i+1]. *)
-type chain_rt = {
-  ch_members : int array;
-  ch_edges : Fused.edge array;
-}
-
 type t = {
   graph : Serialized.t;
   sched : Sched.t;
   queues : Bqueue.t array;  (* indexed by net id *)
-  f_edges : Fused.edge option array;  (* indexed by net id; Some = fused *)
-  chains : chain_rt array;
-  member_chain : int array;  (* kernel idx -> chain idx, -1 = unfused *)
   config : Run_config.t;
   kernels : wired_kernel array;
   in_producers : Bqueue.producer array;  (* per input_order slot *)
@@ -244,13 +230,7 @@ let graph t = t.graph
 
 let config t = t.config
 
-let net_traffic t =
-  Array.mapi
-    (fun id q ->
-      match t.f_edges.(id) with
-      | Some e -> Fused.total_put e
-      | None -> Bqueue.total_put q)
-    t.queues
+let net_traffic t = Array.map Bqueue.total_put t.queues
 
 let cancel t = Sched.cancel t.sched
 
@@ -289,13 +269,6 @@ let compile ?(config = Run_config.default) (g : Serialized.t) =
     List.iter
       (fun (id, depth) -> capacities.(id) <- max capacities.(id) depth)
       (Capacity.suggest g);
-  let chains =
-    if config.Run_config.fuse then Array.of_list (Fusion.chains g) else [||]
-  in
-  let fused = Array.make (Array.length g.Serialized.nets) false in
-  Array.iter
-    (fun (ch : Fusion.chain) -> Array.iter (fun id -> fused.(id) <- true) ch.interior)
-    chains;
   {
     c_graph = g;
     c_config = config;
@@ -305,25 +278,18 @@ let compile ?(config = Run_config.default) (g : Serialized.t) =
         (fun (inst : Serialized.kernel_inst) -> Obs.Profile.prefix ^ inst.Serialized.inst_name)
         g.Serialized.kernels;
     c_capacities = capacities;
-    c_chains = chains;
-    c_fused = fused;
-    c_batchable = Pool_safety.batching_safe g;
   }
 
 let compiled_graph c = c.c_graph
 
 let compiled_config c = c.c_config
 
-let compiled_batchable c = c.c_batchable
-
-let compiled_chains c = Array.map (fun (ch : Fusion.chain) -> ch.members) c.c_chains
-
 (* Every net must end wiring with at least one producer and one consumer
    on its queue: a producer-less queue never closes (its readers would
    hang until end-of-run cancellation), and a consumer-less queue retires
    nothing (its writers fill it and hang).  Both used to fail silently at
    run time; now they fail at instance build, naming the kernel ports. *)
-let check_wiring ~(g : Serialized.t) ~fused queues =
+let check_wiring ~(g : Serialized.t) queues =
   let describe_eps eps =
     match eps with
     | [] -> "no kernel ports"
@@ -337,17 +303,13 @@ let check_wiring ~(g : Serialized.t) ~fused queues =
   in
   Array.iteri
     (fun id q ->
-      (* Fused nets have no queue endpoints by design: their single
-         writer/reader pair hands off through a Fused.edge. *)
-      if not fused.(id) then begin
-        let (n : Serialized.net) = g.Serialized.nets.(id) in
-        if Bqueue.producers q = 0 then
-          fail "graph %s: net %s has no producer — readers %s would hang (missing source?)"
-            g.gname (Bqueue.name q) (describe_eps n.readers);
-        if Bqueue.consumers q = 0 then
-          fail "graph %s: net %s has no consumer — writers %s would hang (missing sink?)"
-            g.gname (Bqueue.name q) (describe_eps n.writers)
-      end)
+      let (n : Serialized.net) = g.Serialized.nets.(id) in
+      if Bqueue.producers q = 0 then
+        fail "graph %s: net %s has no producer — readers %s would hang (missing source?)"
+          g.gname (Bqueue.name q) (describe_eps n.readers);
+      if Bqueue.consumers q = 0 then
+        fail "graph %s: net %s has no consumer — writers %s would hang (missing sink?)"
+          g.gname (Bqueue.name q) (describe_eps n.writers))
     queues
 
 (* Build the per-request state from a compiled graph: queues, endpoint
@@ -359,26 +321,12 @@ let new_instance (c : compiled) =
   let g = c.c_graph in
   let config = c.c_config in
   let sched = Sched.create () in
-  let f_edges =
-    Array.mapi
-      (fun id (n : Serialized.net) ->
-        if c.c_fused.(id) then
-          Some
-            (Fused.create
-               ~name:(Printf.sprintf "%s/net%d" g.Serialized.gname n.net_id)
-               ~dtype:n.dtype)
-        else None)
-      g.Serialized.nets
-  in
   let queues =
     Array.mapi
       (fun id (n : Serialized.net) ->
-        (* Fused nets keep an index-aligned placeholder queue (never
-           endpointed, minimal ring) so per-net arrays stay dense. *)
-        let capacity = if c.c_fused.(id) then 1 else c.c_capacities.(id) in
         Bqueue.create
           ~name:(Printf.sprintf "%s/net%d" g.Serialized.gname n.net_id)
-          ~dtype:n.dtype ~capacity ())
+          ~dtype:n.dtype ~capacity:c.c_capacities.(id) ())
       g.Serialized.nets
   in
   let kernels =
@@ -393,35 +341,8 @@ let new_instance (c : compiled) =
               Port.check_dtype ~expected:spec.Kernel.dtype ~actual:(Bqueue.dtype q)
                 ~what:(Printf.sprintf "%s.%s" inst.inst_name spec.Kernel.pname);
               let pname = Printf.sprintf "%s.%s" inst.inst_name spec.Kernel.pname in
-              match f_edges.(net_id), spec.Kernel.dir with
-              | Some e, Kernel.In ->
-                (* Fused hand-off: reads pull the upstream pump directly,
-                   no queue transaction. *)
-                Wire_in
-                  ( port_idx,
-                    {
-                      Port.r_name = pname;
-                      r_dtype = spec.Kernel.dtype;
-                      r_get = (fun () -> Fused.get e);
-                      r_peek = (fun () -> Fused.peek e);
-                      r_available = (fun () -> Fused.available e);
-                      r_get_block = Fused.get_block e;
-                      r_get_floats = Fused.get_floats e;
-                      r_get_ints = Fused.get_ints e;
-                    } )
-              | Some e, Kernel.Out ->
-                Wire_out
-                  ( port_idx,
-                    {
-                      Port.w_name = pname;
-                      w_dtype = spec.Kernel.dtype;
-                      w_put = Fused.put e;
-                      w_put_block = Fused.put_block e;
-                      w_put_floats = Fused.put_floats e;
-                      w_put_ints = Fused.put_ints e;
-                      w_space = (fun () -> Fused.w_space e);
-                    } )
-              | None, Kernel.In ->
+              match spec.Kernel.dir with
+              | Kernel.In ->
                 let cns = Bqueue.add_consumer q in
                 Wire_in
                   ( port_idx,
@@ -435,7 +356,7 @@ let new_instance (c : compiled) =
                       r_get_floats = (fun n -> Bqueue.get_floats cns n);
                       r_get_ints = (fun n -> Bqueue.get_ints cns n);
                     } )
-              | None, Kernel.Out ->
+              | Kernel.Out ->
                 let p = Bqueue.add_producer q in
                 producers := p :: !producers;
                 Wire_out
@@ -460,36 +381,18 @@ let new_instance (c : compiled) =
         })
       g.Serialized.kernels
   in
-  let chains =
-    Array.map
-      (fun (ch : Fusion.chain) ->
-        {
-          ch_members = ch.members;
-          ch_edges = Array.map (fun id -> Option.get f_edges.(id)) ch.interior;
-        })
-      c.c_chains
-  in
-  let member_chain = Array.make (Array.length g.Serialized.kernels) (-1) in
-  Array.iteri
-    (fun ci ch -> Array.iter (fun k -> member_chain.(k) <- ci) ch.ch_members)
-    chains;
   let in_producers =
     Array.map (fun net_id -> Bqueue.add_producer queues.(net_id)) g.Serialized.input_order
   in
   let out_consumers =
     Array.map (fun net_id -> Bqueue.add_consumer queues.(net_id)) g.Serialized.output_order
   in
-  check_wiring ~g ~fused:c.c_fused queues;
-  Array.iteri
-    (fun id q -> if not c.c_fused.(id) then Bqueue.seal q)
-    queues;
+  check_wiring ~g queues;
+  Array.iter Bqueue.seal queues;
   {
     graph = g;
     sched;
     queues;
-    f_edges;
-    chains;
-    member_chain;
     config;
     kernels;
     in_producers;
@@ -508,7 +411,6 @@ let instantiate ?config (g : Serialized.t) = new_instance (compile ?config g)
    with it the sealed SPSC plan) is preserved. *)
 let reset t =
   Array.iter Bqueue.reset t.queues;
-  Array.iter (function Some e -> Fused.reset e | None -> ()) t.f_edges;
   Sched.reset t.sched;
   t.cur_sources <- [||];
   t.cur_sinks <- [||];
@@ -578,44 +480,18 @@ let arm t =
       writers = Array.of_list (List.rev !writers);
     }
   in
-  (* Hook-wrapped body of one kernel, closing its queue producers when it
-     ends however it ends — as a standalone fiber or as a fused pump. *)
-  let member_body wk =
-    let binding = wrap_binding wk in
-    let producers = wk.wk_producers in
-    fun () ->
-      (* When a kernel terminates (normally or via End_of_stream), its
-         output nets lose one producer; fully-drained nets close and the
-         closure propagates downstream. *)
-      Fun.protect
-        ~finally:(fun () -> List.iter Bqueue.producer_done producers)
-        (hooks.Hooks.around_body wk.wk_inst (fun () -> wk.wk_kernel.Kernel.body binding))
-  in
-  Array.iteri
-    (fun idx wk ->
-      if t.member_chain.(idx) < 0 then
-        Sched.spawn ~prof_key:wk.wk_prof_key t.sched ~name:wk.wk_inst.inst_name
-          (member_body wk))
-    t.kernels;
-  (* Fused chains: one fiber per chain.  Every member but the tail is
-     installed as the pump of its outgoing edge (the downstream member's
-     reads resume it on demand); the tail body runs the fiber.  Blocking
-     operations inside any member park the whole chain fiber, so external
-     behaviour matches the unfused graph.  Teardown discontinues
-     still-suspended pumps so their cleanup (producer_done, fault
-     counters) runs exactly as when each kernel had its own fiber. *)
   Array.iter
-    (fun ch ->
-      let m = Array.length ch.ch_members in
-      for i = 0 to m - 2 do
-        Fused.install_pump ch.ch_edges.(i) (member_body t.kernels.(ch.ch_members.(i)))
-      done;
-      let tail = t.kernels.(ch.ch_members.(m - 1)) in
-      let tail_body = member_body tail in
-      Sched.spawn ~prof_key:tail.wk_prof_key t.sched ~name:tail.wk_inst.inst_name
-        (fun () ->
-          Fun.protect ~finally:(fun () -> Array.iter Fused.kill ch.ch_edges) tail_body))
-    t.chains;
+    (fun wk ->
+      let binding = wrap_binding wk in
+      let producers = wk.wk_producers in
+      Sched.spawn ~prof_key:wk.wk_prof_key t.sched ~name:wk.wk_inst.inst_name (fun () ->
+          (* When a kernel terminates (normally or via End_of_stream), its
+             output nets lose one producer; fully-drained nets close and the
+             closure propagates downstream. *)
+          Fun.protect
+            ~finally:(fun () -> List.iter Bqueue.producer_done producers)
+            (hooks.Hooks.around_body wk.wk_inst (fun () -> wk.wk_kernel.Kernel.body binding))))
+    t.kernels;
   Array.iteri
     (fun i net_id ->
       let source = t.cur_sources.(i) in
@@ -708,13 +584,7 @@ let src_of_fiber t name =
     None t.graph.Serialized.kernels
 
 let occupancy_snapshot t =
-  Array.to_list
-    (Array.mapi
-       (fun id q ->
-         match t.f_edges.(id) with
-         | Some e -> Fused.name e, Fused.occupancy e
-         | None -> Bqueue.name q, Bqueue.occupancy q)
-       t.queues)
+  Array.to_list (Array.map (fun q -> Bqueue.name q, Bqueue.occupancy q) t.queues)
 
 let run t ~sources ~sinks =
   if t.ran then

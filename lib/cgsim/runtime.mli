@@ -14,8 +14,8 @@
 
     The lifecycle is split between an immutable {!compiled} graph
     (validation, registry resolution, lint verdict, queue capacities,
-    fusion chains, profiler keys, batching gate — everything derivable
-    from the {!Serialized.t} + {!Run_config.t} pair alone) and cheap per-request
+    profiler keys — everything derivable from the {!Serialized.t} +
+    {!Run_config.t} pair alone) and cheap per-request
     instances: {!new_instance} builds one, a run uses it, and {!reset}
     restores it to pristine without reallocation so warm serving reuses
     queues, endpoints and the sealed SPSC plan.  {!instantiate} remains
@@ -134,9 +134,7 @@ val instantiate : ?config:Run_config.t -> Serialized.t -> t
       before any kernel body runs;
     - per-net queue capacities, raised to {!Capacity.suggest}'s
       minimal deadlock-free depths when [config.auto_capacity] is on;
-    - the {!Fusion.chains} to run as single fibers when [config.fuse]
-      is on;
-    - profiler keys and the batching gate.
+    - the per-kernel profiler keys.
 
     Instances built from the artifact (and their resets) never re-lint.
     An exception raised inside an analysis pass propagates unchanged. *)
@@ -145,18 +143,6 @@ val compile : ?config:Run_config.t -> Serialized.t -> compiled
 val compiled_graph : compiled -> Serialized.t
 
 val compiled_config : compiled -> Run_config.t
-
-(** {!Pool_safety.batching_safe} on the graph: every kernel is declared
-    [Pure] and [stateless] (concatenation-safe: no memory across inputs
-    within a run) — the gate for pumping several requests through one
-    warm run. *)
-val compiled_batchable : compiled -> bool
-
-(** The fusion chains this artifact will execute, as kernel indices into
-    the graph's kernel array, upstream first — empty when fusion is off
-    ([Run_config.fuse = false]) or no chain qualified.  Exposed for
-    tests and bench reporting. *)
-val compiled_chains : compiled -> int array array
 
 (** [new_instance c] builds the per-request state: queues at the
     compiled capacities, all kernel and global-I/O endpoints registered

@@ -13,7 +13,7 @@
     [deadline_ns] (enforced by a watchdog that poisons every {!Tqueue}
     on expiry, raising [Terminated] in all blocked threads).  The
     cooperative-scheduler knobs — [hooks], [faults], [max_steps],
-    [fuse], retry/breaker — do not apply to the threaded backend and
+    retry/breaker — do not apply to the threaded backend and
     are ignored. *)
 
 exception X86sim_error of string

@@ -1059,14 +1059,14 @@ let test_runtime_diamond_closed_form () =
     (Array.map (fun x -> 8.0 *. x) input) (contents ())
 
 (* ------------------------------------------------------------------ *)
-(* Compile: pre-flight lint and fusion need no extra library          *)
+(* Compile: pre-flight lint, and rate-matched chains                  *)
 (* ------------------------------------------------------------------ *)
 
 let rated_body_ran = ref false
 
 let rated_scale =
   Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"test_rated_scale" ~pure:true
-    ~stateless:true ~rates:[ "in", 1; "out", 1 ]
+    ~rates:[ "in", 1; "out", 1 ]
     [
       Cgsim.Kernel.in_port "in" Cgsim.Dtype.F32;
       Cgsim.Kernel.out_port "out" Cgsim.Dtype.F32;
@@ -1082,7 +1082,7 @@ let rated_scale =
    unbalanceable. *)
 let rated_decim =
   Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"test_rated_decim" ~pure:true
-    ~stateless:true ~rates:[ "in", 2; "out", 1 ]
+    ~rates:[ "in", 2; "out", 1 ]
     [
       Cgsim.Kernel.in_port "in" Cgsim.Dtype.F32;
       Cgsim.Kernel.out_port "out" Cgsim.Dtype.F32;
@@ -1098,7 +1098,7 @@ let rated_decim =
 
 let rated_add =
   Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"test_rated_add" ~pure:true
-    ~stateless:true ~rates:[ "a", 1; "b", 1; "sum", 1 ]
+    ~rates:[ "a", 1; "b", 1; "sum", 1 ]
     [
       Cgsim.Kernel.in_port "a" Cgsim.Dtype.F32;
       Cgsim.Kernel.in_port "b" Cgsim.Dtype.F32;
@@ -1114,29 +1114,81 @@ let rated_add =
 
 let () = List.iter Cgsim.Registry.register [ rated_scale; rated_decim; rated_add ]
 
-let test_compile_fuses_chain () =
-  let g =
-    Cgsim.Builder.make ~name:"rated_chain" ~inputs:[ "x", Cgsim.Dtype.F32 ] (fun b conns ->
-        let a = Cgsim.Builder.net b Cgsim.Dtype.F32 in
-        let c = Cgsim.Builder.net b Cgsim.Dtype.F32 in
-        let out = Cgsim.Builder.net b Cgsim.Dtype.F32 in
-        ignore (Cgsim.Builder.add_kernel b rated_scale [ List.hd conns; a ]);
-        ignore (Cgsim.Builder.add_kernel b rated_scale [ a; c ]);
-        ignore (Cgsim.Builder.add_kernel b rated_scale [ c; out ]);
-        [ out ])
+(* Multiply each element of a [rate]-wide window by [factor].  Kernels
+   are interned per (rate, factor): the registry holds one definition no
+   matter how many qcheck trials use the shape. *)
+let rated_scale_cache : (int * int, Cgsim.Kernel.t) Hashtbl.t = Hashtbl.create 16
+
+let window_scale ~rate ~factor =
+  match Hashtbl.find_opt rated_scale_cache (rate, factor) with
+  | Some k -> k
+  | None ->
+    let k =
+      Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie
+        ~name:(Printf.sprintf "test_window_scale_r%d_f%d" rate factor)
+        ~pure:true ~rates:[ "in", rate; "out", rate ]
+        [ Cgsim.Kernel.in_port "in" Cgsim.Dtype.F32; Cgsim.Kernel.out_port "out" Cgsim.Dtype.F32 ]
+        (fun b ->
+          let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
+          let f = float_of_int factor in
+          while true do
+            let w = Cgsim.Port.get_window_f32 i rate in
+            for j = 0 to rate - 1 do
+              w.(j) <- w.(j) *. f
+            done;
+            Cgsim.Port.put_window_f32 o w
+          done)
+    in
+    Cgsim.Registry.register k;
+    Hashtbl.add rated_scale_cache (rate, factor) k;
+    k
+
+(* Closed form of a scale chain: the source rounds its input to f32 and
+   every stage rounds its product back to f32 on the way into the ring. *)
+let expected_scaled factors input =
+  Array.map
+    (fun x ->
+      List.fold_left
+        (fun acc f -> Cgsim.Value.round_f32 (acc *. float_of_int f))
+        (Cgsim.Value.round_f32 x) factors)
+    input
+
+(* A random rate-matched chain in -> scale f0 -> ... -> scale fn -> out:
+   2-5 kernels sharing one window rate (1, 2, 4 or 8), 1-8 windows of
+   input.  The runtime's output must equal the closed form bit for bit. *)
+let prop_rate_matched_chains =
+  let gen =
+    QCheck.Gen.(
+      let* factors = list_size (int_range 2 5) (int_range 1 4) in
+      let* rate = map (fun e -> 1 lsl e) (int_range 0 3) in
+      let* windows = int_range 1 8 in
+      let+ input = array_size (return (rate * windows)) (float_range (-100.0) 100.0) in
+      factors, rate, input)
   in
-  let c = Cgsim.Runtime.compile g in
-  Alcotest.(check (array (array int))) "one 3-kernel chain" [| [| 0; 1; 2 |] |]
-    (Cgsim.Runtime.compiled_chains c);
-  let sink, read = Cgsim.Io.f32_buffer () in
-  let input = Array.init 16 float_of_int in
-  ignore
-    (Cgsim.Runtime.stats_exn
-       (Cgsim.Runtime.run (Cgsim.Runtime.new_instance c)
-          ~sources:[ Cgsim.Io.of_f32_array input ]
-          ~sinks:[ sink ]));
-  Alcotest.(check (array (float 0.0))) "fused output" (Array.map (fun x -> 8.0 *. x) input)
-    (read ())
+  QCheck.Test.make ~count:25 ~name:"runtime: random rate-matched chains match the closed form"
+    (QCheck.make gen)
+    (fun (factors, rate, input) ->
+      let g =
+        Cgsim.Builder.make
+          ~name:(Printf.sprintf "rated_chain_r%d_n%d" rate (List.length factors))
+          ~inputs:[ "x", Cgsim.Dtype.F32 ]
+          (fun b conns ->
+            let last =
+              List.fold_left
+                (fun src factor ->
+                  let dst = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+                  ignore (Cgsim.Builder.add_kernel b (window_scale ~rate ~factor) [ src; dst ]);
+                  dst)
+                (List.hd conns) factors
+            in
+            [ last ])
+      in
+      let sink, contents = Cgsim.Io.f32_buffer () in
+      ignore
+        (Cgsim.Runtime.execute_exn g ~sources:[ Cgsim.Io.of_f32_array input ] ~sinks:[ sink ]);
+      let out = contents () in
+      let expected = expected_scaled factors input in
+      Array.length out = Array.length expected && Array.for_all2 Float.equal out expected)
 
 let test_compile_lint_error_refuses () =
   (* m is broadcast to a 2:1 decimator and a 1:1 scale that meet again
@@ -1167,10 +1219,7 @@ let test_compile_lint_error_refuses () =
      in
      Alcotest.(check bool) ("names the imbalance: " ^ msg) true (at 0)
    | _ -> Alcotest.fail "an unbalanced graph must be refused at lint `Error");
-  Alcotest.(check bool) "no kernel body ran" false !rated_body_ran;
-  Alcotest.(check (array (array int))) "an unbalanced graph never fuses" [||]
-    (Cgsim.Runtime.compiled_chains
-       (Cgsim.Runtime.compile ~config:Cgsim.Run_config.(with_lint `Off default) g))
+  Alcotest.(check bool) "no kernel body ran" false !rated_body_ran
 
 let test_runtime_missing_consumer () =
   (* Hand-build a graph whose kernel output net has neither readers nor a
@@ -1353,10 +1402,9 @@ let () =
           Alcotest.test_case "diamond closed form" `Quick test_runtime_diamond_closed_form;
           Alcotest.test_case "missing consumer" `Quick test_runtime_missing_consumer;
         ]
-        @ qsuite [ prop_pipeline_random ] );
+        @ qsuite [ prop_pipeline_random; prop_rate_matched_chains ] );
       ( "compile",
         [
-          Alcotest.test_case "fuses a rate-matched chain" `Quick test_compile_fuses_chain;
           Alcotest.test_case "lint Error refuses imbalance" `Quick
             test_compile_lint_error_refuses;
         ] );

@@ -129,12 +129,9 @@ let test_deadline_on_divergent_graph () =
 
 (* A stalled (not busy) pipeline: the stall fault spins one fiber on
    yield, everyone downstream parks on empty queues. *)
-let stalled_chain_progress ~fuse =
+let stalled_chain_progress () =
   let faults = Cgsim.Faults.(plan ~seed:3 [ stall_on ~kernel:"robust_scale_0" ~after:2 () ]) in
-  let config =
-    Cgsim.Run_config.(
-      default |> with_deadline_ms 50.0 |> with_faults faults |> with_fuse fuse)
-  in
+  let config = Cgsim.Run_config.(default |> with_deadline_ms 50.0 |> with_faults faults) in
   let sink = Cgsim.Io.null () in
   match
     Cgsim.Runtime.execute ~config (chain_graph ()) ~sources:[ chain_input 64 ] ~sinks:[ sink ]
@@ -142,27 +139,15 @@ let stalled_chain_progress ~fuse =
   | Cgsim.Runtime.Deadline_exceeded p -> p
   | o -> Alcotest.failf "expected Deadline_exceeded, got %a" Cgsim.Runtime.pp_outcome o
 
-(* Unfused, every kernel has its own fiber: the progress snapshot must
-   name the parked downstream kernel. *)
+(* Every kernel has its own fiber: the progress snapshot must name the
+   parked downstream kernel. *)
 let test_deadline_stalled_names_parked () =
-  let p = stalled_chain_progress ~fuse:false in
+  let p = stalled_chain_progress () in
   Alcotest.(check bool) "parked snapshot non-empty" true (p.Cgsim.Runtime.p_parked <> []);
   Alcotest.(check bool) "downstream kernel parked" true
     (List.mem "robust_scale_1" p.Cgsim.Runtime.p_parked);
   let msg = Cgsim.Runtime.progress_message p in
   Alcotest.(check bool) ("message names parked: " ^ msg) true
-    (contains "robust_scale_1" msg)
-
-(* Fused, robust_scale_0 and robust_scale_1 share one fiber, named after
-   the chain's tail: the sink is what parks, and the snapshot names the
-   chain's fiber as the last one that advanced. *)
-let test_deadline_stalled_fused () =
-  let p = stalled_chain_progress ~fuse:true in
-  Alcotest.(check (list string)) "sink parked" [ "null-sink" ] p.Cgsim.Runtime.p_parked;
-  Alcotest.(check (option string)) "chain fiber advanced last" (Some "robust_scale_1")
-    p.Cgsim.Runtime.p_last_kernel;
-  let msg = Cgsim.Runtime.progress_message p in
-  Alcotest.(check bool) ("message names the chain: " ^ msg) true
     (contains "robust_scale_1" msg)
 
 let test_max_steps_budget () =
@@ -490,7 +475,6 @@ let () =
         [
           Alcotest.test_case "divergent graph stops" `Quick test_deadline_on_divergent_graph;
           Alcotest.test_case "stalled names parked" `Quick test_deadline_stalled_names_parked;
-          Alcotest.test_case "stalled fused chain" `Quick test_deadline_stalled_fused;
           Alcotest.test_case "max-steps budget" `Quick test_max_steps_budget;
           Alcotest.test_case "cancel mid-run" `Quick test_cancel_mid_run;
         ] );

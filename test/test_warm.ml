@@ -1,9 +1,8 @@
 (* Warm-instance serving tests: the compile-once / reset lifecycle must
    be observationally identical to fresh instantiation — across all four
-   evaluation apps, with the SPSC and block-IO fast paths on and off,
-   under deterministic fault injection, and after failed or
-   fuel-exhausted runs — and pure-graph request batching must demultiplex
-   outputs exactly as per-request execution would. *)
+   evaluation apps, under deterministic fault injection, and after
+   failed or fuel-exhausted runs — and the pool's warm cache must never
+   hand a request an instance compiled under a different config. *)
 
 module R = Cgsim.Runtime
 
@@ -11,9 +10,9 @@ module R = Cgsim.Runtime
 (* Fixtures                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Elementwise doubler declared pure + stateless: batching-eligible. *)
+(* Elementwise doubler declared pure. *)
 let pure_scale =
-  Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"warm_scale" ~pure:true ~stateless:true
+  Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"warm_scale" ~pure:true
     [
       Cgsim.Kernel.in_port "in" Cgsim.Dtype.F32;
       Cgsim.Kernel.out_port "out" Cgsim.Dtype.F32;
@@ -24,9 +23,8 @@ let pure_scale =
         Cgsim.Port.put_f32 o (2.0 *. Cgsim.Port.get_f32 i)
       done)
 
-(* Running-sum kernel: pure (state is local to the body closure, so
-   pool-safe) but NOT stateless — its output depends on everything seen
-   so far, so concatenating requests would corrupt all but the first. *)
+(* Running-sum kernel: pure — its running total lives in the body
+   closure, so every instance starts from zero and is pool-safe. *)
 let prefix_sum_kernel =
   Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"warm_prefix_sum" ~pure:true
     [
@@ -41,7 +39,7 @@ let prefix_sum_kernel =
         Cgsim.Port.put_f32 o !acc
       done)
 
-(* Identity kernel that never declared its purity: batching-ineligible. *)
+(* Identity kernel that never declared its purity. *)
 let opaque_kernel =
   Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"warm_opaque"
     [
@@ -100,32 +98,21 @@ let run_checked msg (h : Apps.Harness.t) inst ~reps =
   out
 
 (* ------------------------------------------------------------------ *)
-(* Reset equivalence across apps and fast-path configurations         *)
+(* Reset equivalence across apps                                      *)
 (* ------------------------------------------------------------------ *)
 
-let fastpath_configs =
-  Cgsim.Run_config.
-    [
-      "default", default;
-      "fuse-off", with_fuse false default;
-    ]
-
-(* reset-and-rerun == fresh run, for every app with fusion on and off.
-   The first run after [new_instance] is the fresh
-   baseline; the post-reset run must match it bit for bit. *)
+(* reset-and-rerun == fresh run, for every app.  The first run after
+   [new_instance] is the fresh baseline; the post-reset run must match it
+   bit for bit. *)
 let test_reset_matches_fresh_all_apps () =
   List.iter
     (fun (h : Apps.Harness.t) ->
-      List.iter
-        (fun (cname, config) ->
-          let label = Printf.sprintf "%s/%s" h.Apps.Harness.name cname in
-          let compiled = R.compile ~config (h.Apps.Harness.graph ()) in
-          let inst = R.new_instance compiled in
-          let fresh = run_checked (label ^ " fresh") h inst ~reps:2 in
-          R.reset inst;
-          let warm = run_checked (label ^ " after reset") h inst ~reps:2 in
-          values_equal label fresh warm)
-        fastpath_configs)
+      let label = h.Apps.Harness.name in
+      let inst = R.new_instance (R.compile (h.Apps.Harness.graph ())) in
+      let fresh = run_checked (label ^ " fresh") h inst ~reps:2 in
+      R.reset inst;
+      let warm = run_checked (label ^ " after reset") h inst ~reps:2 in
+      values_equal label fresh warm)
     Apps.Harness.all
 
 (* Many reset cycles on one instance: no drift, no resource leak into
@@ -246,53 +233,35 @@ let test_reset_after_max_steps () =
   ignore (run_checked "after Max_steps + reset" h inst ~reps:2)
 
 (* ------------------------------------------------------------------ *)
-(* Compiled-graph properties                                          *)
+(* Declared purity                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let test_compiled_purity_and_analysis () =
-  Alcotest.(check bool) "stateless chain is batching-safe" true
-    (Cgsim.Pool_safety.batching_safe (pure_graph ()));
-  Alcotest.(check bool) "pure-but-stateful graph is not" false
-    (Cgsim.Pool_safety.batching_safe (prefix_sum_graph ()));
-  Alcotest.(check bool) "unannotated graph is not" false
-    (Cgsim.Pool_safety.batching_safe (opaque_graph ()));
-  Alcotest.(check bool) "compiled_batchable agrees (stateless)" true
-    (R.compiled_batchable (R.compile (pure_graph ())));
-  Alcotest.(check bool) "compiled_batchable agrees (prefix sum)" false
-    (R.compiled_batchable (R.compile (prefix_sum_graph ())));
-  (* The prefix sum is pure, yet not batchable: it keeps a running
-     total across its input stream. *)
-  Alcotest.(check bool) "prefix sum is pure" true
-    (Array.for_all
-       (fun (inst : Cgsim.Serialized.kernel_inst) ->
-         match Cgsim.Registry.find inst.Cgsim.Serialized.key with
-         | Some k -> k.Cgsim.Kernel.purity = Cgsim.Kernel.Pure
-         | None -> false)
-       (prefix_sum_graph ()).Cgsim.Serialized.kernels);
-  (* ~stateless requires ~pure:true. *)
-  (match
-     Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"warm_bad" ~stateless:true
-       [ Cgsim.Kernel.out_port "o" Cgsim.Dtype.F32 ]
-       (fun _ -> ())
-   with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "~stateless without ~pure:true must be rejected");
-  (* Every evaluation app is pool-safe (pure), but only the windowed
-     block-independent apps are concatenation-safe: the farrow and IIR
-     filters carry delay lines across their input stream. *)
+(* Each kernel's declared purity reaches the registry unchanged: the
+   running-sum kernel keeps state yet is pure (its state is per
+   instance), and an undeclared kernel stays [Unknown]. *)
+let test_declared_purity () =
+  let purities g =
+    Array.to_list
+      (Array.map
+         (fun (inst : Cgsim.Serialized.kernel_inst) ->
+           match Cgsim.Registry.find inst.Cgsim.Serialized.key with
+           | Some k -> Cgsim.Kernel.purity_to_string k.Cgsim.Kernel.purity
+           | None -> "unregistered")
+         g.Cgsim.Serialized.kernels)
+  in
+  Alcotest.(check (list string)) "scale chain" [ "pure"; "pure" ] (purities (pure_graph ()));
+  Alcotest.(check (list string)) "prefix sum" [ "pure" ] (purities (prefix_sum_graph ()));
+  Alcotest.(check (list string)) "undeclared" [ "unknown" ] (purities (opaque_graph ()));
+  (* Every evaluation app is pool-safe, so CG-W401 stays silent on it. *)
   List.iter
     (fun (h : Apps.Harness.t) ->
-      let expected =
-        match h.Apps.Harness.name with
-        | "bitonic" | "bilinear" -> true
-        | _ -> false
-      in
-      Alcotest.(check bool) (h.Apps.Harness.name ^ " batching-safe") expected
-        (Cgsim.Pool_safety.batching_safe (h.Apps.Harness.graph ())))
+      let g = h.Apps.Harness.graph () in
+      Alcotest.(check bool) (h.Apps.Harness.name ^ " all pure") true
+        (List.for_all (String.equal "pure") (purities g)))
     Apps.Harness.all
 
 (* ------------------------------------------------------------------ *)
-(* Pool batching                                                      *)
+(* Pool warm cache                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let n_requests = 8
@@ -317,110 +286,6 @@ let check_scaled_outputs msg (stats : Cgsim.Pool.stats) bufs =
         expected (bufs.(r) ()))
     stats.Cgsim.Pool.results
 
-(* Pure graph, batch 4, equal-length requests: every request is served
-   through a multiplexed warm run and each demuxed output slice is
-   exactly what per-request execution produces. *)
-let test_batching_demux () =
-  Cgsim.Pool.clear_warm_cache ();
-  let g = pure_graph () in
-  let bufs = Array.make n_requests (fun () -> [||]) in
-  let config = Cgsim.Run_config.(with_batch 4 default) in
-  let stats =
-    Cgsim.Pool.run ~config ~domains:1 ~requests:n_requests ~io:(pool_io bufs) g
-  in
-  Alcotest.(check int) "all requests batched" n_requests stats.Cgsim.Pool.batched;
-  check_scaled_outputs "batched" stats bufs;
-  (* And the same requests served without batching agree. *)
-  let bufs_cold = Array.make n_requests (fun () -> [||]) in
-  let cold_cfg = Cgsim.Run_config.(with_warm false default) in
-  let cold =
-    Cgsim.Pool.run ~config:cold_cfg ~domains:1 ~requests:n_requests ~io:(pool_io bufs_cold) g
-  in
-  Alcotest.(check int) "cold path never batches" 0 cold.Cgsim.Pool.batched;
-  check_scaled_outputs "cold" cold bufs_cold;
-  Array.iteri
-    (fun r buf ->
-      Alcotest.(check (array (float 1e-6)))
-        (Printf.sprintf "request %d batched == cold" r)
-        (bufs_cold.(r) ()) (buf ()))
-    bufs
-
-(* Mismatched request lengths make a batch ineligible: the pool falls
-   back to individual execution and still answers every request. *)
-let test_batching_fallback_on_ragged_lengths () =
-  Cgsim.Pool.clear_warm_cache ();
-  let g = pure_graph () in
-  let inputs = Array.init n_requests (fun r -> Array.init (4 + r) float_of_int) in
-  let bufs = Array.make n_requests (fun () -> [||]) in
-  let io r =
-    let sink, contents = Cgsim.Io.f32_buffer () in
-    bufs.(r) <- contents;
-    [ Cgsim.Io.of_f32_array inputs.(r) ], [ sink ]
-  in
-  let config = Cgsim.Run_config.(with_batch 4 default) in
-  let stats = Cgsim.Pool.run ~config ~domains:1 ~requests:n_requests ~io g in
-  Alcotest.(check int) "ragged batch not multiplexed" 0 stats.Cgsim.Pool.batched;
-  Array.iteri
-    (fun r (res : Cgsim.Pool.request_result) ->
-      (match res.Cgsim.Pool.outcome with
-       | R.Completed _ -> ()
-       | o -> Alcotest.failf "request %d: %a" r R.pp_outcome o);
-      Alcotest.(check (array (float 1e-6)))
-        (Printf.sprintf "request %d output" r)
-        (Array.map (fun v -> 4.0 *. v) inputs.(r))
-        (bufs.(r) ()))
-    stats.Cgsim.Pool.results
-
-(* A pure-but-stateful graph (prefix sum) must not be batched: each
-   request's running sum has to start from zero. *)
-let test_batching_requires_statelessness () =
-  Cgsim.Pool.clear_warm_cache ();
-  let g = prefix_sum_graph () in
-  let bufs = Array.make n_requests (fun () -> [||]) in
-  let config = Cgsim.Run_config.(with_batch 4 default) in
-  let stats =
-    Cgsim.Pool.run ~config ~domains:1 ~requests:n_requests ~io:(pool_io bufs) g
-  in
-  Alcotest.(check int) "pure-but-stateful never batched" 0 stats.Cgsim.Pool.batched;
-  Array.iteri
-    (fun r (res : Cgsim.Pool.request_result) ->
-      (match res.Cgsim.Pool.outcome with
-       | R.Completed _ -> ()
-       | o -> Alcotest.failf "request %d: %a" r R.pp_outcome o);
-      let acc = ref 0.0 in
-      let expected =
-        Array.map
-          (fun v ->
-            acc := !acc +. v;
-            !acc)
-          (request_input r)
-      in
-      Alcotest.(check (array (float 1e-6)))
-        (Printf.sprintf "request %d prefix sum restarts at zero" r)
-        expected (bufs.(r) ()))
-    stats.Cgsim.Pool.results
-
-(* A graph whose kernels never declared purity must not be batched even
-   when the caller asks for it. *)
-let test_batching_requires_purity () =
-  Cgsim.Pool.clear_warm_cache ();
-  let g = opaque_graph () in
-  let bufs = Array.make n_requests (fun () -> [||]) in
-  let config = Cgsim.Run_config.(with_batch 4 default) in
-  let stats =
-    Cgsim.Pool.run ~config ~domains:1 ~requests:n_requests ~io:(pool_io bufs) g
-  in
-  Alcotest.(check int) "unknown purity never batched" 0 stats.Cgsim.Pool.batched;
-  Array.iteri
-    (fun r (res : Cgsim.Pool.request_result) ->
-      (match res.Cgsim.Pool.outcome with
-       | R.Completed _ -> ()
-       | o -> Alcotest.failf "request %d: %a" r R.pp_outcome o);
-      Alcotest.(check (array (float 1e-6)))
-        (Printf.sprintf "request %d identity output" r)
-        (request_input r) (bufs.(r) ()))
-    stats.Cgsim.Pool.results
-
 (* Warm pool reuse across requests: after the first build per domain,
    requests are served from reset instances. *)
 let test_warm_reuse_counts () =
@@ -432,6 +297,36 @@ let test_warm_reuse_counts () =
   Alcotest.(check bool) "at most one cold build" true (stats.Cgsim.Pool.cold_builds <= 1);
   Alcotest.(check int) "the rest are warm hits" (n_requests - stats.Cgsim.Pool.cold_builds)
     stats.Cgsim.Pool.warm_hits
+
+(* The warm cache keys on [auto_capacity]: the same graph compiled
+   without capacity synthesis must not serve a later request that asks
+   for it.  The under-buffered cycle deadlocks at its declared depth and
+   completes only at the synthesized one, so a shared entry shows up as
+   a cancelled fiber. *)
+let test_cache_keys_auto_capacity () =
+  Cgsim.Pool.clear_warm_cache ();
+  let case = Workloads.Sdf_gen.generate ~defect:Workloads.Sdf_gen.Under_capacity ~seed:11 () in
+  let base = Cgsim.Run_config.(default |> with_lint `Off |> with_max_steps 10_000_000) in
+  let auto = Cgsim.Run_config.with_auto_capacity true base in
+  let serve config =
+    let out = ref (fun () -> [||]) in
+    let io _ =
+      let sink, contents = Cgsim.Io.f32_buffer () in
+      out := contents;
+      [ Cgsim.Io.of_f32_array case.Workloads.Sdf_gen.c_input ], [ sink ]
+    in
+    let stats = Cgsim.Pool.run ~config ~domains:1 ~requests:1 ~io case.Workloads.Sdf_gen.c_graph in
+    match stats.Cgsim.Pool.results.(0).Cgsim.Pool.outcome with
+    | R.Completed st -> st.Cgsim.Sched.cancelled, Array.length (!out ())
+    | o -> Alcotest.failf "expected Completed, got %a" R.pp_outcome o
+  in
+  let expected = case.Workloads.Sdf_gen.c_expected_out in
+  Alcotest.(check (pair int int)) "auto_capacity on a fresh cache" (0, expected) (serve auto);
+  Cgsim.Pool.clear_warm_cache ();
+  let cancelled, _ = serve base in
+  Alcotest.(check bool) "declared depth deadlocks" true (cancelled > 0);
+  Alcotest.(check (pair int int)) "auto_capacity after a default-config request" (0, expected)
+    (serve auto)
 
 let () =
   Alcotest.run "warm"
@@ -452,18 +347,10 @@ let () =
           Alcotest.test_case "reset after Max_steps" `Quick test_reset_after_max_steps;
         ] );
       ( "purity",
+        [ Alcotest.test_case "declared purity reaches the registry" `Quick test_declared_purity ] );
+      ( "warm-cache",
         [
-          Alcotest.test_case "compiled_pure and batching_safe agree" `Quick
-            test_compiled_purity_and_analysis;
-        ] );
-      ( "batching",
-        [
-          Alcotest.test_case "demux matches per-request execution" `Quick test_batching_demux;
-          Alcotest.test_case "ragged lengths fall back" `Quick
-            test_batching_fallback_on_ragged_lengths;
-          Alcotest.test_case "pure-but-stateful never batched" `Quick
-            test_batching_requires_statelessness;
-          Alcotest.test_case "unknown purity never batched" `Quick test_batching_requires_purity;
           Alcotest.test_case "warm reuse counts" `Quick test_warm_reuse_counts;
+          Alcotest.test_case "auto_capacity keys the cache" `Quick test_cache_keys_auto_capacity;
         ] );
     ]
