@@ -10,7 +10,7 @@
    A three-kernel rate-matched chain row gives the per-element cost of
    the runtime's one-fiber-per-kernel execution.  [run ~json:file]
    writes every number as machine-readable JSON (schema
-   "cgsim-bench-micro/4") so CI can parse it back and the repo can
+   "cgsim-bench-micro/5") so CI can parse it back and the repo can
    commit a baseline. *)
 
 open Bechamel
@@ -110,18 +110,13 @@ let transfer_capacity = 4096
 let transfer_chunk = 512
 
 (* Move [elements] I32 values through one capacity-[transfer_capacity]
-   queue between a producer and a consumer fiber; returns wall ns.
-   [spsc] seals the queue onto the single-producer/single-consumer fast
-   path (what Runtime does for 1:1 edges); the default leaves it
-   unsealed, on the broadcast MPMC bookkeeping, isolating exactly that
-   overhead. *)
-let time_element_path ?(spsc = false) ~elements () =
+   queue between a producer and a consumer fiber; returns wall ns. *)
+let time_element_path ~elements =
   let q =
     Cgsim.Bqueue.create ~name:"xfer-elem" ~dtype:Cgsim.Dtype.I32 ~capacity:transfer_capacity ()
   in
   let p = Cgsim.Bqueue.add_producer q in
   let c = Cgsim.Bqueue.add_consumer q in
-  if spsc then Cgsim.Bqueue.seal q;
   let s = Cgsim.Sched.create () in
   let v = Cgsim.Value.Int 7 in
   Cgsim.Sched.spawn s ~name:"producer" (fun () ->
@@ -183,7 +178,7 @@ type block_comparison = {
 let compare_transfer ~smoke =
   let elements = if smoke then 16384 else 262144 in
   let rounds = if smoke then 2 else 5 in
-  let element_ns = best_of rounds (fun () -> time_element_path ~elements ()) in
+  let element_ns = best_of rounds (fun () -> time_element_path ~elements) in
   let block_ns = best_of rounds (fun () -> time_block_path ~elements) in
   let n = float_of_int elements in
   {
@@ -191,29 +186,6 @@ let compare_transfer ~smoke =
     element_ns_per_elem = element_ns /. n;
     block_ns_per_elem = block_ns /. n;
     speedup = element_ns /. block_ns;
-  }
-
-type spsc_comparison = {
-  sp_elements : int;
-  mpmc_ns_per_elem : float;
-  spsc_ns_per_elem : float;
-  sp_speedup : float;
-}
-
-(* Same element traffic through the same queue shape, MPMC bookkeeping
-   vs the sealed SPSC fast path — the per-transfer saving Runtime's
-   automatic 1:1-edge detection buys. *)
-let compare_spsc ~smoke =
-  let elements = if smoke then 16384 else 262144 in
-  let rounds = if smoke then 3 else 7 in
-  let mpmc_ns = best_of rounds (fun () -> time_element_path ~spsc:false ~elements ()) in
-  let spsc_ns = best_of rounds (fun () -> time_element_path ~spsc:true ~elements ()) in
-  let n = float_of_int elements in
-  {
-    sp_elements = elements;
-    mpmc_ns_per_elem = mpmc_ns /. n;
-    spsc_ns_per_elem = spsc_ns /. n;
-    sp_speedup = mpmc_ns /. spsc_ns;
   }
 
 type chain_timing = {
@@ -369,16 +341,6 @@ let json_of_warm (w : warm_comparison) =
       "speedup", Obs.Json.Num w.w_speedup;
     ]
 
-let json_of_spsc (sp : spsc_comparison) =
-  Obs.Json.Obj
-    [
-      "elements", Obs.Json.Num (float_of_int sp.sp_elements);
-      "capacity", Obs.Json.Num (float_of_int transfer_capacity);
-      "mpmc_ns_per_elem", Obs.Json.Num sp.mpmc_ns_per_elem;
-      "spsc_ns_per_elem", Obs.Json.Num sp.spsc_ns_per_elem;
-      "speedup", Obs.Json.Num sp.sp_speedup;
-    ]
-
 let json_of_chain (c : chain_timing) =
   Obs.Json.Obj
     [
@@ -388,11 +350,11 @@ let json_of_chain (c : chain_timing) =
       "ns_per_elem", Obs.Json.Num c.c_ns_per_elem;
     ]
 
-let json_of_run ~smoke ~bechamel (cmp : block_comparison) (sp : spsc_comparison)
-    (ch : chain_timing) (w : warm_comparison) =
+let json_of_run ~smoke ~bechamel (cmp : block_comparison) (ch : chain_timing)
+    (w : warm_comparison) =
   Obs.Json.Obj
     [
-      "schema", Obs.Json.Str "cgsim-bench-micro/4";
+      "schema", Obs.Json.Str "cgsim-bench-micro/5";
       "smoke", Obs.Json.Bool smoke;
       ( "results",
         Obs.Json.Arr
@@ -410,7 +372,6 @@ let json_of_run ~smoke ~bechamel (cmp : block_comparison) (sp : spsc_comparison)
             "block_ns_per_elem", Obs.Json.Num cmp.block_ns_per_elem;
             "speedup", Obs.Json.Num cmp.speedup;
           ] );
-      "spsc", json_of_spsc sp;
       "chain", json_of_chain ch;
       "warm_serve", json_of_warm w;
     ]
@@ -431,12 +392,6 @@ let run ?json ?(smoke = false) () =
   Printf.printf "%-45s %12.2f ns/elem\n" "element path (put/get)" cmp.element_ns_per_elem;
   Printf.printf "%-45s %12.2f ns/elem\n" "block path (put_ints/get_ints_into)" cmp.block_ns_per_elem;
   Printf.printf "%-45s %12.2fx\n%!" "speedup" cmp.speedup;
-  Printf.printf "\n== SPSC fast path (1:1 edge, element transfers, cap=%d) ==\n%!"
-    transfer_capacity;
-  let sp = compare_spsc ~smoke in
-  Printf.printf "%-45s %12.2f ns/elem\n" "MPMC path (broadcast bookkeeping)" sp.mpmc_ns_per_elem;
-  Printf.printf "%-45s %12.2f ns/elem\n" "SPSC path (sealed 1:1)" sp.spsc_ns_per_elem;
-  Printf.printf "%-45s %12.2fx\n%!" "speedup" sp.sp_speedup;
   Printf.printf "\n== Chain (%d rate-matched kernels, window=%d) ==\n%!" ch.c_kernels ch.c_rate;
   Printf.printf "%-45s %12.2f ns/elem\n%!" "one fiber + queue per hop" ch.c_ns_per_elem;
   let w = compare_warm ~smoke in
@@ -448,7 +403,7 @@ let run ?json ?(smoke = false) () =
   match json with
   | None -> ()
   | Some file ->
-    let doc = json_of_run ~smoke ~bechamel cmp sp ch w in
+    let doc = json_of_run ~smoke ~bechamel cmp ch w in
     (try Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc (Obs.Json.to_string doc))
      with Sys_error msg ->
        Printf.eprintf "error: cannot write %s: %s\n" file msg;

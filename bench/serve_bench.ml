@@ -18,13 +18,11 @@
    carry "oversubscribed": true so baseline consumers can filter them
    out of scaling comparisons.
 
-   [run ~json:file] writes schema "cgsim-bench-serve/4"; check-json
+   [run ~json:file] writes schema "cgsim-bench-serve/5"; check-json
    validates it in CI.  [~warm:(Some true)] / [(Some false)] restricts
    the sweep to one path (the CI smoke runs each separately so the cold
    fallback cannot rot); the default [None] measures both and asserts
-   the per-request equivalence.  The SPSC micro comparison rides along
-   so the serving baseline and the queue fast-path numbers land in one
-   file. *)
+   the per-request equivalence. *)
 
 let default_domains = [ 1; 2; 4; 8 ]
 
@@ -255,22 +253,18 @@ let run ?json ?(smoke = false) ?(domains = if smoke then smoke_domains else defa
           ])
       Apps.Harness.all
   in
-  let sp = Micro.compare_spsc ~smoke in
-  Printf.printf "\nSPSC vs MPMC element path: %.2f vs %.2f ns/elem (%.2fx)\n%!"
-    sp.Micro.spsc_ns_per_elem sp.Micro.mpmc_ns_per_elem sp.Micro.sp_speedup;
   (match json with
    | None -> ()
    | Some file ->
      let doc =
        Obs.Json.Obj
          [
-           "schema", Obs.Json.Str "cgsim-bench-serve/4";
+           "schema", Obs.Json.Str "cgsim-bench-serve/5";
            "smoke", Obs.Json.Bool smoke;
            "host_cores", Obs.Json.Num (float_of_int host_cores);
            ( "modes",
              Obs.Json.Arr (List.map (fun m -> Obs.Json.Str m) modes) );
            "apps", Obs.Json.Arr app_docs;
-           "spsc_micro", Micro.json_of_spsc sp;
          ]
      in
      (try

@@ -28,12 +28,12 @@ test -s "$TRACE" || { echo "ci: trace file is empty" >&2; exit 1; }
 grep -q '"traceEvents"' "$TRACE" || { echo "ci: trace file has no traceEvents" >&2; exit 1; }
 echo "trace OK: $(wc -c < "$TRACE") bytes"
 
-echo "== micro smoke (block transfer, SPSC, chain and warm rows, JSON output) =="
+echo "== micro smoke (block transfer, chain and warm rows, JSON output) =="
 dune exec bench/main.exe -- micro --smoke --json "$MICRO_JSON"
 test -s "$MICRO_JSON" || { echo "ci: micro JSON is empty" >&2; exit 1; }
 # check-json re-parses with the strict Obs.Json parser and fails on
 # malformed output, a missing schema marker, or a schema mismatch.
-dune exec bench/main.exe -- check-json "$MICRO_JSON" --schema cgsim-bench-micro/4
+dune exec bench/main.exe -- check-json "$MICRO_JSON" --schema cgsim-bench-micro/5
 
 echo "== graph lint (examples/cgc, JSON output) =="
 LINT_JSON=$(mktemp -t ci-lint-XXXXXX.json)
@@ -68,7 +68,7 @@ trap 'rm -f "$TRACE" "$MICRO_JSON" "$LINT_JSON" "$FUZZ_JSON" "$SERVE_COLD_JSON" 
 # Every request's output is verified inside the bench; nonzero exit on
 # any wrong result.  Both paths run separately so the cold fallback
 # (fresh instance per attempt) can never silently rot behind the warm
-# cache.  Schema cgsim-bench-serve/4.
+# cache.  Schema cgsim-bench-serve/5.
 dune exec bench/main.exe -- serve --smoke --domains 1,2 --warm off --json "$SERVE_COLD_JSON"
 test -s "$SERVE_COLD_JSON" || { echo "ci: cold serve JSON is empty" >&2; exit 1; }
 dune exec bench/main.exe -- check-json "$SERVE_COLD_JSON"
@@ -151,13 +151,21 @@ echo "no shim references"
 
 echo "== one-data-path gate =="
 # The block_io / spsc / unboxed switches and their element-loop and
-# boxed-scalar second paths were removed: storage follows the dtype,
-# ports always take the block transfers, and SPSC sealing is automatic.
+# boxed-scalar second paths were removed: storage follows the dtype and
+# ports always take the block transfers.
 if grep -rnE 'with_block_io|with_spsc|with_unboxed|~unboxed|seal ~spsc' lib bin bench test; then
   echo "ci: caller references a removed data-path switch" >&2
   exit 1
 fi
-echo "no data-path switch references"
+# Every queue takes the one broadcast path: the SPSC seal (and its lint
+# CG-W302) was deleted because it did not pay.  Port interception is one
+# access tap per port, applied by Port.tap_reader/tap_writer: the Hooks
+# record, its per-interceptor wrappers and Run_config.hooks are gone.
+if grep -rnE 'Hooks\.|wrap_reader|wrap_writer|around_body|with_hooks|compose_hooks|obs_hooks|Bqueue\.seal|is_spsc|CG-W302' lib bin bench test; then
+  echo "ci: caller references the removed SPSC seal or Hooks wrappers" >&2
+  exit 1
+fi
+echo "no data-path switch, SPSC seal or Hooks references"
 
 echo "== GC-settings gate =="
 # Library code must not mutate process-wide GC state: a Gc.set reaches

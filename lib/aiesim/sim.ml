@@ -56,97 +56,37 @@ let capture ?(config = Cgsim.Run_config.default) (d : Deploy.t) ~sources ~sinks 
   let thunk_applies (inst : Cgsim.Serialized.kernel_inst) =
     d.Deploy.adapter = Deploy.Thunk && inst.realm = Cgsim.Kernel.Aie
   in
-  let port_key (inst : Cgsim.Serialized.kernel_inst) port_idx =
-    Printf.sprintf "%s.%s" inst.inst_name inst.ports.(port_idx).Cgsim.Kernel.pname
-  in
   let net_of inst port_idx = g.Cgsim.Serialized.nets.(inst.Cgsim.Serialized.port_nets.(port_idx)) in
-  let hooks =
-    {
-      Cgsim.Runtime.wrap_reader =
-        (fun inst port_idx r ->
-          let net = net_of inst port_idx in
-          let transport = transport_of_settings net.Cgsim.Serialized.settings in
-          let bytes = Cgsim.Dtype.size_bytes net.Cgsim.Serialized.dtype in
-          let thunked = thunk_applies inst in
-          let port = port_key inst port_idx in
-          let ev = Aie.Trace.Port_read { port; bytes; transport; thunked } in
-          {
-            r with
-            Cgsim.Port.r_get =
-              (fun () ->
-                let v = r.Cgsim.Port.r_get () in
-                Aie.Trace.emit ev;
-                v);
-            Cgsim.Port.r_get_block =
-              (fun n ->
-                (* Block reads must keep per-element cycle accounting:
-                   emit one event per element, as the element loop would. *)
-                let vs = r.Cgsim.Port.r_get_block n in
-                for _ = 1 to Array.length vs do
-                  Aie.Trace.emit ev
-                done;
-                vs);
-            Cgsim.Port.r_get_floats =
-              (fun n ->
-                let fs = r.Cgsim.Port.r_get_floats n in
-                for _ = 1 to Array.length fs do
-                  Aie.Trace.emit ev
-                done;
-                fs);
-            Cgsim.Port.r_get_ints =
-              (fun n ->
-                let is = r.Cgsim.Port.r_get_ints n in
-                for _ = 1 to Array.length is do
-                  Aie.Trace.emit ev
-                done;
-                is);
-          });
-      wrap_writer =
-        (fun inst port_idx w ->
-          let net = net_of inst port_idx in
-          let transport = transport_of_settings net.Cgsim.Serialized.settings in
-          let bytes = Cgsim.Dtype.size_bytes net.Cgsim.Serialized.dtype in
-          let thunked = thunk_applies inst in
-          let port = port_key inst port_idx in
-          let ev = Aie.Trace.Port_write { port; bytes; transport; thunked } in
-          {
-            w with
-            Cgsim.Port.w_put =
-              (fun v ->
-                w.Cgsim.Port.w_put v;
-                Aie.Trace.emit ev);
-            Cgsim.Port.w_put_block =
-              (fun vs ->
-                w.Cgsim.Port.w_put_block vs;
-                for _ = 1 to Array.length vs do
-                  Aie.Trace.emit ev
-                done);
-            Cgsim.Port.w_put_floats =
-              (fun fs ->
-                w.Cgsim.Port.w_put_floats fs;
-                for _ = 1 to Array.length fs do
-                  Aie.Trace.emit ev
-                done);
-            Cgsim.Port.w_put_ints =
-              (fun is ->
-                w.Cgsim.Port.w_put_ints is;
-                for _ = 1 to Array.length is do
-                  Aie.Trace.emit ev
-                done);
-            Cgsim.Port.w_space =
-              (* An AIE core has no burst buffer behind its stream ports —
-                 every write is one switch beat.  Advertising zero advisory
-                 space makes interleave-aware block writers (put_window2)
-                 degrade to the per-beat order the hardware would emit, so
-                 the captured event order stays replayable against the
-                 switch-FIFO capacities even though cgsim's own queues are
-                 deep enough to absorb whole-group bursts. *)
-              (match transport with
-               | Aie.Trace.Stream -> (fun () -> 0)
-               | Aie.Trace.Window _ | Aie.Trace.Rtp | Aie.Trace.Gmio -> w.Cgsim.Port.w_space);
-          });
-      around_body = (fun _ body () -> body ());
-    }
+  (* Capture tap: one Port_read/Port_write event per element moved, so
+     block transfers keep per-element cycle accounting. *)
+  let tap (inst : Cgsim.Serialized.kernel_inst) port_idx port =
+    let net = net_of inst port_idx in
+    let transport = transport_of_settings net.Cgsim.Serialized.settings in
+    let bytes = Cgsim.Dtype.size_bytes net.Cgsim.Serialized.dtype in
+    let thunked = thunk_applies inst in
+    let stream = transport = Aie.Trace.Stream in
+    let ev =
+      match inst.ports.(port_idx).Cgsim.Kernel.dir with
+      | Cgsim.Kernel.In -> Aie.Trace.Port_read { port; bytes; transport; thunked }
+      | Cgsim.Kernel.Out -> Aie.Trace.Port_write { port; bytes; transport; thunked }
+    in
+    Some
+      {
+        Cgsim.Port.no_tap with
+        after =
+          (fun n ->
+            for _ = 1 to n do
+              Aie.Trace.emit ev
+            done);
+        (* An AIE core has no burst buffer behind its stream ports — every
+           write is one switch beat.  Advertising zero advisory space makes
+           interleave-aware block writers (put_window2) degrade to the
+           per-beat order the hardware would emit, so the captured event
+           order stays replayable against the switch-FIFO capacities even
+           though cgsim's own queues are deep enough to absorb whole-group
+           bursts. *)
+        hold_space = (fun () -> stream);
+      }
   in
   let recorders =
     Array.to_list
@@ -162,14 +102,7 @@ let capture ?(config = Cgsim.Run_config.default) (d : Deploy.t) ~sources ~sinks 
     Aie.Trace.enabled := false;
     List.iter (fun (name, _) -> Aie.Trace.unbind name) recorders
   in
-  (* The caller's hooks (if any) wrap the capture wrappers, so capture
-     records the traffic the kernels actually performed. *)
-  let config =
-    Cgsim.Run_config.with_hooks
-      (Cgsim.Runtime.compose_hooks config.Cgsim.Run_config.hooks hooks)
-      config
-  in
-  let ctx = Cgsim.Runtime.instantiate ~config g in
+  let ctx = Cgsim.Runtime.instantiate ~config ~tap g in
   let outcome =
     Fun.protect ~finally:finish (fun () -> Cgsim.Runtime.run ctx ~sources ~sinks)
   in

@@ -42,8 +42,9 @@ val pp_report : Format.formatter -> report -> unit
 
 (** [run deploy ~sources ~sinks] simulates one execution.  Sinks receive
     the functional outputs.  [config] governs the functional capture
-    phase (queue knobs, deadline/fuel, fault plan); its hooks compose
-    outside the capture wrappers.  Raises {!Sim_error} on replay
+    phase (queue knobs, deadline/fuel, fault plan); capture taps every
+    kernel port after any fault tap, so it records only transfers that
+    happened.  Raises {!Sim_error} on replay
     deadlock (a graph whose traffic cannot fit the modelled buffering)
     or when the capture phase does not complete — deadline, cancellation
     or kernel failure, with the structured outcome in the message. *)

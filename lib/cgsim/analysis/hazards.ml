@@ -23,22 +23,9 @@ let analyze (g : S.t) =
              ~kernels:(kernel_names n.S.readers)
              ~nets:[ display ] ~net_ids:[ id ] ?loc
              (Printf.sprintf
-                "%s broadcasts to %d consumers; retirement advances at the slowest one and the \
-                 net stays on the MPMC slow path"
+                "%s broadcasts to %d consumers; retirement advances at the slowest one, so \
+                 every producer waits for it"
                 display consumers));
-      if
-        n.S.global_output <> None
-        && List.length n.S.writers = 1
-        && List.length n.S.readers >= 1
-      then
-        emit
-          (D.make ~severity:D.Warning ~code:"CG-W302" ~graph:g.S.gname
-             ~kernels:(kernel_names (n.S.writers @ n.S.readers))
-             ~nets:[ display ] ~net_ids:[ id ] ?loc
-             (Printf.sprintf
-                "%s is tapped as a global output while kernels also read it; the sink fiber is \
-                 a second consumer, demoting the edge from the SPSC fast path"
-                display));
       (match n.S.settings.Settings.beat_bytes with
        | Some beat ->
          let elem = Dtype.size_bytes n.S.dtype in

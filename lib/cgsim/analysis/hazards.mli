@@ -5,12 +5,7 @@
 
     - [CG-W301]: a net broadcast to more than {!fanout_threshold}
       consumers.  Broadcast retirement advances at the pace of the
-      slowest consumer, and a wide MPMC net keeps every producer on the
-      slow path.
-    - [CG-W302]: a single-writer, single-reader net that is also a
-      global output.  The implicit sink fiber is a second consumer, so
-      the edge is demoted from the SPSC fast path — a dedicated tap
-      kernel (or dropping the tap) restores it.
+      slowest consumer, so every producer on the net waits for it.
     - [CG-W303]: a net whose AXI beat width neither divides nor is a
       multiple of its element size, so every beat straddles element
       boundaries (partial-beat packing). *)

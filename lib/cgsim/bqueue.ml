@@ -1,5 +1,5 @@
-(* The cooperative queue: a {!Ring} plus producers, close, the SPSC seal
-   and Sched park/wake.  Storage, slots, segment copies and the cached
+(* The cooperative queue: a {!Ring} plus producers, close and Sched
+   park/wake.  Storage, slots, segment copies and the cached
    retirement point all live in the ring. *)
 
 type t = {
@@ -8,13 +8,6 @@ type t = {
   mutable producers_open : int;
   mutable producers_total : int;
   mutable closed : bool;
-  (* SPSC fast path: set by [seal] when the wired queue has exactly one
-     producer and one consumer.  On this path the ring's [retired] is
-     maintained directly from the lone consumer's cursor — no
-     cached-minimum refold, no broadcast bookkeeping.  Registering any
-     further endpoint drops the flag, falling back to the MPMC path
-     transparently. *)
-  mutable spsc : bool;
   mutable put_waiters : Sched.waker list;
   mutable get_waiters : Sched.waker list;
   (* Observability: keys are precomputed so the traced hot path does no
@@ -43,7 +36,6 @@ let create ~name ~dtype ~capacity () =
     producers_open = 0;
     producers_total = 0;
     closed = false;
-    spsc = false;
     put_waiters = [];
     get_waiters = [];
     occ_hw = 0;
@@ -60,16 +52,12 @@ let is_closed q = q.closed
 let total_put q = q.ring.Ring.head
 let producers q = q.producers_total
 let consumers q = List.length q.ring.Ring.cursors
-let is_spsc q = q.spsc
 let space q = Ring.space q.ring
 let occupancy q = Ring.occupancy q.ring
 
 (* The runtime attaches all consumers before execution, so in practice
    every cursor starts at 0. *)
-let add_consumer q =
-  let c = { c_queue = q; cur = Ring.add_cursor q.ring } in
-  q.spsc <- false;  (* a second consumer needs the broadcast machinery *)
-  c
+let add_consumer q = { c_queue = q; cur = Ring.add_cursor q.ring }
 
 let add_producer q =
   if q.closed then invalid_arg ("cgsim: adding producer to closed queue " ^ name q);
@@ -77,14 +65,12 @@ let add_producer q =
   q.producer_records <- p :: q.producer_records;
   q.producers_open <- q.producers_open + 1;
   q.producers_total <- q.producers_total + 1;
-  q.spsc <- false;  (* interleaving producers share the MPMC append point *)
   p
 
 (* Restore the queue to its just-created-and-wired state: cursors back to
    zero, every registered producer reopened, contents discarded.  The
-   endpoint set is untouched, so a sealed SPSC plan survives the reset —
-   warm runtime instances reuse queue, endpoints and validator without
-   reallocation. *)
+   endpoint set is untouched — warm runtime instances reuse queue,
+   endpoints and validator without reallocation. *)
 let reset q =
   Ring.reset q.ring;
   List.iter (fun p -> p.open_ <- true) q.producer_records;
@@ -93,9 +79,6 @@ let reset q =
   q.put_waiters <- [];
   q.get_waiters <- [];
   q.occ_hw <- 0
-
-let seal q =
-  q.spsc <- q.producers_total = 1 && (match q.ring.Ring.cursors with [ _ ] -> true | _ -> false)
 
 let wake_all_put q =
   match q.put_waiters with
@@ -192,25 +175,14 @@ let published q =
   if !Obs.Trace.on then note_put q;
   wake_all_get q
 
-(* [c] read [len] elements.  SPSC: this consumer is the retirement point
-   by definition — no minimum refold, every read frees its slots.
-   Otherwise advancing the slowest consumer may free space, and
-   producers are woken only when it did. *)
+(* [c] read [len] elements.  Advancing the slowest consumer may free
+   space, and producers are woken only when it did. *)
 let advance c len =
-  let q = c.c_queue in
-  let r = q.ring in
-  let cur = c.cur in
-  if q.spsc then begin
-    cur.Ring.pos <- cur.Ring.pos + len;
-    r.Ring.retired <- cur.Ring.pos;
-    wake_all_put q
-  end
-  else begin
-    let before = r.Ring.retired in
-    Ring.advance r cur len;
-    if r.Ring.retired > before then wake_all_put q
-  end;
-  if !Obs.Trace.on then note_get q
+  let r = c.c_queue.ring in
+  let before = r.Ring.retired in
+  Ring.advance r c.cur len;
+  if r.Ring.retired > before then wake_all_put c.c_queue;
+  if !Obs.Trace.on then note_get c.c_queue
 
 let check_open p =
   if not p.open_ then invalid_arg ("cgsim: put on finished producer of " ^ name p.p_queue)
@@ -230,20 +202,13 @@ let get c =
     wait_for_data c;
     if c.cur.Ring.pos >= q.ring.Ring.head then raise Sched.End_of_stream (* closed while parked *)
   end;
-  if q.spsc then begin
-    let v = Ring.peek q.ring c.cur in
-    advance c 1;
-    v
-  end
-  else begin
-    (* One ring call for read and retire: the MPMC element path. *)
-    let r = q.ring in
-    let before = r.Ring.retired in
-    let v = Ring.take r c.cur in
-    if r.Ring.retired > before then wake_all_put q;
-    if !Obs.Trace.on then note_get q;
-    v
-  end
+  (* One ring call for read and retire. *)
+  let r = q.ring in
+  let before = r.Ring.retired in
+  let v = Ring.take r c.cur in
+  if r.Ring.retired > before then wake_all_put q;
+  if !Obs.Trace.on then note_get q;
+  v
 
 (* ------------------------------------------------------------------ *)
 (* Block transfers                                                     *)

@@ -13,7 +13,7 @@
     {!Sched.End_of_stream}, which ends infinite-loop kernels cleanly.
 
     The data lives in a {!Ring}, shared with x86sim's threaded queue;
-    this module adds producers, close, the SPSC seal and park/wake. *)
+    this module adds producers, close and park/wake. *)
 
 type t
 
@@ -52,24 +52,11 @@ val add_producer : t -> producer
 val producers : t -> int
 val consumers : t -> int
 
-(** [seal q] ends the wiring phase: when the queue has exactly one
-    registered producer and one consumer, subsequent transfers take a
-    single-producer / single-consumer fast path — a plain head/tail ring
-    where the lone consumer's cursor is the retirement point, skipping
-    the broadcast minimum-cursor bookkeeping.  Semantics are identical
-    to the MPMC path.  Registering any further endpoint after sealing
-    falls back to the MPMC path transparently; a queue that is never
-    sealed stays on the MPMC path. *)
-val seal : t -> unit
-
-(** Whether the sealed queue is currently on the SPSC fast path. *)
-val is_spsc : t -> bool
-
 (** [reset q] restores the queue to its just-created-and-wired state:
     cursors and sequence numbers return to zero, buffered contents are
     discarded, every registered producer is reopened and the queue is
-    unclosed.  The endpoint set (and therefore a sealed SPSC plan) is
-    preserved — warm runtime instances reuse the queue without
+    unclosed.  The endpoint set is preserved — warm runtime instances
+    reuse the queue without
     reallocating buffers, endpoints or the compiled validator.  Must not
     be called while fibers are parked on the queue (the waiter lists are
     dropped); the runtime resets only between runs. *)

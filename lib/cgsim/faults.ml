@@ -1,6 +1,6 @@
 (* Deterministic fault injection for chaos testing the serving stack.
 
-   A fault plan wraps kernel ports through ordinary {!Hooks}: on the Nth
+   A fault plan taps kernel ports ({!Port.tap}): on the Nth
    access through a matching kernel's port the configured action fires —
    raise, busy-stall, delay, or sustained backpressure.  Everything is
    derived from an explicit seed, so the same plan on the same graph
@@ -128,98 +128,36 @@ let inject t a ~port =
     for _ = 1 to n do
       Sched.yield ()
     done
-  | Backpressure _ -> ()  (* handled by the writer wrapper's state *)
+  | Backpressure _ -> ()  (* handled by the writer tap's state *)
 
-(* One counter per wrapped port: "the Nth activation" counts accesses
+(* One counter per tapped port: "the Nth activation" counts accesses
    through that port of the matching kernel instance.  The fire budget
-   bounds how many ports (across instantiations) actually trigger. *)
-let hooks t =
-  let specs_for inst_name = List.filter (fun a -> matches a inst_name) t.t_armed in
-  let wrap_reader (inst : Serialized.kernel_inst) _idx (r : Port.reader) =
-    match specs_for inst.Serialized.inst_name with
-    | [] -> r
-    | armed ->
-      let count = ref 0 in
-      let check () =
-        incr count;
-        List.iter
-          (fun a ->
-            match a.a_spec.fs_action with
-            | Backpressure _ -> ()  (* reader side unaffected *)
-            | Raise | Stall | Delay _ ->
-              if !count = a.a_after && take_fire a then inject t a ~port:r.Port.r_name)
-          armed
-      in
-      {
-        r with
-        Port.r_get =
-          (fun () ->
-            check ();
-            r.Port.r_get ());
-        Port.r_get_block =
-          (fun n ->
-            check ();
-            r.Port.r_get_block n);
-        Port.r_get_floats =
-          (fun n ->
-            check ();
-            r.Port.r_get_floats n);
-        Port.r_get_ints =
-          (fun n ->
-            check ();
-            r.Port.r_get_ints n);
-      }
-  in
-  let wrap_writer (inst : Serialized.kernel_inst) _idx (w : Port.writer) =
-    match specs_for inst.Serialized.inst_name with
-    | [] -> w
-    | armed ->
-      let count = ref 0 in
-      (* Backpressure is sustained: once triggered it applies to every
-         subsequent put on this port, and the advisory space probe
-         reports a full queue so block writers degrade to per-beat. *)
-      let pressure = ref 0 in
-      let check () =
-        incr count;
-        List.iter
-          (fun a ->
-            if !count = a.a_after && take_fire a then begin
-              match a.a_spec.fs_action with
-              | Backpressure yields ->
-                fired t a w.Port.w_name;
-                pressure := max !pressure yields
-              | Raise | Stall | Delay _ -> inject t a ~port:w.Port.w_name
-            end)
-          armed
-      in
-      let throttle () =
-        for _ = 1 to !pressure do
-          Sched.yield ()
-        done
-      in
-      {
-        w with
-        Port.w_put =
-          (fun v ->
-            check ();
-            throttle ();
-            w.Port.w_put v);
-        Port.w_put_block =
-          (fun vs ->
-            check ();
-            throttle ();
-            w.Port.w_put_block vs);
-        Port.w_put_floats =
-          (fun fs ->
-            check ();
-            throttle ();
-            w.Port.w_put_floats fs);
-        Port.w_put_ints =
-          (fun is ->
-            check ();
-            throttle ();
-            w.Port.w_put_ints is);
-        Port.w_space = (fun () -> if !pressure > 0 then 0 else w.Port.w_space ());
-      }
-  in
-  { Hooks.wrap_reader; wrap_writer; around_body = (fun _ body () -> body ()) }
+   bounds how many ports (across instantiations) actually trigger.
+   Backpressure is writer-only and sustained: once triggered it
+   throttles every subsequent put on the port, and the space probe
+   reports a full queue so block writers degrade to per-beat. *)
+let tap t (inst : Serialized.kernel_inst) port_idx port =
+  match List.filter (fun a -> matches a inst.Serialized.inst_name) t.t_armed with
+  | [] -> None
+  | armed ->
+    let writer = inst.Serialized.ports.(port_idx).Kernel.dir = Kernel.Out in
+    let count = ref 0 in
+    let pressure = ref 0 in
+    let before () =
+      incr count;
+      List.iter
+        (fun a ->
+          match a.a_spec.fs_action with
+          | Backpressure yields ->
+            if writer && !count = a.a_after && take_fire a then begin
+              fired t a port;
+              pressure := max !pressure yields
+            end
+          | Raise | Stall | Delay _ ->
+            if !count = a.a_after && take_fire a then inject t a ~port)
+        armed;
+      for _ = 1 to !pressure do
+        Sched.yield ()
+      done
+    in
+    Some { Port.before; after = ignore; hold_space = (fun () -> !pressure > 0) }

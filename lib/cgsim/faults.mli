@@ -1,7 +1,7 @@
 (** Deterministic, seeded fault injection (chaos testing).
 
-    A fault plan wraps kernel ports through ordinary {!Hooks} (installed
-    by {!Runtime.instantiate} when {!Run_config.faults} is set): on the
+    A fault plan taps kernel ports ({!Port.tap}, installed by
+    {!Runtime.run} when {!Run_config.faults} is set): on the
     Nth access through a matching kernel's port, the configured action
     fires.  Same seed, same plan, same graph, single-domain schedule ⇒
     same outcome.
@@ -54,8 +54,11 @@ val injected : t -> int
 (** Human-readable description of the armed specs (resolved activations). *)
 val describe : t -> string list
 
-(** The hooks implementing the plan; composed innermost by
-    {!Runtime.instantiate}.  Each fired fault also emits a
-    [faults.injected] metric and a per-port instant into the active
-    {!Obs.Trace} session. *)
-val hooks : t -> Hooks.t
+(** [tap t inst port_idx port] is the plan's tap on port [port_idx]
+    of [inst], named [port] in fault instants ([None] when no spec
+    matches the kernel), with fresh access counters: the runtime takes
+    a new one every run.  Its [before] fires a due action ahead of the
+    transfer.  Each fired fault also
+    emits a [faults.injected] metric and a per-port instant into the
+    active {!Obs.Trace} session. *)
+val tap : t -> Serialized.kernel_inst -> int -> string -> Port.tap option

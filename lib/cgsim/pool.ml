@@ -71,14 +71,12 @@ let next_unit_float st =
 
 (* Run_config compatibility for cache keying: exactly the fields
    [Runtime] reads, since a compiled artifact and its instances bake
-   them in (capacities, lint verdict, hook and fault wrapping, run
-   budgets).  Scalar knobs compare structurally; hooks and fault plans
-   compare physically (closures have no structural equality — and two
+   them in (capacities, lint verdict, fault taps, run budgets).  Scalar
+   knobs compare structurally; fault plans compare physically (two
    distinct plans genuinely are different keys, since their shared fire
    budgets are entry state). *)
 let config_key_equal (a : Run_config.t) (b : Run_config.t) =
-  a.Run_config.hooks == b.Run_config.hooks
-  && a.Run_config.queue_capacity = b.Run_config.queue_capacity
+  a.Run_config.queue_capacity = b.Run_config.queue_capacity
   && a.Run_config.lint = b.Run_config.lint
   && a.Run_config.deadline_ns = b.Run_config.deadline_ns
   && a.Run_config.max_steps = b.Run_config.max_steps

@@ -48,7 +48,7 @@
       load-shedding breaker); successes reset the count.  {!breaker_open}
       exposes the live state so a front end can refuse admission at the
       door;
-    - the per-attempt deadline, fault plan, hooks and queue knobs come
+    - the per-attempt deadline, fault plan and queue knobs come
       from the same config, passed to {!Runtime.instantiate} verbatim.
 
     Observability is two-tier.  Always on (tracing or not): request

@@ -19,6 +19,91 @@ type writer = {
   w_space : unit -> int;
 }
 
+type tap = {
+  before : unit -> unit;
+  after : int -> unit;
+  hold_space : unit -> bool;
+}
+
+let no_tap = { before = ignore; after = ignore; hold_space = (fun () -> false) }
+
+(* Several taps act as one: [before]s and [after]s in list order, space
+   held when any tap holds it. *)
+let merge = function
+  | [ t ] -> t
+  | ts ->
+    {
+      before = (fun () -> List.iter (fun t -> t.before ()) ts);
+      after = (fun n -> List.iter (fun t -> t.after n) ts);
+      hold_space = (fun () -> List.exists (fun t -> t.hold_space ()) ts);
+    }
+
+(* The only place the transfer forms are listed for interception: every
+   get/put form calls [before], moves its payload through the untapped
+   closure, then reports the element count to [after]. *)
+let tap_reader taps r =
+  match taps with
+  | [] -> r
+  | _ ->
+    let t = merge taps in
+    {
+      r with
+      r_get =
+        (fun () ->
+          t.before ();
+          let v = r.r_get () in
+          t.after 1;
+          v);
+      r_get_block =
+        (fun n ->
+          t.before ();
+          let vs = r.r_get_block n in
+          t.after (Array.length vs);
+          vs);
+      r_get_floats =
+        (fun n ->
+          t.before ();
+          let fs = r.r_get_floats n in
+          t.after (Array.length fs);
+          fs);
+      r_get_ints =
+        (fun n ->
+          t.before ();
+          let is = r.r_get_ints n in
+          t.after (Array.length is);
+          is);
+    }
+
+let tap_writer taps w =
+  match taps with
+  | [] -> w
+  | _ ->
+    let t = merge taps in
+    {
+      w with
+      w_put =
+        (fun v ->
+          t.before ();
+          w.w_put v;
+          t.after 1);
+      w_put_block =
+        (fun vs ->
+          t.before ();
+          w.w_put_block vs;
+          t.after (Array.length vs));
+      w_put_floats =
+        (fun fs ->
+          t.before ();
+          w.w_put_floats fs;
+          t.after (Array.length fs));
+      w_put_ints =
+        (fun is ->
+          t.before ();
+          w.w_put_ints is;
+          t.after (Array.length is));
+      w_space = (fun () -> if t.hold_space () then 0 else w.w_space ());
+    }
+
 let get r = r.r_get ()
 
 let put w v = w.w_put v

@@ -43,6 +43,37 @@ type writer = {
           it. *)
 }
 
+(** {1 Access taps}
+
+    A tap observes a port's transfers without touching their payloads:
+    the per-port element counters of a trace session, fault injection
+    ({!Faults}) and aiesim's event capture are all taps. *)
+
+type tap = {
+  before : unit -> unit;
+      (** Called before every transfer; may suspend or raise (an injected
+          fault), in which case the transfer does not happen. *)
+  after : int -> unit;
+      (** Called with the number of elements moved once a transfer has
+          returned; a read that raises {!Sched.End_of_stream} reports
+          nothing. *)
+  hold_space : unit -> bool;
+      (** Writer side: while [true] the port's [w_space] reports 0. *)
+}
+
+(** The tap that does nothing; build others with [{ no_tap with ... }]. *)
+val no_tap : tap
+
+(** [tap_reader taps r] routes [r]'s four read forms through [taps]
+    ([before]s and [after]s in list order).  [r_peek] and [r_available]
+    are not transfers and stay as they are.  With [taps = []] the result
+    is [r] itself. *)
+val tap_reader : tap list -> reader -> reader
+
+(** [tap_writer taps w]: the writer counterpart; [w_space] reports 0
+    while any tap holds space.  With [taps = []] the result is [w]. *)
+val tap_writer : tap list -> writer -> writer
+
 val get : reader -> Value.t
 val put : writer -> Value.t -> unit
 

@@ -3,7 +3,7 @@
     checks and the cursors with their cached retirement point.
 
     A ring knows nothing about waiting.  {!Bqueue} wraps it with
-    producers, close, the SPSC seal and {!Sched} park/wake;
+    producers, close and {!Sched} park/wake;
     [X86sim.Tqueue] wraps it with a mutex, condition variables and
     poison.  Every operation here assumes the caller already waited:
     writes assume free space, reads assume available elements.
@@ -22,8 +22,8 @@ type cursor = { mutable pos : int }
 
 (** Fields are exposed so the queues' hot paths use them without a
     call (with no cross-module inlining, every call into this module is
-    a full closure application).  Only this module writes [head];
-    {!Bqueue}'s SPSC path also writes [retired] and its lone cursor. *)
+    a full closure application).  Only this module writes [head],
+    [retired] and the cursors. *)
 type t = {
   name : string;
   dtype : Dtype.t;

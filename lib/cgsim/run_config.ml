@@ -1,7 +1,7 @@
 (* The single knob record for every execution path.
 
    Before this existed, Runtime/Pool/X86sim each grew their own sprawl of
-   optional arguments (?hooks ?queue_capacity ?lint ...) and every new
+   optional arguments (?queue_capacity ?lint ...) and every new
    capability (deadlines, retries, faults) would have tripled the
    sprawl.  A Run_config is built once — [default |> with_*] — and
    threaded through instantiate/execute/Pool.run/X86sim.Sim.run. *)
@@ -13,7 +13,6 @@ type lint_level =
   ]
 
 type t = {
-  hooks : Hooks.t;
   queue_capacity : int option;
   lint : lint_level;
   deadline_ns : float option;
@@ -30,7 +29,6 @@ type t = {
 
 let default =
   {
-    hooks = Hooks.none;
     queue_capacity = None;
     lint = `Warn;
     deadline_ns = None;
@@ -45,7 +43,6 @@ let default =
     auto_capacity = false;
   }
 
-let with_hooks hooks t = { t with hooks }
 let with_queue_capacity c t = { t with queue_capacity = Some c }
 let with_lint lint t = { t with lint }
 let with_deadline_ns d t = { t with deadline_ns = Some d }

@@ -19,7 +19,6 @@ type lint_level =
   ]
 
 type t = {
-  hooks : Hooks.t;  (** Port/body interception; default {!Hooks.none}. *)
   queue_capacity : int option;
       (** Override every net's resolved queue depth; default per-net. *)
   lint : lint_level;  (** Pre-flight static analysis (default [`Warn]). *)
@@ -54,7 +53,6 @@ type t = {
 
 val default : t
 
-val with_hooks : Hooks.t -> t -> t
 val with_queue_capacity : int -> t -> t
 val with_lint : lint_level -> t -> t
 val with_deadline_ns : float -> t -> t

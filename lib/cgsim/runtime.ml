@@ -2,88 +2,6 @@ exception Runtime_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
-(* Hooks are defined in their own module (dependency-cycle avoidance);
-   re-exported here under the historical names. *)
-type wrap_hooks = Hooks.t = {
-  wrap_reader : Serialized.kernel_inst -> int -> Port.reader -> Port.reader;
-  wrap_writer : Serialized.kernel_inst -> int -> Port.writer -> Port.writer;
-  around_body : Serialized.kernel_inst -> (unit -> unit) -> unit -> unit;
-}
-
-let no_hooks = Hooks.none
-
-let compose_hooks = Hooks.compose
-
-(* Observability instrumentation, expressed as ordinary wrap_hooks: per
-   port element counters and kernel body lifecycle instants.  Installed
-   automatically by [instantiate] when a trace session is active, inside
-   any caller-supplied hooks (so e.g. aiesim's capture wrappers see the
-   same values they always did). *)
-let obs_hooks () =
-  {
-    wrap_reader =
-      (fun _inst _idx r ->
-        let key = "port.get:" ^ r.Port.r_name in
-        {
-          r with
-          Port.r_get =
-            (fun () ->
-              let v = r.Port.r_get () in
-              Obs.Trace.incr_metric key;
-              v);
-          Port.r_get_block =
-            (fun n ->
-              let vs = r.Port.r_get_block n in
-              (* One metric update per block, same totals as per-element. *)
-              Obs.Trace.add_metric key (float_of_int (Array.length vs));
-              vs);
-          Port.r_get_floats =
-            (fun n ->
-              let fs = r.Port.r_get_floats n in
-              Obs.Trace.add_metric key (float_of_int (Array.length fs));
-              fs);
-          Port.r_get_ints =
-            (fun n ->
-              let is = r.Port.r_get_ints n in
-              Obs.Trace.add_metric key (float_of_int (Array.length is));
-              is);
-        });
-    wrap_writer =
-      (fun _inst _idx w ->
-        let key = "port.put:" ^ w.Port.w_name in
-        {
-          w with
-          Port.w_put =
-            (fun v ->
-              w.Port.w_put v;
-              Obs.Trace.incr_metric key);
-          Port.w_put_block =
-            (fun vs ->
-              w.Port.w_put_block vs;
-              Obs.Trace.add_metric key (float_of_int (Array.length vs)));
-          Port.w_put_floats =
-            (fun fs ->
-              w.Port.w_put_floats fs;
-              Obs.Trace.add_metric key (float_of_int (Array.length fs)));
-          Port.w_put_ints =
-            (fun is ->
-              w.Port.w_put_ints is;
-              Obs.Trace.add_metric key (float_of_int (Array.length is)));
-        });
-    around_body =
-      (fun inst body () ->
-        let track = inst.Serialized.inst_name in
-        Obs.Trace.instant ~track ~cat:"kernel" "body-start";
-        match body () with
-        | () -> Obs.Trace.instant ~track ~cat:"kernel" "body-end"
-        | exception Sched.End_of_stream ->
-          Obs.Trace.instant ~track ~cat:"kernel" "body-end";
-          raise Sched.End_of_stream
-        | exception e ->
-          Obs.Trace.instant ~track ~cat:"kernel" "body-raise";
-          raise e);
-  }
-
 type lint_level = Run_config.lint_level
 
 (* The pre-flight: at [`Warn] print warning- and error-level findings
@@ -183,12 +101,11 @@ let pp_outcome ppf = function
      verdict.  Built once, shared freely.
 
    - [t] (an instance): the mutable per-request state — queues with their
-     registered endpoints and sealed SPSC plan, the scheduler, failure
-     slot and the I/O slots of the current run.  [reset] restores a used
-     instance to pristine without reallocating any of it; [arm] (called
-     by every [run]) re-applies the hook stack to the raw ports and
-     respawns all fibers, so per-instantiation hook state (fault access
-     counters, tracing) behaves exactly as a fresh build. *)
+     registered endpoints, the scheduler, failure slot and the I/O slots
+     of the current run.  [reset] restores a used instance to pristine
+     without reallocating any of it; [arm] (called by every [run]) taps
+     the raw ports afresh and respawns all fibers, so per-run tap state
+     (fault access counters, tracing) behaves exactly as a fresh build. *)
 
 type compiled = {
   c_graph : Serialized.t;
@@ -198,8 +115,8 @@ type compiled = {
   c_capacities : int array;  (* per net id *)
 }
 
-(* One kernel port wired to its queue endpoint.  Raw (unhooked) port
-   records are built once per instance; [arm] wraps them per run. *)
+(* One kernel port wired to its queue endpoint.  Raw (untapped) port
+   records are built once per instance; [arm] taps them per run. *)
 type port_wire =
   | Wire_in of int * Port.reader  (* port index in inst.ports *)
   | Wire_out of int * Port.writer
@@ -212,11 +129,16 @@ type wired_kernel = {
   wk_producers : Bqueue.producer list;  (* closed when the fiber ends *)
 }
 
+type tap_source = Serialized.kernel_inst -> int -> string -> Port.tap option
+
+let no_taps _ _ _ = None
+
 type t = {
   graph : Serialized.t;
   sched : Sched.t;
   queues : Bqueue.t array;  (* indexed by net id *)
   config : Run_config.t;
+  tap : tap_source;  (* the caller's port taps *)
   kernels : wired_kernel array;
   in_producers : Bqueue.producer array;  (* per input_order slot *)
   out_consumers : Bqueue.consumer array;  (* per output_order slot *)
@@ -314,10 +236,9 @@ let check_wiring ~(g : Serialized.t) queues =
 
 (* Build the per-request state from a compiled graph: queues, endpoint
    registration (kernel ports and one producer/consumer per global I/O
-   slot, so endpoint counts are static and the SPSC seal survives
-   resets), wiring check and seal — everything [run] does not have to
-   repeat. *)
-let new_instance (c : compiled) =
+   slot, so endpoint counts are static across resets) and the wiring
+   check — everything [run] does not have to repeat. *)
+let new_instance ?(tap = no_taps) (c : compiled) =
   let g = c.c_graph in
   let config = c.c_config in
   let sched = Sched.create () in
@@ -338,9 +259,8 @@ let new_instance (c : compiled) =
             (fun port_idx (spec : Kernel.port_spec) ->
               let net_id = inst.port_nets.(port_idx) in
               let q = queues.(net_id) in
-              Port.check_dtype ~expected:spec.Kernel.dtype ~actual:(Bqueue.dtype q)
-                ~what:(Printf.sprintf "%s.%s" inst.inst_name spec.Kernel.pname);
               let pname = Printf.sprintf "%s.%s" inst.inst_name spec.Kernel.pname in
+              Port.check_dtype ~expected:spec.Kernel.dtype ~actual:(Bqueue.dtype q) ~what:pname;
               match spec.Kernel.dir with
               | Kernel.In ->
                 let cns = Bqueue.add_consumer q in
@@ -388,12 +308,12 @@ let new_instance (c : compiled) =
     Array.map (fun net_id -> Bqueue.add_consumer queues.(net_id)) g.Serialized.output_order
   in
   check_wiring ~g queues;
-  Array.iter Bqueue.seal queues;
   {
     graph = g;
     sched;
     queues;
     config;
+    tap;
     kernels;
     in_producers;
     out_consumers;
@@ -403,12 +323,12 @@ let new_instance (c : compiled) =
     failure = None;
   }
 
-let instantiate ?config (g : Serialized.t) = new_instance (compile ?config g)
+let instantiate ?config ?tap (g : Serialized.t) = new_instance ?tap (compile ?config g)
 
 (* Restore a used instance to pristine: ring cursors, producer-open
    flags, scheduler state and the failure slot all return to their
-   just-built values; nothing is reallocated and the endpoint set (and
-   with it the sealed SPSC plan) is preserved. *)
+   just-built values; nothing is reallocated and the endpoint set is
+   preserved. *)
 let reset t =
   Array.iter Bqueue.reset t.queues;
   Sched.reset t.sched;
@@ -417,80 +337,90 @@ let reset t =
   t.ran <- false;
   t.failure <- None
 
-(* Failure supervision, expressed as the outermost body hook: a kernel
-   body raising is recorded — kernel name, exception, backtrace, source
-   span from the graph — before the scheduler's fiber boundary sees it.
-   Only the first failure is kept (later ones are usually collateral). *)
-let supervise_hooks (t : t) =
-  {
-    Hooks.wrap_reader = (fun _ _ r -> r);
-    wrap_writer = (fun _ _ w -> w);
-    around_body =
-      (fun inst body () ->
-        try body () with
-        | (Sched.End_of_stream | Sched.Terminated) as e -> raise e
-        | e ->
-          let bt = Printexc.get_backtrace () in
-          Obs.Flight.note Obs.Flight.Body_raise inst.Serialized.inst_name;
-          if t.failure = None then
-            (* Snapshot here, on the failing domain, while the ring still
-               holds the events leading up to the raise. *)
-            t.failure <-
-              Some
-                {
-                  f_graph = t.graph.Serialized.gname;
-                  f_kernel = inst.Serialized.inst_name;
-                  f_exn = e;
-                  f_backtrace = String.trim bt;
-                  f_src = inst.Serialized.src;
-                  f_flight = Obs.Flight.snapshot ();
-                };
-          raise e);
-  }
+(* A kernel fiber's body: the kernel itself, bracketed by lifecycle
+   instants when traced, under failure supervision.  A body raising is
+   recorded — kernel name, exception, backtrace, source span from the
+   graph — before the scheduler's fiber boundary sees it; only the first
+   failure is kept (later ones are usually collateral). *)
+let kernel_body t ~traced wk binding () =
+  let track = wk.wk_inst.Serialized.inst_name in
+  let instant name = if traced then Obs.Trace.instant ~track ~cat:"kernel" name in
+  instant "body-start";
+  match wk.wk_kernel.Kernel.body binding with
+  | () -> instant "body-end"
+  | exception Sched.End_of_stream ->
+    instant "body-end";
+    raise Sched.End_of_stream
+  | exception (Sched.Terminated as e) ->
+    instant "body-raise";
+    raise e
+  | exception e ->
+    let bt = Printexc.get_backtrace () in
+    instant "body-raise";
+    Obs.Flight.note Obs.Flight.Body_raise track;
+    if t.failure = None then
+      (* Snapshot here, on the failing domain, while the ring still
+         holds the events leading up to the raise. *)
+      t.failure <-
+        Some
+          {
+            f_graph = t.graph.Serialized.gname;
+            f_kernel = track;
+            f_exn = e;
+            f_backtrace = String.trim bt;
+            f_src = wk.wk_inst.Serialized.src;
+            f_flight = Obs.Flight.snapshot ();
+          };
+    raise e
 
-(* Arm the instance for one run: compose the hook stack and spawn every
-   fiber.  Hook nesting, outermost first: failure supervision, caller
-   hooks, observability counters, fault injection.  Faults sit innermost
-   so an injected raise unwinds through (and is seen by) every other
-   layer, exactly like a real kernel bug.  Re-wrapping per run keeps
-   per-instantiation hook state — fault access counters, trace-session
-   checks — identical to a fresh build. *)
+(* Arm the instance for one run: tap the raw ports and spawn every
+   fiber.  Taps are listed fault first, so an injected fault fires
+   before the transfer and the trace counters and the caller's tap
+   (aiesim capture) record only transfers that happened.  Re-tapping per
+   run keeps per-run tap state — fault access counters, the trace-session
+   check — identical to a fresh build; with no faults, no trace session
+   and no caller tap, kernels get the raw queue closures. *)
 let arm t =
-  let config = t.config in
-  let hooks = Hooks.compose (supervise_hooks t) config.Run_config.hooks in
-  let hooks = if !Obs.Trace.on then Hooks.compose hooks (obs_hooks ()) else hooks in
-  let hooks =
-    match config.Run_config.faults with
-    | None -> hooks
-    | Some plan -> Hooks.compose hooks (Faults.hooks plan)
+  let traced = !Obs.Trace.on in
+  let faults = match t.config.Run_config.faults with Some plan -> Faults.tap plan | None -> no_taps in
+  let counter prefix name =
+    if traced then begin
+      let key = prefix ^ name in
+      Some { Port.no_tap with after = (fun n -> Obs.Trace.add_metric key (float_of_int n)) }
+    end
+    else None
   in
-  let wrap_binding wk =
-    let readers = ref [] in
-    let writers = ref [] in
-    Array.iter
-      (fun wire ->
-        match wire with
-        | Wire_in (port_idx, r) ->
-          readers := hooks.Hooks.wrap_reader wk.wk_inst port_idx r :: !readers
-        | Wire_out (port_idx, w) ->
-          writers := hooks.Hooks.wrap_writer wk.wk_inst port_idx w :: !writers)
-      wk.wk_wires;
-    {
-      Kernel.readers = Array.of_list (List.rev !readers);
-      writers = Array.of_list (List.rev !writers);
-    }
+  let taps inst port_idx name count =
+    List.filter_map Fun.id [ faults inst port_idx name; count; t.tap inst port_idx name ]
   in
   Array.iter
     (fun wk ->
-      let binding = wrap_binding wk in
+      let inst = wk.wk_inst in
+      let readers = ref [] in
+      let writers = ref [] in
+      Array.iter
+        (function
+          | Wire_in (i, r) ->
+            let count = counter "port.get:" r.Port.r_name in
+            readers := Port.tap_reader (taps inst i r.Port.r_name count) r :: !readers
+          | Wire_out (i, w) ->
+            let count = counter "port.put:" w.Port.w_name in
+            writers := Port.tap_writer (taps inst i w.Port.w_name count) w :: !writers)
+        wk.wk_wires;
+      let binding =
+        {
+          Kernel.readers = Array.of_list (List.rev !readers);
+          writers = Array.of_list (List.rev !writers);
+        }
+      in
       let producers = wk.wk_producers in
-      Sched.spawn ~prof_key:wk.wk_prof_key t.sched ~name:wk.wk_inst.inst_name (fun () ->
+      Sched.spawn ~prof_key:wk.wk_prof_key t.sched ~name:inst.inst_name (fun () ->
           (* When a kernel terminates (normally or via End_of_stream), its
              output nets lose one producer; fully-drained nets close and the
              closure propagates downstream. *)
           Fun.protect
             ~finally:(fun () -> List.iter Bqueue.producer_done producers)
-            (hooks.Hooks.around_body wk.wk_inst (fun () -> wk.wk_kernel.Kernel.body binding))))
+            (kernel_body t ~traced wk binding)))
     t.kernels;
   Array.iteri
     (fun i net_id ->
@@ -631,7 +561,7 @@ let run t ~sources ~sinks =
         | [] -> Completed stats
         | (name, exn) :: _ ->
           (* A source/sink fiber failed (kernel failures are recorded by
-             the supervision hook above, with more context). *)
+             [kernel_body] above, with more context). *)
           Kernel_failed
             {
               f_graph = t.graph.Serialized.gname;

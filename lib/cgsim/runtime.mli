@@ -18,8 +18,16 @@
     {!Run_config.t} pair alone) and cheap per-request
     instances: {!new_instance} builds one, a run uses it, and {!reset}
     restores it to pristine without reallocation so warm serving reuses
-    queues, endpoints and the sealed SPSC plan.  {!instantiate} remains
-    the one-shot convenience (compile + new instance). *)
+    queues and endpoints.  {!instantiate} remains the one-shot
+    convenience (compile + new instance).
+
+    Every run taps the kernel ports ({!Port.tap}) with, in order: the
+    fault plan's tap when [config.faults] is set, the per-port element
+    counters [port.get:NAME]/[port.put:NAME] when an {!Obs.Trace}
+    session is active, and the caller's [?tap].  A run with none of
+    these binds kernels to the raw queue closures.  Kernel bodies are
+    supervised (a raise becomes [Kernel_failed]) and, when traced, emit
+    [body-start]/[body-end]/[body-raise] instants. *)
 
 type t
 
@@ -41,30 +49,13 @@ type lint_level = Run_config.lint_level
     {!Runtime_error} at [`Error] when any finding is error-level. *)
 val preflight : lint:lint_level -> Serialized.t -> unit
 
-(** Hooks letting a simulator intercept every kernel-port access without
-    changing kernel code — the mechanism aiesim uses to count stream
-    traffic and attribute cycle costs per endpoint.  The type is an
-    equation over {!Hooks.t}, so record construction through either
-    path is interchangeable. *)
-type wrap_hooks = Hooks.t = {
-  wrap_reader : Serialized.kernel_inst -> int -> Port.reader -> Port.reader;
-      (** [wrap_reader inst port_idx r]; [port_idx] indexes [inst.ports]. *)
-  wrap_writer : Serialized.kernel_inst -> int -> Port.writer -> Port.writer;
-  around_body : Serialized.kernel_inst -> (unit -> unit) -> unit -> unit;
-      (** Wraps the whole kernel body invocation. *)
-}
-
-val no_hooks : wrap_hooks
-
-(** [compose_hooks outer inner] nests hook layers: readers/writers are
-    wrapped by [inner] first, then [outer]; bodies likewise. *)
-val compose_hooks : wrap_hooks -> wrap_hooks -> wrap_hooks
-
-(** The observability hooks (per-port element counters, kernel body
-    lifecycle instants into the active {!Obs.Trace} session).  They are
-    installed automatically by {!instantiate} whenever a trace session
-    is active; exposed for simulators that build bindings themselves. *)
-val obs_hooks : unit -> wrap_hooks
+(** A source of port taps: [src inst port_idx name] is the tap for port
+    [port_idx] (indexing [inst.ports]) of kernel instance [inst], whose
+    port name ([r_name]/[w_name], ["<instance>.<port>"]) is [name], or
+    [None] to leave that port alone.  It is called afresh for every
+    {!run}, so a tap may keep per-run state.  aiesim captures its event
+    trace this way. *)
+type tap_source = Serialized.kernel_inst -> int -> string -> Port.tap option
 
 (** {1 Structured outcomes} *)
 
@@ -117,12 +108,10 @@ val stats_exn : outcome -> Sched.stats
     reconstructs the graph under [config] (default
     {!Run_config.default}).  Queue capacities derive from each net's
     resolved settings unless [config.queue_capacity] overrides them all.
-    Ports always take the block transfers, scalar nets always use flat
-    storage, and every 1:1 net is sealed onto the SPSC path
-    ({!Bqueue.seal}).  [config.hooks] are installed around every
-    kernel port and body; [config.faults] wraps innermost.  Raises
+    Ports always take the block transfers and scalar nets always use
+    flat storage.  [tap] is the caller's port tap (see above).  Raises
     exactly as {!compile} does. *)
-val instantiate : ?config:Run_config.t -> Serialized.t -> t
+val instantiate : ?config:Run_config.t -> ?tap:tap_source -> Serialized.t -> t
 
 (** {1 Compile-once serving}
 
@@ -146,15 +135,15 @@ val compiled_config : compiled -> Run_config.t
 
 (** [new_instance c] builds the per-request state: queues at the
     compiled capacities, all kernel and global-I/O endpoints registered
-    (so endpoint counts are static and the SPSC seal survives resets),
-    wiring verified and queues sealed.  The instance is ready for one
-    {!run}; {!reset} readies it for the next. *)
-val new_instance : compiled -> t
+    (so endpoint counts are static across resets) and wiring verified.
+    [tap] is the caller's port tap, applied on every run.  The instance
+    is ready for one {!run}; {!reset} readies it for the next. *)
+val new_instance : ?tap:tap_source -> compiled -> t
 
 (** [reset t] restores a used instance to its just-built state without
     reallocating: ring cursors and sequence numbers return to zero,
     producers reopen, the scheduler empties and the failure slot clears,
-    while the endpoint set and sealed SPSC plan are preserved.  Works after any outcome, including [Kernel_failed] and
+    while the endpoint set is preserved.  Works after any outcome, including [Kernel_failed] and
     [Deadline_exceeded] (every run drives remaining fibers to
     termination first).  Must not be called while {!run} is in progress
     (raises [Invalid_argument]). *)
@@ -190,7 +179,7 @@ val execute_exn :
   Sched.stats
 
 (** Request cooperative cancellation of a run in progress (thread-safe;
-    callable from another domain or from inside a hook).  The run winds
+    callable from another domain or from inside a port tap).  The run winds
     down at the next scheduling boundary and {!run} returns [Cancelled]. *)
 val cancel : t -> unit
 

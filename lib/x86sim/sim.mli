@@ -12,9 +12,10 @@
     fields that make sense here are [queue_capacity], [lint] and
     [deadline_ns] (enforced by a watchdog that poisons every {!Tqueue}
     on expiry, raising [Terminated] in all blocked threads).  The
-    cooperative-scheduler knobs — [hooks], [faults], [max_steps],
-    retry/breaker — do not apply to the threaded backend and
-    are ignored. *)
+    cooperative-scheduler knobs — [faults], [max_steps], retry/breaker —
+    do not apply to the threaded backend, and neither does
+    [auto_capacity] (queues keep their declared depths); all are
+    ignored. *)
 
 exception X86sim_error of string
 

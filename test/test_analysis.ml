@@ -371,7 +371,7 @@ let fanout_graph ~suppress name =
       List.iter (fun t -> ignore (Cgsim.Builder.add_kernel bld t [ mid ])) taps;
       if suppress then
         Cgsim.Builder.attach_attributes bld mid
-          [ Cgsim.Attr.s "lint.suppress" "CG-W301, CG-W302" ];
+          [ Cgsim.Attr.s "lint.suppress" "CG-W301" ];
       (* The broadcast net is also the graph output: 4 kernel readers
          plus the sink fiber = 5 consumers. *)
       [ mid ])
@@ -383,18 +383,6 @@ let test_hazard_fanout () =
     Alcotest.(check bool) "warning severity" true (d.D.severity = D.Warning);
     Alcotest.(check bool) "counts all consumers" true (contains "5 consumers" d.D.message)
   | ds -> Alcotest.failf "expected one CG-W301, got %d" (List.length ds)
-
-let test_hazard_spsc_demotion () =
-  let src = stream_kernel "ana_spsc_src" in
-  let tap = sink_kernel "ana_spsc_tap" in
-  let g =
-    Cgsim.Builder.make ~name:"ana_spsc" ~inputs:[ "in", Cgsim.Dtype.F32 ] (fun bld conns ->
-        let mid = Cgsim.Builder.net bld Cgsim.Dtype.F32 in
-        ignore (Cgsim.Builder.add_kernel bld src [ List.hd conns; mid ]);
-        ignore (Cgsim.Builder.add_kernel bld tap [ mid ]);
-        [ mid ])
-  in
-  Alcotest.(check bool) "tap demotion flagged" true (has_code "CG-W302" (Hazards.analyze g))
 
 let test_hazard_partial_beat () =
   (* 12-byte elements into 8-byte beats: neither divides the other. *)
@@ -420,8 +408,7 @@ let test_hazard_partial_beat () =
 let test_suppression () =
   let g = fanout_graph ~suppress:true "ana_fansup" in
   let diags = Lint.run g in
-  Alcotest.(check bool) "CG-W301 suppressed" false (has_code "CG-W301" diags);
-  Alcotest.(check bool) "CG-W302 suppressed" false (has_code "CG-W302" diags)
+  Alcotest.(check bool) "CG-W301 suppressed" false (has_code "CG-W301" diags)
 
 (* ------------------------------------------------------------------ *)
 (* Pool safety                                                         *)
@@ -665,41 +652,49 @@ let test_extractor_refuses_error_graphs () =
   | exception Extractor.Project.Extract_error msg ->
     Alcotest.(check bool) "mentions the deadlock" true (contains "CG-E201" msg)
 
-let tapped_cgc =
+(* [mid] feeds four monitors and is also a graph output: five
+   consumers, one more than the broadcast fan-out threshold. *)
+let fanout_cgc =
   {|#include "cgsim.hpp"
 
-COMPUTE_KERNEL(aie, cgc_tap_src, KernelReadPort<float> in, KernelWritePort<float> out) {
+COMPUTE_KERNEL(aie, cgc_fan_src, KernelReadPort<float> in, KernelWritePort<float> out) {
     while (true) { co_await out.put(co_await in.get()); }
 };
 
-COMPUTE_KERNEL(aie, cgc_tap_mon, KernelReadPort<float> in, KernelWritePort<float> out) {
+COMPUTE_KERNEL(aie, cgc_fan_mon, KernelReadPort<float> in, KernelWritePort<float> out) {
     while (true) { co_await out.put(co_await in.get()); }
 };
 
 [[extract_compute_graph]]
-constexpr auto cgc_tapped = make_compute_graph_v<[](
+constexpr auto cgc_fanout = make_compute_graph_v<[](
     IoConnector<float> in
 ) {
     IoConnector<float> mid;
-    IoConnector<float> aux;
-    cgc_tap_src(in, mid);
-    cgc_tap_mon(mid, aux);
-    return std::make_tuple(mid, aux);
+    IoConnector<float> a0;
+    IoConnector<float> a1;
+    IoConnector<float> a2;
+    IoConnector<float> a3;
+    cgc_fan_src(in, mid);
+    cgc_fan_mon(mid, a0);
+    cgc_fan_mon(mid, a1);
+    cgc_fan_mon(mid, a2);
+    cgc_fan_mon(mid, a3);
+    return std::make_tuple(mid, a0, a1, a2, a3);
 }>;
 |}
 
 let test_extractor_embeds_warnings () =
-  match Extractor.Project.extract_string ~file:"tapped.cgc" tapped_cgc with
+  match Extractor.Project.extract_string ~file:"fanout.cgc" fanout_cgc with
   | [ p ] ->
-    Alcotest.(check bool) "lint carries the tap warning" true
-      (has_code "CG-W302" p.Extractor.Project.lint);
+    Alcotest.(check bool) "lint carries the fan-out warning" true
+      (has_code "CG-W301" p.Extractor.Project.lint);
     let readme =
       List.find
         (fun f -> f.Extractor.Project.rel_path = "README.md")
         p.Extractor.Project.files
     in
     Alcotest.(check bool) "README embeds the warning" true
-      (contains "CG-W302" readme.Extractor.Project.contents)
+      (contains "CG-W301" readme.Extractor.Project.contents)
   | ps -> Alcotest.failf "expected one project, got %d" (List.length ps)
 
 (* ------------------------------------------------------------------ *)
@@ -756,12 +751,12 @@ let test_srcspan_compact_roundtrip () =
   | None -> Alcotest.fail "compact form did not parse back"
 
 let test_graph_text_src_roundtrip () =
-  let env = Cgc.Driver.analyze_string ~file:"tapped.cgc" tapped_cgc in
+  let env = Cgc.Driver.analyze_string ~file:"fanout.cgc" fanout_cgc in
   match Cgc.Sema.graphs env with
   | [ g ] ->
     let serialized = Cgc.Consteval.eval_graph env g in
     let text = Cgsim.Graph_text.to_string serialized in
-    Alcotest.(check bool) "text carries src lines" true (contains "src tapped.cgc:" text);
+    Alcotest.(check bool) "text carries src lines" true (contains "src fanout.cgc:" text);
     let back =
       match Cgsim.Graph_text.of_string text with
       | Ok back -> back
@@ -819,7 +814,6 @@ let () =
       ( "hazards",
         [
           Alcotest.test_case "broadcast fan-out" `Quick test_hazard_fanout;
-          Alcotest.test_case "spsc demotion" `Quick test_hazard_spsc_demotion;
           Alcotest.test_case "partial beat" `Quick test_hazard_partial_beat;
           Alcotest.test_case "suppression attr" `Quick test_suppression;
         ] );

@@ -257,6 +257,33 @@ let test_cgsim_blocked_time_recorded () =
   in
   Alcotest.(check bool) "parks counted" true parks
 
+let test_cgsim_port_counters () =
+  (* The runtime's per-port counters on a real run: bitonic's one kernel
+     reads every element fed in and writes every element collected. *)
+  let h = Apps.Harness.bitonic in
+  let reps = 4 in
+  let fed = Array.length (Apps.Bitonic.input_floats ~reps) in
+  let collected, session =
+    Obs.Trace.with_session (fun () ->
+        let sinks, contents = h.Apps.Harness.make_sinks () in
+        ignore
+          (Cgsim.Runtime.execute_exn (h.Apps.Harness.graph ())
+             ~sources:(h.Apps.Harness.sources ~reps) ~sinks);
+        List.length (contents ()))
+  in
+  Alcotest.(check int) "every element fed is collected" fed collected;
+  let total prefix =
+    List.fold_left
+      (fun acc (c : Obs.Metrics.counter_snapshot) ->
+        let name = c.Obs.Metrics.c_name in
+        if String.starts_with ~prefix name then acc +. c.Obs.Metrics.total else acc)
+      0.0 (Obs.Metrics.snapshot session.Obs.Trace.metrics).Obs.Metrics.counters
+  in
+  Alcotest.(check (float 0.0)) "port.get total = elements fed" (float_of_int fed)
+    (total "port.get:");
+  Alcotest.(check (float 0.0)) "port.put total = elements collected" (float_of_int collected)
+    (total "port.put:")
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end: Chrome export parses back                              *)
 (* ------------------------------------------------------------------ *)
@@ -618,6 +645,7 @@ let () =
           Alcotest.test_case "occupancy bounded by capacity" `Quick test_cgsim_occupancy_bounded;
           Alcotest.test_case "slice spans match stats" `Quick test_cgsim_slices_match_stats;
           Alcotest.test_case "blocked time recorded" `Quick test_cgsim_blocked_time_recorded;
+          Alcotest.test_case "port counters match traffic" `Quick test_cgsim_port_counters;
         ] );
       ( "export",
         [

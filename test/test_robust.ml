@@ -162,27 +162,24 @@ let test_max_steps_budget () =
   | o -> Alcotest.failf "expected Deadline_exceeded, got %a" Cgsim.Runtime.pp_outcome o
 
 let test_cancel_mid_run () =
-  (* Cooperative cancellation requested from inside a hook (as another
+  (* Cooperative cancellation requested from inside a port tap (as another
      domain would): the run winds down and reports Cancelled. *)
   let target = ref None in
   let reads = ref 0 in
-  let hooks =
-    {
-      Cgsim.Runtime.no_hooks with
-      Cgsim.Runtime.wrap_reader =
-        (fun _inst _idx r ->
-          {
-            r with
-            Cgsim.Port.r_get =
-              (fun () ->
-                incr reads;
-                if !reads = 5 then Option.iter Cgsim.Runtime.cancel !target;
-                r.Cgsim.Port.r_get ());
-          });
-    }
+  let tap (inst : Cgsim.Serialized.kernel_inst) port_idx _name =
+    match inst.Cgsim.Serialized.ports.(port_idx).Cgsim.Kernel.dir with
+    | Cgsim.Kernel.Out -> None
+    | Cgsim.Kernel.In ->
+      Some
+        {
+          Cgsim.Port.no_tap with
+          before =
+            (fun () ->
+              incr reads;
+              if !reads = 5 then Option.iter Cgsim.Runtime.cancel !target);
+        }
   in
-  let config = Cgsim.Run_config.(with_hooks hooks default) in
-  let t = Cgsim.Runtime.instantiate ~config (chain_graph ()) in
+  let t = Cgsim.Runtime.instantiate ~tap (chain_graph ()) in
   target := Some t;
   (match Cgsim.Runtime.run t ~sources:[ chain_input 64 ] ~sinks:[ Cgsim.Io.null () ] with
    | Cgsim.Runtime.Cancelled -> ()
@@ -253,6 +250,38 @@ let test_fault_delay_is_transparent () =
   Alcotest.(check (array (float 1e-6))) "output unchanged"
     (Array.init 16 (fun i -> 4.0 *. float_of_int i))
     (contents ())
+
+(* Farrow at 2 reps under [config]; fails unless the run completes. *)
+let run_farrow ?config () =
+  let h = Apps.Harness.farrow in
+  let sinks, contents = h.Apps.Harness.make_sinks () in
+  match
+    Cgsim.Runtime.execute ?config (h.Apps.Harness.graph ()) ~sources:(h.Apps.Harness.sources ~reps:2)
+      ~sinks
+  with
+  | Cgsim.Runtime.Completed stats -> stats, contents ()
+  | o -> Alcotest.failf "farrow must complete, got %a" Cgsim.Runtime.pp_outcome o
+
+let test_fault_backpressure () =
+  (* Backpressure holds the writer's space probe at 0, so farrow stage 1's
+     put_window2 degrades to one element per chunk and every put first
+     yields: more scheduler slices, the same bits. *)
+  let stage1 =
+    let g = Apps.Harness.farrow.Apps.Harness.graph () in
+    (List.find
+       (fun (k : Cgsim.Serialized.kernel_inst) -> k.Cgsim.Serialized.key = "farrow_stage1")
+       (Array.to_list g.Cgsim.Serialized.kernels))
+      .Cgsim.Serialized.inst_name
+  in
+  let clean_stats, clean = run_farrow () in
+  let faults = Cgsim.Faults.(plan ~seed:3 [ backpressure_on ~kernel:stage1 ~after:1 () ]) in
+  let stats, out = run_farrow ~config:Cgsim.Run_config.(with_faults faults default) () in
+  Alcotest.(check int) "one injection" 1 (Cgsim.Faults.injected faults);
+  Alcotest.(check int) "same output length" (List.length clean) (List.length out);
+  Alcotest.(check bool) "bit-identical output" true (List.for_all2 Cgsim.Value.equal clean out);
+  if stats.Cgsim.Sched.slices <= clean_stats.Cgsim.Sched.slices then
+    Alcotest.failf "backpressure must cost slices: %d faulted vs %d clean" stats.Cgsim.Sched.slices
+      clean_stats.Cgsim.Sched.slices
 
 let test_fault_seed_derived_activations () =
   (* Unspecified activation counts resolve deterministically from the
@@ -483,6 +512,7 @@ let () =
           Alcotest.test_case "raise is deterministic" `Quick test_fault_raise_deterministic;
           Alcotest.test_case "budget then recovery" `Quick test_fault_budget_recovers;
           Alcotest.test_case "delay is transparent" `Quick test_fault_delay_is_transparent;
+          Alcotest.test_case "backpressure is transparent" `Quick test_fault_backpressure;
           Alcotest.test_case "seeded arming" `Quick test_fault_seed_derived_activations;
         ] );
       ( "pool-supervision",

@@ -407,10 +407,9 @@ end
 module Drive_b = Drive (Cgsim.Bqueue)
 module Drive_t = Drive (X86sim.Tqueue)
 
-(* Bqueue: sealed (1:1 queues take the SPSC path), then one fiber under
-   Sched; a fiber that parked would leave no result. *)
-let in_fiber q f =
-  Cgsim.Bqueue.seal q;
+(* Bqueue: one fiber under Sched; a fiber that parked would leave no
+   result. *)
+let in_fiber _q f =
   let out = ref [] in
   let s = Cgsim.Sched.create () in
   Cgsim.Sched.spawn s ~name:"program" (fun () -> out := f ());
