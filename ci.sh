@@ -167,6 +167,17 @@ if grep -rnE 'Hooks\.|wrap_reader|wrap_writer|around_body|with_hooks|compose_hoo
 fi
 echo "no data-path switch, SPSC seal or Hooks references"
 
+echo "== intrinsics-only kernels gate =="
+# Kernel bodies charge architectural costs only through Aie.Intrinsics,
+# which emits each op's event with its slot count: a kernel that calls
+# the Trace emitters by hand can drift from the intrinsic it imitates.
+# Iteration marks and pipelined-loop regions stay kernel-level.
+if grep -rnE 'Aie\.Trace\.(vop|sop|load|store|emit)' lib/apps; then
+  echo "ci: a kernel under lib/apps emits trace costs by hand (use Aie.Intrinsics)" >&2
+  exit 1
+fi
+echo "no hand-emitted costs in lib/apps"
+
 echo "== GC-settings gate =="
 # Library code must not mutate process-wide GC state: a Gc.set reaches
 # only the calling domain's minor heap (domains spawned later start at

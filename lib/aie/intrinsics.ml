@@ -6,107 +6,133 @@ let i16_slots lanes = max 1 (ceil_div lanes Cfg.int16_macs_per_cycle)
 
 let i32_slots lanes = max 1 (ceil_div lanes Cfg.int32_macs_per_cycle)
 
-let fp2 name f a b =
-  Trace.vop ~slots:(fp_slots (Array.length a)) name;
-  f a b
+(* Every op tests [!Trace.enabled] before it computes a slot count or
+   builds an event, then calls its Vec op directly: untraced, a call costs
+   one branch and one lane loop, and allocates only its result. *)
+let vop name slots = Trace.emit (Trace.Vop { name; slots })
 
-let fpadd a b = fp2 "fpadd" Vec.fadd a b
+let fpadd a b =
+  if !Trace.enabled then vop "fpadd" (fp_slots (Array.length a));
+  Vec.fadd a b
 
-let fpsub a b = fp2 "fpsub" Vec.fsub a b
+let fpsub a b =
+  if !Trace.enabled then vop "fpsub" (fp_slots (Array.length a));
+  Vec.fsub a b
 
-let fpmul a b = fp2 "fpmul" Vec.fmul a b
+let fpmul a b =
+  if !Trace.enabled then vop "fpmul" (fp_slots (Array.length a));
+  Vec.fmul a b
 
 let fpmac acc a b =
-  Trace.vop ~slots:(fp_slots (Array.length a)) "fpmac";
+  if !Trace.enabled then vop "fpmac" (fp_slots (Array.length a));
   Vec.fmac acc a b
 
-let fpmax a b = fp2 "fpmax" Vec.fmax a b
+let fpmac_scalar acc s b =
+  if !Trace.enabled then vop "fpmac" (fp_slots (Array.length b));
+  Vec.fmac_scalar acc s b
 
-let fpmin a b = fp2 "fpmin" Vec.fmin a b
+let fpmax a b =
+  if !Trace.enabled then vop "fpmax" (fp_slots (Array.length a));
+  Vec.fmax a b
+
+let fpmin a b =
+  if !Trace.enabled then vop "fpmin" (fp_slots (Array.length a));
+  Vec.fmin a b
 
 let fpshuffle v idx =
-  Trace.vop ~slots:(fp_slots (Array.length idx)) "fpshuffle";
+  if !Trace.enabled then vop "fpshuffle" (fp_slots (Array.length idx));
   Vec.fshuffle v idx
 
 let fpselect mask a b =
-  Trace.vop ~slots:(fp_slots (Array.length a)) "fpselect";
+  if !Trace.enabled then vop "fpselect" (fp_slots (Array.length a));
   Vec.fselect mask a b
 
 let fpsplat lanes v =
-  Trace.vop "fpsplat";
+  if !Trace.enabled then vop "fpsplat" 1;
   Vec.fsplat lanes v
 
 let fpsum v =
-  (* Tree reduction: log2(lanes) shuffle+add pairs. *)
-  let lanes = Array.length v in
-  let steps = max 1 (int_of_float (ceil (log (float_of_int (max 2 lanes)) /. log 2.0))) in
-  Trace.vop ~slots:steps "fpsum";
+  if !Trace.enabled then begin
+    (* Tree reduction: log2(lanes) shuffle+add pairs. *)
+    let lanes = Array.length v in
+    vop "fpsum" (max 1 (int_of_float (ceil (log (float_of_int (max 2 lanes)) /. log 2.0))))
+  end;
   Vec.fsum v
 
-let i16_2 name f a b =
-  Trace.vop ~slots:(i16_slots (Array.length a)) name;
-  f a b
-
-let mul16 a b = i16_2 "mul16" Vec.imul a b
+let mul16 a b =
+  if !Trace.enabled then vop "mul16" (i16_slots (Array.length a));
+  Vec.imul a b
 
 let mac16 acc a b =
-  Trace.vop ~slots:(i16_slots (Array.length a)) "mac16";
+  if !Trace.enabled then vop "mac16" (i16_slots (Array.length a));
   Vec.imac acc a b
 
-let add16 a b = i16_2 "add16" Vec.iadd a b
+let mac16_scalar acc a s =
+  if !Trace.enabled then vop "mac16" (i16_slots (Array.length a));
+  Vec.imac_scalar acc a s
 
-let sub16 a b = i16_2 "sub16" Vec.isub a b
+let add16 a b =
+  if !Trace.enabled then vop "add16" (i16_slots (Array.length a));
+  Vec.iadd a b
+
+let sub16 a b =
+  if !Trace.enabled then vop "sub16" (i16_slots (Array.length a));
+  Vec.isub a b
 
 let shuffle16 v idx =
-  Trace.vop ~slots:(i16_slots (Array.length idx)) "shuffle16";
+  if !Trace.enabled then vop "shuffle16" (i16_slots (Array.length idx));
   Vec.ishuffle v idx
 
 let mac32 acc a b =
-  Trace.vop ~slots:(i32_slots (Array.length a)) "mac32";
+  if !Trace.enabled then vop "mac32" (i32_slots (Array.length a));
   Vec.imac acc a b
 
 let add32 a b =
-  Trace.vop ~slots:(i32_slots (Array.length a)) "add32";
+  if !Trace.enabled then vop "add32" (i32_slots (Array.length a));
   Vec.iadd a b
 
+let sub32 a b =
+  if !Trace.enabled then vop "sub32" (i32_slots (Array.length a));
+  Vec.isub a b
+
 let srs16 ~shift acc =
-  Trace.vop ~slots:(i16_slots (Array.length acc)) "srs16";
+  if !Trace.enabled then vop "srs16" (i16_slots (Array.length acc));
   Vec.srs Cgsim.Dtype.I16 shift acc
 
 let srs32 ~shift acc =
-  Trace.vop ~slots:(i32_slots (Array.length acc)) "srs32";
+  if !Trace.enabled then vop "srs32" (i32_slots (Array.length acc));
   Vec.srs Cgsim.Dtype.I32 shift acc
 
 let ups16 ~shift v =
-  Trace.vop ~slots:(i16_slots (Array.length v)) "ups16";
+  if !Trace.enabled then vop "ups16" (i16_slots (Array.length v));
   Vec.ups shift v
 
 let slice name mem off lanes =
-  if off < 0 || off + lanes > Array.length mem then
+  if off < 0 || lanes < 0 || off + lanes > Array.length mem then
     invalid_arg
       (Printf.sprintf "aie: %s out of range (off=%d lanes=%d len=%d)" name off lanes
          (Array.length mem))
 
 let load_f32 mem off lanes =
   slice "load_f32" mem off lanes;
-  Trace.load ~bytes:(4 * lanes);
+  if !Trace.enabled then Trace.emit (Trace.Load { bytes = 4 * lanes });
   Array.sub mem off lanes
 
 let store_f32 mem off v =
   let lanes = Array.length v in
   slice "store_f32" mem off lanes;
-  Trace.store ~bytes:(4 * lanes);
+  if !Trace.enabled then Trace.emit (Trace.Store { bytes = 4 * lanes });
   Array.blit v 0 mem off lanes
 
 let load_i16 mem off lanes =
   slice "load_i16" mem off lanes;
-  Trace.load ~bytes:(2 * lanes);
+  if !Trace.enabled then Trace.emit (Trace.Load { bytes = 2 * lanes });
   Array.sub mem off lanes
 
 let store_i16 mem off v =
   let lanes = Array.length v in
   slice "store_i16" mem off lanes;
-  Trace.store ~bytes:(2 * lanes);
+  if !Trace.enabled then Trace.emit (Trace.Store { bytes = 2 * lanes });
   Array.blit v 0 mem off lanes
 
 let scalar_op ?count name = Trace.sop ?count name

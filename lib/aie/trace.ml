@@ -76,15 +76,11 @@ let emit ev =
   | Some r -> push r ev
   | None -> ()
 
-(* Kernel bodies call these per intrinsic: test the switch before the
-   event is allocated, so untraced runs allocate nothing here. *)
+(* Test the switch before the event is allocated, so untraced calls
+   allocate nothing here beyond an optional argument's [Some]. *)
 let vop ?(slots = 1) name = if !enabled then emit (Vop { name; slots })
 
 let sop ?(count = 1) name = if !enabled then emit (Sop { name; count })
-
-let load ~bytes = if !enabled then emit (Load { bytes })
-
-let store ~bytes = if !enabled then emit (Store { bytes })
 
 let mark_iteration () = emit Iteration_mark
 

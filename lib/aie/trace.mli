@@ -69,15 +69,15 @@ val clear_bindings : unit -> unit
     current fiber has no recorder — sources, sinks and host code). *)
 val emit : event -> unit
 
-(** {1 Emission helpers used by kernel code} *)
+(** {1 Emission helpers}
+
+    Kernel bodies charge costs through {!Intrinsics}, which tests
+    {!enabled} and builds its event itself; a non-constant [?slots] or
+    [?count] here allocates its [Some] on every call, traced or not. *)
 
 val vop : ?slots:int -> string -> unit
 
 val sop : ?count:int -> string -> unit
-
-val load : bytes:int -> unit
-
-val store : bytes:int -> unit
 
 val mark_iteration : unit -> unit
 

@@ -1,7 +1,12 @@
 (* Every op is a monomorphic loop over [float array] or [int array].  A
    shared higher-order lane helper would cost a closure call per lane and,
    for floats, box both arguments and the result: without flambda (and
-   under dune's -opaque dev profile) nothing inlines it away. *)
+   under dune's -opaque dev profile) nothing inlines it away.
+
+   Lane loops index with [unsafe_get]/[unsafe_set] only after the op's
+   own checks have fixed every length they touch: [check_lanes], the
+   [fselect] mask test, and the shuffles' per-lane index test.  Nothing
+   else would remove the per-lane bounds checks in the dev profile. *)
 
 let check_lanes name a b =
   if Array.length a <> Array.length b then
@@ -14,7 +19,7 @@ let fadd (a : float array) (b : float array) =
   check_lanes "fadd" a b;
   let r = Array.create_float (Array.length a) in
   for i = 0 to Array.length a - 1 do
-    r.(i) <- Cgsim.Value.round_f32 (a.(i) +. b.(i))
+    Array.unsafe_set r i (Cgsim.Value.round_f32 (Array.unsafe_get a i +. Array.unsafe_get b i))
   done;
   r
 
@@ -22,7 +27,7 @@ let fsub (a : float array) (b : float array) =
   check_lanes "fsub" a b;
   let r = Array.create_float (Array.length a) in
   for i = 0 to Array.length a - 1 do
-    r.(i) <- Cgsim.Value.round_f32 (a.(i) -. b.(i))
+    Array.unsafe_set r i (Cgsim.Value.round_f32 (Array.unsafe_get a i -. Array.unsafe_get b i))
   done;
   r
 
@@ -30,7 +35,7 @@ let fmul (a : float array) (b : float array) =
   check_lanes "fmul" a b;
   let r = Array.create_float (Array.length a) in
   for i = 0 to Array.length a - 1 do
-    r.(i) <- Cgsim.Value.round_f32 (a.(i) *. b.(i))
+    Array.unsafe_set r i (Cgsim.Value.round_f32 (Array.unsafe_get a i *. Array.unsafe_get b i))
   done;
   r
 
@@ -39,7 +44,22 @@ let fmac (acc : float array) (a : float array) (b : float array) =
   check_lanes "fmac" a b;
   let r = Array.create_float (Array.length acc) in
   for i = 0 to Array.length acc - 1 do
-    r.(i) <- Cgsim.Value.round_f32 (acc.(i) +. (a.(i) *. b.(i)))
+    Array.unsafe_set r i
+      (Cgsim.Value.round_f32
+         (Array.unsafe_get acc i +. (Array.unsafe_get a i *. Array.unsafe_get b i)))
+  done;
+  r
+
+(* The scalar is rounded as [fsplat] rounds it and stays the first
+   multiplicand, so a NaN operand propagates the same payload as in
+   [fmac acc (fsplat n s) b]. *)
+let fmac_scalar (acc : float array) s (b : float array) =
+  check_lanes "fmac_scalar" acc b;
+  let s = Cgsim.Value.round_f32 s in
+  let r = Array.create_float (Array.length acc) in
+  for i = 0 to Array.length acc - 1 do
+    Array.unsafe_set r i
+      (Cgsim.Value.round_f32 (Array.unsafe_get acc i +. (s *. Array.unsafe_get b i)))
   done;
   r
 
@@ -48,8 +68,8 @@ let fmax (a : float array) (b : float array) =
   check_lanes "fmax" a b;
   let r = Array.create_float (Array.length a) in
   for i = 0 to Array.length a - 1 do
-    let x = a.(i) and y = b.(i) in
-    r.(i) <- (if x >= y then x else y)
+    let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
+    Array.unsafe_set r i (if x >= y then x else y)
   done;
   r
 
@@ -57,18 +77,18 @@ let fmin (a : float array) (b : float array) =
   check_lanes "fmin" a b;
   let r = Array.create_float (Array.length a) in
   for i = 0 to Array.length a - 1 do
-    let x = a.(i) and y = b.(i) in
-    r.(i) <- (if x <= y then x else y)
+    let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
+    Array.unsafe_set r i (if x <= y then x else y)
   done;
   r
 
 let fshuffle (v : float array) idx =
   let r = Array.create_float (Array.length idx) in
   for i = 0 to Array.length idx - 1 do
-    let j = idx.(i) in
+    let j = Array.unsafe_get idx i in
     if j < 0 || j >= Array.length v then
       invalid_arg (Printf.sprintf "aie: fshuffle index %d out of range" j);
-    r.(i) <- v.(j)
+    Array.unsafe_set r i (Array.unsafe_get v j)
   done;
   r
 
@@ -77,7 +97,8 @@ let fselect mask (a : float array) (b : float array) =
   if Array.length mask <> Array.length a then invalid_arg "aie: fselect mask lane mismatch";
   let r = Array.create_float (Array.length a) in
   for i = 0 to Array.length a - 1 do
-    r.(i) <- (if mask.(i) then a.(i) else b.(i))
+    Array.unsafe_set r i
+      (if Array.unsafe_get mask i then Array.unsafe_get a i else Array.unsafe_get b i)
   done;
   r
 
@@ -87,7 +108,8 @@ let fsum (v : float array) =
   while !w > 1 do
     let h = (!w + 1) / 2 in
     for i = 0 to !w - h - 1 do
-      t.(i) <- Cgsim.Value.round_f32 (t.(i) +. t.(i + h))
+      Array.unsafe_set t i
+        (Cgsim.Value.round_f32 (Array.unsafe_get t i +. Array.unsafe_get t (i + h)))
     done;
     w := h
   done;
@@ -99,7 +121,7 @@ let iadd (a : int array) (b : int array) =
   check_lanes "iadd" a b;
   let r = Array.make (Array.length a) 0 in
   for i = 0 to Array.length a - 1 do
-    r.(i) <- a.(i) + b.(i)
+    Array.unsafe_set r i (Array.unsafe_get a i + Array.unsafe_get b i)
   done;
   r
 
@@ -107,7 +129,7 @@ let isub (a : int array) (b : int array) =
   check_lanes "isub" a b;
   let r = Array.make (Array.length a) 0 in
   for i = 0 to Array.length a - 1 do
-    r.(i) <- a.(i) - b.(i)
+    Array.unsafe_set r i (Array.unsafe_get a i - Array.unsafe_get b i)
   done;
   r
 
@@ -115,7 +137,7 @@ let imul (a : int array) (b : int array) =
   check_lanes "imul" a b;
   let r = Array.make (Array.length a) 0 in
   for i = 0 to Array.length a - 1 do
-    r.(i) <- a.(i) * b.(i)
+    Array.unsafe_set r i (Array.unsafe_get a i * Array.unsafe_get b i)
   done;
   r
 
@@ -124,17 +146,26 @@ let imac (acc : int array) (a : int array) (b : int array) =
   check_lanes "imac" a b;
   let r = Array.make (Array.length acc) 0 in
   for i = 0 to Array.length acc - 1 do
-    r.(i) <- acc.(i) + (a.(i) * b.(i))
+    Array.unsafe_set r i
+      (Array.unsafe_get acc i + (Array.unsafe_get a i * Array.unsafe_get b i))
+  done;
+  r
+
+let imac_scalar (acc : int array) (a : int array) s =
+  check_lanes "imac_scalar" acc a;
+  let r = Array.make (Array.length acc) 0 in
+  for i = 0 to Array.length acc - 1 do
+    Array.unsafe_set r i (Array.unsafe_get acc i + (Array.unsafe_get a i * s))
   done;
   r
 
 let ishuffle (v : int array) idx =
   let r = Array.make (Array.length idx) 0 in
   for i = 0 to Array.length idx - 1 do
-    let j = idx.(i) in
+    let j = Array.unsafe_get idx i in
     if j < 0 || j >= Array.length v then
       invalid_arg (Printf.sprintf "aie: ishuffle index %d out of range" j);
-    r.(i) <- v.(j)
+    Array.unsafe_set r i (Array.unsafe_get v j)
   done;
   r
 
@@ -147,12 +178,12 @@ let srs dtype shift (acc : int array) =
   (match Cgsim.Value.int_range dtype with
    | None ->
      for i = 0 to Array.length acc - 1 do
-       r.(i) <- (acc.(i) + half) asr shift
+       Array.unsafe_set r i ((Array.unsafe_get acc i + half) asr shift)
      done
    | Some (lo, hi) ->
      for i = 0 to Array.length acc - 1 do
-       let x = (acc.(i) + half) asr shift in
-       r.(i) <- (if x < lo then lo else if x > hi then hi else x)
+       let x = (Array.unsafe_get acc i + half) asr shift in
+       Array.unsafe_set r i (if x < lo then lo else if x > hi then hi else x)
      done);
   r
 
@@ -160,6 +191,6 @@ let ups shift (v : int array) =
   if shift < 0 then invalid_arg "aie: ups with negative shift";
   let r = Array.make (Array.length v) 0 in
   for i = 0 to Array.length v - 1 do
-    r.(i) <- v.(i) lsl shift
+    Array.unsafe_set r i (Array.unsafe_get v i lsl shift)
   done;
   r

@@ -26,6 +26,11 @@ val fmul : float array -> float array -> float array
 (** [fmac acc a b] is [acc + a*b] per lane, rounded to f32. *)
 val fmac : float array -> float array -> float array -> float array
 
+(** [fmac_scalar acc s b] is bit for bit [fmac acc (fsplat n s) b]: [s]
+    is rounded to f32 and stays the first multiplicand, so NaN payloads
+    propagate alike. *)
+val fmac_scalar : float array -> float -> float array -> float array
+
 val fmax : float array -> float array -> float array
 val fmin : float array -> float array -> float array
 
@@ -51,6 +56,9 @@ val imul : int array -> int array -> int array
 (** [imac acc a b] widening multiply-accumulate (no overflow inside the
     accumulator, mirroring the 48-bit AIE accumulators). *)
 val imac : int array -> int array -> int array -> int array
+
+(** [imac_scalar acc a s] is [imac acc a (isplat n s)]. *)
+val imac_scalar : int array -> int array -> int -> int array
 
 val ishuffle : int array -> int array -> int array
 

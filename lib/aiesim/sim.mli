@@ -40,6 +40,24 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
+type capture_result = {
+  traces : (string * Aie.Trace.event list) list;
+      (** each kernel instance's recorded events, in graph order *)
+  traffic : int array;  (** elements moved per net *)
+  stats : Cgsim.Sched.stats;
+  events_total : int;
+}
+
+(** [capture deploy ~sources ~sinks] is {!run}'s first phase alone: one
+    functional execution under tracing, returning every kernel's event
+    list.  Raises {!Sim_error} when the execution does not complete. *)
+val capture :
+  ?config:Cgsim.Run_config.t ->
+  Deploy.t ->
+  sources:Cgsim.Io.source list ->
+  sinks:Cgsim.Io.sink list ->
+  capture_result
+
 (** [run deploy ~sources ~sinks] simulates one execution.  Sinks receive
     the functional outputs.  [config] governs the functional capture
     phase (queue knobs, deadline/fuel, fault plan); capture taps every

@@ -55,13 +55,9 @@ let blend_group quads =
   let xf = lane (fun q -> q.Workloads.Images.xf) in
   let yf = lane (fun q -> q.Workloads.Images.yf) in
   let q8 v = ups16 ~shift:8 v in
-  let sub_wide a b =
-    Aie.Trace.vop ~slots:2 "sub32";
-    Aie.Vec.isub a b
-  in
   let blend a b f =
     (* a + ((b - a) * f) >> 15, rounded, in 32-bit accumulators *)
-    let delta = sub_wide b a in
+    let delta = sub32 b a in
     let prod = mac32 (Aie.Vec.isplat group 0) delta f in
     add32 a (srs32 ~shift:15 prod)
   in

@@ -47,8 +47,7 @@ let stage1 =
                 (fun row ->
                   let acc = ref (Aie.Vec.isplat group 0) in
                   for k = 0 to taps - 1 do
-                    acc :=
-                      Aie.Intrinsics.mac16 !acc x.(k) (Aie.Vec.isplat group row.(k))
+                    acc := Aie.Intrinsics.mac16_scalar !acc x.(k) row.(k)
                   done;
                   Aie.Intrinsics.srs16 ~shift:15 !acc)
                 coeffs

@@ -57,10 +57,10 @@ let kernel =
                 let x = Aie.Intrinsics.load_f32 buf (g * group) group in
                 let acc = ref (Aie.Intrinsics.fpsplat group 0.0) in
                 for j = 0 to 3 do
-                  acc := Aie.Intrinsics.fpmac !acc (Aie.Vec.fsplat group st.(j)) m.(j)
+                  acc := Aie.Intrinsics.fpmac_scalar !acc st.(j) m.(j)
                 done;
                 for k = 0 to group - 1 do
-                  acc := Aie.Intrinsics.fpmac !acc (Aie.Vec.fsplat group x.(k)) m.(4 + k)
+                  acc := Aie.Intrinsics.fpmac_scalar !acc x.(k) m.(4 + k)
                 done;
                 let y = !acc in
                 (* Update boundary state: y1 y2 x1 x2. *)

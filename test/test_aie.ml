@@ -14,7 +14,25 @@ let test_vec_lane_ops () =
     [| 11.0; 42.0; 93.0; 164.0 |]
     (Aie.Vec.fmac b a b |> fun v -> ignore v; Aie.Vec.fmac [| 1.0; 2.0; 3.0; 4.0 |] a b);
   Alcotest.(check (array (float 0.0))) "fmax" b (Aie.Vec.fmax a b);
-  Alcotest.(check (array (float 0.0))) "fmin" a (Aie.Vec.fmin a b)
+  Alcotest.(check (array (float 0.0))) "fmin" a (Aie.Vec.fmin a b);
+  (* Which NaN propagates depends on operand order: the scalar MAC keeps
+     the splat form's order, so every NaN combination matches in bits. *)
+  let nans = [ nan; -.nan; Int64.float_of_bits 0x7ffa_5000_0000_0000L; 1.0 ] in
+  let bits v = Array.map Int64.bits_of_float v in
+  List.iter
+    (fun acc ->
+      List.iter
+        (fun s ->
+          List.iter
+            (fun b ->
+              let want = Aie.Vec.fmac [| acc |] (Aie.Vec.fsplat 1 s) [| b |] in
+              let got = Aie.Vec.fmac_scalar [| acc |] s [| b |] in
+              if bits want <> bits got then
+                Alcotest.failf "fmac_scalar %h %h %h: %Lx, splat form %Lx" acc s b (bits got).(0)
+                  (bits want).(0))
+            nans)
+        nans)
+    nans
 
 let test_vec_lane_mismatch () =
   match Aie.Vec.fadd [| 1.0 |] [| 1.0; 2.0 |] with
@@ -110,6 +128,8 @@ type vec_case = {
   idx : int array;
   mask : bool array;
   shift : int;
+  fs : float;  (* scalar operand of fmac_scalar *)
+  is : int;  (* scalar operand of imac_scalar *)
 }
 
 let gen_vec_case =
@@ -120,14 +140,17 @@ let gen_vec_case =
     iv >>= fun ia -> iv >>= fun ib -> iv >>= fun ic ->
     array_size (int_range 0 20) (int_range 0 (n - 1)) >>= fun idx ->
     array_size (return n) bool >>= fun mask ->
-    int_range 0 40 >|= fun shift -> { fa; fb; fc; ia; ib; ic; idx; mask; shift })
+    int_range 0 40 >>= fun shift ->
+    frequency [ 3, oneofl special_floats; 1, gen_lane_float ] >>= fun fs ->
+    gen_lane_int >|= fun is -> { fa; fb; fc; ia; ib; ic; idx; mask; shift; fs; is })
 
 let show_floats v =
   String.concat "; " (Array.to_list (Array.map (fun x -> Printf.sprintf "%h" x) v))
 
 let show_vec_case c =
-  Printf.sprintf "fa=[%s] fb=[%s] fc=[%s] ia=%d lanes idx=%d lanes shift=%d" (show_floats c.fa)
-    (show_floats c.fb) (show_floats c.fc) (Array.length c.ia) (Array.length c.idx) c.shift
+  Printf.sprintf "fa=[%s] fb=[%s] fc=[%s] fs=%h ia=%d lanes idx=%d lanes shift=%d is=%d"
+    (show_floats c.fa) (show_floats c.fb) (show_floats c.fc) c.fs (Array.length c.ia)
+    (Array.length c.idx) c.shift c.is
 
 (* Bit for bit, except that any NaN matches any NaN: when both operands
    of an add are NaN, which one propagates depends on the operand order
@@ -137,6 +160,13 @@ let same_bits x y =
 
 let expect_floats op want got =
   if not (Array.length want = Array.length got && Array.for_all2 same_bits want got) then
+    QCheck.Test.fail_reportf "%s: want [%s], got [%s]" op (show_floats want) (show_floats got)
+
+(* Bit for bit, NaN payloads included: for operations whose operand
+   order is the same on both sides. *)
+let expect_bits op want got =
+  let exact x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  if not (Array.length want = Array.length got && Array.for_all2 exact want got) then
     QCheck.Test.fail_reportf "%s: want [%s], got [%s]" op (show_floats want) (show_floats got)
 
 let expect_ints op want got =
@@ -157,6 +187,7 @@ let prop_vec_matches_reference =
       expect_floats "fmac"
         (ref_map3 (fun acc x y -> ref_r32 (acc +. (x *. y))) c.fc c.fa c.fb)
         (fmac c.fc c.fa c.fb);
+      expect_bits "fmac_scalar" (fmac c.fc (fsplat n c.fs) c.fb) (fmac_scalar c.fc c.fs c.fb);
       expect_floats "fmax"
         (ref_map2 (fun x y -> if x >= y then x else y) c.fa c.fb)
         (fmax c.fa c.fb);
@@ -175,6 +206,7 @@ let prop_vec_matches_reference =
       expect_ints "imac"
         (ref_map3 (fun acc x y -> acc + (x * y)) c.ic c.ia c.ib)
         (imac c.ic c.ia c.ib);
+      expect_ints "imac_scalar" (imac c.ic c.ia (isplat n c.is)) (imac_scalar c.ic c.ia c.is);
       expect_ints "ishuffle" (Array.map (fun j -> c.ia.(j)) c.idx) (ishuffle c.ia c.idx);
       let half = if c.shift = 0 then 0 else 1 lsl (c.shift - 1) in
       List.iter
@@ -213,7 +245,9 @@ let prop_vec_rejects_bad_lanes =
           "isub", (fun () -> ignore (isub (i n) (i m)));
           "imul", (fun () -> ignore (imul (i n) (i m)));
           "imac acc", (fun () -> ignore (imac (i m) (i n) (i n)));
-          "imac b", (fun () -> ignore (imac (i n) (i n) (i m))) ]
+          "imac b", (fun () -> ignore (imac (i n) (i n) (i m)));
+          "fmac_scalar", (fun () -> ignore (fmac_scalar (f n) 1.0 (f m)));
+          "imac_scalar", (fun () -> ignore (imac_scalar (i n) (i m) 1)) ]
       in
       List.iter
         (fun (op, call) ->
@@ -249,13 +283,30 @@ let test_untraced_allocation () =
   let result_words = float_of_int (lanes + 1) in
   let a = Array.init lanes float_of_int and b = Array.make lanes 0.5 in
   let acc = Array.init lanes (fun i -> i * 40000) in
+  let idx = Array.init lanes (fun i -> lanes - 1 - i) in
+  let mask = Array.init lanes (fun i -> i land 1 = 0) in
+  let mem = Array.make 64 1.0 in
   let at_most what bound f =
     let w = words_per_call f in
     if w > bound then Alcotest.failf "%s allocates %.1f words per call (bound %.0f)" what w bound
   in
-  at_most "fpmax" (result_words +. 4.) (fun () -> Aie.Intrinsics.fpmax a b);
-  at_most "fpmac" (result_words +. 4.) (fun () -> Aie.Intrinsics.fpmac a a b);
-  at_most "srs16" (result_words +. 4.) (fun () -> Aie.Intrinsics.srs16 ~shift:4 acc);
+  (* An untraced intrinsic allocates its result and nothing else; the
+     rounding absorbs the boxed float each Gc.minor_words reading
+     allocates, spread over the 1000 calls. *)
+  let only_result what f =
+    let w = words_per_call f in
+    if Float.round w <> result_words then
+      Alcotest.failf "%s allocates %.2f words per call (its result is %.0f)" what w result_words
+  in
+  only_result "fpmax" (fun () -> Aie.Intrinsics.fpmax a b);
+  only_result "fpmac" (fun () -> Aie.Intrinsics.fpmac a a b);
+  only_result "fpmac_scalar" (fun () -> Aie.Intrinsics.fpmac_scalar a 0.25 b);
+  only_result "fpshuffle" (fun () -> Aie.Intrinsics.fpshuffle a idx);
+  only_result "fpselect" (fun () -> Aie.Intrinsics.fpselect mask a b);
+  only_result "mac16" (fun () -> Aie.Intrinsics.mac16 acc acc idx);
+  only_result "mac16_scalar" (fun () -> Aie.Intrinsics.mac16_scalar acc acc 3);
+  only_result "srs16" (fun () -> Aie.Intrinsics.srs16 ~shift:4 acc);
+  only_result "load_f32" (fun () -> Aie.Intrinsics.load_f32 mem 8 lanes);
   at_most "Trace.vop" 2. (fun () -> Aie.Trace.vop ~slots:2 "fpmac");
   at_most "Trace.sop" 2. (fun () -> Aie.Trace.sop ~count:3 "addr")
 
@@ -274,6 +325,8 @@ let with_recording f =
     f;
   Aie.Trace.events r
 
+let show_events evs = String.concat "; " (List.map (Format.asprintf "%a" Aie.Trace.pp_event) evs)
+
 let test_intrinsics_emit_costs () =
   let a16 = Array.make 16 1.0 in
   let events =
@@ -281,17 +334,35 @@ let test_intrinsics_emit_costs () =
         ignore (Aie.Intrinsics.fpmac (Array.make 16 0.0) a16 a16);
         ignore (Aie.Intrinsics.mac16 (Array.make 32 0) (Array.make 32 1) (Array.make 32 2));
         ignore (Aie.Intrinsics.load_f32 (Array.make 64 0.0) 0 8);
-        Aie.Intrinsics.scalar_op "addr")
+        Aie.Intrinsics.scalar_op "addr";
+        ignore (Aie.Intrinsics.sub32 (Array.make 16 3) (Array.make 16 1)))
   in
-  match events with
-  | [ Aie.Trace.Vop { name = "fpmac"; slots = 2 };  (* 16 fp lanes = 2 slots *)
-      Aie.Trace.Vop { name = "mac16"; slots = 1 };  (* 32 i16 lanes = 1 slot *)
-      Aie.Trace.Load { bytes = 32 };
-      Aie.Trace.Sop { name = "addr"; count = 1 } ] ->
-    ()
-  | evs ->
-    Alcotest.failf "unexpected events: %s"
-      (String.concat "; " (List.map (Format.asprintf "%a" Aie.Trace.pp_event) evs))
+  (match events with
+   | [ Aie.Trace.Vop { name = "fpmac"; slots = 2 };  (* 16 fp lanes = 2 slots *)
+       Aie.Trace.Vop { name = "mac16"; slots = 1 };  (* 32 i16 lanes = 1 slot *)
+       Aie.Trace.Load { bytes = 32 };
+       Aie.Trace.Sop { name = "addr"; count = 1 };
+       Aie.Trace.Vop { name = "sub32"; slots = 2 } ] ->  (* 16 i32 lanes = 2 slots *)
+     ()
+   | evs -> Alcotest.failf "unexpected events: %s" (show_events evs));
+  (* A scalar-operand MAC records exactly its vector form's event. *)
+  List.iter
+    (fun lanes ->
+      let f = Array.init lanes float_of_int and i = Array.init lanes (fun k -> k - 3) in
+      let vector =
+        with_recording (fun () ->
+            ignore (Aie.Intrinsics.fpmac f (Aie.Vec.fsplat lanes 0.5) f);
+            ignore (Aie.Intrinsics.mac16 i i (Aie.Vec.isplat lanes 7)))
+      in
+      let scalar =
+        with_recording (fun () ->
+            ignore (Aie.Intrinsics.fpmac_scalar f 0.5 f);
+            ignore (Aie.Intrinsics.mac16_scalar i i 7))
+      in
+      if vector <> scalar then
+        Alcotest.failf "%d lanes: vector forms record [%s], scalar forms [%s]" lanes
+          (show_events vector) (show_events scalar))
+    [ 1; 8; 16; 32; 40 ]
 
 let test_intrinsics_disabled_is_silent () =
   let r = Aie.Trace.create_recorder () in
@@ -302,9 +373,16 @@ let test_intrinsics_disabled_is_silent () =
   Alcotest.(check int) "no events" 0 (Aie.Trace.event_count r)
 
 let test_intrinsics_bounds () =
-  match Aie.Intrinsics.load_f32 (Array.make 4 0.0) 2 8 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "out-of-range vector load must be rejected"
+  (match Aie.Intrinsics.load_f32 (Array.make 4 0.0) 2 8 with
+   | exception Invalid_argument _ -> ()
+   | _ -> Alcotest.fail "out-of-range vector load must be rejected");
+  (* A negative lane count is the intrinsic's own bounds error, not a
+     stdlib one from further in. *)
+  let rejected what f =
+    if not (raises_invalid f) then Alcotest.failf "%s must raise an aie: bounds error" what
+  in
+  rejected "load_f32 mem 0 (-1)" (fun () -> ignore (Aie.Intrinsics.load_f32 (Array.make 4 0.0) 0 (-1)));
+  rejected "load_i16 mem 2 (-3)" (fun () -> ignore (Aie.Intrinsics.load_i16 (Array.make 4 0) 2 (-3)))
 
 (* ------------------------------------------------------------------ *)
 (* Trace: pipelined-loop recording                                    *)

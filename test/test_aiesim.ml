@@ -308,6 +308,48 @@ let test_sim_more_reps_scale_linearly () =
   Alcotest.(check bool) (Printf.sprintf "4x reps => ~4x cycles (got %.2f)" ratio) true
     (ratio > 3.0 && ratio < 5.0)
 
+(* The frozen benchmark pins each app's event count and simulated ns; a
+   renamed or re-slotted event that kept both would slip past it.  This
+   pins the captured sequence itself: every kernel's events, rendered
+   with [Trace.pp_event] in graph order, digested per app and deploy at
+   one rep.  Regenerate only for a deliberate change to the cost model. *)
+let expected_trace_digests =
+  [
+    "bitonic/baseline", "6b4480e91fa35473b99b451524dd7ac5";
+    "bitonic/extracted", "d02d0013152c239c8a8ed84d471d8a56";
+    "farrow/baseline", "8d5feb9ec349e71f838296c9cd141294";
+    "farrow/extracted", "969641ff8c2a2b86a2bf13fb1024bb4d";
+    "iir/baseline", "e7b5904e9ee64f2e90a503fb07a78daf";
+    "iir/extracted", "8236360817d2667aeabd1f6611b7e564";
+    "bilinear/baseline", "c126a5067cd0c2157ad42bc982e9494e";
+    "bilinear/extracted", "fb8bdbbca38d7145e599883d47bfcaf7";
+  ]
+
+let trace_digest deploy (h : Apps.Harness.t) =
+  let sinks, _ = h.Apps.Harness.make_sinks () in
+  let cap = Aiesim.Sim.capture deploy ~sources:(h.Apps.Harness.sources ~reps:1) ~sinks in
+  let b = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer b in
+  List.iter
+    (fun (name, events) ->
+      Format.fprintf ppf "== %s@." name;
+      List.iter (fun ev -> Format.fprintf ppf "%a@." Aie.Trace.pp_event ev) events)
+    cap.Aiesim.Sim.traces;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_sim_trace_digests () =
+  let got =
+    List.concat_map
+      (fun (h : Apps.Harness.t) ->
+        let g () = h.Apps.Harness.graph () in
+        [
+          h.Apps.Harness.name ^ "/baseline", trace_digest (Aiesim.Deploy.baseline (g ())) h;
+          h.Apps.Harness.name ^ "/extracted", trace_digest (Aiesim.Deploy.extracted (g ())) h;
+        ])
+      Apps.Harness.all
+  in
+  Alcotest.(check (list (pair string string))) "captured event digests" expected_trace_digests got
+
 let () =
   Alcotest.run "aiesim"
     [
@@ -347,5 +389,6 @@ let () =
           Alcotest.test_case "blocks counted" `Quick test_sim_blocks_counted;
           Alcotest.test_case "linear scaling" `Quick test_sim_more_reps_scale_linearly;
           Alcotest.test_case "gmio transport" `Quick test_sim_gmio_transport;
+          Alcotest.test_case "captured event digests" `Quick test_sim_trace_digests;
         ] );
     ]
