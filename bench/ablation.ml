@@ -12,33 +12,35 @@
    5. flight recorder — on/off A/B of the always-on per-domain ring on
       the Table 2 cgsim path; the design claim is < 2 % overhead. *)
 
-let measure_rel (h : Apps.Harness.t) =
+let measure_rel ~thunk (h : Apps.Harness.t) =
   let run deploy =
     let sinks, _ = h.make_sinks () in
     Aiesim.Sim.run deploy ~sources:(h.sources ~reps:6) ~sinks
   in
   let base = run (Aiesim.Deploy.baseline (h.graph ())) in
-  let extr = run (Aiesim.Deploy.extracted (h.graph ())) in
+  let adapter = Aiesim.Deploy.Thunk thunk in
+  let extr = run (Aiesim.Deploy.make ~label:"cgsim-extracted" ~adapter (h.graph ())) in
   Aiesim.Sim.relative_throughput_percent ~baseline:base ~extracted:extr
 
 let thunk_sweep () =
   Printf.printf "\n-- ablation 1: adapter thunk cost vs relative throughput --\n";
   Printf.printf "%8s %9s | %8s %8s %8s\n" "scalar" "loop-frac" "bitonic" "farrow" "bilinear";
-  let saved_s = !Aie.Cfg.thunk_scalar_ops_per_stream_access in
-  let saved_l = !Aie.Cfg.thunk_loop_extra_per_access in
+  let calibrated = Aiesim.Deploy.default_thunk in
   List.iter
     (fun (s, l) ->
-      Aie.Cfg.thunk_scalar_ops_per_stream_access := s;
-      Aie.Cfg.thunk_loop_extra_per_access := l;
+      let thunk =
+        { calibrated with
+          Aiesim.Deploy.scalar_ops_per_stream_access = s;
+          loop_extra_per_access = l }
+      in
       Printf.printf "%8d %9.2f | %7.1f%% %7.1f%% %7.1f%%\n" s l
-        (measure_rel Apps.Harness.bitonic)
-        (measure_rel Apps.Harness.farrow)
-        (measure_rel Apps.Harness.bilinear))
+        (measure_rel ~thunk Apps.Harness.bitonic)
+        (measure_rel ~thunk Apps.Harness.farrow)
+        (measure_rel ~thunk Apps.Harness.bilinear))
     [ 0, 0.0; 0, 0.1; 1, 0.0; 1, 0.1; 1, 0.2; 2, 0.1; 2, 0.4; 4, 0.4 ];
-  Aie.Cfg.thunk_scalar_ops_per_stream_access := saved_s;
-  Aie.Cfg.thunk_loop_extra_per_access := saved_l;
   Printf.printf "(zero thunk cost = parity by construction; the calibrated point is %d / %.2f)\n"
-    saved_s saved_l
+    calibrated.Aiesim.Deploy.scalar_ops_per_stream_access
+    calibrated.Aiesim.Deploy.loop_extra_per_access
 
 let queue_capacity_sweep () =
   Printf.printf "\n-- ablation 2: cgsim queue capacity vs wall time (farrow x16) --\n";

@@ -184,7 +184,6 @@ let run ?json ?(smoke = false) ?(domains = if smoke then smoke_domains else defa
              rps bn
          | None ->
            Printf.printf "  static ceiling: unavailable (no profiled kernel time)\n%!");
-        Cgsim.Pool.clear_warm_cache ();
         let runs =
           List.concat_map
             (fun d ->

@@ -7,4 +7,4 @@ let () =
       let sinks, _ = h.Apps.Harness.make_sinks () in
       let r = Aiesim.Sim.run d ~sources:(h.Apps.Harness.sources ~reps:8) ~sinks in
       Format.printf "%a@." Aiesim.Sim.pp_report r)
-    [ Aiesim.Deploy.Direct; Aiesim.Deploy.Thunk ]
+    [ Aiesim.Deploy.Direct; Aiesim.Deploy.Thunk Aiesim.Deploy.default_thunk ]

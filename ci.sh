@@ -188,6 +188,60 @@ if grep -rn 'Gc\.set' lib; then
 fi
 echo "no Gc.set in lib/"
 
+echo "== top-level mutable state gate =="
+# Data reaches the runtime through explicit arguments, not through
+# process-wide refs.  Every top-level binding under lib/ that holds
+# mutable state (a ref, Hashtbl, Atomic, Mutex, Queue or domain-local
+# key, on its `let` line or the line after) is listed here with its
+# reason.  An unlisted binding fails the gate, and so does a listed one
+# that no longer exists.
+ALLOWED_STATE=$(mktemp -t ci-state-allowed-XXXXXX)
+FOUND_STATE=$(mktemp -t ci-state-found-XXXXXX)
+trap 'rm -f "$TRACE" "$MICRO_JSON" "$LINT_JSON" "$FUZZ_JSON" "$SERVE_COLD_JSON" "$SERVE_WARM_JSON" "$CHAOS_JSON" "$LOAD_JSON" "$LOAD_PROM" "$DAEMON_PROM" "$REMOTE_JSON" "$SERVE_SOCK" "$CGX_PROM" "$ALLOWED_STATE" "$FOUND_STATE"' EXIT
+sed -e 's/ *#.*//' -e '/^$/d' > "$ALLOWED_STATE" <<'EOF_STATE'
+lib/cgsim/registry.ml table          # the kernel registry: kernels register at link time, graphs name them by key
+lib/cgsim/registry.ml order          # that registry's registration order, for listings
+lib/cgsim/builder.ml next_builder_id # unique builder ids, so nets of two builders cannot be mixed
+lib/cgsim/sched.ml current_key       # domain-local: the fiber running on this domain, and its local
+lib/cgsim/sched.ml live_locals       # a count, not data: Sched.local skips the domain-local read while it is 0
+lib/obs/trace.ml on                  # the observability session switch: one load and a branch per instrumented site
+lib/obs/trace.ml active              # the observability session that switch guards
+lib/obs/trace.ml label_key           # domain-local: the thread label of trace events
+lib/obs/clock.ml last                # the monotonic clock's high-water mark
+lib/obs/flight.ml ring_key           # domain-local: this domain's flight-recorder ring
+lib/obs/flight.ml enabled            # the always-on flight recorder's off switch, for overhead A/B runs
+lib/apps/bilinear.ml image_lock      # serializes the first force of the lazy test image across domains
+lib/workloads/sdf_gen.ml kernel_cache # generated kernels, registered once per name in the global registry
+EOF_STATE
+find lib -name '*.ml' | sort | xargs awk '
+  function check(text) {
+    if (text ~ /^let [a-z_][A-Za-z0-9_'"'"']*( *:[^=]*)? *= *(ref[ (]|Hashtbl\.create|Atomic\.make|Mutex\.create|Queue\.create|Domain\.DLS\.new_key)/) {
+      split(text, w, /[ :=]+/);
+      print FILENAME " " w[2];
+      return 1
+    }
+    return 0
+  }
+  FNR == 1 { pending = "" }
+  {
+    if (pending != "") check(pending " " $0);
+    pending = "";
+    if ($0 ~ /^let / && !check($0)) pending = $0
+  }' | sort -u > "$FOUND_STATE"
+UNLISTED=$(cut -d' ' -f1,2 "$ALLOWED_STATE" | sort -u | comm -13 - "$FOUND_STATE")
+STALE=$(cut -d' ' -f1,2 "$ALLOWED_STATE" | sort -u | comm -23 - "$FOUND_STATE")
+if [ -n "$UNLISTED" ]; then
+  echo "ci: top-level mutable state not on the allowed list (add it with a reason, or pass it as an argument):" >&2
+  echo "$UNLISTED" >&2
+  exit 1
+fi
+if [ -n "$STALE" ]; then
+  echo "ci: allowed-state entries that no longer exist (delete them):" >&2
+  echo "$STALE" >&2
+  exit 1
+fi
+echo "top-level mutable state: $(wc -l < "$FOUND_STATE") bindings, all listed"
+
 echo "== analysis-in-compile gate =="
 # Lint and capacity synthesis are part of Runtime.compile: the
 # link-time hooks that used to install them into global refs, and the

@@ -46,10 +46,4 @@ let pipeline_depth = 6
 
 let kernel_invocation_overhead_cycles = 24
 
-let thunk_scalar_ops_per_stream_access = ref 1
-
-let thunk_cycles_per_window = ref 12
-
-let thunk_loop_extra_per_access = ref 0.1
-
 let cycles_to_ns cycles = cycles *. ns_per_cycle

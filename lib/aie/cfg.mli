@@ -78,22 +78,4 @@ val pipeline_depth : int
 val kernel_invocation_overhead_cycles : int
 (** Per-invocation graph-runtime overhead (kernel wrapper entry/exit). *)
 
-(** Extra scalar operations per stream access performed by the extractor's
-    generated adapter thunk (Section 4.5) — the mechanism behind the
-    85–100 % relative-throughput spread in Table 1.  Window (buffer) port
-    adapters cost only a per-window constant, which is why the IIR example
-    reaches parity. *)
-
-val thunk_scalar_ops_per_stream_access : int ref
-
-val thunk_cycles_per_window : int ref
-
-(** Serial cycles per thunked stream access inside a software-pipelined
-    loop that the pipeliner cannot hide (fractional: the call overhead
-    partially overlaps with the loop body).
-
-    These three are references so the ablation benchmarks can sweep the
-    adapter cost model; production code never mutates them. *)
-val thunk_loop_extra_per_access : float ref
-
 val cycles_to_ns : float -> float

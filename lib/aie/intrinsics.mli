@@ -5,13 +5,14 @@
     that (a) functional results match AIE semantics (f32 rounding,
     shift-round-saturate fixed point) and (b) each call emits the
     architectural cost events that the cycle-approximate simulator
-    consumes.  Every op tests {!Trace.enabled} before it computes a slot
-    count or builds an event, so outside of aiesim tracing a call is one
-    branch plus its {!Vec} lane loop and allocates only its result (17
-    words at 16 lanes).  On a 2-vCPU x86-64 host, an untraced 16-lane
-    [fpmin] takes 44-66 ns, the same as [Vec.fmin] (42-67 ns), where
-    computing the slot count and its [Some] on every call took 57-104 ns;
-    a bitonic sort of one 16-vector (40 calls) takes 1.9-2.3 us.
+    consumes.  Every op matches the running fiber's recorder
+    ({!Trace.Recorder}, the fiber's {!Cgsim.Sched.local}) before it
+    computes a slot count or builds an event, so outside of an aiesim
+    capture a call is a call to {!Cgsim.Sched.local} and a branch, plus
+    its {!Vec} lane loop, and allocates only its result (17 words at 16
+    lanes).  On a 2-vCPU x86-64 host (median and interquartile range of
+    ten runs), an untraced 8-lane [fpmac] takes 46 ns (41-57) and a
+    bitonic sort of one 16-vector (40 calls) 2.3 us (2.1-2.5).
 
     Cost model: one vector-unit issue slot processes 8 fp32 lanes, 8 int32
     lanes or 32 int16 lanes per cycle ({!Cfg}); wider vectors occupy

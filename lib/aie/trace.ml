@@ -46,24 +46,15 @@ type recorder = {
   mutable suppressed : int;
 }
 
+type Cgsim.Sched.local += Recorder of recorder
+
 let create_recorder () = { rev_events = []; count = 0; suppressed = 0 }
 
 let events r = List.rev r.rev_events
 
 let event_count r = r.count
 
-let enabled = ref false
-
-let bindings : (string, recorder) Hashtbl.t = Hashtbl.create 16
-
-let bind name r = Hashtbl.replace bindings name r
-
-let unbind name = Hashtbl.remove bindings name
-
-let clear_bindings () = Hashtbl.reset bindings
-
-let current_recorder () =
-  if not !enabled then None else Hashtbl.find_opt bindings (Cgsim.Sched.current_name ())
+let recording r = r.suppressed = 0
 
 let push r ev =
   if r.suppressed = 0 then begin
@@ -72,15 +63,16 @@ let push r ev =
   end
 
 let emit ev =
-  match current_recorder () with
-  | Some r -> push r ev
-  | None -> ()
+  match Cgsim.Sched.local () with
+  | Recorder r -> push r ev
+  | _ -> ()
 
-(* Test the switch before the event is allocated, so untraced calls
+(* Match the recorder before the event is allocated, so untraced calls
    allocate nothing here beyond an optional argument's [Some]. *)
-let vop ?(slots = 1) name = if !enabled then emit (Vop { name; slots })
-
-let sop ?(count = 1) name = if !enabled then emit (Sop { name; count })
+let sop ?(count = 1) name =
+  match Cgsim.Sched.local () with
+  | Recorder r when r.suppressed = 0 -> push r (Sop { name; count })
+  | _ -> ()
 
 let mark_iteration () = emit Iteration_mark
 
@@ -88,12 +80,8 @@ let with_pipelined_loop ~trip body =
   if trip < 0 then invalid_arg "aie: pipelined loop with negative trip count";
   if trip = 0 then ()
   else begin
-    match current_recorder () with
-    | None ->
-      for i = 0 to trip - 1 do
-        body i
-      done
-    | Some r ->
+    match Cgsim.Sched.local () with
+    | Recorder r when r.suppressed = 0 ->
       push r (Loop_enter { trip });
       (* The first iteration is the recorded one; if it aborts (stream
          drained, fiber cancelled) mark the region so the replay does not
@@ -109,4 +97,8 @@ let with_pipelined_loop ~trip body =
           for i = 1 to trip - 1 do
             body i
           done)
+    | _ ->
+      for i = 0 to trip - 1 do
+        body i
+      done
   end

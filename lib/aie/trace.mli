@@ -7,11 +7,14 @@
     regions, iteration marks).  A timed replay then assigns cycles to the
     trace using the VLIW issue model.
 
-    Recording is keyed by the running fiber's name ({!Cgsim.Sched}), so the
-    same kernel bodies run untraced under plain cgsim or x86sim (a single
-    branch on {!enabled}) and traced under aiesim.  The {!Intrinsics}
-    module emits compute events; the simulator's port wrappers emit I/O
-    events. *)
+    A recorder rides the kernel's fiber: aiesim's capture spawns each
+    kernel fiber with its own recorder as the fiber-local value
+    ({!Recorder}, see {!Cgsim.Sched.local}), so events go to the kernel
+    that performed them, whatever else runs on other domains.  The same
+    kernel bodies run untraced under plain cgsim, x86sim or a serving
+    pool, where the fiber's local is not a recorder (a
+    {!Cgsim.Sched.local} call and a branch).  The {!Intrinsics} module emits compute events;
+    the simulator's port taps push I/O events into the recorder. *)
 
 type transport =
   | Stream
@@ -46,36 +49,32 @@ val pp_event : Format.formatter -> event -> unit
 
 type recorder
 
+(** The fiber-local value that makes a fiber record into a recorder:
+    spawn the fiber with [~local:(Recorder r)]. *)
+type Cgsim.Sched.local += Recorder of recorder
+
 val create_recorder : unit -> recorder
 
 val events : recorder -> event list
 
 val event_count : recorder -> int
 
-(** {1 Global recording control} *)
+(** [false] while [r] replays the unrecorded iterations of a pipelined
+    loop ({!with_pipelined_loop}): test it before building an event. *)
+val recording : recorder -> bool
 
-(** Master switch; when [false] (the default) every emit is a no-op. *)
-val enabled : bool ref
+(** Append an event to [r], unless it is not {!recording}. *)
+val push : recorder -> event -> unit
 
-(** Bind a recorder to a fiber name (the kernel instance name).  Events
-    performed while that fiber runs land in its recorder. *)
-val bind : string -> recorder -> unit
-
-val unbind : string -> unit
-
-val clear_bindings : unit -> unit
-
-(** Emit an event for the current fiber (no-op when disabled or when the
-    current fiber has no recorder — sources, sinks and host code). *)
+(** {!push} into the running fiber's recorder; a no-op when the fiber
+    has none (sources, sinks, untraced runs and host code). *)
 val emit : event -> unit
 
 (** {1 Emission helpers}
 
-    Kernel bodies charge costs through {!Intrinsics}, which tests
-    {!enabled} and builds its event itself; a non-constant [?slots] or
+    Kernel bodies charge costs through {!Intrinsics}, which matches the
+    fiber's recorder and builds its event itself; a non-constant
     [?count] here allocates its [Some] on every call, traced or not. *)
-
-val vop : ?slots:int -> string -> unit
 
 val sop : ?count:int -> string -> unit
 

@@ -1,10 +1,19 @@
+type thunk_costs = {
+  scalar_ops_per_stream_access : int;
+  cycles_per_window : int;
+  loop_extra_per_access : float;
+}
+
+let default_thunk =
+  { scalar_ops_per_stream_access = 1; cycles_per_window = 12; loop_extra_per_access = 0.1 }
+
 type adapter =
   | Direct
-  | Thunk
+  | Thunk of thunk_costs
 
 let adapter_to_string = function
   | Direct -> "direct"
-  | Thunk -> "thunk"
+  | Thunk _ -> "thunk"
 
 type t = {
   graph : Cgsim.Serialized.t;
@@ -42,7 +51,7 @@ let make ?cols ?rows ?place ~label ~adapter (g : Cgsim.Serialized.t) =
 
 let baseline g = make ~label:"amd-baseline" ~adapter:Direct g
 
-let extracted g = make ~label:"cgsim-extracted" ~adapter:Thunk g
+let extracted g = make ~label:"cgsim-extracted" ~adapter:(Thunk default_thunk) g
 
 let coord_of t name =
   match Aie.Array_model.placement t.array ~name with

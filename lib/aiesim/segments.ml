@@ -31,7 +31,7 @@ let loop_chunks_cap = 32
 
 type state = {
   env : port_env;
-  thunked : bool;
+  thunk : Deploy.thunk_costs option;  (* what a thunked access costs *)
   mutable rev_segs : seg list;
   usage : Vliw.usage;
   (* bytes already seen in the current (partial) window of each port *)
@@ -57,8 +57,13 @@ let flush st =
     u.Vliw.swr <- 0
   end
 
-let thunk_stream_cost st =
-  if st.thunked then st.usage.Vliw.scl <- st.usage.Vliw.scl + !Aie.Cfg.thunk_scalar_ops_per_stream_access
+let thunk_scalar_ops st =
+  match st.thunk with Some c -> c.Deploy.scalar_ops_per_stream_access | None -> 0
+
+let thunk_stream_cost st = st.usage.Vliw.scl <- st.usage.Vliw.scl + thunk_scalar_ops st
+
+let thunk_window_cost st =
+  match st.thunk with Some c -> push st (Compute c.Deploy.cycles_per_window) | None -> ()
 
 (* Window progress bookkeeping: returns true when [bytes] starts a new
    window for [port]. *)
@@ -112,9 +117,7 @@ let rec consume_loop_body st events ~depth ~body_usage ~rev_ports =
        (match transport with
         | Aie.Trace.Stream | Aie.Trace.Gmio ->
           body_usage.Vliw.srd <- body_usage.Vliw.srd + 1;
-          if thunked then
-            body_usage.Vliw.scl <-
-              body_usage.Vliw.scl + !Aie.Cfg.thunk_scalar_ops_per_stream_access
+          if thunked then body_usage.Vliw.scl <- body_usage.Vliw.scl + thunk_scalar_ops st
         | Aie.Trace.Window _ -> Vliw.add_load_bytes body_usage bytes
         | Aie.Trace.Rtp -> body_usage.Vliw.scl <- body_usage.Vliw.scl + 1);
        let lp =
@@ -126,9 +129,7 @@ let rec consume_loop_body st events ~depth ~body_usage ~rev_ports =
        (match transport with
         | Aie.Trace.Stream | Aie.Trace.Gmio ->
           body_usage.Vliw.swr <- body_usage.Vliw.swr + 1;
-          if thunked then
-            body_usage.Vliw.scl <-
-              body_usage.Vliw.scl + !Aie.Cfg.thunk_scalar_ops_per_stream_access
+          if thunked then body_usage.Vliw.scl <- body_usage.Vliw.scl + thunk_scalar_ops st
         | Aie.Trace.Window _ -> Vliw.add_store_bytes body_usage bytes
         | Aie.Trace.Rtp -> body_usage.Vliw.scl <- body_usage.Vliw.scl + 1);
        let lp =
@@ -159,7 +160,8 @@ let emit_loop st ~trip ~body_usage ~ports =
      around: part of their overhead stays serial (fractional cycles per
      access, accumulated per chunk). *)
   let thunked_accesses = List.length (List.filter (fun lp -> lp.lp_thunked) ports) in
-  let serial_per_iter = float_of_int thunked_accesses *. !Aie.Cfg.thunk_loop_extra_per_access in
+  let loop_extra = match st.thunk with Some c -> c.Deploy.loop_extra_per_access | None -> 0.0 in
+  let serial_per_iter = float_of_int thunked_accesses *. loop_extra in
   (* Re-expand traffic into at most [loop_chunks_cap] chunks so the event
      engine still interleaves this kernel with its peers. *)
   let chunks = max 1 (min trip loop_chunks_cap) in
@@ -196,7 +198,7 @@ let handle_event st ev =
        if window_step st port w bytes then begin
          flush st;
          push st (Win_in { chan; bytes = w; core = Aie.Cfg.lock_acquire_cycles });
-         if thunked then push st (Compute !Aie.Cfg.thunk_cycles_per_window)
+         if thunked then thunk_window_cost st
        end;
        (* Window elements are local-memory traffic once acquired;
           accumulate into 32 B beats. *)
@@ -222,7 +224,7 @@ let handle_event st ev =
        if window_completes st port w then begin
          flush st;
          push st (Win_out { chan; bytes = w; core = Aie.Cfg.lock_acquire_cycles });
-         if thunked then push st (Compute !Aie.Cfg.thunk_cycles_per_window)
+         if thunked then thunk_window_cost st
        end
      | Aie.Trace.Rtp ->
        st.usage.Vliw.scl <- st.usage.Vliw.scl + 1;
@@ -250,11 +252,11 @@ let split_region events =
   in
   go [] 0 events
 
-let compile ~env ~thunked events =
+let compile ?thunk ~env events =
   let st =
     {
       env;
-      thunked;
+      thunk;
       rev_segs = [];
       usage = Vliw.empty ();
       win_progress = Hashtbl.create 8;

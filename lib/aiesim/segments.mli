@@ -34,11 +34,12 @@ type port_env = {
 
 exception Compile_error of string
 
-(** [compile ~env ~thunked events] — [thunked] selects the extracted
-    adapter cost model ({!Deploy.Thunk}); the per-access costs come from
-    {!Aie.Cfg}.  Raises {!Compile_error} on malformed traces (unbalanced
-    loop markers, unknown ports). *)
-val compile : env:port_env -> thunked:bool -> Aie.Trace.event list -> seg list
+(** [compile ?thunk ~env events] — [thunk] is the extracted adapter's
+    cost model ({!Deploy.Thunk}), charged on the port accesses the trace
+    marks [thunked]; without it they cost nothing extra (a [Direct]
+    deploy's trace marks none).  Raises {!Compile_error} on malformed
+    traces (unbalanced loop markers, unknown ports). *)
+val compile : ?thunk:Deploy.thunk_costs -> env:port_env -> Aie.Trace.event list -> seg list
 
 (** Total compute cycles in a segment program (diagnostics). *)
 val compute_cycles : seg list -> int

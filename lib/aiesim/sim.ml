@@ -44,6 +44,13 @@ let transport_of_settings s =
   | Cgsim.Settings.Rtp -> Aie.Trace.Rtp
   | Cgsim.Settings.Gmio -> Aie.Trace.Gmio
 
+(* The adapter costs a kernel's port accesses pay: a thunked deploy's,
+   on AIE kernels only. *)
+let thunk_costs (d : Deploy.t) (inst : Cgsim.Serialized.kernel_inst) =
+  match d.Deploy.adapter with
+  | Deploy.Thunk costs when inst.realm = Cgsim.Kernel.Aie -> Some costs
+  | Deploy.Thunk _ | Deploy.Direct -> None
+
 type capture_result = {
   traces : (string * Aie.Trace.event list) list;  (* per kernel instance *)
   traffic : int array;  (* elements per net *)
@@ -53,17 +60,24 @@ type capture_result = {
 
 let capture ?(config = Cgsim.Run_config.default) (d : Deploy.t) ~sources ~sinks =
   let g = d.Deploy.graph in
-  let thunk_applies (inst : Cgsim.Serialized.kernel_inst) =
-    d.Deploy.adapter = Deploy.Thunk && inst.realm = Cgsim.Kernel.Aie
-  in
   let net_of inst port_idx = g.Cgsim.Serialized.nets.(inst.Cgsim.Serialized.port_nets.(port_idx)) in
+  (* One recorder per kernel instance, found by physical identity: it
+     is the kernel fiber's local, and its port taps push into it. *)
+  let recorders =
+    Array.to_list
+      (Array.map
+         (fun (inst : Cgsim.Serialized.kernel_inst) -> inst, Aie.Trace.create_recorder ())
+         g.kernels)
+  in
+  let local inst = Aie.Trace.Recorder (List.assq inst recorders) in
   (* Capture tap: one Port_read/Port_write event per element moved, so
      block transfers keep per-element cycle accounting. *)
   let tap (inst : Cgsim.Serialized.kernel_inst) port_idx port =
+    let r = List.assq inst recorders in
     let net = net_of inst port_idx in
     let transport = transport_of_settings net.Cgsim.Serialized.settings in
     let bytes = Cgsim.Dtype.size_bytes net.Cgsim.Serialized.dtype in
-    let thunked = thunk_applies inst in
+    let thunked = Option.is_some (thunk_costs d inst) in
     let stream = transport = Aie.Trace.Stream in
     let ev =
       match inst.ports.(port_idx).Cgsim.Kernel.dir with
@@ -76,7 +90,7 @@ let capture ?(config = Cgsim.Run_config.default) (d : Deploy.t) ~sources ~sinks 
         after =
           (fun n ->
             for _ = 1 to n do
-              Aie.Trace.emit ev
+              Aie.Trace.push r ev
             done);
         (* An AIE core has no burst buffer behind its stream ports — every
            write is one switch beat.  Advertising zero advisory space makes
@@ -88,26 +102,9 @@ let capture ?(config = Cgsim.Run_config.default) (d : Deploy.t) ~sources ~sinks 
         hold_space = (fun () -> stream);
       }
   in
-  let recorders =
-    Array.to_list
-      (Array.map
-         (fun (inst : Cgsim.Serialized.kernel_inst) ->
-           let r = Aie.Trace.create_recorder () in
-           Aie.Trace.bind inst.inst_name r;
-           inst.inst_name, r)
-         g.kernels)
-  in
-  Aie.Trace.enabled := true;
-  let finish () =
-    Aie.Trace.enabled := false;
-    List.iter (fun (name, _) -> Aie.Trace.unbind name) recorders
-  in
-  let ctx = Cgsim.Runtime.instantiate ~config ~tap g in
-  let outcome =
-    Fun.protect ~finally:finish (fun () -> Cgsim.Runtime.run ctx ~sources ~sinks)
-  in
+  let ctx = Cgsim.Runtime.instantiate ~config ~tap ~local g in
   let stats =
-    match outcome with
+    match Cgsim.Runtime.run ctx ~sources ~sinks with
     | Cgsim.Runtime.Completed stats -> stats
     | o ->
       (* A capture cut short by deadline, cancellation or kernel failure
@@ -115,7 +112,11 @@ let capture ?(config = Cgsim.Run_config.default) (d : Deploy.t) ~sources ~sinks 
       fail "capture of %s did not complete: %a" g.Cgsim.Serialized.gname Cgsim.Runtime.pp_outcome
         o
   in
-  let traces = List.map (fun (name, r) -> name, Aie.Trace.events r) recorders in
+  let traces =
+    List.map
+      (fun ((inst : Cgsim.Serialized.kernel_inst), r) -> inst.inst_name, Aie.Trace.events r)
+      recorders
+  in
   let events_total =
     List.fold_left (fun acc (_, r) -> acc + Aie.Trace.event_count r) 0 recorders
   in
@@ -367,8 +368,7 @@ let replay (d : Deploy.t) (cap : capture_result) =
              | Some evs -> evs
              | None -> fail "no trace captured for kernel %s" inst.inst_name
            in
-           let thunked = d.Deploy.adapter = Deploy.Thunk && inst.realm = Cgsim.Kernel.Aie in
-           inst, Segments.compile ~env:{ Segments.chan_of_port } ~thunked events)
+           inst, Segments.compile ?thunk:(thunk_costs d inst) ~env:{ Segments.chan_of_port } events)
          g.kernels)
   in
   let max_seg_bytes = Array.make (Array.length g.nets) 0 in

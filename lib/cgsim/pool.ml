@@ -58,103 +58,28 @@ let next_unit_float st =
 (* Warm-instance cache                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Compiled graphs and their reusable instances, keyed by graph identity
-   (physical — recompiling a structurally equal Serialized.t is exactly
-   what the cache exists to avoid, so callers are expected to hold on to
-   one) plus configuration compatibility.  Bounded two ways: at most
-   [cache_entries] distinct (graph, config) pairs, least-recently-used
-   evicted, and at most [instances_per_entry] idle instances parked per
-   entry — a poisoned instance (reset failed) is simply dropped, which
-   is the eviction path for broken state.  Compilation caching serves
-   the cold path too (a cold config still resolves here); only the idle
-   instance list is warm-only. *)
-
-(* Run_config compatibility for cache keying: exactly the fields
-   [Runtime] reads, since a compiled artifact and its instances bake
-   them in (capacities, lint verdict, fault taps, run budgets).  Scalar
-   knobs compare structurally; fault plans compare physically (two
-   distinct plans genuinely are different keys, since their shared fire
-   budgets are entry state). *)
-let config_key_equal (a : Run_config.t) (b : Run_config.t) =
-  a.Run_config.queue_capacity = b.Run_config.queue_capacity
-  && a.Run_config.lint = b.Run_config.lint
-  && a.Run_config.deadline_ns = b.Run_config.deadline_ns
-  && a.Run_config.max_steps = b.Run_config.max_steps
-  && a.Run_config.auto_capacity = b.Run_config.auto_capacity
-  && (match a.Run_config.faults, b.Run_config.faults with
-      | None, None -> true
-      | Some x, Some y -> x == y
-      | _ -> false)
+(* One pool's compiled graphs and their reusable instances, keyed by
+   graph identity alone: the compile-time config is the pool's, and the
+   per-request values a submit may set (deadline, seed) are not baked
+   into an instance.  Physical identity, because recompiling a
+   structurally equal Serialized.t is exactly what the cache exists to
+   avoid, so callers hold on to one.  Bounded two ways: at most
+   [cache_entries] graphs, least recently used evicted, and at most
+   [instances_per_entry] idle instances parked per entry — a poisoned
+   instance (reset failed) is simply dropped, which is the eviction path
+   for broken state.  The cold path ([warm = false]) still compiles
+   once per entry; only the idle instance list is warm-only. *)
 
 type cache_entry = {
   e_graph : Serialized.t;
-  e_config : Run_config.t;
   e_compiled : Runtime.compiled;
   e_lock : Mutex.t;
   mutable e_free : Runtime.t list;  (* idle reset instances, under e_lock *)
-  mutable e_stamp : int;  (* LRU clock value of the last use *)
 }
 
 let cache_entries = 8
 
 let instances_per_entry = 8
-
-let cache : cache_entry list ref = ref []
-
-let cache_lock = Mutex.create ()
-
-let cache_clock = ref 0
-
-let clear_warm_cache () =
-  Mutex.lock cache_lock;
-  cache := [];
-  Mutex.unlock cache_lock
-
-(* Find-or-compile under the cache lock.  Compilation (validation +
-   registry resolution + the one pre-flight lint whose verdict the entry
-   carries) happens at most once per entry; warm hits and retries never
-   re-lint.  May raise exactly as [Runtime.compile] does — the lock is
-   released first. *)
-let acquire_entry g config =
-  Mutex.lock cache_lock;
-  incr cache_clock;
-  let stamp = !cache_clock in
-  match
-    List.find_opt (fun e -> e.e_graph == g && config_key_equal e.e_config config) !cache
-  with
-  | Some e ->
-    e.e_stamp <- stamp;
-    Mutex.unlock cache_lock;
-    e
-  | None ->
-    Mutex.unlock cache_lock;
-    let compiled = Runtime.compile ~config g in
-    let entry =
-      {
-        e_graph = g;
-        e_config = config;
-        e_compiled = compiled;
-        e_lock = Mutex.create ();
-        e_free = [];
-        e_stamp = stamp;
-      }
-    in
-    Mutex.lock cache_lock;
-    let entries = entry :: !cache in
-    let entries =
-      if List.length entries <= cache_entries then entries
-      else begin
-        (* Evict the least recently used entry (and its idle instances). *)
-        let oldest =
-          List.fold_left (fun acc e -> if e.e_stamp < acc.e_stamp then e else acc)
-            (List.hd entries) entries
-        in
-        List.filter (fun e -> e != oldest) entries
-      end
-    in
-    cache := entries;
-    Mutex.unlock cache_lock;
-    entry
 
 (* ------------------------------------------------------------------ *)
 (* The persistent pool                                                 *)
@@ -171,10 +96,9 @@ type handle = {
 
 type pending = {
   pr_handle : handle;
-  pr_graph : Serialized.t;
-  pr_config : Run_config.t;
-  pr_compiled : Runtime.compiled;
-  pr_entry : cache_entry option;  (* Some = warm instance reuse *)
+  pr_entry : cache_entry;
+  pr_deadline_ns : float option;  (* None: the pool config's *)
+  pr_seed : int;
   pr_arrival : float option;  (* absolute Clock.now_ns instant *)
   pr_io : int -> Io.source list * Io.sink list;
   pr_on_complete : (request_result -> unit) option;
@@ -186,6 +110,8 @@ type t = {
   p_lock : Mutex.t;
   p_cond : Condition.t;
   p_queues : pending Queue.t array;  (* per-domain FIFO, under p_lock *)
+  p_cache_lock : Mutex.t;
+  mutable p_cache : cache_entry list;  (* most recently used first *)
   mutable p_stop : bool;  (* no new submits; workers drain then exit *)
   mutable p_next_id : int;
   mutable p_queued : int;
@@ -268,34 +194,31 @@ let record_result pool (p : pending) (res : request_result) =
    Release resets and parks the instance for the next request; an
    instance whose reset fails is dropped, never reused. *)
 let acquire pool (p : pending) =
-  match p.pr_entry with
-  | Some e ->
-    Mutex.lock e.e_lock;
-    (match e.e_free with
-     | inst :: rest ->
-       e.e_free <- rest;
-       Mutex.unlock e.e_lock;
-       Atomic.incr pool.p_warm_hits;
-       if !Obs.Trace.on then Obs.Trace.incr_metric "pool.warm_hit";
-       inst
-     | [] ->
-       Mutex.unlock e.e_lock;
-       Atomic.incr pool.p_cold_builds;
-       Runtime.new_instance p.pr_compiled)
-  | None ->
+  let e = p.pr_entry in
+  Mutex.lock e.e_lock;
+  match e.e_free with
+  | inst :: rest ->
+    e.e_free <- rest;
+    Mutex.unlock e.e_lock;
+    Atomic.incr pool.p_warm_hits;
+    if !Obs.Trace.on then Obs.Trace.incr_metric "pool.warm_hit";
+    inst
+  | [] ->
+    Mutex.unlock e.e_lock;
     Atomic.incr pool.p_cold_builds;
-    Runtime.new_instance p.pr_compiled
+    Runtime.new_instance e.e_compiled
 
-let release (p : pending) inst =
-  match p.pr_entry with
-  | None -> ()
-  | Some e ->
-    (match Runtime.reset inst with
-     | () ->
-       Mutex.lock e.e_lock;
-       if List.length e.e_free < instances_per_entry then e.e_free <- inst :: e.e_free;
-       Mutex.unlock e.e_lock
-     | exception _ -> () (* poisoned: evict by dropping *))
+(* Only a warm pool parks instances, so a cold one always builds. *)
+let release pool (p : pending) inst =
+  if pool.p_config.Run_config.warm then begin
+    let e = p.pr_entry in
+    match Runtime.reset inst with
+    | () ->
+      Mutex.lock e.e_lock;
+      if List.length e.e_free < instances_per_entry then e.e_free <- inst :: e.e_free;
+      Mutex.unlock e.e_lock
+    | exception _ -> () (* poisoned: evict by dropping *)
+  end
 
 (* First domain to observe the open circuit dumps its flight window:
    the events leading up to the failure streak. *)
@@ -320,8 +243,8 @@ let shed_result ~domain ~stolen (p : pending) =
 
 let execute pool ~domain ~stolen (p : pending) =
   let r = p.pr_handle.h_id in
-  let config = p.pr_config in
-  let gname = p.pr_graph.Serialized.gname in
+  let config = pool.p_config in
+  let gname = p.pr_entry.e_graph.Serialized.gname in
   if p.pr_handle.h_cancelled then
     (* Cancelled while queued: never executes, zero attempts. *)
     record_result pool p
@@ -346,7 +269,7 @@ let execute pool ~domain ~stolen (p : pending) =
     in
     let t0 = Obs.Clock.now_ns () in
     Obs.Flight.note Obs.Flight.Request ~arg:(float_of_int r) gname;
-    let jitter = jitter_state ~seed:config.Run_config.seed ~req:r in
+    let jitter = jitter_state ~seed:p.pr_seed ~req:r in
     let prev_backoff = ref config.Run_config.retry_base_ns in
     let backoff () =
       let base = config.Run_config.retry_base_ns in
@@ -382,11 +305,11 @@ let execute pool ~domain ~stolen (p : pending) =
                 Mutex.unlock h.h_lock)
               (fun () ->
                 let sources, sinks = p.pr_io r in
-                Runtime.run t ~sources ~sinks)
+                Runtime.run ?deadline_ns:p.pr_deadline_ns t ~sources ~sinks)
           in
           (* Reset and park the instance for the next request; a raise
              above leaves it un-released (dropped), never reused. *)
-          release p t;
+          release pool p t;
           outcome
         with exn ->
           (* Wiring/instantiation raises (caller bugs) are captured so
@@ -509,6 +432,8 @@ let make ~config ~domains =
     p_lock = Mutex.create ();
     p_cond = Condition.create ();
     p_queues = Array.init domains (fun _ -> Queue.create ());
+    p_cache_lock = Mutex.create ();
+    p_cache = [];
     p_stop = false;
     p_next_id = 0;
     p_queued = 0;
@@ -544,12 +469,35 @@ let create ?(config = Run_config.default) ~domains () =
   start pool;
   pool
 
-let submit pool ?config ?not_before_ns ?on_complete ~io (g : Serialized.t) =
-  let config = Option.value config ~default:pool.p_config in
+(* Find-or-compile under the cache lock.  Compilation (validation +
+   registry resolution + the one pre-flight lint whose verdict the entry
+   carries) happens at most once per cached graph; warm hits and retries
+   never re-lint.  May raise exactly as [Runtime.compile] does. *)
+let acquire_entry pool g =
+  Mutex.protect pool.p_cache_lock (fun () ->
+      match List.find_opt (fun e -> e.e_graph == g) pool.p_cache with
+      | Some e ->
+        (match pool.p_cache with
+         | first :: _ when first == e -> ()
+         | cache -> pool.p_cache <- e :: List.filter (fun x -> x != e) cache);
+        e
+      | None ->
+        let e =
+          {
+            e_graph = g;
+            e_compiled = Runtime.compile ~config:pool.p_config g;
+            e_lock = Mutex.create ();
+            e_free = [];
+          }
+        in
+        (* Evict the least recently used entry (and its idle instances). *)
+        pool.p_cache <- e :: List.filteri (fun i _ -> i < cache_entries - 1) pool.p_cache;
+        e)
+
+let submit pool ?deadline_ns ?seed ?not_before_ns ?on_complete ~io (g : Serialized.t) =
   (* Compile (or fetch the cached artifact) before queueing: compile
      errors are caller bugs and raise here, never from a worker. *)
-  let entry = acquire_entry g config in
-  let pr_entry = if config.Run_config.warm then Some entry else None in
+  let entry = acquire_entry pool g in
   Mutex.lock pool.p_lock;
   if pool.p_stop then begin
     Mutex.unlock pool.p_lock;
@@ -570,10 +518,9 @@ let submit pool ?config ?not_before_ns ?on_complete ~io (g : Serialized.t) =
   let p =
     {
       pr_handle = h;
-      pr_graph = g;
-      pr_config = config;
-      pr_compiled = entry.e_compiled;
-      pr_entry;
+      pr_entry = entry;
+      pr_deadline_ns = deadline_ns;
+      pr_seed = Option.value seed ~default:pool.p_config.Run_config.seed;
       pr_arrival = not_before_ns;
       pr_io = io;
       pr_on_complete = on_complete;

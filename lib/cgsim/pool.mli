@@ -18,16 +18,17 @@
     create, submit everything, await everything, shutdown.  Network
     front ends ({!Serve.Server}) drive {!submit}/{!await} directly.
 
-    {b Warm serving} (default, [config.warm]): the graph is
-    {!Runtime.compile}d once — validation, registry resolution and the
-    pre-flight lint verdict live in a bounded process-wide cache keyed
-    by graph identity + the {!Run_config.t} fields {!Runtime} reads
-    (LRU-evicted; see
-    {!clear_warm_cache}) — and served requests draw {!Runtime.reset}
-    instances from the entry's idle pool instead of rebuilding queues
-    and wiring per attempt.  An instance whose reset fails is dropped.
-    [config.warm = false] forces the cold path: a fresh instance per
-    attempt (the compiled artifact is still cached, instances are not).
+    {b Warm serving} (default, [config.warm]): each graph is
+    {!Runtime.compile}d once under the pool's config — validation,
+    registry resolution and the pre-flight lint verdict live in the
+    pool's own warm cache, bounded (least recently used evicted) and
+    keyed by graph identity alone — and served requests draw
+    {!Runtime.reset} instances from the entry's idle list instead of
+    rebuilding queues and wiring per attempt.  An instance whose reset
+    fails is dropped.  [config.warm = false] forces the cold path: a
+    fresh instance per attempt (the compiled artifact is still cached,
+    instances are not).  The cache lives and dies with the pool: a
+    fresh pool starts cold.
 
     Requests are distributed round-robin across per-domain work queues;
     a domain that drains its own queue steals the oldest queued request
@@ -48,8 +49,9 @@
       load-shedding breaker); successes reset the count.  {!breaker_open}
       exposes the live state so a front end can refuse admission at the
       door;
-    - the per-attempt deadline, fault plan and queue knobs come
-      from the same config, passed to {!Runtime.instantiate} verbatim.
+    - the fault plan and queue knobs come from the same config, which
+      compiles every graph; the per-attempt deadline and the jitter
+      seed too, unless {!submit} overrides them for one request.
 
     Observability is two-tier.  Always on (tracing or not): request
     latencies are recorded into per-domain {!Obs.Hdr} histograms and
@@ -101,8 +103,8 @@ type handle
 
 (** [create ~domains ()] spawns [domains] worker domains that serve
     submitted requests until {!shutdown}.  [config] (default
-    {!Run_config.default}) is the default execution config for every
-    request; {!submit} can override it per request.  Raises
+    {!Run_config.default}) is the execution config of every request;
+    {!submit} can override its deadline and seed per request.  Raises
     [Invalid_argument] unless [domains] is positive. *)
 val create : ?config:Run_config.t -> domains:int -> unit -> t
 
@@ -112,12 +114,13 @@ val create : ?config:Run_config.t -> domains:int -> unit -> t
     safe to call concurrently with other requests' [io], and sources
     must be re-buildable if the config enables retries).
 
-    [?config] overrides the pool default for this request (e.g. a
-    per-request deadline or seed); graph compilation is cached per
-    (graph, config-compatibility) pair, so a handful of distinct configs
-    serve warm.  [?not_before_ns] is an absolute {!Obs.Clock.now_ns}
-    instant: the executing domain waits it out before starting, and
-    [req_latency_ns] counts from it (open-loop latency semantics).
+    [?deadline_ns] (a wall-clock budget per attempt) and [?seed] (the
+    retry-jitter seed) override the pool config's for this request
+    only.  Neither is part of the compiled graph, so requests that
+    differ in them share one warm cache entry.  [?not_before_ns] is an
+    absolute {!Obs.Clock.now_ns} instant: the executing domain waits it
+    out before starting, and [req_latency_ns] counts from it (open-loop
+    latency semantics).
     [?on_complete] runs on the executing domain right after the result
     is published — network front ends use it to write the response
     without a dedicated waiter.  An exception it raises does not reach
@@ -132,7 +135,8 @@ val create : ?config:Run_config.t -> domains:int -> unit -> t
     [Invalid_argument] after {!shutdown}. *)
 val submit :
   t ->
-  ?config:Run_config.t ->
+  ?deadline_ns:float ->
+  ?seed:int ->
   ?not_before_ns:float ->
   ?on_complete:(request_result -> unit) ->
   io:(int -> Io.source list * Io.sink list) ->
@@ -229,8 +233,3 @@ val run :
     ([cgsim_pool_outcome_total{id="completed"}], ...).  See
     {!Obs.Prom}. *)
 val metrics_exposition : stats -> string
-
-(** Drop every cached compiled graph and idle warm instance.  Mainly for
-    tests and benchmarks that compare warm against genuinely cold
-    serving; production callers never need it (the cache is bounded). *)
-val clear_warm_cache : unit -> unit

@@ -133,12 +133,17 @@ type tap_source = Serialized.kernel_inst -> int -> string -> Port.tap option
 
 let no_taps _ _ _ = None
 
+type local_source = Serialized.kernel_inst -> Sched.local
+
+let no_local _ = Sched.No_local
+
 type t = {
   graph : Serialized.t;
   sched : Sched.t;
   queues : Bqueue.t array;  (* indexed by net id *)
   config : Run_config.t;
   tap : tap_source;  (* the caller's port taps *)
+  local : local_source;  (* the caller's per-kernel fiber locals *)
   kernels : wired_kernel array;
   in_producers : Bqueue.producer array;  (* per input_order slot *)
   out_consumers : Bqueue.consumer array;  (* per output_order slot *)
@@ -238,7 +243,7 @@ let check_wiring ~(g : Serialized.t) queues =
    registration (kernel ports and one producer/consumer per global I/O
    slot, so endpoint counts are static across resets) and the wiring
    check — everything [run] does not have to repeat. *)
-let new_instance ?(tap = no_taps) (c : compiled) =
+let new_instance ?(tap = no_taps) ?(local = no_local) (c : compiled) =
   let g = c.c_graph in
   let config = c.c_config in
   let sched = Sched.create () in
@@ -314,6 +319,7 @@ let new_instance ?(tap = no_taps) (c : compiled) =
     queues;
     config;
     tap;
+    local;
     kernels;
     in_producers;
     out_consumers;
@@ -323,7 +329,8 @@ let new_instance ?(tap = no_taps) (c : compiled) =
     failure = None;
   }
 
-let instantiate ?config ?tap (g : Serialized.t) = new_instance ?tap (compile ?config g)
+let instantiate ?config ?tap ?local (g : Serialized.t) =
+  new_instance ?tap ?local (compile ?config g)
 
 (* Restore a used instance to pristine: ring cursors, producer-open
    flags, scheduler state and the failure slot all return to their
@@ -374,12 +381,13 @@ let kernel_body t ~traced wk binding () =
     raise e
 
 (* Arm the instance for one run: tap the raw ports and spawn every
-   fiber.  Taps are listed fault first, so an injected fault fires
-   before the transfer and the trace counters and the caller's tap
-   (aiesim capture) record only transfers that happened.  Re-tapping per
-   run keeps per-run tap state — fault access counters, the trace-session
-   check — identical to a fresh build; with no faults, no trace session
-   and no caller tap, kernels get the raw queue closures. *)
+   fiber, each kernel fiber with the caller's local for it.  Taps are
+   listed fault first, so an injected fault fires before the transfer
+   and the trace counters and the caller's tap (aiesim capture) record
+   only transfers that happened.  Re-tapping per run keeps per-run tap
+   state — fault access counters, the trace-session check — identical
+   to a fresh build; with no faults, no trace session and no caller
+   tap, kernels get the raw queue closures. *)
 let arm t =
   let traced = !Obs.Trace.on in
   let faults = match t.config.Run_config.faults with Some plan -> Faults.tap plan | None -> no_taps in
@@ -414,7 +422,8 @@ let arm t =
         }
       in
       let producers = wk.wk_producers in
-      Sched.spawn ~prof_key:wk.wk_prof_key t.sched ~name:inst.inst_name (fun () ->
+      Sched.spawn ~prof_key:wk.wk_prof_key ~local:(t.local inst) t.sched ~name:inst.inst_name
+        (fun () ->
           (* When a kernel terminates (normally or via End_of_stream), its
              output nets lose one producer; fully-drained nets close and the
              closure propagates downstream. *)
@@ -516,7 +525,7 @@ let src_of_fiber t name =
 let occupancy_snapshot t =
   Array.to_list (Array.map (fun q -> Bqueue.name q, Bqueue.occupancy q) t.queues)
 
-let run t ~sources ~sinks =
+let run ?deadline_ns t ~sources ~sinks =
   if t.ran then
     fail "runtime context for %s already ran; reset it (or instantiate again)" t.graph.gname;
   t.ran <- true;
@@ -531,10 +540,10 @@ let run t ~sources ~sinks =
   t.cur_sources <- Array.of_list sources;
   t.cur_sinks <- Array.of_list sinks;
   arm t;
-  let stats =
-    Sched.run ?deadline_ns:t.config.Run_config.deadline_ns
-      ?max_steps:t.config.Run_config.max_steps t.sched
+  let deadline_ns =
+    match deadline_ns with Some _ -> deadline_ns | None -> t.config.Run_config.deadline_ns
   in
+  let stats = Sched.run ?deadline_ns ?max_steps:t.config.Run_config.max_steps t.sched in
   match t.failure with
   | Some f -> Kernel_failed f
   | None ->

@@ -57,6 +57,13 @@ val preflight : lint:lint_level -> Serialized.t -> unit
     trace this way. *)
 type tap_source = Serialized.kernel_inst -> int -> string -> Port.tap option
 
+(** A source of fiber locals: [src inst] is the {!Sched.local} kernel
+    instance [inst]'s fiber is spawned with, read back inside the fiber
+    by {!Sched.local}.  Like a tap source it is called afresh for every
+    {!run}.  aiesim's capture gives each kernel its trace recorder this
+    way. *)
+type local_source = Serialized.kernel_inst -> Sched.local
+
 (** {1 Structured outcomes} *)
 
 (** A kernel body raised: who, what, where. *)
@@ -109,9 +116,11 @@ val stats_exn : outcome -> Sched.stats
     {!Run_config.default}).  Queue capacities derive from each net's
     resolved settings unless [config.queue_capacity] overrides them all.
     Ports always take the block transfers and scalar nets always use
-    flat storage.  [tap] is the caller's port tap (see above).  Raises
-    exactly as {!compile} does. *)
-val instantiate : ?config:Run_config.t -> ?tap:tap_source -> Serialized.t -> t
+    flat storage.  [tap] is the caller's port tap and [local] its
+    per-kernel fiber local (default {!Sched.No_local}), both applied
+    on every run.  Raises exactly as {!compile} does. *)
+val instantiate :
+  ?config:Run_config.t -> ?tap:tap_source -> ?local:local_source -> Serialized.t -> t
 
 (** {1 Compile-once serving}
 
@@ -136,9 +145,9 @@ val compiled_config : compiled -> Run_config.t
 (** [new_instance c] builds the per-request state: queues at the
     compiled capacities, all kernel and global-I/O endpoints registered
     (so endpoint counts are static across resets) and wiring verified.
-    [tap] is the caller's port tap, applied on every run.  The instance
-    is ready for one {!run}; {!reset} readies it for the next. *)
-val new_instance : ?tap:tap_source -> compiled -> t
+    [tap] and [local] are as for {!instantiate}.  The instance is ready
+    for one {!run}; {!reset} readies it for the next. *)
+val new_instance : ?tap:tap_source -> ?local:local_source -> compiled -> t
 
 (** [reset t] restores a used instance to its just-built state without
     reallocating: ring cursors and sequence numbers return to zero,
@@ -155,13 +164,16 @@ val reset : t -> unit
     least one producer and one consumer (raising {!Runtime_error} naming
     the offending net and its kernel ports — a miswired edge used to
     hang silently at run time), then executes under the context's
-    {!Run_config.t}: the configured wall-clock deadline and step budget
-    are enforced at every scheduling boundary, and a kernel failure is
+    {!Run_config.t}: the wall-clock deadline and step budget are
+    enforced at every scheduling boundary, and a kernel failure is
     captured with its backtrace and source span rather than escaping.
+    [deadline_ns] overrides the config's deadline for this run only: it
+    is a run budget, not part of the compiled graph, so a warm instance
+    serves any deadline.
 
     Wiring errors (wrong source/sink counts, miswired nets) still raise
     — those are caller bugs, not run outcomes. *)
-val run : t -> sources:Io.source list -> sinks:Io.sink list -> outcome
+val run : ?deadline_ns:float -> t -> sources:Io.source list -> sinks:Io.sink list -> outcome
 
 (** {!run} then {!stats_exn}: raises {!Runtime_error} on any outcome
     other than [Completed]. *)

@@ -68,12 +68,22 @@ val pp_stats : Format.formatter -> stats -> unit
 
 val create : unit -> t
 
+(** A fiber-local value, fixed when the fiber is spawned and read back
+    by code running inside it ({!local}).  Libraries extend the type
+    with their own constructors; aiesim's capture installs a trace
+    recorder ([Aie.Trace.Recorder]) this way. *)
+type local = ..
+
+(** The local of a fiber spawned without one, and of host code. *)
+type local += No_local
+
 (** [spawn t ~name fn] registers a fiber in the suspended state.  Allowed
     both before {!run} and from inside a running fiber.  [prof_key]
     overrides the per-kernel profiler key (default
     [Obs.Profile.prefix ^ name]); warm runtimes pass a precomputed key so
-    respawning a fiber never allocates the string again. *)
-val spawn : ?prof_key:string -> t -> name:string -> (unit -> unit) -> unit
+    respawning a fiber never allocates the string again.  [local]
+    (default {!No_local}) is the fiber's local value. *)
+val spawn : ?prof_key:string -> ?local:local -> t -> name:string -> (unit -> unit) -> unit
 
 (** Restore the scheduler to its freshly-{!create}d state: empties the
     task set and ready queue and zeroes all counters and the stop token.
@@ -132,3 +142,9 @@ val wake_batch : waker list -> unit
 
 (** Name of the currently running fiber, for diagnostics. *)
 val current_name : unit -> string
+
+(** The running fiber's local value; {!No_local} outside any fiber.
+    Allocation-free: while no live fiber on any domain was spawned with
+    a local it is one load and a branch, otherwise one domain-local
+    read. *)
+val local : unit -> local

@@ -13,7 +13,6 @@ type conn = {
 
 type t = {
   s_pool : Pool.t;
-  s_config : Run_config.t;
   s_graphs : (string * Cgsim.Serialized.t) list;
   s_listen_fd : Unix.file_descr;
   s_addr : Addr.t;
@@ -53,7 +52,6 @@ let create ?(config = Run_config.default) ?stats_interval_s ~graphs ~domains ~li
   Obs.Metrics.add metrics "serve.conn_error" 0.0;
   {
     s_pool = pool;
-    s_config = config;
     s_graphs = graphs;
     s_listen_fd = fd;
     s_addr = bound;
@@ -168,17 +166,7 @@ let handle_run t conn id (rq : Wire.run_request) =
         }
     end
     else begin
-      let config =
-        let c = t.s_config in
-        let c =
-          match rq.Wire.rq_deadline_ms with
-          | Some d -> Run_config.with_deadline_ms d c
-          | None -> c
-        in
-        match rq.Wire.rq_seed with
-        | Some s -> Run_config.with_seed s c
-        | None -> c
-      in
+      let deadline_ns = Option.map (fun ms -> ms *. 1e6) rq.Wire.rq_deadline_ms in
       (* [io] runs once per attempt on the worker domain; the readers of
          the newest attempt's collector sinks are what the reply reads. *)
       let readers = ref [] in
@@ -205,7 +193,7 @@ let handle_run t conn id (rq : Wire.run_request) =
         inflight_decr conn
       in
       inflight_incr conn;
-      match Pool.submit t.s_pool ~config ~on_complete ~io g with
+      match Pool.submit t.s_pool ?deadline_ns ?seed:rq.Wire.rq_seed ~on_complete ~io g with
       | _handle -> ()
       | exception exn ->
         (* Compile-time rejection (invalid graph, `Error`-level lint). *)

@@ -277,7 +277,8 @@ let words_per_call f =
   (Gc.minor_words () -. before) /. float_of_int calls
 
 let test_untraced_allocation () =
-  Alcotest.(check bool) "tracing off" false !Aie.Trace.enabled;
+  Alcotest.(check bool) "tracing off" false
+    (match Cgsim.Sched.local () with Aie.Trace.Recorder _ -> true | _ -> false);
   let lanes = 16 in
   (* a 16-lane float or int array: header + 16 words *)
   let result_words = float_of_int (lanes + 1) in
@@ -307,23 +308,27 @@ let test_untraced_allocation () =
   only_result "mac16_scalar" (fun () -> Aie.Intrinsics.mac16_scalar acc acc 3);
   only_result "srs16" (fun () -> Aie.Intrinsics.srs16 ~shift:4 acc);
   only_result "load_f32" (fun () -> Aie.Intrinsics.load_f32 mem 8 lanes);
-  at_most "Trace.vop" 2. (fun () -> Aie.Trace.vop ~slots:2 "fpmac");
   at_most "Trace.sop" 2. (fun () -> Aie.Trace.sop ~count:3 "addr")
 
 (* ------------------------------------------------------------------ *)
 (* Intrinsics: cost emission                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Run [f] in a fiber whose local is a fresh recorder, as aiesim's
+   capture runs a kernel; a raise inside [f] is re-raised here. *)
+let in_fiber ?local f =
+  let s = Cgsim.Sched.create () in
+  Cgsim.Sched.spawn ?local s ~name:"traced" f;
+  match (Cgsim.Sched.run s).Cgsim.Sched.failed with
+  | (_, e) :: _ -> raise e
+  | [] -> ()
+
 let with_recording f =
   let r = Aie.Trace.create_recorder () in
-  Aie.Trace.bind "<host>" r;
-  Aie.Trace.enabled := true;
-  Fun.protect
-    ~finally:(fun () ->
-      Aie.Trace.enabled := false;
-      Aie.Trace.unbind "<host>")
-    f;
+  in_fiber ~local:(Aie.Trace.Recorder r) f;
   Aie.Trace.events r
+
+let vop name = Aie.Trace.emit (Aie.Trace.Vop { name; slots = 1 })
 
 let show_events evs = String.concat "; " (List.map (Format.asprintf "%a" Aie.Trace.pp_event) evs)
 
@@ -364,12 +369,13 @@ let test_intrinsics_emit_costs () =
           (show_events vector) (show_events scalar))
     [ 1; 8; 16; 32; 40 ]
 
+(* A recorder records only the fiber it is the local of: host code and
+   a fiber spawned without it leave it empty. *)
 let test_intrinsics_disabled_is_silent () =
   let r = Aie.Trace.create_recorder () in
-  Aie.Trace.bind "<host>" r;
-  (* enabled = false: nothing may be recorded *)
-  ignore (Aie.Intrinsics.fpadd [| 1.0 |] [| 2.0 |]);
-  Aie.Trace.unbind "<host>";
+  let work () = ignore (Aie.Intrinsics.fpadd [| 1.0 |] [| 2.0 |]) in
+  work ();
+  in_fiber work;
   Alcotest.(check int) "no events" 0 (Aie.Trace.event_count r)
 
 let test_intrinsics_bounds () =
@@ -394,7 +400,7 @@ let test_trace_loop_suppression () =
     with_recording (fun () ->
         Aie.Trace.with_pipelined_loop ~trip:10 (fun _ ->
             incr executions;
-            Aie.Trace.vop "body"))
+            vop "body"))
   in
   Alcotest.(check int) "body ran trip times" 10 !executions;
   match events with
@@ -408,7 +414,7 @@ let test_trace_loop_abort_marker () =
     with_recording (fun () ->
         try
           Aie.Trace.with_pipelined_loop ~trip:10 (fun _ ->
-              Aie.Trace.vop "partial";
+              vop "partial";
               raise Exit)
         with Exit -> ())
   in
@@ -432,7 +438,7 @@ let loop4_kernel =
       let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
       while true do
         Aie.Trace.with_pipelined_loop ~trip:4 (fun _ ->
-            Aie.Trace.vop "work";
+            vop "work";
             Cgsim.Port.put o (Cgsim.Port.get i))
       done)
 
@@ -446,20 +452,14 @@ let test_trace_loop_abort_on_end_of_stream () =
         [ out ])
   in
   let r = Aie.Trace.create_recorder () in
-  Aie.Trace.bind "abortk" r;
-  Aie.Trace.enabled := true;
   let sink, contents = Cgsim.Io.int_buffer () in
-  Fun.protect
-    ~finally:(fun () ->
-      Aie.Trace.enabled := false;
-      Aie.Trace.unbind "abortk")
-    (fun () ->
-      (* Exactly one full trip of input: the second loop region's first
-         body read hits the drained stream. *)
-      ignore
-        (Cgsim.Runtime.execute_exn g
-           ~sources:[ Cgsim.Io.of_int_array Cgsim.Dtype.I32 [| 1; 2; 3; 4 |] ]
-           ~sinks:[ sink ]));
+  let ctx = Cgsim.Runtime.instantiate ~local:(fun _ -> Aie.Trace.Recorder r) g in
+  (* Exactly one full trip of input: the second loop region's first body
+     read hits the drained stream. *)
+  ignore
+    (Cgsim.Runtime.run_exn ctx
+       ~sources:[ Cgsim.Io.of_int_array Cgsim.Dtype.I32 [| 1; 2; 3; 4 |] ]
+       ~sinks:[ sink ]);
   Alcotest.(check (array int)) "full first trip delivered" [| 1; 2; 3; 4 |] (contents ());
   match Aie.Trace.events r with
   | [

@@ -90,7 +90,7 @@ let test_segments_straightline () =
       Aie.Trace.Port_write { port = "3"; bytes = 4; transport = Aie.Trace.Stream; thunked = false };
     ]
   in
-  match Aiesim.Segments.compile ~env ~thunked:false events with
+  match Aiesim.Segments.compile ~env events with
   | [ Aiesim.Segments.Compute inv; Mark; Compute 4; Wr { chan = 3; bytes = 4; core = 1 } ] ->
     Alcotest.(check int) "invocation overhead" Aie.Cfg.kernel_invocation_overhead_cycles inv
   | segs ->
@@ -101,12 +101,13 @@ let test_segments_thunk_cost () =
   let read =
     Aie.Trace.Port_read { port = "1"; bytes = 4; transport = Aie.Trace.Stream; thunked = true }
   in
-  let plain = Aiesim.Segments.compile ~env ~thunked:true [ read ] in
+  let plain = Aiesim.Segments.compile ~thunk:Aiesim.Deploy.default_thunk ~env [ read ] in
   (* The thunk's scalar overhead lands in a compute region before the
      stream access. *)
   match plain with
   | [ Aiesim.Segments.Compute c; Rd _ ] ->
-    Alcotest.(check int) "thunk scalar cycles" !Aie.Cfg.thunk_scalar_ops_per_stream_access c
+    Alcotest.(check int) "thunk scalar cycles"
+      Aiesim.Deploy.default_thunk.Aiesim.Deploy.scalar_ops_per_stream_access c
   | segs ->
     Alcotest.failf "unexpected segments: %s"
       (String.concat "; " (List.map (Format.asprintf "%a" Aiesim.Segments.pp_seg) segs))
@@ -116,7 +117,7 @@ let test_segments_window_coalescing () =
      element traffic coalesced into compute loads. *)
   let rd = Aie.Trace.Port_read { port = "2"; bytes = 4; transport = Aie.Trace.Window 8; thunked = false } in
   let events = [ rd; rd; rd; rd ] in
-  let segs = Aiesim.Segments.compile ~env ~thunked:false events in
+  let segs = Aiesim.Segments.compile ~env events in
   let win_ins =
     List.length
       (List.filter (function Aiesim.Segments.Win_in _ -> true | _ -> false) segs)
@@ -132,7 +133,7 @@ let test_segments_pipelined_loop () =
       Aie.Trace.Loop_exit;
     ]
   in
-  let segs = Aiesim.Segments.compile ~env ~thunked:false events in
+  let segs = Aiesim.Segments.compile ~env events in
   let total_rd_bytes =
     List.fold_left
       (fun acc -> function Aiesim.Segments.Rd { bytes; _ } -> acc + bytes | _ -> acc)
@@ -155,7 +156,7 @@ let test_segments_aborted_loop_not_scaled () =
       Aie.Trace.Loop_abort;
     ]
   in
-  let segs = Aiesim.Segments.compile ~env ~thunked:false events in
+  let segs = Aiesim.Segments.compile ~env events in
   let total_rd_bytes =
     List.fold_left
       (fun acc -> function Aiesim.Segments.Rd { bytes; _ } -> acc + bytes | _ -> acc)
@@ -164,7 +165,7 @@ let test_segments_aborted_loop_not_scaled () =
   Alcotest.(check int) "only the partial iteration's traffic" 4 total_rd_bytes
 
 let test_segments_unbalanced_loop () =
-  match Aiesim.Segments.compile ~env ~thunked:false [ Aie.Trace.Loop_exit ] with
+  match Aiesim.Segments.compile ~env [ Aie.Trace.Loop_exit ] with
   | exception Aiesim.Segments.Compile_error _ -> ()
   | _ -> Alcotest.fail "stray Loop_exit must be rejected"
 
@@ -350,6 +351,50 @@ let test_sim_trace_digests () =
   in
   Alcotest.(check (list (pair string string))) "captured event digests" expected_trace_digests got
 
+(* A capture records only its own kernels: pool fibers on other domains
+   run the same kernel bodies under the same instance names while the
+   main domain captures, and neither side may see the other's events.
+   Every capture must reproduce the pinned digest and every pool request
+   its golden output. *)
+let test_capture_beside_pool () =
+  let h = Apps.Harness.bitonic in
+  let captures = 200 and per_capture = 2 and reps = 4 in
+  let pinned = List.assoc "bitonic/baseline" expected_trace_digests in
+  let pool_graph = h.Apps.Harness.graph () in
+  let pool = Cgsim.Pool.create ~domains:2 () in
+  let bad_digests = ref 0 in
+  let handles = ref [] in
+  Fun.protect
+    ~finally:(fun () -> Cgsim.Pool.shutdown pool)
+    (fun () ->
+      for _ = 1 to captures do
+        for _ = 1 to per_capture do
+          let out = Atomic.make (fun () -> []) in
+          let io _ =
+            let sinks, contents = h.Apps.Harness.make_sinks () in
+            Atomic.set out contents;
+            h.Apps.Harness.sources ~reps, sinks
+          in
+          handles := (Cgsim.Pool.submit pool ~io pool_graph, out) :: !handles
+        done;
+        if trace_digest (Aiesim.Deploy.baseline (h.Apps.Harness.graph ())) h <> pinned then
+          incr bad_digests
+      done;
+      List.iter
+        (fun (handle, out) ->
+          let res = Cgsim.Pool.await handle in
+          match res.Cgsim.Pool.outcome with
+          | Cgsim.Runtime.Completed _ -> (
+            match h.Apps.Harness.check ~reps ((Atomic.get out) ()) with
+            | Ok () -> ()
+            | Error e -> Alcotest.failf "pool request %d: %s" res.Cgsim.Pool.req_id e)
+          | o ->
+            Alcotest.failf "pool request %d: %a" res.Cgsim.Pool.req_id Cgsim.Runtime.pp_outcome o)
+        !handles);
+  Alcotest.(check int)
+    (Printf.sprintf "captures with a foreign digest (of %d)" captures)
+    0 !bad_digests
+
 let () =
   Alcotest.run "aiesim"
     [
@@ -390,5 +435,6 @@ let () =
           Alcotest.test_case "linear scaling" `Quick test_sim_more_reps_scale_linearly;
           Alcotest.test_case "gmio transport" `Quick test_sim_gmio_transport;
           Alcotest.test_case "captured event digests" `Quick test_sim_trace_digests;
+          Alcotest.test_case "capture beside a serving pool" `Quick test_capture_beside_pool;
         ] );
     ]

@@ -232,6 +232,36 @@ let test_sched_spawn_during_run () =
   Alcotest.(check int) "both ran" 2 stats.Cgsim.Sched.completed;
   Alcotest.(check (list string)) "order" [ "parent"; "child" ] (List.rev !seen)
 
+type Cgsim.Sched.local += Tag of string
+
+(* Each fiber reads back the local it was spawned with, across yields
+   that interleave it with fibers holding other locals (or none); host
+   code reads [No_local] before, during and after the run. *)
+let test_sched_fiber_locals () =
+  let s = Cgsim.Sched.create () in
+  let read () =
+    match Cgsim.Sched.local () with
+    | Tag t -> t
+    | Cgsim.Sched.No_local -> "none"
+    | _ -> "other"
+  in
+  let log = ref [] in
+  let fiber name () =
+    for _ = 1 to 2 do
+      log := Printf.sprintf "%s:%s" name (read ()) :: !log;
+      Cgsim.Sched.yield ()
+    done
+  in
+  Cgsim.Sched.spawn s ~local:(Tag "x") ~name:"a" (fiber "a");
+  Cgsim.Sched.spawn s ~name:"b" (fiber "b");
+  Cgsim.Sched.spawn s ~local:(Tag "y") ~name:"c" (fiber "c");
+  Alcotest.(check string) "host before the run" "none" (read ());
+  ignore (Cgsim.Sched.run s);
+  Alcotest.(check (list string)) "each fiber its own local"
+    [ "a:x"; "b:none"; "c:y"; "a:x"; "b:none"; "c:y" ]
+    (List.rev !log);
+  Alcotest.(check string) "host after the run" "none" (read ())
+
 (* ------------------------------------------------------------------ *)
 (* Bqueue                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1328,6 +1358,7 @@ let () =
           Alcotest.test_case "stale waker ignored" `Quick test_sched_stale_waker;
           Alcotest.test_case "spawn during run" `Quick test_sched_spawn_during_run;
           Alcotest.test_case "wake batch" `Quick test_sched_wake_batch;
+          Alcotest.test_case "fiber locals" `Quick test_sched_fiber_locals;
         ] );
       ( "bqueue",
         [

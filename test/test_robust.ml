@@ -479,7 +479,6 @@ let test_pool_warm_matches_cold () =
     Alcotest.(check int) "all completed" requests stats.Cgsim.Pool.counts.Cgsim.Pool.n_completed;
     stats, Array.map (fun c -> c ()) contents
   in
-  Cgsim.Pool.clear_warm_cache ();
   let warm_stats, warm = run_pool Cgsim.Run_config.default in
   let _, cold = run_pool Cgsim.Run_config.(with_warm false default) in
   Alcotest.(check bool)

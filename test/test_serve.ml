@@ -786,6 +786,44 @@ let test_peer_reset_counted () =
           | Ok rp -> Alcotest.failf "after the reset: %s" (W.run_outcome_label rp.W.rp_outcome)
           | Error m -> Alcotest.failf "after the reset: %s" m))
 
+(* A per-request deadline is a run budget, not part of the compiled
+   graph: requests that differ only in [rq_deadline_ms] share one warm
+   cache entry, so a pool of [domains] builds at most [domains]
+   instances however many distinct deadlines it serves. *)
+let test_deadlines_stay_warm () =
+  let path = temp_sock "deadline" in
+  let domains = 2 and requests = 40 in
+  let server =
+    Serve.Server.create ~graphs:all_graphs ~domains ~listen:(Serve.Addr.Unix_path path) ()
+  in
+  let serving = Domain.spawn (fun () -> Serve.Server.serve server) in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.stop server;
+      Domain.join serving)
+    (fun () ->
+      let client = Serve.Client.connect ~retries:10 (Serve.Addr.Unix_path path) in
+      Fun.protect ~finally:(fun () -> Serve.Client.close client) (fun () ->
+          let h = Apps.Harness.bitonic in
+          let inputs = List.map drain_source (h.Apps.Harness.sources ~reps:1) in
+          for i = 1 to requests do
+            let deadline_ms = 60_000.0 +. float_of_int i in
+            match Serve.Client.run client ~deadline_ms ~graph:"bitonic" inputs with
+            | Ok { W.rp_outcome = W.Completed _; _ } -> ()
+            | Ok rp -> Alcotest.failf "request %d: %s" i (W.run_outcome_label rp.W.rp_outcome)
+            | Error m -> Alcotest.failf "request %d: %s" i m
+          done;
+          let cold =
+            match Serve.Client.metrics client with
+            | Ok text -> Option.value (prom_counter text "cgsim_pool_cold_total") ~default:0.0
+            | Error m -> Alcotest.failf "metrics: %s" m
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "cold builds (%.0f) <= domains for %d distinct deadlines" cold
+               requests)
+            true
+            (cold <= float_of_int domains)))
+
 let () =
   Alcotest.run "serve"
     [
@@ -816,5 +854,7 @@ let () =
             test_breaker_shed_and_version_mismatch;
           Alcotest.test_case "peer reset counted as a connection error" `Quick
             test_peer_reset_counted;
+          Alcotest.test_case "distinct per-request deadlines stay warm" `Quick
+            test_deadlines_stay_warm;
         ] );
     ]

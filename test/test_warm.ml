@@ -289,7 +289,6 @@ let check_scaled_outputs msg (stats : Cgsim.Pool.stats) bufs =
 (* Warm pool reuse across requests: after the first build per domain,
    requests are served from reset instances. *)
 let test_warm_reuse_counts () =
-  Cgsim.Pool.clear_warm_cache ();
   let g = pure_graph () in
   let bufs = Array.make n_requests (fun () -> [||]) in
   let stats = Cgsim.Pool.run ~domains:1 ~requests:n_requests ~io:(pool_io bufs) g in
@@ -298,13 +297,12 @@ let test_warm_reuse_counts () =
   Alcotest.(check int) "the rest are warm hits" (n_requests - stats.Cgsim.Pool.cold_builds)
     stats.Cgsim.Pool.warm_hits
 
-(* The warm cache keys on [auto_capacity]: the same graph compiled
-   without capacity synthesis must not serve a later request that asks
-   for it.  The under-buffered cycle deadlocks at its declared depth and
-   completes only at the synthesized one, so a shared entry shows up as
-   a cancelled fiber. *)
+(* A warm cache compiles under its pool's config: the same graph
+   compiled without capacity synthesis must not serve a later request
+   that asks for it.  The under-buffered cycle deadlocks at its declared
+   depth and completes only at the synthesized one, so a shared compile
+   shows up as a cancelled fiber. *)
 let test_cache_keys_auto_capacity () =
-  Cgsim.Pool.clear_warm_cache ();
   let case = Workloads.Sdf_gen.generate ~defect:Workloads.Sdf_gen.Under_capacity ~seed:11 () in
   let base = Cgsim.Run_config.(default |> with_lint `Off |> with_max_steps 10_000_000) in
   let auto = Cgsim.Run_config.with_auto_capacity true base in
@@ -322,7 +320,6 @@ let test_cache_keys_auto_capacity () =
   in
   let expected = case.Workloads.Sdf_gen.c_expected_out in
   Alcotest.(check (pair int int)) "auto_capacity on a fresh cache" (0, expected) (serve auto);
-  Cgsim.Pool.clear_warm_cache ();
   let cancelled, _ = serve base in
   Alcotest.(check bool) "declared depth deadlocks" true (cancelled > 0);
   Alcotest.(check (pair int int)) "auto_capacity after a default-config request" (0, expected)
