@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks of the framework's moving parts: queue
    transfer, context switch, vector intrinsics, graph construction and
-   instantiation.  These back the design claims in DESIGN.md (cooperative
-   switching is cheap; construction cost is front-loaded).
+   instantiation, and aiesim's capture and replay phases.  These back the
+   design claims in DESIGN.md (cooperative switching is cheap;
+   construction cost is front-loaded).
 
    On top of the bechamel estimates, a manually-timed element-vs-block
    queue transfer on the same queue configuration backs the block
@@ -74,6 +75,31 @@ let runtime_reset =
   Test.make ~name:"runtime: reset bitonic instance"
     (Staged.stage (fun () -> Cgsim.Runtime.reset inst))
 
+(* aiesim's two phases on one input, so a change to either shows in its
+   own row: the functional capture under tracing, and the virtual-time
+   replay of one stored capture. *)
+let aiesim_reps = 512
+
+let aiesim_capture h deploy =
+  let sinks, _ = h.Apps.Harness.make_sinks () in
+  Aiesim.Sim.capture deploy ~sources:(h.Apps.Harness.sources ~reps:aiesim_reps) ~sinks
+
+let aiesim_capture_bench =
+  let h = Apps.Harness.bitonic in
+  let deploy = Aiesim.Deploy.baseline (h.Apps.Harness.graph ()) in
+  Test.make
+    ~name:(Printf.sprintf "aiesim: capture bitonic %d reps" aiesim_reps)
+    (Staged.stage (fun () -> ignore (aiesim_capture h deploy)))
+
+let aiesim_replay_bench =
+  let h = Apps.Harness.bitonic in
+  let deploy = Aiesim.Deploy.baseline (h.Apps.Harness.graph ()) in
+  (* Captured on first use, not when the bench binary starts. *)
+  let cap = lazy (aiesim_capture h deploy) in
+  Test.make
+    ~name:(Printf.sprintf "aiesim: replay bitonic %d reps" aiesim_reps)
+    (Staged.stage (fun () -> ignore (Aiesim.Sim.replay deploy (Lazy.force cap))))
+
 let tests =
   [
     queue_transfer;
@@ -83,6 +109,8 @@ let tests =
     graph_construction;
     runtime_instantiation;
     runtime_reset;
+    aiesim_capture_bench;
+    aiesim_replay_bench;
   ]
 
 let bechamel_results ~quota =

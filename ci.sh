@@ -188,6 +188,16 @@ if grep -rn 'Gc\.set' lib; then
 fi
 echo "no Gc.set in lib/"
 
+echo "== environment-read gate =="
+# Library code takes its settings as arguments.  An environment read
+# under lib/ is an undocumented option, and on a hot path a per-call
+# cost (aiesim's replay once read AIESIM_DEBUG on every engine step).
+if grep -rn 'getenv' lib; then
+  echo "ci: library code reads the environment (pass the setting as an argument)" >&2
+  exit 1
+fi
+echo "no environment reads in lib/"
+
 echo "== top-level mutable state gate =="
 # Data reaches the runtime through explicit arguments, not through
 # process-wide refs.  Every top-level binding under lib/ that holds

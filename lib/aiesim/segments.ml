@@ -17,8 +17,14 @@ let pp_seg ppf = function
   | Mark -> Format.pp_print_string ppf "mark"
 
 type port_env = {
-  chan_of_port : string -> int;
+  slots : (string, int) Hashtbl.t;  (* port name -> slot *)
+  chans : int array;  (* slot -> channel *)
 }
+
+let port_env ports =
+  let slots = Hashtbl.create (Array.length ports) in
+  Array.iteri (fun slot (name, _) -> Hashtbl.replace slots name slot) ports;
+  { slots; chans = Array.map snd ports }
 
 exception Compile_error of string
 
@@ -32,10 +38,13 @@ let loop_chunks_cap = 32
 type state = {
   env : port_env;
   thunk : Deploy.thunk_costs option;  (* what a thunked access costs *)
-  mutable rev_segs : seg list;
+  mutable segs : seg array;  (* the program so far: [len] live entries *)
+  mutable len : int;
+  mutable last_port : string;  (* the last port looked up, and its slot *)
+  mutable last_slot : int;
   usage : Vliw.usage;
-  (* bytes already seen in the current (partial) window of each port *)
-  win_progress : (string, int) Hashtbl.t;
+  (* bytes seen so far through each port slot, for window boundaries *)
+  win_progress : int array;
   (* sub-beat residuals: window elements move through 32 B vector
      loads/stores, so per-element accesses accumulate into full beats
      instead of each charging a whole load/store slot *)
@@ -43,7 +52,26 @@ type state = {
   mutable st_residual : int;
 }
 
-let push st s = st.rev_segs <- s :: st.rev_segs
+let push st s =
+  if st.len = Array.length st.segs then begin
+    let grown = Array.make (2 * st.len) Mark in
+    Array.blit st.segs 0 grown 0 st.len;
+    st.segs <- grown
+  end;
+  st.segs.(st.len) <- s;
+  st.len <- st.len + 1
+
+(* A port's tap pushes one shared event, so a run of accesses to one port
+   repeats one physical name: a one-entry cache skips the hash. *)
+let slot st port =
+  if port == st.last_port then st.last_slot
+  else
+    match Hashtbl.find st.env.slots port with
+    | slot ->
+      st.last_port <- port;
+      st.last_slot <- slot;
+      slot
+    | exception Not_found -> fail "unknown port %s in trace" port
 
 let flush st =
   if not (Vliw.is_empty st.usage) then begin
@@ -66,15 +94,14 @@ let thunk_window_cost st =
   match st.thunk with Some c -> push st (Compute c.Deploy.cycles_per_window) | None -> ()
 
 (* Window progress bookkeeping: returns true when [bytes] starts a new
-   window for [port]. *)
-let window_step st port window_bytes bytes =
-  let seen = Option.value (Hashtbl.find_opt st.win_progress port) ~default:0 in
-  let starts = seen mod window_bytes = 0 in
-  Hashtbl.replace st.win_progress port (seen + bytes);
-  starts
+   window for port [slot]. *)
+let window_step st slot window_bytes bytes =
+  let seen = st.win_progress.(slot) in
+  st.win_progress.(slot) <- seen + bytes;
+  seen mod window_bytes = 0
 
-let window_completes st port window_bytes =
-  let seen = Option.value (Hashtbl.find_opt st.win_progress port) ~default:0 in
+let window_completes st slot window_bytes =
+  let seen = st.win_progress.(slot) in
   seen > 0 && seen mod window_bytes = 0
 
 (* Aggregated port traffic of one pipelined-loop iteration. *)
@@ -85,29 +112,28 @@ type loop_port = {
   lp_thunked : bool;
 }
 
-let rec consume_loop_body st events ~depth ~body_usage ~rev_ports =
-  (* Scan events of ONE loop iteration, accumulating VLIW usage and port
-     traffic; handles (rare) nested pipelined loops by folding their total
-     cycles into the enclosing body as scalar-equivalent cycles. *)
+let rec consume_loop_body st events ~body_usage ~rev_ports =
+  (* Scan events of ONE loop iteration up to its Loop_exit, accumulating
+     VLIW usage and port traffic, and return the events after it; handles
+     (rare) nested pipelined loops by folding their total cycles into the
+     enclosing body as scalar-equivalent cycles. *)
   match events with
   | [] -> fail "pipelined loop region not closed (missing Loop_exit)"
-  | Aie.Trace.Loop_exit :: rest ->
-    if depth = 0 then rest, body_usage, List.rev rev_ports
-    else fail "unbalanced Loop_exit"
+  | Aie.Trace.Loop_exit :: rest -> rest, body_usage, List.rev rev_ports
   | ev :: rest ->
     (match ev with
      | Aie.Trace.Vop { slots; _ } ->
        body_usage.Vliw.vec <- body_usage.Vliw.vec + slots;
-       consume_loop_body st rest ~depth ~body_usage ~rev_ports
+       consume_loop_body st rest ~body_usage ~rev_ports
      | Aie.Trace.Sop { count; _ } ->
        body_usage.Vliw.scl <- body_usage.Vliw.scl + count;
-       consume_loop_body st rest ~depth ~body_usage ~rev_ports
+       consume_loop_body st rest ~body_usage ~rev_ports
      | Aie.Trace.Load { bytes } ->
        Vliw.add_load_bytes body_usage bytes;
-       consume_loop_body st rest ~depth ~body_usage ~rev_ports
+       consume_loop_body st rest ~body_usage ~rev_ports
      | Aie.Trace.Store { bytes } ->
        Vliw.add_store_bytes body_usage bytes;
-       consume_loop_body st rest ~depth ~body_usage ~rev_ports
+       consume_loop_body st rest ~body_usage ~rev_ports
      | Aie.Trace.Port_read { port; bytes; transport; thunked } ->
        (* Stream reads occupy the stream port and (when thunked) the
           adapter; window elements inside a loop are local-memory loads —
@@ -121,10 +147,10 @@ let rec consume_loop_body st events ~depth ~body_usage ~rev_ports =
         | Aie.Trace.Window _ -> Vliw.add_load_bytes body_usage bytes
         | Aie.Trace.Rtp -> body_usage.Vliw.scl <- body_usage.Vliw.scl + 1);
        let lp =
-         { lp_read = true; lp_chan = st.env.chan_of_port port; lp_bytes = bytes;
+         { lp_read = true; lp_chan = st.env.chans.(slot st port); lp_bytes = bytes;
            lp_thunked = (thunked && (transport = Aie.Trace.Stream || transport = Aie.Trace.Gmio)) }
        in
-       consume_loop_body st rest ~depth ~body_usage ~rev_ports:(lp :: rev_ports)
+       consume_loop_body st rest ~body_usage ~rev_ports:(lp :: rev_ports)
      | Aie.Trace.Port_write { port; bytes; transport; thunked } ->
        (match transport with
         | Aie.Trace.Stream | Aie.Trace.Gmio ->
@@ -133,22 +159,22 @@ let rec consume_loop_body st events ~depth ~body_usage ~rev_ports =
         | Aie.Trace.Window _ -> Vliw.add_store_bytes body_usage bytes
         | Aie.Trace.Rtp -> body_usage.Vliw.scl <- body_usage.Vliw.scl + 1);
        let lp =
-         { lp_read = false; lp_chan = st.env.chan_of_port port; lp_bytes = bytes;
+         { lp_read = false; lp_chan = st.env.chans.(slot st port); lp_bytes = bytes;
            lp_thunked = (thunked && (transport = Aie.Trace.Stream || transport = Aie.Trace.Gmio)) }
        in
-       consume_loop_body st rest ~depth ~body_usage ~rev_ports:(lp :: rev_ports)
+       consume_loop_body st rest ~body_usage ~rev_ports:(lp :: rev_ports)
      | Aie.Trace.Loop_enter { trip } ->
        (* Nested loop: fold its packed cycles into the outer body by
           charging them on the scalar unit (conservative serialisation). *)
        let inner = Vliw.empty () in
        let rest', inner_usage, inner_ports =
-         consume_loop_body st rest ~depth:0 ~body_usage:inner ~rev_ports:[]
+         consume_loop_body st rest ~body_usage:inner ~rev_ports:[]
        in
        if inner_ports <> [] then
          fail "stream access inside a nested pipelined loop is not supported";
        body_usage.Vliw.scl <-
          body_usage.Vliw.scl + Vliw.loop_cycles inner_usage ~trip;
-       consume_loop_body st rest' ~depth ~body_usage ~rev_ports
+       consume_loop_body st rest' ~body_usage ~rev_ports
      | Aie.Trace.Iteration_mark -> fail "Iteration_mark inside a pipelined loop"
      | Aie.Trace.Loop_abort -> fail "Loop_abort inside a completed region"
      | Aie.Trace.Loop_exit -> assert false)
@@ -188,14 +214,15 @@ let handle_event st ev =
   | Aie.Trace.Load { bytes } -> Vliw.add_load_bytes st.usage bytes
   | Aie.Trace.Store { bytes } -> Vliw.add_store_bytes st.usage bytes
   | Aie.Trace.Port_read { port; bytes; transport; thunked } ->
-    let chan = st.env.chan_of_port port in
+    let slot = slot st port in
+    let chan = st.env.chans.(slot) in
     (match transport with
      | Aie.Trace.Stream | Aie.Trace.Gmio ->
        if thunked then thunk_stream_cost st;
        flush st;
        push st (Rd { chan; bytes; core = stream_cycles bytes })
      | Aie.Trace.Window w ->
-       if window_step st port w bytes then begin
+       if window_step st slot w bytes then begin
          flush st;
          push st (Win_in { chan; bytes = w; core = Aie.Cfg.lock_acquire_cycles });
          if thunked then thunk_window_cost st
@@ -210,18 +237,19 @@ let handle_event st ev =
        flush st;
        push st (Rtp_in { chan }))
   | Aie.Trace.Port_write { port; bytes; transport; thunked } ->
-    let chan = st.env.chan_of_port port in
+    let slot = slot st port in
+    let chan = st.env.chans.(slot) in
     (match transport with
      | Aie.Trace.Stream | Aie.Trace.Gmio ->
        if thunked then thunk_stream_cost st;
        flush st;
        push st (Wr { chan; bytes; core = stream_cycles bytes })
      | Aie.Trace.Window w ->
-       ignore (window_step st port w bytes);
+       ignore (window_step st slot w bytes);
        st.st_residual <- st.st_residual + bytes;
        st.usage.Vliw.st <- st.usage.Vliw.st + (st.st_residual / Aie.Cfg.dm_bytes_per_cycle);
        st.st_residual <- st.st_residual mod Aie.Cfg.dm_bytes_per_cycle;
-       if window_completes st port w then begin
+       if window_completes st slot w then begin
          flush st;
          push st (Win_out { chan; bytes = w; core = Aie.Cfg.lock_acquire_cycles });
          if thunked then thunk_window_cost st
@@ -238,63 +266,56 @@ let handle_event st ev =
     (* handled by the caller *)
     assert false
 
-(* Split off one loop region (handling nesting) and classify how it
-   ended: a clean [Loop_exit], an exceptional [Loop_abort], or a trace
+(* How the loop region starting at [events] (just after its Loop_enter)
+   ends: a clean [Loop_exit], an exceptional [Loop_abort], or a trace
    that simply stops (fiber cancelled while parked inside the region). *)
-let split_region events =
-  let rec go acc depth = function
-    | [] -> List.rev acc, `Unclosed, []
-    | Aie.Trace.Loop_exit :: rest when depth = 0 -> List.rev acc, `Closed, rest
-    | Aie.Trace.Loop_abort :: rest when depth = 0 -> List.rev acc, `Aborted, rest
-    | (Aie.Trace.Loop_enter _ as e) :: rest -> go (e :: acc) (depth + 1) rest
-    | ((Aie.Trace.Loop_exit | Aie.Trace.Loop_abort) as e) :: rest -> go (e :: acc) (depth - 1) rest
-    | e :: rest -> go (e :: acc) depth rest
-  in
-  go [] 0 events
+let rec region_end depth = function
+  | [] -> `Unclosed
+  | Aie.Trace.Loop_exit :: _ when depth = 0 -> `Closed
+  | Aie.Trace.Loop_abort :: _ when depth = 0 -> `Aborted
+  | Aie.Trace.Loop_enter _ :: rest -> region_end (depth + 1) rest
+  | (Aie.Trace.Loop_exit | Aie.Trace.Loop_abort) :: rest -> region_end (depth - 1) rest
+  | _ :: rest -> region_end depth rest
 
 let compile ?thunk ~env events =
   let st =
     {
       env;
       thunk;
-      rev_segs = [];
+      segs = Array.make 64 Mark;
+      len = 0;
+      last_port = "";
+      last_slot = 0;
       usage = Vliw.empty ();
-      win_progress = Hashtbl.create 8;
+      win_progress = Array.make (Array.length env.chans) 0;
       ld_residual = 0;
       st_residual = 0;
     }
   in
-  let rec walk = function
-    | [] -> ()
+  (* Loop regions are consumed in place.  [walk ~region events] compiles
+     to the end of [events] or, inside a region, through its terminator,
+     and returns the events after what it consumed. *)
+  let rec walk ~region = function
+    | [] -> []
     | Aie.Trace.Loop_enter { trip } :: rest ->
-      let region, terminator, rest' = split_region rest in
-      (match terminator with
+      (match region_end 0 rest with
        | `Closed ->
-         let body_usage = Vliw.empty () in
-         let _, body_usage, ports =
-           consume_loop_body st (region @ [ Aie.Trace.Loop_exit ]) ~depth:0 ~body_usage
-             ~rev_ports:[]
+         let rest, body_usage, ports =
+           consume_loop_body st rest ~body_usage:(Vliw.empty ()) ~rev_ports:[]
          in
-         if trip > 0 then emit_loop st ~trip ~body_usage ~ports
+         if trip > 0 then emit_loop st ~trip ~body_usage ~ports;
+         walk ~region rest
        | `Aborted | `Unclosed ->
          (* A partial first iteration: replay its events inline, without
             trip multiplication (functionally only this much data moved). *)
-         walk region);
-      walk rest'
+         walk ~region (walk ~region:true rest))
+    | (Aie.Trace.Loop_exit | Aie.Trace.Loop_abort) :: rest when region -> rest
     | (Aie.Trace.Loop_exit | Aie.Trace.Loop_abort) :: _ ->
       fail "Loop_exit/abort without matching Loop_enter"
     | ev :: rest ->
       handle_event st ev;
-      walk rest
+      walk ~region rest
   in
-  walk events;
+  ignore (walk ~region:false events);
   flush st;
-  List.rev st.rev_segs
-
-let compute_cycles segs =
-  List.fold_left
-    (fun acc -> function
-      | Compute c -> acc + c
-      | Rd { core; _ } | Wr { core; _ } | Win_in { core; _ } | Win_out { core; _ } -> acc + core
-      | Rtp_in _ | Mark -> acc)
-    0 segs
+  Array.sub st.segs 0 st.len

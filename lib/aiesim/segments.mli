@@ -27,19 +27,20 @@ type seg =
 
 val pp_seg : Format.formatter -> seg -> unit
 
-(** Per-port channel resolution handed in by the simulator. *)
-type port_env = {
-  chan_of_port : string -> int;
-}
+(** A kernel's ports, resolved once before its trace compiles: each
+    port name maps to a small slot index and the slot to its channel. *)
+type port_env
+
+(** [port_env ports]: [ports.(slot)] is the name a trace gives the port
+    in slot [slot] ([inst.port], as captured) and its channel. *)
+val port_env : (string * int) array -> port_env
 
 exception Compile_error of string
 
-(** [compile ?thunk ~env events] — [thunk] is the extracted adapter's
+(** [compile ?thunk ~env events] is the kernel's segment program, in
+    execution order — [thunk] is the extracted adapter's
     cost model ({!Deploy.Thunk}), charged on the port accesses the trace
     marks [thunked]; without it they cost nothing extra (a [Direct]
     deploy's trace marks none).  Raises {!Compile_error} on malformed
     traces (unbalanced loop markers, unknown ports). *)
-val compile : ?thunk:Deploy.thunk_costs -> env:port_env -> Aie.Trace.event list -> seg list
-
-(** Total compute cycles in a segment program (diagnostics). *)
-val compute_cycles : seg list -> int
+val compile : ?thunk:Deploy.thunk_costs -> env:port_env -> Aie.Trace.event list -> seg array

@@ -126,54 +126,64 @@ let capture ?(config = Cgsim.Run_config.default) (d : Deploy.t) ~sources ~sinks 
 (* Phase 2: virtual-time replay                                        *)
 (* ------------------------------------------------------------------ *)
 
-type wentry = {
-  avail : float;  (* cycle at which the bytes are visible to readers *)
-  upto : int;  (* cumulative channel bytes including this entry *)
-}
+(* [avail_time]'s answer for a position the write log does not reach yet:
+   below every cycle, so [Float.max t not_written = t]. *)
+let not_written = Float.neg_infinity
 
 type rstate = {
   mutable cursor : int;  (* cumulative bytes consumed *)
-  mutable widx : int;  (* index into wentries for avail lookup *)
+  mutable widx : int;  (* index into the write log for avail lookup *)
 }
 
 type chan = {
   capacity : int;  (* bytes *)
   route_cycles : int;
-  mutable wentries : wentry array;  (* in write order; [wlen] live entries *)
+  (* The write log, in write order, [wlen] live entries: entry [i] makes
+     cumulative byte position [upto.(i)] visible to readers at cycle
+     [avail.(i)]. *)
+  mutable avail : floatarray;
+  mutable upto : int array;
   mutable wlen : int;
   mutable produced : int;  (* cumulative bytes *)
   mutable last_avail : float;
-  mutable readers : rstate list;
   mutable last_consume : float;
+  mutable readers : rstate array;
   mutable wait_read : proc list;
   mutable wait_write : proc list;
 }
 
 and proc = {
   p_name : string;
-  mutable segs : Segments.seg list;
+  prog : Segments.seg array;
+  mutable pc : int;  (* index of the head segment *)
   mutable time : float;
   mutable runnable : bool;
   mutable done_ : bool;
-  mutable marks_rev : float list;
+  mutable marks : floatarray;  (* iteration timestamps; [n_marks] live *)
+  mutable n_marks : int;
   mutable busy : int;
   mutable io_remaining : int;  (* bytes left of the head Rd/Wr; -1 = fresh *)
   mutable was_blocked : bool;  (* head segment blocked at least once *)
-  reads : (int, rstate) Hashtbl.t;  (* chan id -> this proc's read cursor *)
+  reads : rstate array;  (* by channel id: this process's read cursor *)
 }
 
-let min_cursor ch =
-  match ch.readers with
-  | [] -> ch.produced
-  | r :: rest -> List.fold_left (fun acc r -> min acc r.cursor) r.cursor rest
+(* The [reads] entry of a channel the process does not read. *)
+let no_reader = { cursor = 0; widx = 0 }
 
-(* Availability time of cumulative byte position [upto] for reader [r];
-   amortized O(1) via the reader's cached entry index. *)
+let min_cursor ch =
+  let m = ref ch.produced in
+  for i = 0 to Array.length ch.readers - 1 do
+    m := Int.min !m ch.readers.(i).cursor
+  done;
+  !m
+
+(* Availability time of cumulative byte position [upto] for reader [r],
+   or [not_written]; amortized O(1) via the reader's cached entry index. *)
 let avail_time ch r upto =
-  while r.widx < ch.wlen && ch.wentries.(r.widx).upto < upto do
+  while r.widx < ch.wlen && ch.upto.(r.widx) < upto do
     r.widx <- r.widx + 1
   done;
-  if r.widx < ch.wlen then Some ch.wentries.(r.widx).avail else None
+  if r.widx < ch.wlen then Float.Array.get ch.avail r.widx else not_written
 
 let wake_readers ch =
   List.iter (fun p -> p.runnable <- true) ch.wait_read;
@@ -183,206 +193,178 @@ let wake_writers ch =
   List.iter (fun p -> p.runnable <- true) ch.wait_write;
   ch.wait_write <- []
 
+let block_read p ch =
+  p.runnable <- false;
+  ch.wait_read <- p :: ch.wait_read
+
 let push_write ch ~avail bytes =
   let avail = Float.max avail ch.last_avail in
   ch.last_avail <- avail;
   ch.produced <- ch.produced + bytes;
-  if ch.wlen >= Array.length ch.wentries then begin
-    let grown = Array.make (max 16 (2 * Array.length ch.wentries)) { avail = 0.0; upto = 0 } in
-    Array.blit ch.wentries 0 grown 0 ch.wlen;
-    ch.wentries <- grown
+  if ch.wlen = Array.length ch.upto then begin
+    let cap = max 16 (2 * ch.wlen) in
+    let avail' = Float.Array.make cap 0.0 and upto' = Array.make cap 0 in
+    Float.Array.blit ch.avail 0 avail' 0 ch.wlen;
+    Array.blit ch.upto 0 upto' 0 ch.wlen;
+    ch.avail <- avail';
+    ch.upto <- upto'
   end;
-  ch.wentries.(ch.wlen) <- { avail; upto = ch.produced };
+  Float.Array.set ch.avail ch.wlen avail;
+  ch.upto.(ch.wlen) <- ch.produced;
   ch.wlen <- ch.wlen + 1;
   wake_readers ch
 
-(* One step of a process: execute the head segment if possible.  Returns
-   [true] when progress was made. *)
+let add_mark p =
+  if p.n_marks = Float.Array.length p.marks then begin
+    let grown = Float.Array.make (max 16 (2 * p.n_marks)) 0.0 in
+    Float.Array.blit p.marks 0 grown 0 p.n_marks;
+    p.marks <- grown
+  end;
+  Float.Array.set p.marks p.n_marks p.time;
+  p.n_marks <- p.n_marks + 1
+
+(* The head segment is done: charge its [core] cycles and move on. *)
+let finish_io p core =
+  p.time <- p.time +. float_of_int core;
+  p.busy <- p.busy + core;
+  p.io_remaining <- -1;
+  p.pc <- p.pc + 1
+
+let reader p chan =
+  let r = p.reads.(chan) in
+  if r == no_reader then fail "%s: read on channel %d without registration" p.p_name chan;
+  r
+
+(* One step of process [p]: execute its head segment if possible.  A
+   blocked process is parked on the channel it waits for. *)
 let step chans p =
-  match p.segs with
-  | [] ->
+  if p.pc >= Array.length p.prog then begin
     p.done_ <- true;
-    p.runnable <- false;
-    true
-  | seg :: rest ->
-    let finish_seg () = p.segs <- rest in
-    (match seg with
-     | Segments.Compute c ->
-       p.time <- p.time +. float_of_int c;
-       p.busy <- p.busy + c;
-       finish_seg ();
-       true
-     | Segments.Mark ->
-       p.marks_rev <- p.time :: p.marks_rev;
-       finish_seg ();
-       true
-     | Segments.Rtp_in { chan } ->
-       let ch = chans.(chan) in
-       let r =
-         match Hashtbl.find_opt p.reads chan with
-         | Some r -> r
-         | None -> fail "%s: rtp read on channel %d without registration" p.p_name chan
-       in
-       (* RTP values are written before the graph starts; available at
-          their write entry time, or 0 if the producer is a source. *)
-       (match avail_time ch r (r.cursor + 1) with
-        | Some avail ->
-          p.time <- Float.max p.time avail +. 1.0;
-          r.cursor <- r.cursor + 1;
-          (* consume the remaining bytes of the scalar *)
-          finish_seg ();
-          true
-        | None ->
-          if ch.produced > r.cursor then (finish_seg (); true)
-          else begin
-            p.runnable <- false;
-            ch.wait_read <- p :: ch.wait_read;
-            false
-          end)
-     | Segments.Rd { chan; bytes; core } | Segments.Win_in { chan; bytes; core } ->
-       let atomic = match seg with Segments.Win_in _ -> true | _ -> false in
-       let ch = chans.(chan) in
-       let r =
-         match Hashtbl.find_opt p.reads chan with
-         | Some r -> r
-         | None -> fail "%s: read on channel %d without registration" p.p_name chan
-       in
-       if p.io_remaining < 0 then p.io_remaining <- bytes;
-       (* Window acquires are all-or-nothing (the lock releases only when
-          the DMA filled the buffer); stream reads drain incrementally so
-          transfers larger than the switch FIFO cannot deadlock. *)
-       let available = ch.produced - r.cursor in
-       let want = if atomic then p.io_remaining else min p.io_remaining (max available 0) in
-       if (atomic && available < p.io_remaining) || available <= 0 then begin
-         p.runnable <- false;
-         ch.wait_read <- p :: ch.wait_read;
-         false
-       end
-       else begin
-         let take = if atomic then p.io_remaining else want in
-         let needed = r.cursor + take in
-         (match avail_time ch r needed with
-          | Some avail -> p.time <- Float.max p.time avail
-          | None -> ());
-         r.cursor <- needed;
-         p.io_remaining <- p.io_remaining - take;
-         ch.last_consume <- Float.max ch.last_consume p.time;
-         wake_writers ch;
-         if p.io_remaining = 0 then begin
-           p.time <- p.time +. float_of_int core;
-           p.busy <- p.busy + core;
-           p.io_remaining <- -1;
-           finish_seg ()
-         end;
-         true
-       end
-     | Segments.Wr { chan; bytes; core } | Segments.Win_out { chan; bytes; core } ->
-       let ch = chans.(chan) in
-       if p.io_remaining < 0 then p.io_remaining <- bytes;
-       let space = ch.capacity - (ch.produced - min_cursor ch) in
-       if space <= 0 then begin
-         p.runnable <- false;
-         p.was_blocked <- true;
-         ch.wait_write <- p :: ch.wait_write;
-         false
-       end
-       else begin
-         let put = min p.io_remaining space in
-         (* If this write had to wait, the space it uses appeared no
-            earlier than the consumer's freeing read. *)
-         if p.was_blocked then begin
-           p.time <- Float.max p.time ch.last_consume;
-           p.was_blocked <- false
-         end;
-         let transfer =
-           float_of_int
-             (max 1 ((put + Aie.Cfg.stream_bytes_per_cycle - 1) / Aie.Cfg.stream_bytes_per_cycle))
-         in
-         let avail = p.time +. float_of_int ch.route_cycles +. transfer in
-         push_write ch ~avail put;
-         p.io_remaining <- p.io_remaining - put;
-         if p.io_remaining = 0 then begin
-           p.time <- p.time +. float_of_int core;
-           p.busy <- p.busy + core;
-           p.io_remaining <- -1;
-           finish_seg ()
-         end
-         else
-           (* Larger-than-FIFO burst: the core is stalled at stream rate
-              while the FIFO drains. *)
-           p.time <- p.time +. transfer;
-         true
-       end)
+    p.runnable <- false
+  end
+  else
+    match p.prog.(p.pc) with
+    | Segments.Compute c ->
+      p.time <- p.time +. float_of_int c;
+      p.busy <- p.busy + c;
+      p.pc <- p.pc + 1
+    | Segments.Mark ->
+      add_mark p;
+      p.pc <- p.pc + 1
+    | Segments.Rtp_in { chan } ->
+      let ch = chans.(chan) in
+      let r = reader p chan in
+      (* RTP values are written before the graph starts; available at
+         their write entry time, or 0 if the producer is a source. *)
+      let avail = avail_time ch r (r.cursor + 1) in
+      if avail <> not_written then begin
+        p.time <- Float.max p.time avail +. 1.0;
+        r.cursor <- r.cursor + 1;
+        p.pc <- p.pc + 1
+      end
+      else if ch.produced > r.cursor then p.pc <- p.pc + 1
+      else block_read p ch
+    | (Segments.Rd { chan; bytes; core } | Segments.Win_in { chan; bytes; core }) as seg ->
+      let atomic = match seg with Segments.Win_in _ -> true | _ -> false in
+      let ch = chans.(chan) in
+      let r = reader p chan in
+      if p.io_remaining < 0 then p.io_remaining <- bytes;
+      (* Window acquires are all-or-nothing (the lock releases only when
+         the DMA filled the buffer); stream reads drain incrementally so
+         transfers larger than the switch FIFO cannot deadlock. *)
+      let available = ch.produced - r.cursor in
+      if (atomic && available < p.io_remaining) || available <= 0 then block_read p ch
+      else begin
+        let take = if atomic then p.io_remaining else Int.min p.io_remaining available in
+        let needed = r.cursor + take in
+        p.time <- Float.max p.time (avail_time ch r needed);
+        r.cursor <- needed;
+        p.io_remaining <- p.io_remaining - take;
+        ch.last_consume <- Float.max ch.last_consume p.time;
+        wake_writers ch;
+        if p.io_remaining = 0 then finish_io p core
+      end
+    | Segments.Wr { chan; bytes; core } | Segments.Win_out { chan; bytes; core } ->
+      let ch = chans.(chan) in
+      if p.io_remaining < 0 then p.io_remaining <- bytes;
+      let space = ch.capacity - (ch.produced - min_cursor ch) in
+      if space <= 0 then begin
+        p.runnable <- false;
+        p.was_blocked <- true;
+        ch.wait_write <- p :: ch.wait_write
+      end
+      else begin
+        let put = Int.min p.io_remaining space in
+        (* If this write had to wait, the space it uses appeared no
+           earlier than the consumer's freeing read. *)
+        if p.was_blocked then begin
+          p.time <- Float.max p.time ch.last_consume;
+          p.was_blocked <- false
+        end;
+        let transfer =
+          float_of_int
+            (max 1 ((put + Aie.Cfg.stream_bytes_per_cycle - 1) / Aie.Cfg.stream_bytes_per_cycle))
+        in
+        push_write ch ~avail:(p.time +. float_of_int ch.route_cycles +. transfer) put;
+        p.io_remaining <- p.io_remaining - put;
+        if p.io_remaining = 0 then finish_io p core
+        else
+          (* Larger-than-FIFO burst: the core is stalled at stream rate
+             while the FIFO drains. *)
+          p.time <- p.time +. transfer
+      end
 
-(* Source/sink segment synthesis: chunked PLIO transfers. *)
+(* Source/sink segment synthesis: PLIO transfers in chunks of at most
+   64 B.  PLIO at 625 MHz x 64 bit = 4 B per AIE cycle. *)
+let plio_segs io ~elem_bytes ~elems =
+  let chunk = max 1 (64 / max 1 elem_bytes) in
+  Array.init
+    ((elems + chunk - 1) / chunk)
+    (fun i ->
+      let bytes = Int.min chunk (elems - (i * chunk)) * elem_bytes in
+      io ~bytes ~core:(max 1 (bytes / Aie.Cfg.plio_bytes_per_pl_cycle * 2)))
 
-let chunked_total ~elem_bytes ~elems =
-  let chunk_elems = max 1 (64 / max 1 elem_bytes) in
-  let rec build remaining acc =
-    if remaining <= 0 then List.rev acc
-    else begin
-      let n = min chunk_elems remaining in
-      build (remaining - n) (n :: acc)
-    end
-  in
-  build elems []
+let source_segs ~chan = plio_segs (fun ~bytes ~core -> Segments.Wr { chan; bytes; core })
 
-let source_segs ~chan ~elem_bytes ~elems =
-  List.map
-    (fun n ->
-      let bytes = n * elem_bytes in
-      (* PLIO at 625 MHz x 64 bit = 4 B per AIE cycle. *)
-      Segments.Wr { chan; bytes; core = max 1 (bytes / Aie.Cfg.plio_bytes_per_pl_cycle * 2) })
-    (chunked_total ~elem_bytes ~elems)
+let sink_segs ~chan = plio_segs (fun ~bytes ~core -> Segments.Rd { chan; bytes; core })
 
-let sink_segs ~chan ~elem_bytes ~elems =
-  List.map
-    (fun n ->
-      let bytes = n * elem_bytes in
-      Segments.Rd { chan; bytes; core = max 1 (bytes / Aie.Cfg.plio_bytes_per_pl_cycle * 2) })
-    (chunked_total ~elem_bytes ~elems)
-
-let replay (d : Deploy.t) (cap : capture_result) =
+(* Runs the replay engine over every kernel's compiled trace plus the
+   global sources and sinks; returns all processes in selection order and
+   the kernel processes in graph order. *)
+let simulate (d : Deploy.t) (cap : capture_result) =
   let g = d.Deploy.graph in
   (* Compile every kernel trace first: aggregated loop traffic determines
      how much channel buffering the replay needs (pipelined loops stream
      continuously on real hardware; at chunk granularity the FIFO must
-     absorb one chunk or compute and transfer would falsely serialize). *)
-  let kernel_segs =
-    Array.to_list
-      (Array.map
-         (fun (inst : Cgsim.Serialized.kernel_inst) ->
-           let chan_of_port port =
-             let rec find i =
-               if i >= Array.length inst.ports then fail "unknown port %s in trace" port
-               else if
-                 String.equal port
-                   (Printf.sprintf "%s.%s" inst.inst_name inst.ports.(i).Cgsim.Kernel.pname)
-               then inst.port_nets.(i)
-               else find (i + 1)
-             in
-             find 0
-           in
-           let events =
-             match List.assoc_opt inst.inst_name cap.traces with
-             | Some evs -> evs
-             | None -> fail "no trace captured for kernel %s" inst.inst_name
-           in
-           inst, Segments.compile ?thunk:(thunk_costs d inst) ~env:{ Segments.chan_of_port } events)
-         g.kernels)
+     absorb one chunk or compute and transfer would falsely serialize).
+     Each instance's ports resolve to their channels once, here. *)
+  let kernel_progs =
+    Array.map
+      (fun (inst : Cgsim.Serialized.kernel_inst) ->
+        let env =
+          Segments.port_env
+            (Array.mapi
+               (fun i (spec : Cgsim.Kernel.port_spec) ->
+                 inst.inst_name ^ "." ^ spec.Cgsim.Kernel.pname, inst.port_nets.(i))
+               inst.ports)
+        in
+        let events =
+          match List.assoc_opt inst.inst_name cap.traces with
+          | Some evs -> evs
+          | None -> fail "no trace captured for kernel %s" inst.inst_name
+        in
+        Segments.compile ?thunk:(thunk_costs d inst) ~env events)
+      g.kernels
   in
   let max_seg_bytes = Array.make (Array.length g.nets) 0 in
-  List.iter
-    (fun (_, segs) ->
-      List.iter
-        (function
-          | Segments.Rd { chan; bytes; _ } | Segments.Wr { chan; bytes; _ } ->
-            if bytes > max_seg_bytes.(chan) then max_seg_bytes.(chan) <- bytes
-          | Segments.Win_in _ | Segments.Win_out _ | Segments.Compute _ | Segments.Rtp_in _
-          | Segments.Mark ->
-            ())
-        segs)
-    kernel_segs;
+  Array.iter
+    (Array.iter (function
+      | Segments.Rd { chan; bytes; _ } | Segments.Wr { chan; bytes; _ } ->
+        if bytes > max_seg_bytes.(chan) then max_seg_bytes.(chan) <- bytes
+      | Segments.Win_in _ | Segments.Win_out _ | Segments.Compute _ | Segments.Rtp_in _
+      | Segments.Mark ->
+        ()))
+    kernel_progs;
   let chans =
     Array.map
       (fun (n : Cgsim.Serialized.net) ->
@@ -409,52 +391,58 @@ let replay (d : Deploy.t) (cap : capture_result) =
         {
           capacity;
           route_cycles = gmio_latency + Aie.Array_model.route_latency_cycles (Deploy.net_hops d n);
-          wentries = [||];
+          avail = Float.Array.create 0;
+          upto = [||];
           wlen = 0;
           produced = 0;
           last_avail = 0.0;
-          readers = [];
           last_consume = 0.0;
+          readers = [||];
           wait_read = [];
           wait_write = [];
         })
       g.nets
   in
   let procs = ref [] in
-  let new_proc name segs =
+  let new_proc name prog =
     let p =
       {
         p_name = name;
-        segs;
+        prog;
+        pc = 0;
         time = 0.0;
         runnable = true;
         done_ = false;
-        marks_rev = [];
+        marks = Float.Array.create 0;
+        n_marks = 0;
         busy = 0;
         io_remaining = -1;
         was_blocked = false;
-        reads = Hashtbl.create 4;
+        reads = Array.make (Array.length chans) no_reader;
       }
     in
     procs := p :: !procs;
     p
   in
   let register_reader p chan =
-    if not (Hashtbl.mem p.reads chan) then begin
+    if p.reads.(chan) == no_reader then begin
       let r = { cursor = 0; widx = 0 } in
-      Hashtbl.add p.reads chan r;
-      chans.(chan).readers <- r :: chans.(chan).readers
+      p.reads.(chan) <- r;
+      chans.(chan).readers <- Array.append [| r |] chans.(chan).readers
     end
   in
   (* Kernel processes from the precompiled traces. *)
-  List.iter
-    (fun ((inst : Cgsim.Serialized.kernel_inst), segs) ->
-      let p = new_proc inst.inst_name segs in
-      Array.iteri
-        (fun i (spec : Cgsim.Kernel.port_spec) ->
-          if spec.Cgsim.Kernel.dir = Cgsim.Kernel.In then register_reader p inst.port_nets.(i))
-        inst.ports)
-    kernel_segs;
+  let kernel_procs =
+    Array.mapi
+      (fun k (inst : Cgsim.Serialized.kernel_inst) ->
+        let p = new_proc inst.inst_name kernel_progs.(k) in
+        Array.iteri
+          (fun i (spec : Cgsim.Kernel.port_spec) ->
+            if spec.Cgsim.Kernel.dir = Cgsim.Kernel.In then register_reader p inst.port_nets.(i))
+          inst.ports;
+        p)
+      g.kernels
+  in
   (* Source and sink processes on global nets, sized by observed traffic. *)
   Array.iter
     (fun (n : Cgsim.Serialized.net) ->
@@ -474,91 +462,62 @@ let replay (d : Deploy.t) (cap : capture_result) =
         register_reader p n.net_id
       end)
     g.nets;
-  let procs = !procs in
+  (* Latest-created first: the order the selection scan breaks ties in. *)
+  let procs = Array.of_list !procs in
   (* Event loop: always advance the runnable process with the smallest
-     local time (earliest-first keeps channel causality). *)
-  let rec drive () =
-    let next =
-      List.fold_left
-        (fun acc p ->
-          if p.done_ || not p.runnable then acc
-          else
-            match acc with
-            | Some q when q.time <= p.time -> acc
-            | _ -> Some p)
-        None procs
-    in
-    match next with
-    | Some p ->
-      (match Sys.getenv_opt "AIESIM_DEBUG" with
-       | Some _ ->
-         (match p.segs with
-          | seg :: _ ->
-            Format.eprintf "%-20s t=%8.0f io=%6d %a@." p.p_name p.time p.io_remaining
-              Segments.pp_seg seg
-          | [] -> Format.eprintf "%-20s t=%8.0f done@." p.p_name p.time)
-       | None -> ());
-      ignore (step chans p);
-      drive ()
-    | None ->
-      if List.exists (fun p -> not p.done_) procs then begin
-        let blocked =
-          List.filter_map
-            (fun p ->
-              if p.done_ then None
-              else
-                Some
-                  (Format.asprintf "%s@t=%.0f on [%a] (io_remaining=%d, %d segs left)" p.p_name
-                     p.time
-                     (fun ppf -> function
-                       | [] -> Format.pp_print_string ppf "-"
-                       | seg :: _ -> Segments.pp_seg ppf seg)
-                     p.segs p.io_remaining (List.length p.segs)))
-            procs
-        in
-        fail "replay deadlock; blocked processes: %s" (String.concat "; " blocked)
+     local time (earliest-first keeps channel causality); on a tie, the
+     one earliest in [procs]. *)
+  let running = ref true in
+  while !running do
+    let next = ref (-1) and best = ref Float.infinity in
+    for i = 0 to Array.length procs - 1 do
+      let p = procs.(i) in
+      if p.runnable && (not p.done_) && (!next < 0 || p.time < !best) then begin
+        next := i;
+        best := p.time
       end
-  in
-  drive ();
-  procs
+    done;
+    if !next >= 0 then step chans procs.(!next) else running := false
+  done;
+  if Array.exists (fun p -> not p.done_) procs then begin
+    let blocked =
+      List.filter_map
+        (fun p ->
+          if p.done_ then None
+          else
+            Some
+              (Format.asprintf "%s@t=%.0f on [%a] (io_remaining=%d, %d segs left)" p.p_name
+                 p.time
+                 (fun ppf p ->
+                   if p.pc < Array.length p.prog then Segments.pp_seg ppf p.prog.(p.pc)
+                   else Format.pp_print_string ppf "-")
+                 p p.io_remaining
+                 (Array.length p.prog - p.pc)))
+        (Array.to_list procs)
+    in
+    fail "replay deadlock; blocked processes: %s" (String.concat "; " blocked)
+  end;
+  procs, kernel_procs
 
-let kernel_reports procs (g : Cgsim.Serialized.t) =
-  Array.to_list
-    (Array.map
-       (fun (inst : Cgsim.Serialized.kernel_inst) ->
-         let p = List.find (fun p -> String.equal p.p_name inst.inst_name) procs in
-         let marks = List.rev p.marks_rev in
-         match marks with
-         | [] ->
-           {
-             k_name = p.p_name;
-             iterations = 0;
-             first_mark_cycles = p.time;
-             avg_interval_cycles = p.time;
-             busy_cycles = p.busy;
-             marks;
-           }
-         | [ only ] ->
-           {
-             k_name = p.p_name;
-             iterations = 1;
-             first_mark_cycles = only;
-             avg_interval_cycles = only;
-             busy_cycles = p.busy;
-             marks;
-           }
-         | first :: _ ->
-           let last = List.nth marks (List.length marks - 1) in
-           let n = List.length marks in
-           {
-             k_name = p.p_name;
-             iterations = n;
-             first_mark_cycles = first;
-             avg_interval_cycles = (last -. first) /. float_of_int (n - 1);
-             busy_cycles = p.busy;
-             marks;
-           })
-       g.kernels)
+let kernel_report p =
+  let n = p.n_marks in
+  let marks = List.init n (Float.Array.get p.marks) in
+  let first_mark_cycles, avg_interval_cycles =
+    match n with
+    | 0 -> p.time, p.time
+    | 1 -> Float.Array.get p.marks 0, Float.Array.get p.marks 0
+    | _ ->
+      let first = Float.Array.get p.marks 0 and last = Float.Array.get p.marks (n - 1) in
+      first, (last -. first) /. float_of_int (n - 1)
+  in
+  {
+    k_name = p.p_name;
+    iterations = n;
+    first_mark_cycles;
+    avg_interval_cycles;
+    busy_cycles = p.busy;
+    marks;
+  }
 
 (* Mirror the replay timeline into the active obs session, on the
    virtual-time pid: cycle timestamps become ns at the modelled clock,
@@ -595,11 +554,10 @@ let report_to_trace (r : report) =
       ~dur_ns:(Aie.Cfg.cycles_to_ns r.total_cycles) ()
   end
 
-let run ?config (d : Deploy.t) ~sources ~sinks =
-  let cap = capture ?config d ~sources ~sinks in
-  let procs = replay d cap in
-  let kernels = kernel_reports procs d.Deploy.graph in
-  let total_cycles = List.fold_left (fun acc p -> Float.max acc p.time) 0.0 procs in
+let replay (d : Deploy.t) (cap : capture_result) =
+  let procs, kernel_procs = simulate d cap in
+  let kernels = Array.to_list (Array.map kernel_report kernel_procs) in
+  let total_cycles = Array.fold_left (fun acc p -> Float.max acc p.time) 0.0 procs in
   (* Report per-block time at the output-side kernel: the one whose first
      mark lands latest (deepest in the pipeline). *)
   let reporting =
@@ -632,6 +590,8 @@ let run ?config (d : Deploy.t) ~sources ~sinks =
   in
   report_to_trace report;
   report
+
+let run ?config d ~sources ~sinks = replay d (capture ?config d ~sources ~sinks)
 
 let relative_throughput_percent ~baseline ~extracted =
   if extracted.ns_per_block <= 0.0 then 0.0

@@ -14,6 +14,20 @@
       latency, transfer bandwidth, window ping-pong locks and
       backpressure.
 
+    {!run} is {!capture} then {!replay}.
+
+    The replay engine is array-backed.  Each kernel's ports resolve to
+    their channels once, before its trace compiles; a compiled program
+    is a [Segments.seg array] that its process walks with an int
+    cursor.  Processes are created kernels first, in graph order, then
+    each global net's PLIO source and sink; they sit in one array in
+    reverse creation order.  Each step advances the runnable process
+    with the smallest local time; a tie goes to the process earlier in
+    that array, i.e. the one created later.  A process's read
+    cursors are indexed by channel id, and a channel's write log is two
+    parallel arrays (the cycle each write becomes visible, and the
+    cumulative byte count it reaches).
+
     The report carries the paper's Table 1 metric: steady-state time
     between kernel iterations, in cycles and nanoseconds at 1250 MHz. *)
 
@@ -57,6 +71,13 @@ val capture :
   sources:Cgsim.Io.source list ->
   sinks:Cgsim.Io.sink list ->
   capture_result
+
+(** [replay deploy cap] is {!run}'s second phase alone: it compiles
+    every kernel's trace in [cap] and replays it, with PLIO sources and
+    sinks sized by [cap.traffic], in virtual time.  Emits the timeline
+    like {!run}.  Raises {!Sim_error} on replay deadlock, naming each
+    blocked process and its head segment. *)
+val replay : Deploy.t -> capture_result -> report
 
 (** [run deploy ~sources ~sinks] simulates one execution.  Sinks receive
     the functional outputs.  [config] governs the functional capture
