@@ -16,8 +16,6 @@ type opts = {
   schema : string option;  (* --schema NAME: expected "schema" field *)
   smoke : bool;  (* --smoke: reduced quotas for CI *)
   chaos : bool;  (* --chaos: seeded fault injection *)
-  warm : bool option;  (* --warm on|off *)
-  domains : int list option;  (* --domains CSV *)
   requests : int option;  (* --requests N *)
   count : int option;  (* --count N *)
   rates : float list option;  (* --rates CSV *)
@@ -33,8 +31,6 @@ let none =
     schema = None;
     smoke = false;
     chaos = false;
-    warm = None;
-    domains = None;
     requests = None;
     count = None;
     rates = None;
@@ -43,28 +39,16 @@ let none =
 
 let all_options =
   [
-    "--json"; "--metrics"; "--trace"; "--folded"; "--schema"; "--smoke"; "--chaos"; "--warm";
-    "--domains"; "--requests"; "--count"; "--rates"; "--remote";
+    "--json"; "--metrics"; "--trace"; "--folded"; "--schema"; "--smoke"; "--chaos";
+    "--requests"; "--count"; "--rates"; "--remote";
   ]
 
 let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
-
-let parse_on_off name v =
-  match v with
-  | "on" -> Ok true
-  | "off" -> Ok false
-  | _ -> fail "%s needs \"on\" or \"off\"" name
 
 let parse_pos_int name v =
   match int_of_string_opt v with
   | Some n when n > 0 -> Ok n
   | _ -> fail "%s needs a positive integer" name
-
-let parse_int_csv name v =
-  let parts = String.split_on_char ',' v |> List.map int_of_string_opt in
-  let ds = List.filter_map Fun.id parts in
-  if List.length ds = List.length parts && ds <> [] && List.for_all (fun d -> d > 0) ds then Ok ds
-  else fail "%s needs a CSV of positive ints (e.g. 1,2,4)" name
 
 let parse_float_csv name v =
   let parts = String.split_on_char ',' v |> List.map float_of_string_opt in
@@ -97,12 +81,6 @@ let parse ~cmd ~accept tokens =
       | "--remote" -> with_value (fun acc v -> Ok { acc with remote = Some v })
       | "--smoke" -> go { acc with smoke = true } rest
       | "--chaos" -> go { acc with chaos = true } rest
-      | "--warm" ->
-        with_value (fun acc v ->
-            Result.map (fun b -> { acc with warm = Some b }) (parse_on_off tok v))
-      | "--domains" ->
-        with_value (fun acc v ->
-            Result.map (fun ds -> { acc with domains = Some ds }) (parse_int_csv tok v))
       | "--requests" ->
         with_value (fun acc v ->
             Result.map (fun n -> { acc with requests = Some n }) (parse_pos_int tok v))

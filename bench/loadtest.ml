@@ -335,7 +335,6 @@ let run ?json ?metrics ?(smoke = false) ?(chaos = false)
            "smoke", Obs.Json.Bool smoke;
            "chaos", Obs.Json.Bool chaos;
            "remote", (match remote with Some a -> Obs.Json.Str a | None -> Obs.Json.Null);
-           "warm", Obs.Json.Bool Cgsim.Run_config.default.Cgsim.Run_config.warm;
            "app", Obs.Json.Str t.Apps.Harness.name;
            "domains",
            (match remote with

@@ -16,20 +16,6 @@
 
    micro [--json FILE] [--smoke]
 
-   serve benchmarks parallel request serving over Cgsim.Pool:
-     --json FILE    write requests/sec + scaling per app as JSON
-     --smoke        fewer requests and domain counts for CI
-     --domains CSV  domain counts to sweep (default 1,2,4,8)
-     --requests N   requests per app per domain count
-     --warm on|off  restrict to the warm (instance cache) or
-                    cold (fresh instance per attempt) path; default runs
-                    both and asserts per-request output equality
-     --chaos        serve under deterministic fault injection instead:
-                    seeded kernel raises + a stall, per-request deadline
-                    and retry supervision; writes schema
-                    "cgsim-bench-chaos/1" and fails unless every fault
-                    was absorbed (at least one by retry)
-
    loadtest runs open-loop Poisson arrivals against Cgsim.Pool, or — with
    --remote — against a running `cgx serve` daemon through Serve.Client:
      --json FILE    write p50/p99/p999 + error rate per rate step as
@@ -56,8 +42,7 @@
 let usage () =
   print_endline
     "usage: main.exe [table1|table2|table2-quick|profile [--trace FILE] [--json FILE] \
-     [--folded FILE] [--smoke]|micro [--json FILE] [--smoke]|serve [--json FILE] [--smoke] \
-     [--domains CSV] [--requests N] [--warm on|off] [--chaos]|loadtest [--json FILE] [--metrics FILE] \
+     [--folded FILE] [--smoke]|micro [--json FILE] [--smoke]|loadtest [--json FILE] [--metrics FILE] \
      [--rates CSV] [--requests N] [--chaos] [--remote ADDR] [--smoke]|ablation|fuzz [--json FILE] [--count N] \
      [--smoke]|check-json FILE [--schema NAME]|check-prom FILE]...";
   exit 2
@@ -68,7 +53,6 @@ type action =
   | Table2_quick
   | Profile of Cli.opts
   | Micro of Cli.opts
-  | Serve_pool of Cli.opts
   | Loadtest of Cli.opts
   | Ablation
   | Fuzz of Cli.opts
@@ -91,11 +75,6 @@ let parse_actions args =
     | "micro" :: rest ->
       parse_opts ~cmd:"micro" ~accept:[ "--json"; "--smoke" ] rest (fun o rest ->
           Micro o :: go rest)
-    | "serve" :: rest ->
-      parse_opts ~cmd:"serve"
-        ~accept:[ "--json"; "--smoke"; "--chaos"; "--warm"; "--domains"; "--requests" ]
-        rest
-        (fun o rest -> Serve_pool o :: go rest)
     | "ablation" :: rest -> Ablation :: go rest
     | "fuzz" :: rest ->
       parse_opts ~cmd:"fuzz" ~accept:[ "--json"; "--smoke"; "--count" ] rest (fun o rest ->
@@ -170,11 +149,6 @@ let run = function
   | Profile o ->
     Profile.run ?trace:o.Cli.trace ?json:o.Cli.json ?folded:o.Cli.folded ~smoke:o.Cli.smoke ()
   | Micro o -> Micro.run ?json:o.Cli.json ~smoke:o.Cli.smoke ()
-  | Serve_pool o ->
-    if o.Cli.chaos then Serve_bench.run_chaos ?json:o.Cli.json ~smoke:o.Cli.smoke ?requests:o.Cli.requests ()
-    else
-      Serve_bench.run ?json:o.Cli.json ~smoke:o.Cli.smoke ?domains:o.Cli.domains
-        ?requests:o.Cli.requests ?warm:o.Cli.warm ()
   | Loadtest o ->
     Loadtest.run ?json:o.Cli.json ?metrics:o.Cli.metrics ~smoke:o.Cli.smoke ~chaos:o.Cli.chaos
       ?rates:o.Cli.rates ?requests:o.Cli.requests ?remote:o.Cli.remote ()

@@ -61,36 +61,10 @@ dune exec bench/main.exe -- fuzz --smoke --json "$FUZZ_JSON"
 test -s "$FUZZ_JSON" || { echo "ci: fuzz JSON is empty" >&2; exit 1; }
 dune exec bench/main.exe -- check-json "$FUZZ_JSON" --schema cgsim-bench-fuzz/1
 
-echo "== serve smoke (parallel pool on 2 domains, warm off / warm on, JSON output) =="
-SERVE_COLD_JSON=$(mktemp -t ci-serve-cold-XXXXXX.json)
-SERVE_WARM_JSON=$(mktemp -t ci-serve-warm-XXXXXX.json)
-trap 'rm -f "$TRACE" "$MICRO_JSON" "$LINT_JSON" "$FUZZ_JSON" "$SERVE_COLD_JSON" "$SERVE_WARM_JSON"' EXIT
-# Every request's output is verified inside the bench; nonzero exit on
-# any wrong result.  Both paths run separately so the cold fallback
-# (fresh instance per attempt) can never silently rot behind the warm
-# cache.  Schema cgsim-bench-serve/5.
-dune exec bench/main.exe -- serve --smoke --domains 1,2 --warm off --json "$SERVE_COLD_JSON"
-test -s "$SERVE_COLD_JSON" || { echo "ci: cold serve JSON is empty" >&2; exit 1; }
-dune exec bench/main.exe -- check-json "$SERVE_COLD_JSON"
-dune exec bench/main.exe -- serve --smoke --domains 1,2 --warm on --json "$SERVE_WARM_JSON"
-test -s "$SERVE_WARM_JSON" || { echo "ci: warm serve JSON is empty" >&2; exit 1; }
-dune exec bench/main.exe -- check-json "$SERVE_WARM_JSON"
-
-echo "== chaos smoke (fault injection + retry supervision, JSON output) =="
-CHAOS_JSON=$(mktemp -t ci-chaos-XXXXXX.json)
-trap 'rm -f "$TRACE" "$MICRO_JSON" "$LINT_JSON" "$FUZZ_JSON" "$SERVE_COLD_JSON" "$SERVE_WARM_JSON" "$CHAOS_JSON"' EXIT
-# Serves under a seeded fault plan (kernel raises + a busy-stall) with a
-# per-request deadline and retries; exits nonzero unless every injected
-# fault was absorbed and at least one request recovered by retry.
-# Schema cgsim-bench-chaos/1.
-dune exec bench/main.exe -- serve --chaos --smoke --json "$CHAOS_JSON"
-test -s "$CHAOS_JSON" || { echo "ci: chaos JSON is empty" >&2; exit 1; }
-dune exec bench/main.exe -- check-json "$CHAOS_JSON"
-
 echo "== loadtest smoke (open-loop Poisson arrivals + chaos, JSON + Prometheus output) =="
 LOAD_JSON=$(mktemp -t ci-load-XXXXXX.json)
 LOAD_PROM=$(mktemp -t ci-load-XXXXXX.prom)
-trap 'rm -f "$TRACE" "$MICRO_JSON" "$LINT_JSON" "$FUZZ_JSON" "$SERVE_COLD_JSON" "$SERVE_WARM_JSON" "$CHAOS_JSON" "$LOAD_JSON" "$LOAD_PROM"' EXIT
+trap 'rm -f "$TRACE" "$MICRO_JSON" "$LINT_JSON" "$FUZZ_JSON" "$LOAD_JSON" "$LOAD_PROM"' EXIT
 # Open-loop arrivals against the pool under a transient-fault plan with
 # retries; exits nonzero if nothing completed or chaos never forced a
 # retry.  Schema cgsim-bench-load/2.
@@ -107,7 +81,7 @@ SERVE_SOCK=$(mktemp -u -t ci-serve-XXXXXX.sock)
 DAEMON_PROM=$(mktemp -t ci-daemon-XXXXXX.prom)
 REMOTE_JSON=$(mktemp -t ci-remote-XXXXXX.json)
 SERVE_PID=""
-trap 'rm -f "$TRACE" "$MICRO_JSON" "$LINT_JSON" "$FUZZ_JSON" "$SERVE_COLD_JSON" "$SERVE_WARM_JSON" "$CHAOS_JSON" "$LOAD_JSON" "$LOAD_PROM" "$DAEMON_PROM" "$REMOTE_JSON" "$SERVE_SOCK"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true' EXIT
+trap 'rm -f "$TRACE" "$MICRO_JSON" "$LINT_JSON" "$FUZZ_JSON" "$LOAD_JSON" "$LOAD_PROM" "$DAEMON_PROM" "$REMOTE_JSON" "$SERVE_SOCK"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true' EXIT
 # Launch the daemon binary directly — not through dune exec — so the
 # SIGTERM at the end reaches cgx itself and the drain path is what is
 # actually tested.  Every built-in app round-trips through `cgx
@@ -134,7 +108,7 @@ echo "serve daemon OK: clean SIGTERM drain"
 
 echo "== cgx --metrics smoke (Prometheus exposition from the extractor CLI) =="
 CGX_PROM=$(mktemp -t ci-cgx-XXXXXX.prom)
-trap 'rm -f "$TRACE" "$MICRO_JSON" "$LINT_JSON" "$FUZZ_JSON" "$SERVE_COLD_JSON" "$SERVE_WARM_JSON" "$CHAOS_JSON" "$LOAD_JSON" "$LOAD_PROM" "$DAEMON_PROM" "$REMOTE_JSON" "$SERVE_SOCK" "$CGX_PROM"' EXIT
+trap 'rm -f "$TRACE" "$MICRO_JSON" "$LINT_JSON" "$FUZZ_JSON" "$LOAD_JSON" "$LOAD_PROM" "$DAEMON_PROM" "$REMOTE_JSON" "$SERVE_SOCK" "$CGX_PROM"' EXIT
 dune exec bin/cgx.exe -- simulate examples/cgc/bitonic.cgc --reps 4 --metrics "$CGX_PROM"
 test -s "$CGX_PROM" || { echo "ci: cgx exposition is empty" >&2; exit 1; }
 dune exec bench/main.exe -- check-prom "$CGX_PROM"
@@ -148,6 +122,18 @@ if grep -rnE '(Runtime|Pool|Sim)\.(instantiate|execute|run)_opts' lib bin bench 
   exit 1
 fi
 echo "no shim references"
+
+echo "== one-serving-path gate =="
+# Cgsim.Pool serves one way: one FIFO shared by every domain, and warm
+# instances always.  The per-domain queues with stealing, the cold-only
+# Run_config.warm switch and the `bench serve` harness that compared
+# them were removed; warm-versus-fresh outputs and chaos recovery are
+# asserted by test_robust.
+if grep -rnE 'with_warm|Run_config\.warm|stolen|steals|Serve_bench|BENCH_serve' lib bin bench test; then
+  echo "ci: caller references the removed stealing queues, warm switch or bench serve" >&2
+  exit 1
+fi
+echo "no stealing queues, warm switch or bench serve"
 
 echo "== one-data-path gate =="
 # The block_io / spsc / unboxed switches and their element-loop and
@@ -207,7 +193,7 @@ echo "== top-level mutable state gate =="
 # that no longer exists.
 ALLOWED_STATE=$(mktemp -t ci-state-allowed-XXXXXX)
 FOUND_STATE=$(mktemp -t ci-state-found-XXXXXX)
-trap 'rm -f "$TRACE" "$MICRO_JSON" "$LINT_JSON" "$FUZZ_JSON" "$SERVE_COLD_JSON" "$SERVE_WARM_JSON" "$CHAOS_JSON" "$LOAD_JSON" "$LOAD_PROM" "$DAEMON_PROM" "$REMOTE_JSON" "$SERVE_SOCK" "$CGX_PROM" "$ALLOWED_STATE" "$FOUND_STATE"' EXIT
+trap 'rm -f "$TRACE" "$MICRO_JSON" "$LINT_JSON" "$FUZZ_JSON" "$LOAD_JSON" "$LOAD_PROM" "$DAEMON_PROM" "$REMOTE_JSON" "$SERVE_SOCK" "$CGX_PROM" "$ALLOWED_STATE" "$FOUND_STATE"' EXIT
 sed -e 's/ *#.*//' -e '/^$/d' > "$ALLOWED_STATE" <<'EOF_STATE'
 lib/cgsim/registry.ml table          # the kernel registry: kernels register at link time, graphs name them by key
 lib/cgsim/registry.ml order          # that registry's registration order, for listings

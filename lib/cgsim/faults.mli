@@ -20,7 +20,7 @@ type action =
   | Stall
       (** Busy-stall: spin on {!Sched.yield} forever.  Progress stops but
           the schedule does not, so only a deadline or fuel budget ends
-          the run — pair with {!Run_config.with_deadline_ns}. *)
+          the run — pair with {!Run_config.with_deadline_ms}. *)
   | Delay of int  (** Insert N cooperative yields, then proceed. *)
   | Backpressure of int
       (** From the Nth access on, the port's advisory space probe reports

@@ -1,7 +1,6 @@
 type request_result = {
   req_id : int;
   domain : int;
-  stolen : bool;
   outcome : Runtime.outcome;
   attempts : int;
   shed : bool;
@@ -67,8 +66,7 @@ let next_unit_float st =
    [cache_entries] graphs, least recently used evicted, and at most
    [instances_per_entry] idle instances parked per entry — a poisoned
    instance (reset failed) is simply dropped, which is the eviction path
-   for broken state.  The cold path ([warm = false]) still compiles
-   once per entry; only the idle instance list is warm-only. *)
+   for broken state. *)
 
 type cache_entry = {
   e_graph : Serialized.t;
@@ -109,18 +107,16 @@ type t = {
   p_domains : int;
   p_lock : Mutex.t;
   p_cond : Condition.t;
-  p_queues : pending Queue.t array;  (* per-domain FIFO, under p_lock *)
+  p_pending : pending Queue.t;  (* submit order, under p_lock *)
   p_cache_lock : Mutex.t;
   mutable p_cache : cache_entry list;  (* most recently used first *)
   mutable p_stop : bool;  (* no new submits; workers drain then exit *)
   mutable p_next_id : int;
-  mutable p_queued : int;
   mutable p_joined : bool;
   mutable p_workers : unit Domain.t array;
   p_t0 : float;
   p_executing : int Atomic.t;
   p_served : int Atomic.t;
-  p_steals : int Atomic.t;
   p_retries : int Atomic.t;
   p_warm_hits : int Atomic.t;
   p_cold_builds : int Atomic.t;
@@ -150,7 +146,7 @@ let breaker_open pool =
 
 let pending pool =
   Mutex.lock pool.p_lock;
-  let queued = pool.p_queued in
+  let queued = Queue.length pool.p_pending in
   Mutex.unlock pool.p_lock;
   queued + Atomic.get pool.p_executing
 
@@ -189,10 +185,10 @@ let record_result pool (p : pending) (res : request_result) =
       Atomic.incr pool.p_callback_failed;
       Obs.Flight.note Obs.Flight.Note ~arg:(float_of_int h.h_id) "pool.callback_failed")
 
-(* Instance acquisition: pop a reset instance from the warm entry, or
-   build a fresh one (the cold path — also the warm pool's fill path).
-   Release resets and parks the instance for the next request; an
-   instance whose reset fails is dropped, never reused. *)
+(* Instance acquisition: pop a reset instance from the entry, or build a
+   fresh one (the cold path, which is how an entry fills).  Release
+   resets and parks the instance for the next request; an instance whose
+   reset fails is dropped, never reused. *)
 let acquire pool (p : pending) =
   let e = p.pr_entry in
   Mutex.lock e.e_lock;
@@ -208,17 +204,14 @@ let acquire pool (p : pending) =
     Atomic.incr pool.p_cold_builds;
     Runtime.new_instance e.e_compiled
 
-(* Only a warm pool parks instances, so a cold one always builds. *)
-let release pool (p : pending) inst =
-  if pool.p_config.Run_config.warm then begin
-    let e = p.pr_entry in
-    match Runtime.reset inst with
-    | () ->
-      Mutex.lock e.e_lock;
-      if List.length e.e_free < instances_per_entry then e.e_free <- inst :: e.e_free;
-      Mutex.unlock e.e_lock
-    | exception _ -> () (* poisoned: evict by dropping *)
-  end
+let release (p : pending) inst =
+  let e = p.pr_entry in
+  match Runtime.reset inst with
+  | () ->
+    Mutex.lock e.e_lock;
+    if List.length e.e_free < instances_per_entry then e.e_free <- inst :: e.e_free;
+    Mutex.unlock e.e_lock
+  | exception _ -> () (* poisoned: evict by dropping *)
 
 (* First domain to observe the open circuit dumps its flight window:
    the events leading up to the failure streak. *)
@@ -229,11 +222,10 @@ let note_breaker_trip pool gname =
     if !Obs.Trace.on then Obs.Trace.instant ~track:"pool" ~cat:"pool" "breaker-open"
   end
 
-let shed_result ~domain ~stolen (p : pending) =
+let shed_result ~domain (p : pending) =
   {
     req_id = p.pr_handle.h_id;
     domain;
-    stolen;
     outcome = Runtime.Cancelled;
     attempts = 0;
     shed = true;
@@ -241,19 +233,19 @@ let shed_result ~domain ~stolen (p : pending) =
     req_latency_ns = 0.;
   }
 
-let execute pool ~domain ~stolen (p : pending) =
+let execute pool ~domain (p : pending) =
   let r = p.pr_handle.h_id in
   let config = pool.p_config in
   let gname = p.pr_entry.e_graph.Serialized.gname in
   if p.pr_handle.h_cancelled then
     (* Cancelled while queued: never executes, zero attempts. *)
     record_result pool p
-      { req_id = r; domain; stolen; outcome = Runtime.Cancelled; attempts = 0; shed = false;
+      { req_id = r; domain; outcome = Runtime.Cancelled; attempts = 0; shed = false;
         req_wall_ns = 0.; req_latency_ns = 0. }
   else if breaker_open pool then begin
     note_breaker_trip pool gname;
     if !Obs.Trace.on then Obs.Trace.incr_metric "pool.shed";
-    record_result pool p (shed_result ~domain ~stolen p)
+    record_result pool p (shed_result ~domain p)
   end
   else begin
     (* Open loop: wait out this request's scheduled arrival, then count
@@ -309,7 +301,7 @@ let execute pool ~domain ~stolen (p : pending) =
           in
           (* Reset and park the instance for the next request; a raise
              above leaves it un-released (dropped), never reused. *)
-          release pool p t;
+          release p t;
           outcome
         with exn ->
           (* Wiring/instantiation raises (caller bugs) are captured so
@@ -329,9 +321,8 @@ let execute pool ~domain ~stolen (p : pending) =
         let track = Printf.sprintf "serve-domain-%d" domain in
         Obs.Trace.span ~track ~cat:"pool" ~pid:3
           ~name:
-            (Printf.sprintf "req-%d%s%s" r
-               (if attempt > 1 then Printf.sprintf " try-%d" attempt else "")
-               (if stolen then " (stolen)" else ""))
+            (Printf.sprintf "req-%d%s" r
+               (if attempt > 1 then Printf.sprintf " try-%d" attempt else ""))
           ~ts_ns:a0 ~dur_ns:dt ();
         Obs.Trace.observe_ns "pool.request" dt;
         Obs.Trace.incr_metric ("pool.outcome:" ^ Runtime.outcome_label outcome);
@@ -371,37 +362,18 @@ let execute pool ~domain ~stolen (p : pending) =
     in
     Obs.Hdr.record pool.p_lat_hdrs.(domain) latency;
     record_result pool p
-      { req_id = r; domain; stolen; outcome; attempts; shed = false; req_wall_ns = dt;
+      { req_id = r; domain; outcome; attempts; shed = false; req_wall_ns = dt;
         req_latency_ns = latency }
   end
-
-(* Work selection, under p_lock: the owner takes the oldest of its own
-   FIFO; a drained owner steals the oldest queued request of another
-   domain.  Returns the request and whether it was stolen. *)
-let pop_work pool domain =
-  match Queue.take_opt pool.p_queues.(domain) with
-  | Some p ->
-    pool.p_queued <- pool.p_queued - 1;
-    Some (p, false)
-  | None ->
-    let rec try_steal k =
-      if k >= pool.p_domains then None
-      else
-        match Queue.take_opt pool.p_queues.((domain + k) mod pool.p_domains) with
-        | Some p ->
-          pool.p_queued <- pool.p_queued - 1;
-          Atomic.incr pool.p_steals;
-          Some (p, true)
-        | None -> try_steal (k + 1)
-    in
-    try_steal 1
 
 let worker pool domain () =
   Obs.Trace.set_thread_label (Printf.sprintf "serve-domain-%d" domain);
   let rec loop () =
     Mutex.lock pool.p_lock;
+    (* Every domain takes the oldest queued request: one FIFO balances
+       skewed request costs by construction. *)
     let rec take () =
-      match pop_work pool domain with
+      match Queue.take_opt pool.p_pending with
       | Some w ->
         Atomic.incr pool.p_executing;
         Mutex.unlock pool.p_lock;
@@ -418,8 +390,8 @@ let worker pool domain () =
     in
     match take () with
     | None -> ()
-    | Some (p, stolen) ->
-      execute pool ~domain ~stolen p;
+    | Some p ->
+      execute pool ~domain p;
       loop ()
   in
   loop ()
@@ -431,18 +403,16 @@ let make ~config ~domains =
     p_domains = domains;
     p_lock = Mutex.create ();
     p_cond = Condition.create ();
-    p_queues = Array.init domains (fun _ -> Queue.create ());
+    p_pending = Queue.create ();
     p_cache_lock = Mutex.create ();
     p_cache = [];
     p_stop = false;
     p_next_id = 0;
-    p_queued = 0;
     p_joined = false;
     p_workers = [||];
     p_t0 = Obs.Clock.now_ns ();
     p_executing = Atomic.make 0;
     p_served = Atomic.make 0;
-    p_steals = Atomic.make 0;
     p_retries = Atomic.make 0;
     p_warm_hits = Atomic.make 0;
     p_cold_builds = Atomic.make 0;
@@ -526,11 +496,8 @@ let submit pool ?deadline_ns ?seed ?not_before_ns ?on_complete ~io (g : Serializ
       pr_on_complete = on_complete;
     }
   in
-  (* Seed round-robin: request [id] belongs to domain [id mod domains];
-     per-domain queues are FIFO, so one domain replays submit order. *)
-  Queue.push p pool.p_queues.(id mod pool.p_domains);
-  pool.p_queued <- pool.p_queued + 1;
-  Condition.broadcast pool.p_cond;
+  Queue.push p pool.p_pending;
+  Condition.signal pool.p_cond;
   Mutex.unlock pool.p_lock;
   h
 
@@ -575,7 +542,6 @@ let metrics pool =
   addc "pool.callback_failed" (Atomic.get pool.p_callback_failed);
   addc "pool.shed" (Atomic.get pool.p_shed);
   addc "pool.retries" (Atomic.get pool.p_retries);
-  addc "pool.steals" (Atomic.get pool.p_steals);
   addc "pool.warm_hit" (Atomic.get pool.p_warm_hits);
   addc "pool.cold" (Atomic.get pool.p_cold_builds);
   Obs.Metrics.high_water m "pool.domains" (float_of_int pool.p_domains);
@@ -600,7 +566,6 @@ type stats = {
   domains : int;
   requests : int;
   results : request_result array;
-  steals : int;
   retries : int;
   warm_hits : int;
   cold_builds : int;
@@ -618,8 +583,9 @@ let run ?(config = Run_config.default) ?arrivals ~domains ~requests ~io (g : Ser
    | Some a when Array.length a <> requests ->
      invalid_arg "cgsim: Pool.run ~arrivals must have one offset per request"
    | Some _ | None -> ());
-  (* Queue every request before any worker exists, so each domain starts
-     on its own round-robin share and steals only once that is drained. *)
+  (* Queue every request before any worker exists: a compile error
+     raises out of the first submit with no domain to join, and the
+     domains start together on the head of the queue. *)
   let pool = make ~config ~domains in
   let t0 = pool.p_t0 in
   let handles =
@@ -635,7 +601,6 @@ let run ?(config = Run_config.default) ?arrivals ~domains ~requests ~io (g : Ser
     domains;
     requests;
     results;
-    steals = Atomic.get pool.p_steals;
     retries = Atomic.get pool.p_retries;
     warm_hits = Atomic.get pool.p_warm_hits;
     cold_builds = Atomic.get pool.p_cold_builds;

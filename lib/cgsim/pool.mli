@@ -18,23 +18,23 @@
     create, submit everything, await everything, shutdown.  Network
     front ends ({!Serve.Server}) drive {!submit}/{!await} directly.
 
-    {b Warm serving} (default, [config.warm]): each graph is
-    {!Runtime.compile}d once under the pool's config — validation,
-    registry resolution and the pre-flight lint verdict live in the
-    pool's own warm cache, bounded (least recently used evicted) and
-    keyed by graph identity alone — and served requests draw
-    {!Runtime.reset} instances from the entry's idle list instead of
-    rebuilding queues and wiring per attempt.  An instance whose reset
-    fails is dropped.  [config.warm = false] forces the cold path: a
-    fresh instance per attempt (the compiled artifact is still cached,
-    instances are not).  The cache lives and dies with the pool: a
-    fresh pool starts cold.
+    {b Warm serving}: each graph is {!Runtime.compile}d once under the
+    pool's config — validation, registry resolution and the pre-flight
+    lint verdict live in the pool's own warm cache, bounded (least
+    recently used evicted) and keyed by graph identity alone — and
+    served requests draw {!Runtime.reset} instances from the entry's
+    idle list instead of rebuilding queues and wiring per attempt.  An
+    attempt builds a fresh instance only when the idle list is empty,
+    which is how an entry fills; after the attempt the instance is reset
+    and parked (at most 8 per entry), and one whose reset fails is
+    dropped.  The cache lives and dies with the pool: a fresh pool
+    starts cold.
 
-    Requests are distributed round-robin across per-domain work queues;
-    a domain that drains its own queue steals the oldest queued request
-    of another, so skewed request costs still balance.  Each queue is
-    FIFO, so with [~domains:1] execution order is exactly the submit
-    order, making single-domain runs deterministic and comparable to a
+    Requests wait in one FIFO shared by every domain, and a domain that
+    is free takes the oldest.  Requests are therefore taken in submit
+    order, so a costly request delays only the one domain running it,
+    and with [~domains:1] execution order is exactly the submit order,
+    making single-domain runs deterministic and comparable to a
     sequential loop.
 
     Supervision, per request, driven by the {!Run_config.t}:
@@ -69,7 +69,6 @@
 type request_result = {
   req_id : int;
   domain : int;  (** Domain that executed (or shed) the request. *)
-  stolen : bool;  (** Executed by a thief rather than its seeded owner. *)
   outcome : Runtime.outcome;  (** Final outcome, after retries. *)
   attempts : int;  (** Executions performed; 0 when shed. *)
   shed : bool;  (** Refused by the open circuit breaker. *)
@@ -173,7 +172,7 @@ val served : t -> int
 (** Live always-on pool metrics: the ["pool.request"] latency HDR
     histogram (per-domain recorders merged at snapshot time),
     [pool.outcome:<label>], [pool.shed] and [pool.callback_failed]
-    counters, retry/steal/warm/cold totals and a [pool.domains]
+    counters, retry/warm/cold totals and a [pool.domains]
     gauge.  Populated with tracing off; safe to call while requests are
     in flight. *)
 val metrics : t -> Obs.Metrics.snapshot
@@ -189,7 +188,6 @@ type stats = {
   domains : int;
   requests : int;
   results : request_result array;  (** Indexed by request id. *)
-  steals : int;  (** Requests executed by a non-owner domain. *)
   retries : int;  (** Retry attempts across all requests. *)
   warm_hits : int;  (** Attempts served by a reused (reset) instance. *)
   cold_builds : int;  (** Attempts that built a fresh instance. *)
@@ -208,8 +206,7 @@ type stats = {
     instances of [g] on [domains] parallel domains under [config]
     (default {!Run_config.default}): a {!create}/{!submit}/{!await}/
     {!shutdown} round in one call, except that every request is queued
-    before the worker domains start, so each domain begins on its own
-    round-robin share.  [io r] is called on the executing domain, once
+    before the worker domains start.  [io r] is called on the executing domain, once
     per attempt, to build the sources and sinks for request [r].  The
     graph is compiled (and linted) once up front, not per request.
 

@@ -23,7 +23,6 @@ type t = {
   breaker_threshold : int option;
   faults : Faults.t option;
   seed : int;
-  warm : bool;
   auto_capacity : bool;
 }
 
@@ -39,13 +38,11 @@ let default =
     breaker_threshold = None;
     faults = None;
     seed = 1;
-    warm = true;
     auto_capacity = false;
   }
 
 let with_queue_capacity c t = { t with queue_capacity = Some c }
 let with_lint lint t = { t with lint }
-let with_deadline_ns d t = { t with deadline_ns = Some d }
 let with_deadline_ms d t = { t with deadline_ns = Some (d *. 1e6) }
 let with_max_steps n t = { t with max_steps = Some n }
 let with_retries n t = { t with retries = n }
@@ -60,6 +57,4 @@ let with_backoff ?base_ns ?cap_ns t =
 let with_breaker threshold t = { t with breaker_threshold = Some threshold }
 let with_faults faults t = { t with faults = Some faults }
 let with_seed seed t = { t with seed }
-let with_warm warm t = { t with warm }
-
 let with_auto_capacity auto_capacity t = { t with auto_capacity }

@@ -37,11 +37,6 @@ type t = {
           circuit opens and remaining requests are shed; default off. *)
   faults : Faults.t option;  (** Fault-injection plan; default none. *)
   seed : int;  (** Seed for backoff jitter (determinism). *)
-  warm : bool;
-      (** {!Pool} only: serve requests from per-domain warm runtime
-          instances (compile once, {!Runtime.reset} between requests);
-          default [true].  [false] forces the cold path — a fresh
-          instantiation per attempt. *)
   auto_capacity : bool;
       (** Capacity synthesis (default [false]): at {!Runtime.compile}
           time, raise each net's queue depth to the minimal
@@ -55,7 +50,6 @@ val default : t
 
 val with_queue_capacity : int -> t -> t
 val with_lint : lint_level -> t -> t
-val with_deadline_ns : float -> t -> t
 val with_deadline_ms : float -> t -> t
 val with_max_steps : int -> t -> t
 val with_retries : int -> t -> t
@@ -63,5 +57,4 @@ val with_backoff : ?base_ns:float -> ?cap_ns:float -> t -> t
 val with_breaker : int -> t -> t
 val with_faults : Faults.t -> t -> t
 val with_seed : int -> t -> t
-val with_warm : bool -> t -> t
 val with_auto_capacity : bool -> t -> t

@@ -1262,7 +1262,6 @@ let test_pool_single_domain_matches_sequential () =
   let stats =
     Cgsim.Pool.run ~domains:1 ~requests ~io:(pool_io_for_request contents) (diamond_graph ())
   in
-  Alcotest.(check int) "no steals on one domain" 0 stats.Cgsim.Pool.steals;
   Array.iter
     (fun (res : Cgsim.Pool.request_result) ->
       (match res.Cgsim.Pool.outcome with
@@ -1323,6 +1322,43 @@ let test_pool_captures_failures () =
           (contents.(r) ())
       | o, _ -> Alcotest.failf "request %d should succeed: %a" r Cgsim.Runtime.pp_outcome o)
     stats.Cgsim.Pool.results
+
+let test_pool_starts_in_submit_order () =
+  (* One slow request must not let the other domain run ahead of the
+     queue: with one FIFO, request [r] starts at most [domains - 1]
+     places after its submit position, whatever the cost of the
+     requests ahead of it. *)
+  let requests = 16 and domains = 2 in
+  let contents = Array.make requests (fun () -> [||]) in
+  let lock = Mutex.create () and started = ref [] in
+  (* No request enters its io before request 0 has: the OS may stall the
+     domain that took request 0 before it gets there, and that stall
+     must not read as the other domain running ahead of the queue. *)
+  let zero_started = Atomic.make false in
+  let io r =
+    if r > 0 then begin
+      let give_up = Unix.gettimeofday () +. 5.0 in
+      while (not (Atomic.get zero_started)) && Unix.gettimeofday () < give_up do
+        Unix.sleepf 1e-4
+      done
+    end;
+    Mutex.protect lock (fun () -> started := r :: !started);
+    if r = 0 then begin
+      Atomic.set zero_started true;
+      Unix.sleepf 0.05
+    end;
+    pool_io_for_request contents r
+  in
+  let stats = Cgsim.Pool.run ~domains ~requests ~io (diamond_graph ()) in
+  Alcotest.(check int) "all completed" requests stats.Cgsim.Pool.counts.Cgsim.Pool.n_completed;
+  let order = Array.of_list (List.rev !started) in
+  Alcotest.(check int) "one start per request" requests (Array.length order);
+  Array.iteri
+    (fun pos r ->
+      if pos > r + (domains - 1) then
+        Alcotest.failf "request %d started at position %d (start order %s)" r pos
+          (String.concat "," (Array.to_list (Array.map string_of_int order))))
+    order
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -1410,6 +1446,7 @@ let () =
             test_pool_single_domain_matches_sequential;
           Alcotest.test_case "requests > domains" `Quick test_pool_more_requests_than_domains;
           Alcotest.test_case "failures captured" `Quick test_pool_captures_failures;
+          Alcotest.test_case "starts in submit order" `Quick test_pool_starts_in_submit_order;
         ] );
       ( "graph-text",
         [

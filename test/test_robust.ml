@@ -1,6 +1,6 @@
 (* Robustness stack tests: structured outcomes, deadlines, cancellation,
-   fault injection, and pool supervision (retry + circuit breaker),
-   including warm-vs-cold serving equivalence. *)
+   fault injection, pool supervision (retry + circuit breaker) and chaos
+   recovery, and warm serving against fresh runs. *)
 
 let contains needle haystack =
   let nl = String.length needle and hl = String.length haystack in
@@ -437,6 +437,48 @@ let test_pool_callback_raise_counted () =
          && e.Obs.Flight.fl_arg = float_of_int id)
        (Atomic.get flight))
 
+let test_pool_chaos_recovers () =
+  (* Seeded transient faults on a 2-domain pool: two kernel raises and
+     one busy-stall that burns the per-attempt deadline.  Retry
+     supervision must absorb all of them: every request completes with
+     the reference output, and at least one needed a retry to. *)
+  let t = Apps.Harness.farrow in
+  let requests = 6 and reps = 1 in
+  let faults =
+    Cgsim.Faults.(
+      plan ~seed:7
+        [ raise_on ~kernel:"*" ~after:2 ~fires:2 (); stall_on ~kernel:"*" ~after:5 ~fires:1 () ])
+  in
+  let config =
+    Cgsim.Run_config.(
+      default |> with_deadline_ms 100. |> with_retries 2
+      |> with_backoff ~base_ns:1e5 ~cap_ns:1e7
+      |> with_faults faults |> with_seed 7)
+  in
+  let contents = Array.make requests (fun () -> []) in
+  let io r =
+    let sinks, c = t.Apps.Harness.make_sinks () in
+    contents.(r) <- c;
+    t.Apps.Harness.sources ~reps, sinks
+  in
+  let stats = Cgsim.Pool.run ~config ~domains:2 ~requests ~io (t.Apps.Harness.graph ()) in
+  Array.iter
+    (fun (res : Cgsim.Pool.request_result) ->
+      let r = res.Cgsim.Pool.req_id in
+      match res.Cgsim.Pool.outcome with
+      | Cgsim.Runtime.Completed _ when not res.Cgsim.Pool.shed ->
+        (match t.Apps.Harness.check ~reps (contents.(r) ()) with
+         | Ok () -> ()
+         | Error e -> Alcotest.failf "req %d: wrong output: %s" r e)
+      | o ->
+        Alcotest.failf "req %d did not recover:%s %a" r
+          (if res.Cgsim.Pool.shed then " shed;" else "")
+          Cgsim.Runtime.pp_outcome o)
+    stats.Cgsim.Pool.results;
+  Alcotest.(check bool) "a fault was injected" true (Cgsim.Faults.injected faults >= 1);
+  Alcotest.(check bool) "a request recovered by retry" true
+    (stats.Cgsim.Pool.counts.Cgsim.Pool.n_retried_ok >= 1)
+
 (* ------------------------------------------------------------------ *)
 (* x86sim: watchdog deadline and failure outcomes                      *)
 (* ------------------------------------------------------------------ *)
@@ -469,24 +511,22 @@ let test_x86_failure_names_graph () =
 (* ------------------------------------------------------------------ *)
 
 let test_pool_warm_matches_cold () =
-  (* The warm path (reset instances from the cache) must produce exactly
-     the outputs of the cold path (fresh instance per attempt). *)
+  (* The pool's reset instances must produce exactly the outputs of a
+     fresh instance per request. *)
   let requests = 4 in
   let g = chain_graph () in
-  let run_pool config =
-    let contents = Array.make requests (fun () -> [||]) in
-    let stats = Cgsim.Pool.run ~config ~domains:1 ~requests ~io:(pool_io contents) g in
-    Alcotest.(check int) "all completed" requests stats.Cgsim.Pool.counts.Cgsim.Pool.n_completed;
-    stats, Array.map (fun c -> c ()) contents
-  in
-  let warm_stats, warm = run_pool Cgsim.Run_config.default in
-  let _, cold = run_pool Cgsim.Run_config.(with_warm false default) in
-  Alcotest.(check bool)
-    "warm path reused instances" true
-    (warm_stats.Cgsim.Pool.warm_hits > 0);
+  let contents = Array.make requests (fun () -> [||]) in
+  let stats = Cgsim.Pool.run ~domains:1 ~requests ~io:(pool_io contents) g in
+  Alcotest.(check int) "all completed" requests stats.Cgsim.Pool.counts.Cgsim.Pool.n_completed;
+  Alcotest.(check bool) "warm path reused instances" true (stats.Cgsim.Pool.warm_hits > 0);
   Array.iteri
-    (fun i wi -> Alcotest.(check (array (float 0.0))) (Printf.sprintf "req %d" i) cold.(i) wi)
-    warm
+    (fun r c ->
+      let sink, fresh = Cgsim.Io.f32_buffer () in
+      (match Cgsim.Runtime.execute g ~sources:[ chain_input 8 ] ~sinks:[ sink ] with
+       | Cgsim.Runtime.Completed _ -> ()
+       | o -> Alcotest.failf "fresh run %d: %a" r Cgsim.Runtime.pp_outcome o);
+      Alcotest.(check (array (float 0.0))) (Printf.sprintf "req %d" r) (fresh ()) (c ()))
+    contents
 
 (* ------------------------------------------------------------------ *)
 
@@ -521,6 +561,7 @@ let () =
           Alcotest.test_case "breaker opens and sheds" `Quick test_pool_breaker_sheds;
           Alcotest.test_case "closed under threshold" `Quick test_pool_breaker_reset_by_success;
           Alcotest.test_case "raising callback counted" `Quick test_pool_callback_raise_counted;
+          Alcotest.test_case "chaos recovers every request" `Quick test_pool_chaos_recovers;
         ] );
       ( "x86sim",
         [
