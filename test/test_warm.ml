@@ -127,6 +127,41 @@ let test_reset_many_cycles () =
     values_equal (Printf.sprintf "cycle %d" cycle) baseline out
   done
 
+(* Allocation ceiling of one warm run at the request sizes the pool_mix
+   benchmark serves: kernel bodies compute into lanes they allocate once,
+   so what a warm run allocates is the scheduler's and the ports' own
+   bookkeeping plus the payloads still boxed as [Value.t] (bilinear's
+   struct reads, farrow's cascade pairs).  Sources and sinks are built
+   before the measured call; a reset between runs is not measured. *)
+let test_warm_run_allocation () =
+  List.iter
+    (fun (name, reps, ceiling) ->
+      let h =
+        match Apps.Harness.find name with Some h -> h | None -> Alcotest.failf "no app %s" name
+      in
+      let inst = R.new_instance (R.compile (h.Apps.Harness.graph ())) in
+      ignore (run_checked (name ^ " first run") h inst ~reps);
+      let words () =
+        R.reset inst;
+        let sources = h.Apps.Harness.sources ~reps in
+        let sinks, contents = h.Apps.Harness.make_sinks () in
+        let before = Gc.minor_words () in
+        let o = R.run inst ~sources ~sinks in
+        let w = Gc.minor_words () -. before in
+        (match o with
+         | R.Completed _ -> ()
+         | o -> Alcotest.failf "%s: expected Completed, got %a" name R.pp_outcome o);
+        (match h.Apps.Harness.check ~reps (contents ()) with
+         | Ok () -> ()
+         | Error e -> Alcotest.failf "%s: %s" name e);
+        w
+      in
+      let w = Float.min (words ()) (words ()) in
+      if w > ceiling then
+        Alcotest.failf "%s@%d: a warm run allocates %.0f minor words (ceiling %.0f)" name reps w
+          ceiling)
+    [ "bitonic", 4, 1_800.; "bilinear", 1, 7_000.; "farrow", 2, 210_000.; "iir", 1, 24_000. ]
+
 let test_reset_during_run_rejected () =
   let h = Apps.Harness.bitonic in
   let inst = R.new_instance (R.compile (h.Apps.Harness.graph ())) in
@@ -335,6 +370,7 @@ let () =
           Alcotest.test_case "many reset cycles" `Quick test_reset_many_cycles;
           Alcotest.test_case "second run without reset rejected" `Quick
             test_reset_during_run_rejected;
+          Alcotest.test_case "warm run allocation ceilings" `Quick test_warm_run_allocation;
         ] );
       ( "reset-faults",
         [
