@@ -15,7 +15,7 @@ let one_slot _ = 1
 (* Every op matches the running fiber's recorder before it computes a
    slot count or builds an event, then calls its Vec op directly:
    untraced, a call costs a [Sched.local] call, one branch and one lane
-   loop, and allocates only its result. *)
+   loop into the caller's [dst], and allocates nothing. *)
 let[@inline] vop name slots lanes =
   match Cgsim.Sched.local () with
   | Trace.Recorder r when Trace.recording r ->
@@ -32,108 +32,109 @@ let[@inline] store bytes =
   | Trace.Recorder r when Trace.recording r -> Trace.push r (Trace.Store { bytes })
   | _ -> ()
 
-let fpadd a b =
+let fpadd ~dst a b =
   vop "fpadd" fp_slots (Array.length a);
-  Vec.fadd a b
+  Vec.fadd ~dst a b
 
-let fpsub a b =
+let fpsub ~dst a b =
   vop "fpsub" fp_slots (Array.length a);
-  Vec.fsub a b
+  Vec.fsub ~dst a b
 
-let fpmul a b =
+let fpmul ~dst a b =
   vop "fpmul" fp_slots (Array.length a);
-  Vec.fmul a b
+  Vec.fmul ~dst a b
 
-let fpmac acc a b =
+let fpmac ~dst acc a b =
   vop "fpmac" fp_slots (Array.length a);
-  Vec.fmac acc a b
+  Vec.fmac ~dst acc a b
 
-let fpmac_scalar acc s b =
+let fpmac_scalar ~dst acc src k b =
   vop "fpmac" fp_slots (Array.length b);
-  Vec.fmac_scalar acc s b
+  Vec.fmac_scalar ~dst acc src k b
 
-let fpmax a b =
+let fpmax ~dst a b =
   vop "fpmax" fp_slots (Array.length a);
-  Vec.fmax a b
+  Vec.fmax ~dst a b
 
-let fpmin a b =
+let fpmin ~dst a b =
   vop "fpmin" fp_slots (Array.length a);
-  Vec.fmin a b
+  Vec.fmin ~dst a b
 
-let fpshuffle v idx =
+let fpshuffle ~dst v idx =
   vop "fpshuffle" fp_slots (Array.length idx);
-  Vec.fshuffle v idx
+  Vec.fshuffle ~dst v idx
 
-let fpselect mask a b =
+let fpselect ~dst mask a b =
   vop "fpselect" fp_slots (Array.length a);
-  Vec.fselect mask a b
+  Vec.fselect ~dst mask a b
 
-let fpsplat lanes v =
-  vop "fpsplat" one_slot lanes;
-  Vec.fsplat lanes v
+let fpsplat ~dst v =
+  vop "fpsplat" one_slot (Array.length dst);
+  Vec.fsplat ~dst v
 
-let fpsum v =
+let fpsum ~dst v =
   vop "fpsum" sum_slots (Array.length v);
-  Vec.fsum v
+  Vec.fsum ~dst v
 
-let mul16 a b =
+let mul16 ~dst a b =
   vop "mul16" i16_slots (Array.length a);
-  Vec.imul a b
+  Vec.imul ~dst a b
 
-let mac16 acc a b =
+let mac16 ~dst acc a b =
   vop "mac16" i16_slots (Array.length a);
-  Vec.imac acc a b
+  Vec.imac ~dst acc a b
 
-let mac16_scalar acc a s =
+let mac16_scalar ~dst acc a s =
   vop "mac16" i16_slots (Array.length a);
-  Vec.imac_scalar acc a s
+  Vec.imac_scalar ~dst acc a s
 
-let add16 a b =
+let add16 ~dst a b =
   vop "add16" i16_slots (Array.length a);
-  Vec.iadd a b
+  Vec.iadd ~dst a b
 
-let sub16 a b =
+let sub16 ~dst a b =
   vop "sub16" i16_slots (Array.length a);
-  Vec.isub a b
+  Vec.isub ~dst a b
 
-let shuffle16 v idx =
+let shuffle16 ~dst v idx =
   vop "shuffle16" i16_slots (Array.length idx);
-  Vec.ishuffle v idx
+  Vec.ishuffle ~dst v idx
 
-let mac32 acc a b =
+let mac32 ~dst acc a b =
   vop "mac32" i32_slots (Array.length a);
-  Vec.imac acc a b
+  Vec.imac ~dst acc a b
 
-let add32 a b =
+let add32 ~dst a b =
   vop "add32" i32_slots (Array.length a);
-  Vec.iadd a b
+  Vec.iadd ~dst a b
 
-let sub32 a b =
+let sub32 ~dst a b =
   vop "sub32" i32_slots (Array.length a);
-  Vec.isub a b
+  Vec.isub ~dst a b
 
-let srs16 ~shift acc =
+let srs16 ~dst ~shift acc =
   vop "srs16" i16_slots (Array.length acc);
-  Vec.srs Cgsim.Dtype.I16 shift acc
+  Vec.srs ~dst Cgsim.Dtype.I16 shift acc
 
-let srs32 ~shift acc =
+let srs32 ~dst ~shift acc =
   vop "srs32" i32_slots (Array.length acc);
-  Vec.srs Cgsim.Dtype.I32 shift acc
+  Vec.srs ~dst Cgsim.Dtype.I32 shift acc
 
-let ups16 ~shift v =
+let ups16 ~dst ~shift v =
   vop "ups16" i16_slots (Array.length v);
-  Vec.ups shift v
+  Vec.ups ~dst shift v
 
 let slice name mem off lanes =
-  if off < 0 || lanes < 0 || off + lanes > Array.length mem then
+  if off < 0 || off + lanes > Array.length mem then
     invalid_arg
       (Printf.sprintf "aie: %s out of range (off=%d lanes=%d len=%d)" name off lanes
          (Array.length mem))
 
-let load_f32 mem off lanes =
+let load_f32 ~dst mem off =
+  let lanes = Array.length dst in
   slice "load_f32" mem off lanes;
   load (4 * lanes);
-  Array.sub mem off lanes
+  Array.blit mem off dst 0 lanes
 
 let store_f32 mem off v =
   let lanes = Array.length v in
@@ -141,10 +142,11 @@ let store_f32 mem off v =
   store (4 * lanes);
   Array.blit v 0 mem off lanes
 
-let load_i16 mem off lanes =
+let load_i16 ~dst mem off =
+  let lanes = Array.length dst in
   slice "load_i16" mem off lanes;
   load (2 * lanes);
-  Array.sub mem off lanes
+  Array.blit mem off dst 0 lanes
 
 let store_i16 mem off v =
   let lanes = Array.length v in

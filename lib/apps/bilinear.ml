@@ -29,42 +29,74 @@ let quad_value (q : Workloads.Images.quad) =
       "yf", Cgsim.Value.Int q.yf;
     ]
 
-let quad_of_value v =
-  let pix = Cgsim.Value.to_vec (Cgsim.Value.field v "pix") in
+(* The vector registers one group's blend works in: the six request
+   lanes, then the two horizontal blends and the multiply temporaries. *)
+type scratch = {
+  p00 : int array;
+  p01 : int array;
+  p10 : int array;
+  p11 : int array;
+  xf : int array;
+  yf : int array;
+  top : int array;
+  bot : int array;
+  delta : int array;
+  prod : int array;
+}
+
+let scratch () =
+  let lane () = Array.make group 0 in
   {
-    Workloads.Images.p00 = Cgsim.Value.to_int pix.(0);
-    p01 = Cgsim.Value.to_int pix.(1);
-    p10 = Cgsim.Value.to_int pix.(2);
-    p11 = Cgsim.Value.to_int pix.(3);
-    xf = Cgsim.Value.to_int (Cgsim.Value.field v "xf");
-    yf = Cgsim.Value.to_int (Cgsim.Value.field v "yf");
+    p00 = lane ();
+    p01 = lane ();
+    p10 = lane ();
+    p11 = lane ();
+    xf = lane ();
+    yf = lane ();
+    top = lane ();
+    bot = lane ();
+    delta = lane ();
+    prod = lane ();
   }
+
+(* dst = a + ((b - a) * f) >> 15, rounded, in 32-bit accumulators. *)
+let blend s ~dst a b f =
+  let open Aie.Intrinsics in
+  sub32 ~dst:s.delta b a;
+  Aie.Vec.isplat ~dst:s.prod 0;
+  mac32 ~dst:s.prod s.prod s.delta f;
+  srs32 ~dst:s.prod ~shift:15 s.prod;
+  add32 ~dst a s.prod
 
 (* Vectorized blend over one 16-request group.  Pixels are upshifted to
    Q8, both horizontal blends and the vertical blend use a Q15 multiply
    followed by shift-round (32-bit accumulators, no mid-pipeline
    saturation), matching Workloads.Reference.bilinear_scalar exactly. *)
-let blend_group quads =
+let blend_group s ~dst reqs =
   let open Aie.Intrinsics in
-  if Array.length quads <> group then invalid_arg "bilinear: expected a 16-quad group";
-  let lane f = Array.map f quads in
-  let p00 = lane (fun q -> q.Workloads.Images.p00) in
-  let p01 = lane (fun q -> q.Workloads.Images.p01) in
-  let p10 = lane (fun q -> q.Workloads.Images.p10) in
-  let p11 = lane (fun q -> q.Workloads.Images.p11) in
-  let xf = lane (fun q -> q.Workloads.Images.xf) in
-  let yf = lane (fun q -> q.Workloads.Images.yf) in
-  let q8 v = ups16 ~shift:8 v in
-  let blend a b f =
-    (* a + ((b - a) * f) >> 15, rounded, in 32-bit accumulators *)
-    let delta = sub32 b a in
-    let prod = mac32 (Aie.Vec.isplat group 0) delta f in
-    add32 a (srs32 ~shift:15 prod)
-  in
-  let top = blend (q8 p00) (q8 p01) xf in
-  let bot = blend (q8 p10) (q8 p11) xf in
-  let out = blend top bot yf in
-  Array.map (fun v -> Cgsim.Value.clamp_int Cgsim.Dtype.U16 v) out
+  if Array.length reqs <> group then invalid_arg "bilinear: expected a 16-request group";
+  Aie.Vec.check_lanes "bilinear output" dst reqs;
+  (* Struct reads straight into the request lanes. *)
+  for i = 0 to group - 1 do
+    let v = reqs.(i) in
+    let pix = Cgsim.Value.to_vec (Cgsim.Value.field v "pix") in
+    s.p00.(i) <- Cgsim.Value.to_int pix.(0);
+    s.p01.(i) <- Cgsim.Value.to_int pix.(1);
+    s.p10.(i) <- Cgsim.Value.to_int pix.(2);
+    s.p11.(i) <- Cgsim.Value.to_int pix.(3);
+    s.xf.(i) <- Cgsim.Value.to_int (Cgsim.Value.field v "xf");
+    s.yf.(i) <- Cgsim.Value.to_int (Cgsim.Value.field v "yf")
+  done;
+  ups16 ~dst:s.p01 ~shift:8 s.p01;
+  ups16 ~dst:s.p00 ~shift:8 s.p00;
+  blend s ~dst:s.top s.p00 s.p01 s.xf;
+  ups16 ~dst:s.p11 ~shift:8 s.p11;
+  ups16 ~dst:s.p10 ~shift:8 s.p10;
+  blend s ~dst:s.bot s.p10 s.p11 s.xf;
+  blend s ~dst:s.top s.top s.bot s.yf;
+  for i = 0 to group - 1 do
+    dst.(i) <- Cgsim.Value.clamp_int Cgsim.Dtype.U16 s.top.(i)
+  done
 
 let kernel =
   Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"bilinear_kernel"
@@ -77,11 +109,11 @@ let kernel =
     (fun b ->
       let input = Cgsim.Kernel.rd b 0 and output = Cgsim.Kernel.wr b 0 in
       let groups_per_block = quads_per_block / group in
+      let s = scratch () and out = Array.make group 0 in
       while true do
         Aie.Trace.mark_iteration ();
         Aie.Trace.with_pipelined_loop ~trip:groups_per_block (fun _g ->
-            let quads = Array.map quad_of_value (Cgsim.Port.get_window input group) in
-            let out = blend_group quads in
+            blend_group s ~dst:out (Cgsim.Port.get_window input group);
             Aie.Intrinsics.scalar_op ~count:2 "addr";
             Cgsim.Port.put_window_int output out)
       done)

@@ -20,9 +20,17 @@ val quad_dtype : Cgsim.Dtype.t
 
 val quad_value : Workloads.Images.quad -> Cgsim.Value.t
 
-(** Pure vectorized blend of one group (exposed for tests): arrays of 16
-    quads to 16 u16 outputs. *)
-val blend_group : Workloads.Images.quad array -> int array
+(** The vector registers one group's blend works in. *)
+type scratch
+
+val scratch : unit -> scratch
+
+(** [blend_group s ~dst reqs] blends one group of 16 request structs
+    ({!quad_dtype} values) into the 16 u16 lanes of [dst], reading the
+    struct fields straight into the lanes of [s]; it allocates nothing.
+    The kernel keeps one [s] and one [dst] for its whole life (exposed
+    for tests). *)
+val blend_group : scratch -> dst:int array -> Cgsim.Value.t array -> unit
 
 val kernel : Cgsim.Kernel.t
 

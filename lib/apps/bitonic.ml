@@ -18,21 +18,32 @@ let stages =
     in
     perm, keep_min
   in
-  List.concat_map
-    (fun k ->
-      let rec strides j = if j = 0 then [] else stage k j :: strides (j / 2) in
-      strides (k / 2))
-    [ 2; 4; 8; 16 ]
+  Array.of_list
+    (List.concat_map
+       (fun k ->
+         let rec strides j = if j = 0 then [] else stage k j :: strides (j / 2) in
+         strides (k / 2))
+       [ 2; 4; 8; 16 ])
 
-let sort_vector v =
+(* The vector registers one sort works in besides the vector it sorts. *)
+type scratch = {
+  partner : float array;
+  lo : float array;
+  hi : float array;
+}
+
+let scratch () =
+  { partner = Array.make lanes 0.0; lo = Array.make lanes 0.0; hi = Array.make lanes 0.0 }
+
+let sort_vector s v =
   if Array.length v <> lanes then invalid_arg "bitonic: expected 16 lanes";
-  List.fold_left
-    (fun v (perm, keep_min) ->
-      let partner = Aie.Intrinsics.fpshuffle v perm in
-      let lo = Aie.Intrinsics.fpmin v partner in
-      let hi = Aie.Intrinsics.fpmax v partner in
-      Aie.Intrinsics.fpselect keep_min lo hi)
-    v stages
+  for st = 0 to Array.length stages - 1 do
+    let perm, keep_min = stages.(st) in
+    Aie.Intrinsics.fpshuffle ~dst:s.partner v perm;
+    Aie.Intrinsics.fpmin ~dst:s.lo v s.partner;
+    Aie.Intrinsics.fpmax ~dst:s.hi v s.partner;
+    Aie.Intrinsics.fpselect ~dst:v keep_min s.lo s.hi
+  done
 
 let kernel =
   Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"bitonic_kernel"
@@ -44,12 +55,13 @@ let kernel =
     ]
     (fun b ->
       let input = Cgsim.Kernel.rd b 0 and output = Cgsim.Kernel.wr b 0 in
+      let v = Array.make lanes 0.0 and s = scratch () in
       while true do
         Aie.Trace.mark_iteration ();
-        let v = Cgsim.Port.get_window_f32 input lanes in
-        let sorted = sort_vector v in
+        Cgsim.Port.get_window_f32 input v;
+        sort_vector s v;
         Aie.Intrinsics.scalar_op ~count:2 "blk_ctl";
-        Cgsim.Port.put_window_f32 output sorted
+        Cgsim.Port.put_window_f32 output v
       done)
 
 let () = Cgsim.Registry.register kernel

@@ -18,10 +18,17 @@ val block_bytes : int
 
 (** The compare-exchange network: for each stage, the partner permutation
     and the per-lane "keep the minimum" mask.  Exposed for tests. *)
-val stages : (int array * bool array) list
+val stages : (int array * bool array) array
 
-(** Sort one 16-lane vector through the network (pure; used by tests). *)
-val sort_vector : float array -> float array
+(** The three 16-lane vectors a sort works in (partner, min, max). *)
+type scratch
+
+val scratch : unit -> scratch
+
+(** [sort_vector s v] sorts the 16 lanes of [v] in place through the
+    network, working in [s]; it allocates nothing.  The kernel keeps one
+    [v] and one [s] for its whole life. *)
+val sort_vector : scratch -> float array -> unit
 
 val kernel : Cgsim.Kernel.t
 

@@ -27,31 +27,35 @@ let stage1 =
       let input = Cgsim.Kernel.rd b 0 in
       let c01 = Cgsim.Kernel.wr b 0 and c23 = Cgsim.Kernel.wr b 1 in
       let coeffs = Workloads.Reference.farrow_coeffs_q15 in
-      (* Sample history across window boundaries (zero-initialised, as in
-         the scalar reference). *)
-      let history = Array.make (taps - 1) 0 in
       let groups = samples_per_window / group in
+      (* ext.(i + taps - 1) = samples.(i), prefixed with the sample
+         history across window boundaries (zero-initialised, as in the
+         scalar reference). *)
+      let samples = Array.make samples_per_window 0 in
+      let ext = Array.make (taps - 1 + samples_per_window) 0 in
+      let x = Array.init taps (fun _ -> Array.make group 0) in
+      let acc = Array.make group 0 in
+      let c = Array.init (Array.length coeffs) (fun _ -> Array.make group 0) in
       while true do
         Aie.Trace.mark_iteration ();
-        let samples = Cgsim.Port.get_window_int input samples_per_window in
-        (* ext.(i + taps - 1) = samples.(i), prefixed with history. *)
-        let ext = Array.append history samples in
+        Cgsim.Port.get_window_int input samples;
+        Array.blit samples 0 ext (taps - 1) samples_per_window;
         Aie.Intrinsics.scalar_op ~count:4 "win_setup";
         Aie.Trace.with_pipelined_loop ~trip:groups (fun g ->
             let base = g * group in
             (* One shifted 32-lane load per tap, shared by all four
                sub-filters. *)
-            let x = Array.init taps (fun k -> Aie.Intrinsics.load_i16 ext (base + k) group) in
-            let c =
-              Array.map
-                (fun row ->
-                  let acc = ref (Aie.Vec.isplat group 0) in
-                  for k = 0 to taps - 1 do
-                    acc := Aie.Intrinsics.mac16_scalar !acc x.(k) row.(k)
-                  done;
-                  Aie.Intrinsics.srs16 ~shift:15 !acc)
-                coeffs
-            in
+            for k = 0 to taps - 1 do
+              Aie.Intrinsics.load_i16 ~dst:x.(k) ext (base + k)
+            done;
+            for m = 0 to Array.length coeffs - 1 do
+              let row = coeffs.(m) in
+              Aie.Vec.isplat ~dst:acc 0;
+              for k = 0 to taps - 1 do
+                Aie.Intrinsics.mac16_scalar ~dst:acc acc x.(k) row.(k)
+              done;
+              Aie.Intrinsics.srs16 ~dst:c.(m) ~shift:15 acc
+            done;
             Aie.Intrinsics.scalar_op ~count:2 "addr";
             (* stage2 drains c01/c23 interleaved per sample, so a
                whole-group burst on one port before the other would
@@ -63,7 +67,7 @@ let stage1 =
             let out01 = Array.init group (fun s -> pair c.(0).(s) c.(1).(s)) in
             let out23 = Array.init group (fun s -> pair c.(2).(s) c.(3).(s)) in
             Cgsim.Port.put_window2 c01 c23 out01 out23);
-        Array.blit samples (samples_per_window - (taps - 1)) history 0 (taps - 1)
+        Array.blit ext samples_per_window ext 0 (taps - 1)
       done)
 
 (* --------------------------- stage 2 --------------------------- *)
@@ -85,12 +89,13 @@ let stage2 =
       and d_port = Cgsim.Kernel.rd b 2
       and output = Cgsim.Kernel.wr b 0 in
       let d = Cgsim.Port.get_int d_port in
-      let dv = Aie.Vec.isplat group d in
+      let dv = Array.make group d in
       let groups = samples_per_window / group in
+      let c = Array.init 4 (fun _ -> Array.make group 0) in
+      let acc = Array.make group 0 and prod = Array.make group 0 and y = Array.make group 0 in
       while true do
         Aie.Trace.mark_iteration ();
         Aie.Trace.with_pipelined_loop ~trip:groups (fun _g ->
-            let c = Array.init 4 (fun _ -> Array.make group 0) in
             (* Interleave the two cascade streams per sample, matching the
                producer's write order — with 32-word stream FIFOs a
                port-at-a-time drain would need more in-flight buffering
@@ -104,13 +109,13 @@ let stage2 =
               c.(3).(s) <- Cgsim.Value.to_int v23.(1)
             done;
             (* Horner: acc = ((c3*d + c2)*d + c1)*d + c0 in Q15. *)
-            let acc = ref c.(3) in
+            Array.blit c.(3) 0 acc 0 group;
             for m = 2 downto 0 do
-              let prod = Aie.Intrinsics.mul16 !acc dv in
-              let shifted = Aie.Intrinsics.srs16 ~shift:15 prod in
-              acc := Aie.Intrinsics.add16 shifted c.(m)
+              Aie.Intrinsics.mul16 ~dst:prod acc dv;
+              Aie.Intrinsics.srs16 ~dst:prod ~shift:15 prod;
+              Aie.Intrinsics.add16 ~dst:acc prod c.(m)
             done;
-            let y = Aie.Intrinsics.srs16 ~shift:0 !acc in
+            Aie.Intrinsics.srs16 ~dst:y ~shift:0 acc;
             Aie.Intrinsics.scalar_op ~count:2 "addr";
             Cgsim.Port.put_window_int output y)
       done)

@@ -46,31 +46,29 @@ let kernel =
       let state = Array.map (fun _ -> [| 0.0; 0.0; 0.0; 0.0 |]) sections in
       let groups = samples_per_window / group in
       let buf = Array.make samples_per_window 0.0 in
+      let x = Array.make group 0.0 and acc = Array.make group 0.0 in
       while true do
         Aie.Trace.mark_iteration ();
-        let win = Cgsim.Port.get_window_f32 input samples_per_window in
-        Array.blit win 0 buf 0 samples_per_window;
-        Array.iteri
-          (fun si m ->
-            let st = state.(si) in
-            Aie.Trace.with_pipelined_loop ~trip:groups (fun g ->
-                let x = Aie.Intrinsics.load_f32 buf (g * group) group in
-                let acc = ref (Aie.Intrinsics.fpsplat group 0.0) in
-                for j = 0 to 3 do
-                  acc := Aie.Intrinsics.fpmac_scalar !acc st.(j) m.(j)
-                done;
-                for k = 0 to group - 1 do
-                  acc := Aie.Intrinsics.fpmac_scalar !acc x.(k) m.(4 + k)
-                done;
-                let y = !acc in
-                (* Update boundary state: y1 y2 x1 x2. *)
-                st.(1) <- y.(group - 2);
-                st.(0) <- y.(group - 1);
-                st.(3) <- x.(group - 2);
-                st.(2) <- x.(group - 1);
-                Aie.Intrinsics.scalar_op ~count:4 "state";
-                Aie.Intrinsics.store_f32 buf (g * group) y))
-          matrices;
+        Cgsim.Port.get_window_f32 input buf;
+        for si = 0 to Array.length matrices - 1 do
+          let m = matrices.(si) and st = state.(si) in
+          Aie.Trace.with_pipelined_loop ~trip:groups (fun g ->
+              Aie.Intrinsics.load_f32 ~dst:x buf (g * group);
+              Aie.Intrinsics.fpsplat ~dst:acc 0.0;
+              for j = 0 to 3 do
+                Aie.Intrinsics.fpmac_scalar ~dst:acc acc st j m.(j)
+              done;
+              for k = 0 to group - 1 do
+                Aie.Intrinsics.fpmac_scalar ~dst:acc acc x k m.(4 + k)
+              done;
+              (* Update boundary state: y1 y2 x1 x2. *)
+              st.(1) <- acc.(group - 2);
+              st.(0) <- acc.(group - 1);
+              st.(3) <- x.(group - 2);
+              st.(2) <- x.(group - 1);
+              Aie.Intrinsics.scalar_op ~count:4 "state";
+              Aie.Intrinsics.store_f32 buf (g * group) acc)
+        done;
         Aie.Intrinsics.scalar_op ~count:4 "win_ctl";
         Cgsim.Port.put_window_f32 output buf
       done)

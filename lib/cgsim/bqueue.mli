@@ -116,10 +116,17 @@ val get_some : consumer -> max:int -> Value.t array
     against the dtype, and F32 nets round on store as {!Value.round_f32}. *)
 
 val put_floats : producer -> float array -> unit
-val get_floats : consumer -> int -> float array
+
+(** [get_floats c dst] fills all of [dst], parking while the queue is
+    empty: a window read into a caller-owned buffer. *)
+val get_floats : consumer -> float array -> unit
+
 val get_floats_some : consumer -> max:int -> float array
 val put_ints : producer -> int array -> unit
-val get_ints : consumer -> int -> int array
+
+(** [get_ints c dst]: the integer counterpart of {!get_floats}. *)
+val get_ints : consumer -> int array -> unit
+
 val get_ints_some : consumer -> max:int -> int array
 
 (** Allocation-free drains: like the [get_*_some] variants but fill the

@@ -125,8 +125,13 @@ let of_f32_array values =
      identical single-precision data.  The boxed [Value.t] view is
      derived lazily: cgsim's source pump on a float net only ever calls
      [make_pull_floats], and tagging a large input would dominate the
-     run it feeds (x86sim and aiesim pull boxed blocks). *)
-  let rounded = Array.map Value.round_f32 values in
+     run it feeds (x86sim and aiesim pull boxed blocks).  A monomorphic
+     loop rounds in place of [Array.map], which would box every rounded
+     element on its way through the closure. *)
+  let rounded = Array.create_float (Array.length values) in
+  for i = 0 to Array.length values - 1 do
+    Array.unsafe_set rounded i (Value.round_f32 (Array.unsafe_get values i))
+  done;
   let tagged = lazy (Array.map (fun f -> Value.Float f) rounded) in
   let boxed = lazy (of_array (Lazy.force tagged)) in
   {

@@ -5,8 +5,8 @@ type reader = {
   r_peek : unit -> Value.t option;
   r_available : unit -> int;
   r_get_block : int -> Value.t array;
-  r_get_floats : int -> float array;
-  r_get_ints : int -> int array;
+  r_get_floats : float array -> unit;
+  r_get_ints : int array -> unit;
 }
 
 type writer = {
@@ -61,17 +61,15 @@ let tap_reader taps r =
           t.after (Array.length vs);
           vs);
       r_get_floats =
-        (fun n ->
+        (fun dst ->
           t.before ();
-          let fs = r.r_get_floats n in
-          t.after (Array.length fs);
-          fs);
+          r.r_get_floats dst;
+          t.after (Array.length dst));
       r_get_ints =
-        (fun n ->
+        (fun dst ->
           t.before ();
-          let is = r.r_get_ints n in
-          t.after (Array.length is);
-          is);
+          r.r_get_ints dst;
+          t.after (Array.length dst));
     }
 
 let tap_writer taps w =
@@ -114,11 +112,11 @@ let put_window w vs = w.w_put_block vs
 
 (* Unboxed windows: flat float/int payloads through the transport's
    unboxed block path — no Value boxing on bigarray-backed queues. *)
-let get_window_f32 r n = r.r_get_floats n
+let get_window_f32 r dst = r.r_get_floats dst
 
 let put_window_f32 w fs = w.w_put_floats fs
 
-let get_window_int r n = r.r_get_ints n
+let get_window_int r dst = r.r_get_ints dst
 
 let put_window_int w is = w.w_put_ints is
 

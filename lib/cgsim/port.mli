@@ -20,11 +20,12 @@ type reader = {
   r_get_block : int -> Value.t array;
       (** Block read: equivalent to [n] calls of [r_get] but routed
           through the transport's block fast path when it has one. *)
-  r_get_floats : int -> float array;
-      (** Unboxed block read (float-dtype ports): equivalent to
-          [Array.map Value.to_float (r_get_block n)] but with no boxing
-          when the transport stores unboxed. *)
-  r_get_ints : int -> int array;  (** Unboxed block read, integer dtypes. *)
+  r_get_floats : float array -> unit;
+      (** Unboxed block read into a caller-owned buffer (float-dtype
+          ports): fills [dst] with what [r_get_block (Array.length dst)]
+          would return, with no boxing and no allocation when the
+          transport stores unboxed. *)
+  r_get_ints : int array -> unit;  (** Unboxed block read, integer dtypes. *)
 }
 
 type writer = {
@@ -87,13 +88,15 @@ val put_window : writer -> Value.t array -> unit
 (** Unboxed windows: flat float/int payloads through the transport's
     unboxed block path.  On a bigarray-backed queue the transfer is a
     bounds-checked blit with no {!Value.t} allocation; elsewhere it
-    boxes at the boundary with identical semantics. *)
+    boxes at the boundary with identical semantics.  [get_window_f32 r
+    dst] reads [Array.length dst] elements into [dst], so a kernel that
+    keeps one window buffer reads every window without allocating. *)
 
-val get_window_f32 : reader -> int -> float array
+val get_window_f32 : reader -> float array -> unit
 
 val put_window_f32 : writer -> float array -> unit
 
-val get_window_int : reader -> int -> int array
+val get_window_int : reader -> int array -> unit
 
 val put_window_int : writer -> int array -> unit
 

@@ -278,8 +278,8 @@ let new_instance ?(tap = no_taps) ?(local = no_local) (c : compiled) =
                       r_peek = (fun () -> Bqueue.peek cns);
                       r_available = (fun () -> Bqueue.available cns);
                       r_get_block = (fun n -> Bqueue.get_block cns n);
-                      r_get_floats = (fun n -> Bqueue.get_floats cns n);
-                      r_get_ints = (fun n -> Bqueue.get_ints cns n);
+                      r_get_floats = Bqueue.get_floats cns;
+                      r_get_ints = Bqueue.get_ints cns;
                     } )
               | Kernel.Out ->
                 let p = Bqueue.add_producer q in

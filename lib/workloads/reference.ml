@@ -25,9 +25,9 @@ let q15 x = Cgsim.Value.clamp_int Cgsim.Dtype.I16 (int_of_float (Float.round (x 
 let farrow_coeffs_q15 = Array.map (Array.map q15) farrow_coeffs_float
 
 let srs15 x =
-  match Aie.Vec.srs Cgsim.Dtype.I16 15 [| x |] with
-  | [| y |] -> y
-  | _ -> assert false
+  let y = [| 0 |] in
+  Aie.Vec.srs ~dst:y Cgsim.Dtype.I16 15 [| x |];
+  y.(0)
 
 let farrow_scalar ~d_q15 x =
   let n = Array.length x in
@@ -107,9 +107,9 @@ let iir_scalar sections x =
 let srs15_wide x =
   (* Same rounding as srs15 but in the 32-bit domain: Q8 pixel deltas can
      exceed the int16 range mid-pipeline. *)
-  match Aie.Vec.srs Cgsim.Dtype.I32 15 [| x |] with
-  | [| y |] -> y
-  | _ -> assert false
+  let y = [| 0 |] in
+  Aie.Vec.srs ~dst:y Cgsim.Dtype.I32 15 [| x |];
+  y.(0)
 
 let bilinear_scalar ~p00 ~p01 ~p10 ~p11 ~xf ~yf =
   let q8 p = p lsl 8 in

@@ -88,13 +88,14 @@ let mk_kernel ~declare ~prologue ~scale_tenths ~in_rates ~out_rates =
     let scale = float_of_int scale_tenths /. 10.0 in
     let body b =
       if prologue then Cgsim.Port.put_window_f32 (K.wr b 0) (Array.make oa.(0) 0.0);
+      let windows = Array.map (fun r -> Array.make r 0.0) ia in
       while true do
         let acc = ref 0.0 in
         Array.iteri
-          (fun i r ->
-            let xs = Cgsim.Port.get_window_f32 (K.rd b i) r in
+          (fun i xs ->
+            Cgsim.Port.get_window_f32 (K.rd b i) xs;
             Array.iter (fun v -> acc := !acc +. v) xs)
-          ia;
+          windows;
         let s = !acc *. scale in
         Array.iteri
           (fun o r ->

@@ -92,8 +92,8 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
                 r_peek = (fun () -> Tqueue.peek c);
                 r_available = (fun () -> Tqueue.available c);
                 r_get_block = (fun n -> Tqueue.get_block c n);
-                r_get_floats = (fun n -> Tqueue.get_floats c n);
-                r_get_ints = (fun n -> Tqueue.get_ints c n);
+                r_get_floats = Tqueue.get_floats c;
+                r_get_ints = Tqueue.get_ints c;
               }
               :: !readers
           | Cgsim.Kernel.Out ->

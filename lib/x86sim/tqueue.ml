@@ -206,12 +206,9 @@ let put_floats p fs =
   Ring.require_float q.ring "float block write";
   put_loop p (Array.length fs) (Ring.push_floats q.ring fs)
 
-let get_floats c n =
-  check_count n;
+let get_floats c dst =
   Ring.require_float c.c_queue.ring "float block read";
-  let out = Array.create_float n in
-  get_loop c n (Ring.read_floats c.c_queue.ring c.cur out);
-  out
+  get_loop c (Array.length dst) (Ring.read_floats c.c_queue.ring c.cur dst)
 
 let get_floats_some c ~max =
   Ring.require_float c.c_queue.ring "float block read";
@@ -223,12 +220,9 @@ let put_ints p is =
   Ring.check_ints q.ring is;
   put_loop p (Array.length is) (Ring.push_ints q.ring is)
 
-let get_ints c n =
-  check_count n;
+let get_ints c dst =
   Ring.require_int c.c_queue.ring "int block read";
-  let out = Array.make n 0 in
-  get_loop c n (Ring.read_ints c.c_queue.ring c.cur out);
-  out
+  get_loop c (Array.length dst) (Ring.read_ints c.c_queue.ring c.cur dst)
 
 let get_ints_some c ~max =
   Ring.require_int c.c_queue.ring "int block read";

@@ -67,13 +67,16 @@ val get_some : consumer -> max:int -> Cgsim.Value.t array
 
 val put_floats : producer -> float array -> unit
 
-val get_floats : consumer -> int -> float array
+(** [get_floats c dst] fills all of [dst], waiting while the queue is
+    empty. *)
+val get_floats : consumer -> float array -> unit
 
 val get_floats_some : consumer -> max:int -> float array
 
 val put_ints : producer -> int array -> unit
 
-val get_ints : consumer -> int -> int array
+(** [get_ints c dst]: the integer counterpart of {!get_floats}. *)
+val get_ints : consumer -> int array -> unit
 
 val get_ints_some : consumer -> max:int -> int array
 

@@ -1127,8 +1127,9 @@ let window_scale ~rate ~factor =
         (fun b ->
           let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
           let f = float_of_int factor in
+          let w = Array.make rate 0.0 in
           while true do
-            let w = Cgsim.Port.get_window_f32 i rate in
+            Cgsim.Port.get_window_f32 i w;
             for j = 0 to rate - 1 do
               w.(j) <- w.(j) *. f
             done;

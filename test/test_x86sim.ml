@@ -369,9 +369,9 @@ module type QUEUE = sig
   val get : consumer -> V.t
   val get_block : consumer -> int -> V.t array
   val get_some : consumer -> max:int -> V.t array
-  val get_floats : consumer -> int -> float array
+  val get_floats : consumer -> float array -> unit
   val get_floats_some : consumer -> max:int -> float array
-  val get_ints : consumer -> int -> int array
+  val get_ints : consumer -> int array -> unit
   val get_ints_some : consumer -> max:int -> int array
 end
 
@@ -393,9 +393,15 @@ module Drive (Q : QUEUE) = struct
       | Get k -> [ Q.get cs.(k) ]
       | Get_block (k, n) -> Array.to_list (Q.get_block cs.(k) n)
       | Get_some (k, max) -> Array.to_list (Q.get_some cs.(k) ~max)
-      | Get_floats (k, n) -> floats (Q.get_floats cs.(k) n)
+      | Get_floats (k, n) ->
+        let dst = Array.make n 0.0 in
+        Q.get_floats cs.(k) dst;
+        floats dst
       | Get_floats_some (k, max) -> floats (Q.get_floats_some cs.(k) ~max)
-      | Get_ints (k, n) -> ints (Q.get_ints cs.(k) n)
+      | Get_ints (k, n) ->
+        let dst = Array.make n 0 in
+        Q.get_ints cs.(k) dst;
+        ints dst
       | Get_ints_some (k, max) -> ints (Q.get_ints_some cs.(k) ~max)
     in
     in_context q (fun () ->
