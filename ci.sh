@@ -28,12 +28,12 @@ test -s "$TRACE" || { echo "ci: trace file is empty" >&2; exit 1; }
 grep -q '"traceEvents"' "$TRACE" || { echo "ci: trace file has no traceEvents" >&2; exit 1; }
 echo "trace OK: $(wc -c < "$TRACE") bytes"
 
-echo "== micro smoke (block transfer, chain and warm rows, JSON output) =="
+echo "== micro smoke (block transfer, chain, warm and alloc rows, JSON output) =="
 dune exec bench/main.exe -- micro --smoke --json "$MICRO_JSON"
 test -s "$MICRO_JSON" || { echo "ci: micro JSON is empty" >&2; exit 1; }
 # check-json re-parses with the strict Obs.Json parser and fails on
 # malformed output, a missing schema marker, or a schema mismatch.
-dune exec bench/main.exe -- check-json "$MICRO_JSON" --schema cgsim-bench-micro/5
+dune exec bench/main.exe -- check-json "$MICRO_JSON" --schema cgsim-bench-micro/6
 
 echo "== graph lint (examples/cgc, JSON output) =="
 LINT_JSON=$(mktemp -t ci-lint-XXXXXX.json)
@@ -163,6 +163,18 @@ if grep -rnE 'Aie\.Trace\.(vop|sop|load|store|emit)' lib/apps; then
   exit 1
 fi
 echo "no hand-emitted costs in lib/apps"
+
+echo "== allocation-free lane ops gate =="
+# Every Aie.Vec / Aie.Intrinsics op writes into a caller-owned [~dst]
+# (an AIE kernel computes into a fixed vector register file), so kernel
+# bodies allocate their lanes once, not per call.  An array allocation
+# in either file is a result array creeping back; fsum reduces in the
+# caller's lanes too.
+if grep -nE 'Array\.(make|create_float|init|map|sub|copy|append)' lib/aie/vec.ml lib/aie/intrinsics.ml; then
+  echo "ci: an AIE lane op allocates an array (write into the caller's dst)" >&2
+  exit 1
+fi
+echo "no array allocation in lib/aie/vec.ml or lib/aie/intrinsics.ml"
 
 echo "== GC-settings gate =="
 # Library code must not mutate process-wide GC state: a Gc.set reaches

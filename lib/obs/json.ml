@@ -47,7 +47,7 @@ let number_to buf f =
   else if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
   else Buffer.add_string buf "0"
 
-let rec write_to buf = function
+let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num f -> number_to buf f
@@ -57,7 +57,7 @@ let rec write_to buf = function
     List.iteri
       (fun i item ->
         if i > 0 then Buffer.add_char buf ',';
-        write_to buf item)
+        to_buffer buf item)
       items;
     Buffer.add_char buf ']'
   | Obj fields ->
@@ -67,13 +67,13 @@ let rec write_to buf = function
         if i > 0 then Buffer.add_char buf ',';
         escape_to buf k;
         Buffer.add_char buf ':';
-        write_to buf v)
+        to_buffer buf v)
       fields;
     Buffer.add_char buf '}'
 
 let to_string v =
   let buf = Buffer.create 4096 in
-  write_to buf v;
+  to_buffer buf v;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -12,6 +12,10 @@ type t =
 
 val to_string : t -> string
 
+(** [to_buffer buf v] appends the text {!to_string} returns to [buf]: a
+    writer that encodes many documents reuses one buffer. *)
+val to_buffer : Buffer.t -> t -> unit
+
 (** Arrays and objects nested deeper than this (512) are a parse error. *)
 val max_depth : int
 

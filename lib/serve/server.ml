@@ -4,6 +4,7 @@ module Run_config = Cgsim.Run_config
 type conn = {
   c_fd : Unix.file_descr;
   c_wlock : Mutex.t;  (* one reply frame at a time onto the socket *)
+  c_writer : Wire.reply_writer;  (* guarded by c_wlock *)
   c_ilock : Mutex.t;
   c_icond : Condition.t;
   mutable c_inflight : int;  (* pool requests whose reply is still owed *)
@@ -80,12 +81,10 @@ let install_signal_handlers t =
 (* ------------------------------------------------------------------ *)
 
 let send conn reply =
-  let payload = Wire.encode_reply reply in
-  Mutex.lock conn.c_wlock;
-  (* A vanished peer (EPIPE/ECONNRESET) is the client's problem: the
-     request still ran, its reply is simply undeliverable. *)
-  (try Wire.write_frame conn.c_fd payload with Unix.Unix_error _ -> ());
-  Mutex.unlock conn.c_wlock
+  Mutex.protect conn.c_wlock (fun () ->
+      (* A vanished peer (EPIPE/ECONNRESET) is the client's problem: the
+         request still ran, its reply is simply undeliverable. *)
+      try Wire.write_reply conn.c_writer conn.c_fd reply with Unix.Unix_error _ -> ())
 
 let inflight_incr conn =
   Mutex.lock conn.c_ilock;
@@ -267,6 +266,7 @@ let spawn_conn t fd =
     {
       c_fd = fd;
       c_wlock = Mutex.create ();
+      c_writer = Wire.reply_writer ();
       c_ilock = Mutex.create ();
       c_icond = Condition.create ();
       c_inflight = 0;

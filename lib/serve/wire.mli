@@ -153,6 +153,17 @@ val decode_request : string -> (request, decode_error) result
 val encode_reply : reply -> string
 val decode_reply : string -> (reply, decode_error) result
 
+(** A reusable reply encoder, one per connection: {!write_reply} writes
+    the frame {!write_frame} would write for [encode_reply reply], from
+    a JSON buffer and a frame buffer it keeps across replies.  Not safe
+    for concurrent use; the server writes under the connection's lock. *)
+type reply_writer
+
+val reply_writer : unit -> reply_writer
+
+(** Raises [Unix.Unix_error] as {!write_frame} does. *)
+val write_reply : reply_writer -> Unix.file_descr -> reply -> unit
+
 (** Exposed for tests: the tagged bit-exact {!Cgsim.Value.t} codec used
     for slots that do not pack. *)
 val json_of_value : Cgsim.Value.t -> Obs.Json.t

@@ -486,6 +486,41 @@ let test_frame_roundtrip () =
    | Error e -> Alcotest.failf "expected Eof, got %s" (W.frame_error_message e)
    | Ok _ -> Alcotest.fail "expected Eof at end of buffer")
 
+(* One connection's reply writer reuses its buffers: a reply after a
+   longer one must not carry the longer one's tail, and a reply longer
+   than the buffers so far must grow them.  Each frame read back is
+   exactly the frame write_frame sends for encode_reply. *)
+let test_reply_writer_reuse () =
+  let long =
+    completed_reply [ List.init 3000 (fun i -> Cgsim.Value.Float (float_of_int i *. 0.25)) ]
+  in
+  let short = { W.p_id = 9; p_body = W.Pong } in
+  let replies = [ short; long; short; completed_reply [ [ Cgsim.Value.Int 7 ] ] ] in
+  let r, w = Unix.pipe ~cloexec:true () in
+  Fun.protect
+    ~finally:(fun () -> Unix.close r; Unix.close w)
+    (fun () ->
+      let writer = W.reply_writer () in
+      List.iter
+        (fun rp ->
+          W.write_reply writer w rp;
+          match W.read_frame r with
+          | Error e -> Alcotest.failf "read_frame: %s" (W.frame_error_message e)
+          | Ok payload -> (
+            Alcotest.(check string) "frame == encode_reply" (W.encode_reply rp) payload;
+            match W.decode_reply payload with
+            | Error e -> Alcotest.failf "decode: %s" (W.decode_error_message e)
+            | Ok rp' ->
+              Alcotest.(check int) "id" rp.W.p_id rp'.W.p_id;
+              (match rp.W.p_body, rp'.W.p_body with
+               | W.Result { rp_outcome = W.Completed xs; _ },
+                 W.Result { rp_outcome = W.Completed ys; _ } ->
+                 if not (List.for_all2 values_bits_equal xs ys) then
+                   Alcotest.fail "outputs not bit-identical"
+               | W.Pong, W.Pong -> ()
+               | _ -> Alcotest.fail "body type changed")))
+        replies)
+
 let test_frame_rejection () =
   let framed = W.frame (Printf.sprintf "{\"proto\":%S}" W.proto) in
   (* Truncated inside the payload and inside the length prefix. *)
@@ -840,6 +875,7 @@ let () =
       ( "framing",
         [
           Alcotest.test_case "frame/unframe round-trip" `Quick test_frame_roundtrip;
+          Alcotest.test_case "reply writer: long then short reply" `Quick test_reply_writer_reuse;
           Alcotest.test_case "truncated, oversized and garbage frames rejected" `Quick
             test_frame_rejection;
           Alcotest.test_case "deep nesting refused at the cap" `Quick test_deep_nesting_rejected;
