@@ -148,15 +148,6 @@ let run_step ~chaos ~smoke ~requests ~seed (t : Apps.Harness.t) g rate_rps =
     },
     stats )
 
-let drain_source src =
-  let pull = Cgsim.Io.source_pull src in
-  let rec go acc =
-    match pull () with
-    | Some v -> go (v :: acc)
-    | None -> List.rev acc
-  in
-  go []
-
 (* One rate step against a live daemon.  The client assigns ids from 0
    per connection, so with a fresh connection per step the reply id IS
    the request index — arrivals.(id) needs no shared map.  The sender
@@ -165,7 +156,7 @@ let drain_source src =
    coordinated-omission-free convention as the in-process path. *)
 let run_step_remote ~smoke ~requests ~seed (t : Apps.Harness.t) addr rate_rps =
   let reps = load_reps ~smoke t in
-  let inputs = List.map drain_source (t.Apps.Harness.sources ~reps) in
+  let inputs = List.map Cgsim.Io.elements (t.Apps.Harness.sources ~reps) in
   let arrivals = poisson_arrivals ~seed ~rate_rps ~requests in
   let client = Serve.Client.connect ~retries:10 addr in
   let t0 = Obs.Clock.now_ns () in

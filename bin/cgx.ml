@@ -315,22 +315,13 @@ let app_arg =
 
 let ping_arg = Arg.(value & flag & info [ "ping" ] ~doc:"Liveness probe; print the round-trip time.")
 
-let drain_source src =
-  let pull = Cgsim.Io.source_pull src in
-  let rec go acc =
-    match pull () with
-    | Some v -> go (v :: acc)
-    | None -> List.rev acc
-  in
-  go []
-
 let request_app client name reps seed deadline_ms =
   match Apps.Harness.find name with
   | None ->
     Printf.eprintf "error: unknown app %S (expected bitonic, farrow, iir or bilinear)\n" name;
     exit 2
   | Some h ->
-    let inputs = List.map drain_source (h.Apps.Harness.sources ~reps) in
+    let inputs = List.map Cgsim.Io.elements (h.Apps.Harness.sources ~reps) in
     (match Serve.Client.run client ?deadline_ms ?seed ~graph:name inputs with
      | Error m ->
        Printf.eprintf "error: %s\n" m;

@@ -255,7 +255,7 @@ let get_loop c dst copy =
     else wait_for_data c
   done
 
-(* Blocking available-length probe shared by the [get_*_some] drains. *)
+(* Blocking available-length probe shared by the drains. *)
 let some_len c ~max =
   if max <= 0 then invalid_arg "cgsim: get_some needs a positive bound";
   let q = c.c_queue in
@@ -319,8 +319,8 @@ let get_ints c dst =
   Ring.require_int c.c_queue.ring "int block read";
   get_loop c dst Ring.read_ints
 
-(* Allocation-free drains fill a caller-owned buffer and return the
-   element count: steady-state consumers (IO pumps, benches) reuse one
+(* The flat drains fill a caller-owned buffer and return the element
+   count: a steady-state consumer (an I/O pump, a bench) reuses one
    buffer instead of allocating a fresh array per chunk. *)
 
 let get_floats_into c dst =
@@ -336,22 +336,6 @@ let get_ints_into c dst =
   Ring.read_ints c.c_queue.ring c.cur dst 0 len;
   advance c len;
   len
-
-let get_floats_some c ~max =
-  Ring.require_float c.c_queue.ring "float block read";
-  let len = some_len c ~max in
-  let out = Array.create_float len in
-  Ring.read_floats c.c_queue.ring c.cur out 0 len;
-  advance c len;
-  out
-
-let get_ints_some c ~max =
-  Ring.require_int c.c_queue.ring "int block read";
-  let len = some_len c ~max in
-  let out = Array.make len 0 in
-  Ring.read_ints c.c_queue.ring c.cur out 0 len;
-  advance c len;
-  out
 
 let peek c =
   let q = c.c_queue in

@@ -161,10 +161,6 @@ let net_traffic t = Array.map Bqueue.total_put t.queues
 
 let cancel t = Sched.cancel t.sched
 
-(* I/O fibers move data in chunks of this many elements at most; bounded
-   by the queue capacity so a chunk is at most one full ring. *)
-let io_chunk q = max 1 (min (Bqueue.capacity q) 1024)
-
 (* Validation first, then the pre-flight lint: at [`Error] a failing
    graph is refused here, before any instance exists or any kernel body
    runs.  Capacity synthesis only ever raises a depth, so a queue the
@@ -436,82 +432,23 @@ let arm t =
       let source = t.cur_sources.(i) in
       let q = t.queues.(net_id) in
       let p = t.in_producers.(i) in
-      let chunk = io_chunk q in
-      let dt = Bqueue.dtype q in
-      (* Scalar nets pump flat payloads straight into the bigarray ring —
-         source data never boxes. *)
-      let body =
-        if Dtype.is_float dt then begin
-          let pull_floats = Io.source_pull_floats source in
-          fun () ->
-            let rec loop () =
-              let fs = pull_floats chunk in
-              if Array.length fs > 0 then begin
-                Bqueue.put_floats p fs;
-                loop ()
-              end
-            in
-            loop ()
-        end
-        else if Dtype.is_integer dt then begin
-          let pull_ints = Io.source_pull_ints source in
-          fun () ->
-            let rec loop () =
-              let is = pull_ints chunk in
-              if Array.length is > 0 then begin
-                Bqueue.put_ints p is;
-                loop ()
-              end
-            in
-            loop ()
-        end
-        else begin
-          let pull_block = Io.source_pull_block source in
-          fun () ->
-            let rec loop () =
-              let vs = pull_block chunk in
-              if Array.length vs > 0 then begin
-                Bqueue.put_block p vs;
-                loop ()
-              end
-            in
-            loop ()
-        end
-      in
       Sched.spawn t.sched ~name:(Io.source_name source) (fun () ->
-          Fun.protect ~finally:(fun () -> Bqueue.producer_done p) body))
+          Fun.protect
+            ~finally:(fun () -> Bqueue.producer_done p)
+            (fun () ->
+              Io.feed (Bqueue.dtype q) ~capacity:(Bqueue.capacity q)
+                ~put_floats:(Bqueue.put_floats p) ~put_ints:(Bqueue.put_ints p)
+                ~put_values:(Bqueue.put_block p) source)))
     t.graph.Serialized.input_order;
   Array.iteri
     (fun i net_id ->
       let sink = t.cur_sinks.(i) in
       let q = t.queues.(net_id) in
       let c = t.out_consumers.(i) in
-      let chunk = io_chunk q in
-      let dt = Bqueue.dtype q in
-      let body =
-        if Dtype.is_float dt then fun () ->
-          let rec loop () =
-            let fs = Bqueue.get_floats_some c ~max:chunk in
-            Io.sink_push_floats sink fs;
-            loop ()
-          in
-          loop ()
-        else if Dtype.is_integer dt then fun () ->
-          let rec loop () =
-            let is = Bqueue.get_ints_some c ~max:chunk in
-            Io.sink_push_ints sink is;
-            loop ()
-          in
-          loop ()
-        else fun () ->
-          let rec loop () =
-            let vs = Bqueue.get_some c ~max:chunk in
-            Io.sink_push_block sink vs;
-            loop ()
-          in
-          loop ()
-      in
-      Sched.spawn t.sched ~name:(Io.sink_name sink) body)
+      Sched.spawn t.sched ~name:(Io.sink_name sink) (fun () ->
+          Io.drain (Bqueue.dtype q) ~capacity:(Bqueue.capacity q)
+            ~get_floats_into:(Bqueue.get_floats_into c) ~get_ints_into:(Bqueue.get_ints_into c)
+            ~get_some:(Bqueue.get_some c) sink))
     t.graph.Serialized.output_order
 
 (* Source span of a kernel instance by fiber name, for failures recorded

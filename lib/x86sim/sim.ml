@@ -128,26 +128,19 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
       in
       bodies := (inst.inst_name, body) :: !bodies)
     g.kernels;
-  (* Sources and sinks. *)
+  (* Sources and sinks: the pumps cgsim runs, over Tqueue. *)
   List.iteri
     (fun i src ->
       let q = queues.(g.input_order.(i)) in
       let p = Tqueue.add_producer q in
-      let pull_block = Cgsim.Io.source_pull_block src in
-      let chunk = max 1 (min (Tqueue.capacity q) 1024) in
+      let dtype = g.nets.(g.input_order.(i)).dtype in
       let body () =
         Fun.protect
           ~finally:(fun () -> Tqueue.producer_done p)
           (fun () ->
             try
-              let rec loop () =
-                let vs = pull_block chunk in
-                if Array.length vs > 0 then begin
-                  Tqueue.put_block p vs;
-                  loop ()
-                end
-              in
-              loop ()
+              Cgsim.Io.feed dtype ~capacity:(Tqueue.capacity q) ~put_floats:(Tqueue.put_floats p)
+                ~put_ints:(Tqueue.put_ints p) ~put_values:(Tqueue.put_block p) src
             with
             | Cgsim.Sched.Terminated -> ()
             | exn -> record_failure (Cgsim.Io.source_name src) exn)
@@ -158,14 +151,12 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
     (fun i snk ->
       let q = queues.(g.output_order.(i)) in
       let c = Tqueue.add_consumer q in
-      let chunk = max 1 (min (Tqueue.capacity q) 1024) in
+      let dtype = g.nets.(g.output_order.(i)).dtype in
       let body () =
         try
-          let rec loop () =
-            Cgsim.Io.sink_push_block snk (Tqueue.get_some c ~max:chunk);
-            loop ()
-          in
-          loop ()
+          Cgsim.Io.drain dtype ~capacity:(Tqueue.capacity q)
+            ~get_floats_into:(Tqueue.get_floats_into c) ~get_ints_into:(Tqueue.get_ints_into c)
+            ~get_some:(Tqueue.get_some c) snk
         with
         | Cgsim.Sched.End_of_stream | Cgsim.Sched.Terminated -> ()
         | exn -> record_failure (Cgsim.Io.sink_name snk) exn

@@ -169,15 +169,15 @@ let get_loop c n copy =
           filled := !filled + take
         done)
 
-(* Read between 1 and [max] available elements into a fresh array. *)
-let some_loop c ~max make read =
+(* Wait for data, then run [read take] with the lock held and retire
+   what it read: [take] is between 1 and [max] available elements. *)
+let read_some c ~max read =
   if max <= 0 then invalid_arg "x86sim: get_some needs a positive max";
   let q = c.c_queue in
   with_lock q (fun () ->
       if not (wait_data q c) then raise Cgsim.Sched.End_of_stream;
       let take = min (q.ring.Ring.head - c.cur.Ring.pos) max in
-      let out = make take in
-      read q.ring c.cur out 0 take;
+      let out = read take in
       advance q c take;
       out)
 
@@ -196,7 +196,10 @@ let get_block c n =
   out
 
 let get_some c ~max =
-  some_loop c ~max (fun n -> Array.make n (Cgsim.Value.Int 0)) Ring.read_values
+  read_some c ~max (fun n ->
+      let out = Array.make n (Cgsim.Value.Int 0) in
+      Ring.read_values c.c_queue.ring c.cur out 0 n;
+      out)
 
 (* {1 Unboxed block transfers} — flat payloads, same locking discipline;
    dtype and int range are checked on the whole block before the lock. *)
@@ -210,9 +213,12 @@ let get_floats c dst =
   Ring.require_float c.c_queue.ring "float block read";
   get_loop c (Array.length dst) (Ring.read_floats c.c_queue.ring c.cur dst)
 
-let get_floats_some c ~max =
+(* The flat drains fill the caller's buffer and return the count. *)
+let get_floats_into c dst =
   Ring.require_float c.c_queue.ring "float block read";
-  some_loop c ~max Array.create_float Ring.read_floats
+  read_some c ~max:(Array.length dst) (fun n ->
+      Ring.read_floats c.c_queue.ring c.cur dst 0 n;
+      n)
 
 let put_ints p is =
   let q = p.p_queue in
@@ -224,9 +230,11 @@ let get_ints c dst =
   Ring.require_int c.c_queue.ring "int block read";
   get_loop c (Array.length dst) (Ring.read_ints c.c_queue.ring c.cur dst)
 
-let get_ints_some c ~max =
+let get_ints_into c dst =
   Ring.require_int c.c_queue.ring "int block read";
-  some_loop c ~max (fun n -> Array.make n 0) Ring.read_ints
+  read_some c ~max:(Array.length dst) (fun n ->
+      Ring.read_ints c.c_queue.ring c.cur dst 0 n;
+      n)
 
 let peek c =
   let q = c.c_queue in

@@ -39,15 +39,6 @@ let contains ~needle hay =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   n = 0 || go 0
 
-let drain_source src =
-  let pull = Cgsim.Io.source_pull src in
-  let rec go acc =
-    match pull () with
-    | Some v -> go (v :: acc)
-    | None -> List.rev acc
-  in
-  go []
-
 let temp_sock tag =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -617,7 +608,7 @@ let test_daemon_lifecycle () =
           List.iter
             (fun (h : Apps.Harness.t) ->
               let reps = 2 in
-              let inputs = List.map drain_source (h.Apps.Harness.sources ~reps) in
+              let inputs = List.map Cgsim.Io.elements (h.Apps.Harness.sources ~reps) in
               match Serve.Client.run client ~graph:h.Apps.Harness.name inputs with
               | Error m -> Alcotest.failf "%s: %s" h.Apps.Harness.name m
               | Ok rp -> (
@@ -639,7 +630,7 @@ let test_daemon_lifecycle () =
           (* A repeat request hits the warm instance cache, and the
              daemon's merged exposition validates strictly. *)
           let h = Apps.Harness.bitonic in
-          let inputs = List.map drain_source (h.Apps.Harness.sources ~reps:2) in
+          let inputs = List.map Cgsim.Io.elements (h.Apps.Harness.sources ~reps:2) in
           (match Serve.Client.run client ~graph:"bitonic" inputs with
            | Ok { W.rp_outcome = W.Completed _; _ } -> ()
            | Ok _ | Error _ -> Alcotest.fail "repeat bitonic request failed");
@@ -674,7 +665,7 @@ let test_drain_completes_inflight () =
   let client = Serve.Client.connect ~retries:10 (Serve.Addr.Unix_path path) in
   let reps = 4 in
   let h = Apps.Harness.farrow in
-  let inputs = List.map drain_source (h.Apps.Harness.sources ~reps) in
+  let inputs = List.map Cgsim.Io.elements (h.Apps.Harness.sources ~reps) in
   (* Pipeline a batch, wait until the reader has handed all of it to the
      pool, then stop the server with replies still pending: drain must
      deliver every one before the EOF.  (A request the reader only picks
@@ -754,7 +745,7 @@ let test_breaker_shed_and_version_mismatch () =
       let client = Serve.Client.connect ~retries:10 (Serve.Addr.Unix_path path) in
       Fun.protect ~finally:(fun () -> Serve.Client.close client) (fun () ->
           let h = Apps.Harness.bitonic in
-          let inputs = List.map drain_source (h.Apps.Harness.sources ~reps:1) in
+          let inputs = List.map Cgsim.Io.elements (h.Apps.Harness.sources ~reps:1) in
           (match Serve.Client.run client ~graph:"bitonic" inputs with
            | Ok { W.rp_outcome = W.Failed _; rp_attempts = 1; _ } -> ()
            | Ok rp ->
@@ -815,7 +806,7 @@ let test_peer_reset_counted () =
           in
           Alcotest.(check (float 0.0)) "conn_error counted once" 1.0 (wait ());
           let h = Apps.Harness.bitonic in
-          let inputs = List.map drain_source (h.Apps.Harness.sources ~reps:1) in
+          let inputs = List.map Cgsim.Io.elements (h.Apps.Harness.sources ~reps:1) in
           match Serve.Client.run client ~graph:"bitonic" inputs with
           | Ok { W.rp_outcome = W.Completed _; _ } -> ()
           | Ok rp -> Alcotest.failf "after the reset: %s" (W.run_outcome_label rp.W.rp_outcome)
@@ -840,7 +831,7 @@ let test_deadlines_stay_warm () =
       let client = Serve.Client.connect ~retries:10 (Serve.Addr.Unix_path path) in
       Fun.protect ~finally:(fun () -> Serve.Client.close client) (fun () ->
           let h = Apps.Harness.bitonic in
-          let inputs = List.map drain_source (h.Apps.Harness.sources ~reps:1) in
+          let inputs = List.map Cgsim.Io.elements (h.Apps.Harness.sources ~reps:1) in
           for i = 1 to requests do
             let deadline_ms = 60_000.0 +. float_of_int i in
             match Serve.Client.run client ~deadline_ms ~graph:"bitonic" inputs with
