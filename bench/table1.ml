@@ -28,27 +28,33 @@ let reps_for_timing = 8
 (* The "This work" column comes from the real extraction pipeline: the
    app's CGC prototype source goes through the front-end, consteval,
    partitioning and code generation, and the resulting deploy carries the
-   generated adapter thunks' cost model. *)
-let cgc_dir =
+   generated adapter thunks' cost model.  A missing examples/cgc or a
+   failing extraction raises, naming the .cgc file: a silent fallback
+   would print a column that does not come from the pipeline. *)
+let cgc_path name =
   let rec find dir =
     let candidate = Filename.concat dir "examples/cgc" in
-    if Sys.file_exists candidate then Some candidate
+    if Sys.file_exists candidate then Filename.concat candidate (name ^ ".cgc")
     else begin
       let parent = Filename.dirname dir in
-      if String.equal parent dir then None else find parent
+      if String.equal parent dir then
+        failwith
+          (Printf.sprintf "bench table1: no examples/cgc in %s or above it (looking for %s.cgc)"
+             (Sys.getcwd ()) name)
+      else find parent
     end
   in
   find (Sys.getcwd ())
 
 let extracted_deploy (h : Apps.Harness.t) =
-  match cgc_dir with
-  | None -> Aiesim.Deploy.extracted (h.graph ())
-  | Some dir -> begin
-    let path = Filename.concat dir (h.name ^ ".cgc") in
-    match Extractor.Project.extract_file path with
-    | [ p ] -> Extractor.Project.deploy p
-    | _ | (exception _) -> Aiesim.Deploy.extracted (h.graph ())
-  end
+  let path = cgc_path h.name in
+  match Extractor.Project.extract_file path with
+  | [ p ] -> Extractor.Project.deploy p
+  | ps ->
+    failwith
+      (Printf.sprintf "bench table1: %s: expected one extracted graph, got %d" path
+         (List.length ps))
+  | exception e -> failwith (Printf.sprintf "bench table1: %s: %s" path (Printexc.to_string e))
 
 let run_one (h : Apps.Harness.t) =
   let measure label deploy =

@@ -153,6 +153,18 @@ if grep -rnE 'Hooks\.|wrap_reader|wrap_writer|around_body|with_hooks|compose_hoo
 fi
 echo "no data-path switch, SPSC seal or Hooks references"
 
+echo "== one I/O path gate =="
+# A source is a name and one immutable payload (floats, ints or boxed
+# values).  cgsim and x86sim pump it with the same Io.feed and
+# Io.drain, and each queue has one flat drain form (get_floats_into /
+# get_ints_into).  The per-source pull closures, the constructors that
+# had no caller and the allocating flat drains must not come back.
+if grep -rnE 'source_pull_(block|floats|ints)|make_pull|Io\.(of_fun|repeat|counter|of_consumer)|with_(source|sink)_name|get_(floats|ints)_some' lib bin bench test examples; then
+  echo "ci: caller references a removed source pull, Io constructor or allocating flat drain" >&2
+  exit 1
+fi
+echo "no source pulls, removed Io constructors or allocating flat drains"
+
 echo "== intrinsics-only kernels gate =="
 # Kernel bodies charge architectural costs only through Aie.Intrinsics,
 # which emits each op's event with its slot count: a kernel that calls

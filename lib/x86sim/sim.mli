@@ -8,6 +8,10 @@
     compute-heavy kernels genuinely run in parallel; slower when frequent
     small transfers make mutex/condvar synchronisation dominate.
 
+    Global I/O threads run cgsim's own pumps, {!Cgsim.Io.feed} and
+    {!Cgsim.Io.drain}, over {!Tqueue}: a scalar net moves flat float or
+    int chunks end to end, so sources and sinks never box on it.
+
     Execution knobs come from the shared {!Cgsim.Run_config.t}; the
     fields that make sense here are [queue_capacity], [lint] and
     [deadline_ns] (enforced by a watchdog that poisons every {!Tqueue}
