@@ -165,6 +165,17 @@ if grep -rnE 'source_pull_(block|floats|ints)|make_pull|Io\.(of_fun|repeat|count
 fi
 echo "no source pulls, removed Io constructors or allocating flat drains"
 
+echo "== thread-per-kernel gate =="
+# x86sim runs one domain per kernel instance and nothing else: a reader
+# that finds a source net empty pulls from the source, and a writer
+# that finds a sink net full (or closes it) pushes into the sink.  The
+# pump threads that ran cgsim's Io.feed / Io.drain were deleted.
+if grep -rnE 'Io\.(feed|drain)' lib/x86sim; then
+  echo "ci: x86sim runs an I/O pump (serve global I/O from the kernels' domains)" >&2
+  exit 1
+fi
+echo "no I/O pumps in lib/x86sim"
+
 echo "== intrinsics-only kernels gate =="
 # Kernel bodies charge architectural costs only through Aie.Intrinsics,
 # which emits each op's event with its slot count: a kernel that calls

@@ -68,6 +68,14 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
     failures := (name, exn) :: !failures;
     Mutex.unlock failures_lock
   in
+  (* A failing source or sink is charged to itself, not to the kernel
+     whose queue operation copied through it. *)
+  let guard name f =
+    try f () with
+    | Cgsim.Sched.End_of_stream | Cgsim.Sched.Terminated -> ()
+    | Tqueue.Endpoint_failed (endpoint, exn) -> record_failure endpoint exn
+    | exn -> record_failure name exn
+  in
   let bodies = ref [] in
   (* Wire kernels. *)
   Array.iter
@@ -119,52 +127,20 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
       in
       let ps = !producers in
       let body () =
-        Fun.protect
-          ~finally:(fun () -> List.iter Tqueue.producer_done ps)
-          (fun () ->
-            try kernel.Cgsim.Kernel.body binding with
-            | Cgsim.Sched.End_of_stream | Cgsim.Sched.Terminated -> ()
-            | exn -> record_failure inst.inst_name exn)
+        guard inst.inst_name (fun () -> kernel.Cgsim.Kernel.body binding);
+        (* Its output nets lose one producer each; the last one closes a
+           net, and closure propagates downstream. *)
+        List.iter (fun p -> guard inst.inst_name (fun () -> Tqueue.producer_done p)) ps
       in
       bodies := (inst.inst_name, body) :: !bodies)
     g.kernels;
-  (* Sources and sinks: the pumps cgsim runs, over Tqueue. *)
-  List.iteri
-    (fun i src ->
-      let q = queues.(g.input_order.(i)) in
-      let p = Tqueue.add_producer q in
-      let dtype = g.nets.(g.input_order.(i)).dtype in
-      let body () =
-        Fun.protect
-          ~finally:(fun () -> Tqueue.producer_done p)
-          (fun () ->
-            try
-              Cgsim.Io.feed dtype ~capacity:(Tqueue.capacity q) ~put_floats:(Tqueue.put_floats p)
-                ~put_ints:(Tqueue.put_ints p) ~put_values:(Tqueue.put_block p) src
-            with
-            | Cgsim.Sched.Terminated -> ()
-            | exn -> record_failure (Cgsim.Io.source_name src) exn)
-      in
-      bodies := (Cgsim.Io.source_name src, body) :: !bodies)
-    sources;
-  List.iteri
-    (fun i snk ->
-      let q = queues.(g.output_order.(i)) in
-      let c = Tqueue.add_consumer q in
-      let dtype = g.nets.(g.output_order.(i)).dtype in
-      let body () =
-        try
-          Cgsim.Io.drain dtype ~capacity:(Tqueue.capacity q)
-            ~get_floats_into:(Tqueue.get_floats_into c) ~get_ints_into:(Tqueue.get_ints_into c)
-            ~get_some:(Tqueue.get_some c) snk
-        with
-        | Cgsim.Sched.End_of_stream | Cgsim.Sched.Terminated -> ()
-        | exn -> record_failure (Cgsim.Io.sink_name snk) exn
-      in
-      bodies := (Cgsim.Io.sink_name snk, body) :: !bodies)
-    sinks;
+  (* Global I/O rides the kernels' own domains: a reader that finds a
+     source net empty pulls the next segment, and a writer that finds a
+     sink net full, or closes it, pushes into the sink. *)
+  List.iteri (fun i src -> Tqueue.attach_source queues.(g.input_order.(i)) src) sources;
+  List.iteri (fun i snk -> Tqueue.attach_sink queues.(g.output_order.(i)) snk) sinks;
   let bodies = List.rev !bodies in
-  (* Completion flags, one per thread: the watchdog snapshots the names
+  (* Completion flags, one per kernel: the watchdog snapshots the names
      still running when the deadline fires — the threaded analogue of the
      cooperative scheduler's parked-fiber snapshot. *)
   let flags = List.map (fun (name, _) -> name, Atomic.make false) bodies in
@@ -216,6 +192,14 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
       bodies flags
   in
   List.iter Domain.join threads;
+  (* A source net no kernel reads (it may still feed a sink) moves on
+     the calling domain. *)
+  List.iteri
+    (fun i src ->
+      let id = g.input_order.(i) in
+      if g.nets.(id).readers = [] then
+        guard (Cgsim.Io.source_name src) (fun () -> Tqueue.flush queues.(id)))
+    sources;
   Atomic.set all_done true;
   (match watchdog with Some w -> Domain.join w | None -> ());
   let wall_ns = Obs.Clock.now_ns () -. t0 in

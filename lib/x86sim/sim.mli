@@ -2,15 +2,21 @@
 
     Runs the same serialized graphs and the same kernel bodies as cgsim's
     runtime, but with the execution model of AMD's functional simulator:
-    every kernel instance, data source and data sink runs on a dedicated
-    OS thread and blocks preemptively in queue operations.  This is the
-    comparison point of Table 2 — faster than cgsim only when several
-    compute-heavy kernels genuinely run in parallel; slower when frequent
-    small transfers make mutex/condvar synchronisation dominate.
+    every kernel instance runs on a dedicated OS thread (a domain) and
+    blocks preemptively in queue operations.  This is the comparison
+    point of Table 2 — faster than cgsim when several compute-heavy
+    kernels genuinely run in parallel; slower when frequent small
+    transfers between kernels make mutex/condvar synchronisation
+    dominate.
 
-    Global I/O threads run cgsim's own pumps, {!Cgsim.Io.feed} and
-    {!Cgsim.Io.drain}, over {!Tqueue}: a scalar net moves flat float or
-    int chunks end to end, so sources and sinks never box on it.
+    Global sources and sinks have no threads of their own.  They are
+    attached to their nets' {!Tqueue}s and served from the domains of the
+    kernels that read or write those nets: a reader that finds a source
+    net empty copies the next segment of the payload in, and a writer
+    that finds a sink net full, or closes it, pushes into the sink.  A
+    scalar net moves flat float or int segments end to end, so sources
+    and sinks never box on it.  A source net no kernel reads is moved on
+    the calling domain after the kernels finish.
 
     Execution knobs come from the shared {!Cgsim.Run_config.t}; the
     fields that make sense here are [queue_capacity], [lint] and
@@ -24,7 +30,7 @@
 exception X86sim_error of string
 
 type stats = {
-  threads : int;
+  threads : int;  (** Domains run: one per kernel instance. *)
   failed : (string * exn) list;
   wall_ns : float;
 }
@@ -34,12 +40,12 @@ type outcome =
   | Deadline_exceeded of {
       graph : string;
       waiting : string list;
-          (** Threads that had not finished when the deadline fired. *)
+          (** Kernels that had not finished when the deadline fired. *)
       wall_ns : float;
     }
   | Kernel_failed of {
       graph : string;
-      thread : string;  (** Kernel/source/sink thread that raised. *)
+      thread : string;  (** The kernel, source or sink that raised. *)
       exn : exn;
       wall_ns : float;
     }
@@ -48,7 +54,9 @@ type outcome =
 val outcome_label : outcome -> string
 
 (** [run g ~sources ~sinks] executes the graph to completion, deadline
-    expiry or first failure, joining every thread before returning.
+    expiry or first failure, joining every kernel domain (and the
+    watchdog domain, spawned only when a deadline is set) before
+    returning.
     Wiring errors (invalid graph, wrong source/sink counts, unregistered
     kernels) raise {!X86sim_error} up front. *)
 val run :
