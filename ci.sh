@@ -155,15 +155,31 @@ echo "no data-path switch, SPSC seal or Hooks references"
 
 echo "== one I/O path gate =="
 # A source is a name and one immutable payload (floats, ints or boxed
-# values).  cgsim and x86sim pump it with the same Io.feed and
-# Io.drain, and each queue has one flat drain form (get_floats_into /
-# get_ints_into).  The per-source pull closures, the constructors that
-# had no caller and the allocating flat drains must not come back.
+# values), and both simulators move it with the same per-kind copies:
+# cgsim's source and sink fibers run Io.feed and Io.drain, and x86sim's
+# Tqueue pulls through Io.transfer and pushes through Io.emit on the
+# kernels' own domains.  Only Bqueue has drain forms, one flat drain per
+# payload kind (get_floats_into / get_ints_into) for Io.drain.  The
+# per-source pull closures, the constructors that had no caller and the
+# allocating flat drains must not come back.
 if grep -rnE 'source_pull_(block|floats|ints)|make_pull|Io\.(of_fun|repeat|counter|of_consumer)|with_(source|sink)_name|get_(floats|ints)_some' lib bin bench test examples; then
   echo "ci: caller references a removed source pull, Io constructor or allocating flat drain" >&2
   exit 1
 fi
 echo "no source pulls, removed Io constructors or allocating flat drains"
+
+echo "== no orphaned transfer forms gate =="
+# Kernel ports read and write through Port's get/put and window forms
+# only, and each queue exports the transfers some caller makes.  The
+# typed Port codecs, put_window, the r_peek / r_available probes, the
+# peeks and x86sim's drain forms (get_some, the flat _into drains) that
+# lost their last caller, and the graph-text reader that nothing loaded
+# were deleted and must not come back.
+if grep -rnE 'Port\.(Codec|read|write|put_window)\b|r_peek|r_available|Bqueue\.(peek|is_closed)\b|Tqueue\.(peek|available|get_some|get_floats_into|get_ints_into|total_put|is_poisoned)\b|read_some|pull_if_empty|Graph_text\.(of_string|dtype_of_string)|settings_of_tokens|of_compact' lib bin bench test examples; then
+  echo "ci: caller references a deleted transfer form, port probe or graph-text reader" >&2
+  exit 1
+fi
+echo "no orphaned transfer forms, port probes or graph-text reader"
 
 echo "== thread-per-kernel gate =="
 # x86sim runs one domain per kernel instance and nothing else: a reader

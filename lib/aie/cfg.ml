@@ -1,7 +1,5 @@
 let clock_mhz = 1250.0
 
-let pl_clock_mhz = 625.0
-
 let ns_per_cycle = 1000.0 /. clock_mhz
 
 let array_cols = 50
@@ -29,8 +27,6 @@ let int32_macs_per_cycle = 8
 let stream_bytes_per_cycle = 4
 
 let plio_bytes_per_pl_cycle = 8
-
-let gmio_bytes_per_cycle = 16
 
 let gmio_latency_cycles = 300
 

@@ -11,9 +11,6 @@
 val clock_mhz : float
 (** AIE core clock used in the paper's evaluation (1250 MHz). *)
 
-val pl_clock_mhz : float
-(** Programmable-logic clock for PLIO (625 MHz). *)
-
 val ns_per_cycle : float
 (** 1e3 /. clock_mhz = 0.8 ns. *)
 
@@ -53,9 +50,6 @@ val stream_bytes_per_cycle : int
 
 val plio_bytes_per_pl_cycle : int
 (** 8 bytes per PL cycle for a 64-bit PLIO port. *)
-
-val gmio_bytes_per_cycle : int
-(** NoC/DDR burst bandwidth for GMIO connections (128-bit). *)
 
 val gmio_latency_cycles : int
 (** One-way DDR access latency charged on GMIO routes. *)

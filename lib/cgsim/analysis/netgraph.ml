@@ -39,10 +39,6 @@ let graph t = t.g
 
 let succ t k = t.succ.(k)
 
-let writers_of_net t id = t.writers.(id)
-
-let readers_of_net t id = t.readers.(id)
-
 (* Tarjan.  Graphs here are a handful of kernels; the recursive
    formulation is the readable one and stack depth is not a concern. *)
 let cyclic_sccs t =

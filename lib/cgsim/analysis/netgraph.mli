@@ -18,11 +18,6 @@ val graph : t -> Serialized.t
     one per (net, reader) combination, in declaration order. *)
 val succ : t -> int -> (int * int) list
 
-(** Kernel indices writing / reading a net (deduplicated, in order). *)
-val writers_of_net : t -> int -> int list
-
-val readers_of_net : t -> int -> int list
-
 (** Strongly connected components that can actually sustain a cycle:
     components of two or more kernels, plus single kernels with a
     self-loop edge.  Each component lists kernel indices in traversal

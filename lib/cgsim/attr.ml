@@ -55,4 +55,3 @@ let merge old_attrs new_attrs =
 
 let key_plio_name = "plio_name"
 let key_plio_width = "plio_width"
-let key_buffering = "buffering"

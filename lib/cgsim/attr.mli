@@ -35,4 +35,3 @@ val merge : t list -> t list -> t list
 
 val key_plio_name : string
 val key_plio_width : string
-val key_buffering : string

@@ -48,7 +48,6 @@ let create ~name ~dtype ~capacity () =
 let name q = q.ring.Ring.name
 let dtype q = q.ring.Ring.dtype
 let capacity q = q.ring.Ring.cap
-let is_closed q = q.closed
 let total_put q = q.ring.Ring.head
 let producers q = q.producers_total
 let consumers q = List.length q.ring.Ring.cursors
@@ -336,12 +335,6 @@ let get_ints_into c dst =
   Ring.read_ints c.c_queue.ring c.cur dst 0 len;
   advance c len;
   len
-
-let peek c =
-  let q = c.c_queue in
-  if c.cur.Ring.pos < q.ring.Ring.head then Some (Ring.peek q.ring c.cur)
-  else if q.closed then raise Sched.End_of_stream
-  else None
 
 let available c = c.c_queue.ring.Ring.head - c.cur.Ring.pos
 

@@ -13,10 +13,11 @@
     {!Sched.End_of_stream}, which ends infinite-loop kernels cleanly.
 
     The data lives in a {!Ring}, shared with x86sim's threaded queue;
-    this module adds producers, close and park/wake.  The runtime's
-    source and sink pumps ({!Io.feed}, {!Io.drain}) reach the queue
-    through its block and flat transfers and one flat drain form per
-    payload kind ([get_floats_into], [get_ints_into]). *)
+    this module adds producers, close and park/wake.  Kernel ports
+    ({!Runtime}) move data with the element, block and flat transfers.
+    The drains {!get_some}, {!get_floats_into} and {!get_ints_into}
+    serve cgsim's sink fibers ({!Io.drain}) alone: x86sim's {!Tqueue}
+    pushes into its sinks itself and has no drain forms. *)
 
 type t
 
@@ -137,16 +138,10 @@ val get_ints : consumer -> int array -> unit
 val get_floats_into : consumer -> float array -> int
 val get_ints_into : consumer -> int array -> int
 
-(** Non-blocking probe: [Some v] without consuming, [None] when empty.
-    Raises {!Sched.End_of_stream} when closed and drained. *)
-val peek : consumer -> Value.t option
-
 (** Mark one producer as finished.  The queue closes when all registered
     producers are done; parked consumers are woken to observe end of
     stream.  Idempotent. *)
 val producer_done : producer -> unit
-
-val is_closed : t -> bool
 
 (** Elements written over the queue's lifetime (diagnostic/metric). *)
 val total_put : t -> int

@@ -103,8 +103,6 @@ let attach_attributes t c attrs =
   check_owner t c;
   c.net.attrs <- Attr.merge c.net.attrs attrs
 
-let dtype_of c = c.net.dtype
-
 let add_kernel t ?inst ?src (kernel : Kernel.t) conns =
   check_open t;
   let n_ports = Array.length kernel.Kernel.ports in

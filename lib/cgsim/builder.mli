@@ -44,8 +44,6 @@ val add_kernel : t -> ?inst:string -> ?src:Srcspan.t -> Kernel.t -> conn list ->
 (** Attach extractor-facing attributes to a connector (Section 3.4). *)
 val attach_attributes : t -> conn -> Attr.t list -> unit
 
-val dtype_of : conn -> Dtype.t
-
 (** Freeze into the flattened form.  Raises {!Construction_error} listing
     every problem found. *)
 val freeze : t -> Serialized.t

@@ -1,88 +1,7 @@
 let dtype_to_string t =
-  (* Dtype.pp prints "{a:f32; b:i32}"; the codec removes blanks so a
+  (* Dtype.pp prints "{a:f32; b:i32}"; the format removes blanks so a
      dtype is always a single token. *)
   String.concat "" (String.split_on_char ' ' (Dtype.to_string t))
-
-(* ------------------------------------------------------------------ *)
-(* Dtype parsing                                                      *)
-(* ------------------------------------------------------------------ *)
-
-exception Parse_error of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
-
-(* Recursive-descent over the compact spelling. *)
-let dtype_of_string_exn s =
-  let pos = ref 0 in
-  let len = String.length s in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let expect ch =
-    match peek () with
-    | Some c when c = ch -> advance ()
-    | _ -> fail "expected '%c' at %d in dtype %s" ch !pos s
-  in
-  let read_while p =
-    let start = !pos in
-    while !pos < len && p s.[!pos] do
-      advance ()
-    done;
-    String.sub s start (!pos - start)
-  in
-  let is_digit c = c >= '0' && c <= '9' in
-  let is_word c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || is_digit c || c = '_' in
-  let scalar_of = function
-    | "f32" -> Dtype.F32
-    | "f64" -> Dtype.F64
-    | "i8" -> Dtype.I8
-    | "i16" -> Dtype.I16
-    | "i32" -> Dtype.I32
-    | "i64" -> Dtype.I64
-    | "u8" -> Dtype.U8
-    | "u16" -> Dtype.U16
-    | "u32" -> Dtype.U32
-    | other -> fail "unknown scalar dtype %s" other
-  in
-  let rec parse_one () =
-    match peek () with
-    | Some '{' ->
-      advance ();
-      let fields = ref [] in
-      let rec fields_loop () =
-        let name = read_while (fun c -> is_word c) in
-        if name = "" then fail "empty field name in struct dtype %s" s;
-        expect ':';
-        let t = parse_one () in
-        fields := (name, t) :: !fields;
-        match peek () with
-        | Some ';' ->
-          advance ();
-          fields_loop ()
-        | Some '}' -> advance ()
-        | _ -> fail "expected ';' or '}' in struct dtype %s" s
-      in
-      fields_loop ();
-      Dtype.Struct (List.rev !fields)
-    | Some 'v' when !pos + 1 < len && is_digit s.[!pos + 1] ->
-      advance ();
-      let lanes = int_of_string (read_while is_digit) in
-      let elem = parse_one () in
-      Dtype.Vector (elem, lanes)
-    | Some c when is_word c -> scalar_of (read_while is_word)
-    | _ -> fail "cannot parse dtype at %d in %s" !pos s
-  in
-  let t = parse_one () in
-  if !pos <> len then fail "trailing characters in dtype %s" s;
-  t
-
-let dtype_of_string s =
-  match dtype_of_string_exn s with
-  | t -> Ok t
-  | exception Parse_error e -> Error e
-
-(* ------------------------------------------------------------------ *)
-(* Settings and attrs                                                 *)
-(* ------------------------------------------------------------------ *)
 
 let settings_tokens (st : Settings.t) =
   let transport =
@@ -96,33 +15,6 @@ let settings_tokens (st : Settings.t) =
   transport
   @ (match st.Settings.beat_bytes with Some b -> [ Printf.sprintf "beat=%d" b ] | None -> [])
   @ (match st.Settings.depth with Some d -> [ Printf.sprintf "depth=%d" d ] | None -> [])
-
-let settings_of_tokens tokens =
-  List.fold_left
-    (fun st tok ->
-      match String.index_opt tok '=' with
-      | None -> fail "malformed settings token %s" tok
-      | Some i -> begin
-        let key = String.sub tok 0 i in
-        let v = String.sub tok (i + 1) (String.length tok - i - 1) in
-        match key with
-        | "transport" -> begin
-          match String.split_on_char ':' v with
-          | [ "stream" ] -> { st with Settings.transport = Some Settings.Stream }
-          | [ "rtp" ] -> { st with Settings.transport = Some Settings.Rtp }
-          | [ "gmio" ] -> { st with Settings.transport = Some Settings.Gmio }
-          | [ "window"; b ] -> { st with Settings.transport = Some (Settings.Window (int_of_string b)) }
-          | _ -> fail "malformed transport %s" v
-        end
-        | "beat" -> { st with Settings.beat_bytes = Some (int_of_string v) }
-        | "depth" -> { st with Settings.depth = Some (int_of_string v) }
-        | _ -> fail "unknown settings key %s" key
-      end)
-    Settings.default tokens
-
-(* ------------------------------------------------------------------ *)
-(* Writer                                                             *)
-(* ------------------------------------------------------------------ *)
 
 let to_string (g : Serialized.t) =
   let buf = Buffer.create 2048 in
@@ -170,211 +62,3 @@ let to_string (g : Serialized.t) =
   addf "outputs%s\n"
     (String.concat "" (Array.to_list (Array.map (Printf.sprintf " %d") g.output_order)));
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Reader                                                             *)
-(* ------------------------------------------------------------------ *)
-
-type pending_kernel = {
-  pk_inst : string;
-  pk_key : string;
-  pk_realm : Kernel.realm;
-  mutable pk_ports : Kernel.port_spec list;  (* reverse *)
-  mutable pk_nets : int list;
-  mutable pk_src : Srcspan.t option;
-}
-
-type pending_net = {
-  pn_id : int;
-  pn_dtype : Dtype.t;
-  pn_settings : Settings.t;
-  mutable pn_writers : Serialized.endpoint list;  (* reverse *)
-  mutable pn_readers : Serialized.endpoint list;  (* reverse *)
-  mutable pn_input : string option;
-  mutable pn_output : string option;
-  mutable pn_attrs : Attr.t list;  (* reverse *)
-  mutable pn_src : Srcspan.t option;
-}
-
-let of_string text =
-  let lines =
-    List.filter
-      (fun l -> String.trim l <> "")
-      (String.split_on_char '\n' text)
-  in
-  let parse () =
-    let gname = ref "" in
-    let kernels = ref [] in
-    let nets = ref [] in
-    let inputs = ref [||] in
-    let outputs = ref [||] in
-    let current = ref `None in
-    let words l = List.filter (fun w -> w <> "") (String.split_on_char ' ' l) in
-    let endpoint_of w =
-      match String.split_on_char '.' w with
-      | [ k; p ] -> { Serialized.kernel_idx = int_of_string k; port_idx = int_of_string p }
-      | _ -> fail "malformed endpoint %s" w
-    in
-    let header = ref true in
-    List.iter
-      (fun raw ->
-        let line = String.trim raw in
-        match words line with
-        | [ "cgsim-graph"; version ] when !header ->
-          if version <> "1" then fail "unsupported graph-text version %s" version;
-          header := false
-        | [ "graph"; name ] -> gname := name
-        | "kernel" :: inst :: key :: realm :: [] -> begin
-          match Kernel.realm_of_string realm with
-          | None -> fail "unknown realm %s" realm
-          | Some r ->
-            let pk =
-              {
-                pk_inst = inst;
-                pk_key = key;
-                pk_realm = r;
-                pk_ports = [];
-                pk_nets = [];
-                pk_src = None;
-              }
-            in
-            kernels := pk :: !kernels;
-            current := `Kernel pk
-        end
-        | "port" :: pname :: dir :: dtype :: settings -> begin
-          match !current with
-          | `Kernel pk ->
-            let dir =
-              match dir with
-              | "in" -> Kernel.In
-              | "out" -> Kernel.Out
-              | d -> fail "bad port direction %s" d
-            in
-            let spec =
-              {
-                Kernel.pname;
-                dir;
-                dtype = dtype_of_string_exn dtype;
-                settings = settings_of_tokens settings;
-              }
-            in
-            pk.pk_ports <- spec :: pk.pk_ports
-          | _ -> fail "port line outside a kernel"
-        end
-        | "nets" :: ids -> begin
-          match !current with
-          | `Kernel pk -> pk.pk_nets <- List.map int_of_string ids
-          | _ -> fail "nets line outside a kernel"
-        end
-        | "net" :: id :: dtype :: settings ->
-          let pn =
-            {
-              pn_id = int_of_string id;
-              pn_dtype = dtype_of_string_exn dtype;
-              pn_settings = settings_of_tokens settings;
-              pn_writers = [];
-              pn_readers = [];
-              pn_input = None;
-              pn_output = None;
-              pn_attrs = [];
-              pn_src = None;
-            }
-          in
-          nets := pn :: !nets;
-          current := `Net pn
-        | [ "src"; compact ] -> begin
-          let span =
-            match Srcspan.of_compact compact with
-            | Some s -> s
-            | None -> fail "malformed src span %s" compact
-          in
-          match !current with
-          | `Kernel pk -> pk.pk_src <- Some span
-          | `Net pn -> pn.pn_src <- Some span
-          | _ -> fail "src line outside a kernel or net"
-        end
-        | [ "writer"; ep ] -> begin
-          match !current with
-          | `Net pn -> pn.pn_writers <- endpoint_of ep :: pn.pn_writers
-          | _ -> fail "writer line outside a net"
-        end
-        | [ "reader"; ep ] -> begin
-          match !current with
-          | `Net pn -> pn.pn_readers <- endpoint_of ep :: pn.pn_readers
-          | _ -> fail "reader line outside a net"
-        end
-        | [ "input"; name ] -> begin
-          match !current with
-          | `Net pn -> pn.pn_input <- Some name
-          | _ -> fail "input line outside a net"
-        end
-        | [ "output"; name ] -> begin
-          match !current with
-          | `Net pn -> pn.pn_output <- Some name
-          | _ -> fail "output line outside a net"
-        end
-        | "attr" :: key :: "str" :: rest -> begin
-          match !current with
-          | `Net pn -> pn.pn_attrs <- Attr.s key (String.concat " " rest) :: pn.pn_attrs
-          | _ -> fail "attr line outside a net"
-        end
-        | [ "attr"; key; "int"; v ] -> begin
-          match !current with
-          | `Net pn -> pn.pn_attrs <- Attr.i key (int_of_string v) :: pn.pn_attrs
-          | _ -> fail "attr line outside a net"
-        end
-        | "inputs" :: ids -> inputs := Array.of_list (List.map int_of_string ids)
-        | "outputs" :: ids -> outputs := Array.of_list (List.map int_of_string ids)
-        | w :: _ -> fail "unrecognized line starting with %s" w
-        | [] -> ())
-      lines;
-    let kernels =
-      Array.of_list
-        (List.rev_map
-           (fun pk ->
-             {
-               Serialized.inst_name = pk.pk_inst;
-               key = pk.pk_key;
-               realm = pk.pk_realm;
-               ports = Array.of_list (List.rev pk.pk_ports);
-               port_nets = Array.of_list pk.pk_nets;
-               src = pk.pk_src;
-             })
-           !kernels)
-    in
-    let nets_list = List.rev !nets in
-    let nets =
-      Array.of_list
-        (List.map
-           (fun pn ->
-             {
-               Serialized.net_id = pn.pn_id;
-               dtype = pn.pn_dtype;
-               settings = pn.pn_settings;
-               attrs = List.rev pn.pn_attrs;
-               writers = List.rev pn.pn_writers;
-               readers = List.rev pn.pn_readers;
-               global_input = pn.pn_input;
-               global_output = pn.pn_output;
-               src = pn.pn_src;
-             })
-           nets_list)
-    in
-    let g =
-      {
-        Serialized.gname = !gname;
-        kernels;
-        nets;
-        input_order = !inputs;
-        output_order = !outputs;
-      }
-    in
-    match Serialized.validate_diags g with
-    | [] -> g
-    | diags ->
-      fail "invalid graph: %s" (String.concat "; " (List.map Diagnostic.render diags))
-  in
-  match parse () with
-  | g -> Ok g
-  | exception Parse_error e -> Error e
-  | exception Failure e -> Error e (* int_of_string *)

@@ -1,10 +1,11 @@
-(** Textual codec for serialized compute graphs.
+(** Textual dump of serialized compute graphs.
 
     The flattened graph form ({!Serialized.t}) is plain data — the whole
     point of the paper's constexpr-variable design is that it crosses
-    tool boundaries.  This module gives it a stable, human-readable
-    on-disk syntax so graphs can be dumped by one tool (e.g. [cgx]) and
-    reloaded by another, golden-tested, or diffed.
+    tool boundaries.  This module prints it in a stable, human-readable
+    syntax, so [cgx dump] can show a graph and two graphs can be
+    golden-tested or diffed.  It is write-only: nothing reads the format
+    back.
 
     The format is line-oriented:
 
@@ -25,15 +26,11 @@
     outputs 4
     v}
 
-    Round-trip property: [of_string (to_string g)] is topologically equal
-    to [g] (tested). *)
+    The output is canonical: one graph prints one way, so a golden test
+    pins it byte for byte. *)
 
 val to_string : Serialized.t -> string
-
-val of_string : string -> (Serialized.t, string) result
 
 (** Dtype spellings used by the format ("f32", "v16f32",
     "{a:f32;b:i32}"). *)
 val dtype_to_string : Dtype.t -> string
-
-val dtype_of_string : string -> (Dtype.t, string) result

@@ -108,23 +108,6 @@ let rd b i = b.readers.(i)
 
 let wr b i = b.writers.(i)
 
-let in_ports k = List.filter (fun p -> p.dir = In) (Array.to_list k.ports)
-
-let out_ports k = List.filter (fun p -> p.dir = Out) (Array.to_list k.ports)
-
-let directional_index k pname =
-  let rec scan i n_in n_out =
-    if i >= Array.length k.ports then None
-    else begin
-      let p = k.ports.(i) in
-      match p.dir with
-      | In -> if String.equal p.pname pname then Some (In, n_in) else scan (i + 1) (n_in + 1) n_out
-      | Out ->
-        if String.equal p.pname pname then Some (Out, n_out) else scan (i + 1) n_in (n_out + 1)
-    end
-  in
-  scan 0 0 0
-
 let pp ppf k =
   let pp_port ppf p =
     Format.fprintf ppf "%s %s:%a"

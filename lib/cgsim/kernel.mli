@@ -99,11 +99,4 @@ val out_port : ?settings:Settings.t -> string -> Dtype.t -> port_spec
 val rd : binding -> int -> Port.reader
 val wr : binding -> int -> Port.writer
 
-val in_ports : t -> port_spec list
-val out_ports : t -> port_spec list
-
-(** Index of a port among ports of its own direction, as used by
-    {!binding}; [None] if the name is unknown. *)
-val directional_index : t -> string -> (dir * int) option
-
 val pp : Format.formatter -> t -> unit

@@ -514,12 +514,6 @@ let await h =
   in
   wait ()
 
-let poll h =
-  Mutex.lock h.h_lock;
-  let r = h.h_result in
-  Mutex.unlock h.h_lock;
-  r
-
 let cancel h =
   Mutex.lock h.h_lock;
   h.h_cancelled <- true;

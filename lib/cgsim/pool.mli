@@ -150,9 +150,6 @@ val handle_id : handle -> int
     captured-failure requests all produce results. *)
 val await : handle -> request_result
 
-(** The result, if already published. *)
-val poll : handle -> request_result option
-
 (** Request cooperative cancellation: a queued request completes as
     [Cancelled] without executing ([attempts = 0]); a running request
     has {!Runtime.cancel} invoked on its instance and winds down at the

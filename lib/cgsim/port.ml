@@ -2,8 +2,6 @@ type reader = {
   r_name : string;
   r_dtype : Dtype.t;
   r_get : unit -> Value.t;
-  r_peek : unit -> Value.t option;
-  r_available : unit -> int;
   r_get_block : int -> Value.t array;
   r_get_floats : float array -> unit;
   r_get_ints : int array -> unit;
@@ -108,8 +106,6 @@ let put w v = w.w_put v
 
 let get_window r n = r.r_get_block n
 
-let put_window w vs = w.w_put_block vs
-
 (* Unboxed windows: flat float/int payloads through the transport's
    unboxed block path — no Value boxing on bigarray-backed queues. *)
 let get_window_f32 r dst = r.r_get_floats dst
@@ -160,81 +156,6 @@ let get_int r = Value.to_int (get r)
 let put_f32 w f = put w (Value.Float f)
 
 let put_int w i = put w (Value.Int i)
-
-module Codec = struct
-  type 'a t = {
-    dtype : Dtype.t;
-    enc : 'a -> Value.t;
-    dec : Value.t -> 'a;
-  }
-
-  let f32 =
-    { dtype = Dtype.F32; enc = (fun f -> Value.Float (Value.round_f32 f)); dec = Value.to_float }
-
-  let f64 = { dtype = Dtype.F64; enc = (fun f -> Value.Float f); dec = Value.to_float }
-
-  let int_codec dtype =
-    { dtype; enc = (fun i -> Value.Int (Value.wrap_int dtype i)); dec = Value.to_int }
-
-  let i32 = int_codec Dtype.I32
-  let i16 = int_codec Dtype.I16
-  let u8 = int_codec Dtype.U8
-
-  let vf32 lanes =
-    {
-      dtype = Dtype.Vector (Dtype.F32, lanes);
-      enc =
-        (fun a ->
-          if Array.length a <> lanes then
-            invalid_arg (Printf.sprintf "cgsim: vf32 codec expects %d lanes" lanes);
-          Value.Vec (Array.map (fun f -> Value.Float (Value.round_f32 f)) a));
-      dec = (fun v -> Array.map Value.to_float (Value.to_vec v));
-    }
-
-  let vint elem lanes =
-    {
-      dtype = Dtype.Vector (elem, lanes);
-      enc =
-        (fun a ->
-          if Array.length a <> lanes then
-            invalid_arg (Printf.sprintf "cgsim: vint codec expects %d lanes" lanes);
-          Value.Vec (Array.map (fun i -> Value.Int (Value.wrap_int elem i)) a));
-      dec = (fun v -> Array.map Value.to_int (Value.to_vec v));
-    }
-
-  let struct2 (na, ca) (nb, cb) =
-    {
-      dtype = Dtype.Struct [ na, ca.dtype; nb, cb.dtype ];
-      enc = (fun (a, b) -> Value.Rec [ na, ca.enc a; nb, cb.enc b ]);
-      dec = (fun v -> ca.dec (Value.field v na), cb.dec (Value.field v nb));
-    }
-
-  let struct3 (na, ca) (nb, cb) (nc, cc) =
-    {
-      dtype = Dtype.Struct [ na, ca.dtype; nb, cb.dtype; nc, cc.dtype ];
-      enc = (fun (a, b, c) -> Value.Rec [ na, ca.enc a; nb, cb.enc b; nc, cc.enc c ]);
-      dec =
-        (fun v -> ca.dec (Value.field v na), cb.dec (Value.field v nb), cc.dec (Value.field v nc));
-    }
-
-  let struct4 (na, ca) (nb, cb) (nc, cc) (nd, cd) =
-    {
-      dtype = Dtype.Struct [ na, ca.dtype; nb, cb.dtype; nc, cc.dtype; nd, cd.dtype ];
-      enc =
-        (fun (a, b, c, d) ->
-          Value.Rec [ na, ca.enc a; nb, cb.enc b; nc, cc.enc c; nd, cd.enc d ]);
-      dec =
-        (fun v ->
-          ( ca.dec (Value.field v na),
-            cb.dec (Value.field v nb),
-            cc.dec (Value.field v nc),
-            cd.dec (Value.field v nd) ));
-    }
-end
-
-let read codec r = codec.Codec.dec (get r)
-
-let write codec w v = put w (codec.Codec.enc v)
 
 let check_dtype ~expected ~actual ~what =
   if not (Dtype.equal expected actual) then

@@ -4,19 +4,22 @@
     the objects a kernel body actually reads from and writes to.  They are
     closure records so the same kernel body can be bound to
 
-    - cgsim's cooperative queues ({!Bqueue}, via {!Runtime}),
-    - x86sim's thread-safe queues (one OS thread per kernel), and
-    - aiesim's instrumented endpoints (cycle accounting around accesses),
+    - cgsim's cooperative queues ({!Bqueue}, via {!Runtime}; aiesim
+      captures its event trace through a {!tap} on these), and
+    - x86sim's thread-safe queues (one OS thread per kernel),
 
     mirroring how the paper's extractor swaps port-type implementations per
-    realm (Section 4.4) without touching kernel code. *)
+    realm (Section 4.4) without touching kernel code.
+
+    A reader has four read forms (element, boxed block, flat float and
+    flat int block) and a writer the four matching write forms plus an
+    advisory free-space probe ({!put_window2} sizes its chunks with it).
+    Struct-typed streams carry {!Value.Rec} elements. *)
 
 type reader = {
   r_name : string;
   r_dtype : Dtype.t;
   r_get : unit -> Value.t;  (** May suspend; raises {!Sched.End_of_stream}. *)
-  r_peek : unit -> Value.t option;
-  r_available : unit -> int;
   r_get_block : int -> Value.t array;
       (** Block read: equivalent to [n] calls of [r_get] but routed
           through the transport's block fast path when it has one. *)
@@ -66,8 +69,7 @@ type tap = {
 val no_tap : tap
 
 (** [tap_reader taps r] routes [r]'s four read forms through [taps]
-    ([before]s and [after]s in list order).  [r_peek] and [r_available]
-    are not transfers and stay as they are.  With [taps = []] the result
+    ([before]s and [after]s in list order).  With [taps = []] the result
     is [r] itself. *)
 val tap_reader : tap list -> reader -> reader
 
@@ -82,8 +84,6 @@ val put : writer -> Value.t -> unit
     example.  [get_window r n] reads [n] elements through the binding's
     block path (one queue transaction per chunk rather than per element). *)
 val get_window : reader -> int -> Value.t array
-
-val put_window : writer -> Value.t array -> unit
 
 (** Unboxed windows: flat float/int payloads through the transport's
     unboxed block path.  On a bigarray-backed queue the transfer is a
@@ -115,45 +115,6 @@ val get_f32 : reader -> float
 val get_int : reader -> int
 val put_f32 : writer -> float -> unit
 val put_int : writer -> int -> unit
-
-(** {1 Typed codecs}
-
-    A ['a Codec.t] converts between OCaml values and stream elements,
-    giving kernels a typed API including user-defined structs (the paper
-    highlights struct-typed streams as a type-safety improvement over the
-    AIE framework's flat buffers). *)
-
-module Codec : sig
-  type 'a t = {
-    dtype : Dtype.t;
-    enc : 'a -> Value.t;
-    dec : Value.t -> 'a;
-  }
-
-  val f32 : float t
-  val f64 : float t
-  val i32 : int t
-  val i16 : int t
-  val u8 : int t
-
-  (** Fixed-lane float vector. *)
-  val vf32 : int -> float array t
-
-  (** Fixed-lane int vector of the given scalar dtype. *)
-  val vint : Dtype.t -> int -> int array t
-
-  (** Build a struct codec from named field codecs packed as a record of
-      accessors; see {!field}. *)
-  val struct2 : string * 'a t -> string * 'b t -> ('a * 'b) t
-
-  val struct3 : string * 'a t -> string * 'b t -> string * 'c t -> ('a * 'b * 'c) t
-
-  val struct4 :
-    string * 'a t -> string * 'b t -> string * 'c t -> string * 'd t -> ('a * 'b * 'c * 'd) t
-end
-
-val read : 'a Codec.t -> reader -> 'a
-val write : 'a Codec.t -> writer -> 'a -> unit
 
 (** Fail-fast dtype agreement check used when binding endpoints. *)
 val check_dtype : expected:Dtype.t -> actual:Dtype.t -> what:string -> unit

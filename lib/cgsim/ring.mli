@@ -80,10 +80,7 @@ val check_ints : t -> int array -> unit
 (** Write one checked value at [head] and advance [head]. *)
 val push : t -> Value.t -> unit
 
-(** The element at the cursor; does not advance it. *)
-val peek : t -> cursor -> Value.t
-
-(** [peek], then [advance] by one. *)
+(** The element at the cursor, then [advance] by one. *)
 val take : t -> cursor -> Value.t
 
 (** {1 Segment copies}

@@ -2,8 +2,6 @@ exception Runtime_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
-type lint_level = Run_config.lint_level
-
 (* The pre-flight: at [`Warn] print warning- and error-level findings
    and proceed, at [`Error] refuse a graph with error-level findings. *)
 let preflight ~lint (g : Serialized.t) =
@@ -203,9 +201,9 @@ let compile ?(config = Run_config.default) (g : Serialized.t) =
     c_capacities = capacities;
   }
 
-let compiled_graph c = c.c_graph
+let compiled_kernel c i = c.c_kernels.(i)
 
-let compiled_config c = c.c_config
+let compiled_capacity c id = c.c_capacities.(id)
 
 (* Every net must end wiring with at least one producer and one consumer
    on its queue: a producer-less queue never closes (its readers would
@@ -271,8 +269,6 @@ let new_instance ?(tap = no_taps) ?(local = no_local) (c : compiled) =
                       Port.r_name = pname;
                       r_dtype = spec.Kernel.dtype;
                       r_get = (fun () -> Bqueue.get cns);
-                      r_peek = (fun () -> Bqueue.peek cns);
-                      r_available = (fun () -> Bqueue.available cns);
                       r_get_block = (fun n -> Bqueue.get_block cns n);
                       r_get_floats = Bqueue.get_floats cns;
                       r_get_ints = Bqueue.get_ints cns;

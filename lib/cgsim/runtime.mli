@@ -36,19 +36,6 @@ type compiled
 
 exception Runtime_error of string
 
-(** Pre-flight lint behaviour, re-exported from {!Run_config}: [`Off]
-    skips the analysis, [`Warn] (the default) prints warning/error
-    findings to stderr and proceeds, [`Error] refuses to run a graph
-    with error-level findings (raising {!Runtime_error} before any
-    kernel body executes). *)
-type lint_level = Run_config.lint_level
-
-(** Run {!Lint.run} on a graph at the given level without compiling it —
-    the pre-flight {!compile} performs, exposed for backends (x86sim)
-    that execute a graph without a compiled artifact.  Raises
-    {!Runtime_error} at [`Error] when any finding is error-level. *)
-val preflight : lint:lint_level -> Serialized.t -> unit
-
 (** A source of port taps: [src inst port_idx name] is the tap for port
     [port_idx] (indexing [inst.ports]) of kernel instance [inst], whose
     port name ([r_name]/[w_name], ["<instance>.<port>"]) is [name], or
@@ -127,9 +114,10 @@ val instantiate :
     [compile g] does the per-graph work once, in order:
     - structural validation and registry resolution ({!Runtime_error}
       on an invalid graph or an unregistered kernel key);
-    - the pre-flight {!Lint.run} at [config.lint] ({!preflight}): at
-      [`Error] a graph with error-level findings is refused here,
-      before any kernel body runs;
+    - the pre-flight {!Lint.run} at [config.lint]: [`Warn] prints
+      warning- and error-level findings to stderr, and at [`Error] a
+      graph with error-level findings is refused here, before any
+      kernel body runs;
     - per-net queue capacities, raised to {!Capacity.suggest}'s
       minimal deadlock-free depths when [config.auto_capacity] is on;
     - the per-kernel profiler keys.
@@ -138,9 +126,13 @@ val instantiate :
     An exception raised inside an analysis pass propagates unchanged. *)
 val compile : ?config:Run_config.t -> Serialized.t -> compiled
 
-val compiled_graph : compiled -> Serialized.t
+(** What another backend reads from a compiled graph (x86sim builds its
+    own queues and threads from it): the registry-resolved kernel of
+    instance [i] (indexing [kernels]), and the queue capacity resolved
+    for net [id]. *)
+val compiled_kernel : compiled -> int -> Kernel.t
 
-val compiled_config : compiled -> Run_config.t
+val compiled_capacity : compiled -> int -> int
 
 (** [new_instance c] builds the per-request state: queues at the
     compiled capacities, all kernel and global-I/O endpoints registered

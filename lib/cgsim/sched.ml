@@ -256,8 +256,6 @@ let set_stop t reason =
 
 let cancel t = set_stop t Cancel_requested
 
-let cancel_requested t = t.stop <> None
-
 (* Handler installed around every fiber body.  Park and Yield capture the
    one-shot continuation and stash it on the task record. *)
 let fiber_handler (t : t) (task : task) : (unit, unit) handler =

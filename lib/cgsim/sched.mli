@@ -112,9 +112,6 @@ val run : ?deadline_ns:float -> ?max_steps:int -> t -> stats
     before {!run}.  Idempotent; the first stop reason wins. *)
 val cancel : t -> unit
 
-(** Whether the stop token is set (any reason). *)
-val cancel_requested : t -> bool
-
 (** Number of fibers currently parked (diagnostic). *)
 val parked_count : t -> int
 

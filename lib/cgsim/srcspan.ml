@@ -27,17 +27,3 @@ let to_string t = Printf.sprintf "%s:%d:%d" t.file t.line t.col
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let to_compact t = Printf.sprintf "%s:%d:%d:%d:%d" t.file t.line t.col t.end_line t.end_col
-
-let of_compact s =
-  (* The file name may itself contain ':'; the last four fields are the
-     numbers. *)
-  match List.rev (String.split_on_char ':' s) with
-  | ec :: el :: c :: l :: (_ :: _ as file_rev) -> begin
-    match
-      int_of_string_opt ec, int_of_string_opt el, int_of_string_opt c, int_of_string_opt l
-    with
-    | Some end_col, Some end_line, Some col, Some line ->
-      Some { file = String.concat ":" (List.rev file_rev); line; col; end_line; end_col }
-    | _ -> None
-  end
-  | _ -> None

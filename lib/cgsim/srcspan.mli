@@ -26,10 +26,6 @@ val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-(** Compact codec used by the textual graph format:
-    "file:line:col:end_line:end_col".  [of_compact] accepts the same
-    form back; file names containing ':' round-trip because the four
-    numeric fields are taken from the right. *)
+(** The whole span as the textual graph dump ({!Graph_text}) prints it:
+    "file:line:col:end_line:end_col". *)
 val to_compact : t -> string
-
-val of_compact : string -> t option

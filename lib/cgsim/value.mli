@@ -1,10 +1,9 @@
 (** Dynamically-typed stream element values.
 
     The simulator core is monomorphic over {!t}: every queue carries tagged
-    values that are checked against the net's {!Dtype.t} when written.  A
-    typed facade ({!Codec}) lets kernel code work with ordinary OCaml
-    values; the dynamic core is what makes the flattened serialized graph
-    form ({!Serialized}) self-contained, mirroring the paper's
+    values that are checked against the net's {!Dtype.t} when written.
+    The dynamic core is what makes the flattened serialized graph form
+    ({!Serialized}) self-contained, mirroring the paper's
     compile-time-to-runtime data transfer. *)
 
 type t =

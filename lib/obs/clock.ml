@@ -34,5 +34,3 @@ let now_ns () =
    anywhere in the process (the cgsim scheduler calls it twice per
    slice), which is all coarse consumers like the flight recorder need. *)
 let cached_ns () = float_of_int (Atomic.get last)
-
-let epoch_s () = epoch

@@ -14,7 +14,3 @@ val now_ns : unit -> float
     where slice-granular timestamps suffice and a syscall per event
     would dominate. *)
 val cached_ns : unit -> float
-
-(** The gettimeofday origin (seconds since the Unix epoch) that
-    [now_ns] is relative to, for correlating with external logs. *)
-val epoch_s : unit -> float

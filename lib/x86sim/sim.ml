@@ -30,14 +30,12 @@ let outcome_label = function
 let deep_stream_depth = 4096
 
 let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~sinks =
-  (match Cgsim.Serialized.validate_diags g with
-   | [] -> ()
-   | diags ->
-     fail "invalid graph %s: %s" g.gname
-       (String.concat "; " (List.map Cgsim.Diagnostic.render diags)));
-  (* Same pre-flight static analysis as the cgsim runtime; the threaded
-     backend shares the structural hazards (e.g. shared kernel state). *)
-  Cgsim.Runtime.preflight ~lint:config.Cgsim.Run_config.lint g;
+  (* Validation, registry lookup, the pre-flight lint and per-net depths
+     are cgsim's compile; capacity synthesis does not apply here. *)
+  let compiled =
+    try Cgsim.Runtime.compile ~config:(Cgsim.Run_config.with_auto_capacity false config) g
+    with Cgsim.Runtime.Runtime_error msg -> raise (X86sim_error msg)
+  in
   let n_in = Array.length g.input_order and n_out = Array.length g.output_order in
   if List.length sources <> n_in then
     fail "graph %s has %d global inputs but %d sources were supplied" g.gname n_in
@@ -46,9 +44,8 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
     fail "graph %s has %d global outputs but %d sinks were supplied" g.gname n_out
       (List.length sinks);
   let queues =
-    Array.map
-      (fun (n : Cgsim.Serialized.net) ->
-        let elem_bytes = Cgsim.Dtype.size_bytes n.dtype in
+    Array.mapi
+      (fun id (n : Cgsim.Serialized.net) ->
         let capacity =
           match config.Cgsim.Run_config.queue_capacity with
           | Some c -> c
@@ -56,7 +53,7 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
             (* The functional simulator buffers deeply in host memory
                (threads should block rarely); hardware-fidelity depths
                only matter to aiesim. *)
-            max deep_stream_depth (Cgsim.Settings.resolved_depth ~elem_bytes n.settings)
+            max deep_stream_depth (Cgsim.Runtime.compiled_capacity compiled id)
         in
         Tqueue.create ~name:(Printf.sprintf "%s/net%d" g.gname n.net_id) ~dtype:n.dtype ~capacity ())
       g.nets
@@ -78,13 +75,9 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
   in
   let bodies = ref [] in
   (* Wire kernels. *)
-  Array.iter
-    (fun (inst : Cgsim.Serialized.kernel_inst) ->
-      let kernel =
-        match Cgsim.Registry.find inst.key with
-        | Some k -> k
-        | None -> fail "graph %s references unregistered kernel %s" g.gname inst.key
-      in
+  Array.iteri
+    (fun idx (inst : Cgsim.Serialized.kernel_inst) ->
+      let kernel = Cgsim.Runtime.compiled_kernel compiled idx in
       let readers = ref [] and writers = ref [] and producers = ref [] in
       Array.iteri
         (fun port_idx (spec : Cgsim.Kernel.port_spec) ->
@@ -97,8 +90,6 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
                 Cgsim.Port.r_name = Printf.sprintf "%s.%s" inst.inst_name spec.Cgsim.Kernel.pname;
                 r_dtype = spec.Cgsim.Kernel.dtype;
                 r_get = (fun () -> Tqueue.get c);
-                r_peek = (fun () -> Tqueue.peek c);
-                r_available = (fun () -> Tqueue.available c);
                 r_get_block = (fun n -> Tqueue.get_block c n);
                 r_get_floats = Tqueue.get_floats c;
                 r_get_ints = Tqueue.get_ints c;

@@ -57,8 +57,11 @@ val outcome_label : outcome -> string
     expiry or first failure, joining every kernel domain (and the
     watchdog domain, spawned only when a deadline is set) before
     returning.
-    Wiring errors (invalid graph, wrong source/sink counts, unregistered
-    kernels) raise {!X86sim_error} up front. *)
+    The graph is compiled by {!Cgsim.Runtime.compile} (validation,
+    registry lookup, pre-flight lint, per-net depths), so an invalid
+    graph, an unregistered kernel or an [`Error]-level lint finding
+    raises {!X86sim_error} up front with cgsim's message; so do wrong
+    source/sink counts. *)
 val run :
   ?config:Cgsim.Run_config.t ->
   Cgsim.Serialized.t ->

@@ -101,8 +101,6 @@ let poison q =
         Condition.broadcast q.nonfull
       end)
 
-let is_poisoned q = with_lock q (fun () -> q.poisoned)
-
 (* Measured condition wait: attributes blocked time both to the queue
    endpoint and to the calling OS thread (the per-thread lock-wait
    breakdown Table 2's x86sim/cgsim comparison is really about).  The
@@ -182,12 +180,6 @@ let pull q s =
     shut q;
     raise (Endpoint_failed (s.s_name, exn))
 
-(* The non-blocking pull of [peek] and [available]. *)
-let pull_if_empty q c =
-  match q.source with
-  | Some s when c.cur.Ring.pos >= q.ring.Ring.head && (not q.closed) && not (full q) -> pull q s
-  | _ -> ()
-
 let wait_space q =
   timed_wait ~key:q.k_wput q.nonfull q (fun () -> full q && not q.closed);
   if q.closed then invalid_arg ("x86sim: put on closed queue " ^ name q)
@@ -264,18 +256,6 @@ let get_loop c n copy =
           filled := !filled + take
         done)
 
-(* Wait for data, then run [read take] with the lock held and retire
-   what it read: [take] is between 1 and [max] available elements. *)
-let read_some c ~max read =
-  if max <= 0 then invalid_arg "x86sim: get_some needs a positive max";
-  let q = c.c_queue in
-  with_lock q (fun () ->
-      if not (wait_data q c) then raise Cgsim.Sched.End_of_stream;
-      let take = min (q.ring.Ring.head - c.cur.Ring.pos) max in
-      let out = read take in
-      advance q c.cur take;
-      out)
-
 let check_count n = if n < 0 then invalid_arg "x86sim: get_block with negative count"
 
 let put_block p vs =
@@ -290,12 +270,6 @@ let get_block c n =
   get_loop c n (Ring.read_values c.c_queue.ring c.cur out);
   out
 
-let get_some c ~max =
-  read_some c ~max (fun n ->
-      let out = Array.make n (Cgsim.Value.Int 0) in
-      Ring.read_values c.c_queue.ring c.cur out 0 n;
-      out)
-
 (* {1 Unboxed block transfers} — flat payloads, same locking discipline;
    dtype and int range are checked on the whole block before the lock. *)
 
@@ -308,13 +282,6 @@ let get_floats c dst =
   Ring.require_float c.c_queue.ring "float block read";
   get_loop c (Array.length dst) (Ring.read_floats c.c_queue.ring c.cur dst)
 
-(* The flat drains fill the caller's buffer and return the count. *)
-let get_floats_into c dst =
-  Ring.require_float c.c_queue.ring "float block read";
-  read_some c ~max:(Array.length dst) (fun n ->
-      Ring.read_floats c.c_queue.ring c.cur dst 0 n;
-      n)
-
 let put_ints p is =
   let q = p.p_queue in
   Ring.require_int q.ring "int block write";
@@ -325,27 +292,6 @@ let get_ints c dst =
   Ring.require_int c.c_queue.ring "int block read";
   get_loop c (Array.length dst) (Ring.read_ints c.c_queue.ring c.cur dst)
 
-let get_ints_into c dst =
-  Ring.require_int c.c_queue.ring "int block read";
-  read_some c ~max:(Array.length dst) (fun n ->
-      Ring.read_ints c.c_queue.ring c.cur dst 0 n;
-      n)
-
-let peek c =
-  let q = c.c_queue in
-  with_lock q (fun () ->
-      check_poison q;
-      pull_if_empty q c;
-      if c.cur.Ring.pos < q.ring.Ring.head then Some (Ring.peek q.ring c.cur)
-      else if q.closed then raise Cgsim.Sched.End_of_stream
-      else None)
-
-let available c =
-  let q = c.c_queue in
-  with_lock q (fun () ->
-      pull_if_empty q c;
-      q.ring.Ring.head - c.cur.Ring.pos)
-
 let producer_done p =
   if p.open_ then begin
     p.open_ <- false;
@@ -354,8 +300,6 @@ let producer_done p =
         q.producers_open <- q.producers_open - 1;
         if q.producers_open <= 0 then close q)
   end
-
-let total_put q = with_lock q (fun () -> q.ring.Ring.head)
 
 (* Advisory free space: stale by the time the caller acts on it, which
    is fine — block writes re-check under the lock.  A full ring drains

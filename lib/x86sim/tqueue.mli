@@ -15,7 +15,8 @@
     by the reader that finds the queue empty, and a sink attached with
     {!attach_sink} is filled by the writer that finds the queue full or
     closes it.  Both copy through {!Cgsim.Io.transfer} and
-    {!Cgsim.Io.emit}. *)
+    {!Cgsim.Io.emit}.  So the queue offers only the transfers a kernel
+    port makes, and none of {!Cgsim.Bqueue}'s drain forms. *)
 
 type t
 
@@ -38,8 +39,7 @@ val put : producer -> Cgsim.Value.t -> unit
 
 val get : consumer -> Cgsim.Value.t
 (** Blocks while empty; raises {!Cgsim.Sched.End_of_stream} when closed
-    and drained.  Every read (and {!peek}, {!available}) on an empty
-    source net pulls first. *)
+    and drained.  Every read on an empty source net pulls first. *)
 
 (** {1 Block transfers}
 
@@ -57,11 +57,6 @@ val get_block : consumer -> int -> Cgsim.Value.t array
     the queue closes mid-block (elements consumed so far stay consumed,
     like the element loop). *)
 
-val get_some : consumer -> max:int -> Cgsim.Value.t array
-(** Read between 1 and [max] immediately-available elements, blocking
-    only while the queue is empty; raises {!Cgsim.Sched.End_of_stream}
-    when closed and drained. *)
-
 (** {1 Unboxed block transfers}
 
     Flat-payload variants with the same locking, chunking and
@@ -77,21 +72,10 @@ val put_floats : producer -> float array -> unit
     empty. *)
 val get_floats : consumer -> float array -> unit
 
-(** [get_floats_into c dst]: the flat drain.  Like {!get_some}, but
-    fills [dst] with between 1 and its length elements and returns the
-    count, so a caller reuses one buffer. *)
-val get_floats_into : consumer -> float array -> int
-
 val put_ints : producer -> int array -> unit
 
 (** [get_ints c dst]: the integer counterpart of {!get_floats}. *)
 val get_ints : consumer -> int array -> unit
-
-val get_ints_into : consumer -> int array -> int
-
-val peek : consumer -> Cgsim.Value.t option
-
-val available : consumer -> int
 
 (** The last producer closes the queue and pushes what is left into the
     sinks, so it can raise {!Endpoint_failed}. *)
@@ -134,10 +118,6 @@ val flush : t -> unit
     all queues when the wall-clock budget expires, so the per-kernel OS
     threads unwind at their next queue touch.  Idempotent, thread-safe. *)
 val poison : t -> unit
-
-val is_poisoned : t -> bool
-
-val total_put : t -> int
 
 val space : t -> int
 (** Advisory free space (capacity minus in-flight elements), taken under

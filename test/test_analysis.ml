@@ -742,43 +742,25 @@ let test_examples_lint_clean () =
 (* Srcspan plumbing                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let test_srcspan_compact_roundtrip () =
-  let span =
-    Cgsim.Srcspan.make ~file:"dir/with:colon.cgc" ~line:12 ~col:3 ~end_line:14 ~end_col:1 ()
-  in
-  match Cgsim.Srcspan.of_compact (Cgsim.Srcspan.to_compact span) with
-  | Some back -> Alcotest.(check bool) "round-trips" true (Cgsim.Srcspan.equal span back)
-  | None -> Alcotest.fail "compact form did not parse back"
-
-let test_graph_text_src_roundtrip () =
+(* The graph dump prints every kernel's and net's span whole. *)
+let test_graph_text_src_lines () =
   let env = Cgc.Driver.analyze_string ~file:"fanout.cgc" fanout_cgc in
   match Cgc.Sema.graphs env with
   | [ g ] ->
     let serialized = Cgc.Consteval.eval_graph env g in
     let text = Cgsim.Graph_text.to_string serialized in
-    Alcotest.(check bool) "text carries src lines" true (contains "src fanout.cgc:" text);
-    let back =
-      match Cgsim.Graph_text.of_string text with
-      | Ok back -> back
-      | Error e -> Alcotest.failf "graph text did not parse back: %s" e
+    let check what = function
+      | Some span ->
+        let line = "  src " ^ Cgsim.Srcspan.to_compact span ^ "\n" in
+        Alcotest.(check bool) (what ^ " src line") true (contains line text)
+      | None -> Alcotest.failf "%s has no span" what
     in
-    Alcotest.(check bool) "same topology" true
-      (Cgsim.Serialized.equal_topology serialized back);
     Array.iteri
       (fun i (ki : Cgsim.Serialized.kernel_inst) ->
-        Alcotest.(check bool)
-          (Printf.sprintf "kernel %d src survives" i)
-          true
-          (Option.equal Cgsim.Srcspan.equal ki.Cgsim.Serialized.src
-             back.Cgsim.Serialized.kernels.(i).Cgsim.Serialized.src))
+        check (Printf.sprintf "kernel %d" i) ki.Cgsim.Serialized.src)
       serialized.Cgsim.Serialized.kernels;
     Array.iteri
-      (fun i (n : Cgsim.Serialized.net) ->
-        Alcotest.(check bool)
-          (Printf.sprintf "net %d src survives" i)
-          true
-          (Option.equal Cgsim.Srcspan.equal n.Cgsim.Serialized.src
-             back.Cgsim.Serialized.nets.(i).Cgsim.Serialized.src))
+      (fun i (n : Cgsim.Serialized.net) -> check (Printf.sprintf "net %d" i) n.Cgsim.Serialized.src)
       serialized.Cgsim.Serialized.nets
   | gs -> Alcotest.failf "expected one graph, got %d" (List.length gs)
 
@@ -844,7 +826,6 @@ let () =
         ] );
       ( "srcspan",
         [
-          Alcotest.test_case "compact round-trip" `Quick test_srcspan_compact_roundtrip;
-          Alcotest.test_case "graph-text src round-trip" `Quick test_graph_text_src_roundtrip;
+          Alcotest.test_case "graph-text src lines" `Quick test_graph_text_src_lines;
         ] );
     ]
