@@ -52,18 +52,21 @@ let run_one ?scale (h : Apps.Harness.t) =
   let _, cgsim_s =
     wall (fun () -> Cgsim.Runtime.execute_exn (h.graph ()) ~sources:(h.sources ~reps) ~sinks)
   in
-  (* Functional spot-check on the cgsim run, outside its timing, keeps
-     the timing loop honest without re-checking the other two runs
-     (their outputs are covered by the test suite). *)
-  (match h.check ~reps (contents ()) with
-   | Ok () -> ()
-   | Error e -> failwith (h.name ^ ": " ^ e));
-  (* x86sim *)
-  let (), x86sim_s =
-    wall (fun () ->
-        let sinks, _ = h.make_sinks () in
-        ignore (X86sim.Sim.run_exn (h.graph ()) ~sources:(h.sources ~reps) ~sinks))
+  (* Functional checks of the cgsim and x86sim runs, each outside its
+     timing, so a wrong or truncated output cannot print a cell; aiesim's
+     values are checked by the test suite. *)
+  let check sim contents =
+    match h.check ~reps (contents ()) with
+    | Ok () -> ()
+    | Error e -> failwith (Printf.sprintf "%s under %s: %s" h.name sim e)
   in
+  check "cgsim" contents;
+  (* x86sim *)
+  let sinks, contents = h.make_sinks () in
+  let (), x86sim_s =
+    wall (fun () -> ignore (X86sim.Sim.run_exn (h.graph ()) ~sources:(h.sources ~reps) ~sinks))
+  in
+  check "x86sim" contents;
   (* aiesim, reduced reps, extrapolated *)
   let aiesim_reps = max 4 (reps / aiesim_divisor) in
   let (), aiesim_raw_s =

@@ -336,8 +336,6 @@ let get_ints_into c dst =
   advance c len;
   len
 
-let available c = c.c_queue.ring.Ring.head - c.cur.Ring.pos
-
 let producer_done p =
   if p.open_ then begin
     p.open_ <- false;

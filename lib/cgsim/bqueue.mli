@@ -145,6 +145,3 @@ val producer_done : producer -> unit
 
 (** Elements written over the queue's lifetime (diagnostic/metric). *)
 val total_put : t -> int
-
-(** Elements this consumer still has buffered. *)
-val available : consumer -> int

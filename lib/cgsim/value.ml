@@ -80,9 +80,12 @@ let rec compile_check = function
      | None -> ( function Int _ -> true | Float _ | Vec _ | Rec _ -> false))
   | Dtype.Vector (e, lanes) ->
     let ce = compile_check e in
+    (* A loop built once here: [Array.for_all] allocates its own per
+       call, and queues check every element they store. *)
+    let rec lanes_ok a i = i >= lanes || (ce (Array.unsafe_get a i) && lanes_ok a (i + 1)) in
     fun v ->
       (match v with
-       | Vec a -> Array.length a = lanes && Array.for_all ce a
+       | Vec a -> Array.length a = lanes && lanes_ok a 0
        | Float _ | Int _ | Rec _ -> false)
   | Dtype.Struct fields ->
     let compiled = List.map (fun (fn, ft) -> fn, compile_check ft) fields in

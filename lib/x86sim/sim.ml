@@ -78,13 +78,15 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
   Array.iteri
     (fun idx (inst : Cgsim.Serialized.kernel_inst) ->
       let kernel = Cgsim.Runtime.compiled_kernel compiled idx in
+      (* The producer wakes this kernel's reads defer (see Tqueue). *)
+      let w = Tqueue.waker () in
       let readers = ref [] and writers = ref [] and producers = ref [] in
       Array.iteri
         (fun port_idx (spec : Cgsim.Kernel.port_spec) ->
           let q = queues.(inst.port_nets.(port_idx)) in
           match spec.Cgsim.Kernel.dir with
           | Cgsim.Kernel.In ->
-            let c = Tqueue.add_consumer q in
+            let c = Tqueue.add_consumer w q in
             readers :=
               {
                 Cgsim.Port.r_name = Printf.sprintf "%s.%s" inst.inst_name spec.Cgsim.Kernel.pname;
@@ -96,7 +98,7 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
               }
               :: !readers
           | Cgsim.Kernel.Out ->
-            let p = Tqueue.add_producer q in
+            let p = Tqueue.add_producer w q in
             producers := p :: !producers;
             writers :=
               {
@@ -106,7 +108,7 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
                 w_put_block = Tqueue.put_block p;
                 w_put_floats = Tqueue.put_floats p;
                 w_put_ints = Tqueue.put_ints p;
-                w_space = (fun () -> Tqueue.space q);
+                w_space = (fun () -> Tqueue.space p);
               }
               :: !writers)
         inst.ports;
@@ -119,6 +121,8 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
       let ps = !producers in
       let body () =
         guard inst.inst_name (fun () -> kernel.Cgsim.Kernel.body binding);
+        (* A writer may still wait on a wake this kernel deferred. *)
+        Tqueue.deliver w;
         (* Its output nets lose one producer each; the last one closes a
            net, and closure propagates downstream. *)
         List.iter (fun p -> guard inst.inst_name (fun () -> Tqueue.producer_done p)) ps

@@ -18,6 +18,12 @@
     and sinks never box on it.  A source net no kernel reads is moved on
     the calling domain after the kernels finish.
 
+    Each kernel gets one {!Tqueue.waker} for the writer wakes its reads
+    defer: a read that leaves less than half a ring free wakes the
+    blocked writer later, when the kernel next waits on a queue, reads
+    0 from its writer's space, or ends its body, so a writer refills
+    half a ring per wake instead of one slot.
+
     Execution knobs come from the shared {!Cgsim.Run_config.t}; the
     fields that make sense here are [queue_capacity], [lint] and
     [deadline_ns] (enforced by a watchdog that poisons every {!Tqueue}

@@ -6,7 +6,15 @@
    into the ring by the reader that finds its cursor at [head] (pull on
    empty); an attached sink is a cursor the writers drain into the sink
    when a put finds the ring full and when the last producer closes the
-   queue (push on full). *)
+   queue (push on full).
+
+   Writers blocked on a full ring are woken in batches.  A kernel's
+   retirement that leaves at least half the ring free broadcasts
+   [nonfull] at once; a smaller one marks the reading cursor as owing a
+   wake in its kernel's [waker], and the kernel delivers what it owes
+   before it waits on any queue, when its writer's [space] reads 0 and
+   when its body ends.  The ring state is always current, so a writer
+   still waits only while the ring is full; only its wake is late. *)
 
 module Ring = Cgsim.Ring
 
@@ -43,11 +51,21 @@ type t = {
 and consumer = {
   c_queue : t;
   cur : Ring.cursor;
+  c_waker : waker;
+  mutable c_owes : bool;  (* retired elements since this cursor last woke the writers *)
 }
 
 and producer = {
   p_queue : t;
+  p_waker : waker;
   mutable open_ : bool;
+}
+
+(* One per kernel, touched only by the kernel's own domain: its
+   cursors, and whether any of them owes the writers a wake. *)
+and waker = {
+  mutable mine : consumer list;
+  mutable owes : bool;
 }
 
 let create ~name ~dtype ~capacity () =
@@ -69,18 +87,64 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
+(* The exception-safe unlock of the per-element paths, which take the
+   lock directly rather than through [with_lock]'s closure. *)
+let unlock_reraise q exn =
+  let bt = Printexc.get_raw_backtrace () in
+  Mutex.unlock q.lock;
+  Printexc.raise_with_backtrace exn bt
+
 let name q = q.ring.Ring.name
 
-let add_consumer q = with_lock q (fun () -> { c_queue = q; cur = Ring.add_cursor q.ring })
+let waker () = { mine = []; owes = false }
 
-let add_producer q =
+let add_consumer w q =
+  with_lock q (fun () ->
+      let c = { c_queue = q; cur = Ring.add_cursor q.ring; c_waker = w; c_owes = false } in
+      w.mine <- c :: w.mine;
+      c)
+
+let add_producer w q =
   with_lock q (fun () ->
       if q.closed then invalid_arg ("x86sim: adding producer to closed queue " ^ name q);
       q.producers_open <- q.producers_open + 1;
-      { p_queue = q; open_ = true })
+      { p_queue = q; p_waker = w; open_ = true })
 
-(* Call with the lock held after [cur] read [n] elements: producers are
-   woken only when the retirement point actually moved. *)
+(* Call with no queue lock held: one queue lock at a time, so delivery
+   cannot deadlock against another kernel's. *)
+let deliver w =
+  if w.owes then begin
+    w.owes <- false;
+    List.iter
+      (fun c ->
+        if c.c_owes then begin
+          c.c_owes <- false;
+          let q = c.c_queue in
+          Mutex.lock q.lock;
+          Condition.broadcast q.nonfull;
+          Mutex.unlock q.lock
+        end)
+      w.mine
+  end
+
+(* Call with the lock held once [c]'s read moved the retirement point:
+   wake the writers now if at least half the ring is free, else owe
+   them the wake. *)
+let wake_or_owe q c =
+  if 2 * Ring.space q.ring >= q.ring.Ring.cap then Condition.broadcast q.nonfull
+  else begin
+    c.c_owes <- true;
+    c.c_waker.owes <- true
+  end
+
+(* Call with the lock held after consumer [c] read [n] elements. *)
+let retire q c n =
+  let before = q.ring.Ring.retired in
+  Ring.advance q.ring c.cur n;
+  if q.ring.Ring.retired > before then wake_or_owe q c
+
+(* A sink cursor's reads wake the writers at once: the writer that
+   pushes is the one that would wait. *)
 let advance q cur n =
   let before = q.ring.Ring.retired in
   Ring.advance q.ring cur n;
@@ -105,27 +169,34 @@ let poison q =
    endpoint and to the calling OS thread (the per-thread lock-wait
    breakdown Table 2's x86sim/cgsim comparison is really about).  The
    span is emitted only when the caller actually had to wait, so an
-   uncontended run traces nothing here. *)
-let timed_wait ~key cond q predicate =
+   uncontended run traces nothing here.  Before each wait the caller
+   delivers the wakes its kernel [w] owes, outside [q]'s lock, and then
+   re-checks: a writer it stranded may be the one that would wake it. *)
+let timed_wait ~key cond q w predicate =
   (* Poison ends any wait: the loop predicate drops out and the trailing
      check raises, whether or not the caller ever blocked. *)
   let predicate () = predicate () && not q.poisoned in
+  let block () =
+    while predicate () do
+      if w.owes then begin
+        Mutex.unlock q.lock;
+        deliver w;
+        Mutex.lock q.lock
+      end
+      else Condition.wait cond q.lock
+    done
+  in
   if predicate () then begin
     if !Obs.Trace.on then begin
       let track = Obs.Trace.thread_label () in
       let t0 = Obs.Trace.now_ns () in
-      while predicate () do
-        Condition.wait cond q.lock
-      done;
+      block ();
       let dt = Obs.Trace.now_ns () -. t0 in
       Obs.Trace.span ~track ~cat:"queue" ~name:key ~ts_ns:t0 ~dur_ns:dt ();
       Obs.Trace.observe_ns key dt;
       Obs.Trace.observe_ns ("x86.wait:" ^ track) dt
     end
-    else
-      while predicate () do
-        Condition.wait cond q.lock
-      done
+    else block ()
   end;
   check_poison q
 
@@ -180,8 +251,8 @@ let pull q s =
     shut q;
     raise (Endpoint_failed (s.s_name, exn))
 
-let wait_space q =
-  timed_wait ~key:q.k_wput q.nonfull q (fun () -> full q && not q.closed);
+let wait_space q w =
+  timed_wait ~key:q.k_wput q.nonfull q w (fun () -> full q && not q.closed);
   if q.closed then invalid_arg ("x86sim: put on closed queue " ^ name q)
 
 (* Wait for data; [false] when the queue closed and [c] drained it.  On
@@ -191,13 +262,13 @@ let wait_space q =
 let wait_data q c =
   let at_head () = c.cur.Ring.pos >= q.ring.Ring.head && not q.closed in
   (match q.source with
-   | None -> timed_wait ~key:q.k_wget q.nonempty q at_head
+   | None -> timed_wait ~key:q.k_wget q.nonempty q c.c_waker at_head
    | Some s ->
      while
        check_poison q;
        at_head ()
      do
-       timed_wait ~key:q.k_wget q.nonfull q (fun () -> at_head () && full q);
+       timed_wait ~key:q.k_wget q.nonfull q c.c_waker (fun () -> at_head () && full q);
        if at_head () then pull q s
      done);
   c.cur.Ring.pos < q.ring.Ring.head
@@ -205,28 +276,42 @@ let wait_data q c =
 let check_open p =
   if not p.open_ then invalid_arg ("x86sim: put on finished producer of " ^ name p.p_queue)
 
+(* The element transfers allocate nothing when they need not wait: the
+   wait, with its predicate closures, is entered only when the ring is
+   full (or empty), closed or poisoned. *)
 let put p v =
   let q = p.p_queue in
   check_open p;
   if not (q.ring.Ring.check v) then Ring.reject q.ring v;
-  with_lock q (fun () ->
-      wait_space q;
-      Ring.push q.ring v;
-      Condition.broadcast q.nonempty)
+  Mutex.lock q.lock;
+  match
+    if q.poisoned || q.closed || Ring.space q.ring <= 0 then wait_space q p.p_waker;
+    Ring.push q.ring v;
+    Condition.broadcast q.nonempty
+  with
+  | () -> Mutex.unlock q.lock
+  | exception exn -> unlock_reraise q exn
 
 let get c =
   let q = c.c_queue in
-  with_lock q (fun () ->
-      if not (wait_data q c) then raise Cgsim.Sched.End_of_stream;
-      let before = q.ring.Ring.retired in
-      let v = Ring.take q.ring c.cur in
-      if q.ring.Ring.retired > before then Condition.broadcast q.nonfull;
-      v)
+  Mutex.lock q.lock;
+  match
+    if (q.poisoned || c.cur.Ring.pos >= q.ring.Ring.head) && not (wait_data q c) then
+      raise Cgsim.Sched.End_of_stream;
+    let before = q.ring.Ring.retired in
+    let v = Ring.take q.ring c.cur in
+    if q.ring.Ring.retired > before then wake_or_owe q c;
+    v
+  with
+  | v ->
+    Mutex.unlock q.lock;
+    v
+  | exception exn -> unlock_reraise q exn
 
 (* Chunk loops: one lock acquisition for the whole block (condition
-   waits release it while blocked), the other side woken once per
-   stored/retired chunk.  [copy off len] moves [len] payload elements
-   starting at [off] into/out of the ring. *)
+   waits release it while blocked); readers are woken once per stored
+   chunk, writers by [retire]'s rule.  [copy off len] moves [len]
+   payload elements starting at [off] into/out of the ring. *)
 let put_loop p len copy =
   let q = p.p_queue in
   check_open p;
@@ -234,7 +319,7 @@ let put_loop p len copy =
     with_lock q (fun () ->
         let off = ref 0 in
         while !off < len do
-          wait_space q;
+          wait_space q p.p_waker;
           let chunk = min (Ring.space q.ring) (len - !off) in
           copy !off chunk;
           off := !off + chunk;
@@ -252,7 +337,7 @@ let get_loop c n copy =
           if not (wait_data q c) then raise Cgsim.Sched.End_of_stream;
           let take = min (q.ring.Ring.head - c.cur.Ring.pos) (n - !filled) in
           copy !filled take;
-          advance q c.cur take;
+          retire q c take;
           filled := !filled + take
         done)
 
@@ -303,11 +388,17 @@ let producer_done p =
 
 (* Advisory free space: stale by the time the caller acts on it, which
    is fine — block writes re-check under the lock.  A full ring drains
-   its sinks first, so a writer that polls [space] still progresses. *)
-let space q =
-  with_lock q (fun () ->
-      ignore (full q);
-      Ring.space q.ring)
+   its sinks first, and a writer that reads 0 delivers the wakes its
+   kernel owes, so a writer that polls [space] still progresses. *)
+let space p =
+  let q = p.p_queue in
+  let n =
+    with_lock q (fun () ->
+        ignore (full q);
+        Ring.space q.ring)
+  in
+  if n <= 0 then deliver p.p_waker;
+  n
 
 (* {1 Attaching global I/O} *)
 

@@ -16,7 +16,16 @@
     {!attach_sink} is filled by the writer that finds the queue full or
     closes it.  Both copy through {!Cgsim.Io.transfer} and
     {!Cgsim.Io.emit}.  So the queue offers only the transfers a kernel
-    port makes, and none of {!Cgsim.Bqueue}'s drain forms. *)
+    port makes, and none of {!Cgsim.Bqueue}'s drain forms.
+
+    Readers are woken once per stored chunk.  Writers blocked on a full
+    ring are woken in batches: a kernel's read that leaves at least half
+    the ring free wakes them at once, and a smaller one is owed in the
+    kernel's {!waker}.  The kernel delivers what it owes before it
+    waits on any queue, when its writer's {!space} reads 0, and (through
+    {!deliver}) when its body ends.  The ring's free space is always
+    current, so a writer waits only while the ring is full, and no
+    kernel blocks while it owes a wake. *)
 
 type t
 
@@ -24,15 +33,27 @@ type consumer
 
 type producer
 
+(** The wakes one kernel owes the writers of the nets it reads.  Make
+    one per kernel (per thread) and give it to every endpoint that
+    kernel adds; only that thread may use the endpoints. *)
+type waker
+
 (** Storage follows the dtype ({!Cgsim.Ring}): scalar dtypes get
     bigarray storage, so the unboxed block transfers below move native
     memory; aggregate dtypes box.  F32 rings round stored values as
     {!Cgsim.Value.round_f32}. *)
 val create : name:string -> dtype:Cgsim.Dtype.t -> capacity:int -> unit -> t
 
-val add_consumer : t -> consumer
+val waker : unit -> waker
 
-val add_producer : t -> producer
+val add_consumer : waker -> t -> consumer
+
+val add_producer : waker -> t -> producer
+
+(** [deliver w] wakes the writers of every net on which [w]'s kernel
+    retired elements without waking them.  {!Sim.run} calls it when a
+    kernel's body ends or fails, with no queue operation in progress. *)
+val deliver : waker -> unit
 
 val put : producer -> Cgsim.Value.t -> unit
 (** Blocks while full. *)
@@ -46,7 +67,8 @@ val get : consumer -> Cgsim.Value.t
     Semantically equivalent to element loops, but each call takes the
     queue lock once for the whole block (condition waits release it while
     blocked), moves contiguous ring slices with at most two array blits
-    per chunk, and wakes the other side once per stored/retired chunk. *)
+    per chunk, and wakes readers once per stored chunk (writers by the
+    half-capacity rule above). *)
 
 val put_block : producer -> Cgsim.Value.t array -> unit
 (** Store a whole block, chunking by available space; blocks larger than
@@ -119,8 +141,9 @@ val flush : t -> unit
     threads unwind at their next queue touch.  Idempotent, thread-safe. *)
 val poison : t -> unit
 
-val space : t -> int
+val space : producer -> int
 (** Advisory free space (capacity minus in-flight elements), taken under
     the queue lock but stale the moment it returns; block writes re-check
-    before storing.  A full ring drains its sinks first.  Feeds
+    before storing.  A full ring drains its sinks first, and a reading
+    of 0 delivers the wakes the producer's kernel owes.  Feeds
     {!Cgsim.Port.w_space}. *)

@@ -340,7 +340,7 @@ let test_bqueue_backpressure () =
           fun () ->
             for i = 1 to 20 do
               Cgsim.Bqueue.put p (Cgsim.Value.Int i);
-              max_in_flight := max !max_in_flight (Cgsim.Bqueue.available c)
+              max_in_flight := max !max_in_flight (Cgsim.Bqueue.occupancy q)
             done;
             Cgsim.Bqueue.producer_done p );
         ( "consumer",
@@ -563,7 +563,7 @@ let test_bqueue_block_eos_midblock () =
           fun () ->
             (try ignore (Cgsim.Bqueue.get_block c 8)
              with Cgsim.Sched.End_of_stream -> raised := true);
-            drained := Cgsim.Bqueue.available c );
+            drained := Cgsim.Bqueue.occupancy q );
       ]
   in
   Alcotest.(check bool) "raised" true !raised;
@@ -1038,7 +1038,7 @@ let test_bqueue_mixed_transfer () =
              (fun v -> got := Cgsim.Value.to_int v :: !got)
              (Cgsim.Bqueue.get_some c ~max:5)
          | _ ->
-           if Cgsim.Bqueue.available c >= 2 then
+           if Cgsim.Bqueue.occupancy q >= 2 then
              Array.iter
                (fun v -> got := Cgsim.Value.to_int v :: !got)
                (Cgsim.Bqueue.get_block c 2)
