@@ -55,13 +55,13 @@ let fpmac_bench =
   let a = Array.make 8 1.5 and b = Array.make 8 0.25 and acc = Array.make 8 0.0 in
   let dst = Array.make 8 0.0 in
   Test.make ~name:"intrinsics: fpmac 8-lane"
-    (Staged.stage (fun () -> Aie.Intrinsics.fpmac ~dst acc a b))
+    (Staged.stage (fun () -> Aie.Intrinsics.fpmac None ~dst acc a b))
 
 (* The kernel's form: the input is copied into the lanes the sort works
    in, then sorted in place. *)
 let sort16_bench =
   let input = Workloads.Signals.random_f32 ~seed:1 16 in
-  let v = Array.make 16 0.0 and s = Apps.Bitonic.scratch () in
+  let v = Array.make 16 0.0 and s = Apps.Bitonic.scratch None in
   Test.make ~name:"bitonic: sort one 16-vector"
     (Staged.stage (fun () ->
          Array.blit input 0 v 0 16;

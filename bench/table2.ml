@@ -38,7 +38,10 @@ let default_scale = function
 
 let aiesim_divisor = 16
 
+(* Each simulator is timed after a full major collection, so it does not
+   pay for the garbage the previous one in this process left behind. *)
 let wall f =
+  Gc.full_major ();
   let t0 = Unix.gettimeofday () in
   let x = f () in
   x, Unix.gettimeofday () -. t0
@@ -93,13 +96,13 @@ let print_rows rows =
     rows;
   let cores = Domain.recommended_domain_count () in
   Printf.printf
-    "(*aiesim measured at reps/%d and extrapolated linearly.  Shapes to compare: x86sim\n\
-    \ runs one domain per kernel and serves global I/O from it, so a one-kernel graph\n\
-    \ has no hand-off between domains and ties with cgsim; the paper's farrow crossover\n\
-    \ (x86sim slightly ahead) needs >= 2 cores for its two kernels and a hand-off cheap\n\
-    \ enough per cascade element - this machine reports %d core%s.  aiesim is the\n\
-    \ slowest simulator per block, though as a trace-replay design it is far cheaper\n\
-    \ than AMD's ISS.)\n%!"
+    "(*aiesim measured at reps/%d and extrapolated linearly; each simulator is timed\n\
+    \ after a Gc.full_major.  Shapes to compare: x86sim runs one domain per kernel and\n\
+    \ serves global I/O from it, so a one-kernel graph has no hand-off between domains\n\
+    \ and ties with cgsim; the paper's farrow crossover (x86sim slightly ahead) needs\n\
+    \ >= 2 cores for its two kernels and a hand-off cheap enough per cascade element -\n\
+    \ this machine reports %d core%s.  aiesim is the slowest simulator per block, though\n\
+    \ as a trace-replay design it is far cheaper than AMD's ISS.)\n%!"
     aiesim_divisor cores (if cores = 1 then "" else "s")
 
 let run ?scale () = print_rows (rows ?scale ())

@@ -189,12 +189,28 @@ echo "== no orphaned transfer forms gate =="
 # peeks and x86sim's drain forms (get_some, the flat _into drains) that
 # lost their last caller, Bqueue.available that only tests read, and the
 # graph-text reader that nothing loaded were deleted and must not come
-# back.
+# back.  Neither may the exports outside callers never used (printers,
+# probes and constants each module keeps for itself).
 if grep -rnE 'Port\.(Codec|read|write|put_window)\b|r_peek|r_available|Bqueue\.(peek|is_closed|available)\b|Tqueue\.(peek|available|get_some|get_floats_into|get_ints_into|total_put|is_poisoned)\b|read_some|pull_if_empty|Graph_text\.(of_string|dtype_of_string)|settings_of_tokens|of_compact' lib bin bench test examples; then
   echo "ci: caller references a deleted transfer form, port probe or graph-text reader" >&2
   exit 1
 fi
-echo "no orphaned transfer forms, port probes or graph-text reader"
+if grep -rnE 'Diagnostic\.severity_to_string|Faults\.action_to_string|Runtime\.failure_message|Serialized\.endpoint_display|Hazards\.fanout_threshold|Pool\.count_outcomes|Prom\.default_namespace|Flight\.(is_enabled|pp_entry|Wake)\b|Hdr\.record_n|Array_model\.pp_coord|Cfg\.ns_per_cycle|Sched\.(wake|parked_count|parked_names|stop_reason_to_string)\b' lib bin bench test examples; then
+  echo "ci: caller references an export that was module-private in use" >&2
+  exit 1
+fi
+echo "no orphaned transfer forms, port probes, graph-text reader or private exports"
+
+echo "== no fiber locals gate =="
+# A kernel gets what its run hands it (aiesim's trace recorder) through
+# its binding's context, as an AIE kernel gets everything as an
+# argument.  The scheduler's fiber-local slot, its process-wide live
+# count and the spawn option that set it were deleted.
+if grep -rnE 'Sched\.local|live_locals|No_local|~local:' lib bin bench test examples; then
+  echo "ci: fiber-local state is back (pass it in the kernel binding's context)" >&2
+  exit 1
+fi
+echo "no fiber locals"
 
 echo "== thread-per-kernel gate =="
 # x86sim runs one domain per kernel instance and nothing else: a reader
@@ -264,8 +280,7 @@ sed -e 's/ *#.*//' -e '/^$/d' > "$ALLOWED_STATE" <<'EOF_STATE'
 lib/cgsim/registry.ml table          # the kernel registry: kernels register at link time, graphs name them by key
 lib/cgsim/registry.ml order          # that registry's registration order, for listings
 lib/cgsim/builder.ml next_builder_id # unique builder ids, so nets of two builders cannot be mixed
-lib/cgsim/sched.ml current_key       # domain-local: the fiber running on this domain, and its local
-lib/cgsim/sched.ml live_locals       # a count, not data: Sched.local skips the domain-local read while it is 0
+lib/cgsim/sched.ml current_key       # domain-local: the fiber running on this domain
 lib/obs/trace.ml on                  # the observability session switch: one load and a branch per instrumented site
 lib/obs/trace.ml active              # the observability session that switch guards
 lib/obs/trace.ml label_key           # domain-local: the thread label of trace events

@@ -41,7 +41,7 @@ let () =
   (* Show one sorted block. *)
   let input = Apps.Bitonic.input_floats ~reps:1 in
   let sorted = Array.copy input in
-  Apps.Bitonic.sort_vector (Apps.Bitonic.scratch ()) sorted;
+  Apps.Bitonic.sort_vector (Apps.Bitonic.scratch None) sorted;
   Printf.printf "\nexample block:\n  in:  %s\n  out: %s\n"
     (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%+.2f") input)))
     (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%+.2f") sorted)))

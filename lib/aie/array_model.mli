@@ -11,7 +11,6 @@ type coord = {
   row : int;  (** row 0 = shim (interface) row; compute rows start at 1. *)
 }
 
-val pp_coord : Format.formatter -> coord -> unit
 val equal_coord : coord -> coord -> bool
 
 type t

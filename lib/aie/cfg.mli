@@ -11,9 +11,6 @@
 val clock_mhz : float
 (** AIE core clock used in the paper's evaluation (1250 MHz). *)
 
-val ns_per_cycle : float
-(** 1e3 /. clock_mhz = 0.8 ns. *)
-
 val array_cols : int
 val array_rows : int
 (** Default array size modelled (VC1902: 50 x 8). *)

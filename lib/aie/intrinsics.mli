@@ -5,13 +5,14 @@
     that (a) functional results match AIE semantics (f32 rounding,
     shift-round-saturate fixed point) and (b) each call emits the
     architectural cost events that the cycle-approximate simulator
-    consumes.  Every op matches the running fiber's recorder
-    ({!Trace.Recorder}, the fiber's {!Cgsim.Sched.local}) before it
-    computes a slot count or builds an event, so outside of an aiesim
-    capture a call is a call to {!Cgsim.Sched.local} and a branch, plus
-    its {!Vec} lane loop, and allocates nothing.  On a 2-vCPU x86-64
-    host ([bench micro], four runs), an untraced 8-lane [fpmac] takes
-    38-45 ns and a bitonic sort of one 16-vector (40 calls) 1.8-3.3 us.
+    consumes.  Every op takes the kernel's recorder first (the
+    {!Trace.recorder} of its binding, read once per kernel body) and
+    tests it before it computes a slot count or builds an event, so
+    outside of an aiesim capture ([None]) a call is one branch plus its
+    {!Vec} lane loop, and allocates nothing.  On a 2-vCPU x86-64 host
+    ([bench micro], ten runs, docs/PERFORMANCE.md), an untraced 8-lane
+    [fpmac] takes 27-28 ns and a bitonic sort of one 16-vector (40
+    calls) 1.25-1.29 us.
 
     Cost model: one vector-unit issue slot processes 8 fp32 lanes, 8 int32
     lanes or 32 int16 lanes per cycle ({!Cfg}); wider vectors occupy
@@ -24,70 +25,89 @@
 
 (** {1 fp32 vector ops (8-lane granularity)} *)
 
-val fpadd : dst:float array -> float array -> float array -> unit
-val fpsub : dst:float array -> float array -> float array -> unit
-val fpmul : dst:float array -> float array -> float array -> unit
-val fpmac : dst:float array -> float array -> float array -> float array -> unit
+val fpadd : Trace.recorder option -> dst:float array -> float array -> float array -> unit
+val fpsub : Trace.recorder option -> dst:float array -> float array -> float array -> unit
+val fpmul : Trace.recorder option -> dst:float array -> float array -> float array -> unit
+val fpmac :
+  Trace.recorder option ->
+  dst:float array ->
+  float array ->
+  float array ->
+  float array ->
+  unit
 
-(** [fpmac_scalar ~dst acc src k b] is bit for bit [fpmac ~dst acc s b]
+(** [fpmac_scalar tr ~dst acc src k b] is bit for bit [fpmac tr ~dst acc s b]
     with [s] the splat of [src.(k)], and records the same [fpmac] event,
     without building the splat or boxing the scalar. *)
-val fpmac_scalar : dst:float array -> float array -> float array -> int -> float array -> unit
+val fpmac_scalar :
+  Trace.recorder option ->
+  dst:float array ->
+  float array ->
+  float array ->
+  int ->
+  float array ->
+  unit
 
-val fpmax : dst:float array -> float array -> float array -> unit
-val fpmin : dst:float array -> float array -> float array -> unit
-val fpshuffle : dst:float array -> float array -> int array -> unit
-val fpselect : dst:float array -> bool array -> float array -> float array -> unit
+val fpmax : Trace.recorder option -> dst:float array -> float array -> float array -> unit
+val fpmin : Trace.recorder option -> dst:float array -> float array -> float array -> unit
+val fpshuffle : Trace.recorder option -> dst:float array -> float array -> int array -> unit
+val fpselect :
+  Trace.recorder option ->
+  dst:float array ->
+  bool array ->
+  float array ->
+  float array ->
+  unit
 
-(** [fpsplat ~dst s]: one issue slot whatever the lane count. *)
-val fpsplat : dst:float array -> float -> unit
+(** [fpsplat tr ~dst s]: one issue slot whatever the lane count. *)
+val fpsplat : Trace.recorder option -> dst:float array -> float -> unit
 
 (** Horizontal sum into [dst.(0)] ({!Vec.fsum}); costs log2(lanes)
     vector ops. *)
-val fpsum : dst:float array -> float array -> unit
+val fpsum : Trace.recorder option -> dst:float array -> float array -> unit
 
 (** {1 int16 vector ops (32-lane granularity)} *)
 
-val mul16 : dst:int array -> int array -> int array -> unit
-val mac16 : dst:int array -> int array -> int array -> int array -> unit
+val mul16 : Trace.recorder option -> dst:int array -> int array -> int array -> unit
+val mac16 : Trace.recorder option -> dst:int array -> int array -> int array -> int array -> unit
 
-(** [mac16_scalar ~dst acc a s] is [mac16 ~dst acc a] with [s] splat, and
+(** [mac16_scalar tr ~dst acc a s] is [mac16 tr ~dst acc a] with [s] splat, and
     records the same [mac16] event. *)
-val mac16_scalar : dst:int array -> int array -> int array -> int -> unit
+val mac16_scalar : Trace.recorder option -> dst:int array -> int array -> int array -> int -> unit
 
-val add16 : dst:int array -> int array -> int array -> unit
-val sub16 : dst:int array -> int array -> int array -> unit
-val shuffle16 : dst:int array -> int array -> int array -> unit
+val add16 : Trace.recorder option -> dst:int array -> int array -> int array -> unit
+val sub16 : Trace.recorder option -> dst:int array -> int array -> int array -> unit
+val shuffle16 : Trace.recorder option -> dst:int array -> int array -> int array -> unit
 
 (** {1 int32 vector ops (8-lane granularity)} *)
 
-val mac32 : dst:int array -> int array -> int array -> int array -> unit
-val add32 : dst:int array -> int array -> int array -> unit
-val sub32 : dst:int array -> int array -> int array -> unit
+val mac32 : Trace.recorder option -> dst:int array -> int array -> int array -> int array -> unit
+val add32 : Trace.recorder option -> dst:int array -> int array -> int array -> unit
+val sub32 : Trace.recorder option -> dst:int array -> int array -> int array -> unit
 
 (** {1 accumulator moves} *)
 
-val srs16 : dst:int array -> shift:int -> int array -> unit
+val srs16 : Trace.recorder option -> dst:int array -> shift:int -> int array -> unit
 (** Shift-round-saturate accumulators to int16 lanes. *)
 
-val srs32 : dst:int array -> shift:int -> int array -> unit
+val srs32 : Trace.recorder option -> dst:int array -> shift:int -> int array -> unit
 
-val ups16 : dst:int array -> shift:int -> int array -> unit
+val ups16 : Trace.recorder option -> dst:int array -> shift:int -> int array -> unit
 
 (** {1 vector loads/stores (data memory)} *)
 
-val load_f32 : dst:float array -> float array -> int -> unit
-(** [load_f32 ~dst mem off] reads [Array.length dst] lanes of a local
+val load_f32 : Trace.recorder option -> dst:float array -> float array -> int -> unit
+(** [load_f32 tr ~dst mem off] reads [Array.length dst] lanes of a local
     array from [off], charging the load units. *)
 
-val store_f32 : float array -> int -> float array -> unit
+val store_f32 : Trace.recorder option -> float array -> int -> float array -> unit
 
-val load_i16 : dst:int array -> int array -> int -> unit
+val load_i16 : Trace.recorder option -> dst:int array -> int array -> int -> unit
 
-val store_i16 : int array -> int -> int array -> unit
+val store_i16 : Trace.recorder option -> int array -> int -> int array -> unit
 
 (** {1 scalar ops} *)
 
-val scalar_op : ?count:int -> string -> unit
+val scalar_op : Trace.recorder option -> ?count:int -> string -> unit
 (** Charge scalar-unit work with no functional effect (address updates,
     loop control the compiler would not hide). *)

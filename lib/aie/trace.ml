@@ -1,26 +1,24 @@
-type transport =
-  | Stream
-  | Window of int
-  | Rtp
-  | Gmio
-
 type event =
   | Vop of { name : string; slots : int }
   | Sop of { name : string; count : int }
   | Load of { bytes : int }
   | Store of { bytes : int }
-  | Port_read of { port : string; bytes : int; transport : transport; thunked : bool }
-  | Port_write of { port : string; bytes : int; transport : transport; thunked : bool }
+  | Port_read of {
+      port : string;
+      bytes : int;
+      transport : Cgsim.Settings.transport;
+      thunked : bool;
+    }
+  | Port_write of {
+      port : string;
+      bytes : int;
+      transport : Cgsim.Settings.transport;
+      thunked : bool;
+    }
   | Loop_enter of { trip : int }
   | Loop_exit
   | Loop_abort
   | Iteration_mark
-
-let pp_transport ppf = function
-  | Stream -> Format.pp_print_string ppf "stream"
-  | Window b -> Format.fprintf ppf "window<%d>" b
-  | Rtp -> Format.pp_print_string ppf "rtp"
-  | Gmio -> Format.pp_print_string ppf "gmio"
 
 let pp_event ppf = function
   | Vop { name; slots } -> Format.fprintf ppf "vop %s x%d" name slots
@@ -28,10 +26,10 @@ let pp_event ppf = function
   | Load { bytes } -> Format.fprintf ppf "load %dB" bytes
   | Store { bytes } -> Format.fprintf ppf "store %dB" bytes
   | Port_read { port; bytes; transport; thunked } ->
-    Format.fprintf ppf "read %s %dB %a%s" port bytes pp_transport transport
+    Format.fprintf ppf "read %s %dB %a%s" port bytes Cgsim.Settings.pp_transport transport
       (if thunked then " (thunk)" else "")
   | Port_write { port; bytes; transport; thunked } ->
-    Format.fprintf ppf "write %s %dB %a%s" port bytes pp_transport transport
+    Format.fprintf ppf "write %s %dB %a%s" port bytes Cgsim.Settings.pp_transport transport
       (if thunked then " (thunk)" else "")
   | Loop_enter { trip } -> Format.fprintf ppf "loop enter trip=%d" trip
   | Loop_exit -> Format.pp_print_string ppf "loop exit"
@@ -46,7 +44,12 @@ type recorder = {
   mutable suppressed : int;
 }
 
-type Cgsim.Sched.local += Recorder of recorder
+type Cgsim.Kernel.context += Recorder of recorder
+
+let recorder (b : Cgsim.Kernel.binding) =
+  match b.context with
+  | Recorder r -> Some r
+  | _ -> None
 
 let create_recorder () = { rev_events = []; count = 0; suppressed = 0 }
 
@@ -62,26 +65,24 @@ let push r ev =
     r.count <- r.count + 1
   end
 
-let emit ev =
-  match Cgsim.Sched.local () with
-  | Recorder r -> push r ev
-  | _ -> ()
-
-(* Match the recorder before the event is allocated, so untraced calls
+(* Test the recorder before the event is allocated, so untraced calls
    allocate nothing here beyond an optional argument's [Some]. *)
-let sop ?(count = 1) name =
-  match Cgsim.Sched.local () with
-  | Recorder r when r.suppressed = 0 -> push r (Sop { name; count })
+let sop tr ?(count = 1) name =
+  match tr with
+  | Some r when r.suppressed = 0 -> push r (Sop { name; count })
   | _ -> ()
 
-let mark_iteration () = emit Iteration_mark
+let mark_iteration tr =
+  match tr with
+  | Some r -> push r Iteration_mark
+  | None -> ()
 
-let with_pipelined_loop ~trip body =
+let with_pipelined_loop tr ~trip body =
   if trip < 0 then invalid_arg "aie: pipelined loop with negative trip count";
   if trip = 0 then ()
   else begin
-    match Cgsim.Sched.local () with
-    | Recorder r when r.suppressed = 0 ->
+    match tr with
+    | Some r when r.suppressed = 0 ->
       push r (Loop_enter { trip });
       (* The first iteration is the recorded one; if it aborts (stream
          drained, fiber cancelled) mark the region so the replay does not

@@ -1,26 +1,21 @@
 (** Instruction-level operation tracing.
 
     aiesim is cycle-approximate: it first executes a graph functionally
-    under the cgsim scheduler while recording, per kernel fiber, the
+    under the cgsim scheduler while recording, per kernel instance, the
     sequence of architectural operations the kernel performed (vector ops,
     scalar ops, loads/stores, stream and window accesses, pipelined-loop
     regions, iteration marks).  A timed replay then assigns cycles to the
     trace using the VLIW issue model.
 
-    A recorder rides the kernel's fiber: aiesim's capture spawns each
-    kernel fiber with its own recorder as the fiber-local value
-    ({!Recorder}, see {!Cgsim.Sched.local}), so events go to the kernel
-    that performed them, whatever else runs on other domains.  The same
-    kernel bodies run untraced under plain cgsim, x86sim or a serving
-    pool, where the fiber's local is not a recorder (a
-    {!Cgsim.Sched.local} call and a branch).  The {!Intrinsics} module emits compute events;
-    the simulator's port taps push I/O events into the recorder. *)
-
-type transport =
-  | Stream
-  | Window of int  (** window size in bytes *)
-  | Rtp
-  | Gmio
+    A recorder rides the kernel's binding: aiesim's capture binds each
+    kernel with its own recorder as the {!Cgsim.Kernel.context}
+    ({!Recorder}), and a kernel body reads it once with {!recorder} and
+    passes it to every {!Intrinsics} op and to the helpers below, as an
+    AIE kernel gets everything it uses as an argument.  The same kernel
+    bodies run untraced under plain cgsim, x86sim or a serving pool,
+    where the context is not a recorder and every op is handed [None]
+    (one branch).  The {!Intrinsics} module emits compute events; the
+    simulator's port taps push I/O events into the recorder. *)
 
 type event =
   | Vop of { name : string; slots : int }
@@ -29,8 +24,18 @@ type event =
   | Sop of { name : string; count : int }  (** [count] scalar-unit ops. *)
   | Load of { bytes : int }  (** Data-memory read through a load unit. *)
   | Store of { bytes : int }
-  | Port_read of { port : string; bytes : int; transport : transport; thunked : bool }
-  | Port_write of { port : string; bytes : int; transport : transport; thunked : bool }
+  | Port_read of {
+      port : string;
+      bytes : int;
+      transport : Cgsim.Settings.transport;
+      thunked : bool;
+    }
+  | Port_write of {
+      port : string;
+      bytes : int;
+      transport : Cgsim.Settings.transport;
+      thunked : bool;
+    }
   | Loop_enter of { trip : int }
       (** Start of a software-pipelined loop region executing [trip]
           iterations; events until the matching {!Loop_exit} describe ONE
@@ -49,9 +54,14 @@ val pp_event : Format.formatter -> event -> unit
 
 type recorder
 
-(** The fiber-local value that makes a fiber record into a recorder:
-    spawn the fiber with [~local:(Recorder r)]. *)
-type Cgsim.Sched.local += Recorder of recorder
+(** The kernel context that makes a kernel record into a recorder: bind
+    the kernel with [Recorder r] (see {!Cgsim.Runtime.instantiate}'s
+    [?context]). *)
+type Cgsim.Kernel.context += Recorder of recorder
+
+(** The recorder a kernel was bound with, [None] when its context is not
+    a {!Recorder}.  Kernel bodies call it once, not per op. *)
+val recorder : Cgsim.Kernel.binding -> recorder option
 
 val create_recorder : unit -> recorder
 
@@ -66,24 +76,21 @@ val recording : recorder -> bool
 (** Append an event to [r], unless it is not {!recording}. *)
 val push : recorder -> event -> unit
 
-(** {!push} into the running fiber's recorder; a no-op when the fiber
-    has none (sources, sinks, untraced runs and host code). *)
-val emit : event -> unit
-
 (** {1 Emission helpers}
 
-    Kernel bodies charge costs through {!Intrinsics}, which matches the
-    fiber's recorder and builds its event itself; a non-constant
+    Each takes the kernel's recorder ({!recorder}) first and does
+    nothing with [None].  Kernel bodies charge costs through
+    {!Intrinsics}, which builds its event itself; a non-constant
     [?count] here allocates its [Some] on every call, traced or not. *)
 
-val sop : ?count:int -> string -> unit
+val sop : recorder option -> ?count:int -> string -> unit
 
-val mark_iteration : unit -> unit
+val mark_iteration : recorder option -> unit
 
-(** [with_pipelined_loop ~trip body] marks a software-pipelined inner
+(** [with_pipelined_loop tr ~trip body] marks a software-pipelined inner
     loop: functionally [body i] runs for every [i] in [0..trip-1], but
-    only the first iteration's events are recorded inside a
+    only the first iteration's events are recorded into [tr] inside a
     [Loop_enter]/[Loop_exit] pair (the VLIW model multiplies by the trip
     count).  This keeps traces compact and mirrors how the hardware
     pipeliner charges II * trip + prologue. *)
-val with_pipelined_loop : trip:int -> (int -> unit) -> unit
+val with_pipelined_loop : recorder option -> trip:int -> (int -> unit) -> unit

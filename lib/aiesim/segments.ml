@@ -85,6 +85,12 @@ let flush st =
     u.Vliw.swr <- 0
   end
 
+(* Transports whose accesses go through a stream port, and so through a
+   thunked deploy's adapter. *)
+let streamed = function
+  | Cgsim.Settings.Stream | Cgsim.Settings.Gmio -> true
+  | Cgsim.Settings.Window _ | Cgsim.Settings.Rtp -> false
+
 let thunk_scalar_ops st =
   match st.thunk with Some c -> c.Deploy.scalar_ops_per_stream_access | None -> 0
 
@@ -141,26 +147,26 @@ let rec consume_loop_body st events ~body_usage ~rev_ports =
           scalar fetch.  The lp entry keeps the data-arrival sync for the
           event engine in every case. *)
        (match transport with
-        | Aie.Trace.Stream | Aie.Trace.Gmio ->
+        | Cgsim.Settings.Stream | Cgsim.Settings.Gmio ->
           body_usage.Vliw.srd <- body_usage.Vliw.srd + 1;
           if thunked then body_usage.Vliw.scl <- body_usage.Vliw.scl + thunk_scalar_ops st
-        | Aie.Trace.Window _ -> Vliw.add_load_bytes body_usage bytes
-        | Aie.Trace.Rtp -> body_usage.Vliw.scl <- body_usage.Vliw.scl + 1);
+        | Cgsim.Settings.Window _ -> Vliw.add_load_bytes body_usage bytes
+        | Cgsim.Settings.Rtp -> body_usage.Vliw.scl <- body_usage.Vliw.scl + 1);
        let lp =
          { lp_read = true; lp_chan = st.env.chans.(slot st port); lp_bytes = bytes;
-           lp_thunked = (thunked && (transport = Aie.Trace.Stream || transport = Aie.Trace.Gmio)) }
+           lp_thunked = thunked && streamed transport }
        in
        consume_loop_body st rest ~body_usage ~rev_ports:(lp :: rev_ports)
      | Aie.Trace.Port_write { port; bytes; transport; thunked } ->
        (match transport with
-        | Aie.Trace.Stream | Aie.Trace.Gmio ->
+        | Cgsim.Settings.Stream | Cgsim.Settings.Gmio ->
           body_usage.Vliw.swr <- body_usage.Vliw.swr + 1;
           if thunked then body_usage.Vliw.scl <- body_usage.Vliw.scl + thunk_scalar_ops st
-        | Aie.Trace.Window _ -> Vliw.add_store_bytes body_usage bytes
-        | Aie.Trace.Rtp -> body_usage.Vliw.scl <- body_usage.Vliw.scl + 1);
+        | Cgsim.Settings.Window _ -> Vliw.add_store_bytes body_usage bytes
+        | Cgsim.Settings.Rtp -> body_usage.Vliw.scl <- body_usage.Vliw.scl + 1);
        let lp =
          { lp_read = false; lp_chan = st.env.chans.(slot st port); lp_bytes = bytes;
-           lp_thunked = (thunked && (transport = Aie.Trace.Stream || transport = Aie.Trace.Gmio)) }
+           lp_thunked = thunked && streamed transport }
        in
        consume_loop_body st rest ~body_usage ~rev_ports:(lp :: rev_ports)
      | Aie.Trace.Loop_enter { trip } ->
@@ -217,11 +223,11 @@ let handle_event st ev =
     let slot = slot st port in
     let chan = st.env.chans.(slot) in
     (match transport with
-     | Aie.Trace.Stream | Aie.Trace.Gmio ->
+     | Cgsim.Settings.Stream | Cgsim.Settings.Gmio ->
        if thunked then thunk_stream_cost st;
        flush st;
        push st (Rd { chan; bytes; core = stream_cycles bytes })
-     | Aie.Trace.Window w ->
+     | Cgsim.Settings.Window w ->
        if window_step st slot w bytes then begin
          flush st;
          push st (Win_in { chan; bytes = w; core = Aie.Cfg.lock_acquire_cycles });
@@ -232,7 +238,7 @@ let handle_event st ev =
        st.ld_residual <- st.ld_residual + bytes;
        st.usage.Vliw.ld <- st.usage.Vliw.ld + (st.ld_residual / Aie.Cfg.dm_bytes_per_cycle);
        st.ld_residual <- st.ld_residual mod Aie.Cfg.dm_bytes_per_cycle
-     | Aie.Trace.Rtp ->
+     | Cgsim.Settings.Rtp ->
        st.usage.Vliw.scl <- st.usage.Vliw.scl + 1;
        flush st;
        push st (Rtp_in { chan }))
@@ -240,11 +246,11 @@ let handle_event st ev =
     let slot = slot st port in
     let chan = st.env.chans.(slot) in
     (match transport with
-     | Aie.Trace.Stream | Aie.Trace.Gmio ->
+     | Cgsim.Settings.Stream | Cgsim.Settings.Gmio ->
        if thunked then thunk_stream_cost st;
        flush st;
        push st (Wr { chan; bytes; core = stream_cycles bytes })
-     | Aie.Trace.Window w ->
+     | Cgsim.Settings.Window w ->
        ignore (window_step st slot w bytes);
        st.st_residual <- st.st_residual + bytes;
        st.usage.Vliw.st <- st.usage.Vliw.st + (st.st_residual / Aie.Cfg.dm_bytes_per_cycle);
@@ -254,7 +260,7 @@ let handle_event st ev =
          push st (Win_out { chan; bytes = w; core = Aie.Cfg.lock_acquire_cycles });
          if thunked then thunk_window_cost st
        end
-     | Aie.Trace.Rtp ->
+     | Cgsim.Settings.Rtp ->
        st.usage.Vliw.scl <- st.usage.Vliw.scl + 1;
        flush st;
        push st (Wr { chan; bytes; core = 1 }))

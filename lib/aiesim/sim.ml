@@ -37,13 +37,6 @@ let pp_report ppf r =
 (* Phase 1: functional capture                                         *)
 (* ------------------------------------------------------------------ *)
 
-let transport_of_settings s =
-  match Cgsim.Settings.resolved_transport s with
-  | Cgsim.Settings.Stream -> Aie.Trace.Stream
-  | Cgsim.Settings.Window b -> Aie.Trace.Window b
-  | Cgsim.Settings.Rtp -> Aie.Trace.Rtp
-  | Cgsim.Settings.Gmio -> Aie.Trace.Gmio
-
 (* The adapter costs a kernel's port accesses pay: a thunked deploy's,
    on AIE kernels only. *)
 let thunk_costs (d : Deploy.t) (inst : Cgsim.Serialized.kernel_inst) =
@@ -62,23 +55,23 @@ let capture ?(config = Cgsim.Run_config.default) (d : Deploy.t) ~sources ~sinks 
   let g = d.Deploy.graph in
   let net_of inst port_idx = g.Cgsim.Serialized.nets.(inst.Cgsim.Serialized.port_nets.(port_idx)) in
   (* One recorder per kernel instance, found by physical identity: it
-     is the kernel fiber's local, and its port taps push into it. *)
+     is the kernel's context, and its port taps push into it. *)
   let recorders =
     Array.to_list
       (Array.map
          (fun (inst : Cgsim.Serialized.kernel_inst) -> inst, Aie.Trace.create_recorder ())
          g.kernels)
   in
-  let local inst = Aie.Trace.Recorder (List.assq inst recorders) in
+  let context inst = Aie.Trace.Recorder (List.assq inst recorders) in
   (* Capture tap: one Port_read/Port_write event per element moved, so
      block transfers keep per-element cycle accounting. *)
   let tap (inst : Cgsim.Serialized.kernel_inst) port_idx port =
     let r = List.assq inst recorders in
     let net = net_of inst port_idx in
-    let transport = transport_of_settings net.Cgsim.Serialized.settings in
+    let transport = Cgsim.Settings.resolved_transport net.Cgsim.Serialized.settings in
     let bytes = Cgsim.Dtype.size_bytes net.Cgsim.Serialized.dtype in
     let thunked = Option.is_some (thunk_costs d inst) in
-    let stream = transport = Aie.Trace.Stream in
+    let stream = transport = Cgsim.Settings.Stream in
     let ev =
       match inst.ports.(port_idx).Cgsim.Kernel.dir with
       | Cgsim.Kernel.In -> Aie.Trace.Port_read { port; bytes; transport; thunked }
@@ -102,7 +95,7 @@ let capture ?(config = Cgsim.Run_config.default) (d : Deploy.t) ~sources ~sinks 
         hold_space = (fun () -> stream);
       }
   in
-  let ctx = Cgsim.Runtime.instantiate ~config ~tap ~local g in
+  let ctx = Cgsim.Runtime.instantiate ~config ~tap ~context g in
   let stats =
     match Cgsim.Runtime.run ctx ~sources ~sinks with
     | Cgsim.Runtime.Completed stats -> stats

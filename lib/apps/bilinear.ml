@@ -30,8 +30,10 @@ let quad_value (q : Workloads.Images.quad) =
     ]
 
 (* The vector registers one group's blend works in: the six request
-   lanes, then the two horizontal blends and the multiply temporaries. *)
+   lanes, then the two horizontal blends and the multiply temporaries;
+   and the recorder its intrinsics charge. *)
 type scratch = {
+  tr : Aie.Trace.recorder option;
   p00 : int array;
   p01 : int array;
   p10 : int array;
@@ -44,9 +46,10 @@ type scratch = {
   prod : int array;
 }
 
-let scratch () =
+let scratch tr =
   let lane () = Array.make group 0 in
   {
+    tr;
     p00 = lane ();
     p01 = lane ();
     p10 = lane ();
@@ -62,11 +65,11 @@ let scratch () =
 (* dst = a + ((b - a) * f) >> 15, rounded, in 32-bit accumulators. *)
 let blend s ~dst a b f =
   let open Aie.Intrinsics in
-  sub32 ~dst:s.delta b a;
+  sub32 s.tr ~dst:s.delta b a;
   Aie.Vec.isplat ~dst:s.prod 0;
-  mac32 ~dst:s.prod s.prod s.delta f;
-  srs32 ~dst:s.prod ~shift:15 s.prod;
-  add32 ~dst a s.prod
+  mac32 s.tr ~dst:s.prod s.prod s.delta f;
+  srs32 s.tr ~dst:s.prod ~shift:15 s.prod;
+  add32 s.tr ~dst a s.prod
 
 (* Vectorized blend over one 16-request group.  Pixels are upshifted to
    Q8, both horizontal blends and the vertical blend use a Q15 multiply
@@ -87,11 +90,11 @@ let blend_group s ~dst reqs =
     s.xf.(i) <- Cgsim.Value.to_int (Cgsim.Value.field v "xf");
     s.yf.(i) <- Cgsim.Value.to_int (Cgsim.Value.field v "yf")
   done;
-  ups16 ~dst:s.p01 ~shift:8 s.p01;
-  ups16 ~dst:s.p00 ~shift:8 s.p00;
+  ups16 s.tr ~dst:s.p01 ~shift:8 s.p01;
+  ups16 s.tr ~dst:s.p00 ~shift:8 s.p00;
   blend s ~dst:s.top s.p00 s.p01 s.xf;
-  ups16 ~dst:s.p11 ~shift:8 s.p11;
-  ups16 ~dst:s.p10 ~shift:8 s.p10;
+  ups16 s.tr ~dst:s.p11 ~shift:8 s.p11;
+  ups16 s.tr ~dst:s.p10 ~shift:8 s.p10;
   blend s ~dst:s.bot s.p10 s.p11 s.xf;
   blend s ~dst:s.top s.top s.bot s.yf;
   for i = 0 to group - 1 do
@@ -109,12 +112,12 @@ let kernel =
     (fun b ->
       let input = Cgsim.Kernel.rd b 0 and output = Cgsim.Kernel.wr b 0 in
       let groups_per_block = quads_per_block / group in
-      let s = scratch () and out = Array.make group 0 in
+      let s = scratch (Aie.Trace.recorder b) and out = Array.make group 0 in
       while true do
-        Aie.Trace.mark_iteration ();
-        Aie.Trace.with_pipelined_loop ~trip:groups_per_block (fun _g ->
+        Aie.Trace.mark_iteration s.tr;
+        Aie.Trace.with_pipelined_loop s.tr ~trip:groups_per_block (fun _g ->
             blend_group s ~dst:out (Cgsim.Port.get_window input group);
-            Aie.Intrinsics.scalar_op ~count:2 "addr";
+            Aie.Intrinsics.scalar_op s.tr ~count:2 "addr";
             Cgsim.Port.put_window_int output out)
       done)
 

@@ -20,10 +20,13 @@ val quad_dtype : Cgsim.Dtype.t
 
 val quad_value : Workloads.Images.quad -> Cgsim.Value.t
 
-(** The vector registers one group's blend works in. *)
+(** The vector registers one group's blend works in, and the recorder
+    its intrinsics charge. *)
 type scratch
 
-val scratch : unit -> scratch
+(** [scratch tr]: [tr] is the kernel's {!Aie.Trace.recorder}, [None]
+    outside an aiesim capture. *)
+val scratch : Aie.Trace.recorder option -> scratch
 
 (** [blend_group s ~dst reqs] blends one group of 16 request structs
     ({!quad_dtype} values) into the 16 u16 lanes of [dst], reading the

@@ -25,24 +25,26 @@ let stages =
          strides (k / 2))
        [ 2; 4; 8; 16 ])
 
-(* The vector registers one sort works in besides the vector it sorts. *)
+(* The vector registers one sort works in besides the vector it sorts,
+   and the recorder its intrinsics charge. *)
 type scratch = {
+  tr : Aie.Trace.recorder option;
   partner : float array;
   lo : float array;
   hi : float array;
 }
 
-let scratch () =
-  { partner = Array.make lanes 0.0; lo = Array.make lanes 0.0; hi = Array.make lanes 0.0 }
+let scratch tr =
+  { tr; partner = Array.make lanes 0.0; lo = Array.make lanes 0.0; hi = Array.make lanes 0.0 }
 
 let sort_vector s v =
   if Array.length v <> lanes then invalid_arg "bitonic: expected 16 lanes";
   for st = 0 to Array.length stages - 1 do
     let perm, keep_min = stages.(st) in
-    Aie.Intrinsics.fpshuffle ~dst:s.partner v perm;
-    Aie.Intrinsics.fpmin ~dst:s.lo v s.partner;
-    Aie.Intrinsics.fpmax ~dst:s.hi v s.partner;
-    Aie.Intrinsics.fpselect ~dst:v keep_min s.lo s.hi
+    Aie.Intrinsics.fpshuffle s.tr ~dst:s.partner v perm;
+    Aie.Intrinsics.fpmin s.tr ~dst:s.lo v s.partner;
+    Aie.Intrinsics.fpmax s.tr ~dst:s.hi v s.partner;
+    Aie.Intrinsics.fpselect s.tr ~dst:v keep_min s.lo s.hi
   done
 
 let kernel =
@@ -55,12 +57,12 @@ let kernel =
     ]
     (fun b ->
       let input = Cgsim.Kernel.rd b 0 and output = Cgsim.Kernel.wr b 0 in
-      let v = Array.make lanes 0.0 and s = scratch () in
+      let v = Array.make lanes 0.0 and s = scratch (Aie.Trace.recorder b) in
       while true do
-        Aie.Trace.mark_iteration ();
+        Aie.Trace.mark_iteration s.tr;
         Cgsim.Port.get_window_f32 input v;
         sort_vector s v;
-        Aie.Intrinsics.scalar_op ~count:2 "blk_ctl";
+        Aie.Intrinsics.scalar_op s.tr ~count:2 "blk_ctl";
         Cgsim.Port.put_window_f32 output v
       done)
 

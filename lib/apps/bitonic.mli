@@ -20,10 +20,13 @@ val block_bytes : int
     and the per-lane "keep the minimum" mask.  Exposed for tests. *)
 val stages : (int array * bool array) array
 
-(** The three 16-lane vectors a sort works in (partner, min, max). *)
+(** The three 16-lane vectors a sort works in (partner, min, max) and
+    the recorder its intrinsics charge. *)
 type scratch
 
-val scratch : unit -> scratch
+(** [scratch tr]: [tr] is the kernel's {!Aie.Trace.recorder}, [None]
+    outside an aiesim capture. *)
+val scratch : Aie.Trace.recorder option -> scratch
 
 (** [sort_vector s v] sorts the 16 lanes of [v] in place through the
     network, working in [s]; it allocates nothing.  The kernel keeps one

@@ -26,6 +26,7 @@ let stage1 =
     (fun b ->
       let input = Cgsim.Kernel.rd b 0 in
       let c01 = Cgsim.Kernel.wr b 0 and c23 = Cgsim.Kernel.wr b 1 in
+      let tr = Aie.Trace.recorder b in
       let coeffs = Workloads.Reference.farrow_coeffs_q15 in
       let groups = samples_per_window / group in
       (* ext.(i + taps - 1) = samples.(i), prefixed with the sample
@@ -37,26 +38,26 @@ let stage1 =
       let acc = Array.make group 0 in
       let c = Array.init (Array.length coeffs) (fun _ -> Array.make group 0) in
       while true do
-        Aie.Trace.mark_iteration ();
+        Aie.Trace.mark_iteration tr;
         Cgsim.Port.get_window_int input samples;
         Array.blit samples 0 ext (taps - 1) samples_per_window;
-        Aie.Intrinsics.scalar_op ~count:4 "win_setup";
-        Aie.Trace.with_pipelined_loop ~trip:groups (fun g ->
+        Aie.Intrinsics.scalar_op tr ~count:4 "win_setup";
+        Aie.Trace.with_pipelined_loop tr ~trip:groups (fun g ->
             let base = g * group in
             (* One shifted 32-lane load per tap, shared by all four
                sub-filters. *)
             for k = 0 to taps - 1 do
-              Aie.Intrinsics.load_i16 ~dst:x.(k) ext (base + k)
+              Aie.Intrinsics.load_i16 tr ~dst:x.(k) ext (base + k)
             done;
             for m = 0 to Array.length coeffs - 1 do
               let row = coeffs.(m) in
               Aie.Vec.isplat ~dst:acc 0;
               for k = 0 to taps - 1 do
-                Aie.Intrinsics.mac16_scalar ~dst:acc acc x.(k) row.(k)
+                Aie.Intrinsics.mac16_scalar tr ~dst:acc acc x.(k) row.(k)
               done;
-              Aie.Intrinsics.srs16 ~dst:c.(m) ~shift:15 acc
+              Aie.Intrinsics.srs16 tr ~dst:c.(m) ~shift:15 acc
             done;
-            Aie.Intrinsics.scalar_op ~count:2 "addr";
+            Aie.Intrinsics.scalar_op tr ~count:2 "addr";
             (* stage2 drains c01/c23 interleaved per sample, so a
                whole-group burst on one port before the other would
                overrun the in-flight buffering of both streams and
@@ -88,14 +89,15 @@ let stage2 =
       and c23 = Cgsim.Kernel.rd b 1
       and d_port = Cgsim.Kernel.rd b 2
       and output = Cgsim.Kernel.wr b 0 in
+      let tr = Aie.Trace.recorder b in
       let d = Cgsim.Port.get_int d_port in
       let dv = Array.make group d in
       let groups = samples_per_window / group in
       let c = Array.init 4 (fun _ -> Array.make group 0) in
       let acc = Array.make group 0 and prod = Array.make group 0 and y = Array.make group 0 in
       while true do
-        Aie.Trace.mark_iteration ();
-        Aie.Trace.with_pipelined_loop ~trip:groups (fun _g ->
+        Aie.Trace.mark_iteration tr;
+        Aie.Trace.with_pipelined_loop tr ~trip:groups (fun _g ->
             (* Interleave the two cascade streams per sample, matching the
                producer's write order — with 32-word stream FIFOs a
                port-at-a-time drain would need more in-flight buffering
@@ -111,12 +113,12 @@ let stage2 =
             (* Horner: acc = ((c3*d + c2)*d + c1)*d + c0 in Q15. *)
             Array.blit c.(3) 0 acc 0 group;
             for m = 2 downto 0 do
-              Aie.Intrinsics.mul16 ~dst:prod acc dv;
-              Aie.Intrinsics.srs16 ~dst:prod ~shift:15 prod;
-              Aie.Intrinsics.add16 ~dst:acc prod c.(m)
+              Aie.Intrinsics.mul16 tr ~dst:prod acc dv;
+              Aie.Intrinsics.srs16 tr ~dst:prod ~shift:15 prod;
+              Aie.Intrinsics.add16 tr ~dst:acc prod c.(m)
             done;
-            Aie.Intrinsics.srs16 ~dst:y ~shift:0 acc;
-            Aie.Intrinsics.scalar_op ~count:2 "addr";
+            Aie.Intrinsics.srs16 tr ~dst:y ~shift:0 acc;
+            Aie.Intrinsics.scalar_op tr ~count:2 "addr";
             Cgsim.Port.put_window_int output y)
       done)
 

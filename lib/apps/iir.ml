@@ -40,6 +40,7 @@ let kernel =
     ]
     (fun b ->
       let input = Cgsim.Kernel.rd b 0 and output = Cgsim.Kernel.wr b 0 in
+      let tr = Aie.Trace.recorder b in
       let sections = Workloads.Reference.iir_sections in
       let matrices = Array.map section_matrix sections in
       (* Boundary state per section, carried across groups and windows. *)
@@ -48,28 +49,28 @@ let kernel =
       let buf = Array.make samples_per_window 0.0 in
       let x = Array.make group 0.0 and acc = Array.make group 0.0 in
       while true do
-        Aie.Trace.mark_iteration ();
+        Aie.Trace.mark_iteration tr;
         Cgsim.Port.get_window_f32 input buf;
         for si = 0 to Array.length matrices - 1 do
           let m = matrices.(si) and st = state.(si) in
-          Aie.Trace.with_pipelined_loop ~trip:groups (fun g ->
-              Aie.Intrinsics.load_f32 ~dst:x buf (g * group);
-              Aie.Intrinsics.fpsplat ~dst:acc 0.0;
+          Aie.Trace.with_pipelined_loop tr ~trip:groups (fun g ->
+              Aie.Intrinsics.load_f32 tr ~dst:x buf (g * group);
+              Aie.Intrinsics.fpsplat tr ~dst:acc 0.0;
               for j = 0 to 3 do
-                Aie.Intrinsics.fpmac_scalar ~dst:acc acc st j m.(j)
+                Aie.Intrinsics.fpmac_scalar tr ~dst:acc acc st j m.(j)
               done;
               for k = 0 to group - 1 do
-                Aie.Intrinsics.fpmac_scalar ~dst:acc acc x k m.(4 + k)
+                Aie.Intrinsics.fpmac_scalar tr ~dst:acc acc x k m.(4 + k)
               done;
               (* Update boundary state: y1 y2 x1 x2. *)
               st.(1) <- acc.(group - 2);
               st.(0) <- acc.(group - 1);
               st.(3) <- x.(group - 2);
               st.(2) <- x.(group - 1);
-              Aie.Intrinsics.scalar_op ~count:4 "state";
-              Aie.Intrinsics.store_f32 buf (g * group) acc)
+              Aie.Intrinsics.scalar_op tr ~count:4 "state";
+              Aie.Intrinsics.store_f32 tr buf (g * group) acc)
         done;
-        Aie.Intrinsics.scalar_op ~count:4 "win_ctl";
+        Aie.Intrinsics.scalar_op tr ~count:4 "win_ctl";
         Cgsim.Port.put_window_f32 output buf
       done)
 

@@ -14,8 +14,6 @@ type severity =
   | Warning
   | Error
 
-val severity_to_string : severity -> string
-
 (** Errors dominate warnings dominate infos. *)
 val compare_severity : severity -> severity -> int
 

@@ -26,8 +26,6 @@ type action =
       (** From the Nth access on, the port's advisory space probe reports
           a full queue and every put is preceded by N yields. *)
 
-val action_to_string : action -> string
-
 type spec = {
   fs_kernel : string;  (** Kernel instance name, or ["*"] for any. *)
   fs_action : action;

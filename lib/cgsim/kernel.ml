@@ -30,9 +30,14 @@ type port_spec = {
   settings : Settings.t;
 }
 
+type context = ..
+
+type context += No_context
+
 type binding = {
   readers : Port.reader array;
   writers : Port.writer array;
+  context : context;
 }
 
 type body = binding -> unit

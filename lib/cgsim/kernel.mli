@@ -5,10 +5,12 @@
     Port metadata (direction, dtype, settings) is carried explicitly —
     the role the generated C++ class and its type traits play in cgsim.
 
-    A kernel body receives a {!binding} of runtime endpoints; bodies are
-    written as infinite loops over stream operations and terminate via
-    {!Sched.End_of_stream} when their inputs drain (or run once per window
-    for buffer-port kernels). *)
+    A kernel body receives a {!binding}: the runtime endpoints of its
+    ports and a per-kernel {!context}, its only inputs (the paper's
+    extractor swaps port implementations per realm and leaves the kernel
+    code alone, Section 4.4).  Bodies are written as infinite loops over
+    stream operations and terminate via {!Sched.End_of_stream} when their
+    inputs drain (or run once per window for buffer-port kernels). *)
 
 (** Target hardware realm (Section 4.3).  [Aie] kernels are extracted to
     the AI Engine array; [Noextract] kernels stay in the host application;
@@ -34,11 +36,22 @@ type port_spec = {
   settings : Settings.t;
 }
 
+(** What a run hands one kernel instance besides its ports.  Libraries
+    extend the type with their own constructors; aiesim's capture hands
+    each kernel its trace recorder ([Aie.Trace.Recorder]) this way. *)
+type context = ..
+
+(** The context of a kernel run without one: plain cgsim, x86sim and
+    serving pools. *)
+type context += No_context
+
 (** Endpoints bound positionally to the kernel's ports: [readers] holds
-    the [In] ports in declaration order, [writers] the [Out] ports. *)
+    the [In] ports in declaration order, [writers] the [Out] ports.
+    [context] is fixed for the run. *)
 type binding = {
   readers : Port.reader array;
   writers : Port.writer array;
+  context : context;
 }
 
 type body = binding -> unit

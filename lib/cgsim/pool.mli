@@ -89,8 +89,6 @@ type outcome_counts = {
   n_retried_ok : int;  (** Completed, but only on a retry attempt. *)
 }
 
-val count_outcomes : request_result array -> outcome_counts
-
 (** {1 The persistent pool} *)
 
 (** A running pool of worker domains. *)

@@ -131,9 +131,9 @@ type tap_source = Serialized.kernel_inst -> int -> string -> Port.tap option
 
 let no_taps _ _ _ = None
 
-type local_source = Serialized.kernel_inst -> Sched.local
+type context_source = Serialized.kernel_inst -> Kernel.context
 
-let no_local _ = Sched.No_local
+let no_context _ = Kernel.No_context
 
 type t = {
   graph : Serialized.t;
@@ -141,7 +141,7 @@ type t = {
   queues : Bqueue.t array;  (* indexed by net id *)
   config : Run_config.t;
   tap : tap_source;  (* the caller's port taps *)
-  local : local_source;  (* the caller's per-kernel fiber locals *)
+  context : context_source;  (* the caller's per-kernel contexts *)
   kernels : wired_kernel array;
   in_producers : Bqueue.producer array;  (* per input_order slot *)
   out_consumers : Bqueue.consumer array;  (* per output_order slot *)
@@ -237,7 +237,7 @@ let check_wiring ~(g : Serialized.t) queues =
    registration (kernel ports and one producer/consumer per global I/O
    slot, so endpoint counts are static across resets) and the wiring
    check — everything [run] does not have to repeat. *)
-let new_instance ?(tap = no_taps) ?(local = no_local) (c : compiled) =
+let new_instance ?(tap = no_taps) ?(context = no_context) (c : compiled) =
   let g = c.c_graph in
   let config = c.c_config in
   let sched = Sched.create () in
@@ -311,7 +311,7 @@ let new_instance ?(tap = no_taps) ?(local = no_local) (c : compiled) =
     queues;
     config;
     tap;
-    local;
+    context;
     kernels;
     in_producers;
     out_consumers;
@@ -321,8 +321,8 @@ let new_instance ?(tap = no_taps) ?(local = no_local) (c : compiled) =
     failure = None;
   }
 
-let instantiate ?config ?tap ?local (g : Serialized.t) =
-  new_instance ?tap ?local (compile ?config g)
+let instantiate ?config ?tap ?context (g : Serialized.t) =
+  new_instance ?tap ?context (compile ?config g)
 
 (* Restore a used instance to pristine: ring cursors, producer-open
    flags, scheduler state and the failure slot all return to their
@@ -373,7 +373,8 @@ let kernel_body t ~traced wk binding () =
     raise e
 
 (* Arm the instance for one run: tap the raw ports and spawn every
-   fiber, each kernel fiber with the caller's local for it.  Taps are
+   fiber, binding each kernel to its ports and the caller's context for
+   it.  Taps are
    listed fault first, so an injected fault fires before the transfer
    and the trace counters and the caller's tap (aiesim capture) record
    only transfers that happened.  Re-tapping per run keeps per-run tap
@@ -411,10 +412,11 @@ let arm t =
         {
           Kernel.readers = Array.of_list (List.rev !readers);
           writers = Array.of_list (List.rev !writers);
+          context = t.context inst;
         }
       in
       let producers = wk.wk_producers in
-      Sched.spawn ~prof_key:wk.wk_prof_key ~local:(t.local inst) t.sched ~name:inst.inst_name
+      Sched.spawn ~prof_key:wk.wk_prof_key t.sched ~name:inst.inst_name
         (fun () ->
           (* When a kernel terminates (normally or via End_of_stream), its
              output nets lose one producer; fully-drained nets close and the

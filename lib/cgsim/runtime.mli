@@ -25,7 +25,10 @@
     fault plan's tap when [config.faults] is set, the per-port element
     counters [port.get:NAME]/[port.put:NAME] when an {!Obs.Trace}
     session is active, and the caller's [?tap].  A run with none of
-    these binds kernels to the raw queue closures.  Kernel bodies are
+    these binds kernels to the raw queue closures.  Each kernel's binding
+    also carries the caller's [?context] for it ({!Kernel.No_context}
+    unless given), the one way a run hands a kernel anything besides its
+    ports.  Kernel bodies are
     supervised (a raise becomes [Kernel_failed]) and, when traced, emit
     [body-start]/[body-end]/[body-raise] instants. *)
 
@@ -44,12 +47,11 @@ exception Runtime_error of string
     trace this way. *)
 type tap_source = Serialized.kernel_inst -> int -> string -> Port.tap option
 
-(** A source of fiber locals: [src inst] is the {!Sched.local} kernel
-    instance [inst]'s fiber is spawned with, read back inside the fiber
-    by {!Sched.local}.  Like a tap source it is called afresh for every
-    {!run}.  aiesim's capture gives each kernel its trace recorder this
-    way. *)
-type local_source = Serialized.kernel_inst -> Sched.local
+(** A source of kernel contexts: [src inst] is the {!Kernel.context} in
+    kernel instance [inst]'s binding.  Like a tap source it is called
+    afresh for every {!run}.  aiesim's capture gives each kernel its
+    trace recorder this way. *)
+type context_source = Serialized.kernel_inst -> Kernel.context
 
 (** {1 Structured outcomes} *)
 
@@ -90,7 +92,6 @@ type outcome =
     ["cancelled"], ["failed"] — used as metric/JSON keys. *)
 val outcome_label : outcome -> string
 
-val failure_message : failure -> string
 val progress_message : progress -> string
 val pp_outcome : Format.formatter -> outcome -> unit
 
@@ -103,11 +104,11 @@ val stats_exn : outcome -> Sched.stats
     {!Run_config.default}).  Queue capacities derive from each net's
     resolved settings unless [config.queue_capacity] overrides them all.
     Ports always take the block transfers and scalar nets always use
-    flat storage.  [tap] is the caller's port tap and [local] its
-    per-kernel fiber local (default {!Sched.No_local}), both applied
-    on every run.  Raises exactly as {!compile} does. *)
+    flat storage.  [tap] is the caller's port tap and [context] its
+    per-kernel context (default {!Kernel.No_context}), both applied on
+    every run.  Raises exactly as {!compile} does. *)
 val instantiate :
-  ?config:Run_config.t -> ?tap:tap_source -> ?local:local_source -> Serialized.t -> t
+  ?config:Run_config.t -> ?tap:tap_source -> ?context:context_source -> Serialized.t -> t
 
 (** {1 Compile-once serving}
 
@@ -137,9 +138,9 @@ val compiled_capacity : compiled -> int -> int
 (** [new_instance c] builds the per-request state: queues at the
     compiled capacities, all kernel and global-I/O endpoints registered
     (so endpoint counts are static across resets) and wiring verified.
-    [tap] and [local] are as for {!instantiate}.  The instance is ready
+    [tap] and [context] are as for {!instantiate}.  The instance is ready
     for one {!run}; {!reset} readies it for the next. *)
-val new_instance : ?tap:tap_source -> ?local:local_source -> compiled -> t
+val new_instance : ?tap:tap_source -> ?context:context_source -> compiled -> t
 
 (** [reset t] restores a used instance to its just-built state without
     reallocating: ring cursors and sequence numbers return to zero,

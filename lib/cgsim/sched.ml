@@ -4,15 +4,10 @@ open Effect.Deep
 exception Terminated
 exception End_of_stream
 
-type local = ..
-
-type local += No_local
-
 type task = {
   name : string;
   prof_key : string;  (* "kernel.self_ns:<name>", precomputed so the
                          per-slice profiler observe never allocates *)
-  local : local;  (* fixed at spawn, read by [local] while the fiber runs *)
   mutable gen : int;  (* park generation; wakers from older parks are stale *)
   mutable state : task_state;
 }
@@ -40,7 +35,7 @@ and t = {
   mutable slices : int;
   mutable kernel_ns : float;
   mutable in_run : bool;
-  mutable n_parked : int;  (* tasks currently in [Parked _] *)
+  mutable n_parked : int;  (* tasks in [Parked _], so idle checks are O(1) *)
   mutable stop : stop_reason option;  (* cooperative cancel token *)
   mutable stop_info : stop option;  (* snapshot taken when [stop] was set *)
   mutable last_ran : string option;  (* last task that executed a slice *)
@@ -122,37 +117,15 @@ let current_name () =
   | Some (_, task) -> task.name
   | None -> "<host>"
 
-(* Fibers spawned with a local and not yet finished, on every domain.
-   It carries no data: while it is zero no running fiber can have a
-   local, so [local] answers without the domain-local read, which adds
-   about a fifth to an untraced 8-lane AIE intrinsic.  A stale read
-   on another domain costs that read, never a wrong answer, since a
-   fiber's own spawn precedes its reads. *)
-let live_locals = Atomic.make 0
-
-let local () =
-  if Atomic.get live_locals = 0 then No_local
-  else
-    match !(current ()) with
-    | Some (_, task) -> task.local
-    | None -> No_local
-
-(* Every transition to [Finished] goes through here, so the count drops
-   exactly once per fiber that raised it. *)
-let finished task =
-  task.state <- Finished;
-  if task.local != No_local then Atomic.decr live_locals
-
 (* The single clock shared with the observability layer: scheduler stats
    and exported obs spans must agree on what "now" means. *)
 let now_ns = Obs.Clock.now_ns
 
-let spawn ?prof_key ?(local = No_local) (t : t) ~name fn =
+let spawn ?prof_key (t : t) ~name fn =
   let prof_key =
     match prof_key with Some k -> k | None -> Obs.Profile.prefix ^ name
   in
-  let task = { name; prof_key; local; gen = 0; state = Initial fn } in
-  if local != No_local then Atomic.incr live_locals;
+  let task = { name; prof_key; gen = 0; state = Initial fn } in
   t.spawned <- t.spawned + 1;
   t.tasks <- task :: t.tasks;
   Queue.push task t.ready
@@ -193,24 +166,9 @@ let park register =
     if t.stop <> None then raise Terminated else perform (Park_eff register)
   | None -> invalid_arg "cgsim: Sched.park called outside of a running fiber"
 
-let wake w =
-  let task = w.w_task in
-  match task.state with
-  | Parked k when task.gen = w.w_gen ->
-    task.state <- Ready k;
-    w.w_sched.n_parked <- w.w_sched.n_parked - 1;
-    Obs.Flight.note Obs.Flight.Wake task.name;
-    if !Obs.Trace.on then begin
-      Obs.Trace.instant ~track:task.name ~cat:"sched" "wake";
-      Obs.Trace.incr_metric "sched.wakes"
-    end;
-    Queue.push task w.w_sched.ready
-  | Parked _ | Initial _ | Running | Ready _ | Finished -> ()
-
-(* Batched wake: one pass over the waiter list and a single metric update,
-   instead of re-entering the per-waker bookkeeping for every entry.
+(* Batched wake: one pass over the waiter list and a single metric update.
    Stale wakers (task re-parked under a newer generation, already ready,
-   or finished) are skipped exactly as in [wake]. *)
+   or finished) are skipped. *)
 let wake_batch ws =
   let traced = !Obs.Trace.on in
   let woken = ref 0 in
@@ -232,11 +190,6 @@ let parked_tasks (t : t) =
   List.filter
     (fun task -> match task.state with Parked _ -> true | _ -> false)
     (List.rev t.tasks)
-
-(* O(1): maintained at every park/wake/cancel transition; the scheduling
-   loop consults this on each idle check, so a fold over all tasks there
-   would be O(tasks) per drained ready-queue. *)
-let parked_count t = t.n_parked
 
 let parked_names t = List.map (fun task -> task.name) (parked_tasks t)
 
@@ -260,7 +213,7 @@ let cancel t = set_stop t Cancel_requested
    one-shot continuation and stash it on the task record. *)
 let fiber_handler (t : t) (task : task) : (unit, unit) handler =
   let finish outcome =
-    finished task;
+    task.state <- Finished;
     match outcome with
     | `Completed -> t.completed <- t.completed + 1
     | `Cancelled -> t.cancelled <- t.cancelled + 1
@@ -332,6 +285,21 @@ let run_slice (t : t) (task : task) =
   end;
   slot := saved
 
+(* Raise [Terminated] inside a suspended fiber so its cleanup code runs,
+   with the fiber as the current one meanwhile.  [discontinue] runs under
+   the handler captured at fiber start, which accounts for the outcome;
+   a task left [Running] is only marked finished. *)
+let terminate (t : t) task k =
+  task.state <- Running;
+  let slot = current () in
+  let saved = !slot in
+  slot := Some (t, task);
+  (try discontinue k Terminated with Terminated -> ());
+  slot := saved;
+  match task.state with
+  | Running -> task.state <- Finished
+  | Initial _ | Parked _ | Ready _ | Finished -> ()
+
 let cancel_parked t =
   (* End-of-run cleanup (Section 3.8): terminate fibers that can no longer
      make progress so their cleanup code runs.  Cancellation may ready new
@@ -341,17 +309,8 @@ let cancel_parked t =
     (fun task ->
       match task.state with
       | Parked k ->
-        task.state <- Running;
         t.n_parked <- t.n_parked - 1;
-        let slot = current () in
-        let saved = !slot in
-        slot := Some (t, task);
-        (* discontinue runs under the handler captured at fiber start *)
-        (try discontinue k Terminated with Terminated -> ());
-        slot := saved;
-        (match task.state with
-         | Running -> finished task
-         | Initial _ | Parked _ | Ready _ | Finished -> ())
+        terminate t task k
       | Initial _ | Running | Ready _ | Finished -> ())
     (parked_tasks t)
 
@@ -362,19 +321,10 @@ let cancel_parked t =
 let terminate_all (t : t) =
   let discontinue_ready task =
     match task.state with
-    | Ready k ->
-      task.state <- Running;
-      let slot = current () in
-      let saved = !slot in
-      slot := Some (t, task);
-      (try discontinue k Terminated with Terminated -> ());
-      slot := saved;
-      (match task.state with
-       | Running -> finished task
-       | Initial _ | Parked _ | Ready _ | Finished -> ())
+    | Ready k -> terminate t task k
     | Initial _ ->
       (* Never started: no cleanup to run, just account for it. *)
-      finished task;
+      task.state <- Finished;
       t.cancelled <- t.cancelled + 1
     | Running | Parked _ | Finished -> ()
   in
@@ -388,7 +338,7 @@ let terminate_all (t : t) =
         (List.filter
            (fun task -> match task.state with Ready _ | Initial _ -> true | _ -> false)
            t.tasks);
-      if parked_count t > 0 then begin
+      if t.n_parked > 0 then begin
         cancel_parked t;
         pass ()
       end
@@ -422,7 +372,7 @@ let run ?deadline_ns ?max_steps (t : t) =
         run_slice t task;
         drive ()
       | None ->
-        if parked_count t > 0 then begin
+        if t.n_parked > 0 then begin
           cancel_parked t;
           if not (Queue.is_empty t.ready) then drive ()
         end

@@ -16,7 +16,11 @@
 
     The scheduler also keeps the kernel-time vs. scheduling-time accounting
     used to reproduce the paper's Section 5.2 perf profile (99.94 % of
-    cgsim's bitonic runtime is kernel execution). *)
+    cgsim's bitonic runtime is kernel execution).
+
+    A fiber carries no data of its own beyond its name: what a kernel
+    needs from its run (its ports, aiesim's trace recorder) reaches it
+    through its {!Kernel.binding}. *)
 
 type t
 
@@ -46,8 +50,6 @@ type stop = {
   stop_slices : int;  (** Slices executed when the stop fired. *)
 }
 
-val stop_reason_to_string : stop_reason -> string
-
 type stats = {
   spawned : int;  (** Fibers registered. *)
   completed : int;  (** Fibers that returned or ended via {!End_of_stream}. *)
@@ -68,22 +70,12 @@ val pp_stats : Format.formatter -> stats -> unit
 
 val create : unit -> t
 
-(** A fiber-local value, fixed when the fiber is spawned and read back
-    by code running inside it ({!local}).  Libraries extend the type
-    with their own constructors; aiesim's capture installs a trace
-    recorder ([Aie.Trace.Recorder]) this way. *)
-type local = ..
-
-(** The local of a fiber spawned without one, and of host code. *)
-type local += No_local
-
 (** [spawn t ~name fn] registers a fiber in the suspended state.  Allowed
     both before {!run} and from inside a running fiber.  [prof_key]
     overrides the per-kernel profiler key (default
     [Obs.Profile.prefix ^ name]); warm runtimes pass a precomputed key so
-    respawning a fiber never allocates the string again.  [local]
-    (default {!No_local}) is the fiber's local value. *)
-val spawn : ?prof_key:string -> ?local:local -> t -> name:string -> (unit -> unit) -> unit
+    respawning a fiber never allocates the string again. *)
+val spawn : ?prof_key:string -> t -> name:string -> (unit -> unit) -> unit
 
 (** Restore the scheduler to its freshly-{!create}d state: empties the
     task set and ready queue and zeroes all counters and the stop token.
@@ -112,12 +104,6 @@ val run : ?deadline_ns:float -> ?max_steps:int -> t -> stats
     before {!run}.  Idempotent; the first stop reason wins. *)
 val cancel : t -> unit
 
-(** Number of fibers currently parked (diagnostic). *)
-val parked_count : t -> int
-
-(** Names of currently parked fibers (diagnostic, deterministic order). *)
-val parked_names : t -> string list
-
 (** {1 Operations available inside a fiber} *)
 
 (** Reschedule the calling fiber at the back of the ready queue. *)
@@ -125,23 +111,13 @@ val yield : unit -> unit
 
 (** [park register] suspends the calling fiber after handing a fresh
     {!waker} to [register] (which typically stores it in a queue's waiter
-    list).  The fiber resumes when the waker is {!wake}d. *)
+    list).  The fiber resumes when the waker is passed to {!wake_batch}. *)
 val park : (waker -> unit) -> unit
 
-(** Wake a parked fiber.  Safe to call on stale or duplicate wakers. *)
-val wake : waker -> unit
-
 (** [wake_batch ws] wakes every valid waker in [ws] in one pass with a
-    single metrics update — the queue layer uses it to make wake cost
-    proportional to the number of waiters actually resumed rather than
-    re-entering per-waker bookkeeping.  Stale wakers are skipped. *)
+    single metrics update, so wake cost is proportional to the number of
+    waiters actually resumed.  Stale and duplicate wakers are skipped. *)
 val wake_batch : waker list -> unit
 
 (** Name of the currently running fiber, for diagnostics. *)
 val current_name : unit -> string
-
-(** The running fiber's local value; {!No_local} outside any fiber.
-    Allocation-free: while no live fiber on any domain was spawned with
-    a local it is one load and a branch, otherwise one domain-local
-    read. *)
-val local : unit -> local

@@ -56,9 +56,6 @@ val outputs : t -> net list
     kernel ports on it — diagnostics should never show a bare index. *)
 val net_display : t -> int -> string
 
-(** "inst.port" spelling of an endpoint. *)
-val endpoint_display : t -> endpoint -> string
-
 (** Best-effort source span for a net: the net's own [src] when present,
     else the span of the first endpoint kernel that has one. *)
 val net_src : t -> int -> Srcspan.t option

@@ -59,4 +59,7 @@ val default_stream_depth : int
     must be 4/8/16, depth positive. *)
 val validate : elem_bytes:int -> t -> (unit, string) result
 
+(** ["stream"], ["window<B>"], ["rtp"] or ["gmio"]. *)
+val pp_transport : Format.formatter -> transport -> unit
+
 val pp : Format.formatter -> t -> unit

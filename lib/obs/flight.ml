@@ -27,7 +27,6 @@
 type kind =
   | Slice  (* a fiber ran one scheduler slice; arg = duration ns *)
   | Park  (* a fiber suspended on a queue *)
-  | Wake
   | Stop  (* scheduler stop token set; name = reason *)
   | Body_raise  (* a kernel body raised; name = kernel instance *)
   | Request  (* pool request started; arg = request id *)
@@ -39,7 +38,6 @@ type kind =
 let kind_to_string = function
   | Slice -> "slice"
   | Park -> "park"
-  | Wake -> "wake"
   | Stop -> "stop"
   | Body_raise -> "raise"
   | Request -> "request"
@@ -75,8 +73,6 @@ let ring_key : ring Domain.DLS.key =
 let enabled = Atomic.make true
 
 let set_enabled b = Atomic.set enabled b
-
-let is_enabled () = Atomic.get enabled
 
 let capacity = default_capacity
 

@@ -15,7 +15,6 @@
 type kind =
   | Slice  (** A fiber ran one scheduler slice; arg = duration ns. *)
   | Park
-  | Wake
   | Stop  (** Scheduler stop token set; name = reason. *)
   | Body_raise  (** A kernel body raised; name = kernel instance. *)
   | Request  (** Pool request started; arg = request id. *)
@@ -52,10 +51,6 @@ val clear : unit -> unit
 
 (** Global kill switch for overhead A/B measurements; on by default. *)
 val set_enabled : bool -> unit
-
-val is_enabled : unit -> bool
-
-val pp_entry : Format.formatter -> entry -> unit
 
 (** One line per entry, oldest first. *)
 val render : entry list -> string

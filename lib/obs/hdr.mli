@@ -22,9 +22,6 @@ val rel_error : float
     0, values are rounded to integer ns). *)
 val record : t -> float -> unit
 
-(** [record_n t v n] records [n] occurrences of [v] ([n <= 0]: no-op). *)
-val record_n : t -> float -> int -> unit
-
 val count : t -> int
 
 (** Exact sum of recorded values (pre-quantisation). *)

@@ -9,11 +9,9 @@
     suffix; histograms emit cumulative [_bucket{le=...}] series ending
     in [+Inf], then [_sum] and [_count]. *)
 
-(** ["cgsim_"] — prefixed to every family name. *)
-val default_namespace : string
-
 (** Render a snapshot as exposition text, one [# TYPE] line per
-    family. *)
+    family, each family name prefixed with [namespace] (default
+    ["cgsim_"]). *)
 val of_snapshot : ?namespace:string -> Metrics.snapshot -> string
 
 (** Strict validation: line shapes, metric-name and label syntax,

@@ -116,6 +116,7 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
         {
           Cgsim.Kernel.readers = Array.of_list (List.rev !readers);
           writers = Array.of_list (List.rev !writers);
+          context = Cgsim.Kernel.No_context;
         }
       in
       let ps = !producers in

@@ -438,12 +438,10 @@ let words_per_call f =
   done;
   (Gc.minor_words () -. before) /. float_of_int calls
 
-(* Every destination form, untraced, on 16 lanes: 0 words per call.  The
-   rounding absorbs the boxed float each Gc.minor_words reading
+(* Every destination form on 16 lanes, handed [tr]: 0 words per call.
+   The rounding absorbs the boxed float each Gc.minor_words reading
    allocates, spread over the 1000 calls. *)
-let test_intrinsics_allocate_nothing () =
-  Alcotest.(check bool) "tracing off" false
-    (match Cgsim.Sched.local () with Aie.Trace.Recorder _ -> true | _ -> false);
+let intrinsics_allocate_nothing ~what tr =
   let lanes = 16 in
   let a = Array.init lanes float_of_int and b = Array.make lanes 0.5 in
   let fd = Array.make lanes 0.0 in
@@ -451,73 +449,79 @@ let test_intrinsics_allocate_nothing () =
   let idx = Array.init lanes (fun i -> lanes - 1 - i) in
   let mask = Array.init lanes (fun i -> i land 1 = 0) in
   let fmem = Array.make 64 1.0 and imem = Array.make 64 1 in
-  let nothing what f =
+  let nothing op f =
     let w = words_per_call f in
-    if Float.round w <> 0.0 then Alcotest.failf "%s allocates %.2f words per call" what w
+    if Float.round w <> 0.0 then Alcotest.failf "%s, %s allocates %.2f words per call" what op w
   in
   let open Aie.Intrinsics in
-  nothing "fpadd" (fun () -> fpadd ~dst:fd a b);
-  nothing "fpsub" (fun () -> fpsub ~dst:fd a b);
-  nothing "fpmul" (fun () -> fpmul ~dst:fd a b);
-  nothing "fpmac" (fun () -> fpmac ~dst:fd a a b);
-  nothing "fpmac_scalar" (fun () -> fpmac_scalar ~dst:fd a b 3 b);
-  nothing "fpmax" (fun () -> fpmax ~dst:fd a b);
-  nothing "fpmin" (fun () -> fpmin ~dst:fd a b);
-  nothing "fpshuffle" (fun () -> fpshuffle ~dst:fd a idx);
-  nothing "fpselect" (fun () -> fpselect ~dst:fd mask a b);
-  nothing "fpsplat" (fun () -> fpsplat ~dst:fd 0.25);
-  nothing "fpsum" (fun () -> fpsum ~dst:fd a);
-  nothing "mul16" (fun () -> mul16 ~dst:id acc idx);
-  nothing "mac16" (fun () -> mac16 ~dst:id acc acc idx);
-  nothing "mac16_scalar" (fun () -> mac16_scalar ~dst:id acc acc 3);
-  nothing "add16" (fun () -> add16 ~dst:id acc idx);
-  nothing "sub16" (fun () -> sub16 ~dst:id acc idx);
-  nothing "shuffle16" (fun () -> shuffle16 ~dst:id acc idx);
-  nothing "mac32" (fun () -> mac32 ~dst:id acc acc idx);
-  nothing "add32" (fun () -> add32 ~dst:id acc idx);
-  nothing "sub32" (fun () -> sub32 ~dst:id acc idx);
-  nothing "srs16" (fun () -> srs16 ~dst:id ~shift:4 acc);
-  nothing "srs32" (fun () -> srs32 ~dst:id ~shift:4 acc);
-  nothing "ups16" (fun () -> ups16 ~dst:id ~shift:4 idx);
-  nothing "load_f32" (fun () -> load_f32 ~dst:fd fmem 8);
-  nothing "store_f32" (fun () -> store_f32 fmem 8 fd);
-  nothing "load_i16" (fun () -> load_i16 ~dst:id imem 8);
-  nothing "store_i16" (fun () -> store_i16 imem 8 id);
-  let w = words_per_call (fun () -> Aie.Trace.sop ~count:3 "addr") in
-  if w > 2. then Alcotest.failf "Trace.sop allocates %.1f words per call (bound 2)" w
+  nothing "fpadd" (fun () -> fpadd tr ~dst:fd a b);
+  nothing "fpsub" (fun () -> fpsub tr ~dst:fd a b);
+  nothing "fpmul" (fun () -> fpmul tr ~dst:fd a b);
+  nothing "fpmac" (fun () -> fpmac tr ~dst:fd a a b);
+  nothing "fpmac_scalar" (fun () -> fpmac_scalar tr ~dst:fd a b 3 b);
+  nothing "fpmax" (fun () -> fpmax tr ~dst:fd a b);
+  nothing "fpmin" (fun () -> fpmin tr ~dst:fd a b);
+  nothing "fpshuffle" (fun () -> fpshuffle tr ~dst:fd a idx);
+  nothing "fpselect" (fun () -> fpselect tr ~dst:fd mask a b);
+  nothing "fpsplat" (fun () -> fpsplat tr ~dst:fd 0.25);
+  nothing "fpsum" (fun () -> fpsum tr ~dst:fd a);
+  nothing "mul16" (fun () -> mul16 tr ~dst:id acc idx);
+  nothing "mac16" (fun () -> mac16 tr ~dst:id acc acc idx);
+  nothing "mac16_scalar" (fun () -> mac16_scalar tr ~dst:id acc acc 3);
+  nothing "add16" (fun () -> add16 tr ~dst:id acc idx);
+  nothing "sub16" (fun () -> sub16 tr ~dst:id acc idx);
+  nothing "shuffle16" (fun () -> shuffle16 tr ~dst:id acc idx);
+  nothing "mac32" (fun () -> mac32 tr ~dst:id acc acc idx);
+  nothing "add32" (fun () -> add32 tr ~dst:id acc idx);
+  nothing "sub32" (fun () -> sub32 tr ~dst:id acc idx);
+  nothing "srs16" (fun () -> srs16 tr ~dst:id ~shift:4 acc);
+  nothing "srs32" (fun () -> srs32 tr ~dst:id ~shift:4 acc);
+  nothing "ups16" (fun () -> ups16 tr ~dst:id ~shift:4 idx);
+  nothing "load_f32" (fun () -> load_f32 tr ~dst:fd fmem 8);
+  nothing "store_f32" (fun () -> store_f32 tr fmem 8 fd);
+  nothing "load_i16" (fun () -> load_i16 tr ~dst:id imem 8);
+  nothing "store_i16" (fun () -> store_i16 tr imem 8 id);
+  let w = words_per_call (fun () -> Aie.Trace.sop tr ~count:3 "addr") in
+  if w > 2. then Alcotest.failf "%s, Trace.sop allocates %.1f words per call (bound 2)" what w
+
+(* Untraced ([None]) and with a recorder that is suppressed, as in the
+   unrecorded iterations of a pipelined loop. *)
+let test_intrinsics_allocate_nothing () =
+  intrinsics_allocate_nothing ~what:"no recorder" None;
+  let r = Aie.Trace.create_recorder () in
+  let tr = Some r in
+  Aie.Trace.with_pipelined_loop tr ~trip:2 (fun i ->
+      if i = 1 then begin
+        Alcotest.(check bool) "suppressed" false (Aie.Trace.recording r);
+        intrinsics_allocate_nothing ~what:"suppressed recorder" tr
+      end);
+  Alcotest.(check int) "only the loop markers recorded" 2 (Aie.Trace.event_count r)
 
 (* ------------------------------------------------------------------ *)
 (* Intrinsics: cost emission                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Run [f] in a fiber whose local is a fresh recorder, as aiesim's
-   capture runs a kernel; a raise inside [f] is re-raised here. *)
-let in_fiber ?local f =
-  let s = Cgsim.Sched.create () in
-  Cgsim.Sched.spawn ?local s ~name:"traced" f;
-  match (Cgsim.Sched.run s).Cgsim.Sched.failed with
-  | (_, e) :: _ -> raise e
-  | [] -> ()
-
+(* The events [f] records into a fresh recorder it is handed, as a
+   kernel bound by aiesim's capture hands its recorder to every op. *)
 let with_recording f =
   let r = Aie.Trace.create_recorder () in
-  in_fiber ~local:(Aie.Trace.Recorder r) f;
+  f (Some r);
   Aie.Trace.events r
 
-let vop name = Aie.Trace.emit (Aie.Trace.Vop { name; slots = 1 })
+let vop tr name = Option.iter (fun r -> Aie.Trace.push r (Aie.Trace.Vop { name; slots = 1 })) tr
 
 let show_events evs = String.concat "; " (List.map (Format.asprintf "%a" Aie.Trace.pp_event) evs)
 
 let test_intrinsics_emit_costs () =
   let a16 = Array.make 16 1.0 in
   let events =
-    with_recording (fun () ->
-        Aie.Intrinsics.fpmac ~dst:(Array.make 16 0.0) (Array.make 16 0.0) a16 a16;
-        Aie.Intrinsics.mac16 ~dst:(Array.make 32 0) (Array.make 32 0) (Array.make 32 1)
+    with_recording (fun tr ->
+        Aie.Intrinsics.fpmac tr ~dst:(Array.make 16 0.0) (Array.make 16 0.0) a16 a16;
+        Aie.Intrinsics.mac16 tr ~dst:(Array.make 32 0) (Array.make 32 0) (Array.make 32 1)
           (Array.make 32 2);
-        Aie.Intrinsics.load_f32 ~dst:(Array.make 8 0.0) (Array.make 64 0.0) 0;
-        Aie.Intrinsics.scalar_op "addr";
-        Aie.Intrinsics.sub32 ~dst:(Array.make 16 0) (Array.make 16 3) (Array.make 16 1))
+        Aie.Intrinsics.load_f32 tr ~dst:(Array.make 8 0.0) (Array.make 64 0.0) 0;
+        Aie.Intrinsics.scalar_op tr "addr";
+        Aie.Intrinsics.sub32 tr ~dst:(Array.make 16 0) (Array.make 16 3) (Array.make 16 1))
   in
   (match events with
    | [ Aie.Trace.Vop { name = "fpmac"; slots = 2 };  (* 16 fp lanes = 2 slots *)
@@ -533,31 +537,32 @@ let test_intrinsics_emit_costs () =
       let f = Array.init lanes float_of_int and i = Array.init lanes (fun k -> k - 3) in
       let fd = Array.make lanes 0.0 and id = Array.make lanes 0 in
       let vector =
-        with_recording (fun () ->
-            Aie.Intrinsics.fpmac ~dst:fd f (Fresh.fsplat lanes 0.5) f;
-            Aie.Intrinsics.mac16 ~dst:id i i (Fresh.isplat lanes 7))
+        with_recording (fun tr ->
+            Aie.Intrinsics.fpmac tr ~dst:fd f (Fresh.fsplat lanes 0.5) f;
+            Aie.Intrinsics.mac16 tr ~dst:id i i (Fresh.isplat lanes 7))
       in
       let scalar =
-        with_recording (fun () ->
-            Aie.Intrinsics.fpmac_scalar ~dst:fd f [| 0.5 |] 0 f;
-            Aie.Intrinsics.mac16_scalar ~dst:id i i 7)
+        with_recording (fun tr ->
+            Aie.Intrinsics.fpmac_scalar tr ~dst:fd f [| 0.5 |] 0 f;
+            Aie.Intrinsics.mac16_scalar tr ~dst:id i i 7)
       in
       if vector <> scalar then
         Alcotest.failf "%d lanes: vector forms record [%s], scalar forms [%s]" lanes
           (show_events vector) (show_events scalar))
     [ 1; 8; 16; 32; 40 ]
 
-(* A recorder records only the fiber it is the local of: host code and
-   a fiber spawned without it leave it empty. *)
+(* A recorder records only the ops it is handed to: an op handed [None]
+   leaves it empty, the same op handed the recorder records one event. *)
 let test_intrinsics_disabled_is_silent () =
   let r = Aie.Trace.create_recorder () in
-  let work () = Aie.Intrinsics.fpadd ~dst:(Array.make 1 0.0) [| 1.0 |] [| 2.0 |] in
-  work ();
-  in_fiber work;
-  Alcotest.(check int) "no events" 0 (Aie.Trace.event_count r)
+  let work tr = Aie.Intrinsics.fpadd tr ~dst:(Array.make 1 0.0) [| 1.0 |] [| 2.0 |] in
+  work None;
+  Alcotest.(check int) "no events without the recorder" 0 (Aie.Trace.event_count r);
+  work (Some r);
+  Alcotest.(check int) "one event with it" 1 (Aie.Trace.event_count r)
 
 let test_intrinsics_bounds () =
-  (match Aie.Intrinsics.load_f32 ~dst:(Array.make 8 0.0) (Array.make 4 0.0) 2 with
+  (match Aie.Intrinsics.load_f32 None ~dst:(Array.make 8 0.0) (Array.make 4 0.0) 2 with
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "out-of-range vector load must be rejected");
   (* A negative offset is the intrinsic's own bounds error, not a stdlib
@@ -566,11 +571,11 @@ let test_intrinsics_bounds () =
     if not (raises_invalid f) then Alcotest.failf "%s must raise an aie: bounds error" what
   in
   rejected "load_f32 mem (-1)" (fun () ->
-      Aie.Intrinsics.load_f32 ~dst:(Array.make 2 0.0) (Array.make 4 0.0) (-1));
+      Aie.Intrinsics.load_f32 None ~dst:(Array.make 2 0.0) (Array.make 4 0.0) (-1));
   rejected "load_i16 mem (-3)" (fun () ->
-      Aie.Intrinsics.load_i16 ~dst:(Array.make 2 0) (Array.make 4 0) (-3));
+      Aie.Intrinsics.load_i16 None ~dst:(Array.make 2 0) (Array.make 4 0) (-3));
   rejected "store_f32 past the end" (fun () ->
-      Aie.Intrinsics.store_f32 (Array.make 4 0.0) 3 (Array.make 2 0.0))
+      Aie.Intrinsics.store_f32 None (Array.make 4 0.0) 3 (Array.make 2 0.0))
 
 (* ------------------------------------------------------------------ *)
 (* Trace: pipelined-loop recording                                    *)
@@ -579,10 +584,10 @@ let test_intrinsics_bounds () =
 let test_trace_loop_suppression () =
   let executions = ref 0 in
   let events =
-    with_recording (fun () ->
-        Aie.Trace.with_pipelined_loop ~trip:10 (fun _ ->
+    with_recording (fun tr ->
+        Aie.Trace.with_pipelined_loop tr ~trip:10 (fun _ ->
             incr executions;
-            vop "body"))
+            vop tr "body"))
   in
   Alcotest.(check int) "body ran trip times" 10 !executions;
   match events with
@@ -593,10 +598,10 @@ let test_trace_loop_suppression () =
 
 let test_trace_loop_abort_marker () =
   let events =
-    with_recording (fun () ->
+    with_recording (fun tr ->
         try
-          Aie.Trace.with_pipelined_loop ~trip:10 (fun _ ->
-              vop "partial";
+          Aie.Trace.with_pipelined_loop tr ~trip:10 (fun _ ->
+              vop tr "partial";
               raise Exit)
         with Exit -> ())
   in
@@ -605,7 +610,7 @@ let test_trace_loop_abort_marker () =
   | evs -> Alcotest.failf "expected abort marker, got %d events" (List.length evs)
 
 let test_trace_zero_trip () =
-  let events = with_recording (fun () -> Aie.Trace.with_pipelined_loop ~trip:0 (fun _ -> ())) in
+  let events = with_recording (fun tr -> Aie.Trace.with_pipelined_loop tr ~trip:0 (fun _ -> ())) in
   Alcotest.(check int) "no events for empty loop" 0 (List.length events)
 
 (* The abort path as it actually occurs in a graph run: the input stream
@@ -618,9 +623,10 @@ let loop4_kernel =
     [ Cgsim.Kernel.in_port "in" Cgsim.Dtype.I32; Cgsim.Kernel.out_port "out" Cgsim.Dtype.I32 ]
     (fun b ->
       let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
+      let tr = Aie.Trace.recorder b in
       while true do
-        Aie.Trace.with_pipelined_loop ~trip:4 (fun _ ->
-            vop "work";
+        Aie.Trace.with_pipelined_loop tr ~trip:4 (fun _ ->
+            vop tr "work";
             Cgsim.Port.put o (Cgsim.Port.get i))
       done)
 
@@ -635,7 +641,7 @@ let test_trace_loop_abort_on_end_of_stream () =
   in
   let r = Aie.Trace.create_recorder () in
   let sink, contents = Cgsim.Io.int_buffer () in
-  let ctx = Cgsim.Runtime.instantiate ~local:(fun _ -> Aie.Trace.Recorder r) g in
+  let ctx = Cgsim.Runtime.instantiate ~context:(fun _ -> Aie.Trace.Recorder r) g in
   (* Exactly one full trip of input: the second loop region's first body
      read hits the drained stream. *)
   ignore

@@ -91,7 +91,8 @@ let test_segments_straightline () =
       Aie.Trace.Iteration_mark;
       Aie.Trace.Vop { name = "fpmac"; slots = 2 };
       Aie.Trace.Vop { name = "fpmac"; slots = 2 };
-      Aie.Trace.Port_write { port = "3"; bytes = 4; transport = Aie.Trace.Stream; thunked = false };
+      Aie.Trace.Port_write
+        { port = "3"; bytes = 4; transport = Cgsim.Settings.Stream; thunked = false };
     ]
   in
   match Aiesim.Segments.compile ~env events with
@@ -101,7 +102,7 @@ let test_segments_straightline () =
 
 let test_segments_thunk_cost () =
   let read =
-    Aie.Trace.Port_read { port = "1"; bytes = 4; transport = Aie.Trace.Stream; thunked = true }
+    Aie.Trace.Port_read { port = "1"; bytes = 4; transport = Cgsim.Settings.Stream; thunked = true }
   in
   let plain = Aiesim.Segments.compile ~thunk:Aiesim.Deploy.default_thunk ~env [ read ] in
   (* The thunk's scalar overhead lands in a compute region before the
@@ -115,7 +116,9 @@ let test_segments_thunk_cost () =
 let test_segments_window_coalescing () =
   (* Two full 8-byte windows read element-wise: one Win_in per window,
      element traffic coalesced into compute loads. *)
-  let rd = Aie.Trace.Port_read { port = "2"; bytes = 4; transport = Aie.Trace.Window 8; thunked = false } in
+  let rd =
+    Aie.Trace.Port_read { port = "2"; bytes = 4; transport = Cgsim.Settings.Window 8; thunked = false }
+  in
   let events = [ rd; rd; rd; rd ] in
   let segs = Aiesim.Segments.compile ~env events in
   let win_ins =
@@ -128,7 +131,7 @@ let test_segments_pipelined_loop () =
     [
       Aie.Trace.Loop_enter { trip = 64 };
       Aie.Trace.Vop { name = "mac"; slots = 2 };
-      Aie.Trace.Port_read { port = "0"; bytes = 4; transport = Aie.Trace.Stream; thunked = false };
+      Aie.Trace.Port_read { port = "0"; bytes = 4; transport = Cgsim.Settings.Stream; thunked = false };
       Aie.Trace.Loop_exit;
     ]
   in
@@ -151,7 +154,7 @@ let test_segments_aborted_loop_not_scaled () =
   let events =
     [
       Aie.Trace.Loop_enter { trip = 64 };
-      Aie.Trace.Port_read { port = "0"; bytes = 4; transport = Aie.Trace.Stream; thunked = false };
+      Aie.Trace.Port_read { port = "0"; bytes = 4; transport = Cgsim.Settings.Stream; thunked = false };
       Aie.Trace.Loop_abort;
     ]
   in
@@ -267,8 +270,9 @@ let gmio_copy_kernel =
     ]
     (fun b ->
       let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
+      let tr = Aie.Trace.recorder b in
       while true do
-        Aie.Trace.mark_iteration ();
+        Aie.Trace.mark_iteration tr;
         Cgsim.Port.put_int o (Cgsim.Port.get_int i + 1)
       done)
 

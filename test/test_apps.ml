@@ -15,7 +15,7 @@ let test_bitonic_network_shape () =
 
 let sorted v =
   let v = Array.copy v in
-  Apps.Bitonic.sort_vector (Apps.Bitonic.scratch ()) v;
+  Apps.Bitonic.sort_vector (Apps.Bitonic.scratch None) v;
   v
 
 let test_bitonic_sort_vector () =
@@ -35,7 +35,7 @@ let prop_bilinear_group_matches_scalar =
     (fun seed ->
       let quads = Workloads.Images.random_quads ~seed 16 in
       let vec = Array.make Apps.Bilinear.group 0 in
-      Apps.Bilinear.blend_group (Apps.Bilinear.scratch ()) ~dst:vec
+      Apps.Bilinear.blend_group (Apps.Bilinear.scratch None) ~dst:vec
         (Array.map Apps.Bilinear.quad_value quads);
       let scalar =
         Array.map

@@ -177,7 +177,7 @@ let test_sched_park_wake () =
       got := 42);
   Cgsim.Sched.spawn s ~name:"producer" (fun () ->
       match !slot with
-      | Some w -> Cgsim.Sched.wake w
+      | Some w -> Cgsim.Sched.wake_batch [ w ]
       | None -> Alcotest.fail "consumer should have parked first");
   let stats = Cgsim.Sched.run s in
   Alcotest.(check int) "both completed" 2 stats.Cgsim.Sched.completed;
@@ -214,9 +214,9 @@ let test_sched_stale_waker () =
   Cgsim.Sched.spawn s ~name:"waker" (fun () ->
       match !first with
       | Some w ->
-        Cgsim.Sched.wake w;
+        Cgsim.Sched.wake_batch [ w ];
         Cgsim.Sched.yield ();
-        Cgsim.Sched.wake w (* stale: sleeper re-parked under a new generation *)
+        Cgsim.Sched.wake_batch [ w ] (* stale: sleeper re-parked under a new generation *)
       | None -> Alcotest.fail "sleeper should have parked");
   let stats = Cgsim.Sched.run s in
   Alcotest.(check int) "woken exactly once" 1 !hits;
@@ -231,36 +231,6 @@ let test_sched_spawn_during_run () =
   let stats = Cgsim.Sched.run s in
   Alcotest.(check int) "both ran" 2 stats.Cgsim.Sched.completed;
   Alcotest.(check (list string)) "order" [ "parent"; "child" ] (List.rev !seen)
-
-type Cgsim.Sched.local += Tag of string
-
-(* Each fiber reads back the local it was spawned with, across yields
-   that interleave it with fibers holding other locals (or none); host
-   code reads [No_local] before, during and after the run. *)
-let test_sched_fiber_locals () =
-  let s = Cgsim.Sched.create () in
-  let read () =
-    match Cgsim.Sched.local () with
-    | Tag t -> t
-    | Cgsim.Sched.No_local -> "none"
-    | _ -> "other"
-  in
-  let log = ref [] in
-  let fiber name () =
-    for _ = 1 to 2 do
-      log := Printf.sprintf "%s:%s" name (read ()) :: !log;
-      Cgsim.Sched.yield ()
-    done
-  in
-  Cgsim.Sched.spawn s ~local:(Tag "x") ~name:"a" (fiber "a");
-  Cgsim.Sched.spawn s ~name:"b" (fiber "b");
-  Cgsim.Sched.spawn s ~local:(Tag "y") ~name:"c" (fiber "c");
-  Alcotest.(check string) "host before the run" "none" (read ());
-  ignore (Cgsim.Sched.run s);
-  Alcotest.(check (list string)) "each fiber its own local"
-    [ "a:x"; "b:none"; "c:y"; "a:x"; "b:none"; "c:y" ]
-    (List.rev !log);
-  Alcotest.(check string) "host after the run" "none" (read ())
 
 (* ------------------------------------------------------------------ *)
 (* Bqueue                                                             *)
@@ -667,10 +637,12 @@ let test_sched_wake_batch () =
         incr resumed)
   done;
   Cgsim.Sched.spawn s ~name:"waker" (fun () ->
-      Alcotest.(check int) "all parked" 3 (Cgsim.Sched.parked_count s);
+      Alcotest.(check int) "all parked" 3 (List.length !wakers);
       (* Duplicate entries must be skipped as stale. *)
       Cgsim.Sched.wake_batch (!wakers @ !wakers);
-      Alcotest.(check int) "none parked after batch" 0 (Cgsim.Sched.parked_count s));
+      (* The woken sleepers are queued ahead of the yielding waker. *)
+      Cgsim.Sched.yield ();
+      Alcotest.(check int) "all resumed after one yield" 3 !resumed);
   let stats = Cgsim.Sched.run s in
   Alcotest.(check int) "all resumed" 3 !resumed;
   Alcotest.(check int) "completed" 4 stats.Cgsim.Sched.completed
@@ -807,6 +779,77 @@ let test_runtime_unregistered_kernel () =
   with
   | exception Cgsim.Builder.Construction_error _ -> ()
   | _g -> Alcotest.fail "freeze must reject unregistered kernels"
+
+type Cgsim.Kernel.context += Tag of string
+
+(* (port name, context read) per element, appended by [context_probe]
+   from whichever fiber or domain runs it. *)
+let context_log = ref []
+
+let context_log_lock = Mutex.create ()
+
+(* Reads its binding's context once per element, yielding between the
+   read and the write so two instances interleave under cgsim. *)
+let context_probe =
+  Cgsim.Kernel.define ~realm:Cgsim.Kernel.Noextract ~name:"context_probe"
+    [ Cgsim.Kernel.in_port "in" Cgsim.Dtype.I32; Cgsim.Kernel.out_port "out" Cgsim.Dtype.I32 ]
+    (fun b ->
+      let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
+      let read () =
+        match b.Cgsim.Kernel.context with
+        | Tag t -> t
+        | Cgsim.Kernel.No_context -> "none"
+        | _ -> "other"
+      in
+      while true do
+        let x = Cgsim.Port.get_int i in
+        Mutex.protect context_log_lock (fun () ->
+            context_log := (i.Cgsim.Port.r_name, read ()) :: !context_log);
+        Cgsim.Sched.yield ();
+        Cgsim.Port.put_int o x
+      done)
+
+let () = Cgsim.Registry.register context_probe
+
+(* Two instances bound with different contexts each read their own on
+   every element, across yields that interleave them; x86sim binds
+   every kernel with [No_context]. *)
+let test_runtime_kernel_contexts () =
+  let g =
+    Cgsim.Builder.make ~name:"contexts" ~inputs:[ "x", Cgsim.Dtype.I32 ] (fun b conns ->
+        let mid = Cgsim.Builder.net b Cgsim.Dtype.I32 and out = Cgsim.Builder.net b Cgsim.Dtype.I32 in
+        ignore (Cgsim.Builder.add_kernel b ~inst:"ka" context_probe [ List.hd conns; mid ]);
+        ignore (Cgsim.Builder.add_kernel b ~inst:"kb" context_probe [ mid; out ]);
+        [ out ])
+  in
+  let input = [| 1; 2; 3 |] in
+  let run_log f =
+    context_log := [];
+    let sink, contents = Cgsim.Io.int_buffer () in
+    f ~sources:[ Cgsim.Io.of_int_array Cgsim.Dtype.I32 input ] ~sinks:[ sink ];
+    Alcotest.(check (array int)) "passed through" input (contents ());
+    List.rev !context_log
+  in
+  let context (inst : Cgsim.Serialized.kernel_inst) =
+    Tag (if inst.Cgsim.Serialized.inst_name = "ka" then "x" else "y")
+  in
+  let ctx = Cgsim.Runtime.instantiate ~context g in
+  let each tag_a tag_b =
+    List.init 3 (fun _ -> "ka.in", tag_a) @ List.init 3 (fun _ -> "kb.in", tag_b)
+  in
+  let log = run_log (fun ~sources ~sinks -> ignore (Cgsim.Runtime.run_exn ctx ~sources ~sinks)) in
+  Alcotest.(check (list (pair string string))) "cgsim: each kernel its own context"
+    (each "x" "y") (List.sort compare log);
+  let positions port =
+    List.filter_map (fun (i, (p, _)) -> if p = port then Some i else None)
+      (List.mapi (fun i e -> i, e) log)
+  in
+  Alcotest.(check bool) "cgsim: kb reads before ka's last read" true
+    (List.hd (positions "kb.in") < List.hd (List.rev (positions "ka.in")));
+  Alcotest.(check (list (pair string string))) "x86sim: no context"
+    (each "none" "none")
+    (List.sort compare
+       (run_log (fun ~sources ~sinks -> ignore (X86sim.Sim.run_exn g ~sources ~sinks))))
 
 let test_runtime_single_shot () =
   let g = diamond_graph () in
@@ -1404,7 +1447,6 @@ let () =
           Alcotest.test_case "stale waker ignored" `Quick test_sched_stale_waker;
           Alcotest.test_case "spawn during run" `Quick test_sched_spawn_during_run;
           Alcotest.test_case "wake batch" `Quick test_sched_wake_batch;
-          Alcotest.test_case "fiber locals" `Quick test_sched_fiber_locals;
         ] );
       ( "bqueue",
         [
@@ -1444,7 +1486,9 @@ let () =
           Alcotest.test_case "diamond closed form" `Quick test_runtime_diamond_closed_form;
           Alcotest.test_case "missing consumer" `Quick test_runtime_missing_consumer;
         ]
-        @ qsuite [ prop_pipeline_random; prop_rate_matched_chains ] );
+        @ qsuite [ prop_pipeline_random; prop_rate_matched_chains ]
+        @ [ Alcotest.test_case "kernel contexts ride the binding" `Quick test_runtime_kernel_contexts ]
+      );
       ( "compile",
         [
           Alcotest.test_case "lint Error refuses imbalance" `Quick
