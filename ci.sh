@@ -212,6 +212,22 @@ if grep -rnE 'Sched\.local|live_locals|No_local|~local:' lib bin bench test exam
 fi
 echo "no fiber locals"
 
+echo "== one ring storage kind gate =="
+# Every ring stores flat: a Vector or Struct net is scalar lanes in
+# bigarrays like a scalar net's, and Value.t exists only at the
+# element and value-block edges.  The boxed storage kind was deleted,
+# and bilinear and farrow move their aggregate nets through the lane
+# forms, with no Value.field / Value.to_vec or boxed window read.
+if grep -nwE 'Boxed' lib/cgsim/ring.ml; then
+  echo "ci: Cgsim.Ring has a boxed storage kind again (store aggregates as lanes)" >&2
+  exit 1
+fi
+if grep -nE 'Value\.(field|to_vec)|Port\.get_window\b' lib/apps/bilinear.ml lib/apps/farrow.ml; then
+  echo "ci: bilinear or farrow reads its aggregate net as boxed values (use the lane forms)" >&2
+  exit 1
+fi
+echo "one ring storage kind; bilinear and farrow move lanes"
+
 echo "== thread-per-kernel gate =="
 # x86sim runs one domain per kernel instance and nothing else: a reader
 # that finds a source net empty pulls from the source, and a writer

@@ -71,24 +71,29 @@ let blend s ~dst a b f =
   srs32 s.tr ~dst:s.prod ~shift:15 s.prod;
   add32 s.tr ~dst a s.prod
 
+(* A request's lanes in a {!quad_dtype} lane buffer: the four pixels,
+   then xf, then yf. *)
+let lanes_per_req = 6
+
 (* Vectorized blend over one 16-request group.  Pixels are upshifted to
    Q8, both horizontal blends and the vertical blend use a Q15 multiply
    followed by shift-round (32-bit accumulators, no mid-pipeline
    saturation), matching Workloads.Reference.bilinear_scalar exactly. *)
-let blend_group s ~dst reqs =
+let blend_group s ~dst (req : Cgsim.Port.lanes) =
   let open Aie.Intrinsics in
-  if Array.length reqs <> group then invalid_arg "bilinear: expected a 16-request group";
-  Aie.Vec.check_lanes "bilinear output" dst reqs;
-  (* Struct reads straight into the request lanes. *)
+  if Array.length req.ints < group * lanes_per_req then
+    invalid_arg "bilinear: expected a 16-request group";
+  Aie.Vec.check_lanes "bilinear output" dst s.top;
+  (* Request lanes straight into the vector registers. *)
+  let l = req.ints in
   for i = 0 to group - 1 do
-    let v = reqs.(i) in
-    let pix = Cgsim.Value.to_vec (Cgsim.Value.field v "pix") in
-    s.p00.(i) <- Cgsim.Value.to_int pix.(0);
-    s.p01.(i) <- Cgsim.Value.to_int pix.(1);
-    s.p10.(i) <- Cgsim.Value.to_int pix.(2);
-    s.p11.(i) <- Cgsim.Value.to_int pix.(3);
-    s.xf.(i) <- Cgsim.Value.to_int (Cgsim.Value.field v "xf");
-    s.yf.(i) <- Cgsim.Value.to_int (Cgsim.Value.field v "yf")
+    let b = i * lanes_per_req in
+    s.p00.(i) <- l.(b);
+    s.p01.(i) <- l.(b + 1);
+    s.p10.(i) <- l.(b + 2);
+    s.p11.(i) <- l.(b + 3);
+    s.xf.(i) <- l.(b + 4);
+    s.yf.(i) <- l.(b + 5)
   done;
   ups16 s.tr ~dst:s.p01 ~shift:8 s.p01;
   ups16 s.tr ~dst:s.p00 ~shift:8 s.p00;
@@ -113,10 +118,12 @@ let kernel =
       let input = Cgsim.Kernel.rd b 0 and output = Cgsim.Kernel.wr b 0 in
       let groups_per_block = quads_per_block / group in
       let s = scratch (Aie.Trace.recorder b) and out = Array.make group 0 in
+      let req = Cgsim.Port.lanes quad_dtype group in
       while true do
         Aie.Trace.mark_iteration s.tr;
         Aie.Trace.with_pipelined_loop s.tr ~trip:groups_per_block (fun _g ->
-            blend_group s ~dst:out (Cgsim.Port.get_window input group);
+            Cgsim.Port.get_lanes input req 0 group;
+            blend_group s ~dst:out req;
             Aie.Intrinsics.scalar_op s.tr ~count:2 "addr";
             Cgsim.Port.put_window_int output out)
       done)

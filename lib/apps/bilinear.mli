@@ -28,12 +28,13 @@ type scratch
     outside an aiesim capture. *)
 val scratch : Aie.Trace.recorder option -> scratch
 
-(** [blend_group s ~dst reqs] blends one group of 16 request structs
-    ({!quad_dtype} values) into the 16 u16 lanes of [dst], reading the
-    struct fields straight into the lanes of [s]; it allocates nothing.
-    The kernel keeps one [s] and one [dst] for its whole life (exposed
-    for tests). *)
-val blend_group : scratch -> dst:int array -> Cgsim.Value.t array -> unit
+(** [blend_group s ~dst req] blends one group of 16 requests, the first
+    16 elements of the {!quad_dtype} lane buffer [req] (per request: the
+    four pixels, xf, yf), into the 16 u16 lanes of [dst], reading the
+    request lanes straight into the vector registers of [s]; it
+    allocates nothing.  The kernel keeps one [s], [req] and [dst] for
+    its whole life (exposed for tests). *)
+val blend_group : scratch -> dst:int array -> Cgsim.Port.lanes -> unit
 
 val kernel : Cgsim.Kernel.t
 

@@ -10,8 +10,6 @@ let cascade_dtype = Cgsim.Dtype.Vector (Cgsim.Dtype.I16, 2)
 
 let window_settings = Cgsim.Settings.window block_bytes
 
-let pair a b = Cgsim.Value.Vec [| Cgsim.Value.Int a; Cgsim.Value.Int b |]
-
 (* --------------------------- stage 1 --------------------------- *)
 
 let stage1 =
@@ -37,6 +35,9 @@ let stage1 =
       let x = Array.init taps (fun _ -> Array.make group 0) in
       let acc = Array.make group 0 in
       let c = Array.init (Array.length coeffs) (fun _ -> Array.make group 0) in
+      (* One group of (c0, c1) and (c2, c3) pairs, two lanes each. *)
+      let out01 = Cgsim.Port.lanes cascade_dtype group in
+      let out23 = Cgsim.Port.lanes cascade_dtype group in
       while true do
         Aie.Trace.mark_iteration tr;
         Cgsim.Port.get_window_int input samples;
@@ -58,16 +59,22 @@ let stage1 =
               Aie.Intrinsics.srs16 tr ~dst:c.(m) ~shift:15 acc
             done;
             Aie.Intrinsics.scalar_op tr ~count:2 "addr";
+            for s = 0 to group - 1 do
+              out01.ints.(2 * s) <- c.(0).(s);
+              out01.ints.((2 * s) + 1) <- c.(1).(s);
+              out23.ints.(2 * s) <- c.(2).(s);
+              out23.ints.((2 * s) + 1) <- c.(3).(s)
+            done;
             (* stage2 drains c01/c23 interleaved per sample, so a
                whole-group burst on one port before the other would
                overrun the in-flight buffering of both streams and
-               deadlock.  put_window2 writes the pair in lockstep chunks
-               bounded by the tighter queue's free space — block-path
-               transfers without changing the observable element order
-               beyond what the consumer's interleave already absorbs. *)
-            let out01 = Array.init group (fun s -> pair c.(0).(s) c.(1).(s)) in
-            let out23 = Array.init group (fun s -> pair c.(2).(s) c.(3).(s)) in
-            Cgsim.Port.put_window2 c01 c23 out01 out23);
+               deadlock.  put_window2 writes the two lane buffers in
+               lockstep chunks bounded by the tighter queue's free
+               space, each chunk a lane write at its offset into the
+               buffers: block-path transfers that copy and box nothing,
+               without changing the observable element order beyond
+               what the consumer's interleave already absorbs. *)
+            Cgsim.Port.put_window2 c01 c23 out01 out23 group);
         Array.blit ext samples_per_window ext 0 (taps - 1)
       done)
 
@@ -95,6 +102,8 @@ let stage2 =
       let groups = samples_per_window / group in
       let c = Array.init 4 (fun _ -> Array.make group 0) in
       let acc = Array.make group 0 and prod = Array.make group 0 and y = Array.make group 0 in
+      let in01 = Cgsim.Port.lanes cascade_dtype group in
+      let in23 = Cgsim.Port.lanes cascade_dtype group in
       while true do
         Aie.Trace.mark_iteration tr;
         Aie.Trace.with_pipelined_loop tr ~trip:groups (fun _g ->
@@ -103,12 +112,12 @@ let stage2 =
                port-at-a-time drain would need more in-flight buffering
                than the switch provides. *)
             for s = 0 to group - 1 do
-              let v01 = Cgsim.Value.to_vec (Cgsim.Port.get c01) in
-              let v23 = Cgsim.Value.to_vec (Cgsim.Port.get c23) in
-              c.(0).(s) <- Cgsim.Value.to_int v01.(0);
-              c.(1).(s) <- Cgsim.Value.to_int v01.(1);
-              c.(2).(s) <- Cgsim.Value.to_int v23.(0);
-              c.(3).(s) <- Cgsim.Value.to_int v23.(1)
+              Cgsim.Port.get_lanes c01 in01 s 1;
+              Cgsim.Port.get_lanes c23 in23 s 1;
+              c.(0).(s) <- in01.ints.(2 * s);
+              c.(1).(s) <- in01.ints.((2 * s) + 1);
+              c.(2).(s) <- in23.ints.(2 * s);
+              c.(3).(s) <- in23.ints.((2 * s) + 1)
             done;
             (* Horner: acc = ((c3*d + c2)*d + c1)*d + c0 in Q15. *)
             Array.blit c.(3) 0 acc 0 group;

@@ -186,11 +186,15 @@ let advance c len =
 let check_open p =
   if not p.open_ then invalid_arg ("cgsim: put on finished producer of " ^ name p.p_queue)
 
+(* The ring checks the value as it stores it; a put that must wait
+   checks first, so a bad value raises rather than parks. *)
 let put p v =
   let q = p.p_queue in
   check_open p;
-  if not (q.ring.Ring.check v) then Ring.reject q.ring v;
-  if free q <= 0 then wait_for_space q;
+  if free q <= 0 then begin
+    if not (q.ring.Ring.check v) then Ring.reject q.ring v;
+    wait_for_space q
+  end;
   Ring.push q.ring v;
   published q
 
@@ -214,38 +218,39 @@ let get c =
 (* ------------------------------------------------------------------ *)
 
 (* Blocks move as contiguous ring slices (the ring's segment copies),
-   dtype validation uses the ring's precompiled checker, and waiters are
-   woken once per chunk rather than once per element.  Blocks larger
-   than the free space stream through in chunks, interleaving with the
-   consumers/producers.  [copy] is one of the ring's segment copies,
-   applied to the ring (and, reading, the cursor), the payload, an
-   offset and a length; it is passed unapplied so that a transfer builds
-   no closure. *)
+   and waiters are woken once per chunk rather than once per element.
+   Blocks larger than the free space stream through in chunks,
+   interleaving with the consumers/producers.  [copy] is one of the
+   ring's segment copies, applied to the ring (and, reading, the
+   cursor), the payload, an offset and a length; it is passed unapplied
+   so that a transfer builds no closure.  [off] and [n] count elements
+   of the payload. *)
 
 (* Producer chunk loop: wait for free slots, copy a chunk at [head]. *)
-let put_loop q src copy =
-  let n = Array.length src in
-  let off = ref 0 in
-  while !off < n do
+let put_loop q src off n copy =
+  let stop = off + n in
+  let pos = ref off in
+  while !pos < stop do
     let room = free q in
     if room > 0 then begin
-      let len = min room (n - !off) in
-      copy q.ring src !off len;
-      off := !off + len;
+      let len = min room (stop - !pos) in
+      copy q.ring src !pos len;
+      pos := !pos + len;
       published q
     end
     else wait_for_space q
   done
 
-(* Consumer chunk loop for window reads that fill all of [dst]. *)
-let get_loop c dst copy =
+(* Consumer chunk loop for window reads that fill [n] elements of [dst]
+   from [off]. *)
+let get_loop c dst off n copy =
   let q = c.c_queue in
-  let n = Array.length dst in
-  let filled = ref 0 in
-  while !filled < n do
+  let stop = off + n in
+  let filled = ref off in
+  while !filled < stop do
     let avail = q.ring.Ring.head - c.cur.Ring.pos in
     if avail > 0 then begin
-      let len = min avail (n - !filled) in
+      let len = min avail (stop - !filled) in
       copy q.ring c.cur dst !filled len;
       advance c len;
       filled := !filled + len
@@ -271,16 +276,19 @@ let some_len c ~max =
 
 let check_count n = if n < 0 then invalid_arg "cgsim: get_block with negative count"
 
+(* The ring checks each value as it stores it.  A block that must
+   stream in several chunks is checked whole up front, so a bad value
+   publishes nothing; the same rule holds for int and lane blocks. *)
 let put_block p vs =
   let q = p.p_queue in
   check_open p;
-  Ring.check_values q.ring vs;
-  put_loop q vs Ring.push_values
+  if Array.length vs > free q then Ring.check_values q.ring vs;
+  put_loop q vs 0 (Array.length vs) Ring.push_values
 
 let get_block c n =
   check_count n;
   let out = Array.make n (Value.Int 0) in
-  get_loop c out Ring.read_values;
+  get_loop c out 0 n Ring.read_values;
   out
 
 let get_some c ~max =
@@ -298,25 +306,33 @@ let put_floats p fs =
   let q = p.p_queue in
   check_open p;
   Ring.require_float q.ring "float block write";
-  put_loop q fs Ring.push_floats
+  put_loop q fs 0 (Array.length fs) Ring.push_floats
 
-(* A block that must stream in several chunks is range-checked whole up
-   front, so an offending value publishes nothing; a block that fits
-   relies on the check fused into the copy. *)
 let put_ints p is =
   let q = p.p_queue in
   check_open p;
   Ring.require_int q.ring "int block write";
   if Array.length is > free q then Ring.check_ints q.ring is;
-  put_loop q is Ring.push_ints
+  put_loop q is 0 (Array.length is) Ring.push_ints
 
 let get_floats c dst =
   Ring.require_float c.c_queue.ring "float block read";
-  get_loop c dst Ring.read_floats
+  get_loop c dst 0 (Array.length dst) Ring.read_floats
 
 let get_ints c dst =
   Ring.require_int c.c_queue.ring "int block read";
-  get_loop c dst Ring.read_ints
+  get_loop c dst 0 (Array.length dst) Ring.read_ints
+
+let put_lanes p b off n =
+  let q = p.p_queue in
+  check_open p;
+  Ring.require_lanes q.ring b off n "lane block write";
+  if n > free q then Ring.check_lanes q.ring b off n;
+  put_loop q b off n Ring.push_lanes
+
+let get_lanes c b off n =
+  Ring.require_lanes c.c_queue.ring b off n "lane block read";
+  get_loop c b off n Ring.read_lanes
 
 (* The flat drains fill a caller-owned buffer and return the element
    count: a steady-state consumer (an I/O pump, a bench) reuses one

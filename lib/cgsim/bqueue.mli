@@ -31,11 +31,13 @@ type producer
     whichever fiber touches them ({!Sched.park} uses the running fiber's
     scheduler), so a queue belongs to whatever run it is used in.
 
-    Storage follows the dtype ({!Ring}): scalar dtypes get bigarray
-    storage, so the flat block transfers below move unboxed memory;
-    aggregate dtypes are boxed.  An F32 ring holds single precision, so
-    stored floats round exactly as {!Value.round_f32} (in-tree F32
-    producers already round before writing). *)
+    Storage follows the dtype ({!Ring}) and is always flat: scalar
+    dtypes get a bigarray of their kind and aggregate dtypes store
+    scalar lanes, so the flat and lane block transfers below move
+    unboxed memory.  An F32 ring holds single precision, so stored
+    floats round exactly as {!Value.round_f32} (in-tree F32 producers
+    already round before writing); an aggregate's float lanes are stored
+    as given. *)
 val create : name:string -> dtype:Dtype.t -> capacity:int -> unit -> t
 
 val name : t -> string
@@ -76,7 +78,8 @@ val space : t -> int
 val occupancy : t -> int
 
 (** [put p v] appends [v]; parks while the queue is full.  Raises
-    [Invalid_argument] on dtype mismatch or put-after-done. *)
+    [Invalid_argument] on dtype mismatch (before parking) or
+    put-after-done. *)
 val put : producer -> Value.t -> unit
 
 (** [get c] removes this consumer's next element; parks while none is
@@ -87,11 +90,13 @@ val get : consumer -> Value.t
 (** {1 Block transfers}
 
     The block fast path: contiguous ring slices move with at most two
-    segment copies per chunk ({!Ring}), dtype validation uses the
-    ring's precompiled checker ({!Value.compile_check}), and waiters are woken
-    once per chunk rather than once per element.  Blocks larger than the
-    queue capacity stream through in capacity-sized chunks.  Blocking and
-    {!Sched.End_of_stream} behaviour match a loop of the scalar calls. *)
+    segment copies per chunk ({!Ring}), each value is checked as the
+    ring stores it (a block that streams in several chunks is checked
+    whole first, so a bad value publishes nothing), and waiters are
+    woken once per chunk rather than once per element.  Blocks larger
+    than the queue capacity stream through in capacity-sized chunks.
+    Blocking and {!Sched.End_of_stream} behaviour match a loop of the
+    scalar calls. *)
 
 (** [get_block c n] reads exactly [n] consecutive elements (window
     transfer); parks until all [n] arrive.  Raises
@@ -137,6 +142,19 @@ val get_ints : consumer -> int array -> unit
 
 val get_floats_into : consumer -> float array -> int
 val get_ints_into : consumer -> int array -> int
+
+(** {1 Lane block transfers}
+
+    The flat transfers of a [Vector] or [Struct] net: [n] elements at
+    element offset [off] of caller-owned lane buffers ({!Ring.lanes}),
+    with the same blocking, chunking and {!Sched.End_of_stream}
+    discipline and no allocation.  Int lanes are range-checked against
+    their dtypes, float lanes are stored as given.  [Invalid_argument]
+    on a scalar net or when the buffers hold fewer than [off + n]
+    elements. *)
+
+val put_lanes : producer -> Ring.lanes -> int -> int -> unit
+val get_lanes : consumer -> Ring.lanes -> int -> int -> unit
 
 (** Mark one producer as finished.  The queue closes when all registered
     producers are done; parked consumers are woken to observe end of

@@ -203,12 +203,23 @@ let emit o ~floats ~ints ~values =
   | Int_out (k, buf) -> k.push_ints buf (ints buf)
   | Value_out (k, chunk) -> k.push_values (values ~max:chunk)
 
-(* cgsim's pumps.  [feed] puts each chunk as its own array, the payload
-   itself when it fits one chunk. *)
+(* cgsim's pumps.  [feed] puts the payload itself when it fits one
+   chunk.  Otherwise it stages each chunk in one array that it reuses
+   (every put copies the chunk into the queue before it returns) and
+   makes anew only for a shorter last chunk. *)
 let feed dtype ~capacity ~put_floats ~put_ints ~put_values s =
-  let whole put xs off k = put (if k = Array.length xs then xs else Array.sub xs off k) in
-  transfer dtype s ~chunk:(chunk_of capacity) ~floats:(whole put_floats) ~ints:(whole put_ints)
-    ~values:(whole put_values) 0 (source_length s)
+  let staged put =
+    let stage = ref [||] in
+    fun xs off k ->
+      if k = Array.length xs then put xs
+      else begin
+        if Array.length !stage = k then Array.blit xs off !stage 0 k
+        else stage := Array.sub xs off k;
+        put !stage
+      end
+  in
+  transfer dtype s ~chunk:(chunk_of capacity) ~floats:(staged put_floats)
+    ~ints:(staged put_ints) ~values:(staged put_values) 0 (source_length s)
 
 let drain dtype ~capacity ~get_floats_into ~get_ints_into ~get_some k =
   let o = outlet dtype ~capacity k in

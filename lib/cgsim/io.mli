@@ -118,7 +118,9 @@ val emit :
     dtype, the queue's capacity and the queue's transfer functions. *)
 
 (** [feed dtype ~capacity ~put_floats ~put_ints ~put_values s] puts the
-    whole payload of [s] through {!transfer}, one array per chunk. *)
+    whole payload of [s] through {!transfer}, one array per chunk.  The
+    array may be reused for the next chunk, so a put must copy it before
+    it returns (the queue's puts do). *)
 val feed :
   Dtype.t ->
   capacity:int ->

@@ -1,3 +1,8 @@
+type lanes = Ring.lanes = {
+  ints : int array;
+  floats : float array;
+}
+
 type reader = {
   r_name : string;
   r_dtype : Dtype.t;
@@ -5,6 +10,7 @@ type reader = {
   r_get_block : int -> Value.t array;
   r_get_floats : float array -> unit;
   r_get_ints : int array -> unit;
+  r_get_lanes : lanes -> int -> int -> unit;
 }
 
 type writer = {
@@ -14,6 +20,7 @@ type writer = {
   w_put_block : Value.t array -> unit;
   w_put_floats : float array -> unit;
   w_put_ints : int array -> unit;
+  w_put_lanes : lanes -> int -> int -> unit;
   w_space : unit -> int;
 }
 
@@ -68,6 +75,11 @@ let tap_reader taps r =
           t.before ();
           r.r_get_ints dst;
           t.after (Array.length dst));
+      r_get_lanes =
+        (fun b off n ->
+          t.before ();
+          r.r_get_lanes b off n;
+          t.after n);
     }
 
 let tap_writer taps w =
@@ -97,6 +109,11 @@ let tap_writer taps w =
           t.before ();
           w.w_put_ints is;
           t.after (Array.length is));
+      w_put_lanes =
+        (fun b off n ->
+          t.before ();
+          w.w_put_lanes b off n;
+          t.after n);
       w_space = (fun () -> if t.hold_space () then 0 else w.w_space ());
     }
 
@@ -116,6 +133,17 @@ let get_window_int r dst = r.r_get_ints dst
 
 let put_window_int w is = w.w_put_ints is
 
+(* Lane windows: the flat form of a Vector or Struct net. *)
+let lanes dtype n =
+  if Dtype.is_scalar dtype then
+    invalid_arg ("cgsim: lane buffers for scalar dtype " ^ Dtype.to_string dtype);
+  let ni, nf = Ring.lane_counts dtype in
+  { ints = Array.make (n * ni) 0; floats = Array.create_float (n * nf) }
+
+let get_lanes r b off n = r.r_get_lanes b off n
+
+let put_lanes w b off n = w.w_put_lanes b off n
+
 (* Two-port interleaved block write.  Some kernels (farrow stage 1)
    produce two streams that a downstream kernel drains alternately; a
    whole-window burst on one port before touching the other can exceed
@@ -125,29 +153,18 @@ let put_window_int w is = w.w_put_ints is
    stream it needs next.  When neither queue has space the chunk
    degrades to one element, which blocks exactly like the scalar
    interleave — progress is guaranteed whenever the plain per-element
-   interleave would make progress. *)
-let put_window2 wa wb va vb =
-  let n = Array.length va in
-  if Array.length vb <> n then
-    invalid_arg
-      (Printf.sprintf "cgsim: put_window2 on %s/%s: arrays differ in length (%d vs %d)"
-         wa.w_name wb.w_name n (Array.length vb));
-  if n > 0 then begin
-    let off = ref 0 in
-    while !off < n do
-      let free = min (wa.w_space ()) (wb.w_space ()) in
-      let len = min (n - !off) (max 1 free) in
-      if !off = 0 && len = n then begin
-        wa.w_put_block va;
-        wb.w_put_block vb
-      end
-      else begin
-        wa.w_put_block (Array.sub va !off len);
-        wb.w_put_block (Array.sub vb !off len)
-      end;
-      off := !off + len
-    done
-  end
+   interleave would make progress.  Each chunk is a lane write at its
+   offset into the caller's buffers, so nothing is copied or
+   allocated. *)
+let put_window2 wa wb la lb n =
+  let off = ref 0 in
+  while !off < n do
+    let free = min (wa.w_space ()) (wb.w_space ()) in
+    let len = min (n - !off) (max 1 free) in
+    wa.w_put_lanes la !off len;
+    wb.w_put_lanes lb !off len;
+    off := !off + len
+  done
 
 let get_f32 r = Value.to_float (get r)
 

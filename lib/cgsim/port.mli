@@ -11,10 +11,22 @@
     mirroring how the paper's extractor swaps port-type implementations per
     realm (Section 4.4) without touching kernel code.
 
-    A reader has four read forms (element, boxed block, flat float and
-    flat int block) and a writer the four matching write forms plus an
-    advisory free-space probe ({!put_window2} sizes its chunks with it).
-    Struct-typed streams carry {!Value.Rec} elements. *)
+    A reader has five read forms (element, boxed block, flat float, flat
+    int and lane block) and a writer the five matching write forms plus
+    an advisory free-space probe ({!put_window2} sizes its chunks with
+    it).  A [Vector] or [Struct] stream moves as scalar lanes: its lane
+    forms fill and read caller-owned {!lanes} buffers without a
+    {!Value.t}, and its element and boxed block forms build and unpack
+    {!Value.Vec}/{!Value.Rec} values at the port. *)
+
+(** Lane buffers: element [i] of a lane block has its int lanes at
+    [ints.(i * n_int ..)] and its float lanes at [floats.(i * n_float ..)],
+    Vector lanes in order, then Struct fields in declaration order
+    (recursively).  Float lanes are moved as given, not rounded. *)
+type lanes = Ring.lanes = {
+  ints : int array;
+  floats : float array;
+}
 
 type reader = {
   r_name : string;
@@ -29,6 +41,10 @@ type reader = {
           would return, with no boxing and no allocation when the
           transport stores unboxed. *)
   r_get_ints : int array -> unit;  (** Unboxed block read, integer dtypes. *)
+  r_get_lanes : lanes -> int -> int -> unit;
+      (** [r_get_lanes b off n]: lane block read of [n] elements into
+          [b] from element [off] (aggregate dtypes only); no
+          allocation. *)
 }
 
 type writer = {
@@ -41,6 +57,10 @@ type writer = {
           single precision on store ({!Value.round_f32}). *)
   w_put_ints : int array -> unit;
       (** Unboxed block write, integer dtypes; range-checked. *)
+  w_put_lanes : lanes -> int -> int -> unit;
+      (** [w_put_lanes b off n]: lane block write of elements
+          [off .. off + n - 1] of [b] (aggregate dtypes only); int lanes
+          range-checked. *)
   w_space : unit -> int;
       (** Advisory free space of the transport (never suspends); the
           interleave-aware {!put_window2} sizes its lockstep chunks with
@@ -68,7 +88,7 @@ type tap = {
 (** The tap that does nothing; build others with [{ no_tap with ... }]. *)
 val no_tap : tap
 
-(** [tap_reader taps r] routes [r]'s four read forms through [taps]
+(** [tap_reader taps r] routes [r]'s five read forms through [taps]
     ([before]s and [after]s in list order).  With [taps = []] the result
     is [r] itself. *)
 val tap_reader : tap list -> reader -> reader
@@ -100,14 +120,35 @@ val get_window_int : reader -> int array -> unit
 
 val put_window_int : writer -> int array -> unit
 
-(** [put_window2 wa wb va vb] writes two equal-length windows to two
-    ports in lockstep chunks sized by the free space of the tighter
-    queue — the block path for producers whose consumer drains the two
-    streams interleaved (farrow stage 1).  A whole-window burst on one
-    port could deadlock such a pair; this cannot, because whenever
-    neither queue has space it degrades to the scalar interleave.
-    Raises [Invalid_argument] if the arrays differ in length. *)
-val put_window2 : writer -> writer -> Value.t array -> Value.t array -> unit
+(** {1 Lane windows}
+
+    The flat transfers of [Vector] and [Struct] ports.  Both count [off]
+    and [n] in elements, allocate nothing, report [n] elements to a
+    tap's [after], and raise [Invalid_argument] on a scalar port or when
+    the buffers hold fewer than [off + n] elements. *)
+
+(** [lanes dtype n] allocates buffers for [n] elements of the aggregate
+    [dtype]; [Invalid_argument] for a scalar dtype. *)
+val lanes : Dtype.t -> int -> lanes
+
+(** [get_lanes r b off n] reads [n] elements into [b] from element
+    [off]. *)
+val get_lanes : reader -> lanes -> int -> int -> unit
+
+(** [put_lanes w b off n] writes elements [off .. off + n - 1] of [b]. *)
+val put_lanes : writer -> lanes -> int -> int -> unit
+
+(** [put_window2 wa wb la lb n] writes the first [n] elements of [la]
+    to [wa] and of [lb] to [wb] in lockstep chunks sized by the free
+    space of the tighter queue — the block path for producers whose
+    consumer drains the two streams interleaved (farrow stage 1).  A
+    whole-window burst on one port could deadlock such a pair; this
+    cannot, because whenever neither queue has space it degrades to the
+    scalar interleave.  Each chunk is a lane write at its offset into
+    the buffers, so nothing is copied or allocated; a buffer that holds
+    fewer than [n] elements raises [Invalid_argument] at the first chunk
+    past its end. *)
+val put_window2 : writer -> writer -> lanes -> lanes -> int -> unit
 
 (** {1 Scalar conveniences} *)
 

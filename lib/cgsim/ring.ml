@@ -1,20 +1,45 @@
-(* Storage follows the dtype.  Scalar dtypes get Bigarray backing so
-   block transfers move flat memory (no per-element Value boxing); the
-   boxed array is the aggregate-dtype path only.  Integer dtypes share
-   one native-int bigarray: U32 (max 4294967295) and I64 payloads exceed
-   int32, and native [int_elt] keeps every in-range integer dtype exact
-   while the copy loops stay branch-free. *)
+(* Storage follows the dtype, and every kind is a bigarray, so block
+   transfers move flat memory (no per-element Value boxing).  Integer
+   dtypes share one native-int bigarray: U32 (max 4294967295) and I64
+   payloads exceed int32, and native [int_elt] keeps every in-range
+   integer dtype exact while the copy loops stay branch-free.  A
+   [Vector] or [Struct] element is stored as scalar lanes, as it crosses
+   an AIE stream as a fixed number of beats: its int lanes in one
+   native-int bigarray, its float lanes unrounded in an f64 one. *)
 type f32ba = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type f64ba = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type intba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+type lanes = {
+  ints : int array;
+  floats : float array;
+}
+
+(* An aggregate ring's lane layout, computed once from the dtype: slot
+   [i] holds int lanes [i * n_int ..] and float lanes [i * n_float ..].
+   [store] unpacks and checks one value into the lanes at the given
+   bases, [load] builds one back; [lo]/[hi] bound each int lane, and
+   [range] is their one bound when every lane is an int lane of the
+   same range. *)
+type layout = {
+  n_int : int;
+  n_float : int;
+  l_ints : intba;
+  l_floats : f64ba;
+  lo : int array;
+  hi : int array;
+  range : (int * int) option;
+  store : Value.t -> int -> int -> bool;
+  load : int -> int -> Value.t;
+}
+
 type storage =
-  | Boxed of Value.t array
   | F32 of f32ba
   | F64 of f64ba
   | Ints of intba
+  | Lanes of layout
 
 type cursor = { mutable pos : int }
 
@@ -29,13 +54,127 @@ type t = {
   mutable cursors : cursor list;
 }
 
+(* ------------------------------------------------------------------ *)
+(* Lane layout                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let rec lane_counts = function
+  | Dtype.F32 | Dtype.F64 -> 0, 1
+  | Dtype.I8 | Dtype.I16 | Dtype.I32 | Dtype.I64 | Dtype.U8 | Dtype.U16 | Dtype.U32 -> 1, 0
+  | Dtype.Vector (e, n) ->
+    let i, f = lane_counts e in
+    i * n, f * n
+  | Dtype.Struct fields ->
+    List.fold_left
+      (fun (i, f) (_, t) ->
+        let i', f' = lane_counts t in
+        i + i', f + f')
+      (0, 0) fields
+
+let int_bounds d = Option.value (Value.int_range d) ~default:(min_int, max_int)
+
+(* Int lane bounds in lane order. *)
+let rec lane_bounds = function
+  | Dtype.F32 | Dtype.F64 -> []
+  | Dtype.Vector (e, n) -> List.concat (List.init n (fun _ -> lane_bounds e))
+  | Dtype.Struct fields -> List.concat_map (fun (_, t) -> lane_bounds t) fields
+  | d -> [ int_bounds d ]
+
+(* A Vector's element [k] sits [k] element strides ([ni] int and [nf]
+   float lanes) past the Vector's own lanes. *)
+let rec store_vec st a ni nf bi bf k =
+  k >= Array.length a
+  || (st (Array.unsafe_get a k) (bi + (k * ni)) (bf + (k * nf)) && store_vec st a ni nf bi bf (k + 1))
+
+let rec store_fields fields fvs bi bf =
+  match fields, fvs with
+  | [], [] -> true
+  | (n, st, _) :: fields, (vn, v) :: fvs ->
+    String.equal n vn && st v bi bf && store_fields fields fvs bi bf
+  | _ :: _, [] | [], _ :: _ -> false
+
+(* The filler of a freshly made Vector, overwritten at once. *)
+let zero = Value.Int 0
+
+(* [compile ints floats d io fo] is the store and load of a [d] whose
+   lanes start at offsets [io]/[fo] within an element; both take the
+   element's int and float lane bases. *)
+let rec compile (ints : intba) (floats : f64ba) d io fo =
+  match d with
+  | Dtype.F32 | Dtype.F64 ->
+    ( (fun v _ bf ->
+        match v with
+        | Value.Float x ->
+          Bigarray.Array1.unsafe_set floats (bf + fo) x;
+          true
+        | Value.Int _ | Value.Vec _ | Value.Rec _ -> false),
+      fun _ bf -> Value.Float (Bigarray.Array1.unsafe_get floats (bf + fo)) )
+  | Dtype.I8 | Dtype.I16 | Dtype.I32 | Dtype.I64 | Dtype.U8 | Dtype.U16 | Dtype.U32 ->
+    let lo, hi = int_bounds d in
+    ( (fun v bi _ ->
+        match v with
+        | Value.Int x when x >= lo && x <= hi ->
+          Bigarray.Array1.unsafe_set ints (bi + io) x;
+          true
+        | Value.Int _ | Value.Float _ | Value.Vec _ | Value.Rec _ -> false),
+      fun bi _ -> Value.Int (Bigarray.Array1.unsafe_get ints (bi + io)) )
+  | Dtype.Vector (e, n) ->
+    let st, ld = compile ints floats e io fo in
+    let ni, nf = lane_counts e in
+    ( (fun v bi bf ->
+        match v with
+        | Value.Vec a -> Array.length a = n && store_vec st a ni nf bi bf 0
+        | Value.Float _ | Value.Int _ | Value.Rec _ -> false),
+      fun bi bf ->
+        let a = Array.make n zero in
+        for k = 0 to n - 1 do
+          Array.unsafe_set a k (ld (bi + (k * ni)) (bf + (k * nf)))
+        done;
+        Value.Vec a )
+  | Dtype.Struct fields ->
+    let _, _, rev =
+      List.fold_left
+        (fun (io, fo, acc) (name, t) ->
+          let st, ld = compile ints floats t io fo in
+          let ni, nf = lane_counts t in
+          io + ni, fo + nf, (name, st, ld) :: acc)
+        (io, fo, []) fields
+    in
+    let parts = List.rev rev in
+    ( (fun v bi bf ->
+        match v with
+        | Value.Rec fvs -> store_fields parts fvs bi bf
+        | Value.Float _ | Value.Int _ | Value.Vec _ -> false),
+      fun bi bf -> Value.Rec (List.map (fun (name, _, ld) -> name, ld bi bf) parts) )
+
+let layout dtype capacity =
+  let n_int, n_float = lane_counts dtype in
+  let l_ints = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (capacity * n_int) in
+  let l_floats = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (capacity * n_float) in
+  let bounds = lane_bounds dtype in
+  let store, load = compile l_ints l_floats dtype 0 0 in
+  {
+    n_int;
+    n_float;
+    l_ints;
+    l_floats;
+    lo = Array.of_list (List.map fst bounds);
+    hi = Array.of_list (List.map snd bounds);
+    range =
+      (match bounds with
+       | b :: rest when n_float = 0 && List.for_all (( = ) b) rest -> Some b
+       | _ -> None);
+    store;
+    load;
+  }
+
 let make_storage dtype capacity =
   match dtype with
   | Dtype.F32 -> F32 (Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout capacity)
   | Dtype.F64 -> F64 (Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout capacity)
   | Dtype.I8 | Dtype.I16 | Dtype.I32 | Dtype.I64 | Dtype.U8 | Dtype.U16 | Dtype.U32 ->
     Ints (Bigarray.Array1.create Bigarray.int Bigarray.c_layout capacity)
-  | Dtype.Vector _ | Dtype.Struct _ -> Boxed (Array.make capacity (Value.Int 0))
+  | Dtype.Vector _ | Dtype.Struct _ -> Lanes (layout dtype capacity)
 
 let create ~name ~dtype ~capacity =
   if capacity <= 0 then invalid_arg ("cgsim: queue capacity must be positive: " ^ name);
@@ -117,6 +256,30 @@ let int_out_of_range r v =
     (Printf.sprintf "cgsim: value %d does not conform to dtype %s on net %s" v
        (Dtype.to_string r.dtype) r.name)
 
+(* Lane transfers: the net must be an aggregate, [off]/[len] count
+   elements, and the buffers must hold [off + len] of them. *)
+let require_lanes r (b : lanes) off len what =
+  match r.buf with
+  | Lanes l ->
+    if
+      off < 0 || len < 0
+      || (off + len) * l.n_int > Array.length b.ints
+      || (off + len) * l.n_float > Array.length b.floats
+    then
+      invalid_arg
+        (Printf.sprintf "cgsim: %s on net %s: lane buffers hold fewer than %d elements of %s" what
+           r.name (off + len) (Dtype.to_string r.dtype))
+  | F32 _ | F64 _ | Ints _ -> wrong_dtype r what
+
+let check_lanes r (b : lanes) off len =
+  match r.buf with
+  | Lanes l ->
+    for i = off * l.n_int to ((off + len) * l.n_int) - 1 do
+      let k = i mod l.n_int and v = b.ints.(i) in
+      if v < l.lo.(k) || v > l.hi.(k) then int_out_of_range r v
+    done
+  | F32 _ | F64 _ | Ints _ -> ()
+
 let check_ints r (src : int array) =
   match Value.int_range r.dtype with
   | None -> ()
@@ -126,31 +289,38 @@ let check_ints r (src : int array) =
 (* Single slots                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Bigarray-backed slots box/unbox at the boundary; [push] assumes the
-   value already passed the dtype check, so the conversions cannot
-   fail. *)
-
-let push r v =
-  let i = r.head mod r.cap in
-  (match r.buf with
-   | Boxed a -> Array.unsafe_set a i v
-   | F32 ba -> Bigarray.Array1.unsafe_set ba i (Value.to_float v)
-   | F64 ba -> Bigarray.Array1.unsafe_set ba i (Value.to_float v)
-   | Ints ba -> Bigarray.Array1.unsafe_set ba i (Value.to_int v));
-  r.head <- r.head + 1
-
-let peek r c =
-  let i = c.pos mod r.cap in
+(* One pass checks and stores: a scalar slot tests the value with
+   [check] and unboxes it; an aggregate's [store] unpacks and tests lane
+   by lane.  A bad value raises before [head] moves (an aggregate may
+   leave lanes of the free slot written, which is free space). *)
+let store r i v =
   match r.buf with
-  | Boxed a -> Array.unsafe_get a i
+  | F32 ba ->
+    if not (r.check v) then reject r v;
+    Bigarray.Array1.unsafe_set ba i (Value.to_float v)
+  | F64 ba ->
+    if not (r.check v) then reject r v;
+    Bigarray.Array1.unsafe_set ba i (Value.to_float v)
+  | Ints ba ->
+    if not (r.check v) then reject r v;
+    Bigarray.Array1.unsafe_set ba i (Value.to_int v)
+  | Lanes l -> if not (l.store v (i * l.n_int) (i * l.n_float)) then reject r v
+
+let load r i =
+  match r.buf with
   | F32 ba -> Value.Float (Bigarray.Array1.unsafe_get ba i)
   | F64 ba -> Value.Float (Bigarray.Array1.unsafe_get ba i)
   | Ints ba -> Value.Int (Bigarray.Array1.unsafe_get ba i)
+  | Lanes l -> l.load (i * l.n_int) (i * l.n_float)
 
-(* [peek] and [advance] by one in a single call: the element read is one
-   cross-module call per element, not two. *)
+let push r v =
+  store r (r.head mod r.cap) v;
+  r.head <- r.head + 1
+
+(* The element at the cursor and [advance] by one in a single call: the
+   element read is one cross-module call per element, not two. *)
 let take r c =
-  let v = peek r c in
+  let v = load r (c.pos mod r.cap) in
   advance r c 1;
   v
 
@@ -160,51 +330,27 @@ let take r c =
 
 (* A chunk of [len] elements at sequence number [pos] is at most two
    contiguous segments: up to the wrap point, then the remainder from
-   slot 0.  [seam] hands each to [seg ring_idx payload_off len].
+   slot 0.  [seam_in] stores a chunk at [head] with [seg x y
+   payload_off ring_idx len] per segment, [seam_out] loads one at [pos]
+   with [seg x y ring_idx payload_off len]: the argument orders of the C
+   stubs below, so a stub is passed as it is, and every [seg] is a
+   top-level function of its payload — a transfer builds no closure.
 
-   The Value.t <-> bigarray loops are monomorphic in the bigarray kind:
-   with the element type statically known the compiler emits inline
-   loads/stores, whereas a kind-polymorphic loop would call the generic
-   C accessor per element.  Native-array <-> bigarray segments go
-   through [@@noalloc] C stubs (memcpy for f64 and int, a vectorized
-   convert loop for f32): no GC interaction, no boxing, one call per
-   segment.  Indices are in range by construction, hence the unsafe
-   accessors. *)
-let seam r pos off len seg =
+   Native-array <-> bigarray segments go through [@@noalloc] C stubs
+   (memcpy for f64 and int, a vectorized convert loop for f32): no GC
+   interaction, no boxing, one call per segment.  Indices are in range
+   by construction, hence the unsafe accessors. *)
+let seam_in r off len seg x y =
+  let idx = r.head mod r.cap in
+  let first = min len (r.cap - idx) in
+  seg x y off idx first;
+  if len > first then seg x y (off + first) 0 (len - first)
+
+let seam_out r pos off len seg x y =
   let idx = pos mod r.cap in
   let first = min len (r.cap - idx) in
-  seg idx off first;
-  if len > first then seg 0 (off + first) (len - first)
-
-let values_to_f32 (ba : f32ba) (src : Value.t array) idx soff len =
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set ba (idx + i) (Value.to_float (Array.unsafe_get src (soff + i)))
-  done
-
-let values_to_f64 (ba : f64ba) (src : Value.t array) idx soff len =
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set ba (idx + i) (Value.to_float (Array.unsafe_get src (soff + i)))
-  done
-
-let values_to_ints (ba : intba) (src : Value.t array) idx soff len =
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set ba (idx + i) (Value.to_int (Array.unsafe_get src (soff + i)))
-  done
-
-let f32_to_values (ba : f32ba) (dst : Value.t array) idx doff len =
-  for i = 0 to len - 1 do
-    Array.unsafe_set dst (doff + i) (Value.Float (Bigarray.Array1.unsafe_get ba (idx + i)))
-  done
-
-let f64_to_values (ba : f64ba) (dst : Value.t array) idx doff len =
-  for i = 0 to len - 1 do
-    Array.unsafe_set dst (doff + i) (Value.Float (Bigarray.Array1.unsafe_get ba (idx + i)))
-  done
-
-let ints_to_values (ba : intba) (dst : Value.t array) idx doff len =
-  for i = 0 to len - 1 do
-    Array.unsafe_set dst (doff + i) (Value.Int (Bigarray.Array1.unsafe_get ba (idx + i)))
-  done
+  seg x y idx off first;
+  if len > first then seg x y 0 (off + first) (len - first)
 
 external floats_to_f32 : f32ba -> float array -> int -> int -> int -> unit
   = "cgsim_floats_to_f32"
@@ -236,24 +382,23 @@ external ints_to_iba_checked : intba -> int array -> int -> int -> int -> int ->
   = "cgsim_ints_to_iba_checked_byte" "cgsim_ints_to_iba_checked"
   [@@noalloc]
 
-(* The stubs take (ba, payload, payload_off, ring_idx, len) on stores and
-   (ba, payload, ring_idx, payload_off, len) on loads; [seam] passes
-   (ring_idx, payload_off, len). *)
+(* Values move one slot at a time through [store]/[load]. *)
+
+let values_in r (src : Value.t array) so idx len =
+  for i = 0 to len - 1 do
+    store r (idx + i) (Array.unsafe_get src (so + i))
+  done
+
+let values_out r (dst : Value.t array) idx doff len =
+  for i = 0 to len - 1 do
+    Array.unsafe_set dst (doff + i) (load r (idx + i))
+  done
 
 let push_values r src off len =
-  (match r.buf with
-   | Boxed a -> seam r r.head off len (fun idx so l -> Array.blit src so a idx l)
-   | F32 ba -> seam r r.head off len (values_to_f32 ba src)
-   | F64 ba -> seam r r.head off len (values_to_f64 ba src)
-   | Ints ba -> seam r r.head off len (values_to_ints ba src));
+  seam_in r off len values_in r src;
   r.head <- r.head + len
 
-let read_values r c dst off len =
-  match r.buf with
-  | Boxed a -> seam r c.pos off len (fun idx doff l -> Array.blit a idx dst doff l)
-  | F32 ba -> seam r c.pos off len (f32_to_values ba dst)
-  | F64 ba -> seam r c.pos off len (f64_to_values ba dst)
-  | Ints ba -> seam r c.pos off len (ints_to_values ba dst)
+let read_values r c dst off len = seam_out r c.pos off len values_out r dst
 
 (* Flat payloads.  The dtype fixed the storage, so after
    [require_float]/[require_int] a float transfer always meets float
@@ -262,33 +407,88 @@ let read_values r c dst off len =
 
 let push_floats r src off len =
   (match r.buf with
-   | F32 ba -> seam r r.head off len (fun idx so l -> floats_to_f32 ba src so idx l)
-   | F64 ba -> seam r r.head off len (fun idx so l -> floats_to_f64 ba src so idx l)
-   | Boxed _ | Ints _ -> wrong_dtype r "float block write");
+   | F32 ba -> seam_in r off len floats_to_f32 ba src
+   | F64 ba -> seam_in r off len floats_to_f64 ba src
+   | Ints _ | Lanes _ -> wrong_dtype r "float block write");
   r.head <- r.head + len
 
 let read_floats r c dst off len =
   match r.buf with
-  | F32 ba -> seam r c.pos off len (f32_to_floats ba dst)
-  | F64 ba -> seam r c.pos off len (f64_to_floats ba dst)
-  | Boxed _ | Ints _ -> wrong_dtype r "float block read"
+  | F32 ba -> seam_out r c.pos off len f32_to_floats ba dst
+  | F64 ba -> seam_out r c.pos off len f64_to_floats ba dst
+  | Ints _ | Lanes _ -> wrong_dtype r "float block read"
 
 (* The range check is fused into the copy: one pass over the payload
    instead of a check pass plus a copy pass.  A violation raises before
    [head] advances, so no offending element is published (slots beyond
    [head] may hold partial writes, which the ring treats as free
    space). *)
+let ints_in r src so idx len =
+  match r.buf, Value.int_range r.dtype with
+  | Ints ba, None -> ints_to_iba ba src so idx len
+  | Ints ba, Some (lo, hi) ->
+    let bad = ints_to_iba_checked ba src so idx len lo hi in
+    if bad >= 0 then int_out_of_range r src.(bad)
+  | (F32 _ | F64 _ | Lanes _), _ -> wrong_dtype r "int block write"
+
 let push_ints r src off len =
-  (match r.buf, Value.int_range r.dtype with
-   | Ints ba, None -> seam r r.head off len (fun idx so l -> ints_to_iba ba src so idx l)
-   | Ints ba, Some (lo, hi) ->
-     seam r r.head off len (fun idx so l ->
-         let bad = ints_to_iba_checked ba src so idx l lo hi in
-         if bad >= 0 then int_out_of_range r src.(bad))
-   | (Boxed _ | F32 _ | F64 _), _ -> wrong_dtype r "int block write");
+  seam_in r off len ints_in r src;
   r.head <- r.head + len
 
 let read_ints r c dst off len =
   match r.buf with
-  | Ints ba -> seam r c.pos off len (iba_to_ints ba dst)
-  | Boxed _ | F32 _ | F64 _ -> wrong_dtype r "int block read"
+  | Ints ba -> seam_out r c.pos off len iba_to_ints ba dst
+  | F32 _ | F64 _ | Lanes _ -> wrong_dtype r "int block read"
+
+(* Lane payloads: [off] and [len] count elements.  A write checks each
+   int lane against its dtype in the copy.  When every lane is an int
+   lane of one range (a Vector of ints, farrow's cascade) a segment is
+   one range-checked copy stub call; otherwise the lanes move element by
+   element.  Reads move each element's lanes in an OCaml loop: an
+   element read is the common case, where a C call and the segment
+   split cost more than the copy.  Float lanes are stored as given. *)
+
+let lanes_in r src so idx len =
+  match r.buf with
+  | Lanes l ->
+    let ni = l.n_int and nf = l.n_float in
+    (match l.range with
+     | Some (lo, hi) ->
+       let bad = ints_to_iba_checked l.l_ints src.ints (so * ni) (idx * ni) (len * ni) lo hi in
+       if bad >= 0 then int_out_of_range r src.ints.(bad)
+     | None ->
+       for e = 0 to len - 1 do
+         let s = so + e and d = idx + e in
+         for k = 0 to ni - 1 do
+           let v = Array.unsafe_get src.ints ((s * ni) + k) in
+           if v < Array.unsafe_get l.lo k || v > Array.unsafe_get l.hi k then int_out_of_range r v;
+           Bigarray.Array1.unsafe_set l.l_ints ((d * ni) + k) v
+         done;
+         for k = 0 to nf - 1 do
+           Bigarray.Array1.unsafe_set l.l_floats ((d * nf) + k)
+             (Array.unsafe_get src.floats ((s * nf) + k))
+         done
+       done)
+  | F32 _ | F64 _ | Ints _ -> wrong_dtype r "lane block write"
+
+let push_lanes r src off len =
+  seam_in r off len lanes_in r src;
+  r.head <- r.head + len
+
+let read_lanes r c dst off len =
+  match r.buf with
+  | Lanes l ->
+    let ni = l.n_int and nf = l.n_float in
+    let slot = ref (c.pos mod r.cap) in
+    for e = off to off + len - 1 do
+      for k = 0 to ni - 1 do
+        Array.unsafe_set dst.ints ((e * ni) + k)
+          (Bigarray.Array1.unsafe_get l.l_ints ((!slot * ni) + k))
+      done;
+      for k = 0 to nf - 1 do
+        Array.unsafe_set dst.floats ((e * nf) + k)
+          (Bigarray.Array1.unsafe_get l.l_floats ((!slot * nf) + k))
+      done;
+      slot := if !slot + 1 = r.cap then 0 else !slot + 1
+    done
+  | F32 _ | F64 _ | Ints _ -> wrong_dtype r "lane block read"

@@ -272,6 +272,7 @@ let new_instance ?(tap = no_taps) ?(context = no_context) (c : compiled) =
                       r_get_block = (fun n -> Bqueue.get_block cns n);
                       r_get_floats = Bqueue.get_floats cns;
                       r_get_ints = Bqueue.get_ints cns;
+                      r_get_lanes = Bqueue.get_lanes cns;
                     } )
               | Kernel.Out ->
                 let p = Bqueue.add_producer q in
@@ -285,6 +286,7 @@ let new_instance ?(tap = no_taps) ?(context = no_context) (c : compiled) =
                       w_put_block = Bqueue.put_block p;
                       w_put_floats = Bqueue.put_floats p;
                       w_put_ints = Bqueue.put_ints p;
+                      w_put_lanes = Bqueue.put_lanes p;
                       w_space = (fun () -> Bqueue.space q);
                     } ))
             inst.ports

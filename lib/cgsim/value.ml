@@ -116,11 +116,15 @@ let to_vec = function
   | Vec a -> a
   | (Float _ | Int _ | Rec _) as v -> invalid_arg ("cgsim: expected vector, got " ^ to_string v)
 
+(* A [String.equal] scan: [List.assoc] compares names polymorphically,
+   a C call per field. *)
+let rec find_field name = function
+  | [] -> invalid_arg ("cgsim: struct has no field " ^ name)
+  | (n, v) :: rest -> if String.equal n name then v else find_field name rest
+
 let field v name =
   match v with
-  | Rec fields ->
-    (try List.assoc name fields
-     with Not_found -> invalid_arg ("cgsim: struct has no field " ^ name))
+  | Rec fields -> find_field name fields
   | Float _ | Int _ | Vec _ -> invalid_arg ("cgsim: expected struct, got " ^ to_string v)
 
 let clamp_int dtype i =

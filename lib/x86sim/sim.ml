@@ -95,6 +95,7 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
                 r_get_block = (fun n -> Tqueue.get_block c n);
                 r_get_floats = Tqueue.get_floats c;
                 r_get_ints = Tqueue.get_ints c;
+                r_get_lanes = Tqueue.get_lanes c;
               }
               :: !readers
           | Cgsim.Kernel.Out ->
@@ -108,6 +109,7 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
                 w_put_block = Tqueue.put_block p;
                 w_put_floats = Tqueue.put_floats p;
                 w_put_ints = Tqueue.put_ints p;
+                w_put_lanes = Tqueue.put_lanes p;
                 w_space = (fun () -> Tqueue.space p);
               }
               :: !writers)

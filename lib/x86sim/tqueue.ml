@@ -87,8 +87,8 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* The exception-safe unlock of the per-element paths, which take the
-   lock directly rather than through [with_lock]'s closure. *)
+(* The exception-safe unlock of the transfers, which take the lock
+   directly rather than through [with_lock]'s closure. *)
 let unlock_reraise q exn =
   let bt = Printexc.get_raw_backtrace () in
   Mutex.unlock q.lock;
@@ -276,16 +276,20 @@ let wait_data q c =
 let check_open p =
   if not p.open_ then invalid_arg ("x86sim: put on finished producer of " ^ name p.p_queue)
 
-(* The element transfers allocate nothing when they need not wait: the
-   wait, with its predicate closures, is entered only when the ring is
-   full (or empty), closed or poisoned. *)
+(* The transfers allocate nothing when they need not wait: the wait,
+   with its predicate closures, is entered only when the ring is full
+   (or empty), closed or poisoned.  The ring checks a value as it
+   stores it; a put that must wait checks first, so a bad value raises
+   rather than blocks. *)
 let put p v =
   let q = p.p_queue in
   check_open p;
-  if not (q.ring.Ring.check v) then Ring.reject q.ring v;
   Mutex.lock q.lock;
   match
-    if q.poisoned || q.closed || Ring.space q.ring <= 0 then wait_space q p.p_waker;
+    if q.poisoned || q.closed || Ring.space q.ring <= 0 then begin
+      if not (q.ring.Ring.check v) then Ring.reject q.ring v;
+      wait_space q p.p_waker
+    end;
     Ring.push q.ring v;
     Condition.broadcast q.nonempty
   with
@@ -310,72 +314,97 @@ let get c =
 
 (* Chunk loops: one lock acquisition for the whole block (condition
    waits release it while blocked); readers are woken once per stored
-   chunk, writers by [retire]'s rule.  [copy off len] moves [len]
-   payload elements starting at [off] into/out of the ring. *)
-let put_loop p len copy =
+   chunk, writers by [retire]'s rule.  [copy] is one of the ring's
+   segment copies, passed unapplied with its payload so that a transfer
+   builds no closure; [off] and [n] count payload elements. *)
+let put_loop p src off n copy =
   let q = p.p_queue in
   check_open p;
-  if len > 0 then
-    with_lock q (fun () ->
-        let off = ref 0 in
-        while !off < len do
-          wait_space q p.p_waker;
-          let chunk = min (Ring.space q.ring) (len - !off) in
-          copy !off chunk;
-          off := !off + chunk;
-          Condition.broadcast q.nonempty
-        done)
+  if n > 0 then begin
+    Mutex.lock q.lock;
+    match
+      let stop = off + n in
+      let pos = ref off in
+      while !pos < stop do
+        if q.poisoned || q.closed || Ring.space q.ring <= 0 then wait_space q p.p_waker;
+        let chunk = min (Ring.space q.ring) (stop - !pos) in
+        copy q.ring src !pos chunk;
+        pos := !pos + chunk;
+        Condition.broadcast q.nonempty
+      done
+    with
+    | () -> Mutex.unlock q.lock
+    | exception exn -> unlock_reraise q exn
+  end
 
-let get_loop c n copy =
+let get_loop c dst off n copy =
   let q = c.c_queue in
-  if n > 0 then
-    with_lock q (fun () ->
-        let filled = ref 0 in
-        while !filled < n do
-          (* Closed and drained mid-block: consumed elements stay
-             consumed, exactly like the element loop. *)
-          if not (wait_data q c) then raise Cgsim.Sched.End_of_stream;
-          let take = min (q.ring.Ring.head - c.cur.Ring.pos) (n - !filled) in
-          copy !filled take;
-          retire q c take;
-          filled := !filled + take
-        done)
+  if n > 0 then begin
+    Mutex.lock q.lock;
+    match
+      let stop = off + n in
+      let filled = ref off in
+      while !filled < stop do
+        (* Closed and drained mid-block: consumed elements stay
+           consumed, exactly like the element loop. *)
+        if (q.poisoned || c.cur.Ring.pos >= q.ring.Ring.head) && not (wait_data q c) then
+          raise Cgsim.Sched.End_of_stream;
+        let take = min (q.ring.Ring.head - c.cur.Ring.pos) (stop - !filled) in
+        copy q.ring c.cur dst !filled take;
+        retire q c take;
+        filled := !filled + take
+      done
+    with
+    | () -> Mutex.unlock q.lock
+    | exception exn -> unlock_reraise q exn
+  end
 
 let check_count n = if n < 0 then invalid_arg "x86sim: get_block with negative count"
 
+(* Blocks are validated whole before the lock, so a bad element
+   publishes nothing of a block that streams in several chunks. *)
 let put_block p vs =
   let q = p.p_queue in
-  (* Validate the whole block before taking the lock. *)
   Ring.check_values q.ring vs;
-  put_loop p (Array.length vs) (Ring.push_values q.ring vs)
+  put_loop p vs 0 (Array.length vs) Ring.push_values
 
 let get_block c n =
   check_count n;
   let out = Array.make n (Cgsim.Value.Int 0) in
-  get_loop c n (Ring.read_values c.c_queue.ring c.cur out);
+  get_loop c out 0 n Ring.read_values;
   out
 
-(* {1 Unboxed block transfers} — flat payloads, same locking discipline;
-   dtype and int range are checked on the whole block before the lock. *)
+(* {1 Unboxed block transfers} — flat and lane payloads, same locking
+   discipline; dtype and int range are checked on the whole block
+   before the lock. *)
 
 let put_floats p fs =
-  let q = p.p_queue in
-  Ring.require_float q.ring "float block write";
-  put_loop p (Array.length fs) (Ring.push_floats q.ring fs)
+  Ring.require_float p.p_queue.ring "float block write";
+  put_loop p fs 0 (Array.length fs) Ring.push_floats
 
 let get_floats c dst =
   Ring.require_float c.c_queue.ring "float block read";
-  get_loop c (Array.length dst) (Ring.read_floats c.c_queue.ring c.cur dst)
+  get_loop c dst 0 (Array.length dst) Ring.read_floats
 
 let put_ints p is =
   let q = p.p_queue in
   Ring.require_int q.ring "int block write";
   Ring.check_ints q.ring is;
-  put_loop p (Array.length is) (Ring.push_ints q.ring is)
+  put_loop p is 0 (Array.length is) Ring.push_ints
 
 let get_ints c dst =
   Ring.require_int c.c_queue.ring "int block read";
-  get_loop c (Array.length dst) (Ring.read_ints c.c_queue.ring c.cur dst)
+  get_loop c dst 0 (Array.length dst) Ring.read_ints
+
+let put_lanes p b off n =
+  let q = p.p_queue in
+  Ring.require_lanes q.ring b off n "lane block write";
+  Ring.check_lanes q.ring b off n;
+  put_loop p b off n Ring.push_lanes
+
+let get_lanes c b off n =
+  Ring.require_lanes c.c_queue.ring b off n "lane block read";
+  get_loop c b off n Ring.read_lanes
 
 let producer_done p =
   if p.open_ then begin
@@ -402,14 +431,6 @@ let space p =
 
 (* {1 Attaching global I/O} *)
 
-(* Boxed source values are checked against the net's dtype per segment,
-   before any of them is stored. *)
-let push_checked r vs off len =
-  for i = off to off + len - 1 do
-    if not (r.Ring.check vs.(i)) then Ring.reject r vs.(i)
-  done;
-  Ring.push_values r vs off len
-
 let attach_source q src =
   with_lock q (fun () ->
       if q.source <> None || q.producers_open > 0 then
@@ -421,7 +442,7 @@ let attach_source q src =
             s_name = Cgsim.Io.source_name src;
             s_copy =
               Cgsim.Io.transfer r.Ring.dtype src ~chunk:r.Ring.cap ~floats:(Ring.push_floats r)
-                ~ints:(Ring.push_ints r) ~values:(push_checked r);
+                ~ints:(Ring.push_ints r) ~values:(Ring.push_values r);
             s_len = Cgsim.Io.source_length src;
             s_off = 0;
           })

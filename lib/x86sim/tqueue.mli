@@ -38,10 +38,12 @@ type producer
     kernel adds; only that thread may use the endpoints. *)
 type waker
 
-(** Storage follows the dtype ({!Cgsim.Ring}): scalar dtypes get
-    bigarray storage, so the unboxed block transfers below move native
-    memory; aggregate dtypes box.  F32 rings round stored values as
-    {!Cgsim.Value.round_f32}. *)
+(** Storage follows the dtype ({!Cgsim.Ring}) and is always flat:
+    scalar dtypes get a bigarray of their kind and aggregate dtypes
+    store scalar lanes, so the flat and lane block transfers below move
+    native memory.  F32 rings round stored values as
+    {!Cgsim.Value.round_f32}; an aggregate's float lanes are stored as
+    given. *)
 val create : name:string -> dtype:Cgsim.Dtype.t -> capacity:int -> unit -> t
 
 val waker : unit -> waker
@@ -56,7 +58,8 @@ val add_producer : waker -> t -> producer
 val deliver : waker -> unit
 
 val put : producer -> Cgsim.Value.t -> unit
-(** Blocks while full. *)
+(** Blocks while full; a value that does not conform to the net's dtype
+    raises [Invalid_argument] before it blocks. *)
 
 val get : consumer -> Cgsim.Value.t
 (** Blocks while empty; raises {!Cgsim.Sched.End_of_stream} when closed
@@ -66,8 +69,8 @@ val get : consumer -> Cgsim.Value.t
 
     Semantically equivalent to element loops, but each call takes the
     queue lock once for the whole block (condition waits release it while
-    blocked), moves contiguous ring slices with at most two array blits
-    per chunk, and wakes readers once per stored chunk (writers by the
+    blocked), allocates nothing but its result unless it waits, moves contiguous ring
+    slices with at most two segment copies per chunk, and wakes readers once per stored chunk (writers by the
     half-capacity rule above). *)
 
 val put_block : producer -> Cgsim.Value.t array -> unit
@@ -98,6 +101,14 @@ val put_ints : producer -> int array -> unit
 
 (** [get_ints c dst]: the integer counterpart of {!get_floats}. *)
 val get_ints : consumer -> int array -> unit
+
+(** Lane transfers of a [Vector] or [Struct] net: [n] elements at
+    element offset [off] of caller-owned lane buffers
+    ({!Cgsim.Ring.lanes}), as {!Cgsim.Bqueue.put_lanes}; int lanes are
+    range-checked whole before anything is stored. *)
+
+val put_lanes : producer -> Cgsim.Ring.lanes -> int -> int -> unit
+val get_lanes : consumer -> Cgsim.Ring.lanes -> int -> int -> unit
 
 (** The last producer closes the queue and pushes what is left into the
     sinks, so it can raise {!Endpoint_failed}. *)

@@ -35,8 +35,14 @@ let prop_bilinear_group_matches_scalar =
     (fun seed ->
       let quads = Workloads.Images.random_quads ~seed 16 in
       let vec = Array.make Apps.Bilinear.group 0 in
-      Apps.Bilinear.blend_group (Apps.Bilinear.scratch None) ~dst:vec
-        (Array.map Apps.Bilinear.quad_value quads);
+      (* The requests reach the blend as a request net stores them. *)
+      let n = Apps.Bilinear.group in
+      let ring = Cgsim.Ring.create ~name:"req" ~dtype:Apps.Bilinear.quad_dtype ~capacity:n in
+      let cur = Cgsim.Ring.add_cursor ring in
+      Cgsim.Ring.push_values ring (Array.map Apps.Bilinear.quad_value quads) 0 n;
+      let req = Cgsim.Port.lanes Apps.Bilinear.quad_dtype n in
+      Cgsim.Ring.read_lanes ring cur req 0 n;
+      Apps.Bilinear.blend_group (Apps.Bilinear.scratch None) ~dst:vec req;
       let scalar =
         Array.map
           (fun (q : Workloads.Images.quad) ->

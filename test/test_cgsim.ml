@@ -1413,6 +1413,147 @@ let test_pool_starts_in_submit_order () =
           (String.concat "," (Array.to_list (Array.map string_of_int order))))
     order
 
+(* ------------------------------------------------------------------ *)
+(* Aggregate nets as lanes                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A Struct net stores its elements as scalar lanes.  A float lane keeps
+   its bits (a NaN payload, -0.0) and an I64 lane its full range through
+   element, block and lane transfers, on cgsim's and x86sim's queues and
+   through a lane-reading kernel under both simulators.  A misnamed
+   field and an out-of-range U8 lane are refused with the dtype message
+   and publish nothing. *)
+
+let lane_dtype =
+  Cgsim.Dtype.(Struct [ "g", F32; "k", I64; "pix", Vector (U8, 2) ])
+
+let nan_payload = Int64.float_of_bits 0x7ff8_0000_0bad_f00dL
+
+let lane_value g k p0 p1 = Cgsim.Value.(Rec [ "g", Float g; "k", Int k; "pix", Vec [| Int p0; Int p1 |] ])
+
+let lane_values = [| lane_value nan_payload max_int 0 255; lane_value (-0.0) min_int 255 0 |]
+
+(* Floats by their bits, so NaN payloads and -0.0 count. *)
+let rec show_bits = function
+  | Cgsim.Value.Float f -> Printf.sprintf "%Lx" (Int64.bits_of_float f)
+  | Cgsim.Value.Int i -> string_of_int i
+  | Cgsim.Value.Vec a -> "[" ^ String.concat ";" (Array.to_list (Array.map show_bits a)) ^ "]"
+  | Cgsim.Value.Rec fs ->
+    "{" ^ String.concat ";" (List.map (fun (n, v) -> n ^ "=" ^ show_bits v) fs) ^ "}"
+
+let has_substring needle hay =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+type lane_queue = {
+  put : Cgsim.Value.t -> unit;
+  get : unit -> Cgsim.Value.t;
+  put_block : Cgsim.Value.t array -> unit;
+  get_block : int -> Cgsim.Value.t array;
+  put_lanes : Cgsim.Port.lanes -> int -> int -> unit;
+  get_lanes : Cgsim.Port.lanes -> int -> int -> unit;
+}
+
+let lane_roundtrip label q =
+  let expect what got =
+    Alcotest.(check (list string))
+      (label ^ ": " ^ what)
+      (List.map show_bits (Array.to_list lane_values))
+      (List.map show_bits got)
+  in
+  Array.iter q.put lane_values;
+  expect "element" (List.init 2 (fun _ -> q.get ()));
+  q.put_block lane_values;
+  expect "block" (Array.to_list (q.get_block 2));
+  q.put_block lane_values;
+  let b = Cgsim.Port.lanes lane_dtype 2 in
+  q.get_lanes b 0 2;
+  Alcotest.(check (list int64))
+    (label ^ ": float lanes keep their bits")
+    [ Int64.bits_of_float nan_payload; Int64.bits_of_float (-0.0) ]
+    (List.map Int64.bits_of_float (Array.to_list b.floats));
+  Alcotest.(check (array int)) (label ^ ": int lanes") [| max_int; 0; 255; min_int; 255; 0 |] b.ints;
+  q.put_lanes b 0 2;
+  expect "lanes" (Array.to_list (q.get_block 2));
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s: %s was accepted" label what
+    | exception Invalid_argument msg ->
+      if not (has_substring "does not conform to dtype" msg) then
+        Alcotest.failf "%s: %s refused with %S" label what msg
+  in
+  let misnamed = Cgsim.Value.(Rec [ "g", Float 1.0; "kk", Int 1; "pix", Vec [| Int 0; Int 0 |] ]) in
+  refused "a misnamed field" (fun () -> q.put misnamed);
+  refused "a misnamed field in a block" (fun () -> q.put_block [| lane_values.(0); misnamed |]);
+  refused "an out-of-range U8 lane" (fun () -> q.put (lane_value 1.0 1 0 256));
+  let wide = { b with Cgsim.Port.ints = Array.copy b.ints } in
+  wide.ints.(5) <- 256;
+  refused "an out-of-range U8 lane in a lane block" (fun () -> q.put_lanes wide 0 2);
+  (* Nothing was published: the next read returns the next write. *)
+  q.put lane_values.(1);
+  Alcotest.(check string)
+    (label ^ ": a refusal publishes nothing")
+    (show_bits lane_values.(1)) (show_bits (q.get ()))
+
+let lane_pass =
+  Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"test_lane_pass"
+    [ Cgsim.Kernel.in_port "in" lane_dtype; Cgsim.Kernel.out_port "out" lane_dtype ]
+    (fun b ->
+      let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
+      let buf = Cgsim.Port.lanes lane_dtype 2 in
+      while true do
+        Cgsim.Port.get_lanes i buf 1 1;
+        Cgsim.Port.put_lanes o buf 1 1
+      done)
+
+let () = Cgsim.Registry.register lane_pass
+
+let test_lanes_bit_exact () =
+  let q = Cgsim.Bqueue.create ~name:"lanes" ~dtype:lane_dtype ~capacity:8 () in
+  let p = Cgsim.Bqueue.add_producer q and c = Cgsim.Bqueue.add_consumer q in
+  let outcome = ref (Error (Failure "the cgsim fiber did not run")) in
+  let bq =
+    {
+      put = Cgsim.Bqueue.put p;
+      get = (fun () -> Cgsim.Bqueue.get c);
+      put_block = Cgsim.Bqueue.put_block p;
+      get_block = Cgsim.Bqueue.get_block c;
+      put_lanes = Cgsim.Bqueue.put_lanes p;
+      get_lanes = Cgsim.Bqueue.get_lanes c;
+    }
+  in
+  ignore
+    (run_fibers
+       [ ("cgsim", fun () -> outcome := try Ok (lane_roundtrip "cgsim" bq) with e -> Error e) ]);
+  (match !outcome with Ok () -> () | Error e -> raise e);
+  let t = X86sim.Tqueue.create ~name:"lanes" ~dtype:lane_dtype ~capacity:8 () in
+  let w = X86sim.Tqueue.waker () in
+  let tp = X86sim.Tqueue.add_producer w t and tc = X86sim.Tqueue.add_consumer w t in
+  lane_roundtrip "x86sim"
+    {
+      put = X86sim.Tqueue.put tp;
+      get = (fun () -> X86sim.Tqueue.get tc);
+      put_block = X86sim.Tqueue.put_block tp;
+      get_block = X86sim.Tqueue.get_block tc;
+      put_lanes = X86sim.Tqueue.put_lanes tp;
+      get_lanes = X86sim.Tqueue.get_lanes tc;
+    };
+  let g () =
+    Cgsim.Builder.make ~name:"lane_pass" ~inputs:[ "x", lane_dtype ] (fun b conns ->
+        let out = Cgsim.Builder.net b lane_dtype in
+        ignore (Cgsim.Builder.add_kernel b lane_pass [ List.hd conns; out ]);
+        [ out ])
+  in
+  let input = Array.concat [ lane_values; lane_values; lane_values ] in
+  let expected = List.map show_bits (Array.to_list input) in
+  let sink, out = Cgsim.Io.buffer () in
+  ignore (Cgsim.Runtime.execute_exn (g ()) ~sources:[ Cgsim.Io.of_array input ] ~sinks:[ sink ]);
+  Alcotest.(check (list string)) "cgsim lane kernel" expected (List.map show_bits (out ()));
+  let sink, out = Cgsim.Io.buffer () in
+  ignore (X86sim.Sim.run_exn (g ()) ~sources:[ Cgsim.Io.of_array input ] ~sinks:[ sink ]);
+  Alcotest.(check (list string)) "x86sim lane kernel" expected (List.map show_bits (out ()))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1463,6 +1604,8 @@ let () =
           Alcotest.test_case "get_some bounds" `Quick test_bqueue_get_some_bounds;
           Alcotest.test_case "endpoint counts" `Quick test_bqueue_endpoint_counts;
           Alcotest.test_case "mixed transfer in order" `Quick test_bqueue_mixed_transfer;
+          Alcotest.test_case "aggregate lanes bit-exact under cgsim and x86sim" `Quick
+            test_lanes_bit_exact;
         ]
         @ qsuite [ prop_bqueue_broadcast_random ] );
       ( "builder",

@@ -128,11 +128,15 @@ let test_reset_many_cycles () =
   done
 
 (* Allocation ceiling of one warm run at the request sizes the pool_mix
-   benchmark serves: kernel bodies compute into lanes they allocate once,
-   so what a warm run allocates is the scheduler's and the ports' own
-   bookkeeping plus the payloads still boxed as [Value.t] (bilinear's
-   struct reads, farrow's cascade pairs).  Sources and sinks are built
-   before the measured call; a reset between runs is not measured. *)
+   benchmark serves: kernel bodies compute into lanes they allocate once
+   and aggregate nets move as flat lanes (bilinear's requests, farrow's
+   cascade), so what a warm run allocates is the scheduler's and the
+   ports' own bookkeeping, the source pump's chunk array and the buffer
+   sink's boxed outputs.  Sources and sinks are built before the
+   measured call; a reset between runs is not measured.  Bilinear's and
+   farrow's ceilings sit 15 % above their measured words (3 018 and
+   36 373), below what boxed aggregate nets allocated (3 674 and
+   127 500). *)
 let test_warm_run_allocation () =
   List.iter
     (fun (name, reps, ceiling) ->
@@ -160,7 +164,7 @@ let test_warm_run_allocation () =
       if w > ceiling then
         Alcotest.failf "%s@%d: a warm run allocates %.0f minor words (ceiling %.0f)" name reps w
           ceiling)
-    [ "bitonic", 4, 1_800.; "bilinear", 1, 7_000.; "farrow", 2, 210_000.; "iir", 1, 24_000. ]
+    [ "bitonic", 4, 1_800.; "bilinear", 1, 3_500.; "farrow", 2, 42_000.; "iir", 1, 24_000. ]
 
 let test_reset_during_run_rejected () =
   let h = Apps.Harness.bitonic in

@@ -143,28 +143,38 @@ let test_tqueue_block_eos_midblock () =
   | exception Cgsim.Sched.End_of_stream -> ()
   | _ -> Alcotest.fail "partial block was consumed: the next get must end the stream"
 
-(* The per-element transfers take the lock without a closure: once
-   warm, a put into free space and a get of a ready element on a boxed
-   Vector net allocate nothing. *)
+(* The transfers take the lock without a closure: once warm, a put
+   into free space on a Vector net allocates nothing, a get of a ready
+   element allocates only the value it builds from the lanes, and lane
+   writes and reads allocate nothing at all. *)
 let test_tqueue_element_ops_allocate_nothing () =
   let dtype = Cgsim.Dtype.Vector (Cgsim.Dtype.I16, 2) in
   let q = X86sim.Tqueue.create ~name:"q" ~dtype ~capacity:64 () in
   let w = X86sim.Tqueue.waker () in
   let p = X86sim.Tqueue.add_producer w q and c = X86sim.Tqueue.add_consumer w q in
   let v = Cgsim.Value.Vec [| Cgsim.Value.Int 1; Cgsim.Value.Int 2 |] in
+  let lanes = Cgsim.Port.lanes dtype 1 in
   X86sim.Tqueue.put p v;
-  ignore (X86sim.Tqueue.get c);
+  let value_words = float_of_int (Obj.reachable_words (Obj.repr (X86sim.Tqueue.get c))) in
+  X86sim.Tqueue.put_lanes p lanes 0 1;
+  X86sim.Tqueue.get_lanes c lanes 0 1;
   let w0 = Gc.minor_words () in
   for _ = 1 to 32 do
     X86sim.Tqueue.put p v
   done;
   let w1 = Gc.minor_words () in
   for _ = 1 to 32 do
-    ignore (X86sim.Tqueue.get c)
+    ignore (Sys.opaque_identity (X86sim.Tqueue.get c))
   done;
   let w2 = Gc.minor_words () in
+  for _ = 1 to 32 do
+    X86sim.Tqueue.put_lanes p lanes 0 1;
+    X86sim.Tqueue.get_lanes c lanes 0 1
+  done;
+  let w3 = Gc.minor_words () in
   Alcotest.(check (float 0.)) "put allocates nothing" 0. (w1 -. w0);
-  Alcotest.(check (float 0.)) "get allocates nothing" 0. (w2 -. w1)
+  Alcotest.(check (float 0.)) "get allocates only its value" (32. *. value_words) (w2 -. w1);
+  Alcotest.(check (float 0.)) "lane put and get allocate nothing" 0. (w3 -. w2)
 
 let test_sim_io_count_mismatch () =
   let g = Apps.Bitonic.graph () in
@@ -287,14 +297,17 @@ let () =
 (* ------------------------------------------------------------------ *)
 
 (* Both queues wrap Cgsim.Ring.  A random program of element, block,
-   flat float/int and (Bqueue only) drain operations over a random
-   dtype, capacity and broadcast fan-out must observe exactly what a
-   list model predicts, through both wrappers.  The generator only
-   emits an operation that cannot block, so Bqueue runs in one fiber
-   and Tqueue on the calling thread; a flat transfer on the wrong dtype
-   and an out-of-range int block must raise and leave the queue
-   untouched.  Tqueue has no drain forms, so it reads each drain's
-   predicted count with the exact read of the same kind instead. *)
+   flat float/int, lane and (Bqueue only) drain operations over a
+   random dtype, capacity and broadcast fan-out must observe exactly
+   what a list model predicts, through both wrappers.  The generator
+   only emits an operation that cannot block, so Bqueue runs in one
+   fiber and Tqueue on the calling thread; a flat or lane transfer on
+   the wrong dtype and an out-of-range int block or int lane must raise
+   and leave the queue untouched.  Tqueue has no drain forms, so it
+   reads each drain's predicted count with the exact read of the same
+   kind instead.  The model knows the lane layout on its own (Vector
+   lanes, then Struct fields in order) and does not round float
+   lanes. *)
 
 module V = Cgsim.Value
 module D = Cgsim.Dtype
@@ -304,6 +317,7 @@ type ring_op =
   | Put_block of V.t array
   | Put_floats of float array
   | Put_ints of int array
+  | Put_lanes of Cgsim.Port.lanes * int
   | Get of int
   | Get_block of int * int
   | Get_some of int * int
@@ -311,6 +325,7 @@ type ring_op =
   | Get_floats_into of int * int
   | Get_ints of int * int
   | Get_ints_into of int * int
+  | Get_lanes of int * int
 
 type obs =
   | Vals of V.t list
@@ -326,7 +341,74 @@ type model = {
 
 let ring_dtypes =
   [| D.F32; D.F64; D.I8; D.I16; D.I32; D.I64; D.U8; D.U16; D.U32;
-     D.Vector (D.F32, 2); D.Vector (D.I16, 3) |]
+     D.Vector (D.F32, 2); D.Vector (D.I16, 3); D.Vector (D.I64, 2);
+     D.Struct [ "pix", D.Vector (D.U8, 4); "g", D.F32; "k", D.I16 ] |]
+
+let is_aggregate d = not (D.is_scalar d)
+
+(* The model's lane layout: int and float lanes per element, and the
+   dtype of each int lane, in order. *)
+let rec lane_counts = function
+  | D.F32 | D.F64 -> 0, 1
+  | D.Vector (e, n) ->
+    let i, f = lane_counts e in
+    i * n, f * n
+  | D.Struct fs ->
+    List.fold_left
+      (fun (i, f) (_, t) ->
+        let i', f' = lane_counts t in
+        i + i', f + f')
+      (0, 0) fs
+  | _ -> 1, 0
+
+let rec int_lane_dtypes = function
+  | D.F32 | D.F64 -> []
+  | D.Vector (e, n) -> List.concat (List.init n (fun _ -> int_lane_dtypes e))
+  | D.Struct fs -> List.concat_map (fun (_, t) -> int_lane_dtypes t) fs
+  | d -> [ d ]
+
+let to_lanes dtype vs =
+  let ints = ref [] and floats = ref [] in
+  let rec go d v =
+    match d, v with
+    | D.Vector (e, _), V.Vec a -> Array.iter (go e) a
+    | D.Struct fs, V.Rec fvs -> List.iter2 (fun (_, t) (_, x) -> go t x) fs fvs
+    | _, V.Float f -> floats := f :: !floats
+    | _, V.Int i -> ints := i :: !ints
+    | _ -> invalid_arg "to_lanes"
+  in
+  Array.iter (go dtype) vs;
+  { Cgsim.Port.ints = Array.of_list (List.rev !ints); floats = Array.of_list (List.rev !floats) }
+
+let of_lanes dtype (b : Cgsim.Port.lanes) n =
+  let pi = ref 0 and pf = ref 0 in
+  let rec go = function
+    | D.F32 | D.F64 ->
+      incr pf;
+      V.Float b.floats.(!pf - 1)
+    | D.Vector (e, k) -> V.Vec (Array.init k (fun _ -> go e))
+    | D.Struct fs -> V.Rec (List.map (fun (name, t) -> name, go t) fs)
+    | _ ->
+      incr pi;
+      V.Int b.ints.(!pi - 1)
+  in
+  List.init n (fun _ -> go dtype)
+
+let lane_buffer dtype n =
+  let i, f = lane_counts dtype in
+  { Cgsim.Port.ints = Array.make (n * i) 0; floats = Array.make (n * f) 0.0 }
+
+let lanes_fit dtype (b : Cgsim.Port.lanes) =
+  let bounds = Array.of_list (List.map V.int_range (int_lane_dtypes dtype)) in
+  let ni = Array.length bounds in
+  let ok = ref true in
+  Array.iteri
+    (fun i v ->
+      match bounds.(i mod ni) with
+      | Some (lo, hi) -> if v < lo || v > hi then ok := false
+      | None -> ())
+    b.ints;
+  !ok
 
 let space m = m.m_cap - (m.head - Array.fold_left min m.head m.pos)
 
@@ -358,6 +440,10 @@ let model_step m = function
   | Put_floats fs ->
     if D.is_float m.m_dtype then publish m (Array.map (fun f -> V.Float f) fs) else Raised
   | Put_ints is -> if ints_fit m.m_dtype is then publish m (Array.map (fun i -> V.Int i) is) else Raised
+  | Put_lanes (b, n) ->
+    if is_aggregate m.m_dtype && lanes_fit m.m_dtype b then
+      publish m (Array.of_list (of_lanes m.m_dtype b n))
+    else Raised
   | Get k -> take m k 1
   | Get_block (k, n) -> take m k n
   | Get_some (k, mx) -> take m k (min mx (avail m k))
@@ -365,6 +451,7 @@ let model_step m = function
   | Get_floats_into (k, mx) ->
     if D.is_float m.m_dtype then take m k (min mx (avail m k)) else Raised
   | Get_ints (k, n) -> if D.is_integer m.m_dtype then take m k n else Raised
+  | Get_lanes (k, n) -> if is_aggregate m.m_dtype then take m k n else Raised
   | Get_ints_into (k, mx) ->
     if D.is_integer m.m_dtype then take m k (min mx (avail m k)) else Raised
 
@@ -397,7 +484,7 @@ let gen_program rng dtype cap consumers =
     let sp = space m and k = rand consumers in
     let av = avail m k in
     let op =
-      match rand 8 with
+      match rand 10 with
       | 0 when sp > 0 -> Put (gen_value rng dtype)
       | 1 -> Put_block (Array.init (rand (sp + 1)) (fun _ -> gen_value rng dtype))
       | 2 ->
@@ -420,6 +507,20 @@ let gen_program rng dtype cap consumers =
         else if fits && av = 0 then Get_block (k, 0)
         else if floats then Get_floats_into (k, 1 + rand 9)
         else Get_ints_into (k, 1 + rand 9)
+      | 8 when is_aggregate dtype ->
+        let n = rand (sp + 1) in
+        let b = to_lanes dtype (Array.init n (fun _ -> gen_value rng dtype)) in
+        (* Sometimes one int lane just outside its dtype's range. *)
+        let lanes = Array.of_list (int_lane_dtypes dtype) in
+        let ni = Array.length lanes in
+        (if n > 0 && ni > 0 && rand 3 = 0 then
+           let i = rand (n * ni) in
+           match V.int_range lanes.(i mod ni) with
+           | Some (_, hi) -> b.ints.(i) <- hi + 1
+           | None -> ());
+        Put_lanes (b, n)
+      | 8 -> Put_lanes ({ Cgsim.Port.ints = [||]; floats = [||] }, 0)
+      | 9 -> Get_lanes (k, rand (if is_aggregate dtype then av + 1 else cap + 4))
       | _ -> Get_block (k, 0)
     in
     steps := (op, model_step m op) :: !steps
@@ -441,6 +542,8 @@ module type QUEUE = sig
   val get_block : consumer -> int -> V.t array
   val get_floats : consumer -> float array -> unit
   val get_ints : consumer -> int array -> unit
+  val put_lanes : producer -> Cgsim.Port.lanes -> int -> int -> unit
+  val get_lanes : consumer -> Cgsim.Port.lanes -> int -> int -> unit
 end
 
 module Drive (Q : QUEUE) = struct
@@ -458,6 +561,7 @@ module Drive (Q : QUEUE) = struct
       | Put_block vs -> Q.put_block p vs; []
       | Put_floats fs -> Q.put_floats p fs; []
       | Put_ints is -> Q.put_ints p is; []
+      | Put_lanes (b, n) -> Q.put_lanes p b 0 n; []
       | Get k -> [ Q.get cs.(k) ]
       | Get_block (k, n) -> Array.to_list (Q.get_block cs.(k) n)
       | Get_floats (k, n) ->
@@ -468,6 +572,10 @@ module Drive (Q : QUEUE) = struct
         let dst = Array.make n 0 in
         Q.get_ints cs.(k) dst;
         ints dst
+      | Get_lanes (k, n) ->
+        let b = lane_buffer dtype n in
+        Q.get_lanes cs.(k) b 0 n;
+        of_lanes dtype b n
       | (Get_some (k, _) | Get_floats_into (k, _) | Get_ints_into (k, _)) as op -> drain cs.(k) op
     in
     in_context q (fun () ->
