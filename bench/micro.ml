@@ -169,8 +169,8 @@ let time_element_path ~elements =
   ignore (Cgsim.Sched.run s);
   Obs.Clock.now_ns () -. t0
 
-(* Same traffic, but the producer pushes [transfer_chunk]-element flat
-   int blocks and the consumer drains with [get_ints_into] into one
+(* Same traffic, but the producer writes [transfer_chunk]-element flat
+   int blocks and the consumer drains with [read_upto] into one
    reused buffer — the unboxed fast path: both sides are bounds-checked
    blits against the bigarray-backed ring, no per-element boxing and no
    per-chunk allocation anywhere. *)
@@ -185,13 +185,13 @@ let time_block_path ~elements =
   let blocks = elements / transfer_chunk in
   Cgsim.Sched.spawn s ~name:"producer" (fun () ->
       for _ = 1 to blocks do
-        Cgsim.Bqueue.put_ints p block
+        Cgsim.Bqueue.write Cgsim.Ring.ints p block 0 transfer_chunk
       done;
       Cgsim.Bqueue.producer_done p);
   Cgsim.Sched.spawn s ~name:"consumer" (fun () ->
       let buf = Array.make transfer_chunk 0 in
       let rec loop () =
-        ignore (Cgsim.Bqueue.get_ints_into c buf);
+        ignore (Cgsim.Bqueue.read_upto Cgsim.Ring.ints c buf 0 transfer_chunk);
         loop ()
       in
       loop ());
@@ -466,7 +466,7 @@ let run ?json ?(smoke = false) () =
     transfer_capacity transfer_chunk;
   let cmp = compare_transfer ~smoke in
   Printf.printf "%-45s %12.2f ns/elem\n" "element path (put/get)" cmp.element_ns_per_elem;
-  Printf.printf "%-45s %12.2f ns/elem\n" "block path (put_ints/get_ints_into)" cmp.block_ns_per_elem;
+  Printf.printf "%-45s %12.2f ns/elem\n" "block path (write/read_upto, ints)" cmp.block_ns_per_elem;
   Printf.printf "%-45s %12.2fx\n%!" "speedup" cmp.speedup;
   Printf.printf "\n== Chain (%d rate-matched kernels, window=%d) ==\n%!" ch.c_kernels ch.c_rate;
   Printf.printf "%-45s %12.2f ns/elem\n%!" "one fiber + queue per hop" ch.c_ns_per_elem;

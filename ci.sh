@@ -172,8 +172,8 @@ echo "== one I/O path gate =="
 # values), and both simulators move it with the same per-kind copies:
 # cgsim's source and sink fibers run Io.feed and Io.drain, and x86sim's
 # Tqueue pulls through Io.transfer and pushes through Io.emit on the
-# kernels' own domains.  Only Bqueue has drain forms, one flat drain per
-# payload kind (get_floats_into / get_ints_into) for Io.drain.  The
+# kernels' own domains.  Only Bqueue has a drain, read_upto, which takes
+# a payload kind like the block read and serves Io.drain.  The
 # per-source pull closures, the constructors that had no caller and the
 # allocating flat drains must not come back.
 if grep -rnE 'source_pull_(block|floats|ints)|make_pull|Io\.(of_fun|repeat|counter|of_consumer)|with_(source|sink)_name|get_(floats|ints)_some' lib bin bench test examples; then
@@ -193,6 +193,15 @@ echo "== no orphaned transfer forms gate =="
 # probes and constants each module keeps for itself).
 if grep -rnE 'Port\.(Codec|read|write|put_window)\b|r_peek|r_available|Bqueue\.(peek|is_closed|available)\b|Tqueue\.(peek|available|get_some|get_floats_into|get_ints_into|total_put|is_poisoned)\b|read_some|pull_if_empty|Graph_text\.(of_string|dtype_of_string)|settings_of_tokens|of_compact' lib bin bench test examples; then
   echo "ci: caller references a deleted transfer form, port probe or graph-text reader" >&2
+  exit 1
+fi
+# Each queue has one block write and one block read that take a payload
+# kind (Ring.floats, ints, lanes or values), Bqueue one drain besides,
+# and a port one r_read / w_write: the typed block forms, the port
+# fields that carried them, the boxed Port.get_window and the ring's
+# per-kind copies were deleted.
+if grep -rnE '(Bqueue|Tqueue)\.(put_block|get_block|get_some|put_floats|put_ints|get_floats|get_ints|put_lanes|get_lanes|get_floats_into|get_ints_into)\b|r_get_(block|floats|ints|lanes)|w_put_(block|floats|ints|lanes)|Port\.get_window\b|Ring\.(push|read)_(floats|ints|lanes|values)' lib bin bench test examples; then
+  echo "ci: caller references a deleted typed block form (pass a Ring kind to the one write or read)" >&2
   exit 1
 fi
 if grep -rnE 'Diagnostic\.severity_to_string|Faults\.action_to_string|Runtime\.failure_message|Serialized\.endpoint_display|Hazards\.fanout_threshold|Pool\.count_outcomes|Prom\.default_namespace|Flight\.(is_enabled|pp_entry|Wake)\b|Hdr\.record_n|Array_model\.pp_coord|Cfg\.ns_per_cycle|Sched\.(wake|parked_count|parked_names|stop_reason_to_string)\b' lib bin bench test examples; then

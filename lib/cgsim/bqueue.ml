@@ -220,8 +220,8 @@ let get c =
 (* Blocks move as contiguous ring slices (the ring's segment copies),
    and waiters are woken once per chunk rather than once per element.
    Blocks larger than the free space stream through in chunks,
-   interleaving with the consumers/producers.  [copy] is one of the
-   ring's segment copies, applied to the ring (and, reading, the
+   interleaving with the consumers/producers.  [copy] is a kind's
+   [copy_in] or [copy_out], applied to the ring (and, reading, the
    cursor), the payload, an offset and a length; it is passed unapplied
    so that a transfer builds no closure.  [off] and [n] count elements
    of the payload. *)
@@ -259,10 +259,28 @@ let get_loop c dst off n copy =
     else wait_for_data c
   done
 
-(* Blocking available-length probe shared by the drains. *)
-let some_len c ~max =
-  if max <= 0 then invalid_arg "cgsim: get_some needs a positive bound";
+(* The ring checks each element as it stores it.  A block that must
+   stream in several chunks is checked whole up front, so a bad element
+   publishes nothing; the kind's [require] runs before any wait. *)
+let write (k : _ Ring.kind) p b off n =
+  let q = p.p_queue in
+  check_open p;
+  k.Ring.require q.ring b off n;
+  if n > free q then k.Ring.check q.ring b off n;
+  put_loop q b off n k.Ring.copy_in
+
+let read (k : _ Ring.kind) c b off n =
+  k.Ring.require c.c_queue.ring b off n;
+  get_loop c b off n k.Ring.copy_out
+
+(* The drain fills at most [n] elements of a caller-owned buffer and
+   returns the count, parking only while the queue is empty: a
+   steady-state consumer (an I/O pump, a bench) reuses one buffer
+   instead of allocating a fresh array per chunk. *)
+let read_upto (k : _ Ring.kind) c b off n =
   let q = c.c_queue in
+  k.Ring.require q.ring b off n;
+  if n = 0 then invalid_arg ("cgsim: read_upto needs a positive count on " ^ name q);
   let rec avail () =
     let a = q.ring.Ring.head - c.cur.Ring.pos in
     if a > 0 then a
@@ -272,83 +290,8 @@ let some_len c ~max =
       avail ()
     end
   in
-  min (avail ()) max
-
-let check_count n = if n < 0 then invalid_arg "cgsim: get_block with negative count"
-
-(* The ring checks each value as it stores it.  A block that must
-   stream in several chunks is checked whole up front, so a bad value
-   publishes nothing; the same rule holds for int and lane blocks. *)
-let put_block p vs =
-  let q = p.p_queue in
-  check_open p;
-  if Array.length vs > free q then Ring.check_values q.ring vs;
-  put_loop q vs 0 (Array.length vs) Ring.push_values
-
-let get_block c n =
-  check_count n;
-  let out = Array.make n (Value.Int 0) in
-  get_loop c out 0 n Ring.read_values;
-  out
-
-let get_some c ~max =
-  let len = some_len c ~max in
-  let out = Array.make len (Value.Int 0) in
-  Ring.read_values c.c_queue.ring c.cur out 0 len;
-  advance c len;
-  out
-
-(* Flat payloads: same blocking and End_of_stream discipline, no
-   [Value.t] in the interface.  The dtype is checked once per block,
-   before any wait. *)
-
-let put_floats p fs =
-  let q = p.p_queue in
-  check_open p;
-  Ring.require_float q.ring "float block write";
-  put_loop q fs 0 (Array.length fs) Ring.push_floats
-
-let put_ints p is =
-  let q = p.p_queue in
-  check_open p;
-  Ring.require_int q.ring "int block write";
-  if Array.length is > free q then Ring.check_ints q.ring is;
-  put_loop q is 0 (Array.length is) Ring.push_ints
-
-let get_floats c dst =
-  Ring.require_float c.c_queue.ring "float block read";
-  get_loop c dst 0 (Array.length dst) Ring.read_floats
-
-let get_ints c dst =
-  Ring.require_int c.c_queue.ring "int block read";
-  get_loop c dst 0 (Array.length dst) Ring.read_ints
-
-let put_lanes p b off n =
-  let q = p.p_queue in
-  check_open p;
-  Ring.require_lanes q.ring b off n "lane block write";
-  if n > free q then Ring.check_lanes q.ring b off n;
-  put_loop q b off n Ring.push_lanes
-
-let get_lanes c b off n =
-  Ring.require_lanes c.c_queue.ring b off n "lane block read";
-  get_loop c b off n Ring.read_lanes
-
-(* The flat drains fill a caller-owned buffer and return the element
-   count: a steady-state consumer (an I/O pump, a bench) reuses one
-   buffer instead of allocating a fresh array per chunk. *)
-
-let get_floats_into c dst =
-  Ring.require_float c.c_queue.ring "float block read";
-  let len = some_len c ~max:(Array.length dst) in
-  Ring.read_floats c.c_queue.ring c.cur dst 0 len;
-  advance c len;
-  len
-
-let get_ints_into c dst =
-  Ring.require_int c.c_queue.ring "int block read";
-  let len = some_len c ~max:(Array.length dst) in
-  Ring.read_ints c.c_queue.ring c.cur dst 0 len;
+  let len = min (avail ()) n in
+  k.Ring.copy_out q.ring c.cur b off len;
   advance c len;
   len
 

@@ -14,10 +14,9 @@
 
     The data lives in a {!Ring}, shared with x86sim's threaded queue;
     this module adds producers, close and park/wake.  Kernel ports
-    ({!Runtime}) move data with the element, block and flat transfers.
-    The drains {!get_some}, {!get_floats_into} and {!get_ints_into}
-    serve cgsim's sink fibers ({!Io.drain}) alone: x86sim's {!Tqueue}
-    pushes into its sinks itself and has no drain forms. *)
+    ({!Runtime}) move data with the element transfers and the one block
+    {!write} and {!read}; the drain {!read_upto} serves cgsim's sink
+    fibers alone. *)
 
 type t
 
@@ -33,7 +32,7 @@ type producer
 
     Storage follows the dtype ({!Ring}) and is always flat: scalar
     dtypes get a bigarray of their kind and aggregate dtypes store
-    scalar lanes, so the flat and lane block transfers below move
+    scalar lanes, so the float, int and lane block transfers below move
     unboxed memory.  An F32 ring holds single precision, so stored
     floats round exactly as {!Value.round_f32} (in-tree F32 producers
     already round before writing); an aggregate's float lanes are stored
@@ -89,72 +88,42 @@ val get : consumer -> Value.t
 
 (** {1 Block transfers}
 
-    The block fast path: contiguous ring slices move with at most two
-    segment copies per chunk ({!Ring}), each value is checked as the
-    ring stores it (a block that streams in several chunks is checked
-    whole first, so a bad value publishes nothing), and waiters are
-    woken once per chunk rather than once per element.  Blocks larger
-    than the queue capacity stream through in capacity-sized chunks.
-    Blocking and {!Sched.End_of_stream} behaviour match a loop of the
-    scalar calls. *)
+    One write and one read per endpoint, each taking a payload kind
+    ({!Ring.values}, {!Ring.floats}, {!Ring.ints} or {!Ring.lanes}), a
+    caller-owned buffer, an element offset [off] and a count [n].
+    Contiguous ring slices move with at most two segment copies per
+    chunk, and waiters are woken once per chunk rather than once per
+    element.  Blocks larger than the free space stream through in
+    chunks.  Blocking and {!Sched.End_of_stream} behaviour match a loop
+    of the element calls.
 
-(** [get_block c n] reads exactly [n] consecutive elements (window
-    transfer); parks until all [n] arrive.  Raises
+    Before anything is published or any wait starts, the kind's
+    [require] raises [Invalid_argument] for a kind that does
+    not fit the net's dtype, or for an [off] or [n] outside the buffer.
+    Each element is checked as the ring stores it; a block that does not
+    fit the free space is checked whole first, so a bad element
+    publishes nothing.  F32 nets round on store as {!Value.round_f32};
+    an aggregate's float lanes are stored as given. *)
+
+(** [write k p b off n] appends elements [off .. off + n - 1] of [b] in
+    order. *)
+val write : 'b Ring.kind -> producer -> 'b -> int -> int -> unit
+
+(** [read k c b off n] reads exactly [n] consecutive elements into [b]
+    from [off] (a window transfer); parks until all [n] arrive.  Raises
     {!Sched.End_of_stream} if the queue closes before the block is
-    complete (elements already consumed stay consumed, as with a scalar
-    read loop). *)
-val get_block : consumer -> int -> Value.t array
+    complete (elements already consumed stay consumed, as with an
+    element read loop). *)
+val read : 'b Ring.kind -> consumer -> 'b -> int -> int -> unit
 
-(** [put_block p vs] appends all of [vs] in order. *)
-val put_block : producer -> Value.t array -> unit
-
-(** [get_some c ~max] reads between 1 and [max] immediately-available
-    consecutive elements, parking only while the queue is empty — the
-    boxed sink drain on aggregate nets.  Raises {!Sched.End_of_stream}
-    when closed and drained. *)
-val get_some : consumer -> max:int -> Value.t array
-
-(** {1 Unboxed block transfers}
-
-    Flat-payload variants of the block operations: same blocking,
-    chunking and {!Sched.End_of_stream} discipline, no {!Value.t} in
-    the interface; both sides of the copy are unboxed (memcpy-class).
-    Float transfers require a float-dtype net and integer transfers an
-    integer-dtype net
-    ([Invalid_argument] otherwise); integer payloads are range-checked
-    against the dtype, and F32 nets round on store as {!Value.round_f32}. *)
-
-val put_floats : producer -> float array -> unit
-
-(** [get_floats c dst] fills all of [dst], parking while the queue is
-    empty: a window read into a caller-owned buffer. *)
-val get_floats : consumer -> float array -> unit
-
-val put_ints : producer -> int array -> unit
-
-(** [get_ints c dst]: the integer counterpart of {!get_floats}. *)
-val get_ints : consumer -> int array -> unit
-
-(** The flat drains: like {!get_some}, but fill the caller's buffer with
-    between 1 and its length elements and return the count, so a
-    steady-state consumer (the sink pump of {!Io.drain}) reuses one
-    buffer instead of allocating per chunk. *)
-
-val get_floats_into : consumer -> float array -> int
-val get_ints_into : consumer -> int array -> int
-
-(** {1 Lane block transfers}
-
-    The flat transfers of a [Vector] or [Struct] net: [n] elements at
-    element offset [off] of caller-owned lane buffers ({!Ring.lanes}),
-    with the same blocking, chunking and {!Sched.End_of_stream}
-    discipline and no allocation.  Int lanes are range-checked against
-    their dtypes, float lanes are stored as given.  [Invalid_argument]
-    on a scalar net or when the buffers hold fewer than [off + n]
-    elements. *)
-
-val put_lanes : producer -> Ring.lanes -> int -> int -> unit
-val get_lanes : consumer -> Ring.lanes -> int -> int -> unit
+(** [read_upto k c b off n] is the drain: it reads between 1 and [n]
+    immediately-available elements into [b] from [off] and returns the
+    count, parking only while the queue is empty.  Raises
+    {!Sched.End_of_stream} when closed and drained, and
+    [Invalid_argument] when [n = 0].  Only cgsim's sink fibers
+    ({!Io.drain}) use it: x86sim's {!Tqueue} pushes into its sinks
+    itself. *)
+val read_upto : 'b Ring.kind -> consumer -> 'b -> int -> int -> int
 
 (** Mark one producer as finished.  The queue closes when all registered
     producers are done; parked consumers are woken to observe end of

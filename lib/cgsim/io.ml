@@ -12,7 +12,7 @@ type sink = {
   snk_name : string;
   push_floats : float array -> int -> unit;  (* the first [n] elements *)
   push_ints : int array -> int -> unit;
-  push_values : Value.t array -> unit;
+  push_values : Value.t array -> int -> unit;
 }
 
 let of_array values = { src_name = "array-source"; payload = Values values }
@@ -72,7 +72,11 @@ let buffer () =
           for i = 0 to n - 1 do
             acc := Value.Int is.(i) :: !acc
           done);
-      push_values = Array.iter (fun v -> acc := v :: !acc);
+      push_values =
+        (fun vs n ->
+          for i = 0 to n - 1 do
+            acc := vs.(i) :: !acc
+          done);
     },
     fun () -> List.rev !acc )
 
@@ -115,7 +119,11 @@ let f32_buffer () =
           for i = 0 to n - 1 do
             push_one (float_of_int is.(i))
           done);
-      push_values = Array.iter (fun v -> push_one (Value.to_float v));
+      push_values =
+        (fun vs n ->
+          for i = 0 to n - 1 do
+            push_one (Value.to_float vs.(i))
+          done);
     },
     contents )
 
@@ -129,7 +137,11 @@ let int_buffer () =
             push_one (int_of_float fs.(i))
           done);
       push_ints;
-      push_values = Array.iter (fun v -> push_one (Value.to_int v));
+      push_values =
+        (fun vs n ->
+          for i = 0 to n - 1 do
+            push_one (Value.to_int vs.(i))
+          done);
     },
     contents )
 
@@ -139,7 +151,7 @@ let rtp_sink () =
       snk_name = "rtp-sink";
       push_floats = (fun fs n -> if n > 0 then cell := Some (Value.Float fs.(n - 1)));
       push_ints = (fun is n -> if n > 0 then cell := Some (Value.Int is.(n - 1)));
-      push_values = (fun vs -> if Array.length vs > 0 then cell := Some vs.(Array.length vs - 1));
+      push_values = (fun vs n -> if n > 0 then cell := Some vs.(n - 1));
     },
     fun () -> !cell )
 
@@ -148,7 +160,7 @@ let null () =
     snk_name = "null-sink";
     push_floats = (fun _ _ -> ());
     push_ints = (fun _ _ -> ());
-    push_values = ignore;
+    push_values = (fun _ _ -> ());
   }
 
 let sink_name s = s.snk_name
@@ -163,12 +175,16 @@ let source_length s = length s.payload
    the queue capacity so a chunk is at most one full ring. *)
 let chunk_of capacity = max 1 (min capacity 1024)
 
-let copy_chunks ~chunk put xs off len =
+type write = { write : 'b. 'b Ring.kind -> 'b -> int -> int -> unit }
+
+type read = { read : 'b. 'b Ring.kind -> 'b -> int -> int -> int }
+
+let copy_chunks ~chunk w kind xs off len =
   let stop = off + len in
   let i = ref off in
   while !i < stop do
     let k = min chunk (stop - !i) in
-    put xs !i k;
+    w.write kind xs !i k;
     i := !i + k
   done
 
@@ -177,52 +193,39 @@ let mismatch s dtype kind =
     (Printf.sprintf "cgsim: source %s carries %s but its net carries %s" s.src_name kind
        (Dtype.to_string dtype))
 
-let transfer dtype s ~chunk ~floats ~ints ~values off len =
+let transfer dtype s ~chunk w off len =
   match s.payload with
   | Floats fs ->
-    if Dtype.is_float dtype then copy_chunks ~chunk floats fs off len
+    if Dtype.is_float dtype then copy_chunks ~chunk w Ring.floats fs off len
     else mismatch s dtype "floats"
   | Ints is ->
-    if Dtype.is_integer dtype then copy_chunks ~chunk ints is off len else mismatch s dtype "ints"
-  | Values vs -> copy_chunks ~chunk values vs off len
+    if Dtype.is_integer dtype then copy_chunks ~chunk w Ring.ints is off len
+    else mismatch s dtype "ints"
+  | Values vs -> copy_chunks ~chunk w Ring.values vs off len
 
 type outlet =
   | Float_out of sink * float array
   | Int_out of sink * int array
-  | Value_out of sink * int
+  | Value_out of sink * Value.t array
 
 let outlet dtype ~capacity k =
   let chunk = chunk_of capacity in
   if Dtype.is_float dtype then Float_out (k, Array.create_float chunk)
   else if Dtype.is_integer dtype then Int_out (k, Array.make chunk 0)
-  else Value_out (k, chunk)
+  else Value_out (k, Array.make chunk (Value.Int 0))
 
-let emit o ~floats ~ints ~values =
+let emit o r =
   match o with
-  | Float_out (k, buf) -> k.push_floats buf (floats buf)
-  | Int_out (k, buf) -> k.push_ints buf (ints buf)
-  | Value_out (k, chunk) -> k.push_values (values ~max:chunk)
+  | Float_out (k, buf) -> k.push_floats buf (r.read Ring.floats buf 0 (Array.length buf))
+  | Int_out (k, buf) -> k.push_ints buf (r.read Ring.ints buf 0 (Array.length buf))
+  | Value_out (k, buf) -> k.push_values buf (r.read Ring.values buf 0 (Array.length buf))
 
-(* cgsim's pumps.  [feed] puts the payload itself when it fits one
-   chunk.  Otherwise it stages each chunk in one array that it reuses
-   (every put copies the chunk into the queue before it returns) and
-   makes anew only for a shorter last chunk. *)
-let feed dtype ~capacity ~put_floats ~put_ints ~put_values s =
-  let staged put =
-    let stage = ref [||] in
-    fun xs off k ->
-      if k = Array.length xs then put xs
-      else begin
-        if Array.length !stage = k then Array.blit xs off !stage 0 k
-        else stage := Array.sub xs off k;
-        put !stage
-      end
-  in
-  transfer dtype s ~chunk:(chunk_of capacity) ~floats:(staged put_floats)
-    ~ints:(staged put_ints) ~values:(staged put_values) 0 (source_length s)
+(* cgsim's pumps.  A write takes an offset, so [feed] hands each chunk
+   of the payload to the queue in place. *)
+let feed dtype ~capacity w s = transfer dtype s ~chunk:(chunk_of capacity) w 0 (source_length s)
 
-let drain dtype ~capacity ~get_floats_into ~get_ints_into ~get_some k =
+let drain dtype ~capacity r k =
   let o = outlet dtype ~capacity k in
   while true do
-    emit o ~floats:get_floats_into ~ints:get_ints_into ~values:get_some
+    emit o r
   done

@@ -67,32 +67,34 @@ val sink_name : sink -> string
 
 (** {1 Transfers}
 
-    The per-kind data movement both simulators share.  The net's dtype
-    picks the transfer: flat floats on a float net, flat ints on an
-    integer net, boxed values otherwise.  Data moves in chunks of at
+    The data movement both simulators share.  Each direction takes one
+    kind-polymorphic block write or read, and the payload or the net's
+    dtype picks the {!Ring.kind} it moves.  Data moves in chunks of at
     most [chunk] elements; the pumps use [max 1 (min capacity 1024)], so
     a chunk is at most one full ring. *)
 
 (** Number of elements in the payload. *)
 val source_length : source -> int
 
-(** [transfer dtype s ~chunk ~floats ~ints ~values off len] hands the
-    payload elements [off .. off + len - 1] of [s], chunk by chunk, to
-    the transfer of its kind as [(payload, offset, count)].  Boxed values
-    go through [values] on any net, where the queue checks them against
-    its dtype.  A flat payload of the wrong kind raises [Invalid_argument]
-    naming the source before anything is handed over.  cgsim's {!feed}
-    and x86sim's pull-on-empty readers both copy through it. *)
-val transfer :
-  Dtype.t ->
-  source ->
-  chunk:int ->
-  floats:(float array -> int -> int -> unit) ->
-  ints:(int array -> int -> int -> unit) ->
-  values:(Value.t array -> int -> int -> unit) ->
-  int ->
-  int ->
-  unit
+(** A kind-polymorphic block write: [write k b off n] moves elements
+    [off .. off + n - 1] of [b] into a net ({!Bqueue.write}, or a ring's
+    [copy_in] under x86sim's lock). *)
+type write = { write : 'b. 'b Ring.kind -> 'b -> int -> int -> unit }
+
+(** A kind-polymorphic drain: [read k b off n] fills between 0 and [n]
+    elements of [b] from [off] and returns how many it wrote
+    ({!Bqueue.read_upto}, or a sink cursor's [copy_out]). *)
+type read = { read : 'b. 'b Ring.kind -> 'b -> int -> int -> int }
+
+(** [transfer dtype s ~chunk w off len] hands the payload elements
+    [off .. off + len - 1] of [s], chunk by chunk, to [w] with the
+    payload's kind: {!Ring.floats}, {!Ring.ints} or {!Ring.values}.
+    Boxed values go through on any net, where the queue checks them
+    against its dtype.  A flat payload of the wrong kind raises
+    [Invalid_argument] naming the source before anything is handed
+    over.  cgsim's {!feed} and x86sim's pull-on-empty readers both copy
+    through it. *)
+val transfer : Dtype.t -> source -> chunk:int -> write -> int -> int -> unit
 
 (** A sink bound to its net's dtype, with the one drain buffer of that
     kind every {!emit} reuses. *)
@@ -100,44 +102,23 @@ type outlet
 
 val outlet : Dtype.t -> capacity:int -> sink -> outlet
 
-(** [emit o ~floats ~ints ~values] reads one chunk with the reader of
-    the net's kind and pushes it into the sink.  [floats]/[ints] fill
-    the outlet's buffer and return how many they wrote; [values ~max]
-    returns at most [max] elements.  cgsim's {!drain} and x86sim's
-    push-on-full writers both push through it. *)
-val emit :
-  outlet ->
-  floats:(float array -> int) ->
-  ints:(int array -> int) ->
-  values:(max:int -> Value.t array) ->
-  unit
+(** [emit o r] reads one chunk with [r], into the outlet's buffer and
+    with the kind of the net's dtype (flat floats, flat ints, or boxed
+    values on an aggregate net), and pushes what [r] wrote into the
+    sink.  cgsim's {!drain} and x86sim's push-on-full writers both push
+    through it. *)
+val emit : outlet -> read -> unit
 
 (** {1 cgsim's pumps}
 
     The source and sink fibers of {!Runtime}.  Both take the net's
-    dtype, the queue's capacity and the queue's transfer functions. *)
+    dtype, the queue's capacity and the queue's block transfer. *)
 
-(** [feed dtype ~capacity ~put_floats ~put_ints ~put_values s] puts the
-    whole payload of [s] through {!transfer}, one array per chunk.  The
-    array may be reused for the next chunk, so a put must copy it before
-    it returns (the queue's puts do). *)
-val feed :
-  Dtype.t ->
-  capacity:int ->
-  put_floats:(float array -> unit) ->
-  put_ints:(int array -> unit) ->
-  put_values:(Value.t array -> unit) ->
-  source ->
-  unit
+(** [feed dtype ~capacity w s] writes the whole payload of [s] through
+    {!transfer}, each chunk in place at its offset. *)
+val feed : Dtype.t -> capacity:int -> write -> source -> unit
 
-(** [drain dtype ~capacity ~get_floats_into ~get_ints_into ~get_some k]
-    pushes everything the queue delivers into [k] through {!emit} until
-    the queue's end-of-stream exception ends it. *)
-val drain :
-  Dtype.t ->
-  capacity:int ->
-  get_floats_into:(float array -> int) ->
-  get_ints_into:(int array -> int) ->
-  get_some:(max:int -> Value.t array) ->
-  sink ->
-  unit
+(** [drain dtype ~capacity r k] pushes everything the queue delivers
+    into [k] through {!emit} until the queue's end-of-stream exception
+    ends it. *)
+val drain : Dtype.t -> capacity:int -> read -> sink -> unit

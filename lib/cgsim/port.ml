@@ -7,20 +7,14 @@ type reader = {
   r_name : string;
   r_dtype : Dtype.t;
   r_get : unit -> Value.t;
-  r_get_block : int -> Value.t array;
-  r_get_floats : float array -> unit;
-  r_get_ints : int array -> unit;
-  r_get_lanes : lanes -> int -> int -> unit;
+  r_read : 'b. 'b Ring.kind -> 'b -> int -> int -> unit;
 }
 
 type writer = {
   w_name : string;
   w_dtype : Dtype.t;
   w_put : Value.t -> unit;
-  w_put_block : Value.t array -> unit;
-  w_put_floats : float array -> unit;
-  w_put_ints : int array -> unit;
-  w_put_lanes : lanes -> int -> int -> unit;
+  w_write : 'b. 'b Ring.kind -> 'b -> int -> int -> unit;
   w_space : unit -> int;
 }
 
@@ -43,9 +37,10 @@ let merge = function
       hold_space = (fun () -> List.exists (fun t -> t.hold_space ()) ts);
     }
 
-(* The only place the transfer forms are listed for interception: every
-   get/put form calls [before], moves its payload through the untapped
-   closure, then reports the element count to [after]. *)
+(* The only place the transfer forms are listed for interception: the
+   element and block forms each call [before], move their payload
+   through the untapped closure, then report the element count to
+   [after]. *)
 let tap_reader taps r =
   match taps with
   | [] -> r
@@ -59,26 +54,10 @@ let tap_reader taps r =
           let v = r.r_get () in
           t.after 1;
           v);
-      r_get_block =
-        (fun n ->
+      r_read =
+        (fun k b off n ->
           t.before ();
-          let vs = r.r_get_block n in
-          t.after (Array.length vs);
-          vs);
-      r_get_floats =
-        (fun dst ->
-          t.before ();
-          r.r_get_floats dst;
-          t.after (Array.length dst));
-      r_get_ints =
-        (fun dst ->
-          t.before ();
-          r.r_get_ints dst;
-          t.after (Array.length dst));
-      r_get_lanes =
-        (fun b off n ->
-          t.before ();
-          r.r_get_lanes b off n;
+          r.r_read k b off n;
           t.after n);
     }
 
@@ -94,25 +73,10 @@ let tap_writer taps w =
           t.before ();
           w.w_put v;
           t.after 1);
-      w_put_block =
-        (fun vs ->
+      w_write =
+        (fun k b off n ->
           t.before ();
-          w.w_put_block vs;
-          t.after (Array.length vs));
-      w_put_floats =
-        (fun fs ->
-          t.before ();
-          w.w_put_floats fs;
-          t.after (Array.length fs));
-      w_put_ints =
-        (fun is ->
-          t.before ();
-          w.w_put_ints is;
-          t.after (Array.length is));
-      w_put_lanes =
-        (fun b off n ->
-          t.before ();
-          w.w_put_lanes b off n;
+          w.w_write k b off n;
           t.after n);
       w_space = (fun () -> if t.hold_space () then 0 else w.w_space ());
     }
@@ -121,17 +85,15 @@ let get r = r.r_get ()
 
 let put w v = w.w_put v
 
-let get_window r n = r.r_get_block n
+(* Windows: flat float/int payloads through the transport's one block
+   read and write — no Value boxing on bigarray-backed queues. *)
+let get_window_f32 r dst = r.r_read Ring.floats dst 0 (Array.length dst)
 
-(* Unboxed windows: flat float/int payloads through the transport's
-   unboxed block path — no Value boxing on bigarray-backed queues. *)
-let get_window_f32 r dst = r.r_get_floats dst
+let put_window_f32 w fs = w.w_write Ring.floats fs 0 (Array.length fs)
 
-let put_window_f32 w fs = w.w_put_floats fs
+let get_window_int r dst = r.r_read Ring.ints dst 0 (Array.length dst)
 
-let get_window_int r dst = r.r_get_ints dst
-
-let put_window_int w is = w.w_put_ints is
+let put_window_int w is = w.w_write Ring.ints is 0 (Array.length is)
 
 (* Lane windows: the flat form of a Vector or Struct net. *)
 let lanes dtype n =
@@ -140,9 +102,9 @@ let lanes dtype n =
   let ni, nf = Ring.lane_counts dtype in
   { ints = Array.make (n * ni) 0; floats = Array.create_float (n * nf) }
 
-let get_lanes r b off n = r.r_get_lanes b off n
+let get_lanes r b off n = r.r_read Ring.lanes b off n
 
-let put_lanes w b off n = w.w_put_lanes b off n
+let put_lanes w b off n = w.w_write Ring.lanes b off n
 
 (* Two-port interleaved block write.  Some kernels (farrow stage 1)
    produce two streams that a downstream kernel drains alternately; a
@@ -161,8 +123,8 @@ let put_window2 wa wb la lb n =
   while !off < n do
     let free = min (wa.w_space ()) (wb.w_space ()) in
     let len = min (n - !off) (max 1 free) in
-    wa.w_put_lanes la !off len;
-    wb.w_put_lanes lb !off len;
+    wa.w_write Ring.lanes la !off len;
+    wb.w_write Ring.lanes lb !off len;
     off := !off + len
   done
 

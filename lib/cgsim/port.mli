@@ -11,12 +11,14 @@
     mirroring how the paper's extractor swaps port-type implementations per
     realm (Section 4.4) without touching kernel code.
 
-    A reader has five read forms (element, boxed block, flat float, flat
-    int and lane block) and a writer the five matching write forms plus
-    an advisory free-space probe ({!put_window2} sizes its chunks with
-    it).  A [Vector] or [Struct] stream moves as scalar lanes: its lane
-    forms fill and read caller-owned {!lanes} buffers without a
-    {!Value.t}, and its element and boxed block forms build and unpack
+    A reader has two read forms, the element read and one block read,
+    and a writer the two matching write forms plus an advisory
+    free-space probe ({!put_window2} sizes its chunks with it).  A block
+    form takes a payload kind ({!Ring.values}, {!Ring.floats},
+    {!Ring.ints} or {!Ring.lanes}), so the kernel API below is one-line
+    wrappers over it.  A [Vector] or [Struct] stream moves as scalar
+    lanes: its lane windows fill and read caller-owned {!lanes} buffers
+    without a {!Value.t}, and its element form builds and unpacks
     {!Value.Vec}/{!Value.Rec} values at the port. *)
 
 (** Lane buffers: element [i] of a lane block has its int lanes at
@@ -32,35 +34,25 @@ type reader = {
   r_name : string;
   r_dtype : Dtype.t;
   r_get : unit -> Value.t;  (** May suspend; raises {!Sched.End_of_stream}. *)
-  r_get_block : int -> Value.t array;
-      (** Block read: equivalent to [n] calls of [r_get] but routed
-          through the transport's block fast path when it has one. *)
-  r_get_floats : float array -> unit;
-      (** Unboxed block read into a caller-owned buffer (float-dtype
-          ports): fills [dst] with what [r_get_block (Array.length dst)]
-          would return, with no boxing and no allocation when the
-          transport stores unboxed. *)
-  r_get_ints : int array -> unit;  (** Unboxed block read, integer dtypes. *)
-  r_get_lanes : lanes -> int -> int -> unit;
-      (** [r_get_lanes b off n]: lane block read of [n] elements into
-          [b] from element [off] (aggregate dtypes only); no
-          allocation. *)
+  r_read : 'b. 'b Ring.kind -> 'b -> int -> int -> unit;
+      (** [r_read k b off n]: block read of exactly [n] elements into
+          [b] from element [off], through the transport's block path
+          (one queue transaction per chunk rather than per element);
+          equivalent to [n] calls of [r_get], with no boxing and no
+          allocation for the float, int and lane kinds.  Raises
+          [Invalid_argument] before it waits when the kind does not fit
+          the dtype or [off]/[n] fall outside [b]. *)
 }
 
 type writer = {
   w_name : string;
   w_dtype : Dtype.t;
   w_put : Value.t -> unit;  (** May suspend. *)
-  w_put_block : Value.t array -> unit;  (** Block write, cf. [r_get_block]. *)
-  w_put_floats : float array -> unit;
-      (** Unboxed block write (float-dtype ports); F32 payloads round to
-          single precision on store ({!Value.round_f32}). *)
-  w_put_ints : int array -> unit;
-      (** Unboxed block write, integer dtypes; range-checked. *)
-  w_put_lanes : lanes -> int -> int -> unit;
-      (** [w_put_lanes b off n]: lane block write of elements
-          [off .. off + n - 1] of [b] (aggregate dtypes only); int lanes
-          range-checked. *)
+  w_write : 'b. 'b Ring.kind -> 'b -> int -> int -> unit;
+      (** [w_write k b off n]: block write of elements
+          [off .. off + n - 1] of [b], cf. [r_read].  F32 nets round to
+          single precision on store ({!Value.round_f32}); int payloads
+          and int lanes are range-checked. *)
   w_space : unit -> int;
       (** Advisory free space of the transport (never suspends); the
           interleave-aware {!put_window2} sizes its lockstep chunks with
@@ -88,29 +80,28 @@ type tap = {
 (** The tap that does nothing; build others with [{ no_tap with ... }]. *)
 val no_tap : tap
 
-(** [tap_reader taps r] routes [r]'s five read forms through [taps]
+(** [tap_reader taps r] routes [r]'s two read forms through [taps]
     ([before]s and [after]s in list order).  With [taps = []] the result
     is [r] itself. *)
 val tap_reader : tap list -> reader -> reader
 
-(** [tap_writer taps w]: the writer counterpart; [w_space] reports 0
-    while any tap holds space.  With [taps = []] the result is [w]. *)
+(** [tap_writer taps w]: the writer counterpart for its two write
+    forms; [w_space] reports 0 while any tap holds space.  With
+    [taps = []] the result is [w]. *)
 val tap_writer : tap list -> writer -> writer
 
 val get : reader -> Value.t
 val put : writer -> Value.t -> unit
 
-(** Window (block) transfers, used by buffer-port kernels such as the IIR
-    example.  [get_window r n] reads [n] elements through the binding's
-    block path (one queue transaction per chunk rather than per element). *)
-val get_window : reader -> int -> Value.t array
+(** {1 Windows}
 
-(** Unboxed windows: flat float/int payloads through the transport's
-    unboxed block path.  On a bigarray-backed queue the transfer is a
-    bounds-checked blit with no {!Value.t} allocation; elsewhere it
-    boxes at the boundary with identical semantics.  [get_window_f32 r
-    dst] reads [Array.length dst] elements into [dst], so a kernel that
-    keeps one window buffer reads every window without allocating. *)
+    Flat float and int windows, used by buffer-port kernels such as the
+    IIR example: one block read or write of the whole array through the
+    transport's block path.  On a bigarray-backed queue the transfer is
+    a bounds-checked blit with no {!Value.t} allocation.  [get_window_f32
+    r dst] reads [Array.length dst] elements into [dst], so a kernel
+    that keeps one window buffer reads every window without
+    allocating. *)
 
 val get_window_f32 : reader -> float array -> unit
 

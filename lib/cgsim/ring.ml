@@ -237,53 +237,24 @@ let advance r c n =
 
 let reject r v = Value.check ~net:r.name r.dtype v
 
-let check_values r vs =
-  for i = 0 to Array.length vs - 1 do
-    let v = Array.unsafe_get vs i in
-    if not (r.check v) then reject r v
-  done
-
 let wrong_dtype r what =
   invalid_arg
-    (Printf.sprintf "cgsim: %s on net %s of dtype %s" what r.name (Dtype.to_string r.dtype))
-
-let require_float r what = if not (Dtype.is_float r.dtype) then wrong_dtype r what
-
-let require_int r what = if not (Dtype.is_integer r.dtype) then wrong_dtype r what
+    (Printf.sprintf "cgsim: %s block on net %s of dtype %s" what r.name (Dtype.to_string r.dtype))
 
 let int_out_of_range r v =
   invalid_arg
     (Printf.sprintf "cgsim: value %d does not conform to dtype %s on net %s" v
        (Dtype.to_string r.dtype) r.name)
 
-(* Lane transfers: the net must be an aggregate, [off]/[len] count
-   elements, and the buffers must hold [off + len] of them. *)
-let require_lanes r (b : lanes) off len what =
-  match r.buf with
-  | Lanes l ->
-    if
-      off < 0 || len < 0
-      || (off + len) * l.n_int > Array.length b.ints
-      || (off + len) * l.n_float > Array.length b.floats
-    then
-      invalid_arg
-        (Printf.sprintf "cgsim: %s on net %s: lane buffers hold fewer than %d elements of %s" what
-           r.name (off + len) (Dtype.to_string r.dtype))
-  | F32 _ | F64 _ | Ints _ -> wrong_dtype r what
+let out_of_range r what off n len =
+  invalid_arg
+    (Printf.sprintf "cgsim: %s block of %d elements at offset %d on net %s: the buffer holds %d"
+       what n off r.name len)
 
-let check_lanes r (b : lanes) off len =
-  match r.buf with
-  | Lanes l ->
-    for i = off * l.n_int to ((off + len) * l.n_int) - 1 do
-      let k = i mod l.n_int and v = b.ints.(i) in
-      if v < l.lo.(k) || v > l.hi.(k) then int_out_of_range r v
-    done
-  | F32 _ | F64 _ | Ints _ -> ()
-
-let check_ints r (src : int array) =
-  match Value.int_range r.dtype with
-  | None -> ()
-  | Some (lo, hi) -> Array.iter (fun v -> if v < lo || v > hi then int_out_of_range r v) src
+(* [off .. off + n - 1] must lie within the [len] elements a buffer
+   holds; written so that no sum can overflow. *)
+let require_range r what off n len =
+  if off < 0 || n < 0 || off > len - n then out_of_range r what off n len
 
 (* ------------------------------------------------------------------ *)
 (* Single slots                                                        *)
@@ -400,23 +371,23 @@ let push_values r src off len =
 
 let read_values r c dst off len = seam_out r c.pos off len values_out r dst
 
-(* Flat payloads.  The dtype fixed the storage, so after
-   [require_float]/[require_int] a float transfer always meets float
-   storage and an int transfer int storage.  F32 storage rounds on store
-   exactly as {!Value.round_f32}. *)
+(* Flat payloads.  The dtype fixed the storage, so once the kind's
+   [require] passed a float transfer always meets float storage and an
+   int transfer int storage.  F32 storage rounds on store exactly as
+   {!Value.round_f32}. *)
 
 let push_floats r src off len =
   (match r.buf with
    | F32 ba -> seam_in r off len floats_to_f32 ba src
    | F64 ba -> seam_in r off len floats_to_f64 ba src
-   | Ints _ | Lanes _ -> wrong_dtype r "float block write");
+   | Ints _ | Lanes _ -> wrong_dtype r "float");
   r.head <- r.head + len
 
 let read_floats r c dst off len =
   match r.buf with
   | F32 ba -> seam_out r c.pos off len f32_to_floats ba dst
   | F64 ba -> seam_out r c.pos off len f64_to_floats ba dst
-  | Ints _ | Lanes _ -> wrong_dtype r "float block read"
+  | Ints _ | Lanes _ -> wrong_dtype r "float"
 
 (* The range check is fused into the copy: one pass over the payload
    instead of a check pass plus a copy pass.  A violation raises before
@@ -429,7 +400,7 @@ let ints_in r src so idx len =
   | Ints ba, Some (lo, hi) ->
     let bad = ints_to_iba_checked ba src so idx len lo hi in
     if bad >= 0 then int_out_of_range r src.(bad)
-  | (F32 _ | F64 _ | Lanes _), _ -> wrong_dtype r "int block write"
+  | (F32 _ | F64 _ | Lanes _), _ -> wrong_dtype r "int"
 
 let push_ints r src off len =
   seam_in r off len ints_in r src;
@@ -438,7 +409,7 @@ let push_ints r src off len =
 let read_ints r c dst off len =
   match r.buf with
   | Ints ba -> seam_out r c.pos off len iba_to_ints ba dst
-  | F32 _ | F64 _ | Lanes _ -> wrong_dtype r "int block read"
+  | F32 _ | F64 _ | Lanes _ -> wrong_dtype r "int"
 
 (* Lane payloads: [off] and [len] count elements.  A write checks each
    int lane against its dtype in the copy.  When every lane is an int
@@ -469,7 +440,7 @@ let lanes_in r src so idx len =
              (Array.unsafe_get src.floats ((s * nf) + k))
          done
        done)
-  | F32 _ | F64 _ | Ints _ -> wrong_dtype r "lane block write"
+  | F32 _ | F64 _ | Ints _ -> wrong_dtype r "lane"
 
 let push_lanes r src off len =
   seam_in r off len lanes_in r src;
@@ -491,4 +462,104 @@ let read_lanes r c dst off len =
       done;
       slot := if !slot + 1 = r.cap then 0 else !slot + 1
     done
-  | F32 _ | F64 _ | Ints _ -> wrong_dtype r "lane block read"
+  | F32 _ | F64 _ | Ints _ -> wrong_dtype r "lane"
+
+(* ------------------------------------------------------------------ *)
+(* Payload kinds                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A kind is a record of one payload's functions rather than a case
+   the queues match on: a queue passes [copy_in]/[copy_out] to its
+   chunk loop unapplied, so a transfer builds no closure and costs one
+   field load more than a direct copy. *)
+type 'b kind = {
+  require : t -> 'b -> int -> int -> unit;
+  check : t -> 'b -> int -> int -> unit;
+  copy_in : t -> 'b -> int -> int -> unit;
+  copy_out : t -> cursor -> 'b -> int -> int -> unit;
+}
+
+let values =
+  {
+    require = (fun r vs off n -> require_range r "value" off n (Array.length vs));
+    check =
+      (fun r vs off n ->
+        for i = off to off + n - 1 do
+          let v = Array.unsafe_get vs i in
+          if not (r.check v) then reject r v
+        done);
+    copy_in = push_values;
+    copy_out = read_values;
+  }
+
+let floats =
+  {
+    require =
+      (fun r fs off n ->
+        match r.buf with
+        | F32 _ | F64 _ -> require_range r "float" off n (Array.length fs)
+        | Ints _ | Lanes _ -> wrong_dtype r "float");
+    check = (fun _ _ _ _ -> ());
+    copy_in = push_floats;
+    copy_out = read_floats;
+  }
+
+let ints =
+  {
+    require =
+      (fun r is off n ->
+        match r.buf with
+        | Ints _ -> require_range r "int" off n (Array.length is)
+        | F32 _ | F64 _ | Lanes _ -> wrong_dtype r "int");
+    check =
+      (fun r is off n ->
+        match Value.int_range r.dtype with
+        | None -> ()
+        | Some (lo, hi) ->
+          for i = off to off + n - 1 do
+            let v = Array.unsafe_get is i in
+            if v < lo || v > hi then int_out_of_range r v
+          done);
+    copy_in = push_ints;
+    copy_out = read_ints;
+  }
+
+(* Lane buffers hold as many elements as their scarcer kind of lane
+   allows.  The one-element reads of a per-sample kernel (farrow's stage
+   2) pass here, so the test multiplies rather than divides; bounding
+   [off] and [n] by the lane count first keeps the products from
+   overflowing.  Only the message divides. *)
+let lane_elements l (b : lanes) =
+  let fit lanes len = if lanes = 0 then max_int else len / lanes in
+  min (fit l.n_int (Array.length b.ints)) (fit l.n_float (Array.length b.floats))
+
+let lanes =
+  {
+    require =
+      (fun r b off n ->
+        match r.buf with
+        | Lanes l ->
+          let li = Array.length b.ints and lf = Array.length b.floats in
+          if
+            off < 0 || n < 0
+            || off > li + lf
+            || n > li + lf
+            || (off + n) * l.n_int > li
+            || (off + n) * l.n_float > lf
+          then out_of_range r "lane" off n (lane_elements l b)
+        | F32 _ | F64 _ | Ints _ -> wrong_dtype r "lane");
+    check =
+      (fun r b off n ->
+        match r.buf with
+        | Lanes l ->
+          let ni = l.n_int in
+          for e = off to off + n - 1 do
+            for k = 0 to ni - 1 do
+              let v = Array.unsafe_get b.ints ((e * ni) + k) in
+              if v < Array.unsafe_get l.lo k || v > Array.unsafe_get l.hi k then int_out_of_range r v
+            done
+          done
+        | F32 _ | F64 _ | Ints _ -> ());
+    copy_in = push_lanes;
+    copy_out = read_lanes;
+  }

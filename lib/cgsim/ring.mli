@@ -19,14 +19,14 @@
     Vector lanes in order, then Struct fields in declaration order
     (recursively), each int lane in a native-int bigarray and each float
     lane, unrounded, in a [float64] one.  {!Value.t} exists only at the
-    element and value-block edges ({!push}, {!take}, {!push_values},
-    {!read_values}), which unpack and build values on demand. *)
+    element and value-block edges ({!push}, {!take} and the {!values}
+    kind), which unpack and build values on demand. *)
 type storage
 
-(** Caller-owned lane buffers for the lane transfers: element [i] of a
-    block has its int lanes at [ints.(i * n_int ..)] and its float
-    lanes at [floats.(i * n_float ..)], in the order of {!storage}, where
-    [(n_int, n_float) = lane_counts dtype]. *)
+(** Caller-owned lane buffers, the payload of the {!lanes} kind:
+    element [i] of a block has its int lanes at [ints.(i * n_int ..)]
+    and its float lanes at [floats.(i * n_float ..)], in the order of
+    {!storage}, where [(n_int, n_float) = lane_counts dtype]. *)
 type lanes = {
   ints : int array;
   floats : float array;
@@ -74,33 +74,9 @@ val occupancy : t -> int
     [retired] grew. *)
 val advance : t -> cursor -> int -> unit
 
-(** {1 Dtype checks} *)
-
 (** Raises the dtype-mismatch [Invalid_argument] for [v] (call it when
     [r.check v] is false). *)
 val reject : t -> Value.t -> unit
-
-(** Every element against [check]. *)
-val check_values : t -> Value.t array -> unit
-
-(** [require_float r what] raises [Invalid_argument] naming [what] unless
-    [r] has a float dtype; [require_int] likewise for integer dtypes. *)
-val require_float : t -> string -> unit
-
-val require_int : t -> string -> unit
-
-(** Range-check a whole int payload against the dtype, for writers that
-    must publish nothing of a block that will not fit in one chunk. *)
-val check_ints : t -> int array -> unit
-
-(** [require_lanes r b off len what] raises [Invalid_argument] naming
-    [what] unless [r] has an aggregate dtype and [b] holds elements
-    [off .. off + len - 1]. *)
-val require_lanes : t -> lanes -> int -> int -> string -> unit
-
-(** Range-check the int lanes of elements [off .. off + len - 1] of [b]
-    against their dtypes, like {!check_ints}. *)
-val check_lanes : t -> lanes -> int -> int -> unit
 
 (** {1 Slots} *)
 
@@ -112,24 +88,49 @@ val push : t -> Value.t -> unit
 (** The element at the cursor, then [advance] by one. *)
 val take : t -> cursor -> Value.t
 
-(** {1 Segment copies}
+(** {1 Payload kinds}
 
-    [push_* r src off len] copies [len] payload elements from [off] to
-    [head], split at the wrap point, then advances [head].
-    [read_* r c dst off len] copies [len] elements at [c]'s position to
-    [dst] from [off]; the caller advances [c].  [push_values] checks
-    each value as it stores it, and [push_ints] and [push_lanes]
-    range-check in the copy loop; each raises before [head] moves.  Flat
-    and lane transfers on a ring of the wrong dtype raise
-    [Invalid_argument]; F32 storage rounds as {!Value.round_f32}, float
-    lanes are stored as given.  Lane transfers count [off] and [len] in
-    elements and assume {!require_lanes} passed. *)
+    A block moves as one of four payloads, and each payload kind is a
+    record of the ring's functions for it.  A queue has one block write
+    and one block read, each taking a kind, a buffer, an offset and a
+    count; [off] and [n] count elements (for {!lanes}, elements of the
+    aggregate dtype, not lanes).
 
-val push_values : t -> Value.t array -> int -> int -> unit
-val read_values : t -> cursor -> Value.t array -> int -> int -> unit
-val push_floats : t -> float array -> int -> int -> unit
-val read_floats : t -> cursor -> float array -> int -> int -> unit
-val push_ints : t -> int array -> int -> int -> unit
-val read_ints : t -> cursor -> int array -> int -> int -> unit
-val push_lanes : t -> lanes -> int -> int -> unit
-val read_lanes : t -> cursor -> lanes -> int -> int -> unit
+    - [require r b off n] raises [Invalid_argument] unless the kind fits
+      [r]'s dtype and [0 <= off], [0 <= n] and [off + n] is at most the
+      number of elements [b] holds.  Call it before anything waits or is
+      published.
+    - [check r b off n] raises [Invalid_argument] if any of the elements
+      does not conform to [r]'s dtype (values, int ranges, int lanes);
+      float payloads always conform.  A queue calls it only for a block
+      that will not land in one chunk, so a bad element publishes
+      nothing of it.
+    - [copy_in r b off n] stores the elements at [head], split at the
+      wrap point, then advances [head].  It checks each element as it
+      stores it and raises before [head] moves.  It assumes free space.
+    - [copy_out r c b off n] copies [n] elements at [c]'s position into
+      [b] from [off]; the caller advances [c].  It assumes the elements
+      are there.
+
+    F32 storage rounds stored floats as {!Value.round_f32}; float lanes
+    are stored as given.  Both copies raise [Invalid_argument] on a ring
+    of the wrong dtype, but only [require] checks the bounds. *)
+type 'b kind = {
+  require : t -> 'b -> int -> int -> unit;
+  check : t -> 'b -> int -> int -> unit;
+  copy_in : t -> 'b -> int -> int -> unit;
+  copy_out : t -> cursor -> 'b -> int -> int -> unit;
+}
+
+(** Boxed values, on a ring of any dtype. *)
+val values : Value.t array kind
+
+(** Flat floats, on a float-dtype ring. *)
+val floats : float array kind
+
+(** Flat ints, on an integer-dtype ring; range-checked. *)
+val ints : int array kind
+
+(** Lane buffers, on a [Vector] or [Struct] ring; int lanes
+    range-checked. *)
+val lanes : lanes kind

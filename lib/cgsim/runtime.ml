@@ -269,10 +269,7 @@ let new_instance ?(tap = no_taps) ?(context = no_context) (c : compiled) =
                       Port.r_name = pname;
                       r_dtype = spec.Kernel.dtype;
                       r_get = (fun () -> Bqueue.get cns);
-                      r_get_block = (fun n -> Bqueue.get_block cns n);
-                      r_get_floats = Bqueue.get_floats cns;
-                      r_get_ints = Bqueue.get_ints cns;
-                      r_get_lanes = Bqueue.get_lanes cns;
+                      r_read = (fun k b off n -> Bqueue.read k cns b off n);
                     } )
               | Kernel.Out ->
                 let p = Bqueue.add_producer q in
@@ -283,10 +280,7 @@ let new_instance ?(tap = no_taps) ?(context = no_context) (c : compiled) =
                       Port.w_name = pname;
                       w_dtype = spec.Kernel.dtype;
                       w_put = (fun v -> Bqueue.put p v);
-                      w_put_block = Bqueue.put_block p;
-                      w_put_floats = Bqueue.put_floats p;
-                      w_put_ints = Bqueue.put_ints p;
-                      w_put_lanes = Bqueue.put_lanes p;
+                      w_write = (fun k b off n -> Bqueue.write k p b off n);
                       w_space = (fun () -> Bqueue.space q);
                     } ))
             inst.ports
@@ -437,8 +431,8 @@ let arm t =
             ~finally:(fun () -> Bqueue.producer_done p)
             (fun () ->
               Io.feed (Bqueue.dtype q) ~capacity:(Bqueue.capacity q)
-                ~put_floats:(Bqueue.put_floats p) ~put_ints:(Bqueue.put_ints p)
-                ~put_values:(Bqueue.put_block p) source)))
+                { Io.write = (fun k b off n -> Bqueue.write k p b off n) }
+                source)))
     t.graph.Serialized.input_order;
   Array.iteri
     (fun i net_id ->
@@ -447,8 +441,8 @@ let arm t =
       let c = t.out_consumers.(i) in
       Sched.spawn t.sched ~name:(Io.sink_name sink) (fun () ->
           Io.drain (Bqueue.dtype q) ~capacity:(Bqueue.capacity q)
-            ~get_floats_into:(Bqueue.get_floats_into c) ~get_ints_into:(Bqueue.get_ints_into c)
-            ~get_some:(Bqueue.get_some c) sink))
+            { Io.read = (fun k b off n -> Bqueue.read_upto k c b off n) }
+            sink))
     t.graph.Serialized.output_order
 
 (* Source span of a kernel instance by fiber name, for failures recorded

@@ -92,10 +92,7 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
                 Cgsim.Port.r_name = Printf.sprintf "%s.%s" inst.inst_name spec.Cgsim.Kernel.pname;
                 r_dtype = spec.Cgsim.Kernel.dtype;
                 r_get = (fun () -> Tqueue.get c);
-                r_get_block = (fun n -> Tqueue.get_block c n);
-                r_get_floats = Tqueue.get_floats c;
-                r_get_ints = Tqueue.get_ints c;
-                r_get_lanes = Tqueue.get_lanes c;
+                r_read = (fun k b off n -> Tqueue.read k c b off n);
               }
               :: !readers
           | Cgsim.Kernel.Out ->
@@ -106,10 +103,7 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
                 Cgsim.Port.w_name = Printf.sprintf "%s.%s" inst.inst_name spec.Cgsim.Kernel.pname;
                 w_dtype = spec.Cgsim.Kernel.dtype;
                 w_put = (fun v -> Tqueue.put p v);
-                w_put_block = Tqueue.put_block p;
-                w_put_floats = Tqueue.put_floats p;
-                w_put_ints = Tqueue.put_ints p;
-                w_put_lanes = Tqueue.put_lanes p;
+                w_write = (fun k b off n -> Tqueue.write k p b off n);
                 w_space = (fun () -> Tqueue.space p);
               }
               :: !writers)

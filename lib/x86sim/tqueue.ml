@@ -312,23 +312,28 @@ let get c =
     v
   | exception exn -> unlock_reraise q exn
 
-(* Chunk loops: one lock acquisition for the whole block (condition
-   waits release it while blocked); readers are woken once per stored
-   chunk, writers by [retire]'s rule.  [copy] is one of the ring's
-   segment copies, passed unapplied with its payload so that a transfer
-   builds no closure; [off] and [n] count payload elements. *)
-let put_loop p src off n copy =
+(* The block transfers: one lock acquisition for the whole block
+   (condition waits release it while blocked); readers are woken once
+   per stored chunk, writers by [retire]'s rule.  The kind's [require]
+   runs before the lock.  The ring checks each element as it stores
+   it, and a block that does not fit the free space read under the lock
+   is checked whole first, so a bad element publishes nothing.  The
+   kind's copies are passed unapplied, so that a transfer builds no
+   closure; [off] and [n] count payload elements. *)
+let write (k : _ Ring.kind) p b off n =
   let q = p.p_queue in
+  k.Ring.require q.ring b off n;
   check_open p;
   if n > 0 then begin
     Mutex.lock q.lock;
     match
+      if n > Ring.space q.ring then k.Ring.check q.ring b off n;
       let stop = off + n in
       let pos = ref off in
       while !pos < stop do
         if q.poisoned || q.closed || Ring.space q.ring <= 0 then wait_space q p.p_waker;
         let chunk = min (Ring.space q.ring) (stop - !pos) in
-        copy q.ring src !pos chunk;
+        k.Ring.copy_in q.ring b !pos chunk;
         pos := !pos + chunk;
         Condition.broadcast q.nonempty
       done
@@ -337,8 +342,9 @@ let put_loop p src off n copy =
     | exception exn -> unlock_reraise q exn
   end
 
-let get_loop c dst off n copy =
+let read (k : _ Ring.kind) c b off n =
   let q = c.c_queue in
+  k.Ring.require q.ring b off n;
   if n > 0 then begin
     Mutex.lock q.lock;
     match
@@ -350,7 +356,7 @@ let get_loop c dst off n copy =
         if (q.poisoned || c.cur.Ring.pos >= q.ring.Ring.head) && not (wait_data q c) then
           raise Cgsim.Sched.End_of_stream;
         let take = min (q.ring.Ring.head - c.cur.Ring.pos) (stop - !filled) in
-        copy q.ring c.cur dst !filled take;
+        k.Ring.copy_out q.ring c.cur b !filled take;
         retire q c take;
         filled := !filled + take
       done
@@ -358,53 +364,6 @@ let get_loop c dst off n copy =
     | () -> Mutex.unlock q.lock
     | exception exn -> unlock_reraise q exn
   end
-
-let check_count n = if n < 0 then invalid_arg "x86sim: get_block with negative count"
-
-(* Blocks are validated whole before the lock, so a bad element
-   publishes nothing of a block that streams in several chunks. *)
-let put_block p vs =
-  let q = p.p_queue in
-  Ring.check_values q.ring vs;
-  put_loop p vs 0 (Array.length vs) Ring.push_values
-
-let get_block c n =
-  check_count n;
-  let out = Array.make n (Cgsim.Value.Int 0) in
-  get_loop c out 0 n Ring.read_values;
-  out
-
-(* {1 Unboxed block transfers} — flat and lane payloads, same locking
-   discipline; dtype and int range are checked on the whole block
-   before the lock. *)
-
-let put_floats p fs =
-  Ring.require_float p.p_queue.ring "float block write";
-  put_loop p fs 0 (Array.length fs) Ring.push_floats
-
-let get_floats c dst =
-  Ring.require_float c.c_queue.ring "float block read";
-  get_loop c dst 0 (Array.length dst) Ring.read_floats
-
-let put_ints p is =
-  let q = p.p_queue in
-  Ring.require_int q.ring "int block write";
-  Ring.check_ints q.ring is;
-  put_loop p is 0 (Array.length is) Ring.push_ints
-
-let get_ints c dst =
-  Ring.require_int c.c_queue.ring "int block read";
-  get_loop c dst 0 (Array.length dst) Ring.read_ints
-
-let put_lanes p b off n =
-  let q = p.p_queue in
-  Ring.require_lanes q.ring b off n "lane block write";
-  Ring.check_lanes q.ring b off n;
-  put_loop p b off n Ring.push_lanes
-
-let get_lanes c b off n =
-  Ring.require_lanes c.c_queue.ring b off n "lane block read";
-  get_loop c b off n Ring.read_lanes
 
 let producer_done p =
   if p.open_ then begin
@@ -441,8 +400,8 @@ let attach_source q src =
           {
             s_name = Cgsim.Io.source_name src;
             s_copy =
-              Cgsim.Io.transfer r.Ring.dtype src ~chunk:r.Ring.cap ~floats:(Ring.push_floats r)
-                ~ints:(Ring.push_ints r) ~values:(Ring.push_values r);
+              Cgsim.Io.transfer r.Ring.dtype src ~chunk:r.Ring.cap
+                { Cgsim.Io.write = (fun k b off n -> k.Ring.copy_in r b off n) };
             s_len = Cgsim.Io.source_length src;
             s_off = 0;
           })
@@ -451,25 +410,23 @@ let attach_sink q snk =
   with_lock q (fun () ->
       let r = q.ring in
       let cur = Ring.add_cursor r in
-      (* Each reader fills from [cur] and retires what it read. *)
-      let read copy dst =
-        let n = min (r.Ring.head - cur.Ring.pos) (Array.length dst) in
-        copy r cur dst 0 n;
-        advance q cur n;
-        n
-      in
-      let read_floats = read Ring.read_floats and read_ints = read Ring.read_ints in
-      let read_values ~max =
-        let out = Array.make (min (r.Ring.head - cur.Ring.pos) max) (Cgsim.Value.Int 0) in
-        ignore (read Ring.read_values out);
-        out
+      (* The reader fills from [cur] and retires what it read. *)
+      let read =
+        {
+          Cgsim.Io.read =
+            (fun k dst off n ->
+              let n = min (r.Ring.head - cur.Ring.pos) n in
+              k.Ring.copy_out r cur dst off n;
+              advance q cur n;
+              n);
+        }
       in
       let o = Cgsim.Io.outlet r.Ring.dtype ~capacity:r.Ring.cap snk in
       q.sinks <-
         {
           k_name = Cgsim.Io.sink_name snk;
           k_cur = cur;
-          k_emit = (fun () -> Cgsim.Io.emit o ~floats:read_floats ~ints:read_ints ~values:read_values);
+          k_emit = (fun () -> Cgsim.Io.emit o read);
           k_failed = false;
         }
         :: q.sinks)

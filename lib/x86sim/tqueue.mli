@@ -16,7 +16,7 @@
     {!attach_sink} is filled by the writer that finds the queue full or
     closes it.  Both copy through {!Cgsim.Io.transfer} and
     {!Cgsim.Io.emit}.  So the queue offers only the transfers a kernel
-    port makes, and none of {!Cgsim.Bqueue}'s drain forms.
+    port makes, and not {!Cgsim.Bqueue.read_upto}, the drain.
 
     Readers are woken once per stored chunk.  Writers blocked on a full
     ring are woken in batches: a kernel's read that leaves at least half
@@ -40,8 +40,8 @@ type waker
 
 (** Storage follows the dtype ({!Cgsim.Ring}) and is always flat:
     scalar dtypes get a bigarray of their kind and aggregate dtypes
-    store scalar lanes, so the flat and lane block transfers below move
-    native memory.  F32 rings round stored values as
+    store scalar lanes, so the float, int and lane block transfers below
+    move native memory.  F32 rings round stored values as
     {!Cgsim.Value.round_f32}; an aggregate's float lanes are stored as
     given. *)
 val create : name:string -> dtype:Cgsim.Dtype.t -> capacity:int -> unit -> t
@@ -67,48 +67,33 @@ val get : consumer -> Cgsim.Value.t
 
 (** {1 Block transfers}
 
+    One write and one read, each taking a payload kind
+    ({!Cgsim.Ring.values}, {!Cgsim.Ring.floats}, {!Cgsim.Ring.ints} or
+    {!Cgsim.Ring.lanes}), a caller-owned buffer, an element offset [off]
+    and a count [n], as {!Cgsim.Bqueue.write} and {!Cgsim.Bqueue.read}.
     Semantically equivalent to element loops, but each call takes the
-    queue lock once for the whole block (condition waits release it while
-    blocked), allocates nothing but its result unless it waits, moves contiguous ring
-    slices with at most two segment copies per chunk, and wakes readers once per stored chunk (writers by the
-    half-capacity rule above). *)
+    queue lock once for the whole block (condition waits release it
+    while blocked), allocates nothing unless it waits, moves contiguous
+    ring slices with at most two segment copies per chunk, and wakes
+    readers once per stored chunk (writers by the half-capacity rule
+    above).
 
-val put_block : producer -> Cgsim.Value.t array -> unit
-(** Store a whole block, chunking by available space; blocks larger than
-    the capacity stream through.  The block is validated up front. *)
+    The kind's [require] raises [Invalid_argument] before the lock for a
+    kind that does not fit the net's dtype or an [off] or [n] outside
+    the buffer.  Each element is checked as the ring stores it; a block
+    that does not fit the free space read under the lock is checked
+    whole first, so a bad element publishes nothing.  F32 nets round on
+    store. *)
 
-val get_block : consumer -> int -> Cgsim.Value.t array
-(** Read exactly [n] elements.  Raises {!Cgsim.Sched.End_of_stream} if
-    the queue closes mid-block (elements consumed so far stay consumed,
-    like the element loop). *)
+(** [write k p b off n] stores elements [off .. off + n - 1] of [b],
+    chunking by available space; blocks larger than the capacity stream
+    through. *)
+val write : 'b Cgsim.Ring.kind -> producer -> 'b -> int -> int -> unit
 
-(** {1 Unboxed block transfers}
-
-    Flat-payload variants with the same locking, chunking and
-    end-of-stream discipline; both sides of the copy are flat.  Float
-    transfers require a float-dtype net and integer transfers an
-    integer-dtype net ([Invalid_argument] otherwise); integer payloads
-    are range-checked whole before anything is stored, and F32 nets
-    round on store. *)
-
-val put_floats : producer -> float array -> unit
-
-(** [get_floats c dst] fills all of [dst], waiting while the queue is
-    empty. *)
-val get_floats : consumer -> float array -> unit
-
-val put_ints : producer -> int array -> unit
-
-(** [get_ints c dst]: the integer counterpart of {!get_floats}. *)
-val get_ints : consumer -> int array -> unit
-
-(** Lane transfers of a [Vector] or [Struct] net: [n] elements at
-    element offset [off] of caller-owned lane buffers
-    ({!Cgsim.Ring.lanes}), as {!Cgsim.Bqueue.put_lanes}; int lanes are
-    range-checked whole before anything is stored. *)
-
-val put_lanes : producer -> Cgsim.Ring.lanes -> int -> int -> unit
-val get_lanes : consumer -> Cgsim.Ring.lanes -> int -> int -> unit
+(** [read k c b off n] reads exactly [n] elements into [b] from [off].
+    Raises {!Cgsim.Sched.End_of_stream} if the queue closes mid-block
+    (elements consumed so far stay consumed, like the element loop). *)
+val read : 'b Cgsim.Ring.kind -> consumer -> 'b -> int -> int -> unit
 
 (** The last producer closes the queue and pushes what is left into the
     sinks, so it can raise {!Endpoint_failed}. *)

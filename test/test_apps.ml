@@ -39,9 +39,9 @@ let prop_bilinear_group_matches_scalar =
       let n = Apps.Bilinear.group in
       let ring = Cgsim.Ring.create ~name:"req" ~dtype:Apps.Bilinear.quad_dtype ~capacity:n in
       let cur = Cgsim.Ring.add_cursor ring in
-      Cgsim.Ring.push_values ring (Array.map Apps.Bilinear.quad_value quads) 0 n;
+      Cgsim.Ring.values.copy_in ring (Array.map Apps.Bilinear.quad_value quads) 0 n;
       let req = Cgsim.Port.lanes Apps.Bilinear.quad_dtype n in
-      Cgsim.Ring.read_lanes ring cur req 0 n;
+      Cgsim.Ring.lanes.copy_out ring cur req 0 n;
       Apps.Bilinear.blend_group (Apps.Bilinear.scratch None) ~dst:vec req;
       let scalar =
         Array.map

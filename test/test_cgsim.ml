@@ -427,8 +427,20 @@ let prop_bqueue_broadcast_random =
 
 let ints lo hi = Array.init (hi - lo + 1) (fun i -> Cgsim.Value.Int (lo + i))
 
+(* Value blocks through the one block write, read and drain. *)
+let put_values p vs = Cgsim.Bqueue.write Cgsim.Ring.values p vs 0 (Array.length vs)
+
+let get_values c n =
+  let out = Array.make n (Cgsim.Value.Int 0) in
+  Cgsim.Bqueue.read Cgsim.Ring.values c out 0 n;
+  out
+
+let get_some c ~max =
+  let out = Array.make max (Cgsim.Value.Int 0) in
+  Array.sub out 0 (Cgsim.Bqueue.read_upto Cgsim.Ring.values c out 0 max)
+
 let test_bqueue_block_roundtrip () =
-  (* put_block / get_block move the same stream an element loop would. *)
+  (* Value block writes and reads move the same stream an element loop would. *)
   let q = Cgsim.Bqueue.create ~name:"q" ~dtype:Cgsim.Dtype.I32 ~capacity:8 () in
   let p = Cgsim.Bqueue.add_producer q in
   let c = Cgsim.Bqueue.add_consumer q in
@@ -438,14 +450,14 @@ let test_bqueue_block_roundtrip () =
       [
         ( "producer",
           fun () ->
-            Cgsim.Bqueue.put_block p (ints 1 40);
-            Cgsim.Bqueue.put_block p [||];
-            Cgsim.Bqueue.put_block p (ints 41 100);
+            put_values p (ints 1 40);
+            put_values p [||];
+            put_values p (ints 41 100);
             Cgsim.Bqueue.producer_done p );
         ( "consumer",
           fun () ->
             let rec loop () =
-              let vs = Cgsim.Bqueue.get_block c 10 in
+              let vs = get_values c 10 in
               Array.iter (fun v -> got := Cgsim.Value.to_int v :: !got) vs;
               loop ()
             in
@@ -469,14 +481,14 @@ let test_bqueue_block_broadcast_mixed () =
       [
         ( "producer",
           fun () ->
-            Cgsim.Bqueue.put_block p (ints 1 70);
+            put_values p (ints 1 70);
             Cgsim.Bqueue.producer_done p );
         ( "block-consumer",
           fun () ->
             let rec loop () =
               Array.iter
                 (fun v -> got_b := Cgsim.Value.to_int v :: !got_b)
-                (Cgsim.Bqueue.get_block cb 7);
+                (get_values cb 7);
               loop ()
             in
             loop () );
@@ -504,9 +516,9 @@ let test_bqueue_block_larger_than_capacity () =
       [
         ( "producer",
           fun () ->
-            Cgsim.Bqueue.put_block p (ints 1 64);
+            put_values p (ints 1 64);
             Cgsim.Bqueue.producer_done p );
-        ("consumer", fun () -> got := Cgsim.Bqueue.get_block c 64);
+        ("consumer", fun () -> got := get_values c 64);
       ]
   in
   Alcotest.(check int) "no deadlock" 2 stats.Cgsim.Sched.completed;
@@ -527,11 +539,11 @@ let test_bqueue_block_eos_midblock () =
       [
         ( "producer",
           fun () ->
-            Cgsim.Bqueue.put_block p (ints 1 5);
+            put_values p (ints 1 5);
             Cgsim.Bqueue.producer_done p );
         ( "consumer",
           fun () ->
-            (try ignore (Cgsim.Bqueue.get_block c 8)
+            (try ignore (get_values c 8)
              with Cgsim.Sched.End_of_stream -> raised := true);
             drained := Cgsim.Bqueue.occupancy q );
       ]
@@ -540,7 +552,7 @@ let test_bqueue_block_eos_midblock () =
   Alcotest.(check int) "partial block was consumed" 0 !drained
 
 let test_bqueue_get_some_bounds () =
-  (* get_some returns between 1 and max immediately-available elements
+  (* The drain returns between 1 and max immediately-available elements
      and raises End_of_stream once closed and drained. *)
   let q = Cgsim.Bqueue.create ~name:"q" ~dtype:Cgsim.Dtype.I32 ~capacity:16 () in
   let p = Cgsim.Bqueue.add_producer q in
@@ -552,12 +564,12 @@ let test_bqueue_get_some_bounds () =
       [
         ( "producer",
           fun () ->
-            Cgsim.Bqueue.put_block p (ints 1 10);
+            put_values p (ints 1 10);
             Cgsim.Bqueue.producer_done p );
         ( "consumer",
           fun () ->
             let rec loop () =
-              let vs = Cgsim.Bqueue.get_some c ~max:4 in
+              let vs = get_some c ~max:4 in
               sizes := Array.length vs :: !sizes;
               total := !total + Array.length vs;
               loop ()
@@ -1050,7 +1062,7 @@ let test_bqueue_endpoint_counts () =
 
 (* Push 0..n-1 through a 1:1 capacity-8 queue with a mix of element and
    block operations on both sides: block writes larger than half the ring
-   exercise chunking, reads alternate get / get_some / get_block. *)
+   exercise chunking, reads alternate get / drain / block read. *)
 let test_bqueue_mixed_transfer () =
   let n = 200 in
   let q = Cgsim.Bqueue.create ~name:"xfer" ~dtype:Cgsim.Dtype.I32 ~capacity:8 () in
@@ -1062,7 +1074,7 @@ let test_bqueue_mixed_transfer () =
       let i = ref 0 in
       while !i < n do
         if !i mod 3 = 0 && n - !i >= 7 then begin
-          Cgsim.Bqueue.put_block p (Array.init 7 (fun k -> Cgsim.Value.Int (!i + k)));
+          put_values p (Array.init 7 (fun k -> Cgsim.Value.Int (!i + k)));
           i := !i + 7
         end
         else begin
@@ -1079,12 +1091,12 @@ let test_bqueue_mixed_transfer () =
          | 1 ->
            Array.iter
              (fun v -> got := Cgsim.Value.to_int v :: !got)
-             (Cgsim.Bqueue.get_some c ~max:5)
+             (get_some c ~max:5)
          | _ ->
            if Cgsim.Bqueue.occupancy q >= 2 then
              Array.iter
                (fun v -> got := Cgsim.Value.to_int v :: !got)
-               (Cgsim.Bqueue.get_block c 2)
+               (get_values c 2)
            else got := Cgsim.Value.to_int (Cgsim.Bqueue.get c) :: !got);
         incr step;
         loop ()
@@ -1446,14 +1458,26 @@ let has_substring needle hay =
   let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
+(* One queue's endpoints: the element forms and the one block write
+   and read, whichever queue they come from. *)
 type lane_queue = {
   put : Cgsim.Value.t -> unit;
   get : unit -> Cgsim.Value.t;
-  put_block : Cgsim.Value.t array -> unit;
-  get_block : int -> Cgsim.Value.t array;
-  put_lanes : Cgsim.Port.lanes -> int -> int -> unit;
-  get_lanes : Cgsim.Port.lanes -> int -> int -> unit;
+  write : 'b. 'b Cgsim.Ring.kind -> 'b -> int -> int -> unit;
+  read : 'b. 'b Cgsim.Ring.kind -> 'b -> int -> int -> unit;
 }
+
+let refused label what f =
+  match f () with
+  | () -> Alcotest.failf "%s: %s was accepted" label what
+  | exception Invalid_argument msg ->
+    if not (has_substring "does not conform to dtype" msg) then
+      Alcotest.failf "%s: %s refused with %S" label what msg
+
+(* The queues hold 8 elements.  A block larger than the free space
+   streams in several chunks, so it is checked whole before its first
+   chunk: a bad last element refuses all of it. *)
+let capacity = 8
 
 let lane_roundtrip label q =
   let expect what got =
@@ -1462,39 +1486,138 @@ let lane_roundtrip label q =
       (List.map show_bits (Array.to_list lane_values))
       (List.map show_bits got)
   in
+  let put_values vs = q.write Cgsim.Ring.values vs 0 (Array.length vs) in
+  let get_values n =
+    let out = Array.make n (Cgsim.Value.Int 0) in
+    q.read Cgsim.Ring.values out 0 n;
+    Array.to_list out
+  in
   Array.iter q.put lane_values;
   expect "element" (List.init 2 (fun _ -> q.get ()));
-  q.put_block lane_values;
-  expect "block" (Array.to_list (q.get_block 2));
-  q.put_block lane_values;
+  put_values lane_values;
+  expect "block" (get_values 2);
+  put_values lane_values;
   let b = Cgsim.Port.lanes lane_dtype 2 in
-  q.get_lanes b 0 2;
+  q.read Cgsim.Ring.lanes b 0 2;
   Alcotest.(check (list int64))
     (label ^ ": float lanes keep their bits")
     [ Int64.bits_of_float nan_payload; Int64.bits_of_float (-0.0) ]
     (List.map Int64.bits_of_float (Array.to_list b.floats));
   Alcotest.(check (array int)) (label ^ ": int lanes") [| max_int; 0; 255; min_int; 255; 0 |] b.ints;
-  q.put_lanes b 0 2;
-  expect "lanes" (Array.to_list (q.get_block 2));
-  let refused what f =
-    match f () with
-    | () -> Alcotest.failf "%s: %s was accepted" label what
-    | exception Invalid_argument msg ->
-      if not (has_substring "does not conform to dtype" msg) then
-        Alcotest.failf "%s: %s refused with %S" label what msg
-  in
+  q.write Cgsim.Ring.lanes b 0 2;
+  expect "lanes" (get_values 2);
+  let refused = refused label in
   let misnamed = Cgsim.Value.(Rec [ "g", Float 1.0; "kk", Int 1; "pix", Vec [| Int 0; Int 0 |] ]) in
   refused "a misnamed field" (fun () -> q.put misnamed);
-  refused "a misnamed field in a block" (fun () -> q.put_block [| lane_values.(0); misnamed |]);
+  refused "a misnamed field in a block" (fun () -> put_values [| lane_values.(0); misnamed |]);
   refused "an out-of-range U8 lane" (fun () -> q.put (lane_value 1.0 1 0 256));
   let wide = { b with Cgsim.Port.ints = Array.copy b.ints } in
   wide.ints.(5) <- 256;
-  refused "an out-of-range U8 lane in a lane block" (fun () -> q.put_lanes wide 0 2);
+  refused "an out-of-range U8 lane in a lane block" (fun () -> q.write Cgsim.Ring.lanes wide 0 2);
+  let long = Cgsim.Port.lanes lane_dtype (capacity + 4) in
+  long.ints.(Array.length long.ints - 1) <- 256;
+  refused "an out-of-range U8 lane in a lane block larger than the free space" (fun () ->
+      q.write Cgsim.Ring.lanes long 0 (capacity + 4));
   (* Nothing was published: the next read returns the next write. *)
   q.put lane_values.(1);
   Alcotest.(check string)
     (label ^ ": a refusal publishes nothing")
     (show_bits lane_values.(1)) (show_bits (q.get ()))
+
+(* The int counterpart of the long lane block above, on a U8 net. *)
+let int_block_refusal label q =
+  let long = Array.init (capacity + 4) (fun i -> i) in
+  long.(capacity + 3) <- 256;
+  refused label "an out-of-range U8 int in a block larger than the free space" (fun () ->
+      q.write Cgsim.Ring.ints long 0 (capacity + 4));
+  q.put (Cgsim.Value.Int 7);
+  Alcotest.(check int) (label ^ ": a refusal publishes nothing") 7 (Cgsim.Value.to_int (q.get ()))
+
+(* [on_bqueue dtype f] runs [f] on a Bqueue's endpoints in a fiber, and
+   [on_tqueue] on a Tqueue's on the calling thread.  A test that parks
+   fails with the fiber unfinished; one that blocks a thread fails with
+   [Terminated], as a watchdog poisons the Tqueue after 5 s. *)
+let on_bqueue dtype f =
+  let q = Cgsim.Bqueue.create ~name:"q" ~dtype ~capacity () in
+  let p = Cgsim.Bqueue.add_producer q and c = Cgsim.Bqueue.add_consumer q in
+  let outcome = ref (Error (Failure "the cgsim fiber did not finish")) in
+  let endpoints =
+    {
+      put = Cgsim.Bqueue.put p;
+      get = (fun () -> Cgsim.Bqueue.get c);
+      write = (fun k b off n -> Cgsim.Bqueue.write k p b off n);
+      read = (fun k b off n -> Cgsim.Bqueue.read k c b off n);
+    }
+  in
+  ignore (run_fibers [ ("cgsim", fun () -> outcome := try Ok (f endpoints) with e -> Error e) ]);
+  match !outcome with Ok () -> () | Error e -> raise e
+
+let on_tqueue dtype f =
+  let q = X86sim.Tqueue.create ~name:"q" ~dtype ~capacity () in
+  let w = X86sim.Tqueue.waker () in
+  let p = X86sim.Tqueue.add_producer w q and c = X86sim.Tqueue.add_consumer w q in
+  let finished = Atomic.make false in
+  let watchdog =
+    Domain.spawn (fun () ->
+        let t_end = Unix.gettimeofday () +. 5.0 in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < t_end do
+          Unix.sleepf 0.001
+        done;
+        if not (Atomic.get finished) then X86sim.Tqueue.poison q)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join watchdog)
+    (fun () ->
+      f
+        {
+          put = X86sim.Tqueue.put p;
+          get = (fun () -> X86sim.Tqueue.get c);
+          write = (fun k b off n -> X86sim.Tqueue.write k p b off n);
+          read = (fun k b off n -> X86sim.Tqueue.read k c b off n);
+        })
+
+(* A negative offset, a negative count, or a block past the end of the
+   4-element buffer raises [Invalid_argument] before anything waits: a
+   read on an empty net and a write on a full one would block.  The
+   element put after the refused writes is the next one read, so they
+   published nothing. *)
+let bounds_refused label q kind buf fill marker =
+  let bad = [ -1, 1; 0, -1; 2, 3; 0, 5; 4, 1; max_int, 1; 1, max_int ] in
+  let raises what off n f =
+    match f () with
+    | () -> Alcotest.failf "%s: %s at offset %d of %d was accepted" label what off n
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter (fun (off, n) -> raises "a read on an empty net" off n (fun () -> q.read kind buf off n)) bad;
+  for _ = 1 to capacity do
+    q.put fill
+  done;
+  List.iter (fun (off, n) -> raises "a write on a full net" off n (fun () -> q.write kind buf off n)) bad;
+  for _ = 1 to capacity do
+    ignore (q.get ())
+  done;
+  q.put marker;
+  Alcotest.(check string) (label ^ ": a refusal publishes nothing") (show_bits marker) (show_bits (q.get ()))
+
+let test_block_bounds_checked () =
+  List.iter
+    (fun (label, on_queue) ->
+      on_queue Cgsim.Dtype.F32 (fun q ->
+          bounds_refused (label ^ " floats") q Cgsim.Ring.floats (Array.make 4 0.0)
+            (Cgsim.Value.Float 1.0) (Cgsim.Value.Float 2.0));
+      on_queue Cgsim.Dtype.I32 (fun q ->
+          bounds_refused (label ^ " ints") q Cgsim.Ring.ints (Array.make 4 0) (Cgsim.Value.Int 1)
+            (Cgsim.Value.Int 2));
+      on_queue Cgsim.Dtype.I32 (fun q ->
+          bounds_refused (label ^ " values") q Cgsim.Ring.values
+            (Array.make 4 (Cgsim.Value.Int 0))
+            (Cgsim.Value.Int 1) (Cgsim.Value.Int 2));
+      on_queue lane_dtype (fun q ->
+          bounds_refused (label ^ " lanes") q Cgsim.Ring.lanes (Cgsim.Port.lanes lane_dtype 4)
+            lane_values.(0) lane_values.(1)))
+    [ "cgsim", (fun d f -> on_bqueue d f); "x86sim", (fun d f -> on_tqueue d f) ]
 
 let lane_pass =
   Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"test_lane_pass"
@@ -1510,35 +1633,10 @@ let lane_pass =
 let () = Cgsim.Registry.register lane_pass
 
 let test_lanes_bit_exact () =
-  let q = Cgsim.Bqueue.create ~name:"lanes" ~dtype:lane_dtype ~capacity:8 () in
-  let p = Cgsim.Bqueue.add_producer q and c = Cgsim.Bqueue.add_consumer q in
-  let outcome = ref (Error (Failure "the cgsim fiber did not run")) in
-  let bq =
-    {
-      put = Cgsim.Bqueue.put p;
-      get = (fun () -> Cgsim.Bqueue.get c);
-      put_block = Cgsim.Bqueue.put_block p;
-      get_block = Cgsim.Bqueue.get_block c;
-      put_lanes = Cgsim.Bqueue.put_lanes p;
-      get_lanes = Cgsim.Bqueue.get_lanes c;
-    }
-  in
-  ignore
-    (run_fibers
-       [ ("cgsim", fun () -> outcome := try Ok (lane_roundtrip "cgsim" bq) with e -> Error e) ]);
-  (match !outcome with Ok () -> () | Error e -> raise e);
-  let t = X86sim.Tqueue.create ~name:"lanes" ~dtype:lane_dtype ~capacity:8 () in
-  let w = X86sim.Tqueue.waker () in
-  let tp = X86sim.Tqueue.add_producer w t and tc = X86sim.Tqueue.add_consumer w t in
-  lane_roundtrip "x86sim"
-    {
-      put = X86sim.Tqueue.put tp;
-      get = (fun () -> X86sim.Tqueue.get tc);
-      put_block = X86sim.Tqueue.put_block tp;
-      get_block = X86sim.Tqueue.get_block tc;
-      put_lanes = X86sim.Tqueue.put_lanes tp;
-      get_lanes = X86sim.Tqueue.get_lanes tc;
-    };
+  on_bqueue lane_dtype (lane_roundtrip "cgsim");
+  on_tqueue lane_dtype (lane_roundtrip "x86sim");
+  on_bqueue Cgsim.Dtype.U8 (int_block_refusal "cgsim ints");
+  on_tqueue Cgsim.Dtype.U8 (int_block_refusal "x86sim ints");
   let g () =
     Cgsim.Builder.make ~name:"lane_pass" ~inputs:[ "x", lane_dtype ] (fun b conns ->
         let out = Cgsim.Builder.net b lane_dtype in
@@ -1606,6 +1704,8 @@ let () =
           Alcotest.test_case "mixed transfer in order" `Quick test_bqueue_mixed_transfer;
           Alcotest.test_case "aggregate lanes bit-exact under cgsim and x86sim" `Quick
             test_lanes_bit_exact;
+          Alcotest.test_case "block offsets and counts checked under cgsim and x86sim" `Quick
+            test_block_bounds_checked;
         ]
         @ qsuite [ prop_bqueue_broadcast_random ] );
       ( "builder",

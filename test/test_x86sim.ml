@@ -77,6 +77,14 @@ let test_tqueue_dtype_checked () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "dtype mismatch must be rejected"
 
+(* Value blocks through the one block write and read. *)
+let put_values p vs = X86sim.Tqueue.write Cgsim.Ring.values p vs 0 (Array.length vs)
+
+let get_values c n =
+  let out = Array.make n (Cgsim.Value.Int 0) in
+  X86sim.Tqueue.read Cgsim.Ring.values c out 0 n;
+  out
+
 let test_tqueue_block_concurrent_producers () =
   (* Two domains push blocks through a small ring concurrently; every
      element arrives and each producer's stream stays ordered. *)
@@ -87,7 +95,7 @@ let test_tqueue_block_concurrent_producers () =
   let produce p base =
     Domain.spawn (fun () ->
         for b = 0 to 9 do
-          X86sim.Tqueue.put_block p
+          put_values p
             (Array.init 20 (fun i -> Cgsim.Value.Int (base + (b * 20) + i)))
         done;
         X86sim.Tqueue.producer_done p)
@@ -121,10 +129,10 @@ let test_tqueue_block_larger_than_capacity () =
   let c = X86sim.Tqueue.add_consumer (X86sim.Tqueue.waker ()) q in
   let producer =
     Domain.spawn (fun () ->
-        X86sim.Tqueue.put_block p (Array.init 64 (fun i -> Cgsim.Value.Int (i + 1)));
+        put_values p (Array.init 64 (fun i -> Cgsim.Value.Int (i + 1)));
         X86sim.Tqueue.producer_done p)
   in
-  let got = X86sim.Tqueue.get_block c 64 in
+  let got = get_values c 64 in
   Domain.join producer;
   Alcotest.(check (list int)) "streams through"
     (List.init 64 (fun i -> i + 1))
@@ -134,9 +142,9 @@ let test_tqueue_block_eos_midblock () =
   let q = X86sim.Tqueue.create ~name:"q" ~dtype:Cgsim.Dtype.I32 ~capacity:8 () in
   let p = X86sim.Tqueue.add_producer (X86sim.Tqueue.waker ()) q in
   let c = X86sim.Tqueue.add_consumer (X86sim.Tqueue.waker ()) q in
-  X86sim.Tqueue.put_block p (Array.init 5 (fun i -> Cgsim.Value.Int i));
+  put_values p (Array.init 5 (fun i -> Cgsim.Value.Int i));
   X86sim.Tqueue.producer_done p;
-  (match X86sim.Tqueue.get_block c 8 with
+  (match get_values c 8 with
    | exception Cgsim.Sched.End_of_stream -> ()
    | _ -> Alcotest.fail "closing mid-block must raise End_of_stream");
   match X86sim.Tqueue.get c with
@@ -156,8 +164,8 @@ let test_tqueue_element_ops_allocate_nothing () =
   let lanes = Cgsim.Port.lanes dtype 1 in
   X86sim.Tqueue.put p v;
   let value_words = float_of_int (Obj.reachable_words (Obj.repr (X86sim.Tqueue.get c))) in
-  X86sim.Tqueue.put_lanes p lanes 0 1;
-  X86sim.Tqueue.get_lanes c lanes 0 1;
+  X86sim.Tqueue.write Cgsim.Ring.lanes p lanes 0 1;
+  X86sim.Tqueue.read Cgsim.Ring.lanes c lanes 0 1;
   let w0 = Gc.minor_words () in
   for _ = 1 to 32 do
     X86sim.Tqueue.put p v
@@ -168,8 +176,8 @@ let test_tqueue_element_ops_allocate_nothing () =
   done;
   let w2 = Gc.minor_words () in
   for _ = 1 to 32 do
-    X86sim.Tqueue.put_lanes p lanes 0 1;
-    X86sim.Tqueue.get_lanes c lanes 0 1
+    X86sim.Tqueue.write Cgsim.Ring.lanes p lanes 0 1;
+    X86sim.Tqueue.read Cgsim.Ring.lanes c lanes 0 1
   done;
   let w3 = Gc.minor_words () in
   Alcotest.(check (float 0.)) "put allocates nothing" 0. (w1 -. w0);
@@ -535,15 +543,9 @@ module type QUEUE = sig
   val add_producer : t -> producer
   val add_consumer : t -> consumer
   val put : producer -> V.t -> unit
-  val put_block : producer -> V.t array -> unit
-  val put_floats : producer -> float array -> unit
-  val put_ints : producer -> int array -> unit
   val get : consumer -> V.t
-  val get_block : consumer -> int -> V.t array
-  val get_floats : consumer -> float array -> unit
-  val get_ints : consumer -> int array -> unit
-  val put_lanes : producer -> Cgsim.Port.lanes -> int -> int -> unit
-  val get_lanes : consumer -> Cgsim.Port.lanes -> int -> int -> unit
+  val write : 'b Cgsim.Ring.kind -> producer -> 'b -> int -> int -> unit
+  val read : 'b Cgsim.Ring.kind -> consumer -> 'b -> int -> int -> unit
 end
 
 module Drive (Q : QUEUE) = struct
@@ -556,25 +558,29 @@ module Drive (Q : QUEUE) = struct
     let q = Q.create ~name:"model" ~dtype ~capacity:cap () in
     let p = Q.add_producer q in
     let cs = Array.init consumers (fun _ -> Q.add_consumer q) in
+    let module R = Cgsim.Ring in
     let step = function
       | Put v -> Q.put p v; []
-      | Put_block vs -> Q.put_block p vs; []
-      | Put_floats fs -> Q.put_floats p fs; []
-      | Put_ints is -> Q.put_ints p is; []
-      | Put_lanes (b, n) -> Q.put_lanes p b 0 n; []
+      | Put_block vs -> Q.write R.values p vs 0 (Array.length vs); []
+      | Put_floats fs -> Q.write R.floats p fs 0 (Array.length fs); []
+      | Put_ints is -> Q.write R.ints p is 0 (Array.length is); []
+      | Put_lanes (b, n) -> Q.write R.lanes p b 0 n; []
       | Get k -> [ Q.get cs.(k) ]
-      | Get_block (k, n) -> Array.to_list (Q.get_block cs.(k) n)
+      | Get_block (k, n) ->
+        let dst = Array.make n (V.Int 0) in
+        Q.read R.values cs.(k) dst 0 n;
+        Array.to_list dst
       | Get_floats (k, n) ->
         let dst = Array.make n 0.0 in
-        Q.get_floats cs.(k) dst;
+        Q.read R.floats cs.(k) dst 0 n;
         floats dst
       | Get_ints (k, n) ->
         let dst = Array.make n 0 in
-        Q.get_ints cs.(k) dst;
+        Q.read R.ints cs.(k) dst 0 n;
         ints dst
       | Get_lanes (k, n) ->
         let b = lane_buffer dtype n in
-        Q.get_lanes cs.(k) b 0 n;
+        Q.read R.lanes cs.(k) b 0 n;
         of_lanes dtype b n
       | (Get_some (k, _) | Get_floats_into (k, _) | Get_ints_into (k, _)) as op -> drain cs.(k) op
     in
@@ -595,14 +601,19 @@ module Drive_t = Drive (struct
   let add_consumer q = add_consumer (waker ()) q
 end)
 
-let bqueue_drain c = function
-  | Get_some (_, max) -> Array.to_list (Cgsim.Bqueue.get_some c ~max)
+(* The drains: Bqueue's [read_upto] with the op's kind. *)
+let bqueue_drain c op =
+  let upto kind dst = Cgsim.Bqueue.read_upto kind c dst 0 (Array.length dst) in
+  match op with
+  | Get_some (_, max) ->
+    let dst = Array.make max (V.Int 0) in
+    Array.to_list (Array.sub dst 0 (upto Cgsim.Ring.values dst))
   | Get_floats_into (_, len) ->
     let dst = Array.make len 0.0 in
-    Drive_b.floats (Array.sub dst 0 (Cgsim.Bqueue.get_floats_into c dst))
+    Drive_b.floats (Array.sub dst 0 (upto Cgsim.Ring.floats dst))
   | Get_ints_into (_, len) ->
     let dst = Array.make len 0 in
-    Drive_b.ints (Array.sub dst 0 (Cgsim.Bqueue.get_ints_into c dst))
+    Drive_b.ints (Array.sub dst 0 (upto Cgsim.Ring.ints dst))
   | _ -> failwith "bqueue_drain: not a drain operation"
 
 (* Tqueue's form of a drain that the model saw read [obs]: the exact
