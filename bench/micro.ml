@@ -262,20 +262,15 @@ let chain_scale_kernel ?in_settings ?out_settings name factor =
       done)
 
 let chain_kernels =
-  lazy
-    (let deep = Cgsim.Settings.(with_depth chain_boundary_depth default) in
-     let ks =
-       [
-         chain_scale_kernel ~in_settings:deep "micro_scale_a" 2.0;
-         chain_scale_kernel "micro_scale_b" 3.0;
-         chain_scale_kernel ~out_settings:deep "micro_scale_c" 0.5;
-       ]
-     in
-     List.iter Cgsim.Registry.register ks;
-     ks)
+  let deep = Cgsim.Settings.(with_depth chain_boundary_depth default) in
+  [
+    chain_scale_kernel ~in_settings:deep "micro_scale_a" 2.0;
+    chain_scale_kernel "micro_scale_b" 3.0;
+    chain_scale_kernel ~out_settings:deep "micro_scale_c" 0.5;
+  ]
 
 let chain_graph () =
-  match Lazy.force chain_kernels with
+  match chain_kernels with
   | [ ka; kb; kc ] ->
     Cgsim.Builder.make ~name:"micro_chain" ~inputs:[ "in", Cgsim.Dtype.F32 ]
       (fun b conns ->

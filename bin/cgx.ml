@@ -99,7 +99,7 @@ let lint_cmd =
         let linted =
           List.map
             (fun (g : Cgc.Ast.graph) ->
-              let serialized = Cgc.Consteval.eval_graph env g in
+              let serialized = Cgc.Consteval.eval_graph ~twins:Apps.Harness.twins env g in
               let caps = if suggest || json then Cgsim.Capacity.suggest serialized else [] in
               let bottleneck =
                 if json then

@@ -291,6 +291,18 @@ if grep -rn 'getenv' lib; then
 fi
 echo "no environment reads in lib/"
 
+echo "== no kernel registry gate =="
+# A serialized graph holds each instance's Kernel.t, and the CGC front
+# end resolves kernel names against the twins its caller passes.  The
+# process-wide registry, the runtime's name lookup and the instance's
+# name key were deleted: which kernels a graph runs must not depend on
+# which libraries a binary links.
+if grep -rnE '\bRegistry\.|compiled_kernel|Serialized\.key\b' lib bin bench examples test; then
+  echo "ci: caller references the deleted kernel registry (hold the Kernel.t, pass twins)" >&2
+  exit 1
+fi
+echo "no kernel registry"
+
 echo "== top-level mutable state gate =="
 # Data reaches the runtime through explicit arguments, not through
 # process-wide refs.  Every top-level binding under lib/ that holds
@@ -302,8 +314,6 @@ ALLOWED_STATE=$(mktemp -t ci-state-allowed-XXXXXX)
 FOUND_STATE=$(mktemp -t ci-state-found-XXXXXX)
 trap 'rm -f "$TRACE" "$MICRO_JSON" "$LINT_JSON" "$FUZZ_JSON" "$LOAD_JSON" "$LOAD_PROM" "$DAEMON_PROM" "$REMOTE_JSON" "$SERVE_SOCK" "$CGX_PROM" "$ALLOWED_STATE" "$FOUND_STATE"' EXIT
 sed -e 's/ *#.*//' -e '/^$/d' > "$ALLOWED_STATE" <<'EOF_STATE'
-lib/cgsim/registry.ml table          # the kernel registry: kernels register at link time, graphs name them by key
-lib/cgsim/registry.ml order          # that registry's registration order, for listings
 lib/cgsim/builder.ml next_builder_id # unique builder ids, so nets of two builders cannot be mixed
 lib/cgsim/sched.ml current_key       # domain-local: the fiber running on this domain
 lib/obs/trace.ml on                  # the observability session switch: one load and a branch per instrumented site
@@ -313,7 +323,7 @@ lib/obs/clock.ml last                # the monotonic clock's high-water mark
 lib/obs/flight.ml ring_key           # domain-local: this domain's flight-recorder ring
 lib/obs/flight.ml enabled            # the always-on flight recorder's off switch, for overhead A/B runs
 lib/apps/bilinear.ml image_lock      # serializes the first force of the lazy test image across domains
-lib/workloads/sdf_gen.ml kernel_cache # generated kernels, registered once per name in the global registry
+lib/workloads/sdf_gen.ml kernel_cache # generated kernels, one definition per name, as a graph needs (CG-E007)
 EOF_STATE
 find lib -name '*.ml' | sort | xargs awk '
   function check(text) {

@@ -16,8 +16,6 @@ let i16_to_f32 =
         Port.put_f32 out (float_of_int (Port.get_int input) /. 32768.0)
       done)
 
-let () = Registry.register i16_to_f32
-
 let chain_graph () =
   Builder.make ~name:"dsp_chain"
     ~inputs:[ "d", Dtype.I16; "samples", Dtype.I16 ]

@@ -60,9 +60,9 @@ let () =
         p.Extractor.Project.files;
       (* The extracted subgraph deploys straight onto the
          cycle-approximate simulator with the generated-thunk cost
-         model; kernels resolve through the registry, and CGC kernels
-         without OCaml twins get placeholder bodies, so here we run the
-         functional check through the serialized graph itself instead. *)
+         model; CGC kernels without OCaml twins get placeholder bodies,
+         so here we run the functional check through the serialized
+         graph itself instead. *)
       let deploy = Extractor.Project.deploy p in
       Format.printf "deploy: %s (adapter = %s)@."
         deploy.Aiesim.Deploy.graph.Cgsim.Serialized.gname

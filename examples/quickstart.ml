@@ -34,10 +34,6 @@ let square_kernel =
         Port.put_f32 out (v *. v)
       done)
 
-let () =
-  Registry.register adder_kernel;
-  Registry.register square_kernel
-
 (* Graph construction (cf. make_compute_graph_v, Figure 4): the function
    receives connectors for the graph's inputs, wires kernels together
    through internal connectors, and returns the output connectors.

@@ -28,7 +28,7 @@ let make ?cols ?rows ?place ~label ~adapter (g : Cgsim.Serialized.t) =
   let array = Aie.Array_model.create ?cols ?rows () in
   Array.iter
     (fun (ki : Cgsim.Serialized.kernel_inst) ->
-      match ki.realm with
+      match ki.kernel.Cgsim.Kernel.realm with
       | Cgsim.Kernel.Aie -> begin
         match place with
         | Some f -> begin
@@ -45,7 +45,7 @@ let make ?cols ?rows ?place ~label ~adapter (g : Cgsim.Serialized.t) =
                 "graph %s: kernel %s has realm %s; only pure-AIE graphs can be deployed to the \
                  array (partition the graph first)"
                 g.gname ki.inst_name
-                (Cgsim.Kernel.realm_to_string ki.realm))))
+                (Cgsim.Kernel.realm_to_string ki.kernel.Cgsim.Kernel.realm))))
     g.kernels;
   { graph = g; array; adapter; label }
 

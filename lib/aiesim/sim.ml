@@ -41,7 +41,7 @@ let pp_report ppf r =
    on AIE kernels only. *)
 let thunk_costs (d : Deploy.t) (inst : Cgsim.Serialized.kernel_inst) =
   match d.Deploy.adapter with
-  | Deploy.Thunk costs when inst.realm = Cgsim.Kernel.Aie -> Some costs
+  | Deploy.Thunk costs when inst.kernel.Cgsim.Kernel.realm = Cgsim.Kernel.Aie -> Some costs
   | Deploy.Thunk _ | Deploy.Direct -> None
 
 type capture_result = {
@@ -73,7 +73,7 @@ let capture ?(config = Cgsim.Run_config.default) (d : Deploy.t) ~sources ~sinks 
     let thunked = Option.is_some (thunk_costs d inst) in
     let stream = transport = Cgsim.Settings.Stream in
     let ev =
-      match inst.ports.(port_idx).Cgsim.Kernel.dir with
+      match inst.kernel.Cgsim.Kernel.ports.(port_idx).Cgsim.Kernel.dir with
       | Cgsim.Kernel.In -> Aie.Trace.Port_read { port; bytes; transport; thunked }
       | Cgsim.Kernel.Out -> Aie.Trace.Port_write { port; bytes; transport; thunked }
     in
@@ -339,7 +339,7 @@ let simulate (d : Deploy.t) (cap : capture_result) =
             (Array.mapi
                (fun i (spec : Cgsim.Kernel.port_spec) ->
                  inst.inst_name ^ "." ^ spec.Cgsim.Kernel.pname, inst.port_nets.(i))
-               inst.ports)
+               inst.kernel.Cgsim.Kernel.ports)
         in
         let events =
           match List.assoc_opt inst.inst_name cap.traces with
@@ -432,7 +432,7 @@ let simulate (d : Deploy.t) (cap : capture_result) =
         Array.iteri
           (fun i (spec : Cgsim.Kernel.port_spec) ->
             if spec.Cgsim.Kernel.dir = Cgsim.Kernel.In then register_reader p inst.port_nets.(i))
-          inst.ports;
+          inst.kernel.Cgsim.Kernel.ports;
         p)
       g.kernels
   in

@@ -128,8 +128,6 @@ let kernel =
             Cgsim.Port.put_window_int output out)
       done)
 
-let () = Cgsim.Registry.register kernel
-
 let graph () =
   Cgsim.Builder.make ~name:"bilinear" ~inputs:[ "req", quad_dtype ] (fun b conns ->
       let out = Cgsim.Builder.net b Cgsim.Dtype.U16 in

@@ -66,8 +66,6 @@ let kernel =
         Cgsim.Port.put_window_f32 output v
       done)
 
-let () = Cgsim.Registry.register kernel
-
 let graph () =
   Cgsim.Builder.make ~name:"bitonic" ~inputs:[ "in", Cgsim.Dtype.F32 ] (fun b conns ->
       let out = Cgsim.Builder.net b Cgsim.Dtype.F32 in

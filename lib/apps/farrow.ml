@@ -131,10 +131,6 @@ let stage2 =
             Cgsim.Port.put_window_int output y)
       done)
 
-let () =
-  Cgsim.Registry.register stage1;
-  Cgsim.Registry.register stage2
-
 let graph () =
   Cgsim.Builder.make ~name:"farrow"
     ~inputs:[ "d", Cgsim.Dtype.I16; "in", Cgsim.Dtype.I16 ]

@@ -124,6 +124,8 @@ let all = [ bitonic; farrow; iir; bilinear ]
 
 let find name = List.find_opt (fun t -> String.equal t.name name) all
 
+let twins = [ Bitonic.kernel; Farrow.stage1; Farrow.stage2; Iir.kernel; Bilinear.kernel ]
+
 let run_cgsim ?config t ~reps =
   let g = t.graph () in
   let sinks, contents = t.make_sinks () in

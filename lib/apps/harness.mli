@@ -28,6 +28,11 @@ val all : t list
 
 val find : string -> t option
 
+(** The five app kernels, the executable twins of the kernels that
+    [examples/cgc] declares: [Cgc.Consteval.eval_graph]'s [~twins] for
+    the extractor and [cgx lint]. *)
+val twins : Cgsim.Kernel.t list
+
 (** Run the app once under the plain cgsim runtime and check outputs;
     convenience used by tests and the quickstart of the bench harness.
     Any non-[Completed] outcome (deadline, cancellation, kernel failure

@@ -74,8 +74,6 @@ let kernel =
         Cgsim.Port.put_window_f32 output buf
       done)
 
-let () = Cgsim.Registry.register kernel
-
 let graph () =
   Cgsim.Builder.make ~name:"iir" ~inputs:[ "in", Cgsim.Dtype.F32 ] (fun b conns ->
       let out = Cgsim.Builder.net b Cgsim.Dtype.F32 in

@@ -99,6 +99,9 @@ type ctx = {
   env : Sema.env;
   builder : Cgsim.Builder.t;
   globals_cache : (string, value) Hashtbl.t;
+  twins : Cgsim.Kernel.t list;  (* executable twins, from the caller *)
+  kernels : (string, Cgsim.Kernel.t) Hashtbl.t;
+      (* this call's kernel per CGC definition, resolved on first use *)
 }
 
 let rec eval_global ctx range name =
@@ -150,31 +153,31 @@ and eval_const_expr ctx (e : Ast.expr) : value =
   | Ast.Cast (_, x) -> eval_const_expr ctx x
   | _ -> fail e.Ast.e_range "unsupported construct in constant expression"
 
-(* Resolve the kernel for a CGC kernel definition: prefer a registered
-   executable twin with a matching signature; otherwise register a
-   placeholder so the graph can be frozen and extracted. *)
-let kernel_of_cgc ctx (k : Ast.kernel) : Cgsim.Kernel.t =
+(* Resolve the kernel for a CGC kernel definition: prefer the caller's
+   executable twin of that name, whose signature must match; otherwise
+   build a placeholder so the graph can be frozen and extracted. *)
+let resolve_kernel ctx (k : Ast.kernel) : Cgsim.Kernel.t =
   let ports = Sema.ports_of_kernel ctx.env k in
   let realm =
     match Cgsim.Kernel.realm_of_string k.Ast.k_realm with
     | Some r -> r
     | None -> fail k.Ast.k_range "unknown realm %s" k.Ast.k_realm
   in
-  match Cgsim.Registry.find k.Ast.k_name with
+  let named (t : Cgsim.Kernel.t) = String.equal t.Cgsim.Kernel.name k.Ast.k_name in
+  match List.find_opt named ctx.twins with
   | Some twin ->
     let twin_ports = Array.to_list twin.Cgsim.Kernel.ports in
     if List.length twin_ports <> List.length ports then
-      fail k.Ast.k_range
-        "kernel %s: CGC declaration has %d ports but the registered implementation has %d"
+      fail k.Ast.k_range "kernel %s: CGC declaration has %d ports but its twin has %d"
         k.Ast.k_name (List.length ports) (List.length twin_ports);
     List.iteri
       (fun i (spec : Cgsim.Kernel.port_spec) ->
         let t = List.nth twin_ports i in
         if spec.Cgsim.Kernel.dir <> t.Cgsim.Kernel.dir then
-          fail k.Ast.k_range "kernel %s port %s: direction differs from the registered twin"
-            k.Ast.k_name spec.Cgsim.Kernel.pname;
+          fail k.Ast.k_range "kernel %s port %s: direction differs from the twin" k.Ast.k_name
+            spec.Cgsim.Kernel.pname;
         if not (Cgsim.Dtype.equal spec.Cgsim.Kernel.dtype t.Cgsim.Kernel.dtype) then
-          fail k.Ast.k_range "kernel %s port %s: dtype %s differs from the registered twin's %s"
+          fail k.Ast.k_range "kernel %s port %s: dtype %s differs from the twin's %s"
             k.Ast.k_name spec.Cgsim.Kernel.pname
             (Cgsim.Dtype.to_string spec.Cgsim.Kernel.dtype)
             (Cgsim.Dtype.to_string t.Cgsim.Kernel.dtype);
@@ -197,11 +200,11 @@ let kernel_of_cgc ctx (k : Ast.kernel) : Cgsim.Kernel.t =
             false
         in
         if not same_transport then
-          fail k.Ast.k_range "kernel %s port %s: transport differs from the registered twin"
-            k.Ast.k_name spec.Cgsim.Kernel.pname)
+          fail k.Ast.k_range "kernel %s port %s: transport differs from the twin" k.Ast.k_name
+            spec.Cgsim.Kernel.pname)
       ports;
     if not (Cgsim.Kernel.equal_realm twin.Cgsim.Kernel.realm realm) then
-      fail k.Ast.k_range "kernel %s: realm differs from the registered twin" k.Ast.k_name;
+      fail k.Ast.k_range "kernel %s: realm differs from the twin" k.Ast.k_name;
     (* Queue depths are CGC-side tuning, not part of the twin contract:
        a declared <.., DEPTH> argument overlays the twin's port settings
        so the instantiated graph actually gets the declared capacity. *)
@@ -230,14 +233,21 @@ let kernel_of_cgc ctx (k : Ast.kernel) : Cgsim.Kernel.t =
                ports);
       }
   | None ->
-    let kernel =
-      Cgsim.Kernel.define ~realm ~name:k.Ast.k_name ports (fun _ ->
-          failwith
-            (Printf.sprintf
-               "CGC kernel %s has no executable implementation (extraction-only kernel)"
-               k.Ast.k_name))
-    in
-    Cgsim.Registry.register kernel;
+    Cgsim.Kernel.define ~realm ~name:k.Ast.k_name ports (fun _ ->
+        failwith
+          (Printf.sprintf
+             "CGC kernel %s has no executable implementation (extraction-only kernel)"
+             k.Ast.k_name))
+
+(* One kernel per CGC definition and call: every invocation (a loop's
+   included) shares it, as the graph's one-definition-per-name check
+   requires. *)
+let kernel_of_cgc ctx (k : Ast.kernel) =
+  match Hashtbl.find_opt ctx.kernels k.Ast.k_name with
+  | Some kernel -> kernel
+  | None ->
+    let kernel = resolve_kernel ctx k in
+    Hashtbl.add ctx.kernels k.Ast.k_name kernel;
     kernel
 
 let rec eval_expr ctx scope (e : Ast.expr) : value =
@@ -439,9 +449,11 @@ and eval_stmt ctx scope (s : Ast.stmt) =
     fail s.Ast.s_range "break/continue are not supported in graph definitions"
   | Ast.S_block body -> eval_stmts ctx (new_scope (Some scope)) body
 
-let eval_graph env (g : Ast.graph) : Cgsim.Serialized.t =
+let eval_graph ~twins env (g : Ast.graph) : Cgsim.Serialized.t =
   let builder = Cgsim.Builder.create ~name:g.Ast.g_name in
-  let ctx = { env; builder; globals_cache = Hashtbl.create 16 } in
+  let ctx =
+    { env; builder; globals_cache = Hashtbl.create 16; twins; kernels = Hashtbl.create 8 }
+  in
   let scope = new_scope None in
   (* Lambda parameters become the graph's global inputs, in order. *)
   List.iter
@@ -477,5 +489,7 @@ let eval_graph env (g : Ast.graph) : Cgsim.Serialized.t =
 
 let eval_constant env name =
   let builder = Cgsim.Builder.create ~name:"<constant-eval>" in
-  let ctx = { env; builder; globals_cache = Hashtbl.create 4 } in
+  let ctx =
+    { env; builder; globals_cache = Hashtbl.create 4; twins = []; kernels = Hashtbl.create 1 }
+  in
   eval_global ctx Srcloc.dummy name

@@ -31,10 +31,11 @@ val eval_constant : Sema.env -> string -> value
 
 (** Evaluate a graph definition to its flattened serialized form.
 
-    Kernels referenced by the lambda are resolved against
-    {!Cgsim.Registry}: if a kernel with the same name is registered, its
+    Kernels referenced by the lambda are resolved against [twins], once
+    per definition and call: if a twin has the CGC kernel's name, its
     signature must match the CGC declaration (dtype, direction, settings
     per port) and its executable body is used; otherwise a
-    non-executable placeholder kernel is registered so the graph can
-    still be frozen, partitioned and code-generated. *)
-val eval_graph : Sema.env -> Ast.graph -> Cgsim.Serialized.t
+    non-executable placeholder kernel stands in, so the graph can still
+    be frozen, partitioned and code-generated.  Nothing outlives the
+    call: two calls with different [twins] resolve independently. *)
+val eval_graph : twins:Cgsim.Kernel.t list -> Sema.env -> Ast.graph -> Cgsim.Serialized.t

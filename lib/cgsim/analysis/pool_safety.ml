@@ -6,22 +6,19 @@ let analyze (g : S.t) =
   let unknown = ref [] in
   Array.iter
     (fun (inst : S.kernel_inst) ->
-      match Registry.find inst.S.key with
-      | None -> ()  (* structural validation reports unregistered keys *)
-      | Some k ->
-        (match k.Kernel.purity with
-         | Kernel.Stateful ->
-           diags :=
-             D.make ~severity:D.Warning ~code:"CG-W401" ~graph:g.S.gname
-               ~kernels:[ inst.S.inst_name ] ?loc:inst.S.src
-               (Printf.sprintf
-                  "kernel %s (%s) is declared stateful: concurrent pool serving of this graph \
-                   may observe cross-request interference"
-                  inst.S.inst_name inst.S.key)
-             :: !diags
-         | Kernel.Pure -> ()
-         | Kernel.Unknown ->
-           if not (List.mem inst.S.key !unknown) then unknown := inst.S.key :: !unknown))
+      let name = inst.S.kernel.Kernel.name in
+      match inst.S.kernel.Kernel.purity with
+      | Kernel.Stateful ->
+        diags :=
+          D.make ~severity:D.Warning ~code:"CG-W401" ~graph:g.S.gname
+            ~kernels:[ inst.S.inst_name ] ?loc:inst.S.src
+            (Printf.sprintf
+               "kernel %s (%s) is declared stateful: concurrent pool serving of this graph \
+                may observe cross-request interference"
+               inst.S.inst_name name)
+          :: !diags
+      | Kernel.Pure -> ()
+      | Kernel.Unknown -> if not (List.mem name !unknown) then unknown := name :: !unknown)
     g.S.kernels;
   let diags = List.rev !diags in
   match List.rev !unknown with

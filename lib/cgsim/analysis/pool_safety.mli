@@ -3,8 +3,7 @@
     {!Pool} instantiates and runs the same serialized graph on
     several domains at once; a kernel body that captures shared mutable
     state (declared [~pure:false]) makes those runs interfere.  This
-    pass resolves every kernel instance through the registry and
-    reports:
+    pass reads each kernel instance's declared purity and reports:
 
     - [CG-W401]: an instance of a kernel declared stateful — concurrent
       pool serving (or even back-to-back runs) may observe cross-request

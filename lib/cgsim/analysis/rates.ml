@@ -31,12 +31,7 @@ let ratio_to_string r = if r.den = 1 then string_of_int r.num else Printf.sprint
 
 let port_rate (g : S.t) kernel_idx port_idx =
   let inst = g.S.kernels.(kernel_idx) in
-  let declared =
-    match Registry.find inst.S.key with
-    | Some k -> Kernel.rate k port_idx
-    | None -> None
-  in
-  match declared with
+  match Kernel.rate inst.S.kernel port_idx with
   | Some _ as r -> r
   | None ->
     let net = g.S.nets.(inst.S.port_nets.(port_idx)) in
@@ -61,7 +56,7 @@ type constraint_edge = {
 
 let ep_port_name (g : S.t) (ep : S.endpoint) =
   let ki = g.S.kernels.(ep.S.kernel_idx) in
-  ki.S.ports.(ep.S.port_idx).Kernel.pname
+  ki.S.kernel.Kernel.ports.(ep.S.port_idx).Kernel.pname
 
 (* Shared propagation core: collects the balance constraints, solves by
    propagation per connected component, and returns the raw solution —

@@ -5,7 +5,7 @@
     come from three sources, in order of preference:
 
     - rates declared on the kernel definition ({!Kernel.define}'s
-      [?rates]), resolved through the registry;
+      [?rates]), read from each instance's kernel;
     - window transports, which imply [window_bytes / elem_bytes] beats
       per firing (a window kernel fires once per full window);
     - RTP transports, which imply rate 0 (a scalar written out-of-band,

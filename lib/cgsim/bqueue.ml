@@ -49,8 +49,6 @@ let name q = q.ring.Ring.name
 let dtype q = q.ring.Ring.dtype
 let capacity q = q.ring.Ring.cap
 let total_put q = q.ring.Ring.head
-let producers q = q.producers_total
-let consumers q = List.length q.ring.Ring.cursors
 let space q = Ring.space q.ring
 let occupancy q = Ring.occupancy q.ring
 

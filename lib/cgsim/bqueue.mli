@@ -49,14 +49,6 @@ val capacity : t -> int
 val add_consumer : t -> consumer
 val add_producer : t -> producer
 
-(** Endpoints registered so far: producers over the queue's lifetime
-    (including finished ones) and attached consumers.  The runtime uses
-    these to reject miswired edges before execution instead of hanging
-    at run time. *)
-
-val producers : t -> int
-val consumers : t -> int
-
 (** [reset q] restores the queue to its just-created-and-wired state:
     cursors and sequence numbers return to zero, buffered contents are
     discarded, every registered producer is reopened and the queue is

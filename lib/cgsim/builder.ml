@@ -172,14 +172,9 @@ let freeze t =
   let kernels =
     Array.map
       (fun st ->
-        if not (Registry.mem st.kernel.Kernel.name) then
-          fail "graph %s: kernel %s is not registered (Registry.register it first)" t.gname
-            st.kernel.Kernel.name;
         {
           Serialized.inst_name = st.inst_name;
-          key = st.kernel.Kernel.name;
-          realm = st.kernel.Kernel.realm;
-          ports = st.kernel.Kernel.ports;
+          kernel = st.kernel;
           port_nets = st.port_nets;
           src = st.inst_src;
         })

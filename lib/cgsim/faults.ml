@@ -140,7 +140,7 @@ let tap t (inst : Serialized.kernel_inst) port_idx port =
   match List.filter (fun a -> matches a inst.Serialized.inst_name) t.t_armed with
   | [] -> None
   | armed ->
-    let writer = inst.Serialized.ports.(port_idx).Kernel.dir = Kernel.Out in
+    let writer = inst.Serialized.kernel.Kernel.ports.(port_idx).Kernel.dir = Kernel.Out in
     let count = ref 0 in
     let pressure = ref 0 in
     let before () =

@@ -23,7 +23,8 @@ let to_string (g : Serialized.t) =
   addf "graph %s\n" g.gname;
   Array.iter
     (fun (ki : Serialized.kernel_inst) ->
-      addf "kernel %s %s %s\n" ki.inst_name ki.key (Kernel.realm_to_string ki.realm);
+      addf "kernel %s %s %s\n" ki.inst_name ki.kernel.Kernel.name
+        (Kernel.realm_to_string ki.kernel.Kernel.realm);
       (match ki.src with
        | Some span -> addf "  src %s\n" (Srcspan.to_compact span)
        | None -> ());
@@ -34,7 +35,7 @@ let to_string (g : Serialized.t) =
           addf "  port %s %s %s%s\n" spec.Kernel.pname dir
             (dtype_to_string spec.Kernel.dtype)
             (if settings = [] then "" else " " ^ String.concat " " settings))
-        ki.ports;
+        ki.kernel.Kernel.ports;
       addf "  nets %s\n"
         (String.concat " " (Array.to_list (Array.map string_of_int ki.port_nets))))
     g.kernels;

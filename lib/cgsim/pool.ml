@@ -440,7 +440,7 @@ let create ?(config = Run_config.default) ~domains () =
   pool
 
 (* Find-or-compile under the cache lock.  Compilation (validation +
-   registry resolution + the one pre-flight lint whose verdict the entry
+   wiring check + the one pre-flight lint whose verdict the entry
    carries) happens at most once per cached graph; warm hits and retries
    never re-lint.  May raise exactly as [Runtime.compile] does. *)
 let acquire_entry pool g =

@@ -19,7 +19,7 @@
     front ends ({!Serve.Server}) drive {!submit}/{!await} directly.
 
     {b Warm serving}: each graph is {!Runtime.compile}d once under the
-    pool's config — validation, registry resolution and the pre-flight
+    pool's config — validation, the wiring check and the pre-flight
     lint verdict live in the pool's own warm cache, bounded (least
     recently used evicted) and keyed by graph identity alone — and
     served requests draw {!Runtime.reset} instances from the entry's

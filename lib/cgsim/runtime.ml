@@ -94,7 +94,7 @@ let pp_outcome ppf = function
    static compute-graph description from its simulated execution):
 
    - [compiled]: everything derivable from the Serialized.t + Run_config
-     pair alone — validation, registry resolution, per-net queue
+     pair alone — validation, the wiring check, per-net queue
      capacities, precomputed fiber profiler keys and the pre-flight lint
      verdict.  Built once, shared freely.
 
@@ -108,7 +108,6 @@ let pp_outcome ppf = function
 type compiled = {
   c_graph : Serialized.t;
   c_config : Run_config.t;
-  c_kernels : Kernel.t array;  (* registry-resolved, indexed like kernels *)
   c_prof_keys : string array;  (* per kernel inst, for Sched.spawn *)
   c_capacities : int array;  (* per net id *)
 }
@@ -116,14 +115,13 @@ type compiled = {
 (* One kernel port wired to its queue endpoint.  Raw (untapped) port
    records are built once per instance; [arm] taps them per run. *)
 type port_wire =
-  | Wire_in of int * Port.reader  (* port index in inst.ports *)
+  | Wire_in of int * Port.reader  (* port index in the kernel's ports *)
   | Wire_out of int * Port.writer
 
 type wired_kernel = {
   wk_inst : Serialized.kernel_inst;
-  wk_kernel : Kernel.t;
   wk_prof_key : string;
-  wk_wires : port_wire array;  (* in inst.ports order *)
+  wk_wires : port_wire array;  (* in the kernel's port order *)
   wk_producers : Bqueue.producer list;  (* closed when the fiber ends *)
 }
 
@@ -159,25 +157,47 @@ let net_traffic t = Array.map Bqueue.total_put t.queues
 
 let cancel t = Sched.cancel t.sched
 
-(* Validation first, then the pre-flight lint: at [`Error] a failing
-   graph is refused here, before any instance exists or any kernel body
-   runs.  Capacity synthesis only ever raises a depth, so a queue the
-   user sized deliberately is never shrunk. *)
+(* Every net needs at least one producer (a kernel writer or a global
+   input's source) and one consumer (a kernel reader or a global output's
+   sink): a producer-less queue never closes (its readers would hang
+   until end-of-run cancellation), and a consumer-less queue retires
+   nothing (its writers fill it and hang).  Checking here, from the
+   graph alone, makes every simulator that compiles the graph refuse
+   it, naming the kernel ports. *)
+let check_wiring (g : Serialized.t) =
+  let describe_eps eps =
+    match eps with
+    | [] -> "no kernel ports"
+    | _ ->
+      String.concat ", "
+        (List.map
+           (fun (ep : Serialized.endpoint) ->
+             let ki = g.Serialized.kernels.(ep.kernel_idx) in
+             Printf.sprintf "%s.%s" ki.inst_name ki.kernel.Kernel.ports.(ep.port_idx).Kernel.pname)
+           eps)
+  in
+  Array.iter
+    (fun (n : Serialized.net) ->
+      if n.writers = [] && n.global_input = None then
+        fail "graph %s: net %s/net%d has no producer — readers %s would hang (missing source?)"
+          g.gname g.gname n.net_id (describe_eps n.readers);
+      if n.readers = [] && n.global_output = None then
+        fail "graph %s: net %s/net%d has no consumer — writers %s would hang (missing sink?)"
+          g.gname g.gname n.net_id (describe_eps n.writers))
+    g.Serialized.nets
+
+(* Validation, the pre-flight lint and the wiring check: at [`Error] a
+   failing graph is refused here, before any instance exists or any
+   kernel body runs.  Capacity synthesis only ever raises a depth, so a
+   queue the user sized deliberately is never shrunk. *)
 let compile ?(config = Run_config.default) (g : Serialized.t) =
   (match Serialized.validate_diags g with
    | [] -> ()
    | diags ->
      fail "cannot instantiate %s: %s" g.Serialized.gname
        (String.concat "; " (List.map Diagnostic.render diags)));
-  let kernels =
-    Array.map
-      (fun (inst : Serialized.kernel_inst) ->
-        match Registry.find inst.key with
-        | Some k -> k
-        | None -> fail "graph %s references unregistered kernel %s" g.Serialized.gname inst.key)
-      g.Serialized.kernels
-  in
   preflight ~lint:config.Run_config.lint g;
+  check_wiring g;
   let capacities =
     Array.map
       (fun (n : Serialized.net) ->
@@ -193,7 +213,6 @@ let compile ?(config = Run_config.default) (g : Serialized.t) =
   {
     c_graph = g;
     c_config = config;
-    c_kernels = kernels;
     c_prof_keys =
       Array.map
         (fun (inst : Serialized.kernel_inst) -> Obs.Profile.prefix ^ inst.Serialized.inst_name)
@@ -201,42 +220,12 @@ let compile ?(config = Run_config.default) (g : Serialized.t) =
     c_capacities = capacities;
   }
 
-let compiled_kernel c i = c.c_kernels.(i)
-
 let compiled_capacity c id = c.c_capacities.(id)
 
-(* Every net must end wiring with at least one producer and one consumer
-   on its queue: a producer-less queue never closes (its readers would
-   hang until end-of-run cancellation), and a consumer-less queue retires
-   nothing (its writers fill it and hang).  Both used to fail silently at
-   run time; now they fail at instance build, naming the kernel ports. *)
-let check_wiring ~(g : Serialized.t) queues =
-  let describe_eps eps =
-    match eps with
-    | [] -> "no kernel ports"
-    | _ ->
-      String.concat ", "
-        (List.map
-           (fun (ep : Serialized.endpoint) ->
-             let ki = g.Serialized.kernels.(ep.kernel_idx) in
-             Printf.sprintf "%s.%s" ki.inst_name ki.ports.(ep.port_idx).Kernel.pname)
-           eps)
-  in
-  Array.iteri
-    (fun id q ->
-      let (n : Serialized.net) = g.Serialized.nets.(id) in
-      if Bqueue.producers q = 0 then
-        fail "graph %s: net %s has no producer — readers %s would hang (missing source?)"
-          g.gname (Bqueue.name q) (describe_eps n.readers);
-      if Bqueue.consumers q = 0 then
-        fail "graph %s: net %s has no consumer — writers %s would hang (missing sink?)"
-          g.gname (Bqueue.name q) (describe_eps n.writers))
-    queues
-
-(* Build the per-request state from a compiled graph: queues, endpoint
-   registration (kernel ports and one producer/consumer per global I/O
-   slot, so endpoint counts are static across resets) and the wiring
-   check — everything [run] does not have to repeat. *)
+(* Build the per-request state from a compiled graph: queues and
+   endpoint registration (kernel ports and one producer/consumer per
+   global I/O slot, so endpoint counts are static across resets) —
+   everything [run] does not have to repeat. *)
 let new_instance ?(tap = no_taps) ?(context = no_context) (c : compiled) =
   let g = c.c_graph in
   let config = c.c_config in
@@ -283,11 +272,10 @@ let new_instance ?(tap = no_taps) ?(context = no_context) (c : compiled) =
                       w_write = (fun k b off n -> Bqueue.write k p b off n);
                       w_space = (fun () -> Bqueue.space q);
                     } ))
-            inst.ports
+            inst.kernel.Kernel.ports
         in
         {
           wk_inst = inst;
-          wk_kernel = c.c_kernels.(idx);
           wk_prof_key = c.c_prof_keys.(idx);
           wk_wires = wires;
           wk_producers = !producers;
@@ -300,7 +288,6 @@ let new_instance ?(tap = no_taps) ?(context = no_context) (c : compiled) =
   let out_consumers =
     Array.map (fun net_id -> Bqueue.add_consumer queues.(net_id)) g.Serialized.output_order
   in
-  check_wiring ~g queues;
   {
     graph = g;
     sched;
@@ -341,7 +328,7 @@ let kernel_body t ~traced wk binding () =
   let track = wk.wk_inst.Serialized.inst_name in
   let instant name = if traced then Obs.Trace.instant ~track ~cat:"kernel" name in
   instant "body-start";
-  match wk.wk_kernel.Kernel.body binding with
+  match wk.wk_inst.Serialized.kernel.Kernel.body binding with
   | () -> instant "body-end"
   | exception Sched.End_of_stream ->
     instant "body-end";

@@ -3,8 +3,8 @@
     The deserializer and [RuntimeContext] of Sections 3.6–3.8: it takes
     the flattened {!Serialized.t} produced at construction time and
     reconstructs a live graph — one {!Bqueue} per net, one fiber per
-    kernel instance (resolved through {!Registry}), plus source and sink
-    fibers on the global I/O nets — then drives the cooperative scheduler
+    kernel instance running the {!Kernel.t} the instance holds, plus
+    source and sink fibers on the global I/O nets — then drives the cooperative scheduler
     until no fiber can continue, the configured deadline or step budget
     expires, a kernel fails, or the run is cancelled.
 
@@ -13,7 +13,7 @@
     {!run_exn}/{!execute_exn} for the raising convenience.
 
     The lifecycle is split between an immutable {!compiled} graph
-    (validation, registry resolution, lint verdict, queue capacities,
+    (validation, wiring check, lint verdict, queue capacities,
     profiler keys — everything derivable from the {!Serialized.t} +
     {!Run_config.t} pair alone) and cheap per-request
     instances: {!new_instance} builds one, a run uses it, and {!reset}
@@ -113,12 +113,16 @@ val instantiate :
 (** {1 Compile-once serving}
 
     [compile g] does the per-graph work once, in order:
-    - structural validation and registry resolution ({!Runtime_error}
-      on an invalid graph or an unregistered kernel key);
+    - structural validation ({!Runtime_error} on an invalid graph,
+      e.g. two kernels under one name, [CG-E007]);
     - the pre-flight {!Lint.run} at [config.lint]: [`Warn] prints
       warning- and error-level findings to stderr, and at [`Error] a
       graph with error-level findings is refused here, before any
       kernel body runs;
+    - the wiring check: every net needs a producer (a kernel writer or
+      a global input) and a consumer (a kernel reader or a global
+      output), or {!Runtime_error} names the net and its kernel ports
+      (a miswired edge would otherwise hang at run time);
     - per-net queue capacities, raised to {!Capacity.suggest}'s
       minimal deadlock-free depths when [config.auto_capacity] is on;
     - the per-kernel profiler keys.
@@ -128,16 +132,13 @@ val instantiate :
 val compile : ?config:Run_config.t -> Serialized.t -> compiled
 
 (** What another backend reads from a compiled graph (x86sim builds its
-    own queues and threads from it): the registry-resolved kernel of
-    instance [i] (indexing [kernels]), and the queue capacity resolved
-    for net [id]. *)
-val compiled_kernel : compiled -> int -> Kernel.t
-
+    own queues and threads from it): the queue capacity resolved for net
+    [id]. *)
 val compiled_capacity : compiled -> int -> int
 
 (** [new_instance c] builds the per-request state: queues at the
-    compiled capacities, all kernel and global-I/O endpoints registered
-    (so endpoint counts are static across resets) and wiring verified.
+    compiled capacities and all kernel and global-I/O endpoints
+    registered (so endpoint counts are static across resets).
     [tap] and [context] are as for {!instantiate}.  The instance is ready
     for one {!run}; {!reset} readies it for the next. *)
 val new_instance : ?tap:tap_source -> ?context:context_source -> compiled -> t
@@ -153,10 +154,7 @@ val reset : t -> unit
 
 (** [run t ~sources ~sinks] attaches positional sources to the graph's
     global inputs and sinks to its global outputs (counts must match;
-    {!Runtime_error} otherwise), verifies that every net ends up with at
-    least one producer and one consumer (raising {!Runtime_error} naming
-    the offending net and its kernel ports — a miswired edge used to
-    hang silently at run time), then executes under the context's
+    {!Runtime_error} otherwise), then executes under the context's
     {!Run_config.t}: the wall-clock deadline and step budget are
     enforced at every scheduling boundary, and a kernel failure is
     captured with its backtrace and source span rather than escaping.
@@ -164,8 +162,8 @@ val reset : t -> unit
     is a run budget, not part of the compiled graph, so a warm instance
     serves any deadline.
 
-    Wiring errors (wrong source/sink counts, miswired nets) still raise
-    — those are caller bugs, not run outcomes. *)
+    Wrong source/sink counts still raise — those are caller bugs, not
+    run outcomes. *)
 val run : ?deadline_ns:float -> t -> sources:Io.source list -> sinks:Io.sink list -> outcome
 
 (** {!run} then {!stats_exn}: raises {!Runtime_error} on any outcome

@@ -17,9 +17,7 @@ type net = {
 
 type kernel_inst = {
   inst_name : string;
-  key : string;
-  realm : Kernel.realm;
-  ports : Kernel.port_spec array;
+  kernel : Kernel.t;
   port_nets : int array;
   src : Srcspan.t option;
 }
@@ -49,9 +47,9 @@ let endpoint_display t (ep : endpoint) =
     Printf.sprintf "kernel#%d.port#%d" ep.kernel_idx ep.port_idx
   else begin
     let ki = t.kernels.(ep.kernel_idx) in
-    if ep.port_idx < 0 || ep.port_idx >= Array.length ki.ports then
+    if ep.port_idx < 0 || ep.port_idx >= Array.length ki.kernel.Kernel.ports then
       Printf.sprintf "%s.port#%d" ki.inst_name ep.port_idx
-    else Printf.sprintf "%s.%s" ki.inst_name ki.ports.(ep.port_idx).Kernel.pname
+    else Printf.sprintf "%s.%s" ki.inst_name ki.kernel.Kernel.ports.(ep.port_idx).Kernel.pname
   end
 
 let net_display t id =
@@ -101,24 +99,25 @@ let validate_diags t =
   in
   let nk = Array.length t.kernels in
   let nn = Array.length t.nets in
-  Array.iteri
-    (fun _i (ki : kernel_inst) ->
-      if Array.length ki.port_nets <> Array.length ki.ports then
+  Array.iter
+    (fun (ki : kernel_inst) ->
+      let ports = ki.kernel.Kernel.ports in
+      if Array.length ki.port_nets <> Array.length ports then
         problem "CG-E001" ~kernels:[ ki.inst_name ] ?loc:ki.src
           "kernel %s: bound to %d nets but declares %d ports" ki.inst_name
-          (Array.length ki.port_nets) (Array.length ki.ports);
+          (Array.length ki.port_nets) (Array.length ports);
       Array.iteri
         (fun p net_id ->
           if net_id < 0 || net_id >= nn then
             problem "CG-E001" ~kernels:[ ki.inst_name ] ?loc:ki.src
               "kernel %s port %s: net id %d out of range" ki.inst_name
-              (if p < Array.length ki.ports then ki.ports.(p).Kernel.pname
+              (if p < Array.length ports then ports.(p).Kernel.pname
                else Printf.sprintf "#%d" p)
               net_id
           else begin
             let n = t.nets.(net_id) in
-            if p < Array.length ki.ports then begin
-              let spec = ki.ports.(p) in
+            if p < Array.length ports then begin
+              let spec = ports.(p) in
               if not (Dtype.equal spec.Kernel.dtype n.dtype) then
                 problem "CG-E002" ~kernels:[ ki.inst_name ] ~nets:[ net_id ]
                   ?loc:(match ki.src with Some _ as s -> s | None -> net_src t net_id)
@@ -128,7 +127,20 @@ let validate_diags t =
                   (net_display t net_id) (Dtype.to_string n.dtype)
             end
           end)
-        ki.port_nets)
+        ki.port_nets;
+      (* One name, one definition: generated code has one class per
+         kernel name, so two definitions under one name cannot both be
+         what the graph means.  The first instance using the name owns
+         it (the scan ends at this instance at the latest). *)
+      let name = ki.kernel.Kernel.name in
+      let rec owner j =
+        if String.equal t.kernels.(j).kernel.Kernel.name name then t.kernels.(j) else owner (j + 1)
+      in
+      let first = owner 0 in
+      if first.kernel != ki.kernel then
+        problem "CG-E007" ~kernels:[ first.inst_name; ki.inst_name ] ?loc:ki.src
+          "kernels %s and %s use two different definitions named %s" first.inst_name
+          ki.inst_name name)
     t.kernels;
   Array.iteri
     (fun id n ->
@@ -141,12 +153,12 @@ let validate_diags t =
             (net_display t id) role ep.kernel_idx
         else begin
           let ki = t.kernels.(ep.kernel_idx) in
-          if ep.port_idx < 0 || ep.port_idx >= Array.length ki.ports then
+          if ep.port_idx < 0 || ep.port_idx >= Array.length ki.kernel.Kernel.ports then
             problem "CG-E001" ~kernels:[ ki.inst_name ] ~nets:[ id ]
               "%s: %s endpoint port index %d out of range for kernel %s" (net_display t id)
               role ep.port_idx ki.inst_name
           else begin
-            let spec = ki.ports.(ep.port_idx) in
+            let spec = ki.kernel.Kernel.ports.(ep.port_idx) in
             let expected = if role = "writer" then Kernel.Out else Kernel.In in
             if spec.Kernel.dir <> expected then
               problem "CG-E003" ~kernels:[ ki.inst_name ] ~nets:[ id ] ?loc:ki.src
@@ -218,10 +230,11 @@ let net_equal a b =
   && Option.equal String.equal a.global_output b.global_output
 
 let kernel_inst_equal a b =
-  String.equal a.key b.key
-  && Kernel.equal_realm a.realm b.realm
-  && Array.length a.ports = Array.length b.ports
-  && Array.for_all2 port_spec_equal a.ports b.ports
+  let ka = a.kernel and kb = b.kernel in
+  String.equal ka.Kernel.name kb.Kernel.name
+  && Kernel.equal_realm ka.Kernel.realm kb.Kernel.realm
+  && Array.length ka.Kernel.ports = Array.length kb.Kernel.ports
+  && Array.for_all2 port_spec_equal ka.Kernel.ports kb.Kernel.ports
   && Array.length a.port_nets = Array.length b.port_nets
   && Array.for_all2 Int.equal a.port_nets b.port_nets
 
@@ -254,8 +267,8 @@ let pp ppf t =
     (Array.length t.nets);
   Array.iteri
     (fun i ki ->
-      Format.fprintf ppf "  k%d %s : %s [%s] nets=%s@," i ki.inst_name ki.key
-        (Kernel.realm_to_string ki.realm)
+      Format.fprintf ppf "  k%d %s : %s [%s] nets=%s@," i ki.inst_name ki.kernel.Kernel.name
+        (Kernel.realm_to_string ki.kernel.Kernel.realm)
         (String.concat ","
            (Array.to_list (Array.map string_of_int ki.port_nets))))
     t.kernels;

@@ -3,11 +3,13 @@
     The analogue of the constexpr-storable structure of Section 3.5: graph
     construction produces pointer-rich builder state, which is flattened
     into index-based arrays so it can cross the construction/execution
-    boundary.  Everything here is plain data — kernels are referenced by
-    registry key (Section 3.5's "references to template functions") — so
-    the same structure is produced by the OCaml builder and by the CGC
-    const-evaluator, consumed by the runtime deserializer, by both
-    simulators, and by the graph extractor (Section 4.2). *)
+    boundary.  Each kernel instance holds its {!Kernel.t} (Section 3.5's
+    "references to template functions"), and everything else is plain
+    data, so the same structure is produced by the OCaml builder and by
+    the CGC const-evaluator, and consumed by {!Runtime.compile}, by both
+    simulators, and by the graph extractor (Section 4.2).  A graph holds
+    closures: compare graphs with {!equal_topology}, never with [=],
+    [compare] or [Hashtbl.hash]. *)
 
 type endpoint = {
   kernel_idx : int;  (** Index into {!t.kernels}. *)
@@ -30,9 +32,7 @@ type net = {
 
 type kernel_inst = {
   inst_name : string;  (** Unique instance name within the graph. *)
-  key : string;  (** Registry key of the kernel definition. *)
-  realm : Kernel.realm;
-  ports : Kernel.port_spec array;  (** Snapshot of the definition's ports. *)
+  kernel : Kernel.t;  (** The definition: name, realm, ports and body. *)
   port_nets : int array;  (** Net id bound to each port, positionally. *)
   src : Srcspan.t option;  (** Invocation site in CGC source, when known. *)
 }
@@ -63,13 +63,14 @@ val net_src : t -> int -> Srcspan.t option
 (** Structural validation: indices in range, endpoint port directions
     consistent with writer/reader roles, dtypes of endpoints equal to the
     net dtype, merged settings valid, input/output order arrays consistent
-    with net flags.  Returns all problems found, as structured
-    diagnostics (codes CG-E001..CG-E006) naming kernel instances and
-    nets rather than bare indices, with source spans when the graph
-    carries them. *)
+    with net flags, and one definition per kernel name (two instances
+    whose kernels share a name must share the {!Kernel.t}).  Returns all
+    problems found, as structured diagnostics (codes CG-E001..CG-E007)
+    naming kernel instances and nets rather than bare indices, with
+    source spans when the graph carries them. *)
 val validate_diags : t -> Diagnostic.t list
 
-(** Topological equality: same kernels (by key, realm, ports), same nets
+(** Topological equality: same kernels (by name, realm, ports), same nets
     (by dtype, settings, endpoints, attrs, global roles) and same I/O
     order, ignoring net ids' numeric values beyond their structural role
     and ignoring instance-name spelling.  Used to property-test that

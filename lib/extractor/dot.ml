@@ -41,8 +41,8 @@ let of_graph ?(lint = []) (g : Cgsim.Serialized.t) =
   Array.iteri
     (fun i (ki : Cgsim.Serialized.kernel_inst) ->
       addf "  k%d [shape=box, style=filled, fillcolor=%s, label=\"%s\\n[%s]\"];\n" i
-        (realm_color ki.realm) ki.inst_name
-        (Cgsim.Kernel.realm_to_string ki.realm))
+        (realm_color ki.kernel.Cgsim.Kernel.realm) ki.inst_name
+        (Cgsim.Kernel.realm_to_string ki.kernel.Cgsim.Kernel.realm))
     g.kernels;
   Array.iter
     (fun (n : Cgsim.Serialized.net) ->

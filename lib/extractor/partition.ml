@@ -17,7 +17,7 @@ let pp_port_class ppf = function
 exception Partition_error of string
 
 let endpoint_realm (g : Cgsim.Serialized.t) (ep : Cgsim.Serialized.endpoint) =
-  g.kernels.(ep.kernel_idx).realm
+  g.kernels.(ep.kernel_idx).kernel.Cgsim.Kernel.realm
 
 let classify (g : Cgsim.Serialized.t) =
   Array.map
@@ -37,11 +37,14 @@ let classify (g : Cgsim.Serialized.t) =
 let realms (g : Cgsim.Serialized.t) =
   Array.fold_left
     (fun acc (ki : Cgsim.Serialized.kernel_inst) ->
-      if List.exists (Cgsim.Kernel.equal_realm ki.realm) acc then acc else acc @ [ ki.realm ])
+      let realm = ki.kernel.Cgsim.Kernel.realm in
+      if List.exists (Cgsim.Kernel.equal_realm realm) acc then acc else acc @ [ realm ])
     [] g.kernels
 
 let subgraph (g : Cgsim.Serialized.t) realm =
-  let keep_kernel (ki : Cgsim.Serialized.kernel_inst) = Cgsim.Kernel.equal_realm ki.realm realm in
+  let keep_kernel (ki : Cgsim.Serialized.kernel_inst) =
+    Cgsim.Kernel.equal_realm ki.kernel.Cgsim.Kernel.realm realm
+  in
   let kept_kernels =
     Array.of_list (List.filter keep_kernel (Array.to_list g.kernels))
   in

@@ -69,7 +69,7 @@ let readme (g : Cgc.Ast.graph) (serialized : Cgsim.Serialized.t) host_kernels li
   Buffer.contents buf
 
 let extract env (g : Cgc.Ast.graph) =
-  let serialized = Cgc.Consteval.eval_graph env g in
+  let serialized = Cgc.Consteval.eval_graph ~twins:Apps.Harness.twins env g in
   let lint = Cgsim.Lint.run serialized in
   (match Cgsim.Diagnostic.max_severity lint with
    | Some Cgsim.Diagnostic.Error ->
@@ -105,7 +105,10 @@ let extract env (g : Cgc.Ast.graph) =
   let host_kernels =
     List.filter_map
       (fun (ki : Cgsim.Serialized.kernel_inst) ->
-        if Cgsim.Kernel.equal_realm ki.realm Cgsim.Kernel.Noextract then Some ki.key else None)
+        let k = ki.kernel in
+        if Cgsim.Kernel.equal_realm k.Cgsim.Kernel.realm Cgsim.Kernel.Noextract then
+          Some k.Cgsim.Kernel.name
+        else None)
       (Array.to_list serialized.Cgsim.Serialized.kernels)
     |> List.sort_uniq compare
   in

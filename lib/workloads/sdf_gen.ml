@@ -48,10 +48,10 @@ type case = {
 (* ------------------------------------------------------------------ *)
 (* Kernel factory.                                                     *)
 (*                                                                     *)
-(* The registry is global and a name collision with a different kernel *)
-(* is an error, so kernels are memoized by a name that encodes their   *)
-(* entire behavior (rates, declaredness, prologue, scale): the same    *)
-(* name always maps to the same definition, across cases and seeds.    *)
+(* A graph may hold one definition per kernel name (CG-E007), so       *)
+(* kernels are memoized by a name that encodes their entire behavior   *)
+(* (rates, declaredness, prologue, scale): the same name always maps   *)
+(* to the same definition, across cases and seeds.                     *)
 (* ------------------------------------------------------------------ *)
 
 let kernel_cache : (string, K.t) Hashtbl.t = Hashtbl.create 64
@@ -105,7 +105,6 @@ let mk_kernel ~declare ~prologue ~scale_tenths ~in_rates ~out_rates =
       done
     in
     let k = K.define ?rates ~pure:true ~realm:K.Aie ~name ports body in
-    Cgsim.Registry.register k;
     Hashtbl.add kernel_cache name k;
     k
 

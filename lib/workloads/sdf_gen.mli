@@ -47,9 +47,9 @@ type case = {
 }
 
 (** [generate ?defect ~seed ()] builds one case; deterministic in
-    (seed, defect).  Generated kernels self-register in the global
-    registry under behavior-encoding names (prefix ["sdfgen_"]), so
-    repeated generation is idempotent. *)
+    (seed, defect).  Generated kernels are memoized under
+    behavior-encoding names (prefix ["sdfgen_"]), so a name always means
+    one definition and repeated generation is idempotent. *)
 val generate : ?defect:defect -> seed:int -> unit -> case
 
 (** The deterministic case mix: seeds [1000+i], cycling three clean

@@ -30,8 +30,8 @@ let outcome_label = function
 let deep_stream_depth = 4096
 
 let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~sinks =
-  (* Validation, registry lookup, the pre-flight lint and per-net depths
-     are cgsim's compile; capacity synthesis does not apply here. *)
+  (* Validation, the pre-flight lint, the wiring check and per-net
+     depths are cgsim's compile; capacity synthesis does not apply here. *)
   let compiled =
     try Cgsim.Runtime.compile ~config:(Cgsim.Run_config.with_auto_capacity false config) g
     with Cgsim.Runtime.Runtime_error msg -> raise (X86sim_error msg)
@@ -75,9 +75,9 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
   in
   let bodies = ref [] in
   (* Wire kernels. *)
-  Array.iteri
-    (fun idx (inst : Cgsim.Serialized.kernel_inst) ->
-      let kernel = Cgsim.Runtime.compiled_kernel compiled idx in
+  Array.iter
+    (fun (inst : Cgsim.Serialized.kernel_inst) ->
+      let kernel = inst.kernel in
       (* The producer wakes this kernel's reads defer (see Tqueue). *)
       let w = Tqueue.waker () in
       let readers = ref [] and writers = ref [] and producers = ref [] in
@@ -107,7 +107,7 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
                 w_space = (fun () -> Tqueue.space p);
               }
               :: !writers)
-        inst.ports;
+        kernel.Cgsim.Kernel.ports;
       let binding =
         {
           Cgsim.Kernel.readers = Array.of_list (List.rev !readers);

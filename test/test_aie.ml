@@ -630,8 +630,6 @@ let loop4_kernel =
             Cgsim.Port.put o (Cgsim.Port.get i))
       done)
 
-let () = Cgsim.Registry.register loop4_kernel
-
 let test_trace_loop_abort_on_end_of_stream () =
   let g =
     Cgsim.Builder.make ~name:"abortg" ~inputs:[ "x", Cgsim.Dtype.I32 ] (fun b conns ->
@@ -690,10 +688,6 @@ let sum2_kernel =
         let y = Cgsim.Port.get_int b in
         Cgsim.Port.put_int o (x + y)
       done)
-
-let () =
-  Cgsim.Registry.register pass_kernel;
-  Cgsim.Registry.register sum2_kernel
 
 let test_cyclic_graph_terminates () =
   (* A feedback loop with no initial token deadlocks; the run must END

@@ -190,7 +190,6 @@ let test_deploy_rejects_foreign_realms () =
           Cgsim.Port.put o (Cgsim.Port.get i)
         done)
   in
-  Cgsim.Registry.register host;
   let g =
     Cgsim.Builder.make ~name:"hosty" ~inputs:[ "x", Cgsim.Dtype.F32 ] (fun b conns ->
         let out = Cgsim.Builder.net b Cgsim.Dtype.F32 in
@@ -275,8 +274,6 @@ let gmio_copy_kernel =
         Aie.Trace.mark_iteration tr;
         Cgsim.Port.put_int o (Cgsim.Port.get_int i + 1)
       done)
-
-let () = Cgsim.Registry.register gmio_copy_kernel
 
 let gmio_graph () =
   Cgsim.Builder.make ~name:"gmio_graph" ~inputs:[ "ddr_in", Cgsim.Dtype.I32 ] (fun b conns ->

@@ -45,7 +45,6 @@ let stream_kernel ?rates ?pure ?(body = idle_body) ?in_settings ?out_settings na
       ]
       body
   in
-  Cgsim.Registry.register k;
   k
 
 let sink_kernel name =
@@ -54,7 +53,6 @@ let sink_kernel name =
       [ Cgsim.Kernel.in_port "in" Cgsim.Dtype.F32 ]
       idle_body
   in
-  Cgsim.Registry.register k;
   k
 
 (* in + feedback-in -> out, and its partner in -> feedback-out + out;
@@ -85,8 +83,6 @@ let cycle_kernels ?rates ?fb_depth prefix =
       ]
       idle_body
   in
-  Cgsim.Registry.register fwd;
-  Cgsim.Registry.register back;
   fwd, back
 
 let cycle_graph ~name (fwd, back) =
@@ -145,8 +141,6 @@ let test_rates_unbalanced () =
       ]
       idle_body
   in
-  Cgsim.Registry.register a;
-  Cgsim.Registry.register b;
   let g =
     Cgsim.Builder.make ~name:"ana_unbalanced" ~inputs:[ "in", Cgsim.Dtype.F32 ]
       (fun bld conns ->
@@ -396,7 +390,6 @@ let test_hazard_partial_beat () =
       ]
       idle_body
   in
-  Cgsim.Registry.register k;
   let g =
     Cgsim.Builder.make ~name:"ana_beat" ~inputs:[ "in", dtype ] (fun bld conns ->
         let out = Cgsim.Builder.net bld dtype in
@@ -499,8 +492,6 @@ let test_runtime_refuses_at_error () =
       ]
       (fun _ -> executed := true)
   in
-  Cgsim.Registry.register fwd;
-  Cgsim.Registry.register back;
   let g = cycle_graph ~name:"ana_refused" (fwd, back) in
   (match
      Cgsim.Runtime.execute_exn ~config:Cgsim.Run_config.(with_lint `Error default) g
@@ -631,7 +622,7 @@ let test_cgc_underbuffered_cycle () =
   let env = Cgc.Driver.analyze_string ~file:"underbuffered.cgc" underbuffered_cgc in
   match Cgc.Sema.graphs env with
   | [ g ] ->
-    let serialized = Cgc.Consteval.eval_graph env g in
+    let serialized = Cgc.Consteval.eval_graph ~twins:[] env g in
     let diags = Lint.run serialized in
     Alcotest.(check int) "exit status 2" 2 (D.exit_status diags);
     (match with_code "CG-E201" diags with
@@ -730,7 +721,7 @@ let test_examples_lint_clean () =
          let env = Cgc.Driver.analyze_file path in
          List.iter
            (fun (g : Cgc.Ast.graph) ->
-             let diags = Lint.run (Cgc.Consteval.eval_graph env g) in
+             let diags = Lint.run (Cgc.Consteval.eval_graph ~twins:Apps.Harness.twins env g) in
              match D.max_severity diags with
              | Some D.Error ->
                Alcotest.failf "%s graph %s has lint errors:\n%s" f g.Cgc.Ast.g_name
@@ -747,7 +738,7 @@ let test_graph_text_src_lines () =
   let env = Cgc.Driver.analyze_string ~file:"fanout.cgc" fanout_cgc in
   match Cgc.Sema.graphs env with
   | [ g ] ->
-    let serialized = Cgc.Consteval.eval_graph env g in
+    let serialized = Cgc.Consteval.eval_graph ~twins:[] env g in
     let text = Cgsim.Graph_text.to_string serialized in
     let check what = function
       | Some span ->

@@ -253,10 +253,10 @@ let test_sema_deps () =
 (* Consteval                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let eval_graph_of src =
+let eval_graph_of ?(twins = []) src =
   let env = analyze src in
   match Cgc.Sema.graphs env with
-  | [ g ] -> Cgc.Consteval.eval_graph env g
+  | [ g ] -> Cgc.Consteval.eval_graph ~twins env g
   | _ -> Alcotest.fail "expected exactly one graph"
 
 let test_consteval_adder () =
@@ -297,7 +297,7 @@ let test_consteval_matches_builder () =
   (* The CGC adder graph and the equivalent OCaml builder graph have equal
      topologies — the round-trip property from DESIGN.md. *)
   let cgc_g = eval_graph_of adder_source in
-  let twin = Cgsim.Registry.find_exn "adder_kernel" in
+  let twin = cgc_g.Cgsim.Serialized.kernels.(0).Cgsim.Serialized.kernel in
   let builder_g =
     Cgsim.Builder.make ~name:"adder_graph"
       ~inputs:[ "a", Cgsim.Dtype.F32; "b", Cgsim.Dtype.F32 ]
@@ -312,6 +312,71 @@ let test_consteval_matches_builder () =
         | _ -> assert false)
   in
   Alcotest.(check bool) "equal topology" true (Cgsim.Serialized.equal_topology cgc_g builder_g)
+
+(* The twins are an argument, not a property of the process: the same
+   source evaluates against a twin that declares rates and purity, or
+   against none, and each graph reads what its own call resolved. *)
+let test_consteval_twins_are_an_argument () =
+  let twin =
+    Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"adder_kernel" ~pure:true
+      ~rates:[ "in1", 3; "in2", 3; "out", 3 ]
+      [
+        Cgsim.Kernel.in_port "in1" Cgsim.Dtype.F32;
+        Cgsim.Kernel.in_port "in2" Cgsim.Dtype.F32;
+        Cgsim.Kernel.out_port "out" Cgsim.Dtype.F32;
+      ]
+      (fun _ -> ())
+  in
+  let with_twin = eval_graph_of ~twins:[ twin ] adder_source in
+  let without = eval_graph_of adder_source in
+  let reports_i402 g =
+    List.exists
+      (fun (d : Cgsim.Diagnostic.t) -> String.equal d.Cgsim.Diagnostic.code "CG-I402")
+      (Cgsim.Lint.run g)
+  in
+  let kernel g = g.Cgsim.Serialized.kernels.(0).Cgsim.Serialized.kernel in
+  Alcotest.(check bool) "the twin is the instance's kernel" true (kernel with_twin == twin);
+  Alcotest.(check bool) "declared purity: no CG-I402" false (reports_i402 with_twin);
+  Alcotest.(check (option int)) "declared rate" (Some 3) (Cgsim.Rates.port_rate with_twin 0 0);
+  Alcotest.(check bool) "no twin: CG-I402" true (reports_i402 without);
+  Alcotest.(check (option int)) "no twin: no rate" None (Cgsim.Rates.port_rate without 0 0);
+  Alcotest.(check bool) "a placeholder per call" false
+    (kernel without == kernel (eval_graph_of adder_source))
+
+(* A kernel invoked in a loop resolves once per call: every instance
+   holds one definition, also when a declared depth overlays the twin's
+   ports (a fresh record per invocation would be two definitions under
+   one name, CG-E007). *)
+let test_consteval_loop_shares_definition () =
+  let src =
+    {|COMPUTE_KERNEL(aie, loop_pass, KernelReadPort<float, 4> in, KernelWritePort<float> out) {
+    while (true) { co_await out.put(co_await in.get()); }
+};
+constexpr auto loop_graph = make_compute_graph_v<[](IoConnector<float> a) {
+    IoConnector<float> prev = a;
+    for (int i = 0; i < 3; ++i) {
+        IoConnector<float> next;
+        loop_pass(prev, next);
+        prev = next;
+    }
+    return std::make_tuple(prev);
+}>;|}
+  in
+  let twin =
+    Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"loop_pass"
+      [ Cgsim.Kernel.in_port "in" Cgsim.Dtype.F32; Cgsim.Kernel.out_port "out" Cgsim.Dtype.F32 ]
+      (fun _ -> ())
+  in
+  List.iter
+    (fun (what, twins) ->
+      let g = eval_graph_of ~twins src in
+      let ks = Array.map (fun ki -> ki.Cgsim.Serialized.kernel) g.Cgsim.Serialized.kernels in
+      Alcotest.(check int) (what ^ ": three instances") 3 (Array.length ks);
+      Alcotest.(check bool) (what ^ ": one definition") true
+        (Array.for_all (fun k -> k == ks.(0)) ks);
+      Alcotest.(check (option int)) (what ^ ": declared depth") (Some 4)
+        ks.(0).Cgsim.Kernel.ports.(0).Cgsim.Kernel.settings.Cgsim.Settings.depth)
+    [ "twin", [ twin ]; "placeholder", [] ]
 
 let test_consteval_broadcast_merge () =
   let src =
@@ -378,8 +443,9 @@ constexpr auto rd_graph = make_compute_graph_v<[](IoConnector<float> a) {
 (* Property: random graphs round-trip through CGC                      *)
 (* ------------------------------------------------------------------ *)
 
-(* One shared f32 pass-through kernel, registered once; the generated CGC
-   source declares the same signature so the consteval twin check holds. *)
+(* One shared f32 pass-through kernel, the twin of every node; the
+   generated CGC source declares the same signature so the consteval twin
+   check holds. *)
 let prop_node_kernel =
   Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"prop_node_kernel"
     [ Cgsim.Kernel.in_port "in" Cgsim.Dtype.F32; Cgsim.Kernel.out_port "out" Cgsim.Dtype.F32 ]
@@ -388,8 +454,6 @@ let prop_node_kernel =
       while true do
         Cgsim.Port.put o (Cgsim.Port.get i)
       done)
-
-let () = Cgsim.Registry.register prop_node_kernel
 
 let prop_kernel_cgc =
   "#include \"cgsim.hpp\"\n\
@@ -477,7 +541,7 @@ let prop_random_graph_roundtrip =
       let env = Cgc.Driver.analyze_string ~file:"prop.cgc" source in
       match Cgc.Sema.graphs env with
       | [ g ] ->
-        let via_cgc = Cgc.Consteval.eval_graph env g in
+        let via_cgc = Cgc.Consteval.eval_graph ~twins:[ prop_node_kernel ] env g in
         let via_builder = dag_to_builder edges count in
         Cgsim.Serialized.equal_topology via_cgc via_builder
       | _ -> false)
@@ -564,6 +628,9 @@ let () =
           Alcotest.test_case "adder graph" `Quick test_consteval_adder;
           Alcotest.test_case "loop unrolling" `Quick test_consteval_loop_unroll;
           Alcotest.test_case "matches builder topology" `Quick test_consteval_matches_builder;
+          Alcotest.test_case "twins are an argument" `Quick test_consteval_twins_are_an_argument;
+          Alcotest.test_case "a loop shares one definition" `Quick
+            test_consteval_loop_shares_definition;
           Alcotest.test_case "broadcast & merge" `Quick test_consteval_broadcast_merge;
           Alcotest.test_case "constants" `Quick test_consteval_constant;
           Alcotest.test_case "dtype error" `Quick test_consteval_type_error;

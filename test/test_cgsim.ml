@@ -690,10 +690,6 @@ let add_kernel =
         Cgsim.Port.put_f32 o (x +. y)
       done)
 
-let () =
-  Cgsim.Registry.register scale_kernel;
-  Cgsim.Registry.register add_kernel
-
 let diamond_graph () =
   (* in -> scale -> (broadcast) -> two scales -> add -> out *)
   Cgsim.Builder.make ~name:"diamond" ~inputs:[ "x", Cgsim.Dtype.F32 ] (fun b conns ->
@@ -776,21 +772,59 @@ let test_runtime_io_count_mismatch () =
   | exception Cgsim.Runtime.Runtime_error _ -> ()
   | _ -> Alcotest.fail "source count mismatch must fail"
 
-let test_runtime_unregistered_kernel () =
-  let ghost =
-    Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"test_ghost"
-      [ Cgsim.Kernel.in_port "in" Cgsim.Dtype.F32; Cgsim.Kernel.out_port "out" Cgsim.Dtype.F32 ]
-      (fun _ -> ())
-  in
-  (* Intentionally not registered. *)
-  match
-    Cgsim.Builder.make ~name:"ghostly" ~inputs:[ "x", Cgsim.Dtype.F32 ] (fun b conns ->
-        let out = Cgsim.Builder.net b Cgsim.Dtype.F32 in
-        ignore (Cgsim.Builder.add_kernel b ghost [ List.hd conns; out ]);
-        [ out ])
-  with
-  | exception Cgsim.Builder.Construction_error _ -> ()
-  | _g -> Alcotest.fail "freeze must reject unregistered kernels"
+let mentions needle msg =
+  let nl = String.length needle and hl = String.length msg in
+  let rec at i = i + nl <= hl && (String.sub msg i nl = needle || at (i + 1)) in
+  at 0
+
+(* A scale-by-[factor] kernel named [dup]: each call is a new definition. *)
+let dup_kernel factor =
+  Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"dup"
+    [ Cgsim.Kernel.in_port "in" Cgsim.Dtype.F32; Cgsim.Kernel.out_port "out" Cgsim.Dtype.F32 ]
+    (fun b ->
+      let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
+      while true do
+        Cgsim.Port.put_f32 o (factor *. Cgsim.Port.get_f32 i)
+      done)
+
+let dup_chain ~name kernels =
+  Cgsim.Builder.make ~name ~inputs:[ "x", Cgsim.Dtype.F32 ] (fun b conns ->
+      [
+        List.fold_left
+          (fun src k ->
+            let dst = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+            ignore (Cgsim.Builder.add_kernel b k [ src; dst ]);
+            dst)
+          (List.hd conns) kernels;
+      ])
+
+(* One name, one definition, per graph: generated code has one class per
+   kernel name, so freeze refuses a graph that holds two. *)
+let test_builder_one_definition_per_name () =
+  match dup_chain ~name:"two_dups" [ dup_kernel 2.0; dup_kernel 3.0 ] with
+  | exception Cgsim.Builder.Construction_error msg ->
+    Alcotest.(check bool) ("names both instances: " ^ msg) true
+      (mentions "CG-E007" msg && mentions "dup_0" msg && mentions "dup_1" msg)
+  | _ -> Alcotest.fail "freeze must reject two kernels under one name"
+
+(* Kernels belong to a graph, not to the process: two graphs in one
+   process each hold a different kernel named [dup], and each runs its
+   own under both simulators. *)
+let test_runtime_kernels_per_graph () =
+  let doubling = dup_chain ~name:"doubling" [ dup_kernel 2.0 ] in
+  let tripling = dup_chain ~name:"tripling" [ dup_kernel 3.0 ] in
+  let input = [| 1.0; 2.0; 5.0 |] in
+  List.iter
+    (fun (g, expected) ->
+      let what = g.Cgsim.Serialized.gname in
+      let sink, contents = Cgsim.Io.f32_buffer () in
+      ignore
+        (Cgsim.Runtime.execute_exn g ~sources:[ Cgsim.Io.of_f32_array input ] ~sinks:[ sink ]);
+      Alcotest.(check (array (float 0.))) (what ^ " under cgsim") expected (contents ());
+      let sink, contents = Cgsim.Io.f32_buffer () in
+      ignore (X86sim.Sim.run_exn g ~sources:[ Cgsim.Io.of_f32_array input ] ~sinks:[ sink ]);
+      Alcotest.(check (array (float 0.))) (what ^ " under x86sim") expected (contents ()))
+    [ doubling, [| 2.0; 4.0; 10.0 |]; tripling, [| 3.0; 6.0; 15.0 |] ]
 
 type Cgsim.Kernel.context += Tag of string
 
@@ -820,8 +854,6 @@ let context_probe =
         Cgsim.Sched.yield ();
         Cgsim.Port.put_int o x
       done)
-
-let () = Cgsim.Registry.register context_probe
 
 (* Two instances bound with different contexts each read their own on
    every element, across yields that interleave them; x86sim binds
@@ -891,7 +923,6 @@ let test_runtime_rtp () =
           Cgsim.Port.put_f32 o (gain *. Cgsim.Port.get_f32 i)
         done)
   in
-  Cgsim.Registry.register gain_kernel;
   let g =
     Cgsim.Builder.make ~name:"rtp_graph"
       ~inputs:[ "gain", Cgsim.Dtype.F32; "x", Cgsim.Dtype.F32 ]
@@ -963,7 +994,6 @@ let test_profile_fraction () =
           Cgsim.Port.put_f32 o !acc
         done)
   in
-  Cgsim.Registry.register busy;
   let g =
     Cgsim.Builder.make ~name:"busy_graph" ~inputs:[ "x", Cgsim.Dtype.F32 ] (fun b conns ->
         let out = Cgsim.Builder.net b Cgsim.Dtype.F32 in
@@ -1049,16 +1079,6 @@ let test_io_rtp_sink () =
 (* ------------------------------------------------------------------ *)
 (* Queue transfers, wiring verification, Pool                         *)
 (* ------------------------------------------------------------------ *)
-
-let test_bqueue_endpoint_counts () =
-  let q = Cgsim.Bqueue.create ~name:"counts" ~dtype:Cgsim.Dtype.I32 ~capacity:4 () in
-  Alcotest.(check int) "no producers" 0 (Cgsim.Bqueue.producers q);
-  Alcotest.(check int) "no consumers" 0 (Cgsim.Bqueue.consumers q);
-  let _p = Cgsim.Bqueue.add_producer q in
-  let _c1 = Cgsim.Bqueue.add_consumer q in
-  let _c2 = Cgsim.Bqueue.add_consumer q in
-  Alcotest.(check int) "one producer" 1 (Cgsim.Bqueue.producers q);
-  Alcotest.(check int) "two consumers" 2 (Cgsim.Bqueue.consumers q)
 
 (* Push 0..n-1 through a 1:1 capacity-8 queue with a mix of element and
    block operations on both sides: block writes larger than half the ring
@@ -1172,11 +1192,9 @@ let rated_add =
         Cgsim.Port.put_f32 o (x +. Cgsim.Port.get_f32 bb)
       done)
 
-let () = List.iter Cgsim.Registry.register [ rated_scale; rated_decim; rated_add ]
-
 (* Multiply each element of a [rate]-wide window by [factor].  Kernels
-   are interned per (rate, factor): the registry holds one definition no
-   matter how many qcheck trials use the shape. *)
+   are interned per (rate, factor): a chain that repeats a factor holds
+   one definition under its name, as a graph must (CG-E007). *)
 let rated_scale_cache : (int * int, Cgsim.Kernel.t) Hashtbl.t = Hashtbl.create 16
 
 let window_scale ~rate ~factor =
@@ -1200,7 +1218,6 @@ let window_scale ~rate ~factor =
             Cgsim.Port.put_window_f32 o w
           done)
     in
-    Cgsim.Registry.register k;
     Hashtbl.add rated_scale_cache (rate, factor) k;
     k
 
@@ -1282,16 +1299,34 @@ let test_compile_lint_error_refuses () =
    | _ -> Alcotest.fail "an unbalanced graph must be refused at lint `Error");
   Alcotest.(check bool) "no kernel body ran" false !rated_body_ran
 
+(* Both simulators compile through Runtime.compile, so both refuse a
+   miswired graph, with one message naming [needles]. *)
+let refused_by_both what g ~sources ~sinks needles =
+  let msg =
+    match Cgsim.Runtime.execute_exn g ~sources:(sources ()) ~sinks:(sinks ()) with
+    | exception Cgsim.Runtime.Runtime_error msg -> msg
+    | _ -> Alcotest.failf "cgsim must refuse the %s graph before running" what
+  in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) (what ^ " names " ^ needle ^ ": " ^ msg) true (mentions needle msg))
+    needles;
+  match X86sim.Sim.run g ~sources:(sources ()) ~sinks:(sinks ()) with
+  | exception X86sim.Sim.X86sim_error x86 ->
+    Alcotest.(check string) (what ^ " under x86sim") msg x86
+  | _ -> Alcotest.failf "x86sim must refuse the %s graph before running" what
+
+let leaky_base () =
+  Cgsim.Builder.make ~name:"leaky" ~inputs:[ "x", Cgsim.Dtype.F32 ] (fun b conns ->
+      let out = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+      ignore (Cgsim.Builder.add_kernel b scale_kernel [ List.hd conns; out ]);
+      [ out ])
+
 let test_runtime_missing_consumer () =
   (* Hand-build a graph whose kernel output net has neither readers nor a
      global output: structurally valid, but every element written would
      sit unretired forever.  The wiring check must name the port. *)
-  let g =
-    Cgsim.Builder.make ~name:"leaky" ~inputs:[ "x", Cgsim.Dtype.F32 ] (fun b conns ->
-        let out = Cgsim.Builder.net b Cgsim.Dtype.F32 in
-        ignore (Cgsim.Builder.add_kernel b scale_kernel [ List.hd conns; out ]);
-        [ out ])
-  in
+  let g = leaky_base () in
   let leaky_net (n : Cgsim.Serialized.net) =
     if n.Cgsim.Serialized.global_output = None then n
     else { n with Cgsim.Serialized.global_output = None }
@@ -1300,18 +1335,38 @@ let test_runtime_missing_consumer () =
     { g with Cgsim.Serialized.nets = Array.map leaky_net g.Cgsim.Serialized.nets;
              output_order = [||] }
   in
-  match
-    Cgsim.Runtime.execute_exn g ~sources:[ Cgsim.Io.of_f32_array [| 1.0 |] ] ~sinks:[]
-  with
-  | exception Cgsim.Runtime.Runtime_error msg ->
-    let mentions needle =
-      let nl = String.length needle and hl = String.length msg in
-      let rec at i = i + nl <= hl && (String.sub msg i nl = needle || at (i + 1)) in
-      at 0
-    in
-    Alcotest.(check bool) ("names the failure: " ^ msg) true
-      (mentions "no consumer" && mentions "test_scale_0.out")
-  | _ -> Alcotest.fail "consumer-less net must be rejected before running"
+  refused_by_both "consumer-less" g
+    ~sources:(fun () -> [ Cgsim.Io.of_f32_array [| 1.0 |] ])
+    ~sinks:(fun () -> [])
+    [ "no consumer"; "test_scale_0.out" ]
+
+let test_runtime_missing_producer () =
+  (* A global output net that no kernel writes: its sink would wait for
+     a close that never comes.  Builder.freeze refuses it as a dangling
+     connector, so append it to a built graph by hand. *)
+  let g = leaky_base () in
+  let id = Array.length g.Cgsim.Serialized.nets in
+  let ghost =
+    {
+      (g.Cgsim.Serialized.nets.(id - 1)) with
+      Cgsim.Serialized.net_id = id;
+      writers = [];
+      readers = [];
+      global_input = None;
+      global_output = Some "ghost";
+    }
+  in
+  let g =
+    {
+      g with
+      Cgsim.Serialized.nets = Array.append g.Cgsim.Serialized.nets [| ghost |];
+      output_order = Array.append g.Cgsim.Serialized.output_order [| id |];
+    }
+  in
+  refused_by_both "producer-less" g
+    ~sources:(fun () -> [ Cgsim.Io.of_f32_array [| 1.0 |] ])
+    ~sinks:(fun () -> [ Cgsim.Io.null (); Cgsim.Io.null () ])
+    [ "no producer"; Printf.sprintf "leaky/net%d" id ]
 
 let pool_io_for_request contents r =
   let sink, c = Cgsim.Io.f32_buffer () in
@@ -1630,8 +1685,6 @@ let lane_pass =
         Cgsim.Port.put_lanes o buf 1 1
       done)
 
-let () = Cgsim.Registry.register lane_pass
-
 let test_lanes_bit_exact () =
   on_bqueue lane_dtype (lane_roundtrip "cgsim");
   on_tqueue lane_dtype (lane_roundtrip "x86sim");
@@ -1700,7 +1753,6 @@ let () =
           Alcotest.test_case "block > capacity" `Quick test_bqueue_block_larger_than_capacity;
           Alcotest.test_case "eos mid-block" `Quick test_bqueue_block_eos_midblock;
           Alcotest.test_case "get_some bounds" `Quick test_bqueue_get_some_bounds;
-          Alcotest.test_case "endpoint counts" `Quick test_bqueue_endpoint_counts;
           Alcotest.test_case "mixed transfer in order" `Quick test_bqueue_mixed_transfer;
           Alcotest.test_case "aggregate lanes bit-exact under cgsim and x86sim" `Quick
             test_lanes_bit_exact;
@@ -1722,12 +1774,15 @@ let () =
         [
           Alcotest.test_case "diamond" `Quick test_runtime_diamond;
           Alcotest.test_case "io count mismatch" `Quick test_runtime_io_count_mismatch;
-          Alcotest.test_case "unregistered kernel" `Quick test_runtime_unregistered_kernel;
+          Alcotest.test_case "freeze rejects two kernels under one name" `Quick
+            test_builder_one_definition_per_name;
+          Alcotest.test_case "kernels belong to their graph" `Quick test_runtime_kernels_per_graph;
           Alcotest.test_case "single shot" `Quick test_runtime_single_shot;
           Alcotest.test_case "runtime parameter" `Quick test_runtime_rtp;
           Alcotest.test_case "profile fraction" `Quick test_profile_fraction;
           Alcotest.test_case "diamond closed form" `Quick test_runtime_diamond_closed_form;
           Alcotest.test_case "missing consumer" `Quick test_runtime_missing_consumer;
+          Alcotest.test_case "missing producer" `Quick test_runtime_missing_producer;
         ]
         @ qsuite [ prop_pipeline_random; prop_rate_matched_chains ]
         @ [ Alcotest.test_case "kernel contexts ride the binding" `Quick test_runtime_kernel_contexts ]

@@ -49,7 +49,7 @@ constexpr auto mx_graph = make_compute_graph_v<[](IoConnector<float> a) {
 let mixed_graph () =
   let env = Cgc.Driver.analyze_string ~file:"mixed.cgc" mixed_source in
   match Cgc.Sema.graphs env with
-  | [ g ] -> env, Cgc.Consteval.eval_graph env g
+  | [ g ] -> env, Cgc.Consteval.eval_graph ~twins:[] env g
   | _ -> Alcotest.fail "expected one graph"
 
 let test_partition_classify () =
@@ -76,7 +76,7 @@ constexpr auto ia_graph = make_compute_graph_v<[](IoConnector<float> a) {
     return std::make_tuple(z);
 }>;|}
   in
-  let g = Cgc.Consteval.eval_graph env (List.hd (Cgc.Sema.graphs env)) in
+  let g = Cgc.Consteval.eval_graph ~twins:[] env (List.hd (Cgc.Sema.graphs env)) in
   let classes = Extractor.Partition.classify g in
   Alcotest.(check bool) "middle net is intra-aie" true
     (Extractor.Partition.equal_port_class classes.(1)

@@ -177,8 +177,6 @@ let pass_kernel =
         Cgsim.Port.put o (Cgsim.Port.get i)
       done)
 
-let () = Cgsim.Registry.register pass_kernel
-
 let pipe_graph () =
   Cgsim.Builder.make ~name:"obspipe" ~inputs:[ "x", Cgsim.Dtype.I32 ] (fun b conns ->
       let mid = Cgsim.Builder.net b Cgsim.Dtype.I32 in
@@ -447,8 +445,6 @@ let fail_kernel =
       ignore (Cgsim.Port.get i);
       ignore (Cgsim.Kernel.wr b 0);
       failwith "obs_fail: boom")
-
-let () = Cgsim.Registry.register fail_kernel
 
 let fail_graph () =
   Cgsim.Builder.make ~name:"obsfail" ~inputs:[ "x", Cgsim.Dtype.I32 ] (fun b conns ->

@@ -44,11 +44,6 @@ let fountain_kernel =
         Cgsim.Port.put_f32 o 1.0
       done)
 
-let () =
-  Cgsim.Registry.register scale_kernel;
-  Cgsim.Registry.register boom_kernel;
-  Cgsim.Registry.register fountain_kernel
-
 (* in -> robust_scale_0 -> robust_scale_1 -> out *)
 let chain_graph () =
   Cgsim.Builder.make ~name:"robust_chain" ~inputs:[ "x", Cgsim.Dtype.F32 ] (fun b conns ->
@@ -167,7 +162,7 @@ let test_cancel_mid_run () =
   let target = ref None in
   let reads = ref 0 in
   let tap (inst : Cgsim.Serialized.kernel_inst) port_idx _name =
-    match inst.Cgsim.Serialized.ports.(port_idx).Cgsim.Kernel.dir with
+    match inst.Cgsim.Serialized.kernel.Cgsim.Kernel.ports.(port_idx).Cgsim.Kernel.dir with
     | Cgsim.Kernel.Out -> None
     | Cgsim.Kernel.In ->
       Some
@@ -269,7 +264,7 @@ let test_fault_backpressure () =
   let stage1 =
     let g = Apps.Harness.farrow.Apps.Harness.graph () in
     (List.find
-       (fun (k : Cgsim.Serialized.kernel_inst) -> k.Cgsim.Serialized.key = "farrow_stage1")
+       (fun (k : Cgsim.Serialized.kernel_inst) -> k.Cgsim.Serialized.kernel == Apps.Farrow.stage1)
        (Array.to_list g.Cgsim.Serialized.kernels))
       .Cgsim.Serialized.inst_name
   in

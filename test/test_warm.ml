@@ -52,11 +52,6 @@ let opaque_kernel =
         Cgsim.Port.put_f32 o (Cgsim.Port.get_f32 i)
       done)
 
-let () =
-  Cgsim.Registry.register pure_scale;
-  Cgsim.Registry.register prefix_sum_kernel;
-  Cgsim.Registry.register opaque_kernel
-
 (* in -> warm_scale_0 -> warm_scale_1 -> out  (x4 elementwise) *)
 let pure_graph () =
   Cgsim.Builder.make ~name:"warm_pure_chain" ~inputs:[ "x", Cgsim.Dtype.F32 ]
@@ -275,17 +270,15 @@ let test_reset_after_max_steps () =
 (* Declared purity                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Each kernel's declared purity reaches the registry unchanged: the
-   running-sum kernel keeps state yet is pure (its state is per
-   instance), and an undeclared kernel stays [Unknown]. *)
+(* Each kernel's declared purity reaches the graph's instances
+   unchanged: the running-sum kernel keeps state yet is pure (its state
+   is per instance), and an undeclared kernel stays [Unknown]. *)
 let test_declared_purity () =
   let purities g =
     Array.to_list
       (Array.map
          (fun (inst : Cgsim.Serialized.kernel_inst) ->
-           match Cgsim.Registry.find inst.Cgsim.Serialized.key with
-           | Some k -> Cgsim.Kernel.purity_to_string k.Cgsim.Kernel.purity
-           | None -> "unregistered")
+           Cgsim.Kernel.purity_to_string inst.Cgsim.Serialized.kernel.Cgsim.Kernel.purity)
          g.Cgsim.Serialized.kernels)
   in
   Alcotest.(check (list string)) "scale chain" [ "pure"; "pure" ] (purities (pure_graph ()));

@@ -195,18 +195,38 @@ let contains needle hay =
   let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
+let scale_kernel =
+  Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"test_x86_scale"
+    [ Cgsim.Kernel.in_port "in" Cgsim.Dtype.F32; Cgsim.Kernel.out_port "out" Cgsim.Dtype.F32 ]
+    (fun b ->
+      let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
+      while true do
+        Cgsim.Port.put_f32 o (2.0 *. Cgsim.Port.get_f32 i)
+      done)
+
 (* x86sim compiles through Cgsim.Runtime.compile, so both simulators
-   refuse a graph naming an unregistered kernel, and a graph that fails
-   validation, with the same message. *)
+   refuse a graph whose two instances hold different definitions under
+   one name, and a graph that fails validation, with the same message. *)
 let test_sim_refuses_like_cgsim () =
   let g = Apps.Bitonic.graph () in
-  let ghost =
+  let twice =
+    Cgsim.Builder.make ~name:"twice" ~inputs:[ "x", Cgsim.Dtype.F32 ] (fun b conns ->
+        let mid = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+        let out = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+        ignore (Cgsim.Builder.add_kernel b scale_kernel [ List.hd conns; mid ]);
+        ignore (Cgsim.Builder.add_kernel b scale_kernel [ mid; out ]);
+        [ out ])
+  in
+  (* The same fields in a second record: equal in every way but identity. *)
+  let impostor = { scale_kernel with Cgsim.Kernel.body = scale_kernel.Cgsim.Kernel.body } in
+  let two_definitions =
     {
-      g with
+      twice with
       Cgsim.Serialized.kernels =
-        Array.map
-          (fun (ki : Cgsim.Serialized.kernel_inst) -> { ki with Cgsim.Serialized.key = "x86_ghost" })
-          g.Cgsim.Serialized.kernels;
+        Array.mapi
+          (fun i (ki : Cgsim.Serialized.kernel_inst) ->
+            if i = 1 then { ki with Cgsim.Serialized.kernel = impostor } else ki)
+          twice.Cgsim.Serialized.kernels;
     }
   in
   let invalid =
@@ -233,7 +253,7 @@ let test_sim_refuses_like_cgsim () =
       match X86sim.Sim.run g ~sources:[] ~sinks:[] with
       | exception X86sim.Sim.X86sim_error msg -> Alcotest.(check string) what cgsim msg
       | _ -> Alcotest.failf "x86sim must refuse the %s graph" what)
-    [ "unregistered-kernel", ghost, "unregistered kernel x86_ghost"; "invalid", invalid, "cannot instantiate" ]
+    [ "two-definitions", two_definitions, "CG-E007"; "invalid", invalid, "cannot instantiate" ]
 
 let test_sim_kernel_failure_reported () =
   let boom =
@@ -243,7 +263,6 @@ let test_sim_kernel_failure_reported () =
         ignore (Cgsim.Port.get (Cgsim.Kernel.rd b 0));
         failwith "deliberate")
   in
-  Cgsim.Registry.register boom;
   let g =
     Cgsim.Builder.make ~name:"boom_graph" ~inputs:[ "x", Cgsim.Dtype.F32 ] (fun b conns ->
         let out = Cgsim.Builder.net b Cgsim.Dtype.F32 in
@@ -270,14 +289,13 @@ let prop_x86sim_random_chain =
   QCheck.Test.make ~name:"x86sim: random chains match cgsim" ~count:10
     QCheck.(pair (int_range 1 4) (list_of_size (QCheck.Gen.int_range 1 32) (int_range (-50) 50)))
     (fun (depth, xs) ->
-      let scale = Cgsim.Registry.find_exn "test_x86_scale" in
       let graph () =
         Cgsim.Builder.make ~name:"xchain" ~inputs:[ "x", Cgsim.Dtype.F32 ] (fun b conns ->
             let rec build prev n =
               if n = 0 then prev
               else begin
                 let next = Cgsim.Builder.net b Cgsim.Dtype.F32 in
-                ignore (Cgsim.Builder.add_kernel b scale [ prev; next ]);
+                ignore (Cgsim.Builder.add_kernel b scale_kernel [ prev; next ]);
                 build next (n - 1)
               end
             in
@@ -289,16 +307,6 @@ let prop_x86sim_random_chain =
       let sink2, out2 = Cgsim.Io.f32_buffer () in
       let _ = X86sim.Sim.run_exn (graph ()) ~sources:[ input () ] ~sinks:[ sink2 ] in
       out1 () = out2 ())
-
-let () =
-  Cgsim.Registry.register
-    (Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"test_x86_scale"
-       [ Cgsim.Kernel.in_port "in" Cgsim.Dtype.F32; Cgsim.Kernel.out_port "out" Cgsim.Dtype.F32 ]
-       (fun b ->
-         let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
-         while true do
-           Cgsim.Port.put_f32 o (2.0 *. Cgsim.Port.get_f32 i)
-         done))
 
 (* ------------------------------------------------------------------ *)
 (* Ring model: Bqueue and Tqueue against a list model                  *)
@@ -692,24 +700,17 @@ let io_dtypes =
   [ D.F32; D.F64; D.I8; D.I16; D.I32; D.I64; D.U8; D.U16; D.U32;
     D.Vector (D.I16, 4); D.Struct [ "re", D.F32; "im", D.F32 ] ]
 
+let pass_kernel dtype =
+  Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:("test_x86_pass_" ^ D.to_string dtype)
+    [ Cgsim.Kernel.in_port "in" dtype; Cgsim.Kernel.out_port "out" dtype ]
+    (fun b ->
+      let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
+      while true do
+        Cgsim.Port.put o (Cgsim.Port.get i)
+      done)
+
 let pass_graph dtype =
-  let key = "test_x86_pass_" ^ D.to_string dtype in
-  let kernel =
-    match Cgsim.Registry.find key with
-    | Some k -> k
-    | None ->
-      let k =
-        Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:key
-          [ Cgsim.Kernel.in_port "in" dtype; Cgsim.Kernel.out_port "out" dtype ]
-          (fun b ->
-            let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
-            while true do
-              Cgsim.Port.put o (Cgsim.Port.get i)
-            done)
-      in
-      Cgsim.Registry.register k;
-      k
-  in
+  let kernel = pass_kernel dtype in
   Cgsim.Builder.make ~name:"pass" ~inputs:[ "x", dtype ] (fun b conns ->
       let out = Cgsim.Builder.net b dtype in
       ignore (Cgsim.Builder.add_kernel b kernel [ List.hd conns; out ]);
@@ -832,27 +833,21 @@ let test_sim_payload_mismatch () =
    faster reader of [x] parks until the slower one retires, and every
    sink net fills and drains many times. *)
 
-let () =
-  Cgsim.Registry.register
-    (Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"test_x86_win16_sum"
-       [ Cgsim.Kernel.in_port "in" D.F32; Cgsim.Kernel.out_port "out" D.F32 ]
-       (fun b ->
-         let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
-         let w = Array.make 16 0.0 in
-         while true do
-           Cgsim.Port.get_window_f32 i w;
-           Cgsim.Port.put_f32 o (Array.fold_left ( +. ) 0.0 w)
-         done))
+let win16_sum_kernel =
+  Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"test_x86_win16_sum"
+    [ Cgsim.Kernel.in_port "in" D.F32; Cgsim.Kernel.out_port "out" D.F32 ]
+    (fun b ->
+      let i = Cgsim.Kernel.rd b 0 and o = Cgsim.Kernel.wr b 0 in
+      let w = Array.make 16 0.0 in
+      while true do
+        Cgsim.Port.get_window_f32 i w;
+        Cgsim.Port.put_f32 o (Array.fold_left ( +. ) 0.0 w)
+      done)
 
 let vec_dtype = D.Vector (D.I16, 4)
 
 let io_shapes_graph () =
-  let win = Cgsim.Registry.find_exn "test_x86_win16_sum" in
-  let scale = Cgsim.Registry.find_exn "test_x86_scale" in
-  let pass =
-    ignore (pass_graph vec_dtype);
-    Cgsim.Registry.find_exn ("test_x86_pass_" ^ D.to_string vec_dtype)
-  in
+  let pass = pass_kernel vec_dtype in
   Cgsim.Builder.make ~name:"io_shapes" ~inputs:[ "x", D.F32; "v", vec_dtype; "w", vec_dtype ]
     (fun b conns ->
       match conns with
@@ -861,9 +856,9 @@ let io_shapes_graph () =
         let scaled = Cgsim.Builder.net b D.F32 in
         let twice = Cgsim.Builder.net b D.F32 in
         let w2 = Cgsim.Builder.net b vec_dtype in
-        ignore (Cgsim.Builder.add_kernel b win [ x; sums ]);
-        ignore (Cgsim.Builder.add_kernel b scale [ x; scaled ]);
-        ignore (Cgsim.Builder.add_kernel b scale [ scaled; twice ]);
+        ignore (Cgsim.Builder.add_kernel b win16_sum_kernel [ x; sums ]);
+        ignore (Cgsim.Builder.add_kernel b scale_kernel [ x; scaled ]);
+        ignore (Cgsim.Builder.add_kernel b scale_kernel [ scaled; twice ]);
         ignore (Cgsim.Builder.add_kernel b pass [ w; w2 ]);
         [ sums; scaled; twice; v; w2 ]
       | _ -> assert false)
@@ -925,10 +920,7 @@ let test_sim_io_shapes () =
    as well would be 144, over OCaml 5's cap of 128. *)
 let test_sim_many_kernels () =
   let n = 48 in
-  let kernel =
-    ignore (pass_graph D.F32);
-    Cgsim.Registry.find_exn ("test_x86_pass_" ^ D.to_string D.F32)
-  in
+  let kernel = pass_kernel D.F32 in
   let g =
     Cgsim.Builder.make ~name:"wide"
       ~inputs:(List.init n (fun i -> Printf.sprintf "x%d" i, D.F32))
@@ -961,42 +953,41 @@ let test_sim_many_kernels () =
    give P time to block on the full ring first. *)
 let starve_cap = 8
 
-let () =
+let starve_p =
   let open Cgsim.Kernel in
-  Cgsim.Registry.register
-    (define ~realm:Aie ~name:"test_x86_starve_p"
-       [ in_port "in" D.F32; out_port "x" D.F32; out_port "y" D.F32 ]
-       (fun b ->
-         let i = rd b 0 and x = wr b 0 and y = wr b 1 in
-         let pass o = Cgsim.Port.put_f32 o (Cgsim.Port.get_f32 i) in
-         for _ = 1 to starve_cap + 1 do pass x done;
-         pass y;
-         for _ = 1 to starve_cap do pass x done;
-         pass y;
-         pass x));
-  Cgsim.Registry.register
-    (define ~realm:Aie ~name:"test_x86_starve_q"
-       [ in_port "x" D.F32; in_port "y" D.F32; out_port "z" D.F32 ]
-       (fun b ->
-         let x = rd b 0 and y = rd b 1 and z = wr b 0 in
-         let pass r = Cgsim.Port.put_f32 z (Cgsim.Port.get_f32 r) in
-         Unix.sleepf 0.02;
-         pass x;
-         pass y;
-         for _ = 1 to starve_cap do pass x done;
-         pass y;
-         Unix.sleepf 0.02;
-         pass x))
+  define ~realm:Aie ~name:"test_x86_starve_p"
+    [ in_port "in" D.F32; out_port "x" D.F32; out_port "y" D.F32 ]
+    (fun b ->
+      let i = rd b 0 and x = wr b 0 and y = wr b 1 in
+      let pass o = Cgsim.Port.put_f32 o (Cgsim.Port.get_f32 i) in
+      for _ = 1 to starve_cap + 1 do pass x done;
+      pass y;
+      for _ = 1 to starve_cap do pass x done;
+      pass y;
+      pass x)
+
+let starve_q =
+  let open Cgsim.Kernel in
+  define ~realm:Aie ~name:"test_x86_starve_q"
+    [ in_port "x" D.F32; in_port "y" D.F32; out_port "z" D.F32 ]
+    (fun b ->
+      let x = rd b 0 and y = rd b 1 and z = wr b 0 in
+      let pass r = Cgsim.Port.put_f32 z (Cgsim.Port.get_f32 r) in
+      Unix.sleepf 0.02;
+      pass x;
+      pass y;
+      for _ = 1 to starve_cap do pass x done;
+      pass y;
+      Unix.sleepf 0.02;
+      pass x)
 
 let test_sim_deferred_wakes_reach_writer () =
-  let p = Cgsim.Registry.find_exn "test_x86_starve_p" in
-  let q = Cgsim.Registry.find_exn "test_x86_starve_q" in
   let g =
     Cgsim.Builder.make ~name:"starve" ~inputs:[ "in", D.F32 ] (fun b conns ->
         let x = Cgsim.Builder.net b D.F32 and y = Cgsim.Builder.net b D.F32 in
         let z = Cgsim.Builder.net b D.F32 in
-        ignore (Cgsim.Builder.add_kernel b p [ List.hd conns; x; y ]);
-        ignore (Cgsim.Builder.add_kernel b q [ x; y; z ]);
+        ignore (Cgsim.Builder.add_kernel b starve_p [ List.hd conns; x; y ]);
+        ignore (Cgsim.Builder.add_kernel b starve_q [ x; y; z ]);
         [ z ])
   in
   let xs = Array.init ((2 * starve_cap) + 4) float_of_int in
