@@ -8,11 +8,13 @@
    queue transfer on the same queue configuration backs the block
    fast-path claim in docs/PERFORMANCE.md — the block side rides the
    unboxed (bigarray-backed) data plane, so it is a bounds-checked blit.
-   A three-kernel rate-matched chain row gives the per-element cost of
+   A cross-domain row moves the same blocks through x86sim's queue, the
+   domain binding of the same queue core.  A three-kernel rate-matched
+   chain row gives the per-element cost of
    the runtime's one-fiber-per-kernel execution.  The alloc rows count
    the minor-heap words one warm run allocates per app.  [run ~json:file]
    writes every number as machine-readable JSON (schema
-   "cgsim-bench-micro/6") so CI can parse it back and the repo can
+   "cgsim-bench-micro/7") so CI can parse it back and the repo can
    commit a baseline. *)
 
 open Bechamel
@@ -199,6 +201,40 @@ let time_block_path ~elements =
   ignore (Cgsim.Sched.run s);
   Obs.Clock.now_ns () -. t0
 
+(* The block traffic of [time_block_path] between two domains through
+   x86sim's queue: the calling domain writes the blocks and a consumer
+   domain reads each one back whole, so every wait is a condition
+   variable's.  The clock starts once the consumer is spawned; the
+   element count it read is checked. *)
+let time_domain_block_path ~elements =
+  let q =
+    X86sim.Tqueue.create ~name:"xfer-dom" ~dtype:Cgsim.Dtype.I32 ~capacity:transfer_capacity ()
+  in
+  let p = X86sim.Tqueue.add_producer q in
+  let c = X86sim.Tqueue.add_consumer q in
+  let block = Array.make transfer_chunk 7 in
+  let blocks = elements / transfer_chunk in
+  let consumer =
+    Domain.spawn (fun () ->
+        let buf = Array.make transfer_chunk 0 in
+        let rec loop got =
+          match X86sim.Tqueue.read Cgsim.Ring.ints c buf 0 transfer_chunk with
+          | () -> loop (got + transfer_chunk)
+          | exception Cgsim.Sched.End_of_stream -> got
+        in
+        loop 0)
+  in
+  let t0 = Obs.Clock.now_ns () in
+  for _ = 1 to blocks do
+    X86sim.Tqueue.write Cgsim.Ring.ints p block 0 transfer_chunk
+  done;
+  X86sim.Tqueue.producer_done p;
+  let got = Domain.join consumer in
+  let ns = Obs.Clock.now_ns () -. t0 in
+  if got <> blocks * transfer_chunk then
+    failwith (Printf.sprintf "domain block bench: read %d of %d elements" got (blocks * transfer_chunk));
+  ns
+
 let best_of n f =
   let rec go i acc = if i >= n then acc else go (i + 1) (Float.min acc (f ())) in
   go 1 (f ())
@@ -208,19 +244,24 @@ type block_comparison = {
   element_ns_per_elem : float;
   block_ns_per_elem : float;
   speedup : float;
+  domain_block_ns_per_elem : float;
 }
 
+(* Sized so the block rows time at least ~1 ms per round even in the
+   smoke: at a few ns per element, shorter rounds spread by whole ns. *)
 let compare_transfer ~smoke =
-  let elements = if smoke then 16384 else 262144 in
+  let elements = if smoke then 1 lsl 20 else 1 lsl 22 in
   let rounds = if smoke then 2 else 5 in
   let element_ns = best_of rounds (fun () -> time_element_path ~elements) in
   let block_ns = best_of rounds (fun () -> time_block_path ~elements) in
+  let domain_ns = best_of rounds (fun () -> time_domain_block_path ~elements) in
   let n = float_of_int elements in
   {
     elements;
     element_ns_per_elem = element_ns /. n;
     block_ns_per_elem = block_ns /. n;
     speedup = element_ns /. block_ns;
+    domain_block_ns_per_elem = domain_ns /. n;
   }
 
 type chain_timing = {
@@ -295,7 +336,7 @@ let time_chain ~elements =
   Obs.Clock.now_ns () -. t0
 
 let time_chain_row ~smoke =
-  let elements = if smoke then 16384 else 262144 in
+  let elements = if smoke then 65536 else 262144 in
   let rounds = if smoke then 2 else 5 in
   (* Earlier sections (bechamel, block transfer) leave a large live major
      heap; compact so the row starts from the same GC state whatever ran
@@ -424,7 +465,7 @@ let json_of_run ~smoke ~bechamel (cmp : block_comparison) (ch : chain_timing)
     (w : warm_comparison) alloc =
   Obs.Json.Obj
     [
-      "schema", Obs.Json.Str "cgsim-bench-micro/6";
+      "schema", Obs.Json.Str "cgsim-bench-micro/7";
       "smoke", Obs.Json.Bool smoke;
       ( "results",
         Obs.Json.Arr
@@ -441,6 +482,7 @@ let json_of_run ~smoke ~bechamel (cmp : block_comparison) (ch : chain_timing)
             "element_ns_per_elem", Obs.Json.Num cmp.element_ns_per_elem;
             "block_ns_per_elem", Obs.Json.Num cmp.block_ns_per_elem;
             "speedup", Obs.Json.Num cmp.speedup;
+            "domain_block_ns_per_elem", Obs.Json.Num cmp.domain_block_ns_per_elem;
           ] );
       "chain", json_of_chain ch;
       "warm_serve", json_of_warm w;
@@ -462,7 +504,9 @@ let run ?json ?(smoke = false) () =
   let cmp = compare_transfer ~smoke in
   Printf.printf "%-45s %12.2f ns/elem\n" "element path (put/get)" cmp.element_ns_per_elem;
   Printf.printf "%-45s %12.2f ns/elem\n" "block path (write/read_upto, ints)" cmp.block_ns_per_elem;
-  Printf.printf "%-45s %12.2fx\n%!" "speedup" cmp.speedup;
+  Printf.printf "%-45s %12.2fx\n" "speedup" cmp.speedup;
+  Printf.printf "%-45s %12.2f ns/elem\n%!" "block path across two domains (Tqueue, ints)"
+    cmp.domain_block_ns_per_elem;
   Printf.printf "\n== Chain (%d rate-matched kernels, window=%d) ==\n%!" ch.c_kernels ch.c_rate;
   Printf.printf "%-45s %12.2f ns/elem\n%!" "one fiber + queue per hop" ch.c_ns_per_elem;
   let w = compare_warm ~smoke in

@@ -47,7 +47,7 @@ dune exec bench/main.exe -- micro --smoke --json "$MICRO_JSON"
 test -s "$MICRO_JSON" || { echo "ci: micro JSON is empty" >&2; exit 1; }
 # check-json re-parses with the strict Obs.Json parser and fails on
 # malformed output, a missing schema marker, or a schema mismatch.
-dune exec bench/main.exe -- check-json "$MICRO_JSON" --schema cgsim-bench-micro/6
+dune exec bench/main.exe -- check-json "$MICRO_JSON" --schema cgsim-bench-micro/7
 
 echo "== graph lint (examples/cgc, JSON output) =="
 LINT_JSON=$(mktemp -t ci-lint-XXXXXX.json)
@@ -171,11 +171,11 @@ echo "== one I/O path gate =="
 # A source is a name and one immutable payload (floats, ints or boxed
 # values), and both simulators move it with the same per-kind copies:
 # cgsim's source and sink fibers run Io.feed and Io.drain, and x86sim's
-# Tqueue pulls through Io.transfer and pushes through Io.emit on the
-# kernels' own domains.  Only Bqueue has a drain, read_upto, which takes
-# a payload kind like the block read and serves Io.drain.  The
-# per-source pull closures, the constructors that had no caller and the
-# allocating flat drains must not come back.
+# the queue core (Netq, under x86sim's Tqueue) pulls through Io.transfer
+# and pushes through Io.emit on the kernels' own domains.  The one drain,
+# read_upto, takes a payload kind like the block read and serves
+# Io.drain.  The per-source pull closures, the constructors that had no
+# caller and the allocating flat drains must not come back.
 if grep -rnE 'source_pull_(block|floats|ints)|make_pull|Io\.(of_fun|repeat|counter|of_consumer)|with_(source|sink)_name|get_(floats|ints)_some' lib bin bench test examples; then
   echo "ci: caller references a removed source pull, Io constructor or allocating flat drain" >&2
   exit 1
@@ -195,9 +195,9 @@ if grep -rnE 'Port\.(Codec|read|write|put_window)\b|r_peek|r_available|Bqueue\.(
   echo "ci: caller references a deleted transfer form, port probe or graph-text reader" >&2
   exit 1
 fi
-# Each queue has one block write and one block read that take a payload
-# kind (Ring.floats, ints, lanes or values), Bqueue one drain besides,
-# and a port one r_read / w_write: the typed block forms, the port
+# The queue has one block write, one block read and one drain that take
+# a payload kind (Ring.floats, ints, lanes or values), and a port one
+# r_read / w_write: the typed block forms, the port
 # fields that carried them, the boxed Port.get_window and the ring's
 # per-kind copies were deleted.
 if grep -rnE '(Bqueue|Tqueue)\.(put_block|get_block|get_some|put_floats|put_ints|get_floats|get_ints|put_lanes|get_lanes|get_floats_into|get_ints_into)\b|r_get_(block|floats|ints|lanes)|w_put_(block|floats|ints|lanes)|Port\.get_window\b|Ring\.(push|read)_(floats|ints|lanes|values)' lib bin bench test examples; then
@@ -209,6 +209,25 @@ if grep -rnE 'Diagnostic\.severity_to_string|Faults\.action_to_string|Runtime\.f
   exit 1
 fi
 echo "no orphaned transfer forms, port probes, graph-text reader or private exports"
+
+echo "== one queue gate =="
+# The broadcast queue is written once, in lib/cgsim/netq.ml, over a wait
+# policy; Bqueue (fibers) and Tqueue (domains) only bind the policy.  So
+# cursors are added, advanced and taken from, fibers park on a queue and
+# domains wait on a condition only there.  The domain pool's job queue
+# (pool.ml) and a daemon connection's input (server.ml) wait on their
+# own conditions, not on a net, and sched.ml names Sched.park in its
+# own error message.  The two bindings hold no chunk loop.
+if grep -rnE 'Ring\.(add_cursor|advance|take)\b|Sched\.park\b|Condition\.wait\b' lib --include='*.ml' \
+    | grep -vE '^lib/(cgsim/(netq|bqueue|pool|sched)|x86sim/tqueue|serve/server)\.ml:'; then
+  echo "ci: a second queue implementation moves cursors or waits outside Netq and its two policies" >&2
+  exit 1
+fi
+if grep -nE '\bwhile\b' lib/cgsim/bqueue.ml lib/x86sim/tqueue.ml; then
+  echo "ci: a chunk loop in a wait policy binding (transfers live in Netq)" >&2
+  exit 1
+fi
+echo "one queue implementation: Netq over the fiber and domain policies"
 
 echo "== no fiber locals gate =="
 # A kernel gets what its run hands it (aiesim's trace recorder) through

@@ -2,11 +2,10 @@
     (Section 3.6): storage, slots, seam-split segment copies, dtype
     checks and the cursors with their cached retirement point.
 
-    A ring knows nothing about waiting.  {!Bqueue} wraps it with
-    producers, close and {!Sched} park/wake;
-    [X86sim.Tqueue] wraps it with a mutex, condition variables and
-    poison.  Every operation here assumes the caller already waited:
-    writes assume free space, reads assume available elements.
+    A ring knows nothing about waiting: {!Netq} wraps it with
+    producers, close and a wait policy.  Every operation here assumes
+    the caller already waited: writes assume free space, reads assume
+    available elements.
 
     Positions are sequence numbers: [head] counts every element ever
     written, a cursor's [pos] every element that consumer read; the

@@ -250,28 +250,11 @@ let new_instance ?(tap = no_taps) ?(context = no_context) (c : compiled) =
               let pname = Printf.sprintf "%s.%s" inst.inst_name spec.Kernel.pname in
               Port.check_dtype ~expected:spec.Kernel.dtype ~actual:(Bqueue.dtype q) ~what:pname;
               match spec.Kernel.dir with
-              | Kernel.In ->
-                let cns = Bqueue.add_consumer q in
-                Wire_in
-                  ( port_idx,
-                    {
-                      Port.r_name = pname;
-                      r_dtype = spec.Kernel.dtype;
-                      r_get = (fun () -> Bqueue.get cns);
-                      r_read = (fun k b off n -> Bqueue.read k cns b off n);
-                    } )
+              | Kernel.In -> Wire_in (port_idx, Bqueue.reader ~name:pname (Bqueue.add_consumer q))
               | Kernel.Out ->
                 let p = Bqueue.add_producer q in
                 producers := p :: !producers;
-                Wire_out
-                  ( port_idx,
-                    {
-                      Port.w_name = pname;
-                      w_dtype = spec.Kernel.dtype;
-                      w_put = (fun v -> Bqueue.put p v);
-                      w_write = (fun k b off n -> Bqueue.write k p b off n);
-                      w_space = (fun () -> Bqueue.space q);
-                    } ))
+                Wire_out (port_idx, Bqueue.writer ~name:pname p))
             inst.kernel.Kernel.ports
         in
         {

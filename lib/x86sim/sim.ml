@@ -84,29 +84,13 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
       Array.iteri
         (fun port_idx (spec : Cgsim.Kernel.port_spec) ->
           let q = queues.(inst.port_nets.(port_idx)) in
+          let name = Printf.sprintf "%s.%s" inst.inst_name spec.Cgsim.Kernel.pname in
           match spec.Cgsim.Kernel.dir with
-          | Cgsim.Kernel.In ->
-            let c = Tqueue.add_consumer w q in
-            readers :=
-              {
-                Cgsim.Port.r_name = Printf.sprintf "%s.%s" inst.inst_name spec.Cgsim.Kernel.pname;
-                r_dtype = spec.Cgsim.Kernel.dtype;
-                r_get = (fun () -> Tqueue.get c);
-                r_read = (fun k b off n -> Tqueue.read k c b off n);
-              }
-              :: !readers
+          | Cgsim.Kernel.In -> readers := Tqueue.reader ~name (Tqueue.add_consumer ~waker:w q) :: !readers
           | Cgsim.Kernel.Out ->
-            let p = Tqueue.add_producer w q in
+            let p = Tqueue.add_producer ~waker:w q in
             producers := p :: !producers;
-            writers :=
-              {
-                Cgsim.Port.w_name = Printf.sprintf "%s.%s" inst.inst_name spec.Cgsim.Kernel.pname;
-                w_dtype = spec.Cgsim.Kernel.dtype;
-                w_put = (fun v -> Tqueue.put p v);
-                w_write = (fun k b off n -> Tqueue.write k p b off n);
-                w_space = (fun () -> Tqueue.space p);
-              }
-              :: !writers)
+            writers := Tqueue.writer ~name p :: !writers)
         kernel.Cgsim.Kernel.ports;
       let binding =
         {

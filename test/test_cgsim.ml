@@ -1610,7 +1610,7 @@ let on_bqueue dtype f =
 let on_tqueue dtype f =
   let q = X86sim.Tqueue.create ~name:"q" ~dtype ~capacity () in
   let w = X86sim.Tqueue.waker () in
-  let p = X86sim.Tqueue.add_producer w q and c = X86sim.Tqueue.add_consumer w q in
+  let p = X86sim.Tqueue.add_producer ~waker:w q and c = X86sim.Tqueue.add_consumer ~waker:w q in
   let finished = Atomic.make false in
   let watchdog =
     Domain.spawn (fun () ->

@@ -3,8 +3,8 @@
 
 let test_tqueue_spsc () =
   let q = X86sim.Tqueue.create ~name:"q" ~dtype:Cgsim.Dtype.I32 ~capacity:4 () in
-  let p = X86sim.Tqueue.add_producer (X86sim.Tqueue.waker ()) q in
-  let c = X86sim.Tqueue.add_consumer (X86sim.Tqueue.waker ()) q in
+  let p = X86sim.Tqueue.add_producer q in
+  let c = X86sim.Tqueue.add_consumer q in
   let got = ref [] in
   let producer =
     Domain.spawn (fun () ->
@@ -28,9 +28,9 @@ let test_tqueue_spsc () =
 
 let test_tqueue_broadcast () =
   let q = X86sim.Tqueue.create ~name:"q" ~dtype:Cgsim.Dtype.I32 ~capacity:2 () in
-  let p = X86sim.Tqueue.add_producer (X86sim.Tqueue.waker ()) q in
-  let c1 = X86sim.Tqueue.add_consumer (X86sim.Tqueue.waker ()) q in
-  let c2 = X86sim.Tqueue.add_consumer (X86sim.Tqueue.waker ()) q in
+  let p = X86sim.Tqueue.add_producer q in
+  let c1 = X86sim.Tqueue.add_consumer q in
+  let c2 = X86sim.Tqueue.add_consumer q in
   let drain c acc =
     Domain.spawn (fun () ->
         try
@@ -53,8 +53,8 @@ let test_tqueue_broadcast () =
 
 let test_tqueue_close_then_get () =
   let q = X86sim.Tqueue.create ~name:"q" ~dtype:Cgsim.Dtype.I32 ~capacity:2 () in
-  let p = X86sim.Tqueue.add_producer (X86sim.Tqueue.waker ()) q in
-  let c = X86sim.Tqueue.add_consumer (X86sim.Tqueue.waker ()) q in
+  let p = X86sim.Tqueue.add_producer q in
+  let c = X86sim.Tqueue.add_consumer q in
   X86sim.Tqueue.put p (Cgsim.Value.Int 1);
   X86sim.Tqueue.producer_done p;
   Alcotest.(check int) "drains" 1 (Cgsim.Value.to_int (X86sim.Tqueue.get c));
@@ -64,7 +64,7 @@ let test_tqueue_close_then_get () =
 
 let test_tqueue_put_after_done () =
   let q = X86sim.Tqueue.create ~name:"q" ~dtype:Cgsim.Dtype.I32 ~capacity:2 () in
-  let p = X86sim.Tqueue.add_producer (X86sim.Tqueue.waker ()) q in
+  let p = X86sim.Tqueue.add_producer q in
   X86sim.Tqueue.producer_done p;
   match X86sim.Tqueue.put p (Cgsim.Value.Int 1) with
   | exception Invalid_argument _ -> ()
@@ -72,7 +72,7 @@ let test_tqueue_put_after_done () =
 
 let test_tqueue_dtype_checked () =
   let q = X86sim.Tqueue.create ~name:"q" ~dtype:Cgsim.Dtype.F32 ~capacity:2 () in
-  let p = X86sim.Tqueue.add_producer (X86sim.Tqueue.waker ()) q in
+  let p = X86sim.Tqueue.add_producer q in
   match X86sim.Tqueue.put p (Cgsim.Value.Int 3) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "dtype mismatch must be rejected"
@@ -89,9 +89,9 @@ let test_tqueue_block_concurrent_producers () =
   (* Two domains push blocks through a small ring concurrently; every
      element arrives and each producer's stream stays ordered. *)
   let q = X86sim.Tqueue.create ~name:"q" ~dtype:Cgsim.Dtype.I32 ~capacity:8 () in
-  let p1 = X86sim.Tqueue.add_producer (X86sim.Tqueue.waker ()) q in
-  let p2 = X86sim.Tqueue.add_producer (X86sim.Tqueue.waker ()) q in
-  let c = X86sim.Tqueue.add_consumer (X86sim.Tqueue.waker ()) q in
+  let p1 = X86sim.Tqueue.add_producer q in
+  let p2 = X86sim.Tqueue.add_producer q in
+  let c = X86sim.Tqueue.add_consumer q in
   let produce p base =
     Domain.spawn (fun () ->
         for b = 0 to 9 do
@@ -125,8 +125,8 @@ let test_tqueue_block_concurrent_producers () =
 
 let test_tqueue_block_larger_than_capacity () =
   let q = X86sim.Tqueue.create ~name:"q" ~dtype:Cgsim.Dtype.I32 ~capacity:4 () in
-  let p = X86sim.Tqueue.add_producer (X86sim.Tqueue.waker ()) q in
-  let c = X86sim.Tqueue.add_consumer (X86sim.Tqueue.waker ()) q in
+  let p = X86sim.Tqueue.add_producer q in
+  let c = X86sim.Tqueue.add_consumer q in
   let producer =
     Domain.spawn (fun () ->
         put_values p (Array.init 64 (fun i -> Cgsim.Value.Int (i + 1)));
@@ -140,8 +140,8 @@ let test_tqueue_block_larger_than_capacity () =
 
 let test_tqueue_block_eos_midblock () =
   let q = X86sim.Tqueue.create ~name:"q" ~dtype:Cgsim.Dtype.I32 ~capacity:8 () in
-  let p = X86sim.Tqueue.add_producer (X86sim.Tqueue.waker ()) q in
-  let c = X86sim.Tqueue.add_consumer (X86sim.Tqueue.waker ()) q in
+  let p = X86sim.Tqueue.add_producer q in
+  let c = X86sim.Tqueue.add_consumer q in
   put_values p (Array.init 5 (fun i -> Cgsim.Value.Int i));
   X86sim.Tqueue.producer_done p;
   (match get_values c 8 with
@@ -159,7 +159,7 @@ let test_tqueue_element_ops_allocate_nothing () =
   let dtype = Cgsim.Dtype.Vector (Cgsim.Dtype.I16, 2) in
   let q = X86sim.Tqueue.create ~name:"q" ~dtype ~capacity:64 () in
   let w = X86sim.Tqueue.waker () in
-  let p = X86sim.Tqueue.add_producer w q and c = X86sim.Tqueue.add_consumer w q in
+  let p = X86sim.Tqueue.add_producer ~waker:w q and c = X86sim.Tqueue.add_consumer ~waker:w q in
   let v = Cgsim.Value.Vec [| Cgsim.Value.Int 1; Cgsim.Value.Int 2 |] in
   let lanes = Cgsim.Port.lanes dtype 1 in
   X86sim.Tqueue.put p v;
@@ -312,18 +312,16 @@ let prop_x86sim_random_chain =
 (* Ring model: Bqueue and Tqueue against a list model                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Both queues wrap Cgsim.Ring.  A random program of element, block,
-   flat float/int, lane and (Bqueue only) drain operations over a
+(* Both queues are Cgsim.Netq over a wait policy.  A random program of
+   element, block, flat float/int, lane and drain operations over a
    random dtype, capacity and broadcast fan-out must observe exactly
-   what a list model predicts, through both wrappers.  The generator
+   what a list model predicts, through both instances.  The generator
    only emits an operation that cannot block, so Bqueue runs in one
    fiber and Tqueue on the calling thread; a flat or lane transfer on
    the wrong dtype and an out-of-range int block or int lane must raise
-   and leave the queue untouched.  Tqueue has no drain forms, so it
-   reads each drain's predicted count with the exact read of the same
-   kind instead.  The model knows the lane layout on its own (Vector
-   lanes, then Struct fields in order) and does not round float
-   lanes. *)
+   and leave the queue untouched.  The model knows the lane layout on
+   its own (Vector lanes, then Struct fields in order) and does not
+   round float lanes. *)
 
 module V = Cgsim.Value
 module D = Cgsim.Dtype
@@ -543,30 +541,21 @@ let gen_program rng dtype cap consumers =
   done;
   List.split (List.rev !steps)
 
-module type QUEUE = sig
-  type t
-  type consumer
-  type producer
-  val create : name:string -> dtype:D.t -> capacity:int -> unit -> t
-  val add_producer : t -> producer
-  val add_consumer : t -> consumer
-  val put : producer -> V.t -> unit
-  val get : consumer -> V.t
-  val write : 'b Cgsim.Ring.kind -> producer -> 'b -> int -> int -> unit
-  val read : 'b Cgsim.Ring.kind -> consumer -> 'b -> int -> int -> unit
-end
-
-module Drive (Q : QUEUE) = struct
+(* Both queues are instances of the one core, so one [Drive] runs the
+   program through its exported signature, drains included. *)
+module Drive (Q : Cgsim.Netq.S) = struct
   let floats fs = Array.to_list (Array.map (fun f -> V.Float f) fs)
   let ints is = Array.to_list (Array.map (fun i -> V.Int i) is)
 
   (* [in_context q program] runs the whole program once the queue is
-     wired; [drain c op] runs a drain operation on consumer [c]. *)
-  let run ~in_context ~drain dtype cap consumers ops =
+     wired.  The model runs every endpoint on one thread and never
+     blocks, so each endpoint may own a waker of its own. *)
+  let run ~in_context dtype cap consumers ops =
     let q = Q.create ~name:"model" ~dtype ~capacity:cap () in
     let p = Q.add_producer q in
     let cs = Array.init consumers (fun _ -> Q.add_consumer q) in
     let module R = Cgsim.Ring in
+    let upto kind k dst = Array.sub dst 0 (Q.read_upto kind cs.(k) dst 0 (Array.length dst)) in
     let step = function
       | Put v -> Q.put p v; []
       | Put_block vs -> Q.write R.values p vs 0 (Array.length vs); []
@@ -590,7 +579,9 @@ module Drive (Q : QUEUE) = struct
         let b = lane_buffer dtype n in
         Q.read R.lanes cs.(k) b 0 n;
         of_lanes dtype b n
-      | (Get_some (k, _) | Get_floats_into (k, _) | Get_ints_into (k, _)) as op -> drain cs.(k) op
+      | Get_some (k, max) -> Array.to_list (upto R.values k (Array.make max (V.Int 0)))
+      | Get_floats_into (k, len) -> floats (upto R.floats k (Array.make len 0.0))
+      | Get_ints_into (k, len) -> ints (upto R.ints k (Array.make len 0))
     in
     in_context q (fun () ->
         List.map
@@ -599,40 +590,7 @@ module Drive (Q : QUEUE) = struct
 end
 
 module Drive_b = Drive (Cgsim.Bqueue)
-(* The model runs every endpoint on one thread and never blocks, so
-   each endpoint may own a waker of its own. *)
-module Drive_t = Drive (struct
-  include X86sim.Tqueue
-
-  let add_producer q = add_producer (waker ()) q
-
-  let add_consumer q = add_consumer (waker ()) q
-end)
-
-(* The drains: Bqueue's [read_upto] with the op's kind. *)
-let bqueue_drain c op =
-  let upto kind dst = Cgsim.Bqueue.read_upto kind c dst 0 (Array.length dst) in
-  match op with
-  | Get_some (_, max) ->
-    let dst = Array.make max (V.Int 0) in
-    Array.to_list (Array.sub dst 0 (upto Cgsim.Ring.values dst))
-  | Get_floats_into (_, len) ->
-    let dst = Array.make len 0.0 in
-    Drive_b.floats (Array.sub dst 0 (upto Cgsim.Ring.floats dst))
-  | Get_ints_into (_, len) ->
-    let dst = Array.make len 0 in
-    Drive_b.ints (Array.sub dst 0 (upto Cgsim.Ring.ints dst))
-  | _ -> failwith "bqueue_drain: not a drain operation"
-
-(* Tqueue's form of a drain that the model saw read [obs]: the exact
-   read of the same kind, of the predicted count. *)
-let tqueue_form op obs =
-  let n = match obs with Vals vs -> List.length vs | Raised -> 0 in
-  match op with
-  | Get_some (k, _) -> Get_block (k, n)
-  | Get_floats_into (k, _) -> Get_floats (k, n)
-  | Get_ints_into (k, _) -> Get_ints (k, n)
-  | op -> op
+module Drive_t = Drive (X86sim.Tqueue)
 
 (* Bqueue: one fiber under Sched; a fiber that parked would leave no
    result. *)
@@ -679,11 +637,8 @@ let prop_ring_model =
       let cap = 1 + Random.State.int rng 9 and consumers = 1 + Random.State.int rng 3 in
       let ops, expected = gen_program rng dtype cap consumers in
       let agrees got = List.length got = List.length expected && List.for_all2 obs_equal got expected in
-      agrees (Drive_b.run ~in_context:in_fiber ~drain:bqueue_drain dtype cap consumers ops)
-      && agrees
-           (Drive_t.run ~in_context:on_thread
-              ~drain:(fun _ _ -> failwith "Tqueue has no drain forms")
-              dtype cap consumers (List.map2 tqueue_form ops expected)))
+      agrees (Drive_b.run ~in_context:in_fiber dtype cap consumers ops)
+      && agrees (Drive_t.run ~in_context:on_thread dtype cap consumers ops))
 
 (* ------------------------------------------------------------------ *)
 (* Every source and sink form, under both simulators                   *)
@@ -1004,6 +959,42 @@ let test_sim_deferred_wakes_reach_writer () =
     (Array.length (cg_out ()));
   Alcotest.(check (array (float 0.))) "x86sim == cgsim" (cg_out ()) (x86_out ())
 
+(* x86sim's queues carry cgsim's queue notes: a traced farrow run at a
+   tight queue capacity records an occupancy high-water mark and a
+   blocked-read histogram for each of the two cascade nets that stage 2
+   reads sample by sample. *)
+let test_sim_queue_metrics () =
+  let h = Apps.Harness.farrow in
+  let g = h.Apps.Harness.graph () in
+  let config = Cgsim.Run_config.(default |> with_queue_capacity 2 |> with_deadline_ms 20000.) in
+  let sinks, _ = h.Apps.Harness.make_sinks () in
+  let outcome, session =
+    Obs.Trace.with_session (fun () ->
+        X86sim.Sim.run ~config g ~sources:(h.Apps.Harness.sources ~reps:4) ~sinks)
+  in
+  (match outcome with
+   | X86sim.Sim.Completed _ -> ()
+   | o -> Alcotest.failf "farrow under x86sim: %s" (X86sim.Sim.outcome_label o));
+  let snap = Obs.Metrics.snapshot session.Obs.Trace.metrics in
+  let gauges = List.map (fun (m : Obs.Metrics.gauge_snapshot) -> m.g_name) snap.gauges in
+  let histos = List.map (fun (m : Obs.Metrics.histo_snapshot) -> m.h_name) snap.histograms in
+  let cascade =
+    List.filter_map
+      (fun (n : Cgsim.Serialized.net) ->
+        if Cgsim.Dtype.equal n.dtype Apps.Farrow.cascade_dtype then
+          Some (Printf.sprintf "%s/net%d" g.Cgsim.Serialized.gname n.net_id)
+        else None)
+      (Array.to_list g.Cgsim.Serialized.nets)
+  in
+  Alcotest.(check int) "two cascade nets" 2 (List.length cascade);
+  List.iter
+    (fun net ->
+      List.iter
+        (fun (what, names) ->
+          if not (List.mem (what ^ net) names) then Alcotest.failf "no %s%s recorded" what net)
+        [ "queue.occupancy_hw:", gauges; "queue.blocked_get:", histos ])
+    cascade
+
 let () =
   Alcotest.run "x86sim"
     [
@@ -1038,5 +1029,7 @@ let () =
           Alcotest.test_case "refuses bad graphs like cgsim" `Quick test_sim_refuses_like_cgsim;
           Alcotest.test_case "a deferred wake reaches a blocked writer" `Quick
             test_sim_deferred_wakes_reach_writer;
+          Alcotest.test_case "traced farrow records cgsim's queue metrics" `Quick
+            test_sim_queue_metrics;
         ] );
     ]
