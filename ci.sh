@@ -322,6 +322,19 @@ if grep -rnE '\bRegistry\.|compiled_kernel|Serialized\.key\b' lib bin bench exam
 fi
 echo "no kernel registry"
 
+echo "== one home for graph invariants gate =="
+# Serialized.validate_diags is a graph's one structural check, run by
+# Builder.freeze and by Runtime.compile, which adds only the consumer
+# check a run needs (CG-E008).  The builder's own settings, dtype and
+# dangling-connector checks, the runtime's wiring check and the port
+# dtype check duplicated it and were deleted; they must not come back.
+if grep -rn 'Settings\.validate' lib | grep -vE '^lib/cgsim/(settings|serialized)\.ml:' \
+    || grep -rnE 'check_wiring|check_dtype|dangling connector' lib; then
+  echo "ci: a graph invariant is checked outside Serialized.validate_diags" >&2
+  exit 1
+fi
+echo "one home for graph invariants"
+
 echo "== top-level mutable state gate =="
 # Data reaches the runtime through explicit arguments, not through
 # process-wide refs.  Every top-level binding under lib/ that holds

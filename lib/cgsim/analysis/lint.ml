@@ -19,21 +19,21 @@ let is_suppressed (g : S.t) (d : D.t) =
          List.mem "all" codes || List.mem d.D.code codes)
        d.D.net_ids
 
+let passes (g : S.t) =
+  let findings =
+    List.concat
+      [
+        Rates.analyze g;
+        Deadlock.analyze g;
+        Capacity.analyze g;
+        Throughput.analyze g;
+        Hazards.analyze g;
+        Pool_safety.analyze g;
+      ]
+  in
+  D.sort (List.filter (fun d -> not (is_suppressed g d)) findings)
+
 let run (g : S.t) =
-  let structural = S.validate_diags g in
-  if D.max_severity structural = Some D.Error then D.sort structural
-  else begin
-    let findings =
-      List.concat
-        [
-          structural;
-          Rates.analyze g;
-          Deadlock.analyze g;
-          Capacity.analyze g;
-          Throughput.analyze g;
-          Hazards.analyze g;
-          Pool_safety.analyze g;
-        ]
-    in
-    D.sort (List.filter (fun d -> not (is_suppressed g d)) findings)
-  end
+  match S.validate_diags g with
+  | [] -> passes g
+  | structural -> D.sort structural

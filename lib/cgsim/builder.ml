@@ -125,26 +125,11 @@ let add_kernel t ?inst ?src (kernel : Kernel.t) conns =
   let port_nets = Array.make n_ports (-1) in
   List.iteri
     (fun port_idx c ->
-      let spec = kernel.Kernel.ports.(port_idx) in
-      if not (Dtype.equal spec.Kernel.dtype c.net.dtype) then
-        fail "graph %s: kernel %s port %s carries %s but connector carries %s" t.gname
-          kernel.Kernel.name spec.Kernel.pname
-          (Dtype.to_string spec.Kernel.dtype)
-          (Dtype.to_string c.net.dtype);
       port_nets.(port_idx) <- c.net.id;
       let ep = { Serialized.kernel_idx; port_idx } in
-      match spec.Kernel.dir with
-      | Kernel.In ->
-        if c.net.global_output <> None then
-          fail "graph %s: connector already declared as a global output cannot feed kernel %s"
-            t.gname kernel.Kernel.name;
-        c.net.readers <- ep :: c.net.readers
-      | Kernel.Out ->
-        if c.net.global_input <> None then
-          fail "graph %s: kernel %s writes connector declared as global input %s" t.gname
-            kernel.Kernel.name
-            (Option.value c.net.global_input ~default:"?");
-        c.net.writers <- ep :: c.net.writers)
+      match kernel.Kernel.ports.(port_idx).Kernel.dir with
+      | Kernel.In -> c.net.readers <- ep :: c.net.readers
+      | Kernel.Out -> c.net.writers <- ep :: c.net.writers)
     conns;
   t.insts <- { inst_name; kernel; port_nets; inst_src = src } :: t.insts;
   kernel_idx
@@ -184,14 +169,10 @@ let freeze t =
     Array.of_list
       (List.map
          (fun n ->
-           let settings = merged_settings t insts n in
-           (match Settings.validate ~elem_bytes:(Dtype.size_bytes n.dtype) settings with
-            | Ok () -> ()
-            | Error e -> fail "graph %s: net %d: %s" t.gname n.id e);
            {
              Serialized.net_id = n.id;
              dtype = n.dtype;
-             settings;
+             settings = merged_settings t insts n;
              attrs = n.attrs;
              writers = List.rev n.writers;
              readers = List.rev n.readers;
@@ -201,15 +182,6 @@ let freeze t =
            })
          nets_list)
   in
-  (* Dangling-connector checks: every read net needs a source; warn-level
-     conditions (unread nets) are allowed as sinks with zero consumers. *)
-  Array.iter
-    (fun (n : Serialized.net) ->
-      if (n.readers <> [] || n.global_output <> None) && n.writers = [] && n.global_input = None
-      then
-        fail "graph %s: net %d is consumed but has no producer (dangling connector)" t.gname
-          n.net_id)
-    nets;
   let serialized =
     {
       Serialized.gname = t.gname;

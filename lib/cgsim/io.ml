@@ -173,7 +173,7 @@ let source_length s = length s.payload
 
 (* Pumps move data in chunks of this many elements at most; bounded by
    the queue capacity so a chunk is at most one full ring. *)
-let chunk_of capacity = max 1 (min capacity 1024)
+let chunk_of capacity = Int.max 1 (Int.min capacity 1024)
 
 type write = { write : 'b. 'b Ring.kind -> 'b -> int -> int -> unit }
 
@@ -183,7 +183,7 @@ let copy_chunks ~chunk w kind xs off len =
   let stop = off + len in
   let i = ref off in
   while !i < stop do
-    let k = min chunk (stop - !i) in
+    let k = Int.min chunk (stop - !i) in
     w.write kind xs !i k;
     i := !i + k
   done

@@ -440,9 +440,9 @@ let create ?(config = Run_config.default) ~domains () =
   pool
 
 (* Find-or-compile under the cache lock.  Compilation (validation +
-   wiring check + the one pre-flight lint whose verdict the entry
-   carries) happens at most once per cached graph; warm hits and retries
-   never re-lint.  May raise exactly as [Runtime.compile] does. *)
+   the one pre-flight lint whose verdict the entry carries) happens at
+   most once per cached graph; warm hits and retries never re-lint.
+   May raise exactly as [Runtime.compile] does. *)
 let acquire_entry pool g =
   Mutex.protect pool.p_cache_lock (fun () ->
       match List.find_opt (fun e -> e.e_graph == g) pool.p_cache with

@@ -19,9 +19,9 @@
     front ends ({!Serve.Server}) drive {!submit}/{!await} directly.
 
     {b Warm serving}: each graph is {!Runtime.compile}d once under the
-    pool's config — validation, the wiring check and the pre-flight
-    lint verdict live in the pool's own warm cache, bounded (least
-    recently used evicted) and keyed by graph identity alone — and
+    pool's config — validation and the pre-flight lint verdict live in
+    the pool's own warm cache, bounded (least recently used evicted)
+    and keyed by graph identity alone — and
     served requests draw {!Runtime.reset} instances from the entry's
     idle list instead of rebuilding queues and wiring per attempt.  An
     attempt builds a fresh instance only when the idle list is empty,

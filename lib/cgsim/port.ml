@@ -121,8 +121,8 @@ let put_lanes w b off n = w.w_write Ring.lanes b off n
 let put_window2 wa wb la lb n =
   let off = ref 0 in
   while !off < n do
-    let free = min (wa.w_space ()) (wb.w_space ()) in
-    let len = min (n - !off) (max 1 free) in
+    let free = Int.min (wa.w_space ()) (wb.w_space ()) in
+    let len = Int.min (n - !off) (Int.max 1 free) in
     wa.w_write Ring.lanes la !off len;
     wb.w_write Ring.lanes lb !off len;
     off := !off + len
@@ -135,9 +135,3 @@ let get_int r = Value.to_int (get r)
 let put_f32 w f = put w (Value.Float f)
 
 let put_int w i = put w (Value.Int i)
-
-let check_dtype ~expected ~actual ~what =
-  if not (Dtype.equal expected actual) then
-    invalid_arg
-      (Printf.sprintf "cgsim: dtype mismatch on %s: expected %s, got %s" what
-         (Dtype.to_string expected) (Dtype.to_string actual))

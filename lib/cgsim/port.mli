@@ -147,6 +147,3 @@ val get_f32 : reader -> float
 val get_int : reader -> int
 val put_f32 : writer -> float -> unit
 val put_int : writer -> int -> unit
-
-(** Fail-fast dtype agreement check used when binding endpoints. *)
-val check_dtype : expected:Dtype.t -> actual:Dtype.t -> what:string -> unit

@@ -313,13 +313,13 @@ let take r c =
    by construction, hence the unsafe accessors. *)
 let seam_in r off len seg x y =
   let idx = r.head mod r.cap in
-  let first = min len (r.cap - idx) in
+  let first = Int.min len (r.cap - idx) in
   seg x y off idx first;
   if len > first then seg x y (off + first) 0 (len - first)
 
 let seam_out r pos off len seg x y =
   let idx = pos mod r.cap in
-  let first = min len (r.cap - idx) in
+  let first = Int.min len (r.cap - idx) in
   seg x y idx off first;
   if len > first then seg x y 0 (off + first) (len - first)
 
@@ -531,7 +531,7 @@ let ints =
    overflowing.  Only the message divides. *)
 let lane_elements l (b : lanes) =
   let fit lanes len = if lanes = 0 then max_int else len / lanes in
-  min (fit l.n_int (Array.length b.ints)) (fit l.n_float (Array.length b.floats))
+  Int.min (fit l.n_int (Array.length b.ints)) (fit l.n_float (Array.length b.floats))
 
 let lanes =
   {

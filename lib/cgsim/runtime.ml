@@ -9,7 +9,7 @@ let preflight ~lint (g : Serialized.t) =
   | `Off -> ()
   | `Warn | `Error ->
     let diags =
-      List.filter (fun d -> d.Diagnostic.severity <> Diagnostic.Info) (Lint.run g)
+      List.filter (fun d -> d.Diagnostic.severity <> Diagnostic.Info) (Lint.passes g)
     in
     if diags <> [] then begin
       match lint, Diagnostic.max_severity diags with
@@ -94,9 +94,9 @@ let pp_outcome ppf = function
    static compute-graph description from its simulated execution):
 
    - [compiled]: everything derivable from the Serialized.t + Run_config
-     pair alone — validation, the wiring check, per-net queue
-     capacities, precomputed fiber profiler keys and the pre-flight lint
-     verdict.  Built once, shared freely.
+     pair alone — validation, per-net queue capacities, precomputed
+     fiber profiler keys and the pre-flight lint verdict.  Built once,
+     shared freely.
 
    - [t] (an instance): the mutable per-request state — queues with their
      registered endpoints, the scheduler, failure slot and the I/O slots
@@ -157,47 +157,36 @@ let net_traffic t = Array.map Bqueue.total_put t.queues
 
 let cancel t = Sched.cancel t.sched
 
-(* Every net needs at least one producer (a kernel writer or a global
-   input's source) and one consumer (a kernel reader or a global output's
-   sink): a producer-less queue never closes (its readers would hang
-   until end-of-run cancellation), and a consumer-less queue retires
-   nothing (its writers fill it and hang).  Checking here, from the
-   graph alone, makes every simulator that compiles the graph refuse
-   it, naming the kernel ports. *)
-let check_wiring (g : Serialized.t) =
-  let describe_eps eps =
-    match eps with
-    | [] -> "no kernel ports"
-    | _ ->
-      String.concat ", "
-        (List.map
-           (fun (ep : Serialized.endpoint) ->
-             let ki = g.Serialized.kernels.(ep.kernel_idx) in
-             Printf.sprintf "%s.%s" ki.inst_name ki.kernel.Kernel.ports.(ep.port_idx).Kernel.pname)
-           eps)
-  in
-  Array.iter
+(* A net nobody drains (no kernel reader, no global output) retires
+   nothing: its writers fill the queue and wait forever.  Only a run
+   needs every net consumed — analysis takes graphs with unread outputs
+   — so this is the compile's check, not validate_diags'. *)
+let unconsumed (g : Serialized.t) =
+  List.filter_map
     (fun (n : Serialized.net) ->
-      if n.writers = [] && n.global_input = None then
-        fail "graph %s: net %s/net%d has no producer — readers %s would hang (missing source?)"
-          g.gname g.gname n.net_id (describe_eps n.readers);
-      if n.readers = [] && n.global_output = None then
-        fail "graph %s: net %s/net%d has no consumer — writers %s would hang (missing sink?)"
-          g.gname g.gname n.net_id (describe_eps n.writers))
-    g.Serialized.nets
+      if n.readers <> [] || n.global_output <> None then None
+      else begin
+        let display = Serialized.net_display g n.net_id in
+        Some
+          (Diagnostic.make ~severity:Diagnostic.Error ~code:"CG-E008" ~graph:g.gname
+             ~nets:[ display ] ~net_ids:[ n.net_id ] ?loc:(Serialized.net_src g n.net_id)
+             (display
+             ^ " has no consumer: no kernel reads it and it is no global output, so its \
+                writers would wait forever"))
+      end)
+    (Array.to_list g.Serialized.nets)
 
-(* Validation, the pre-flight lint and the wiring check: at [`Error] a
-   failing graph is refused here, before any instance exists or any
-   kernel body runs.  Capacity synthesis only ever raises a depth, so a
-   queue the user sized deliberately is never shrunk. *)
+(* Validation (structural and consumer), then the pre-flight lint: at
+   [`Error] a failing graph is refused here, before any instance exists
+   or any kernel body runs.  Capacity synthesis only ever raises a
+   depth, so a queue the user sized deliberately is never shrunk. *)
 let compile ?(config = Run_config.default) (g : Serialized.t) =
-  (match Serialized.validate_diags g with
+  (match Serialized.validate_diags g @ unconsumed g with
    | [] -> ()
    | diags ->
      fail "cannot instantiate %s: %s" g.Serialized.gname
        (String.concat "; " (List.map Diagnostic.render diags)));
   preflight ~lint:config.Run_config.lint g;
-  check_wiring g;
   let capacities =
     Array.map
       (fun (n : Serialized.net) ->
@@ -248,7 +237,6 @@ let new_instance ?(tap = no_taps) ?(context = no_context) (c : compiled) =
               let net_id = inst.port_nets.(port_idx) in
               let q = queues.(net_id) in
               let pname = Printf.sprintf "%s.%s" inst.inst_name spec.Kernel.pname in
-              Port.check_dtype ~expected:spec.Kernel.dtype ~actual:(Bqueue.dtype q) ~what:pname;
               match spec.Kernel.dir with
               | Kernel.In -> Wire_in (port_idx, Bqueue.reader ~name:pname (Bqueue.add_consumer q))
               | Kernel.Out ->
@@ -426,18 +414,20 @@ let src_of_fiber t name =
 let occupancy_snapshot t =
   Array.to_list (Array.map (fun q -> Bqueue.name q, Bqueue.occupancy q) t.queues)
 
+let check_io (g : Serialized.t) ~sources ~sinks =
+  let n_in = Array.length g.input_order and n_out = Array.length g.output_order in
+  if List.length sources <> n_in then
+    fail "graph %s has %d global inputs but %d sources were supplied" g.gname n_in
+      (List.length sources);
+  if List.length sinks <> n_out then
+    fail "graph %s has %d global outputs but %d sinks were supplied" g.gname n_out
+      (List.length sinks)
+
 let run ?deadline_ns t ~sources ~sinks =
   if t.ran then
     fail "runtime context for %s already ran; reset it (or instantiate again)" t.graph.gname;
   t.ran <- true;
-  let n_in = Array.length t.graph.Serialized.input_order in
-  let n_out = Array.length t.graph.Serialized.output_order in
-  if List.length sources <> n_in then
-    fail "graph %s has %d global inputs but %d sources were supplied" t.graph.gname n_in
-      (List.length sources);
-  if List.length sinks <> n_out then
-    fail "graph %s has %d global outputs but %d sinks were supplied" t.graph.gname n_out
-      (List.length sinks);
+  check_io t.graph ~sources ~sinks;
   t.cur_sources <- Array.of_list sources;
   t.cur_sinks <- Array.of_list sinks;
   arm t;

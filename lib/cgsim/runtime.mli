@@ -13,7 +13,7 @@
     {!run_exn}/{!execute_exn} for the raising convenience.
 
     The lifecycle is split between an immutable {!compiled} graph
-    (validation, wiring check, lint verdict, queue capacities,
+    (validation, lint verdict, queue capacities,
     profiler keys — everything derivable from the {!Serialized.t} +
     {!Run_config.t} pair alone) and cheap per-request
     instances: {!new_instance} builds one, a run uses it, and {!reset}
@@ -113,16 +113,17 @@ val instantiate :
 (** {1 Compile-once serving}
 
     [compile g] does the per-graph work once, in order:
-    - structural validation ({!Runtime_error} on an invalid graph,
-      e.g. two kernels under one name, [CG-E007]);
-    - the pre-flight {!Lint.run} at [config.lint]: [`Warn] prints
+    - validation: {!Serialized.validate_diags} once, plus the one check
+      only a run needs, that every net has a consumer (a kernel reader
+      or a global output; [CG-E008]: a net nobody drains would hang its
+      writers).  An invalid graph raises {!Runtime_error}
+      ["cannot instantiate <graph>: ..."] rendering every diagnostic of
+      both, e.g. a net read but never written ([CG-E005]) or two
+      kernels under one name ([CG-E007]);
+    - the pre-flight {!Lint.passes} at [config.lint]: [`Warn] prints
       warning- and error-level findings to stderr, and at [`Error] a
       graph with error-level findings is refused here, before any
       kernel body runs;
-    - the wiring check: every net needs a producer (a kernel writer or
-      a global input) and a consumer (a kernel reader or a global
-      output), or {!Runtime_error} names the net and its kernel ports
-      (a miswired edge would otherwise hang at run time);
     - per-net queue capacities, raised to {!Capacity.suggest}'s
       minimal deadlock-free depths when [config.auto_capacity] is on;
     - the per-kernel profiler keys.
@@ -165,6 +166,11 @@ val reset : t -> unit
     Wrong source/sink counts still raise — those are caller bugs, not
     run outcomes. *)
 val run : ?deadline_ns:float -> t -> sources:Io.source list -> sinks:Io.sink list -> outcome
+
+(** [check_io g ~sources ~sinks] raises {!Runtime_error} unless there is
+    one source per global input of [g] and one sink per global output.
+    {!run} and x86sim both check their I/O with it. *)
+val check_io : Serialized.t -> sources:Io.source list -> sinks:Io.sink list -> unit
 
 (** {!run} then {!stats_exn}: raises {!Runtime_error} on any outcome
     other than [Completed]. *)

@@ -177,10 +177,15 @@ let validate_diags t =
       (match Settings.validate ~elem_bytes:(Dtype.size_bytes n.dtype) n.settings with
        | Ok () -> ()
        | Error e -> problem "CG-E004" ~nets:[ id ] "%s: %s" (net_display t id) e);
-      if n.writers = [] && n.global_input = None && n.readers <> [] then
-        problem "CG-E005" ~nets:[ id ]
-          ~kernels:(List.map (fun ep -> endpoint_display t ep) n.readers)
-          "%s has readers but no data source" (net_display t id);
+      if n.writers = [] && n.global_input = None && (n.readers <> [] || n.global_output <> None)
+      then begin
+        let readers = List.map (endpoint_display t) n.readers in
+        let waiting = if n.global_output = None then readers else readers @ [ "its sink" ] in
+        problem "CG-E005" ~nets:[ id ] ~kernels:readers
+          "%s has no data source: no kernel writes it and it is no global input, so %s would \
+           wait forever"
+          (net_display t id) (String.concat ", " waiting)
+      end;
       if n.global_input <> None && n.writers <> [] then
         problem "CG-E005" ~nets:[ id ]
           ~kernels:(List.map (fun ep -> endpoint_display t ep) n.writers)

@@ -60,14 +60,20 @@ val net_display : t -> int -> string
     else the span of the first endpoint kernel that has one. *)
 val net_src : t -> int -> Srcspan.t option
 
-(** Structural validation: indices in range, endpoint port directions
-    consistent with writer/reader roles, dtypes of endpoints equal to the
-    net dtype, merged settings valid, input/output order arrays consistent
-    with net flags, and one definition per kernel name (two instances
-    whose kernels share a name must share the {!Kernel.t}).  Returns all
+(** Structural validation, the one home of the graph's structural
+    invariants: indices in range, endpoint port directions consistent
+    with writer/reader roles, dtypes of endpoints equal to the net
+    dtype, merged settings valid, every net that is read or is a global
+    output has a producer (a kernel writer or a global input), no kernel
+    writes a global input, input/output order arrays consistent with
+    net flags, and one definition per kernel name (two instances whose
+    kernels share a name must share the {!Kernel.t}).  Returns all
     problems found, as structured diagnostics (codes CG-E001..CG-E007)
     naming kernel instances and nets rather than bare indices, with
-    source spans when the graph carries them. *)
+    source spans when the graph carries them.  {!Builder.freeze} and
+    {!Runtime.compile} both run it; a net without a consumer is valid
+    here (analysis takes unread outputs) and refused only by
+    {!Runtime.compile}. *)
 val validate_diags : t -> Diagnostic.t list
 
 (** Topological equality: same kernels (by name, realm, ports), same nets

@@ -30,19 +30,15 @@ let outcome_label = function
 let deep_stream_depth = 4096
 
 let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~sinks =
-  (* Validation, the pre-flight lint, the wiring check and per-net
-     depths are cgsim's compile; capacity synthesis does not apply here. *)
+  (* Validation, the pre-flight lint, per-net depths and the I/O count
+     check are cgsim's; capacity synthesis does not apply here. *)
   let compiled =
-    try Cgsim.Runtime.compile ~config:(Cgsim.Run_config.with_auto_capacity false config) g
+    try
+      let c = Cgsim.Runtime.compile ~config:(Cgsim.Run_config.with_auto_capacity false config) g in
+      Cgsim.Runtime.check_io g ~sources ~sinks;
+      c
     with Cgsim.Runtime.Runtime_error msg -> raise (X86sim_error msg)
   in
-  let n_in = Array.length g.input_order and n_out = Array.length g.output_order in
-  if List.length sources <> n_in then
-    fail "graph %s has %d global inputs but %d sources were supplied" g.gname n_in
-      (List.length sources);
-  if List.length sinks <> n_out then
-    fail "graph %s has %d global outputs but %d sinks were supplied" g.gname n_out
-      (List.length sinks);
   let queues =
     Array.mapi
       (fun id (n : Cgsim.Serialized.net) ->

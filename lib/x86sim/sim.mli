@@ -64,10 +64,11 @@ val outcome_label : outcome -> string
     watchdog domain, spawned only when a deadline is set) before
     returning.
     The graph is compiled by {!Cgsim.Runtime.compile} (validation,
-    pre-flight lint, wiring check, per-net depths), so an invalid graph
-    (two kernels under one name among them), a net with no producer or
-    no consumer or an [`Error]-level lint finding raises {!X86sim_error}
-    up front with cgsim's message; so do wrong source/sink counts. *)
+    pre-flight lint, per-net depths), so an invalid graph (two kernels
+    under one name, a net with no producer or no consumer among them)
+    or an [`Error]-level lint finding raises {!X86sim_error} up front
+    with cgsim's message; so do wrong source/sink counts
+    ({!Cgsim.Runtime.check_io}). *)
 val run :
   ?config:Cgsim.Run_config.t ->
   Cgsim.Serialized.t ->

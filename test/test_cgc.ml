@@ -405,6 +405,11 @@ let test_consteval_constant () =
   | Cgc.Consteval.V_int 42 -> ()
   | _ -> Alcotest.fail "B should evaluate to 42"
 
+let contains needle hay =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let test_consteval_type_error () =
   let src =
     {|COMPUTE_KERNEL(aie, te_scale, KernelReadPort<float> in, KernelWritePort<float> out) {
@@ -417,7 +422,10 @@ constexpr auto te_graph = make_compute_graph_v<[](IoConnector<int32_t> a) {
 }>;|}
   in
   match eval_graph_of src with
-  | exception Cgsim.Builder.Construction_error _ -> ()
+  | exception Cgsim.Builder.Construction_error msg ->
+    (* The refusal is CG-E002 at the te_scale call, line 6. *)
+    Alcotest.(check bool) ("code and call site: " ^ msg) true
+      (contains "t.cgc:6:5: error[CG-E002]" msg)
   | _ -> Alcotest.fail "connecting int connector to float port must fail"
 
 let test_consteval_runtime_dependence_rejected () =
@@ -583,11 +591,6 @@ let test_rewriter_strip_co_await () =
       | _ -> ())
     tu.Cgc.Ast.tu_items;
   let out = Cgc.Rewriter.apply r in
-  let contains needle hay =
-    let n = String.length needle in
-    let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "no co_await left" false (contains "co_await" out);
   Alcotest.(check bool) "calls kept" true (contains "in1.get()" out)
 

@@ -719,6 +719,11 @@ let test_builder_broadcast_recorded () =
   Alcotest.(check int) "writers" 1 (List.length mid.Cgsim.Serialized.writers);
   Alcotest.(check int) "readers" 2 (List.length mid.Cgsim.Serialized.readers)
 
+let mentions needle msg =
+  let nl = String.length needle and hl = String.length msg in
+  let rec at i = i + nl <= hl && (String.sub msg i nl = needle || at (i + 1)) in
+  at 0
+
 let test_builder_dtype_mismatch () =
   match
     Cgsim.Builder.make ~name:"bad" ~inputs:[ "x", Cgsim.Dtype.I32 ] (fun b conns ->
@@ -750,6 +755,67 @@ let test_builder_dangling () =
   | exception Cgsim.Builder.Construction_error _ -> ()
   | _ -> Alcotest.fail "kernel reading an unwritten connector must fail at freeze"
 
+(* A window of 6 bytes cannot hold a whole number of 4-byte f32
+   elements: freeze refuses the merged settings with CG-E004. *)
+let test_builder_bad_window () =
+  let odd_window =
+    Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"odd_window"
+      [
+        Cgsim.Kernel.in_port ~settings:(Cgsim.Settings.window 6) "in" Cgsim.Dtype.F32;
+        Cgsim.Kernel.out_port "out" Cgsim.Dtype.F32;
+      ]
+      (fun _ -> ())
+  in
+  match
+    Cgsim.Builder.make ~name:"bad_window" ~inputs:[ "x", Cgsim.Dtype.F32 ] (fun b conns ->
+        let out = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+        ignore (Cgsim.Builder.add_kernel b odd_window [ List.hd conns; out ]);
+        [ out ])
+  with
+  | exception Cgsim.Builder.Construction_error msg ->
+    Alcotest.(check bool) ("names the code and the input: " ^ msg) true
+      (mentions "CG-E004" msg && mentions "input \"x\"" msg)
+  | _ -> Alcotest.fail "a window that splits an element must fail at freeze"
+
+(* A kernel may read a connector that is also a global output, whether
+   [output] is declared before or after the read: both orders build one
+   graph, and both simulators run it alike. *)
+let test_builder_read_after_output () =
+  let build ~output_first =
+    let b = Cgsim.Builder.create ~name:"tap_mid" in
+    let x = Cgsim.Builder.input b ~name:"x" Cgsim.Dtype.F32 in
+    let mid = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+    let y = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+    ignore (Cgsim.Builder.add_kernel b scale_kernel [ x; mid ]);
+    if output_first then Cgsim.Builder.output b ~name:"mid" mid;
+    ignore (Cgsim.Builder.add_kernel b scale_kernel [ mid; y ]);
+    if not output_first then Cgsim.Builder.output b ~name:"mid" mid;
+    Cgsim.Builder.output b ~name:"y" y;
+    Cgsim.Builder.freeze b
+  in
+  let first = build ~output_first:true and after = build ~output_first:false in
+  Alcotest.(check bool) "one topology" true (Cgsim.Serialized.equal_topology first after);
+  let run sim g =
+    let mid, mid_contents = Cgsim.Io.f32_buffer () in
+    let y, y_contents = Cgsim.Io.f32_buffer () in
+    let sources = [ Cgsim.Io.of_f32_array [| 1.0; 2.0; 3.0 |] ] and sinks = [ mid; y ] in
+    (match sim with
+     | `Cgsim -> ignore (Cgsim.Runtime.execute_exn g ~sources ~sinks)
+     | `X86sim -> ignore (X86sim.Sim.run_exn g ~sources ~sinks));
+    mid_contents (), y_contents ()
+  in
+  List.iter
+    (fun (what, sim, g) ->
+      let mid, y = run sim g in
+      Alcotest.(check (array (float 0.))) (what ^ ": mid") [| 2.0; 4.0; 6.0 |] mid;
+      Alcotest.(check (array (float 0.))) (what ^ ": y") [| 4.0; 8.0; 12.0 |] y)
+    [
+      "cgsim, output first", `Cgsim, first;
+      "cgsim, output after", `Cgsim, after;
+      "x86sim, output first", `X86sim, first;
+      "x86sim, output after", `X86sim, after;
+    ]
+
 let test_builder_cross_builder_conn () =
   let b1 = Cgsim.Builder.create ~name:"g1" in
   let b2 = Cgsim.Builder.create ~name:"g2" in
@@ -771,11 +837,6 @@ let test_runtime_io_count_mismatch () =
   match Cgsim.Runtime.execute_exn g ~sources:[] ~sinks:[ Cgsim.Io.null () ] with
   | exception Cgsim.Runtime.Runtime_error _ -> ()
   | _ -> Alcotest.fail "source count mismatch must fail"
-
-let mentions needle msg =
-  let nl = String.length needle and hl = String.length msg in
-  let rec at i = i + nl <= hl && (String.sub msg i nl = needle || at (i + 1)) in
-  at 0
 
 (* A scale-by-[factor] kernel named [dup]: each call is a new definition. *)
 let dup_kernel factor =
@@ -1338,12 +1399,24 @@ let test_runtime_missing_consumer () =
   refused_by_both "consumer-less" g
     ~sources:(fun () -> [ Cgsim.Io.of_f32_array [| 1.0 |] ])
     ~sinks:(fun () -> [])
-    [ "no consumer"; "test_scale_0.out" ]
+    [ "CG-E008"; "test_scale_0.out" ]
 
 let test_runtime_missing_producer () =
   (* A global output net that no kernel writes: its sink would wait for
-     a close that never comes.  Builder.freeze refuses it as a dangling
-     connector, so append it to a built graph by hand. *)
+     a close that never comes.  Builder.freeze refuses it... *)
+  (match
+     Cgsim.Builder.make ~name:"ghostly" ~inputs:[ "x", Cgsim.Dtype.F32 ] (fun b conns ->
+         let out = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+         ignore (Cgsim.Builder.add_kernel b scale_kernel [ List.hd conns; out ]);
+         let ghost = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+         Cgsim.Builder.output b ~name:"ghost" ghost;
+         [ out ])
+   with
+   | exception Cgsim.Builder.Construction_error msg ->
+     Alcotest.(check bool) ("freeze names the code and the output: " ^ msg) true
+       (mentions "CG-E005" msg && mentions "output \"ghost\"" msg)
+   | _ -> Alcotest.fail "freeze must refuse an output nothing writes");
+  (* ...and so does compile, for the same graph assembled by hand. *)
   let g = leaky_base () in
   let id = Array.length g.Cgsim.Serialized.nets in
   let ghost =
@@ -1366,7 +1439,7 @@ let test_runtime_missing_producer () =
   refused_by_both "producer-less" g
     ~sources:(fun () -> [ Cgsim.Io.of_f32_array [| 1.0 |] ])
     ~sinks:(fun () -> [ Cgsim.Io.null (); Cgsim.Io.null () ])
-    [ "no producer"; Printf.sprintf "leaky/net%d" id ]
+    [ "CG-E005"; Printf.sprintf "output \"ghost\" (net%d)" id ]
 
 let pool_io_for_request contents r =
   let sink, c = Cgsim.Io.f32_buffer () in
@@ -1767,6 +1840,8 @@ let () =
           Alcotest.test_case "dtype mismatch" `Quick test_builder_dtype_mismatch;
           Alcotest.test_case "arity mismatch" `Quick test_builder_arity_mismatch;
           Alcotest.test_case "dangling connector" `Quick test_builder_dangling;
+          Alcotest.test_case "window splits an element" `Quick test_builder_bad_window;
+          Alcotest.test_case "read after output" `Quick test_builder_read_after_output;
           Alcotest.test_case "foreign connector" `Quick test_builder_cross_builder_conn;
           Alcotest.test_case "topology equality" `Quick test_serialized_topology_equal;
         ] );

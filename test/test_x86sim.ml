@@ -206,7 +206,8 @@ let scale_kernel =
 
 (* x86sim compiles through Cgsim.Runtime.compile, so both simulators
    refuse a graph whose two instances hold different definitions under
-   one name, and a graph that fails validation, with the same message. *)
+   one name, a graph that fails validation, a net nothing writes and a
+   net nothing reads, with the same message. *)
 let test_sim_refuses_like_cgsim () =
   let g = Apps.Bitonic.graph () in
   let twice =
@@ -241,6 +242,13 @@ let test_sim_refuses_like_cgsim () =
           g.Cgsim.Serialized.nets;
     }
   in
+  let rewire f = { twice with Cgsim.Serialized.nets = Array.map f twice.Cgsim.Serialized.nets } in
+  let unread =
+    {
+      (rewire (fun n -> { n with Cgsim.Serialized.global_output = None })) with
+      Cgsim.Serialized.output_order = [||];
+    }
+  in
   List.iter
     (fun (what, g, expect) ->
       let cgsim =
@@ -253,7 +261,12 @@ let test_sim_refuses_like_cgsim () =
       match X86sim.Sim.run g ~sources:[] ~sinks:[] with
       | exception X86sim.Sim.X86sim_error msg -> Alcotest.(check string) what cgsim msg
       | _ -> Alcotest.failf "x86sim must refuse the %s graph" what)
-    [ "two-definitions", two_definitions, "CG-E007"; "invalid", invalid, "cannot instantiate" ]
+    [
+      "two-definitions", two_definitions, "CG-E007";
+      "invalid", invalid, "cannot instantiate";
+      "unwritten", rewire (fun n -> if n.net_id = 1 then { n with writers = [] } else n), "CG-E005";
+      "unread", unread, "CG-E008";
+    ]
 
 let test_sim_kernel_failure_reported () =
   let boom =
