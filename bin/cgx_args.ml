@@ -129,7 +129,9 @@ let handle_errors f =
   | Sys_error msg ->
     Printf.eprintf "error: %s\n" msg;
     exit 1
-  | Aiesim.Sim.Sim_error msg | Cgsim.Runtime.Runtime_error msg ->
+  | Aiesim.Sim.Sim_error msg
+  | Cgsim.Runtime.Runtime_error msg
+  | Cgsim.Builder.Construction_error msg ->
     Printf.eprintf "error: %s\n" msg;
     exit 1
   | Unix.Unix_error (e, fn, arg) ->

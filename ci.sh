@@ -182,6 +182,17 @@ if grep -rnE 'source_pull_(block|floats|ints)|make_pull|Io\.(of_fun|repeat|count
 fi
 echo "no source pulls, removed Io constructors or allocating flat drains"
 
+echo "== one flat accumulator gate =="
+# The buffer sinks share one accumulator that copies each push into flat
+# chunks tagged by kind and converts or boxes only when read.  The boxed
+# cons list (reversed at read) and the typed sinks' doubling arrays were
+# deleted and must not come back.
+if grep -nE 'flat_buffer|List\.rev !acc' lib/cgsim/io.ml; then
+  echo "ci: Io's buffer sinks keep a second accumulator (push into the chunked one)" >&2
+  exit 1
+fi
+echo "one flat accumulator behind Io's buffer sinks"
+
 echo "== no orphaned transfer forms gate =="
 # Kernel ports read and write through Port's get/put and window forms
 # only, and each queue exports the transfers some caller makes.  The

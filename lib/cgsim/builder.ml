@@ -135,19 +135,45 @@ let add_kernel t ?inst ?src (kernel : Kernel.t) conns =
   kernel_idx
 
 (* Merge the settings of all endpoints touching a net, mirroring cgsim's
-   unification of parameterized port settings (Section 3.4). *)
-let merged_settings t insts (n : net_state) =
-  let endpoint_settings ep =
+   unification of parameterized port settings (Section 3.4).  A conflict
+   names the port that could not join and the first earlier port it
+   conflicts with. *)
+let merged_settings insts (n : net_state) =
+  let settings ep =
     let inst = insts.(ep.Serialized.kernel_idx) in
     inst.kernel.Kernel.ports.(ep.Serialized.port_idx).Kernel.settings
   in
-  let all = List.map endpoint_settings (n.writers @ n.readers) in
-  List.fold_left
-    (fun acc s ->
+  let rec go acc seen = function
+    | [] -> Ok acc
+    | ep :: rest -> (
+      let s = settings ep in
       match Settings.merge acc s with
-      | Ok merged -> merged
-      | Error reason -> fail "graph %s: net %d: %s" t.gname n.id reason)
-    Settings.default all
+      | Ok merged -> go merged (ep :: seen) rest
+      | Error reason ->
+        let conflicts ep' = Result.is_error (Settings.merge (settings ep') s) in
+        let other = List.find_opt conflicts (List.rev seen) in
+        Error (Option.to_list other @ [ ep ], reason))
+  in
+  go Settings.default [] (List.rev_append n.writers (List.rev n.readers))
+
+(* A settings conflict as a diagnostic over the frozen form, so it names
+   the net and carries its source span like every structural one. *)
+let conflict_diag s id (eps, reason) =
+  let inst ep = s.Serialized.kernels.(ep.Serialized.kernel_idx) in
+  let port ep =
+    let k = inst ep in
+    let spec = k.Serialized.kernel.Kernel.ports.(ep.Serialized.port_idx) in
+    k.Serialized.inst_name ^ "." ^ spec.Kernel.pname
+  in
+  Diagnostic.make ~severity:Diagnostic.Error ~code:"CG-E004" ~graph:s.Serialized.gname
+    ~kernels:
+      (match List.map (fun ep -> (inst ep).Serialized.inst_name) eps with
+       | [ a; b ] when String.equal a b -> [ a ]
+       | names -> names)
+    ~nets:[ Serialized.net_display s id ]
+    ~net_ids:[ id ] ?loc:(Serialized.net_src s id)
+    (Printf.sprintf "%s: %s (ports %s)" (Serialized.net_display s id) reason
+       (String.concat " and " (List.map port eps)))
 
 let freeze t =
   check_open t;
@@ -165,14 +191,15 @@ let freeze t =
         })
       insts
   in
+  let merged = List.map (merged_settings insts) nets_list in
   let nets =
     Array.of_list
-      (List.map
-         (fun n ->
+      (List.map2
+         (fun n settings ->
            {
              Serialized.net_id = n.id;
              dtype = n.dtype;
-             settings = merged_settings t insts n;
+             settings = Result.value settings ~default:Settings.default;
              attrs = n.attrs;
              writers = List.rev n.writers;
              readers = List.rev n.readers;
@@ -180,7 +207,7 @@ let freeze t =
              global_output = n.global_output;
              src = n.src;
            })
-         nets_list)
+         nets_list merged)
   in
   let serialized =
     {
@@ -191,7 +218,15 @@ let freeze t =
       output_order = Array.of_list (List.rev t.output_order);
     }
   in
-  match Serialized.validate_diags serialized with
+  let conflicts =
+    List.concat
+      (List.map2
+         (fun n -> function
+           | Ok _ -> []
+           | Error c -> [ conflict_diag serialized n.id c ])
+         nets_list merged)
+  in
+  match conflicts @ Serialized.validate_diags serialized with
   | [] -> serialized
   | diags ->
     fail "graph %s: invalid serialized form:@\n%s" t.gname

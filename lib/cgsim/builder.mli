@@ -45,10 +45,11 @@ val add_kernel : t -> ?inst:string -> ?src:Srcspan.t -> Kernel.t -> conn list ->
 (** Attach extractor-facing attributes to a connector (Section 3.4). *)
 val attach_attributes : t -> conn -> Attr.t list -> unit
 
-(** Freeze into the flattened form.  Merges each net's port settings
-    (a conflict raises {!Construction_error}), then runs
-    {!Serialized.validate_diags}, the one structural check, and raises
-    {!Construction_error} rendering every diagnostic it returns: an
+(** Freeze into the flattened form.  Merges each net's port settings,
+    then runs {!Serialized.validate_diags}, the one structural check, and
+    raises {!Construction_error} rendering every diagnostic found: ports
+    of one net whose settings do not merge ([CG-E004], naming the net,
+    the two ports and the net's source span), an
     endpoint dtype that differs from its net's ([CG-E002]), settings
     invalid for the element size ([CG-E004]), a net read or output but
     never written, or a global input a kernel writes ([CG-E005]), two

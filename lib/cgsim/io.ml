@@ -58,92 +58,136 @@ let source_pull s =
 
 let elements s = List.init (length s.payload) (value_at s.payload)
 
-let buffer () =
-  let acc = ref [] in
+(* The one accumulator behind the buffer sinks.  A push copies into
+   chunks of at most [max_chunk] elements, each tagged with its payload
+   kind, so every allocation is a small one in the minor heap, no element
+   is copied twice and the arrival order across kinds is kept.  A new
+   chunk is sized to what is left of the pending push, so a short reply
+   does not pay for a full chunk.  Readers box or convert only when they
+   run, after the run. *)
+let min_chunk = 16
+
+let max_chunk = 256
+
+type acc = {
+  mutable cur : payload;  (* the chunk being filled *)
+  mutable fill : int;  (* elements of [cur] in use *)
+  mutable sealed : (payload * int) list;  (* earlier chunks and their fills, newest first *)
+  mutable total : int;
+}
+
+(* [current] returns the chunk being filled if it has the pushed kind,
+   else an empty array, which has no room. *)
+let push a make wrap current xs n =
+  let off = ref 0 in
+  while !off < n do
+    let dst =
+      let d = current a.cur in
+      if a.fill < Array.length d then d
+      else begin
+        let d = make (Int.max min_chunk (Int.min max_chunk (n - !off))) in
+        if a.fill > 0 then a.sealed <- (a.cur, a.fill) :: a.sealed;
+        a.cur <- wrap d;
+        a.fill <- 0;
+        d
+      end
+    in
+    let k = Int.min (n - !off) (Array.length dst - a.fill) in
+    Array.blit xs !off dst a.fill k;
+    a.fill <- a.fill + k;
+    off := !off + k
+  done;
+  a.total <- a.total + n
+
+(* [f chunk fill stop] for every chunk, newest first, where [stop] is
+   the chunk's end position in the whole output. *)
+let iter_back a f =
+  let stop = ref a.total in
+  List.iter
+    (fun (p, n) ->
+      f p n !stop;
+      stop := !stop - n)
+    ((a.cur, a.fill) :: a.sealed)
+
+(* [check] vets each boxed value as it arrives, so a typed sink fed an
+   aggregate net fails in the run, naming the sink, as it always has. *)
+let accumulator snk_name ~check read =
+  let a = { cur = Values [||]; fill = 0; sealed = []; total = 0 } in
   ( {
-      snk_name = "buffer-sink";
+      snk_name;
       push_floats =
         (fun fs n ->
-          for i = 0 to n - 1 do
-            acc := Value.Float fs.(i) :: !acc
-          done);
+          push a Array.create_float
+            (fun d -> Floats d)
+            (function Floats d -> d | _ -> [||])
+            fs n);
       push_ints =
         (fun is n ->
-          for i = 0 to n - 1 do
-            acc := Value.Int is.(i) :: !acc
-          done);
+          push a
+            (fun k -> Array.make k 0)
+            (fun d -> Ints d)
+            (function Ints d -> d | _ -> [||])
+            is n);
       push_values =
         (fun vs n ->
           for i = 0 to n - 1 do
-            acc := vs.(i) :: !acc
-          done);
+            check vs.(i)
+          done;
+          push a
+            (fun k -> Array.make k (Value.Int 0))
+            (fun d -> Values d)
+            (function Values d -> d | _ -> [||])
+            vs n);
     },
-    fun () -> List.rev !acc )
+    fun () -> read a )
 
-(* Growable flat accumulator shared by the typed buffer sinks: [push_many]
-   blits a drain buffer of the sink's own kind, [push_one] stores a
-   converted element. *)
-let flat_buffer (zero : 'a) =
-  let buf = ref (Array.make 64 zero) in
-  let len = ref 0 in
-  let reserve n =
-    if !len + n > Array.length !buf then begin
-      let nc = ref (Array.length !buf * 2) in
-      while !nc < !len + n do
-        nc := !nc * 2
-      done;
-      let b = Array.make !nc zero in
-      Array.blit !buf 0 b 0 !len;
-      buf := b
-    end
-  in
-  let push_one x =
-    reserve 1;
-    !buf.(!len) <- x;
-    incr len
-  in
-  let push_many xs n =
-    reserve n;
-    Array.blit xs 0 !buf !len n;
-    len := !len + n
-  in
-  push_one, push_many, fun () -> Array.sub !buf 0 !len
+(* Built from the newest chunk back, so no reversal. *)
+let buffer () =
+  accumulator "buffer-sink" ~check:ignore (fun a ->
+      let out = ref [] in
+      iter_back a (fun p n _ ->
+          for i = n - 1 downto 0 do
+            out := value_at p i :: !out
+          done);
+      !out)
 
 let f32_buffer () =
-  let push_one, push_floats, contents = flat_buffer 0. in
-  ( {
-      snk_name = "f32-buffer-sink";
-      push_floats;
-      push_ints =
-        (fun is n ->
-          for i = 0 to n - 1 do
-            push_one (float_of_int is.(i))
-          done);
-      push_values =
-        (fun vs n ->
-          for i = 0 to n - 1 do
-            push_one (Value.to_float vs.(i))
-          done);
-    },
-    contents )
+  accumulator "f32-buffer-sink"
+    ~check:(fun v -> ignore (Value.to_float v))
+    (fun a ->
+      let out = Array.create_float a.total in
+      iter_back a (fun p n stop ->
+          let base = stop - n in
+          match p with
+          | Floats fs -> Array.blit fs 0 out base n
+          | Ints is ->
+            for i = 0 to n - 1 do
+              out.(base + i) <- float_of_int is.(i)
+            done
+          | Values vs ->
+            for i = 0 to n - 1 do
+              out.(base + i) <- Value.to_float vs.(i)
+            done);
+      out)
 
 let int_buffer () =
-  let push_one, push_ints, contents = flat_buffer 0 in
-  ( {
-      snk_name = "int-buffer-sink";
-      push_floats =
-        (fun fs n ->
-          for i = 0 to n - 1 do
-            push_one (int_of_float fs.(i))
-          done);
-      push_ints;
-      push_values =
-        (fun vs n ->
-          for i = 0 to n - 1 do
-            push_one (Value.to_int vs.(i))
-          done);
-    },
-    contents )
+  accumulator "int-buffer-sink"
+    ~check:(fun v -> ignore (Value.to_int v))
+    (fun a ->
+      let out = Array.make a.total 0 in
+      iter_back a (fun p n stop ->
+          let base = stop - n in
+          match p with
+          | Floats fs ->
+            for i = 0 to n - 1 do
+              out.(base + i) <- int_of_float fs.(i)
+            done
+          | Ints is -> Array.blit is 0 out base n
+          | Values vs ->
+            for i = 0 to n - 1 do
+              out.(base + i) <- Value.to_int vs.(i)
+            done);
+      out)
 
 let rtp_sink () =
   let cell = ref None in

@@ -9,7 +9,17 @@
     pumps: its queues pull from a source when a reader finds them empty,
     and push into a sink when a writer finds them full or closes them.
     Both simulators move data through the same {!transfer} and {!emit}.
-    Runtime parameters are single-value sources and sinks. *)
+    Runtime parameters are single-value sources and sinks.
+
+    The three buffer sinks ({!buffer}, {!f32_buffer}, {!int_buffer})
+    store what a run pushes flat: each push is copied once into chunks
+    of 16 to 256 elements, floats, ints or boxed values as they arrive,
+    in arrival order.  Nothing is boxed during the run except what was
+    boxed already (the values of an aggregate net).  Boxing happens when
+    {!buffer}'s reader builds its [Value.t] list; {!f32_buffer} and
+    {!int_buffer} convert when their readers build one array of the
+    exact length.  Readers leave the store as it is, so reading twice
+    gives equal results. *)
 
 type source
 
@@ -46,14 +56,17 @@ val elements : source -> Value.t list
 
 (** {1 Sinks} *)
 
-(** Collect everything into a buffer; read it after the run. *)
+(** Collect everything; read it after the run as one list. *)
 val buffer : unit -> sink * (unit -> Value.t list)
 
 (** Collect into a float array (integer nets convert with
-    [float_of_int]). *)
+    [float_of_int]).  A boxed value that is not a scalar raises
+    [Invalid_argument] when it is pushed, so the run names the sink. *)
 val f32_buffer : unit -> sink * (unit -> float array)
 
-(** Collect into an int array (float nets convert with [int_of_float]). *)
+(** Collect into an int array (float nets convert with [int_of_float]).
+    A boxed value that is not an integer raises [Invalid_argument] when
+    it is pushed. *)
 val int_buffer : unit -> sink * (unit -> int array)
 
 (** Runtime-parameter sink: captures the last scalar written (the paper's

@@ -183,7 +183,7 @@ let record_result pool (p : pending) (res : request_result) =
     try f res
     with _ ->
       Atomic.incr pool.p_callback_failed;
-      Obs.Flight.note Obs.Flight.Note ~arg:(float_of_int h.h_id) "pool.callback_failed")
+      Obs.Flight.note Obs.Flight.Note ~arg:h.h_id "pool.callback_failed")
 
 (* Instance acquisition: pop a reset instance from the entry, or build a
    fresh one (the cold path, which is how an entry fills).  Release
@@ -260,7 +260,7 @@ let execute pool ~domain (p : pending) =
       | None -> 0.0
     in
     let t0 = Obs.Clock.now_ns () in
-    Obs.Flight.note Obs.Flight.Request ~arg:(float_of_int r) gname;
+    Obs.Flight.note Obs.Flight.Request ~arg:r gname;
     let jitter = jitter_state ~seed:p.pr_seed ~req:r in
     let prev_backoff = ref config.Run_config.retry_base_ns in
     let backoff () =
@@ -340,7 +340,7 @@ let execute pool ~domain (p : pending) =
         if p.pr_handle.h_cancelled then Runtime.Cancelled, attempt
         else if attempt <= config.Run_config.retries then begin
           Atomic.incr pool.p_retries;
-          Obs.Flight.note Obs.Flight.Retry ~arg:(float_of_int attempt) gname;
+          Obs.Flight.note Obs.Flight.Retry ~arg:attempt gname;
           if !Obs.Trace.on then Obs.Trace.incr_metric "pool.retry";
           backoff ();
           supervise (attempt + 1)

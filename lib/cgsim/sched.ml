@@ -4,10 +4,16 @@ open Effect.Deep
 exception Terminated
 exception End_of_stream
 
+(* A slice allocates nothing of its own: what it stores per task (the
+   current-fiber slot's pair, [last_ran]'s option) is built at spawn, and
+   its time adds into an int.  What remains is the effect round trip: a
+   yield's continuation and the [Ready] cell that keeps it. *)
 type task = {
   name : string;
   prof_key : string;  (* "kernel.self_ns:<name>", precomputed so the
                          per-slice profiler observe never allocates *)
+  some_name : string option;
+  self : (t * task) option;  (* the current-fiber slot while it runs *)
   mutable gen : int;  (* park generation; wakers from older parks are stale *)
   mutable state : task_state;
 }
@@ -19,21 +25,30 @@ and task_state =
   | Ready of (unit, unit) continuation
   | Finished
 
-type waker = {
+(* The ready FIFO: a circular array that doubles when full, so a push
+   or a take allocates nothing once it holds the graph's fibers ([Queue]
+   allocates a cell per push). *)
+and fifo = {
+  mutable buf : task array;
+  mutable head : int;
+  mutable len : int;
+}
+
+and waker = {
   w_task : task;
   w_gen : int;
   w_sched : t;
 }
 
 and t = {
-  ready : task Queue.t;
+  ready : fifo;
   mutable tasks : task list;  (* reverse spawn order *)
   mutable spawned : int;
   mutable completed : int;
   mutable cancelled : int;
   mutable failed : (string * exn) list;
   mutable slices : int;
-  mutable kernel_ns : float;
+  mutable kernel_ns : int;  (* an int, so the per-slice add boxes nothing *)
   mutable in_run : bool;
   mutable n_parked : int;  (* tasks in [Parked _], so idle checks are O(1) *)
   mutable stop : stop_reason option;  (* cooperative cancel token *)
@@ -81,16 +96,39 @@ let pp_stats ppf s =
      | None -> ""
      | Some st -> Printf.sprintf " stopped=%s" (stop_reason_to_string st.reason))
 
+let push q task =
+  let cap = Array.length q.buf in
+  if q.len = cap then begin
+    let b = Array.make (Int.max 8 (2 * cap)) task in
+    for i = 0 to q.len - 1 do
+      b.(i) <- q.buf.((q.head + i) mod cap)
+    done;
+    q.buf <- b;
+    q.head <- 0
+  end;
+  let cap = Array.length q.buf in
+  let i = q.head + q.len in
+  q.buf.(if i >= cap then i - cap else i) <- task;
+  q.len <- q.len + 1
+
+(* The caller checks [q.len > 0]. *)
+let take q =
+  let task = q.buf.(q.head) in
+  let h = q.head + 1 in
+  q.head <- (if h = Array.length q.buf then 0 else h);
+  q.len <- q.len - 1;
+  task
+
 let create () =
   {
-    ready = Queue.create ();
+    ready = { buf = [||]; head = 0; len = 0 };
     tasks = [];
     spawned = 0;
     completed = 0;
     cancelled = 0;
     failed = [];
     slices = 0;
-    kernel_ns = 0.0;
+    kernel_ns = 0;
     in_run = false;
     n_parked = 0;
     stop = None;
@@ -118,17 +156,20 @@ let current_name () =
   | None -> "<host>"
 
 (* The single clock shared with the observability layer: scheduler stats
-   and exported obs spans must agree on what "now" means. *)
-let now_ns = Obs.Clock.now_ns
+   and exported obs spans must agree on what "now" means.  Integer
+   nanoseconds, so a reading is not boxed. *)
+let now_ns = Obs.Clock.now_int_ns
 
 let spawn ?prof_key (t : t) ~name fn =
   let prof_key =
     match prof_key with Some k -> k | None -> Obs.Profile.prefix ^ name
   in
-  let task = { name; prof_key; gen = 0; state = Initial fn } in
+  let rec task =
+    { name; prof_key; some_name = Some name; self = Some (t, task); gen = 0; state = Initial fn }
+  in
   t.spawned <- t.spawned + 1;
   t.tasks <- task :: t.tasks;
-  Queue.push task t.ready
+  push t.ready task
 
 (* Restore a scheduler to its freshly-[create]d state so a warm runtime
    instance can respawn its fibers without reallocating the scheduler.
@@ -137,14 +178,15 @@ let spawn ?prof_key (t : t) ~name fn =
    live continuation. *)
 let reset (t : t) =
   if t.in_run then invalid_arg "cgsim: Sched.reset called during run";
-  Queue.clear t.ready;
+  t.ready.head <- 0;
+  t.ready.len <- 0;
   t.tasks <- [];
   t.spawned <- 0;
   t.completed <- 0;
   t.cancelled <- 0;
   t.failed <- [];
   t.slices <- 0;
-  t.kernel_ns <- 0.0;
+  t.kernel_ns <- 0;
   t.n_parked <- 0;
   t.stop <- None;
   t.stop_info <- None;
@@ -181,7 +223,7 @@ let wake_batch ws =
         w.w_sched.n_parked <- w.w_sched.n_parked - 1;
         incr woken;
         if traced then Obs.Trace.instant ~track:task.name ~cat:"sched" "wake";
-        Queue.push task w.w_sched.ready
+        push w.w_sched.ready task
       | Parked _ | Initial _ | Running | Ready _ | Finished -> ())
     ws;
   if traced && !woken > 0 then Obs.Trace.add_metric "sched.wakes" (float_of_int !woken)
@@ -210,8 +252,15 @@ let set_stop t reason =
 let cancel t = set_stop t Cancel_requested
 
 (* Handler installed around every fiber body.  Park and Yield capture the
-   one-shot continuation and stash it on the task record. *)
+   one-shot continuation and stash it on the task record.  A yield's
+   handler is built once per fiber, not per yield. *)
 let fiber_handler (t : t) (task : task) : (unit, unit) handler =
+  let on_yield =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        task.state <- Ready k;
+        push t.ready task)
+  in
   let finish outcome =
     task.state <- Finished;
     match outcome with
@@ -242,46 +291,45 @@ let fiber_handler (t : t) (task : task) : (unit, unit) handler =
                 Obs.Trace.incr_metric "sched.parks"
               end;
               register { w_task = task; w_gen = task.gen; w_sched = t })
-        | Yield_eff ->
-          Some
-            (fun (k : (a, unit) continuation) ->
-              task.state <- Ready k;
-              Queue.push task t.ready)
+        | Yield_eff -> (on_yield : ((a, unit) continuation -> unit) option)
         | _ -> None);
   }
 
+let resume (t : t) (task : task) =
+  match task.state with
+  | Initial fn ->
+    task.state <- Running;
+    match_with fn () (fiber_handler t task)
+  | Ready k ->
+    task.state <- Running;
+    continue k ()
+  | Running | Parked _ | Finished ->
+    (* A task can be enqueued at most once per ready transition; other
+       states mean a stale queue entry (e.g. woken then cancelled). *)
+    ()
+
 let run_slice (t : t) (task : task) =
-  let resume () =
-    match task.state with
-    | Initial fn ->
-      task.state <- Running;
-      match_with fn () (fiber_handler t task)
-    | Ready k ->
-      task.state <- Running;
-      continue k ()
-    | Running | Parked _ | Finished ->
-      (* A task can be enqueued at most once per ready transition; other
-         states mean a stale queue entry (e.g. woken then cancelled). *)
-      ()
-  in
   let slot = current () in
   let saved = !slot in
-  slot := Some (t, task);
+  slot := task.self;
   let t0 = now_ns () in
-  resume ();
+  resume t task;
   let t1 = now_ns () in
-  t.kernel_ns <- t.kernel_ns +. (t1 -. t0);
+  let dt = t1 - t0 in
+  t.kernel_ns <- t.kernel_ns + dt;
   t.slices <- t.slices + 1;
-  t.last_ran <- Some task.name;
-  Obs.Flight.note_at ~ts:t1 Obs.Flight.Slice ~arg:(t1 -. t0) task.name;
+  t.last_ran <- task.some_name;
+  Obs.Flight.note_at ~ts_ns:t1 Obs.Flight.Slice ~arg:dt task.name;
   if !Obs.Trace.on then begin
     (* The span duration is exactly what was added to kernel_ns, so the
        exported trace and Sched.stats stay mutually consistent. *)
-    Obs.Trace.span ~track:task.name ~cat:"sched" ~name:"slice" ~ts_ns:t0 ~dur_ns:(t1 -. t0) ();
-    Obs.Trace.observe_ns "sched.slice_ns" (t1 -. t0);
+    let dur = float_of_int dt in
+    Obs.Trace.span ~track:task.name ~cat:"sched" ~name:"slice" ~ts_ns:(float_of_int t0)
+      ~dur_ns:dur ();
+    Obs.Trace.observe_ns "sched.slice_ns" dur;
     (* Per-kernel self time: the same slice duration keyed by kernel, so
        Obs.Profile can render a sorted profile and collapsed stacks. *)
-    Obs.Trace.observe_ns task.prof_key (t1 -. t0)
+    Obs.Trace.observe_ns task.prof_key dur
   end;
   slot := saved
 
@@ -289,11 +337,11 @@ let run_slice (t : t) (task : task) =
    with the fiber as the current one meanwhile.  [discontinue] runs under
    the handler captured at fiber start, which accounts for the outcome;
    a task left [Running] is only marked finished. *)
-let terminate (t : t) task k =
+let terminate task k =
   task.state <- Running;
   let slot = current () in
   let saved = !slot in
-  slot := Some (t, task);
+  slot := task.self;
   (try discontinue k Terminated with Terminated -> ());
   slot := saved;
   match task.state with
@@ -310,7 +358,7 @@ let cancel_parked t =
       match task.state with
       | Parked k ->
         t.n_parked <- t.n_parked - 1;
-        terminate t task k
+        terminate task k
       | Initial _ | Running | Ready _ | Finished -> ())
     (parked_tasks t)
 
@@ -321,7 +369,7 @@ let cancel_parked t =
 let terminate_all (t : t) =
   let discontinue_ready task =
     match task.state with
-    | Ready k -> terminate t task k
+    | Ready k -> terminate task k
     | Initial _ ->
       (* Never started: no cleanup to run, just account for it. *)
       task.state <- Finished;
@@ -329,11 +377,11 @@ let terminate_all (t : t) =
     | Running | Parked _ | Finished -> ()
   in
   let rec pass () =
-    match Queue.take_opt t.ready with
-    | Some task ->
-      discontinue_ready task;
+    if t.ready.len > 0 then begin
+      discontinue_ready (take t.ready);
       pass ()
-    | None ->
+    end
+    else begin
       List.iter discontinue_ready
         (List.filter
            (fun task -> match task.state with Ready _ | Initial _ -> true | _ -> false)
@@ -342,7 +390,8 @@ let terminate_all (t : t) =
         cancel_parked t;
         pass ()
       end
-      else if not (Queue.is_empty t.ready) then pass ()
+      else if t.ready.len > 0 then pass ()
+    end
   in
   pass ()
 
@@ -350,7 +399,7 @@ let run ?deadline_ns ?max_steps (t : t) =
   if t.in_run then invalid_arg "cgsim: Sched.run is not reentrant";
   t.in_run <- true;
   let t0 = now_ns () in
-  let deadline_abs = Option.map (fun d -> t0 +. d) deadline_ns in
+  let deadline_abs = Option.map (fun d -> t0 + int_of_float d) deadline_ns in
   (* Budget checks run between slices — the park/wake boundary of whichever
      fiber is about to be scheduled — so a stop is detected after at most
      one further slice of execution. *)
@@ -367,30 +416,30 @@ let run ?deadline_ns ?max_steps (t : t) =
   let rec drive () =
     check_budget ();
     if t.stop = None then begin
-      match Queue.take_opt t.ready with
-      | Some task ->
-        run_slice t task;
+      if t.ready.len > 0 then begin
+        run_slice t (take t.ready);
         drive ()
-      | None ->
-        if t.n_parked > 0 then begin
-          cancel_parked t;
-          if not (Queue.is_empty t.ready) then drive ()
-        end
+      end
+      else if t.n_parked > 0 then begin
+        cancel_parked t;
+        if t.ready.len > 0 then drive ()
+      end
     end
   in
   drive ();
   if t.stop <> None then terminate_all t;
   t.in_run <- false;
-  let total_ns = now_ns () -. t0 in
+  let total_ns = float_of_int (now_ns () - t0) in
   if !Obs.Trace.on then
-    Obs.Trace.span ~track:"<scheduler>" ~cat:"sched" ~name:"run" ~ts_ns:t0 ~dur_ns:total_ns ();
+    Obs.Trace.span ~track:"<scheduler>" ~cat:"sched" ~name:"run" ~ts_ns:(float_of_int t0)
+      ~dur_ns:total_ns ();
   {
     spawned = t.spawned;
     completed = t.completed;
     cancelled = t.cancelled;
     failed = List.rev t.failed;
     slices = t.slices;
-    kernel_ns = t.kernel_ns;
+    kernel_ns = float_of_int t.kernel_ns;
     total_ns;
     stopped = t.stop_info;
   }

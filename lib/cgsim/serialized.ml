@@ -99,8 +99,8 @@ let validate_diags t =
   in
   let nk = Array.length t.kernels in
   let nn = Array.length t.nets in
-  Array.iter
-    (fun (ki : kernel_inst) ->
+  Array.iteri
+    (fun kernel_idx (ki : kernel_inst) ->
       let ports = ki.kernel.Kernel.ports in
       if Array.length ki.port_nets <> Array.length ports then
         problem "CG-E001" ~kernels:[ ki.inst_name ] ?loc:ki.src
@@ -124,7 +124,22 @@ let validate_diags t =
                   "kernel %s port %s carries %s but %s carries %s" ki.inst_name
                   spec.Kernel.pname
                   (Dtype.to_string spec.Kernel.dtype)
-                  (net_display t net_id) (Dtype.to_string n.dtype)
+                  (net_display t net_id) (Dtype.to_string n.dtype);
+              (* The runtimes wire a kernel by its [port_nets] and the
+                 analyses read the nets' lists: the two must agree from
+                 this side too. *)
+              let role, eps =
+                match spec.Kernel.dir with
+                | Kernel.Out -> "writers", n.writers
+                | Kernel.In -> "readers", n.readers
+              in
+              if
+                not
+                  (List.exists (fun ep -> ep.kernel_idx = kernel_idx && ep.port_idx = p) eps)
+              then
+                problem "CG-E003" ~kernels:[ ki.inst_name ] ~nets:[ net_id ] ?loc:ki.src
+                  "kernel %s port %s is bound to %s, which does not list it among its %s"
+                  ki.inst_name spec.Kernel.pname (net_display t net_id) role
             end
           end)
         ki.port_nets;

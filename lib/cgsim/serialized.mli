@@ -62,7 +62,8 @@ val net_src : t -> int -> Srcspan.t option
 
 (** Structural validation, the one home of the graph's structural
     invariants: indices in range, endpoint port directions consistent
-    with writer/reader roles, dtypes of endpoints equal to the net
+    with writer/reader roles, each kernel port listed by the net its
+    [port_nets] binds it to, dtypes of endpoints equal to the net
     dtype, merged settings valid, every net that is read or is a global
     output has a producer (a kernel writer or a global input), no kernel
     writes a global input, input/output order arrays consistent with

@@ -19,18 +19,17 @@ let epoch = Unix.gettimeofday ()
 
 let last = Atomic.make 0
 
-let now_ns () =
-  let t = int_of_float ((Unix.gettimeofday () -. epoch) *. 1e9) in
-  let rec clamp () =
-    let l = Atomic.get last in
-    if t <= l then float_of_int l
-    else if Atomic.compare_and_set last l t then float_of_int t
-    else clamp ()
-  in
-  clamp ()
+(* Top level, so a reading allocates no closure. *)
+let rec clamp t =
+  let l = Atomic.get last in
+  if t <= l then l else if Atomic.compare_and_set last l t then t else clamp t
+
+let now_int_ns () = clamp (int_of_float ((Unix.gettimeofday () -. epoch) *. 1e9))
+
+let now_ns () = float_of_int (now_int_ns ())
 
 (* The last value handed out, without reading the OS clock: one atomic
    load, no syscall.  Precise to the most recent [now_ns] call from
    anywhere in the process (the cgsim scheduler calls it twice per
    slice), which is all coarse consumers like the flight recorder need. *)
-let cached_ns () = float_of_int (Atomic.get last)
+let cached_int_ns () = Atomic.get last

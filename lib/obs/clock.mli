@@ -9,8 +9,12 @@
 (** Nanoseconds since process start, monotonically non-decreasing. *)
 val now_ns : unit -> float
 
-(** The most recent [now_ns] reading, without touching the OS clock —
-    one atomic load.  For coarse consumers (e.g. the flight recorder)
-    where slice-granular timestamps suffice and a syscall per event
-    would dominate. *)
-val cached_ns : unit -> float
+(** {!now_ns} as an int.  A float result is boxed on its way out of the
+    call, so per-slice callers (the cgsim scheduler) take this one. *)
+val now_int_ns : unit -> int
+
+(** The most recent reading, without touching the OS clock — one atomic
+    load.  For coarse consumers (e.g. the flight recorder) where
+    slice-granular timestamps suffice and a syscall per event would
+    dominate. *)
+val cached_int_ns : unit -> int

@@ -79,20 +79,21 @@ let capacity = default_capacity
 (* [note_at] writes the ring with a caller-supplied timestamp; [note]
    uses the cached clock (one atomic load, no syscall) — the scheduler
    refreshes the real clock twice per slice, which is exactly the
-   granularity flight events are emitted at.  default_capacity is a
-   power of two, so the index wrap is a mask, not a division. *)
-let note_at ~ts kind ?(arg = 0.0) name =
+   granularity flight events are emitted at.  Both take ints: a float
+   argument would be boxed at the call.  default_capacity is a power of
+   two, so the index wrap is a mask, not a division. *)
+let note_at ~ts_ns kind ~arg name =
   if Atomic.get enabled then begin
     let r = Domain.DLS.get ring_key in
     let i = r.next land (default_capacity - 1) in
-    r.ts.(i) <- ts;
+    r.ts.(i) <- float_of_int ts_ns;
     r.kinds.(i) <- kind;
     r.names.(i) <- name;
-    r.args.(i) <- arg;
+    r.args.(i) <- float_of_int arg;
     r.next <- r.next + 1
   end
 
-let note kind ?arg name = note_at ~ts:(Clock.cached_ns ()) kind ?arg name
+let note kind ?(arg = 0) name = note_at ~ts_ns:(Clock.cached_int_ns ()) kind ~arg name
 
 (* Oldest-first window of the CURRENT domain's ring.  Failure paths call
    this on the domain that hit the failure, which is also the ring's

@@ -30,15 +30,16 @@ type entry = { fl_ts_ns : float; fl_kind : kind; fl_name : string; fl_arg : floa
 (** Ring capacity per domain (events retained). *)
 val capacity : int
 
-(** Record an event on the current domain's ring.  Never allocates and
-    never reads the OS clock (it stamps entries with {!Clock.cached_ns},
-    which the scheduler refreshes every slice); pass an existing string,
-    not a [Printf] result. *)
-val note : kind -> ?arg:float -> string -> unit
+(** Record an event on the current domain's ring.  Never reads the OS
+    clock (it stamps entries with {!Clock.cached_int_ns}, which the
+    scheduler refreshes every slice); pass an existing string, not a
+    [Printf] result.  Allocates nothing without [arg]. *)
+val note : kind -> ?arg:int -> string -> unit
 
 (** As {!note} with an exact caller-supplied timestamp, for sites that
-    just read the clock anyway (e.g. the scheduler's slice accounting). *)
-val note_at : ts:float -> kind -> ?arg:float -> string -> unit
+    just read the clock anyway (the scheduler's slice accounting).  Every
+    argument is an int or a pointer, so the call boxes nothing. *)
+val note_at : ts_ns:int -> kind -> arg:int -> string -> unit
 
 (** Oldest-first window of the current domain's ring. *)
 val snapshot : unit -> entry list

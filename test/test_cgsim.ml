@@ -232,6 +232,66 @@ let test_sched_spawn_during_run () =
   Alcotest.(check int) "both ran" 2 stats.Cgsim.Sched.completed;
   Alcotest.(check (list string)) "order" [ "parent"; "child" ] (List.rev !seen)
 
+(* A slice allocates nothing of the scheduler's own.  The effect round
+   trip itself does: [perform] makes a continuation and the scheduler
+   keeps it in a [Ready] cell until it resumes it.  The same round trip
+   is measured bare, one fiber under a handler that keeps each
+   continuation in an option, and the scheduler may add under one word
+   per slice on top.  Tracing is off; the flight recorder is on. *)
+type _ Effect.t += Bare_yield : unit Effect.t
+
+let test_sched_slices_allocate_nothing () =
+  let n = 10_000 in
+  let s = Cgsim.Sched.create () in
+  let body () =
+    for _ = 1 to n do
+      Cgsim.Sched.yield ()
+    done
+  in
+  Cgsim.Sched.spawn s ~name:"a" body;
+  Cgsim.Sched.spawn s ~name:"b" body;
+  let before = Gc.minor_words () in
+  let stats = Cgsim.Sched.run s in
+  let sched_words = Gc.minor_words () -. before in
+  let slices = stats.Cgsim.Sched.slices in
+  Alcotest.(check int) "one slice per yield, plus each fiber's last" ((2 * n) + 2) slices;
+  let kept = ref None in
+  let on_yield : ((unit, unit) Effect.Deep.continuation -> unit) option =
+    Some (fun k -> kept := Some k)
+  in
+  let handler =
+    {
+      Effect.Deep.retc = (fun () -> ());
+      exnc = raise;
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | Bare_yield -> (on_yield : ((a, unit) Effect.Deep.continuation -> unit) option)
+          | _ -> None);
+    }
+  in
+  let before = Gc.minor_words () in
+  Effect.Deep.match_with
+    (fun () ->
+      for _ = 1 to 2 * n do
+        Effect.perform Bare_yield
+      done)
+    () handler;
+  let rec resume () =
+    match !kept with
+    | Some k ->
+      kept := None;
+      Effect.Deep.continue k ();
+      resume ()
+    | None -> ()
+  in
+  resume ();
+  let bare_words = Gc.minor_words () -. before in
+  let added = (sched_words /. float_of_int slices) -. (bare_words /. float_of_int (2 * n)) in
+  if added >= 1.0 then
+    Alcotest.failf "a slice allocates %.2f words beyond the bare round trip (%.0f words, %d slices)"
+      added sched_words slices
+
 (* ------------------------------------------------------------------ *)
 (* Bqueue                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -776,6 +836,46 @@ let test_builder_bad_window () =
     Alcotest.(check bool) ("names the code and the input: " ^ msg) true
       (mentions "CG-E004" msg && mentions "input \"x\"" msg)
   | _ -> Alcotest.fail "a window that splits an element must fail at freeze"
+
+(* A window-8 port and a window-16 port on one net cannot merge: freeze
+   refuses the graph with a CG-E004 that names the net, both ports and
+   the net's source span. *)
+let test_builder_settings_conflict () =
+  let windowed name dir bytes =
+    Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name
+      (match dir with
+       | `Out ->
+         [
+           Cgsim.Kernel.in_port "in" Cgsim.Dtype.F32;
+           Cgsim.Kernel.out_port ~settings:(Cgsim.Settings.window bytes) "out" Cgsim.Dtype.F32;
+         ]
+       | `In ->
+         [
+           Cgsim.Kernel.in_port ~settings:(Cgsim.Settings.window bytes) "in" Cgsim.Dtype.F32;
+           Cgsim.Kernel.out_port "out" Cgsim.Dtype.F32;
+         ])
+      (fun _ -> ())
+  in
+  let w8 = windowed "w8" `Out 8 and w16 = windowed "w16" `In 16 in
+  let span = Cgsim.Srcspan.make ~file:"join.cgc" ~line:4 ~col:5 () in
+  match
+    Cgsim.Builder.make ~name:"join" ~inputs:[ "x", Cgsim.Dtype.F32 ] (fun b conns ->
+        let mid = Cgsim.Builder.net ~src:span b Cgsim.Dtype.F32 in
+        let out = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+        ignore (Cgsim.Builder.add_kernel b w8 [ List.hd conns; mid ]);
+        ignore (Cgsim.Builder.add_kernel b w16 [ mid; out ]);
+        [ out ])
+  with
+  | exception Cgsim.Builder.Construction_error msg ->
+    List.iter
+      (fun needle ->
+        Alcotest.(check bool) ("names " ^ needle ^ ": " ^ msg) true (mentions needle msg))
+      [
+        "join.cgc:4:5: error[CG-E004]";
+        "net1 (w8_0.out, w16_0.in)";
+        "window<8> vs window<16> (ports w8_0.out and w16_0.in)";
+      ]
+  | _ -> Alcotest.fail "a window-8 and a window-16 port on one net must fail at freeze"
 
 (* A kernel may read a connector that is also a global output, whether
    [output] is declared before or after the read: both orders build one
@@ -1441,6 +1541,51 @@ let test_runtime_missing_producer () =
     ~sinks:(fun () -> [ Cgsim.Io.null (); Cgsim.Io.null () ])
     [ "CG-E005"; Printf.sprintf "output \"ghost\" (net%d)" id ]
 
+(* A kernel port bound, by its [port_nets], to a net that does not list
+   it: the runtimes would wire the port to the net while the analyses,
+   which read the nets' lists, would not see it.  The net keeps another
+   reader, so nothing else about the graph is wrong. *)
+let test_unlisted_port () =
+  let g =
+    Cgsim.Builder.make ~name:"unlisted" ~inputs:[ "x", Cgsim.Dtype.F32 ] (fun b conns ->
+        let mid = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+        ignore (Cgsim.Builder.add_kernel b scale_kernel [ List.hd conns; mid ]);
+        let y0 = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+        let y1 = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+        ignore (Cgsim.Builder.add_kernel b scale_kernel [ mid; y0 ]);
+        ignore (Cgsim.Builder.add_kernel b scale_kernel [ mid; y1 ]);
+        [ y0; y1 ])
+  in
+  let k1 = g.Cgsim.Serialized.kernels.(1) in
+  Alcotest.(check string) "second instance" "test_scale_1" k1.Cgsim.Serialized.inst_name;
+  let mid = k1.Cgsim.Serialized.port_nets.(0) in
+  let drop (n : Cgsim.Serialized.net) =
+    if n.Cgsim.Serialized.net_id <> mid then n
+    else
+      {
+        n with
+        Cgsim.Serialized.readers =
+          List.filter
+            (fun (ep : Cgsim.Serialized.endpoint) -> ep.Cgsim.Serialized.kernel_idx <> 1)
+            n.Cgsim.Serialized.readers;
+      }
+  in
+  let g = { g with Cgsim.Serialized.nets = Array.map drop g.Cgsim.Serialized.nets } in
+  (match Cgsim.Serialized.validate_diags g with
+   | [ d ] ->
+     Alcotest.(check string) "code" "CG-E003" d.Cgsim.Diagnostic.code;
+     Alcotest.(check (list string)) "kernel" [ "test_scale_1" ] d.Cgsim.Diagnostic.kernels;
+     Alcotest.(check (list int)) "net" [ mid ] d.Cgsim.Diagnostic.net_ids;
+     Alcotest.(check bool) ("names the port: " ^ d.Cgsim.Diagnostic.message) true
+       (mentions "port in" d.Cgsim.Diagnostic.message)
+   | ds ->
+     Alcotest.failf "expected one CG-E003, got %d: %s" (List.length ds)
+       (String.concat "; " (List.map Cgsim.Diagnostic.render ds)));
+  refused_by_both "unlisted-port" g
+    ~sources:(fun () -> [ Cgsim.Io.of_f32_array [| 1.0 |] ])
+    ~sinks:(fun () -> [ Cgsim.Io.null (); Cgsim.Io.null () ])
+    [ "CG-E003"; "test_scale_1 port in" ]
+
 let pool_io_for_request contents r =
   let sink, c = Cgsim.Io.f32_buffer () in
   contents.(r) <- c;
@@ -1580,6 +1725,130 @@ let rec show_bits = function
   | Cgsim.Value.Vec a -> "[" ^ String.concat ";" (Array.to_list (Array.map show_bits a)) ^ "]"
   | Cgsim.Value.Rec fs ->
     "{" ^ String.concat ";" (List.map (fun (n, v) -> n ^ "=" ^ show_bits v) fs) ^ "}"
+
+(* The buffer sinks against a cons-list model.  Each push reaches the
+   sink through Io.emit as one block of its kind, copied out of a ring of
+   its own: flat floats from an F64 ring, flat ints from an I64 ring, and
+   boxed values through an aggregate outlet (a value push is all ints or
+   all floats, one ring's worth).  The sizes straddle the
+   accumulator's chunk bounds (16 and 256 elements). *)
+type push =
+  | Push_floats of float array
+  | Push_ints of int array
+  | Push_values of Cgsim.Value.t array
+
+let emit_push sink p =
+  let module R = Cgsim.Ring in
+  let ring_dtype, outlet_dtype, n =
+    match p with
+    | Push_floats fs -> Cgsim.Dtype.F64, Cgsim.Dtype.F64, Array.length fs
+    | Push_ints is -> Cgsim.Dtype.I64, Cgsim.Dtype.I64, Array.length is
+    | Push_values vs ->
+      let ring_dtype =
+        if Array.for_all (function Cgsim.Value.Int _ -> true | _ -> false) vs then Cgsim.Dtype.I64
+        else Cgsim.Dtype.F64
+      in
+      ring_dtype, Cgsim.Dtype.Vector (Cgsim.Dtype.F32, 2), Array.length vs
+  in
+  let r = R.create ~name:"push" ~dtype:ring_dtype ~capacity:(Int.max 1 n) in
+  let c = R.add_cursor r in
+  (match p with
+   | Push_floats fs -> R.floats.R.copy_in r fs 0 n
+   | Push_ints is -> R.ints.R.copy_in r is 0 n
+   | Push_values vs -> R.values.R.copy_in r vs 0 n);
+  let o = Cgsim.Io.outlet outlet_dtype ~capacity:(Int.max 1 n) sink in
+  Cgsim.Io.emit o
+    {
+      Cgsim.Io.read =
+        (fun k b off m ->
+          let m = Int.min m n in
+          k.R.copy_out r c b off m;
+          m);
+    }
+
+let model pushes =
+  List.concat_map
+    (function
+      | Push_floats fs -> Array.to_list (Array.map (fun f -> Cgsim.Value.Float f) fs)
+      | Push_ints is -> Array.to_list (Array.map (fun i -> Cgsim.Value.Int i) is)
+      | Push_values vs -> Array.to_list vs)
+    pushes
+
+let gen_pushes =
+  let open QCheck.Gen in
+  let size = oneof [ oneofl [ 0; 1; 255; 256; 257; 1024 ]; int_bound 300 ] in
+  let any_float = map Int64.float_of_bits ui64 in
+  let push =
+    size >>= fun n ->
+    oneof
+      [
+        map (fun a -> Push_floats a) (array_repeat n any_float);
+        map (fun a -> Push_ints a) (array_repeat n int);
+        map (fun a -> Push_values a) (array_repeat n (map (fun i -> Cgsim.Value.Int i) int));
+        map
+          (fun a -> Push_values a)
+          (array_repeat n (map (fun f -> Cgsim.Value.Float f) any_float));
+      ]
+  in
+  list_size (int_bound 8) push
+
+let float_bits fs = Array.to_list (Array.map (fun f -> Int64.bits_of_float f) fs)
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument _ -> Error ()
+
+let prop_buffers_match_model =
+  QCheck.Test.make ~name:"buffer sinks read back the cons-list model" ~count:200
+    (QCheck.make
+       ~print:(fun ps ->
+         String.concat " "
+           (List.map
+              (function
+                | Push_floats a -> Printf.sprintf "F%d" (Array.length a)
+                | Push_ints a -> Printf.sprintf "I%d" (Array.length a)
+                | Push_values a -> Printf.sprintf "V%d" (Array.length a))
+              ps))
+       gen_pushes)
+    (fun pushes ->
+      let expected = model pushes in
+      let sink, values = Cgsim.Io.buffer () in
+      let f32_sink, floats = Cgsim.Io.f32_buffer () in
+      let int_sink, ints = Cgsim.Io.int_buffer () in
+      List.iter
+        (fun p ->
+          emit_push sink p;
+          emit_push f32_sink p)
+        pushes;
+      (* A float value is refused as it arrives at the int sink. *)
+      let int_outcome =
+        outcome (fun () ->
+            List.iter (emit_push int_sink) pushes;
+            ints ())
+      in
+      (* Flat floats and ints convert as the typed sinks always did; a
+         boxed value goes through Value.to_float / Value.to_int. *)
+      let expected_floats =
+        List.concat_map
+          (function
+            | Push_floats fs -> Array.to_list fs
+            | Push_ints is -> Array.to_list (Array.map float_of_int is)
+            | Push_values vs -> Array.to_list (Array.map Cgsim.Value.to_float vs))
+          pushes
+      in
+      let expected_ints () =
+        Array.of_list
+          (List.concat_map
+             (function
+               | Push_floats fs -> Array.to_list (Array.map int_of_float fs)
+               | Push_ints is -> Array.to_list is
+               | Push_values vs -> Array.to_list (Array.map Cgsim.Value.to_int vs))
+             pushes)
+      in
+      List.map show_bits (values ()) = List.map show_bits expected
+      && float_bits (floats ()) = float_bits (Array.of_list expected_floats)
+      && int_outcome = outcome expected_ints
+      && List.map show_bits (values ()) = List.map show_bits (values ())
+      && float_bits (floats ()) = float_bits (floats ())
+      && (Result.is_error int_outcome || int_outcome = outcome ints))
 
 let has_substring needle hay =
   let n = String.length needle in
@@ -1812,6 +2081,7 @@ let () =
           Alcotest.test_case "stale waker ignored" `Quick test_sched_stale_waker;
           Alcotest.test_case "spawn during run" `Quick test_sched_spawn_during_run;
           Alcotest.test_case "wake batch" `Quick test_sched_wake_batch;
+          Alcotest.test_case "slices allocate nothing" `Quick test_sched_slices_allocate_nothing;
         ] );
       ( "bqueue",
         [
@@ -1841,6 +2111,7 @@ let () =
           Alcotest.test_case "arity mismatch" `Quick test_builder_arity_mismatch;
           Alcotest.test_case "dangling connector" `Quick test_builder_dangling;
           Alcotest.test_case "window splits an element" `Quick test_builder_bad_window;
+          Alcotest.test_case "settings conflict" `Quick test_builder_settings_conflict;
           Alcotest.test_case "read after output" `Quick test_builder_read_after_output;
           Alcotest.test_case "foreign connector" `Quick test_builder_cross_builder_conn;
           Alcotest.test_case "topology equality" `Quick test_serialized_topology_equal;
@@ -1858,6 +2129,7 @@ let () =
           Alcotest.test_case "diamond closed form" `Quick test_runtime_diamond_closed_form;
           Alcotest.test_case "missing consumer" `Quick test_runtime_missing_consumer;
           Alcotest.test_case "missing producer" `Quick test_runtime_missing_producer;
+          Alcotest.test_case "port its net does not list" `Quick test_unlisted_port;
         ]
         @ qsuite [ prop_pipeline_random; prop_rate_matched_chains ]
         @ [ Alcotest.test_case "kernel contexts ride the binding" `Quick test_runtime_kernel_contexts ]
@@ -1880,5 +2152,7 @@ let () =
           Alcotest.test_case "diamond golden" `Quick test_graph_text_diamond_golden;
           Alcotest.test_case "dtype spellings" `Quick test_graph_text_dtype_spellings;
         ] );
-      "io", [ Alcotest.test_case "rtp sink" `Quick test_io_rtp_sink ];
+      ( "io",
+        Alcotest.test_case "rtp sink" `Quick test_io_rtp_sink
+        :: qsuite [ prop_buffers_match_model ] );
     ]

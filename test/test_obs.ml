@@ -413,7 +413,7 @@ let test_flight_wraparound () =
   Obs.Flight.clear ();
   let n = Obs.Flight.capacity + 50 in
   for i = 1 to n do
-    Obs.Flight.note Obs.Flight.Note ~arg:(float_of_int i) "w"
+    Obs.Flight.note Obs.Flight.Note ~arg:i "w"
   done;
   Alcotest.(check int) "noted counts everything" n (Obs.Flight.noted ());
   let snap = Obs.Flight.snapshot () in

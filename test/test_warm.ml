@@ -125,13 +125,14 @@ let test_reset_many_cycles () =
 (* Allocation ceiling of one warm run at the request sizes the pool_mix
    benchmark serves: kernel bodies compute into lanes they allocate once
    and aggregate nets move as flat lanes (bilinear's requests, farrow's
-   cascade), so what a warm run allocates is the scheduler's and the
-   ports' own bookkeeping, the source pump's chunk array and the buffer
-   sink's boxed outputs.  Sources and sinks are built before the
-   measured call; a reset between runs is not measured.  Bilinear's and
-   farrow's ceilings sit 15 % above their measured words (3 018 and
-   36 373), below what boxed aggregate nets allocated (3 674 and
-   127 500). *)
+   cascade), a scheduler slice allocates nothing of its own, and the
+   buffer sink copies outputs into flat chunks, so what a warm run
+   allocates is the effect round trips, the ports' own bookkeeping, the
+   source pump's chunk array and the sink's chunks.  Sources and sinks
+   are built before the measured call; a reset between runs is not
+   measured.  Each ceiling sits about 15 % above the measured words
+   (674, 1 462, 13 044 and 6 422); with a boxed sink and allocating
+   slices the same runs took 1 147, 2 836, 35 074 and 18 736. *)
 let test_warm_run_allocation () =
   List.iter
     (fun (name, reps, ceiling) ->
@@ -159,7 +160,7 @@ let test_warm_run_allocation () =
       if w > ceiling then
         Alcotest.failf "%s@%d: a warm run allocates %.0f minor words (ceiling %.0f)" name reps w
           ceiling)
-    [ "bitonic", 4, 1_800.; "bilinear", 1, 3_500.; "farrow", 2, 42_000.; "iir", 1, 24_000. ]
+    [ "bitonic", 4, 780.; "bilinear", 1, 1_700.; "farrow", 2, 15_000.; "iir", 1, 7_400. ]
 
 let test_reset_during_run_rejected () =
   let h = Apps.Harness.bitonic in
