@@ -59,6 +59,13 @@ let fpmac_bench =
   Test.make ~name:"intrinsics: fpmac 8-lane"
     (Staged.stage (fun () -> Aie.Intrinsics.fpmac None ~dst acc a b))
 
+(* iir's op: the scalar is a lane of a caller array. *)
+let fpmac_scalar_bench =
+  let src = Array.make 8 1.5 and b = Array.make 8 0.25 and acc = Array.make 8 0.0 in
+  let dst = Array.make 8 0.0 in
+  Test.make ~name:"intrinsics: fpmac_scalar 8-lane"
+    (Staged.stage (fun () -> Aie.Intrinsics.fpmac_scalar None ~dst acc src 3 b))
+
 (* The kernel's form: the input is copied into the lanes the sort works
    in, then sorted in place. *)
 let sort16_bench =
@@ -114,6 +121,7 @@ let tests =
     queue_transfer;
     context_switch;
     fpmac_bench;
+    fpmac_scalar_bench;
     sort16_bench;
     graph_construction;
     runtime_instantiation;

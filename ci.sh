@@ -301,6 +301,21 @@ if grep -nE 'Array\.(make|create_float|init|map|sub|copy|append)' lib/aie/vec.ml
 fi
 echo "no array allocation in lib/aie/vec.ml or lib/aie/intrinsics.ml"
 
+echo "== fp32 lanes in C gate =="
+# Aie.Vec's fp32 lane loops run in lib/aie/vec_stubs.c, one call per op
+# instead of an OCaml loop step and a rounding call per lane.  The file
+# is built with -ffp-contract=off: without it GCC may fuse acc + a*b
+# into one FMA, whose single rounding differs from today's results.
+if grep -n round_f32 lib/aie/vec.ml; then
+  echo "ci: lib/aie/vec.ml rounds fp32 lanes in OCaml (run the loop in vec_stubs.c)" >&2
+  exit 1
+fi
+if ! grep -q -- '-ffp-contract=off' lib/aie/dune; then
+  echo "ci: lib/aie/dune builds vec_stubs.c without -ffp-contract=off" >&2
+  exit 1
+fi
+echo "fp32 lane loops in C, built without FMA contraction"
+
 echo "== GC-settings gate =="
 # Library code must not mutate process-wide GC state: a Gc.set reaches
 # only the calling domain's minor heap (domains spawned later start at

@@ -1,17 +1,15 @@
-(* Every op is a monomorphic loop over [float array] or [int array] that
-   writes into the caller's [dst].  A shared higher-order lane helper
-   would cost a closure call per lane and, for floats, box both arguments
-   and the result: without flambda (and under dune's -opaque dev profile)
-   nothing inlines it away.  A float scalar operand is passed as a lane of
-   a caller array for the same reason: a bare [float] argument to a
-   function of another module is boxed on every call.
+(* The fp32 ops check their operands here and run their lane loops in
+   vec_stubs.c (see vec.mli for why only those).  The int ops are
+   monomorphic OCaml loops: a shared higher-order lane helper would cost
+   a closure call per lane, and without flambda (and under dune's
+   -opaque dev profile) nothing inlines it away.
 
-   Lane loops index with [unsafe_get]/[unsafe_set] only after the op's
-   own checks have fixed every length they touch: [check_lanes], the
-   [fselect] mask test, the scalar-lane test and the shuffles' per-lane
-   index test.  Nothing else would remove the per-lane bounds checks in
-   the dev profile.  Lane-wise ops read lane [i] of every operand before
-   they write lane [i] of [dst], so [dst] may be one of their operands. *)
+   Lane loops, in OCaml or in C, index without bounds checks only after
+   the op's own checks have fixed every length they touch: [check_lanes],
+   the [fselect] mask test, the scalar-lane test and the shuffles'
+   per-lane index test (inside the loop).  Lane-wise ops read lane [i] of
+   every operand before they write lane [i] of [dst], so [dst] may be one
+   of their operands. *)
 
 let check_lanes name a b =
   if Array.length a <> Array.length b then
@@ -27,106 +25,103 @@ let check_lane name src k =
   if k < 0 || k >= Array.length src then
     invalid_arg (Printf.sprintf "aie: %s scalar lane %d out of range" name k)
 
-(* A loop, not [Array.fill]: the polymorphic fill would box the rounded
-   value. *)
-let fsplat ~(dst : float array) v =
-  let v = Cgsim.Value.round_f32 v in
-  for i = 0 to Array.length dst - 1 do
-    Array.unsafe_set dst i v
-  done
+(* The fp32 lane loops live in vec_stubs.c.  Each external takes the
+   lane count its checks fixed; a float scalar is unboxed, so passing it
+   boxes nothing. *)
+external fsplat_lanes : float array -> int -> (float[@unboxed]) -> unit
+  = "aie_fsplat_byte" "aie_fsplat"
+  [@@noalloc]
+
+external fadd_lanes : float array -> float array -> float array -> int -> unit = "aie_fadd"
+  [@@noalloc]
+
+external fsub_lanes : float array -> float array -> float array -> int -> unit = "aie_fsub"
+  [@@noalloc]
+
+external fmul_lanes : float array -> float array -> float array -> int -> unit = "aie_fmul"
+  [@@noalloc]
+
+external fmax_lanes : float array -> float array -> float array -> int -> unit = "aie_fmax"
+  [@@noalloc]
+
+external fmin_lanes : float array -> float array -> float array -> int -> unit = "aie_fmin"
+  [@@noalloc]
+
+external fmac_lanes : float array -> float array -> float array -> float array -> int -> unit
+  = "aie_fmac"
+  [@@noalloc]
+
+external fmac_scalar_lanes :
+  float array -> float array -> (float[@unboxed]) -> float array -> int -> unit
+  = "aie_fmac_scalar_byte" "aie_fmac_scalar"
+  [@@noalloc]
+
+(* Returns the first lane whose index is out of range, or -1. *)
+external fshuffle_lanes : float array -> float array -> int array -> int -> int -> int
+  = "aie_fshuffle"
+  [@@noalloc]
+
+external fselect_lanes : float array -> bool array -> float array -> float array -> int -> unit
+  = "aie_fselect"
+  [@@noalloc]
+
+external fsum_lanes : float array -> float array -> int -> unit = "aie_fsum" [@@noalloc]
+
+let fsplat ~(dst : float array) v = fsplat_lanes dst (Array.length dst) v
 
 let fadd ~(dst : float array) (a : float array) (b : float array) =
   check_lanes "fadd" dst a;
   check_lanes "fadd" a b;
-  for i = 0 to Array.length a - 1 do
-    Array.unsafe_set dst i (Cgsim.Value.round_f32 (Array.unsafe_get a i +. Array.unsafe_get b i))
-  done
+  fadd_lanes dst a b (Array.length a)
 
 let fsub ~(dst : float array) (a : float array) (b : float array) =
   check_lanes "fsub" dst a;
   check_lanes "fsub" a b;
-  for i = 0 to Array.length a - 1 do
-    Array.unsafe_set dst i (Cgsim.Value.round_f32 (Array.unsafe_get a i -. Array.unsafe_get b i))
-  done
+  fsub_lanes dst a b (Array.length a)
 
 let fmul ~(dst : float array) (a : float array) (b : float array) =
   check_lanes "fmul" dst a;
   check_lanes "fmul" a b;
-  for i = 0 to Array.length a - 1 do
-    Array.unsafe_set dst i (Cgsim.Value.round_f32 (Array.unsafe_get a i *. Array.unsafe_get b i))
-  done
+  fmul_lanes dst a b (Array.length a)
 
 let fmac ~(dst : float array) (acc : float array) (a : float array) (b : float array) =
   check_lanes "fmac" dst acc;
   check_lanes "fmac" acc a;
   check_lanes "fmac" a b;
-  for i = 0 to Array.length acc - 1 do
-    Array.unsafe_set dst i
-      (Cgsim.Value.round_f32
-         (Array.unsafe_get acc i +. (Array.unsafe_get a i *. Array.unsafe_get b i)))
-  done
+  fmac_lanes dst acc a b (Array.length acc)
 
-(* The scalar is rounded as [fsplat] rounds it and stays the first
-   multiplicand, so a NaN operand propagates the same payload as in
-   [fmac acc (fsplat n s) b]. *)
 let fmac_scalar ~(dst : float array) (acc : float array) (src : float array) k (b : float array) =
   check_lanes "fmac_scalar" dst acc;
   check_lanes "fmac_scalar" acc b;
   check_lane "fmac_scalar" src k;
-  let s = Cgsim.Value.round_f32 (Array.unsafe_get src k) in
-  for i = 0 to Array.length acc - 1 do
-    Array.unsafe_set dst i
-      (Cgsim.Value.round_f32 (Array.unsafe_get acc i +. (s *. Array.unsafe_get b i)))
-  done
+  fmac_scalar_lanes dst acc (Array.unsafe_get src k) b (Array.length acc)
 
-(* A NaN in either lane compares false, so the second operand wins. *)
 let fmax ~(dst : float array) (a : float array) (b : float array) =
   check_lanes "fmax" dst a;
   check_lanes "fmax" a b;
-  for i = 0 to Array.length a - 1 do
-    let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
-    Array.unsafe_set dst i (if x >= y then x else y)
-  done
+  fmax_lanes dst a b (Array.length a)
 
 let fmin ~(dst : float array) (a : float array) (b : float array) =
   check_lanes "fmin" dst a;
   check_lanes "fmin" a b;
-  for i = 0 to Array.length a - 1 do
-    let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
-    Array.unsafe_set dst i (if x <= y then x else y)
-  done
+  fmin_lanes dst a b (Array.length a)
 
 let fshuffle ~(dst : float array) (v : float array) idx =
   check_lanes "fshuffle" dst idx;
   check_not_aliased "fshuffle" dst v;
-  for i = 0 to Array.length idx - 1 do
-    let j = Array.unsafe_get idx i in
-    if j < 0 || j >= Array.length v then
-      invalid_arg (Printf.sprintf "aie: fshuffle index %d out of range" j);
-    Array.unsafe_set dst i (Array.unsafe_get v j)
-  done
+  let bad = fshuffle_lanes dst v idx (Array.length idx) (Array.length v) in
+  if bad >= 0 then
+    invalid_arg (Printf.sprintf "aie: fshuffle index %d out of range" (Array.unsafe_get idx bad))
 
 let fselect ~(dst : float array) mask (a : float array) (b : float array) =
   check_lanes "fselect" dst a;
   check_lanes "fselect" a b;
   if Array.length mask <> Array.length a then invalid_arg "aie: fselect mask lane mismatch";
-  for i = 0 to Array.length a - 1 do
-    Array.unsafe_set dst i
-      (if Array.unsafe_get mask i then Array.unsafe_get a i else Array.unsafe_get b i)
-  done
+  fselect_lanes dst mask a b (Array.length a)
 
 let fsum ~(dst : float array) (v : float array) =
   check_lanes "fsum" dst v;
-  Array.blit v 0 dst 0 (Array.length v);
-  let w = ref (Array.length dst) in
-  while !w > 1 do
-    let h = (!w + 1) / 2 in
-    for i = 0 to !w - h - 1 do
-      Array.unsafe_set dst i
-        (Cgsim.Value.round_f32 (Array.unsafe_get dst i +. Array.unsafe_get dst (i + h)))
-    done;
-    w := h
-  done
+  fsum_lanes dst v (Array.length v)
 
 let isplat ~(dst : int array) v = Array.fill dst 0 (Array.length dst) v
 

@@ -11,13 +11,29 @@
     and a lane mismatch or an out-of-range shuffle index raises
     [Invalid_argument] with an ["aie: "] message.
 
-    Kernel bodies spend most of a cgsim run in these ops, so each one is
-    a monomorphic loop that allocates nothing: no closure call, no result
-    array and no boxed float per lane.  Lane-wise ops may take [dst]
-    equal to one of their operands; the shuffles raise [Invalid_argument]
-    when [dst] is their source.  fp32 results are rounded to single
-    precision; [fmax]/[fmin] return the second operand when either lane
-    is NaN. *)
+    Kernel bodies spend most of a cgsim run in these ops, so none of them
+    allocates: no closure call, no result array and no boxed float per
+    lane.
+
+    {b Where the loops run.}  The fp32 ops ([fsplat] to [fsum]) check
+    their operands in OCaml, then run their lane loop in C
+    ([vec_stubs.c]): one call per op instead of an OCaml loop step and a
+    rounding call per lane, which made these loops most of bitonic's and
+    iir's run time.  The int ops stay OCaml loops: an int lane is one
+    machine op with no rounding call, and a C version of [imac_scalar]
+    and [srs] measured no faster (the call costs what the loop saves).
+
+    {b Semantics}, the same in both: lane-wise ops read lane [i] of every
+    operand before writing lane [i] of [dst], so [dst] may be one of
+    their operands; the shuffles raise [Invalid_argument] when [dst] is
+    their source.  fp32 ops compute in double precision, with no fused
+    multiply-add, and round each result to single precision ([fmac]
+    rounds [acc + a*b] once).
+    When an arithmetic result is NaN it carries the left operand's NaN
+    (for [fmac], the product's ahead of the accumulator's).
+    [fmax]/[fmin] are [if x >= y then x else y] and
+    [if x <= y then x else y], so they return the second operand when
+    either lane is NaN, unlike C's [fmax]. *)
 
 val check_lanes : string -> 'a array -> 'b array -> unit
 (** Raises [Invalid_argument] when lane counts differ. *)

@@ -123,6 +123,20 @@ let port_of_param env (p : Ast.param) : Cgsim.Kernel.port_spec =
 
 let ports_of_kernel env (k : Ast.kernel) = List.map (port_of_param env) k.Ast.k_params
 
+let port_elem_spelling env (p : Ast.param) =
+  let rec tag (t : Ast.typ) =
+    match t.Ast.t_desc with
+    | Ast.Tconst inner | Ast.Tref inner -> tag inner
+    | Ast.Tname name -> Some name
+    | _ -> None
+  in
+  let struct_name =
+    match p.Ast.p_type.Ast.t_desc with
+    | Ast.Ttemplate (_, Ast.Ta_type elem :: _) -> tag elem
+    | _ -> None
+  in
+  Cgsim.Dtype.cpp_spelling ?struct_name (port_of_param env p).Cgsim.Kernel.dtype
+
 let connector_dtype env (t : Ast.typ) =
   match t.Ast.t_desc with
   | Ast.Ttemplate ("IoConnector", [ Ast.Ta_type elem ]) -> dtype_of_type env elem

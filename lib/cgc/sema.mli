@@ -54,6 +54,11 @@ val port_of_param : env -> Ast.param -> Cgsim.Kernel.port_spec
 (** All ports of a kernel, in declaration order. *)
 val ports_of_kernel : env -> Ast.kernel -> Cgsim.Kernel.port_spec list
 
+(** C++ spelling of a port parameter's element type for generated
+    code: a struct is spelled with the name the parameter's template
+    argument declares ([quad] for [KernelReadPort<quad>]). *)
+val port_elem_spelling : env -> Ast.param -> string
+
 (** Element dtype of an [IoConnector<T>] type. *)
 val connector_dtype : env -> Ast.typ -> Cgsim.Dtype.t
 

@@ -16,7 +16,7 @@ let find_kernel_ast env name =
 (* hls::stream interface spelling for one port. *)
 let hls_param env (p : Cgc.Ast.param) =
   let spec = Cgc.Sema.port_of_param env p in
-  let elem = Cgsim.Dtype.cpp_spelling ~struct_name:"stream_elem_t" spec.Cgsim.Kernel.dtype in
+  let elem = Cgc.Sema.port_elem_spelling env p in
   match Cgsim.Settings.resolved_transport spec.Cgsim.Kernel.settings, spec.Cgsim.Kernel.dir with
   | Cgsim.Settings.Rtp, Cgsim.Kernel.In -> Printf.sprintf "%s %s_v" elem p.Cgc.Ast.p_name
   | Cgsim.Settings.Rtp, Cgsim.Kernel.Out -> Printf.sprintf "%s &%s_v" elem p.Cgc.Ast.p_name
@@ -44,7 +44,7 @@ let hls_wrapper env (k : Cgc.Ast.kernel) =
   List.iter
     (fun (p : Cgc.Ast.param) ->
       let spec = Cgc.Sema.port_of_param env p in
-      let elem = Cgsim.Dtype.cpp_spelling ~struct_name:"stream_elem_t" spec.Cgsim.Kernel.dtype in
+      let elem = Cgc.Sema.port_elem_spelling env p in
       let name = p.Cgc.Ast.p_name in
       let line =
         match
@@ -109,7 +109,6 @@ let kernel_cpp env (g : Cgsim.Serialized.t) name =
   Buffer.contents buf
 
 let toplevel_cpp env (g : Cgsim.Serialized.t) =
-  ignore env;
   let buf = Buffer.create 2048 in
   let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   Buffer.add_string buf (banner "top-level dataflow region" g);
@@ -117,7 +116,18 @@ let toplevel_cpp env (g : Cgsim.Serialized.t) =
   (* Top-level signature: one hls::stream per global net, one scalar per
      RTP input. *)
   let net_elem (n : Cgsim.Serialized.net) =
-    Cgsim.Dtype.cpp_spelling ~struct_name:"stream_elem_t" n.Cgsim.Serialized.dtype
+    (* A net has no CGC parameter of its own: spell its element as a
+       kernel port on it declares it, so a struct keeps its name. *)
+    let port_on_net (ki : Cgsim.Serialized.kernel_inst) =
+      let params = (find_kernel_ast env ki.kernel.Cgsim.Kernel.name).Cgc.Ast.k_params in
+      List.find_mapi
+        (fun i p ->
+          if ki.port_nets.(i) = n.net_id then Some (Cgc.Sema.port_elem_spelling env p) else None)
+        params
+    in
+    match Array.find_map port_on_net g.kernels with
+    | Some elem -> elem
+    | None -> Cgsim.Dtype.cpp_spelling n.Cgsim.Serialized.dtype
   in
   let externals =
     List.map

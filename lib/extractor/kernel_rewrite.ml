@@ -65,7 +65,7 @@ let definition env ~source (k : Cgc.Ast.kernel) =
 
 let aie_native_param env (p : Cgc.Ast.param) =
   let spec = Cgc.Sema.port_of_param env p in
-  let elem = Cgsim.Dtype.cpp_spelling ~struct_name:"stream_elem_t" spec.Cgsim.Kernel.dtype in
+  let elem = Cgc.Sema.port_elem_spelling env p in
   match Cgsim.Settings.resolved_transport spec.Cgsim.Kernel.settings, spec.Cgsim.Kernel.dir with
   | Cgsim.Settings.Stream, Cgsim.Kernel.In ->
     Printf.sprintf "input_stream<%s> *%s_s" elem p.Cgc.Ast.p_name
@@ -90,7 +90,7 @@ let aie_thunk env (k : Cgc.Ast.kernel) =
   List.iter
     (fun (p : Cgc.Ast.param) ->
       let spec = Cgc.Sema.port_of_param env p in
-      let elem = Cgsim.Dtype.cpp_spelling ~struct_name:"stream_elem_t" spec.Cgsim.Kernel.dtype in
+      let elem = Cgc.Sema.port_elem_spelling env p in
       let name = p.Cgc.Ast.p_name in
       let line =
         match

@@ -407,6 +407,64 @@ constexpr auto gx_graph = make_compute_graph_v<[](IoConnector<int32_t> ddr) {
     Alcotest.(check bool) "gmio adapter" true (contains "KernelGmioReadPort<int32_t> in{in_g};" cc)
   | _ -> Alcotest.fail "one project expected"
 
+(* A struct-typed port is spelled with the struct's own name, in the
+   AIE thunk and in the HLS wrapper and top level alike. *)
+let test_extract_struct_ports () =
+  let p = extract_app "bilinear" in
+  let cc =
+    (List.find
+       (fun f -> f.Extractor.Project.rel_path = "bilinear_kernel.cc")
+       p.Extractor.Project.files)
+      .Extractor.Project.contents
+  in
+  Alcotest.(check bool) "thunk stream param" true (contains "input_stream<quad> *req_s" cc);
+  Alcotest.(check bool) "thunk port adapter" true (contains "KernelReadPort<quad> req{req_s};" cc);
+  let projects =
+    Extractor.Project.extract_string ~file:"sp.cgc"
+      {|#include "cgsim.hpp"
+#include <cstdint>
+struct pair_t { int32_t a; int32_t b; };
+COMPUTE_KERNEL(pl, sp_sum, KernelReadPort<pair_t> in, KernelWritePort<int32_t> out) {
+    while (true) { pair_t q = co_await in.get(); co_await out.put(q.a + q.b); }
+};
+COMPUTE_KERNEL(aie, sp_pass, KernelReadPort<int32_t> in, KernelWritePort<int32_t> out) {
+    while (true) { co_await out.put(co_await in.get()); }
+};
+[[extract_compute_graph]]
+constexpr auto sp_graph = make_compute_graph_v<[](IoConnector<pair_t> pairs) {
+    IoConnector<int32_t> sums, z;
+    sp_sum(pairs, sums);
+    sp_pass(sums, z);
+    return std::make_tuple(z);
+}>;|}
+  in
+  match projects with
+  | [ p ] ->
+    let file name =
+      (List.find (fun f -> f.Extractor.Project.rel_path = name) p.Extractor.Project.files)
+        .Extractor.Project.contents
+    in
+    let cc = file "pl/sp_sum.cpp" and top = file "pl/sp_graph_pl.cpp" in
+    Alcotest.(check bool) "hls wrapper param" true (contains "hls::stream<pair_t> &in_s" cc);
+    Alcotest.(check bool) "hls port adapter" true (contains "KernelReadPort<pair_t> in{in_s};" cc);
+    Alcotest.(check bool) "hls top level" true (contains "hls::stream<pair_t> &net" top)
+  | _ -> Alcotest.fail "one project expected"
+
+(* No extracted file names a type nothing declares. *)
+let test_extract_examples_declare_elements () =
+  Array.iter
+    (fun name ->
+      if Filename.check_suffix name ".cgc" then
+        List.iter
+          (fun (p : Extractor.Project.t) ->
+            List.iter
+              (fun (f : Extractor.Project.file) ->
+                if contains "stream_elem_t" f.contents then
+                  Alcotest.failf "%s: %s names stream_elem_t" name f.rel_path)
+              p.files)
+          (Extractor.Project.extract_file (Filename.concat cgc_dir name)))
+    (Sys.readdir cgc_dir)
+
 let test_extract_write_to_disk () =
   let p = extract_app "iir" in
   let dir = Filename.temp_file "cgx" "" in
@@ -459,6 +517,9 @@ let () =
           Alcotest.test_case "hls content" `Quick test_extract_hls_content;
           Alcotest.test_case "inter-realm nets" `Quick test_extract_hybrid_inter_realm_nets;
           Alcotest.test_case "gmio codegen" `Quick test_extract_gmio_codegen;
+          Alcotest.test_case "struct ports keep their name" `Quick test_extract_struct_ports;
+          Alcotest.test_case "examples declare their elements" `Quick
+            test_extract_examples_declare_elements;
           Alcotest.test_case "write to disk" `Quick test_extract_write_to_disk;
         ] );
     ]
