@@ -215,7 +215,7 @@ if grep -rnE '(Bqueue|Tqueue)\.(put_block|get_block|get_some|put_floats|put_ints
   echo "ci: caller references a deleted typed block form (pass a Ring kind to the one write or read)" >&2
   exit 1
 fi
-if grep -rnE 'Diagnostic\.severity_to_string|Faults\.action_to_string|Runtime\.failure_message|Serialized\.endpoint_display|Hazards\.fanout_threshold|Pool\.count_outcomes|Prom\.default_namespace|Flight\.(is_enabled|pp_entry|Wake)\b|Hdr\.record_n|Array_model\.pp_coord|Cfg\.ns_per_cycle|Sched\.(wake|parked_count|parked_names|stop_reason_to_string)\b' lib bin bench test examples; then
+if grep -rnE 'Diagnostic\.severity_to_string|Faults\.action_to_string|Serialized\.endpoint_display|Hazards\.fanout_threshold|Pool\.count_outcomes|Prom\.default_namespace|Flight\.(is_enabled|pp_entry|Wake)\b|Hdr\.record_n|Array_model\.pp_coord|Cfg\.ns_per_cycle|Sched\.(wake|parked_count|parked_names|stop_reason_to_string)\b' lib bin bench test examples; then
   echo "ci: caller references an export that was module-private in use" >&2
   exit 1
 fi
@@ -239,6 +239,24 @@ if grep -nE '\bwhile\b' lib/cgsim/bqueue.ml lib/x86sim/tqueue.ml; then
   exit 1
 fi
 echo "one queue implementation: Netq over the fiber and domain policies"
+
+echo "== one graph wiring gate =="
+# A graph's queues and each kernel instance's endpoints are wired once,
+# in lib/cgsim/netq.ml (net_queues and wire), and cgsim's
+# Runtime.new_instance and x86sim's Sim.run both call it: neither may
+# match on a port's direction to wire it again.  x86sim reports a
+# failure as cgsim's Runtime.failure, built by Runtime.failure_of, and
+# must not declare a failure record of its own again.
+if grep -nE 'Kernel\.(In|Out)\b' lib/cgsim/runtime.ml lib/x86sim/sim.ml; then
+  echo "ci: a simulator wires kernel ports itself (call Netq's wire)" >&2
+  exit 1
+fi
+if grep -nE 'Kernel_failed of' lib/x86sim/sim.ml lib/x86sim/sim.mli | grep -vE 'Kernel_failed of Cgsim\.Runtime\.failure([^_[:alnum:]]|$)' \
+    || grep -nE ':[[:space:]]*exn\b' lib/x86sim/sim.ml lib/x86sim/sim.mli; then
+  echo "ci: x86sim declares its own failure record (carry a Cgsim.Runtime.failure)" >&2
+  exit 1
+fi
+echo "one graph wiring; x86sim fails with cgsim's record"
 
 echo "== no fiber locals gate =="
 # A kernel gets what its run hands it (aiesim's trace recorder) through

@@ -8,8 +8,9 @@
     Blocked spans land on the waiting fiber's track.  [X86sim.Tqueue]
     is the same queue over domains.
 
-    {!Runtime} wires kernel ports with {!reader} and {!writer}, and its
-    source and sink fibers use {!write} and the drain {!read_upto}.
+    {!Runtime} wires a graph with {!net_queues} and {!wire}, as x86sim
+    does, and its source and sink fibers use {!write} and the drain
+    {!read_upto}.
     Deadline teardown is the scheduler's stop token, so nothing poisons
     a cgsim queue. *)
 

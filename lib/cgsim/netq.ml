@@ -12,8 +12,8 @@
    the rest is here, once: the transfers, attached global I/O (pulled
    by the reader that finds a source net empty, pushed by the writer
    that finds a sink net full), the deferred-wake ledger, poison,
-   reset, the trace notes and a kernel port's {!Port.reader} and
-   {!Port.writer}.
+   reset, the trace notes, a kernel port's {!Port.reader} and
+   {!Port.writer}, and the wiring of a graph's nets and kernels.
 
    A read that retires elements while a writer waits wakes the writers
    at once when the policy's [wake_now] says so; otherwise the reader's
@@ -21,6 +21,17 @@
    waits on any queue, when its writer's {!S.space} reads 0 and when
    its body ends.  The ring is always current, so a writer waits only
    while the ring is full; only its wake is late. *)
+
+(** One kernel instance's endpoints, as [S.wire] registers them: each
+    [In] and [Out] port's index and endpoint, in port order.  [finish],
+    run when the body ends, delivers the wakes the kernel owes and marks
+    its producers done, so it can raise [Endpoint_failed] as
+    [producer_done] does. *)
+type wiring = {
+  inputs : (int * Port.reader) array;
+  outputs : (int * Port.writer) array;
+  finish : unit -> unit;
+}
 
 (** How a blocked side waits and is woken.  Each operation takes one
     argument: without flambda a call to an unknown function of several
@@ -117,11 +128,6 @@ module type S = sig
   (** [Invalid_argument] on a closed queue. *)
   val add_producer : ?waker:waker -> t -> producer
 
-  (** [deliver w] wakes the writers of every net on which [w]'s kernel
-      owes a wake.  Call it with no queue operation in progress, when
-      the kernel's body ends. *)
-  val deliver : waker -> unit
-
   (** Back to the just-created-and-wired state: positions to zero,
       contents discarded, producers reopened, unclosed and unpoisoned.
       Endpoints and storage are kept.  For a queue without attached
@@ -201,6 +207,19 @@ module type S = sig
   val reader : name:string -> consumer -> Port.reader
 
   val writer : name:string -> producer -> Port.writer
+
+  (** {1 Graph wiring}, the same for both simulators *)
+
+  (** [net_queues g ~capacity] is one queue per net of [g], indexed by
+      net id, named ["<graph>/net<id>"], net [id] holding [capacity id]
+      elements. *)
+  val net_queues : Serialized.t -> capacity:(int -> int) -> t array
+
+  (** [wire queues inst] registers, in port order, a consumer for each
+      input of [inst] and a producer for each output, on the queue of
+      the port's net, all sharing one waker; a port is named
+      ["<instance>.<port>"]. *)
+  val wire : t array -> Serialized.kernel_inst -> wiring
 end
 
 module Make (W : WAIT) : S = struct
@@ -776,5 +795,36 @@ module Make (W : WAIT) : S = struct
       w_put = (fun v -> put p v);
       w_write = (fun k b off n -> write k p b off n);
       w_space = (fun () -> space p);
+    }
+
+  let net_queues (g : Serialized.t) ~capacity =
+    Array.mapi
+      (fun id (n : Serialized.net) ->
+        create ~name:(Printf.sprintf "%s/net%d" g.gname n.net_id) ~dtype:n.dtype
+          ~capacity:(capacity id) ())
+      g.nets
+
+  let wire queues (inst : Serialized.kernel_inst) =
+    let waker = waker () in
+    let inputs = ref [] and outputs = ref [] and producers = ref [] in
+    Array.iteri
+      (fun i (spec : Kernel.port_spec) ->
+        let q = queues.(inst.port_nets.(i)) in
+        let name = Printf.sprintf "%s.%s" inst.inst_name spec.pname in
+        match spec.dir with
+        | Kernel.In -> inputs := (i, reader ~name (add_consumer ~waker q)) :: !inputs
+        | Kernel.Out ->
+          let p = add_producer ~waker q in
+          producers := p :: !producers;
+          outputs := (i, writer ~name p) :: !outputs)
+      inst.kernel.Kernel.ports;
+    let producers = !producers in
+    {
+      inputs = Array.of_list (List.rev !inputs);
+      outputs = Array.of_list (List.rev !outputs);
+      finish =
+        (fun () ->
+          deliver waker;
+          List.iter producer_done producers);
     }
 end

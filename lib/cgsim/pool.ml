@@ -307,14 +307,7 @@ let execute pool ~domain (p : pending) =
           (* Wiring/instantiation raises (caller bugs) are captured so
              the pool still runs every request to completion. *)
           Runtime.Kernel_failed
-            {
-              Runtime.f_graph = gname;
-              f_kernel = "<harness>";
-              f_exn = exn;
-              f_backtrace = "";
-              f_src = None;
-              f_flight = Obs.Flight.snapshot ();
-            }
+            (Runtime.failure_of ~graph:gname ~who:"<harness>" ~src:None ~backtrace:"" exn)
       in
       let dt = Obs.Clock.now_ns () -. a0 in
       if !Obs.Trace.on then begin

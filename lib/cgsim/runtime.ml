@@ -51,6 +51,18 @@ type outcome =
   | Cancelled
   | Kernel_failed of failure
 
+(* Built on the failing domain right after the raise, while its flight
+   ring still holds the events leading up to it. *)
+let failure_of ~graph ~who ~src ~backtrace exn =
+  {
+    f_graph = graph;
+    f_kernel = who;
+    f_exn = exn;
+    f_backtrace = String.trim backtrace;
+    f_src = src;
+    f_flight = Obs.Flight.snapshot ();
+  }
+
 let outcome_label = function
   | Completed _ -> "completed"
   | Deadline_exceeded p -> (match p.p_reason with `Wall_clock -> "deadline" | `Max_steps -> "max-steps")
@@ -112,17 +124,12 @@ type compiled = {
   c_capacities : int array;  (* per net id *)
 }
 
-(* One kernel port wired to its queue endpoint.  Raw (untapped) port
-   records are built once per instance; [arm] taps them per run. *)
-type port_wire =
-  | Wire_in of int * Port.reader  (* port index in the kernel's ports *)
-  | Wire_out of int * Port.writer
-
+(* A kernel instance's raw (untapped) endpoints are wired once per
+   instance; [arm] taps them per run. *)
 type wired_kernel = {
   wk_inst : Serialized.kernel_inst;
   wk_prof_key : string;
-  wk_wires : port_wire array;  (* in the kernel's port order *)
-  wk_producers : Bqueue.producer list;  (* closed when the fiber ends *)
+  wk_wiring : Netq.wiring;
 }
 
 type tap_source = Serialized.kernel_inst -> int -> string -> Port.tap option
@@ -219,38 +226,11 @@ let new_instance ?(tap = no_taps) ?(context = no_context) (c : compiled) =
   let g = c.c_graph in
   let config = c.c_config in
   let sched = Sched.create () in
-  let queues =
-    Array.mapi
-      (fun id (n : Serialized.net) ->
-        Bqueue.create
-          ~name:(Printf.sprintf "%s/net%d" g.Serialized.gname n.net_id)
-          ~dtype:n.dtype ~capacity:c.c_capacities.(id) ())
-      g.Serialized.nets
-  in
+  let queues = Bqueue.net_queues g ~capacity:(fun id -> c.c_capacities.(id)) in
   let kernels =
     Array.mapi
-      (fun idx (inst : Serialized.kernel_inst) ->
-        let producers = ref [] in
-        let wires =
-          Array.mapi
-            (fun port_idx (spec : Kernel.port_spec) ->
-              let net_id = inst.port_nets.(port_idx) in
-              let q = queues.(net_id) in
-              let pname = Printf.sprintf "%s.%s" inst.inst_name spec.Kernel.pname in
-              match spec.Kernel.dir with
-              | Kernel.In -> Wire_in (port_idx, Bqueue.reader ~name:pname (Bqueue.add_consumer q))
-              | Kernel.Out ->
-                let p = Bqueue.add_producer q in
-                producers := p :: !producers;
-                Wire_out (port_idx, Bqueue.writer ~name:pname p))
-            inst.kernel.Kernel.ports
-        in
-        {
-          wk_inst = inst;
-          wk_prof_key = c.c_prof_keys.(idx);
-          wk_wires = wires;
-          wk_producers = !producers;
-        })
+      (fun idx inst ->
+        { wk_inst = inst; wk_prof_key = c.c_prof_keys.(idx); wk_wiring = Bqueue.wire queues inst })
       g.Serialized.kernels
   in
   let in_producers =
@@ -308,22 +288,14 @@ let kernel_body t ~traced wk binding () =
     instant "body-raise";
     raise e
   | exception e ->
-    let bt = Printexc.get_backtrace () in
+    let backtrace = Printexc.get_backtrace () in
     instant "body-raise";
     Obs.Flight.note Obs.Flight.Body_raise track;
     if t.failure = None then
-      (* Snapshot here, on the failing domain, while the ring still
-         holds the events leading up to the raise. *)
       t.failure <-
         Some
-          {
-            f_graph = t.graph.Serialized.gname;
-            f_kernel = track;
-            f_exn = e;
-            f_backtrace = String.trim bt;
-            f_src = wk.wk_inst.Serialized.src;
-            f_flight = Obs.Flight.snapshot ();
-          };
+          (failure_of ~graph:t.graph.Serialized.gname ~who:track ~src:wk.wk_inst.Serialized.src
+             ~backtrace e);
     raise e
 
 (* Arm the instance for one run: tap the raw ports and spawn every
@@ -350,33 +322,31 @@ let arm t =
   in
   Array.iter
     (fun wk ->
-      let inst = wk.wk_inst in
-      let readers = ref [] in
-      let writers = ref [] in
-      Array.iter
-        (function
-          | Wire_in (i, r) ->
-            let count = counter "port.get:" r.Port.r_name in
-            readers := Port.tap_reader (taps inst i r.Port.r_name count) r :: !readers
-          | Wire_out (i, w) ->
-            let count = counter "port.put:" w.Port.w_name in
-            writers := Port.tap_writer (taps inst i w.Port.w_name count) w :: !writers)
-        wk.wk_wires;
+      let inst = wk.wk_inst and wiring = wk.wk_wiring in
       let binding =
         {
-          Kernel.readers = Array.of_list (List.rev !readers);
-          writers = Array.of_list (List.rev !writers);
+          Kernel.readers =
+            Array.map
+              (fun (i, r) ->
+                let name = r.Port.r_name in
+                Port.tap_reader (taps inst i name (counter "port.get:" name)) r)
+              wiring.Netq.inputs;
+          writers =
+            Array.map
+              (fun (i, w) ->
+                let name = w.Port.w_name in
+                Port.tap_writer (taps inst i name (counter "port.put:" name)) w)
+              wiring.outputs;
           context = t.context inst;
         }
       in
-      let producers = wk.wk_producers in
       Sched.spawn ~prof_key:wk.wk_prof_key t.sched ~name:inst.inst_name
         (fun () ->
           (* When a kernel terminates (normally or via End_of_stream), its
              output nets lose one producer; fully-drained nets close and the
              closure propagates downstream. *)
           Fun.protect
-            ~finally:(fun () -> List.iter Bqueue.producer_done producers)
+            ~finally:wiring.finish
             (kernel_body t ~traced wk binding)))
     t.kernels;
   Array.iteri
@@ -402,14 +372,6 @@ let arm t =
             { Io.read = (fun k b off n -> Bqueue.read_upto k c b off n) }
             sink))
     t.graph.Serialized.output_order
-
-(* Source span of a kernel instance by fiber name, for failures recorded
-   at the scheduler boundary (source/sink fibers have no span). *)
-let src_of_fiber t name =
-  Array.fold_left
-    (fun acc (ki : Serialized.kernel_inst) ->
-      if acc = None && String.equal ki.inst_name name then ki.src else acc)
-    None t.graph.Serialized.kernels
 
 let occupancy_snapshot t =
   Array.to_list (Array.map (fun q -> Bqueue.name q, Bqueue.occupancy q) t.queues)
@@ -461,16 +423,9 @@ let run ?deadline_ns t ~sources ~sinks =
         | [] -> Completed stats
         | (name, exn) :: _ ->
           (* A source/sink fiber failed (kernel failures are recorded by
-             [kernel_body] above, with more context). *)
+             [kernel_body] above, with more context); it has no span. *)
           Kernel_failed
-            {
-              f_graph = t.graph.Serialized.gname;
-              f_kernel = name;
-              f_exn = exn;
-              f_backtrace = "";
-              f_src = src_of_fiber t name;
-              f_flight = Obs.Flight.snapshot ();
-            }))
+            (failure_of ~graph:t.graph.Serialized.gname ~who:name ~src:None ~backtrace:"" exn)))
 
 let stats_exn = function
   | Completed stats -> stats

@@ -82,6 +82,14 @@ type progress = {
   p_flight : Obs.Flight.entry list;  (** As {!failure.f_flight}. *)
 }
 
+(** [failure_of ~graph ~who ~src ~backtrace exn]: [who] (a kernel
+    instance, source or sink) raised [exn].  It snapshots the calling
+    domain's flight window, so call it on the failing domain. *)
+val failure_of :
+  graph:string -> who:string -> src:Srcspan.t option -> backtrace:string -> exn -> failure
+
+val failure_message : failure -> string
+
 type outcome =
   | Completed of Sched.stats
   | Deadline_exceeded of progress
@@ -132,14 +140,15 @@ val instantiate :
     An exception raised inside an analysis pass propagates unchanged. *)
 val compile : ?config:Run_config.t -> Serialized.t -> compiled
 
-(** What another backend reads from a compiled graph (x86sim builds its
-    own queues and threads from it): the queue capacity resolved for net
-    [id]. *)
+(** What another backend reads from a compiled graph (x86sim sizes its
+    own queues from it): the queue capacity resolved for net [id]. *)
 val compiled_capacity : compiled -> int -> int
 
 (** [new_instance c] builds the per-request state: queues at the
     compiled capacities and all kernel and global-I/O endpoints
-    registered (so endpoint counts are static across resets).
+    registered (so endpoint counts are static across resets), the
+    kernels wired by {!Bqueue.wire} in graph order, then one producer
+    per global input and one consumer per global output.
     [tap] and [context] are as for {!instantiate}.  The instance is ready
     for one {!run}; {!reset} readies it for the next. *)
 val new_instance : ?tap:tap_source -> ?context:context_source -> compiled -> t

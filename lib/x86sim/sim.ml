@@ -4,7 +4,6 @@ let fail fmt = Format.kasprintf (fun s -> raise (X86sim_error s)) fmt
 
 type stats = {
   threads : int;
-  failed : (string * exn) list;
   wall_ns : float;
 }
 
@@ -15,12 +14,7 @@ type outcome =
       waiting : string list;
       wall_ns : float;
     }
-  | Kernel_failed of {
-      graph : string;
-      thread : string;
-      exn : exn;
-      wall_ns : float;
-    }
+  | Kernel_failed of Cgsim.Runtime.failure
 
 let outcome_label = function
   | Completed _ -> "completed"
@@ -40,78 +34,64 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
     with Cgsim.Runtime.Runtime_error msg -> raise (X86sim_error msg)
   in
   let queues =
-    Array.mapi
-      (fun id (n : Cgsim.Serialized.net) ->
-        let capacity =
-          match config.Cgsim.Run_config.queue_capacity with
-          | Some c -> c
-          | None ->
-            (* The functional simulator buffers deeply in host memory
-               (threads should block rarely); hardware-fidelity depths
-               only matter to aiesim. *)
-            max deep_stream_depth (Cgsim.Runtime.compiled_capacity compiled id)
-        in
-        Tqueue.create ~name:(Printf.sprintf "%s/net%d" g.gname n.net_id) ~dtype:n.dtype ~capacity ())
-      g.nets
+    Tqueue.net_queues g ~capacity:(fun id ->
+        match config.Cgsim.Run_config.queue_capacity with
+        | Some c -> c
+        | None ->
+          (* The functional simulator buffers deeply in host memory
+             (threads should block rarely); hardware-fidelity depths
+             only matter to aiesim. *)
+          max deep_stream_depth (Cgsim.Runtime.compiled_capacity compiled id))
   in
-  let failures = ref [] in
-  let failures_lock = Mutex.create () in
-  let record_failure name exn =
-    Mutex.lock failures_lock;
-    failures := (name, exn) :: !failures;
-    Mutex.unlock failures_lock
-  in
+  (* The first failure ends the run: it poisons every queue, as the
+     deadline watchdog does, so every domain unwinds with [Terminated]
+     at its next queue touch.  Later failures are collateral. *)
+  let failure = Atomic.make None in
   (* A failing source or sink is charged to itself, not to the kernel
      whose queue operation copied through it. *)
-  let guard name f =
+  let guard ~who ~src f =
     try f () with
     | Cgsim.Sched.End_of_stream | Cgsim.Sched.Terminated -> ()
-    | Tqueue.Endpoint_failed (endpoint, exn) -> record_failure endpoint exn
-    | exn -> record_failure name exn
+    | exn ->
+      let backtrace = Printexc.get_backtrace () in
+      let f =
+        match exn with
+        | Tqueue.Endpoint_failed (endpoint, exn) ->
+          Cgsim.Runtime.failure_of ~graph:g.gname ~who:endpoint ~src:None ~backtrace exn
+        | exn ->
+          Obs.Flight.note Obs.Flight.Body_raise who;
+          Cgsim.Runtime.failure_of ~graph:g.gname ~who ~src ~backtrace exn
+      in
+      if Atomic.compare_and_set failure None (Some f) then Array.iter Tqueue.poison queues
   in
-  let bodies = ref [] in
-  (* Wire kernels. *)
-  Array.iter
-    (fun (inst : Cgsim.Serialized.kernel_inst) ->
-      let kernel = inst.kernel in
-      (* The producer wakes this kernel's reads defer (see Tqueue). *)
-      let w = Tqueue.waker () in
-      let readers = ref [] and writers = ref [] and producers = ref [] in
-      Array.iteri
-        (fun port_idx (spec : Cgsim.Kernel.port_spec) ->
-          let q = queues.(inst.port_nets.(port_idx)) in
-          let name = Printf.sprintf "%s.%s" inst.inst_name spec.Cgsim.Kernel.pname in
-          match spec.Cgsim.Kernel.dir with
-          | Cgsim.Kernel.In -> readers := Tqueue.reader ~name (Tqueue.add_consumer ~waker:w q) :: !readers
-          | Cgsim.Kernel.Out ->
-            let p = Tqueue.add_producer ~waker:w q in
-            producers := p :: !producers;
-            writers := Tqueue.writer ~name p :: !writers)
-        kernel.Cgsim.Kernel.ports;
-      let binding =
-        {
-          Cgsim.Kernel.readers = Array.of_list (List.rev !readers);
-          writers = Array.of_list (List.rev !writers);
-          context = Cgsim.Kernel.No_context;
-        }
-      in
-      let ps = !producers in
-      let body () =
-        guard inst.inst_name (fun () -> kernel.Cgsim.Kernel.body binding);
-        (* A writer may still wait on a wake this kernel deferred. *)
-        Tqueue.deliver w;
-        (* Its output nets lose one producer each; the last one closes a
-           net, and closure propagates downstream. *)
-        List.iter (fun p -> guard inst.inst_name (fun () -> Tqueue.producer_done p)) ps
-      in
-      bodies := (inst.inst_name, body) :: !bodies)
-    g.kernels;
+  let bodies =
+    Array.to_list
+      (Array.map
+         (fun (inst : Cgsim.Serialized.kernel_inst) ->
+           let wiring = Tqueue.wire queues inst in
+           let binding =
+             {
+               Cgsim.Kernel.readers = Array.map snd wiring.Cgsim.Netq.inputs;
+               writers = Array.map snd wiring.outputs;
+               context = Cgsim.Kernel.No_context;
+             }
+           in
+           let guard = guard ~who:inst.inst_name ~src:inst.src in
+           let body () =
+             guard (fun () -> inst.kernel.Cgsim.Kernel.body binding);
+             (* Deliver the writer wakes this kernel deferred; its output
+                nets lose one producer each, the last one closes a net,
+                and closure propagates downstream. *)
+             guard wiring.finish
+           in
+           inst.inst_name, body)
+         g.kernels)
+  in
   (* Global I/O rides the kernels' own domains: a reader that finds a
      source net empty pulls the next segment, and a writer that finds a
      sink net full, or closes it, pushes into the sink. *)
   List.iteri (fun i src -> Tqueue.attach_source queues.(g.input_order.(i)) src) sources;
   List.iteri (fun i snk -> Tqueue.attach_sink queues.(g.output_order.(i)) snk) sinks;
-  let bodies = List.rev !bodies in
   (* Completion flags, one per kernel: the watchdog snapshots the names
      still running when the deadline fires — the threaded analogue of the
      cooperative scheduler's parked-fiber snapshot. *)
@@ -151,10 +131,14 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
                else Unix.sleepf (Float.min (remaining_ns /. 1e9) 0.002)
              done))
   in
+  (* Backtrace recording is per domain: kernel domains record as the
+     caller's does, so a failure carries its backtrace as under cgsim. *)
+  let record_backtrace = Printexc.backtrace_status () in
   let threads =
     List.map2
       (fun (name, body) (_, flag) ->
         Domain.spawn (fun () ->
+            Printexc.record_backtrace record_backtrace;
             (* Label the domain so Tqueue's wait spans land on a named
                track; the thread span frames its whole lifetime. *)
             Obs.Trace.set_thread_label name;
@@ -170,23 +154,21 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
     (fun i src ->
       let id = g.input_order.(i) in
       if g.nets.(id).readers = [] then
-        guard (Cgsim.Io.source_name src) (fun () -> Tqueue.flush queues.(id)))
+        guard ~who:(Cgsim.Io.source_name src) ~src:None (fun () -> Tqueue.flush queues.(id)))
     sources;
   Atomic.set all_done true;
   (match watchdog with Some w -> Domain.join w | None -> ());
   let wall_ns = Obs.Clock.now_ns () -. t0 in
-  let failed = List.rev !failures in
-  match failed with
-  | (name, exn) :: _ -> Kernel_failed { graph = g.gname; thread = name; exn; wall_ns }
-  | [] ->
+  match Atomic.get failure with
+  | Some f -> Kernel_failed f
+  | None ->
     (match !deadline_hit with
      | Some waiting -> Deadline_exceeded { graph = g.gname; waiting; wall_ns }
-     | None -> Completed { threads = List.length threads; failed; wall_ns })
+     | None -> Completed { threads = List.length threads; wall_ns })
 
 let stats_exn = function
   | Completed stats -> stats
-  | Kernel_failed { graph; thread; exn; _ } ->
-    fail "graph %s: kernel thread %s failed: %s" graph thread (Printexc.to_string exn)
+  | Kernel_failed f -> raise (X86sim_error (Cgsim.Runtime.failure_message f))
   | Deadline_exceeded { graph; waiting; wall_ns } ->
     fail "graph %s: wall-clock deadline exceeded after %.1f ms; still running: %s" graph
       (wall_ns /. 1e6)

@@ -24,20 +24,24 @@
     0 from its writer's space, or ends its body, so a writer refills
     half a ring per wake instead of one slot.
 
+    Queues and kernel endpoints are wired as cgsim wires them
+    ({!Cgsim.Netq.S.wire}), and a failure is cgsim's record, built by
+    {!Cgsim.Runtime.failure_of} on the failing domain.  The first
+    failure ends the run: it poisons every {!Tqueue}, so each domain
+    unwinds with [Terminated] at its next queue touch.
+
     Execution knobs come from the shared {!Cgsim.Run_config.t}; the
     fields that make sense here are [queue_capacity], [lint] and
     [deadline_ns] (enforced by a watchdog that poisons every {!Tqueue}
-    on expiry, raising [Terminated] in all blocked threads).  The
-    cooperative-scheduler knobs — [faults], [max_steps], retry/breaker —
-    do not apply to the threaded backend, and neither does
-    [auto_capacity] (queues keep their declared depths); all are
-    ignored. *)
+    on expiry, as a failure does).  The cooperative-scheduler knobs —
+    [faults], [max_steps], retry/breaker — do not apply to the threaded
+    backend, and neither does [auto_capacity] (queues keep their
+    declared depths); all are ignored. *)
 
 exception X86sim_error of string
 
 type stats = {
   threads : int;  (** Domains run: one per kernel instance. *)
-  failed : (string * exn) list;
   wall_ns : float;
 }
 
@@ -49,12 +53,7 @@ type outcome =
           (** Kernels that had not finished when the deadline fired. *)
       wall_ns : float;
     }
-  | Kernel_failed of {
-      graph : string;
-      thread : string;  (** The kernel, source or sink that raised. *)
-      exn : exn;
-      wall_ns : float;
-    }
+  | Kernel_failed of Cgsim.Runtime.failure  (** The first to raise. *)
 
 (** ["completed"], ["deadline"] or ["failed"] (metric/JSON key). *)
 val outcome_label : outcome -> string

@@ -9,13 +9,14 @@
     - Readers are woken once per stored chunk.  Writers blocked on a
       full ring are woken in batches: a read that leaves at least half
       the ring free wakes them at once, and a smaller one is owed in the
-      reading kernel's {!waker}.  {!Sim.run} gives each kernel one
+      reading kernel's {!waker}.  {!wire} gives each kernel one
       waker, and the kernel delivers what it owes before it waits on any
       queue, when its writer's {!space} reads 0, and (through
-      {!deliver}) when its body ends.
-    - {!poison} is the deadline teardown: {!Sim.run}'s watchdog poisons
-      every queue, and each domain unwinds with
-      {!Cgsim.Sched.Terminated} at its next queue touch.
+      its wiring's [finish]) when its body ends.
+    - {!poison} is the teardown: {!Sim.run} poisons every queue on the
+      first failure and when its deadline watchdog fires, and each
+      domain unwinds with {!Cgsim.Sched.Terminated} at its next queue
+      touch.
     - Waits are timed on the waiting domain's track, and each is also
       observed in [x86.wait:THREAD].
 

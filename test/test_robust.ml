@@ -492,14 +492,43 @@ let test_x86_failure_names_graph () =
   (match
      X86sim.Sim.run (boom_graph ()) ~sources:[ chain_input 4 ] ~sinks:[ Cgsim.Io.null () ]
    with
-   | X86sim.Sim.Kernel_failed { graph; thread; _ } as o ->
-     Alcotest.(check string) "graph named" "robust_boom_graph" graph;
-     Alcotest.(check bool) "thread names the kernel" true (contains "robust_boom" thread);
+   | X86sim.Sim.Kernel_failed f as o ->
+     Alcotest.(check string) "graph named" "robust_boom_graph" f.Cgsim.Runtime.f_graph;
+     Alcotest.(check string) "kernel named" "robust_boom_0" f.Cgsim.Runtime.f_kernel;
+     (match f.Cgsim.Runtime.f_exn with
+      | Failure msg -> Alcotest.(check string) "exn preserved" "deliberate robustness failure" msg
+      | e -> Alcotest.failf "unexpected exn %s" (Printexc.to_string e));
      (match X86sim.Sim.stats_exn o with
       | exception X86sim.Sim.X86sim_error msg ->
-        Alcotest.(check bool) ("names graph: " ^ msg) true (contains "robust_boom_graph" msg)
+        Alcotest.(check bool) ("names graph: " ^ msg) true (contains "robust_boom_graph" msg);
+        Alcotest.(check bool) ("names kernel: " ^ msg) true (contains "robust_boom_0" msg)
       | _ -> Alcotest.fail "stats_exn must raise on Kernel_failed")
    | o -> Alcotest.failf "expected Kernel_failed, got %s" (X86sim.Sim.outcome_label o))
+
+(* in -> robust_scale_0 -> robust_boom_0 -> out, where robust_boom_0
+   reads one element and raises.  The scale kernel would fill the net
+   between them and wait forever for the dead reader: the first failure
+   must end the run.  The deadline is only a guard against a hang. *)
+let test_x86_failure_ends_run () =
+  let g =
+    Cgsim.Builder.make ~name:"robust_scale_boom" ~inputs:[ "x", Cgsim.Dtype.F32 ]
+      (fun b conns ->
+        let mid = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+        let out = Cgsim.Builder.net b Cgsim.Dtype.F32 in
+        ignore (Cgsim.Builder.add_kernel b scale_kernel [ List.hd conns; mid ]);
+        ignore (Cgsim.Builder.add_kernel b boom_kernel [ mid; out ]);
+        [ out ])
+  in
+  let config = Cgsim.Run_config.(with_deadline_ms 10_000.0 default) in
+  let t0 = Obs.Clock.now_ns () in
+  let o = X86sim.Sim.run ~config g ~sources:[ chain_input 20_000 ] ~sinks:[ Cgsim.Io.null () ] in
+  let wall_ns = Obs.Clock.now_ns () -. t0 in
+  (match o with
+   | X86sim.Sim.Kernel_failed f ->
+     Alcotest.(check string) "the boom instance named" "robust_boom_0" f.Cgsim.Runtime.f_kernel
+   | o -> Alcotest.failf "expected Kernel_failed, got %s" (X86sim.Sim.outcome_label o));
+  if wall_ns >= 2e9 then
+    Alcotest.failf "the failure ended the run only after %.3f s" (wall_ns /. 1e9)
 
 (* ------------------------------------------------------------------ *)
 (* Warm vs cold pool serving                                           *)
@@ -562,6 +591,7 @@ let () =
         [
           Alcotest.test_case "watchdog deadline" `Quick test_x86_deadline_poisons;
           Alcotest.test_case "failure names graph" `Quick test_x86_failure_names_graph;
+          Alcotest.test_case "a failing kernel ends the run" `Quick test_x86_failure_ends_run;
         ] );
       ( "warm-pool",
         [

@@ -718,19 +718,33 @@ let make_sink = function
 
 type io_result =
   | Output of V.t list
-  | Failed of string  (* the fiber or thread that raised *)
+  | Failed of Cgsim.Runtime.failure  (* the fiber or thread that raised *)
 
 let run_cgsim g src (snk, contents) =
   match Cgsim.Runtime.execute g ~sources:[ src ] ~sinks:[ snk ] with
   | Cgsim.Runtime.Completed _ -> Output (contents ())
-  | Cgsim.Runtime.Kernel_failed f -> Failed f.Cgsim.Runtime.f_kernel
+  | Cgsim.Runtime.Kernel_failed f -> Failed f
   | o -> Alcotest.failf "cgsim: %s" (Format.asprintf "%a" Cgsim.Runtime.pp_outcome o)
 
 let run_x86sim g src (snk, contents) =
   match X86sim.Sim.run g ~sources:[ src ] ~sinks:[ snk ] with
   | X86sim.Sim.Completed _ -> Output (contents ())
-  | X86sim.Sim.Kernel_failed { thread; _ } -> Failed thread
+  | X86sim.Sim.Kernel_failed f -> Failed f
   | o -> Alcotest.failf "x86sim: %s" (X86sim.Sim.outcome_label o)
+
+let who (f : Cgsim.Runtime.failure) = f.Cgsim.Runtime.f_kernel
+
+(* Both backends record the same failure: who raised, where it was
+   built, and what it raised. *)
+let check_same_failure what (a : Cgsim.Runtime.failure) (b : Cgsim.Runtime.failure) =
+  let open Cgsim.Runtime in
+  Alcotest.(check string) (what ^ ": graph") a.f_graph b.f_graph;
+  Alcotest.(check string) (what ^ ": culprit") a.f_kernel b.f_kernel;
+  Alcotest.(check (option string)) (what ^ ": span")
+    (Option.map Cgsim.Srcspan.to_string a.f_src)
+    (Option.map Cgsim.Srcspan.to_string b.f_src);
+  Alcotest.(check string) (what ^ ": exception") (Printexc.to_string a.f_exn)
+    (Printexc.to_string b.f_exn)
 
 let rec bits_equal a b =
   match a, b with
@@ -767,15 +781,16 @@ let test_sim_every_io_form () =
                  if not (List.length a = List.length b && List.for_all2 bits_equal a b) then
                    Alcotest.failf "%s: outputs differ" what
                | Failed a, Failed b ->
-                 if source_fits && sink_fits then Alcotest.failf "%s: both failed (%s)" what a;
+                 if source_fits && sink_fits then
+                   Alcotest.failf "%s: both failed (%s)" what (who a);
                  let expected =
                    if source_fits then Cgsim.Io.sink_name (fst (make_sink kf))
                    else Cgsim.Io.source_name (src ())
                  in
-                 Alcotest.(check string) (what ^ ": cgsim culprit") expected a;
-                 Alcotest.(check string) (what ^ ": x86sim culprit") expected b
-               | Output _, Failed t -> Alcotest.failf "%s: only x86sim failed (%s)" what t
-               | Failed t, Output _ -> Alcotest.failf "%s: only cgsim failed (%s)" what t))
+                 Alcotest.(check string) (what ^ ": cgsim culprit") expected (who a);
+                 Alcotest.(check string) (what ^ ": x86sim culprit") expected (who b)
+               | Output _, Failed t -> Alcotest.failf "%s: only x86sim failed (%s)" what (who t)
+               | Failed t, Output _ -> Alcotest.failf "%s: only cgsim failed (%s)" what (who t)))
             [ Buffer; F32_buffer; Int_buffer; Rtp_sink ])
         [ Flat; Of_array; Of_list; Rtp ])
     io_dtypes
@@ -784,12 +799,49 @@ let test_sim_payload_mismatch () =
   let g = pass_graph D.I16 in
   let src () = Cgsim.Io.of_f32_array [| 1.0; 2.0; 3.0 |] in
   let name = Cgsim.Io.source_name (src ()) in
-  (match run_cgsim g (src ()) (make_sink Buffer) with
-   | Failed who -> Alcotest.(check string) "cgsim names the source" name who
-   | Output _ -> Alcotest.fail "cgsim accepted an F32 payload on an I16 net");
-  match run_x86sim g (src ()) (make_sink Buffer) with
-  | Failed who -> Alcotest.(check string) "x86sim names the source" name who
-  | Output _ -> Alcotest.fail "x86sim accepted an F32 payload on an I16 net"
+  match run_cgsim g (src ()) (make_sink Buffer), run_x86sim g (src ()) (make_sink Buffer) with
+  | Failed a, Failed b ->
+    Alcotest.(check string) "cgsim names the source" name (who a);
+    Alcotest.(check bool) "a source has no span" true (a.Cgsim.Runtime.f_src = None);
+    check_same_failure "F32 payload on an I16 net" a b
+  | Output _, _ -> Alcotest.fail "cgsim accepted an F32 payload on an I16 net"
+  | _, Output _ -> Alcotest.fail "x86sim accepted an F32 payload on an I16 net"
+
+(* A kernel built with a source span fails the same way under both
+   backends: same graph, instance, span and exception, and with
+   backtraces recorded, a backtrace from each. *)
+let test_sim_failure_parity () =
+  let boom =
+    Cgsim.Kernel.define ~realm:Cgsim.Kernel.Aie ~name:"x86_parity_boom"
+      [ Cgsim.Kernel.in_port "in" D.F32; Cgsim.Kernel.out_port "out" D.F32 ]
+      (fun b ->
+        ignore (Cgsim.Port.get (Cgsim.Kernel.rd b 0));
+        failwith "deliberate parity failure")
+  in
+  let span = Cgsim.Srcspan.make ~file:"parity.cgc" ~line:7 ~col:3 () in
+  let g =
+    Cgsim.Builder.make ~name:"parity_boom" ~inputs:[ "x", D.F32 ] (fun b conns ->
+        let out = Cgsim.Builder.net b D.F32 in
+        ignore (Cgsim.Builder.add_kernel b ~src:span boom [ List.hd conns; out ]);
+        [ out ])
+  in
+  let src () = Cgsim.Io.of_f32_array [| 1.0; 2.0; 3.0 |] in
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  let outcomes =
+    Fun.protect
+      ~finally:(fun () -> Printexc.record_backtrace recording)
+      (fun () -> run_cgsim g (src ()) (make_sink Buffer), run_x86sim g (src ()) (make_sink Buffer))
+  in
+  match outcomes with
+  | Failed a, Failed b ->
+    Alcotest.(check string) "cgsim names the instance" "x86_parity_boom_0" (who a);
+    Alcotest.(check (option string)) "cgsim keeps the span" (Some "parity.cgc:7:3")
+      (Option.map Cgsim.Srcspan.to_string a.Cgsim.Runtime.f_src);
+    check_same_failure "boom with a span" a b;
+    Alcotest.(check bool) "cgsim records the backtrace" true (a.Cgsim.Runtime.f_backtrace <> "");
+    Alcotest.(check bool) "x86sim records the backtrace" true (b.Cgsim.Runtime.f_backtrace <> "")
+  | _ -> Alcotest.fail "a raising kernel completed"
 
 (* Global-I/O shapes: x86sim's pull-on-empty readers and push-on-full
    writers against cgsim's pump fibers, bit for bit.  One graph holds
@@ -847,12 +899,12 @@ let run_io_shapes ~x86 ~v_sink ~w2_sink =
   if x86 then
     match X86sim.Sim.run ~config g ~sources ~sinks:(List.map fst sinks) with
     | X86sim.Sim.Completed _ -> outputs ()
-    | X86sim.Sim.Kernel_failed { thread; _ } -> Failed thread
+    | X86sim.Sim.Kernel_failed f -> Failed f
     | o -> Alcotest.failf "x86sim: %s" (X86sim.Sim.outcome_label o)
   else
     match Cgsim.Runtime.execute ~config g ~sources ~sinks:(List.map fst sinks) with
     | Cgsim.Runtime.Completed _ -> outputs ()
-    | Cgsim.Runtime.Kernel_failed f -> Failed f.Cgsim.Runtime.f_kernel
+    | Cgsim.Runtime.Kernel_failed f -> Failed f
     | o -> Alcotest.failf "cgsim: %s" (Format.asprintf "%a" Cgsim.Runtime.pp_outcome o)
 
 let test_sim_io_shapes () =
@@ -866,7 +918,7 @@ let test_sim_io_shapes () =
        (List.length a);
      if not (List.length a = List.length b && List.for_all2 bits_equal a b) then
        Alcotest.fail "x86sim and cgsim outputs differ"
-   | Failed who, _ | _, Failed who -> Alcotest.failf "%s failed" who);
+   | Failed f, _ | _, Failed f -> Alcotest.failf "%s failed" (who f));
   (* An F32 buffer cannot take vectors.  On [v] the sink fails in the
      push after the joins; on [w2] in the kernel's put that finds the
      ring full.  Either way the run fails under the sink's name. *)
@@ -878,7 +930,7 @@ let test_sim_io_shapes () =
   List.iter
     (fun (x86, v_sink, w2_sink) ->
       match run_io_shapes ~x86 ~v_sink ~w2_sink with
-      | Failed who -> Alcotest.(check string) "the failing sink is named" name who
+      | Failed f -> Alcotest.(check string) "the failing sink is named" name (who f)
       | Output _ -> Alcotest.fail "vectors into an F32 buffer completed")
     [ false, f32_sink, buffer; true, f32_sink, buffer; false, buffer, f32_sink;
       true, buffer, f32_sink ]
@@ -1044,5 +1096,7 @@ let () =
             test_sim_deferred_wakes_reach_writer;
           Alcotest.test_case "traced farrow records cgsim's queue metrics" `Quick
             test_sim_queue_metrics;
+          Alcotest.test_case "a failing kernel is recorded as cgsim records it" `Quick
+            test_sim_failure_parity;
         ] );
     ]
