@@ -71,9 +71,10 @@ let x86_buffer_sweep () =
       let sinks, _ = h.make_sinks () in
       let t0 = Unix.gettimeofday () in
       let _ =
-        X86sim.Sim.run_exn
-          ~config:Cgsim.Run_config.(with_queue_capacity queue_capacity default)
-          (h.graph ()) ~sources:(h.sources ~reps:16) ~sinks
+        Cgsim.Runtime.stats_exn
+          (X86sim.Sim.run
+             ~config:Cgsim.Run_config.(with_queue_capacity queue_capacity default)
+             (h.graph ()) ~sources:(h.sources ~reps:16) ~sinks)
       in
       Printf.printf "%10d %12.1f\n" queue_capacity ((Unix.gettimeofday () -. t0) *. 1e3))
     [ 4; 64; 1024; 8192 ]

@@ -67,7 +67,8 @@ let run_one ?scale (h : Apps.Harness.t) =
   (* x86sim *)
   let sinks, contents = h.make_sinks () in
   let (), x86sim_s =
-    wall (fun () -> ignore (X86sim.Sim.run_exn (h.graph ()) ~sources:(h.sources ~reps) ~sinks))
+    wall (fun () ->
+        ignore (Cgsim.Runtime.stats_exn (X86sim.Sim.run (h.graph ()) ~sources:(h.sources ~reps) ~sinks)))
   in
   check "x86sim" contents;
   (* aiesim, reduced reps, extrapolated *)

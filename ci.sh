@@ -256,7 +256,21 @@ if grep -nE 'Kernel_failed of' lib/x86sim/sim.ml lib/x86sim/sim.mli | grep -vE '
   echo "ci: x86sim declares its own failure record (carry a Cgsim.Runtime.failure)" >&2
   exit 1
 fi
-echo "one graph wiring; x86sim fails with cgsim's record"
+# x86sim returns cgsim's Runtime.outcome and refuses a graph with
+# cgsim's Runtime_error: it declares no exception, no stats record, no
+# stats_exn or run_exn, and its outcome is only the re-export that
+# benchmark/sim_wl.ml names.
+if grep -rnE '(^[[:space:]]*|\blet[[:space:]]+)exception[[:space:]]+[A-Z]' lib/x86sim; then
+  echo "ci: x86sim declares an exception (raise cgsim's Runtime_error)" >&2
+  exit 1
+fi
+if grep -nE '\b(type|and)[[:space:]]+outcome\b' lib/x86sim/sim.ml lib/x86sim/sim.mli \
+    | grep -vE '(type|and)[[:space:]]+outcome[[:space:]]*=[[:space:]]*Cgsim\.Runtime\.outcome[[:space:]]*=([[:space:]]|$)' \
+    || grep -nE '\b(type|and)[[:space:]]+stats\b|\b(let|val)[[:space:]]+(stats_exn|run_exn)\b' lib/x86sim/sim.ml lib/x86sim/sim.mli; then
+  echo "ci: x86sim declares its own outcome, stats or raising wrapper (return Cgsim.Runtime.outcome)" >&2
+  exit 1
+fi
+echo "one graph wiring; x86sim fails with cgsim's record and returns cgsim's outcome"
 
 echo "== no fiber locals gate =="
 # A kernel gets what its run hands it (aiesim's trace recorder) through

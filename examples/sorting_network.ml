@@ -21,9 +21,11 @@ let () =
 
   (* x86sim: one OS thread per kernel *)
   let sinks, contents = h.Apps.Harness.make_sinks () in
-  let x86 = X86sim.Sim.run_exn graph ~sources:(h.Apps.Harness.sources ~reps) ~sinks in
+  let x86 =
+    Cgsim.Runtime.stats_exn (X86sim.Sim.run graph ~sources:(h.Apps.Harness.sources ~reps) ~sinks)
+  in
   (match h.Apps.Harness.check ~reps (contents ()) with
-   | Ok () -> Printf.printf "x86sim: identical outputs on %d threads\n" x86.X86sim.Sim.threads
+   | Ok () -> Printf.printf "x86sim: identical outputs on %d threads\n" x86.Cgsim.Sched.spawned
    | Error e -> failwith e);
 
   (* aiesim: cycle-approximate, hand-written vs extracted deploys *)

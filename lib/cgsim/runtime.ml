@@ -79,11 +79,13 @@ let failure_message f =
      else "\n" ^ f.f_backtrace)
 
 let progress_message p =
-  Format.asprintf "graph %s: %s after %d slices; parked: %s; last advanced: %s%s" p.p_graph
+  Format.asprintf "graph %s: %s after %.1f ms%s; parked: %s; last advanced: %s%s" p.p_graph
     (match p.p_reason with
      | `Wall_clock -> "wall-clock deadline exceeded"
      | `Max_steps -> "step budget exhausted")
-    p.p_stats.Sched.slices
+    (p.p_stats.Sched.total_ns /. 1e6)
+    (* x86sim counts no slices *)
+    (match p.p_stats.Sched.slices with 0 -> "" | n -> Printf.sprintf ", %d slices" n)
     (match p.p_parked with [] -> "<none>" | ps -> String.concat ", " ps)
     (Option.value p.p_last_kernel ~default:"<none>")
     (match List.filter (fun (_, occ) -> occ > 0) p.p_occupancy with
@@ -270,32 +272,34 @@ let reset t =
   t.ran <- false;
   t.failure <- None
 
+(* Failure supervision for every fiber: a body raising is recorded —
+   who, exception, backtrace, source span — before the scheduler's fiber
+   boundary sees it; only the first failure is kept (later ones are
+   usually collateral).  A source or sink fiber has no span. *)
+let supervise t ~who ~src body =
+  match body () with
+  | () -> ()
+  | exception ((Sched.End_of_stream | Sched.Terminated) as e) -> raise e
+  | exception e ->
+    let backtrace = Printexc.get_backtrace () in
+    Obs.Flight.note Obs.Flight.Body_raise who;
+    if t.failure = None then
+      t.failure <- Some (failure_of ~graph:t.graph.Serialized.gname ~who ~src ~backtrace e);
+    raise e
+
 (* A kernel fiber's body: the kernel itself, bracketed by lifecycle
-   instants when traced, under failure supervision.  A body raising is
-   recorded — kernel name, exception, backtrace, source span from the
-   graph — before the scheduler's fiber boundary sees it; only the first
-   failure is kept (later ones are usually collateral). *)
+   instants when traced, under failure supervision. *)
 let kernel_body t ~traced wk binding () =
   let track = wk.wk_inst.Serialized.inst_name in
   let instant name = if traced then Obs.Trace.instant ~track ~cat:"kernel" name in
   instant "body-start";
-  match wk.wk_inst.Serialized.kernel.Kernel.body binding with
+  match
+    supervise t ~who:track ~src:wk.wk_inst.Serialized.src (fun () ->
+        wk.wk_inst.Serialized.kernel.Kernel.body binding)
+  with
   | () -> instant "body-end"
-  | exception Sched.End_of_stream ->
-    instant "body-end";
-    raise Sched.End_of_stream
-  | exception (Sched.Terminated as e) ->
-    instant "body-raise";
-    raise e
   | exception e ->
-    let backtrace = Printexc.get_backtrace () in
-    instant "body-raise";
-    Obs.Flight.note Obs.Flight.Body_raise track;
-    if t.failure = None then
-      t.failure <-
-        Some
-          (failure_of ~graph:t.graph.Serialized.gname ~who:track ~src:wk.wk_inst.Serialized.src
-             ~backtrace e);
+    instant (match e with Sched.End_of_stream -> "body-end" | _ -> "body-raise");
     raise e
 
 (* Arm the instance for one run: tap the raw ports and spawn every
@@ -354,23 +358,27 @@ let arm t =
       let source = t.cur_sources.(i) in
       let q = t.queues.(net_id) in
       let p = t.in_producers.(i) in
-      Sched.spawn t.sched ~name:(Io.source_name source) (fun () ->
+      let who = Io.source_name source in
+      Sched.spawn t.sched ~name:who (fun () ->
           Fun.protect
             ~finally:(fun () -> Bqueue.producer_done p)
             (fun () ->
-              Io.feed (Bqueue.dtype q) ~capacity:(Bqueue.capacity q)
-                { Io.write = (fun k b off n -> Bqueue.write k p b off n) }
-                source)))
+              supervise t ~who ~src:None (fun () ->
+                  Io.feed (Bqueue.dtype q) ~capacity:(Bqueue.capacity q)
+                    { Io.write = (fun k b off n -> Bqueue.write k p b off n) }
+                    source))))
     t.graph.Serialized.input_order;
   Array.iteri
     (fun i net_id ->
       let sink = t.cur_sinks.(i) in
       let q = t.queues.(net_id) in
       let c = t.out_consumers.(i) in
-      Sched.spawn t.sched ~name:(Io.sink_name sink) (fun () ->
-          Io.drain (Bqueue.dtype q) ~capacity:(Bqueue.capacity q)
-            { Io.read = (fun k b off n -> Bqueue.read_upto k c b off n) }
-            sink))
+      let who = Io.sink_name sink in
+      Sched.spawn t.sched ~name:who (fun () ->
+          supervise t ~who ~src:None (fun () ->
+              Io.drain (Bqueue.dtype q) ~capacity:(Bqueue.capacity q)
+                { Io.read = (fun k b off n -> Bqueue.read_upto k c b off n) }
+                sink)))
     t.graph.Serialized.output_order
 
 let occupancy_snapshot t =
@@ -418,14 +426,7 @@ let run ?deadline_ns t ~sources ~sinks =
               p_stats = stats;
               p_flight = Obs.Flight.snapshot ();
             })
-     | None ->
-       (match stats.Sched.failed with
-        | [] -> Completed stats
-        | (name, exn) :: _ ->
-          (* A source/sink fiber failed (kernel failures are recorded by
-             [kernel_body] above, with more context); it has no span. *)
-          Kernel_failed
-            (failure_of ~graph:t.graph.Serialized.gname ~who:name ~src:None ~backtrace:"" exn)))
+     | None -> Completed stats)
 
 let stats_exn = function
   | Completed stats -> stats

@@ -28,8 +28,8 @@
     these binds kernels to the raw queue closures.  Each kernel's binding
     also carries the caller's [?context] for it ({!Kernel.No_context}
     unless given), the one way a run hands a kernel anything besides its
-    ports.  Kernel bodies are
-    supervised (a raise becomes [Kernel_failed]) and, when traced, emit
+    ports.  Kernel bodies, sources and sinks are supervised (a raise
+    becomes [Kernel_failed]), and kernel bodies, when traced, emit
     [body-start]/[body-end]/[body-raise] instants. *)
 
 type t
@@ -90,6 +90,8 @@ val failure_of :
 
 val failure_message : failure -> string
 
+(** What a run of either simulator returns: cgsim's {!run} and x86sim's
+    [X86sim.Sim.run]. *)
 type outcome =
   | Completed of Sched.stats
   | Deadline_exceeded of progress
@@ -166,8 +168,9 @@ val reset : t -> unit
     global inputs and sinks to its global outputs (counts must match;
     {!Runtime_error} otherwise), then executes under the context's
     {!Run_config.t}: the wall-clock deadline and step budget are
-    enforced at every scheduling boundary, and a kernel failure is
-    captured with its backtrace and source span rather than escaping.
+    enforced at every scheduling boundary, and a kernel, source or sink
+    failure is captured with its backtrace (and a kernel's source span)
+    rather than escaping.
     [deadline_ns] overrides the config's deadline for this run only: it
     is a run budget, not part of the compiled graph, so a warm instance
     serves any deadline.

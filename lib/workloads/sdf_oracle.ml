@@ -11,14 +11,28 @@ module D = Cgsim.Diagnostic
 let base_config =
   Cgsim.Run_config.(default |> with_lint `Off |> with_max_steps 10_000_000)
 
-let run_cgsim ?(config = base_config) graph input =
+(* [run] on [input] into one F32 buffer: its outcome and its output. *)
+let collect run input =
   let sink, read = Cgsim.Io.f32_buffer () in
-  let outcome =
-    Cgsim.Runtime.execute ~config graph
-      ~sources:[ Cgsim.Io.of_f32_array input ]
-      ~sinks:[ sink ]
-  in
+  let outcome = run ~sources:[ Cgsim.Io.of_f32_array input ] ~sinks:[ sink ] in
   outcome, read ()
+
+let run_cgsim ?(config = base_config) graph input =
+  collect (Cgsim.Runtime.execute ~config graph) input
+
+(* The backends a clean case runs on, in order: cgsim cold, cgsim again
+   on the same instance after [Runtime.reset], and x86sim. *)
+let backends graph =
+  let t = Cgsim.Runtime.instantiate ~config:base_config graph in
+  let x_config = Cgsim.Run_config.(base_config |> with_deadline_ms 10_000.0) in
+  [
+    "cgsim", Cgsim.Runtime.run t;
+    ( "cgsim after reset",
+      fun ~sources ~sinks ->
+        Cgsim.Runtime.reset t;
+        Cgsim.Runtime.run t ~sources ~sinks );
+    "x86sim", X86sim.Sim.run ~config:x_config graph;
+  ]
 
 (* A cgsim run "deadlocked" when the scheduler reached quiescence with
    fibers still parked on queue I/O (they are cancelled at stall time),
@@ -46,33 +60,28 @@ let check (case : G.case) =
        fail "linter flagged a clean graph: %s" (Cgsim.Report.summary diags);
      if Cgsim.Capacity.suggest case.G.c_graph <> [] then
        fail "capacity synthesizer suggested depths for a clean graph";
-     (match run_cgsim case.G.c_graph case.G.c_input with
-      | Cgsim.Runtime.Completed stats, out when stats.Cgsim.Sched.cancelled = 0 ->
-        if Array.length out <> case.G.c_expected_out then
-          fail "cgsim produced %d elements, statically expected %d" (Array.length out)
-            case.G.c_expected_out;
-        let x_sink, x_read = Cgsim.Io.f32_buffer () in
-        let x_config = Cgsim.Run_config.(base_config |> with_deadline_ms 10_000.0) in
-        (match
-           X86sim.Sim.run ~config:x_config case.G.c_graph
-             ~sources:[ Cgsim.Io.of_f32_array case.G.c_input ]
-             ~sinks:[ x_sink ]
-         with
-         | X86sim.Sim.Completed _ ->
-           let x_out = x_read () in
-           if Array.length x_out <> Array.length out then
-             fail "x86sim produced %d elements, cgsim %d" (Array.length x_out)
-               (Array.length out)
-           else
-             Array.iteri
-               (fun i v ->
-                 if not (Float.equal v out.(i)) && !problems = [] then
-                   fail "outputs diverge at element %d: x86sim %h, cgsim %h" i v out.(i))
-               x_out
-         | o -> fail "x86sim did not complete: %s" (X86sim.Sim.outcome_label o))
-      | outcome, _ ->
-        fail "cgsim did not complete a clean graph: %s"
-          (Cgsim.Runtime.outcome_label outcome))
+     (* Every output is held bit for bit against the cold cgsim run's. *)
+     let cold = ref None in
+     List.iter
+       (fun (name, run) ->
+         match collect run case.G.c_input with
+         | Cgsim.Runtime.Completed stats, out when stats.Cgsim.Sched.cancelled = 0 ->
+           if Array.length out <> case.G.c_expected_out then
+             fail "%s produced %d elements, statically expected %d" name (Array.length out)
+               case.G.c_expected_out
+           else (
+             match !cold with
+             | None -> cold := Some out
+             | Some ref_out ->
+               Array.iteri
+                 (fun i v ->
+                   if not (Float.equal v ref_out.(i)) && !problems = [] then
+                     fail "outputs diverge at element %d: %s %h, cgsim %h" i name v ref_out.(i))
+                 out)
+         | outcome, _ ->
+           fail "%s did not complete a clean graph: %s" name
+             (Cgsim.Runtime.outcome_label outcome))
+       (backends case.G.c_graph)
    | Some G.Imbalance ->
      if not (has "CG-E101") then
        fail "injected imbalance missed (findings: %s)" (Cgsim.Report.summary diags)

@@ -1,38 +1,20 @@
-exception X86sim_error of string
-
-let fail fmt = Format.kasprintf (fun s -> raise (X86sim_error s)) fmt
-
-type stats = {
-  threads : int;
-  wall_ns : float;
-}
-
-type outcome =
-  | Completed of stats
-  | Deadline_exceeded of {
-      graph : string;
-      waiting : string list;
-      wall_ns : float;
-    }
+(* Re-exported because benchmark/sim_wl.ml matches on X86sim.Sim.Completed. *)
+type outcome = Cgsim.Runtime.outcome =
+  | Completed of Cgsim.Sched.stats
+  | Deadline_exceeded of Cgsim.Runtime.progress
+  | Cancelled
   | Kernel_failed of Cgsim.Runtime.failure
 
-let outcome_label = function
-  | Completed _ -> "completed"
-  | Deadline_exceeded _ -> "deadline"
-  | Kernel_failed _ -> "failed"
+(* Re-exported because benchmark/sim_wl.ml calls X86sim.Sim.outcome_label. *)
+let outcome_label = Cgsim.Runtime.outcome_label
 
 let deep_stream_depth = 4096
 
 let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~sinks =
   (* Validation, the pre-flight lint, per-net depths and the I/O count
      check are cgsim's; capacity synthesis does not apply here. *)
-  let compiled =
-    try
-      let c = Cgsim.Runtime.compile ~config:(Cgsim.Run_config.with_auto_capacity false config) g in
-      Cgsim.Runtime.check_io g ~sources ~sinks;
-      c
-    with Cgsim.Runtime.Runtime_error msg -> raise (X86sim_error msg)
-  in
+  let compiled = Cgsim.Runtime.compile ~config:(Cgsim.Run_config.with_auto_capacity false config) g in
+  Cgsim.Runtime.check_io g ~sources ~sinks;
   let queues =
     Tqueue.net_queues g ~capacity:(fun id ->
         match config.Cgsim.Run_config.queue_capacity with
@@ -54,48 +36,45 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
     | Cgsim.Sched.End_of_stream | Cgsim.Sched.Terminated -> ()
     | exn ->
       let backtrace = Printexc.get_backtrace () in
-      let f =
+      let who, src, exn =
         match exn with
-        | Tqueue.Endpoint_failed (endpoint, exn) ->
-          Cgsim.Runtime.failure_of ~graph:g.gname ~who:endpoint ~src:None ~backtrace exn
-        | exn ->
-          Obs.Flight.note Obs.Flight.Body_raise who;
-          Cgsim.Runtime.failure_of ~graph:g.gname ~who ~src ~backtrace exn
+        | Tqueue.Endpoint_failed (endpoint, exn) -> endpoint, None, exn
+        | exn -> who, src, exn
       in
+      Obs.Flight.note Obs.Flight.Body_raise who;
+      let f = Cgsim.Runtime.failure_of ~graph:g.gname ~who ~src ~backtrace exn in
       if Atomic.compare_and_set failure None (Some f) then Array.iter Tqueue.poison queues
   in
-  let bodies =
-    Array.to_list
-      (Array.map
-         (fun (inst : Cgsim.Serialized.kernel_inst) ->
-           let wiring = Tqueue.wire queues inst in
-           let binding =
-             {
-               Cgsim.Kernel.readers = Array.map snd wiring.Cgsim.Netq.inputs;
-               writers = Array.map snd wiring.outputs;
-               context = Cgsim.Kernel.No_context;
-             }
-           in
-           let guard = guard ~who:inst.inst_name ~src:inst.src in
-           let body () =
-             guard (fun () -> inst.kernel.Cgsim.Kernel.body binding);
-             (* Deliver the writer wakes this kernel deferred; its output
-                nets lose one producer each, the last one closes a net,
-                and closure propagates downstream. *)
-             guard wiring.finish
-           in
-           inst.inst_name, body)
-         g.kernels)
+  (* Each kernel's name, completion flag and body.  The watchdog
+     snapshots the names still running when the deadline fires — the
+     threaded analogue of the cooperative scheduler's parked fibers. *)
+  let kernels =
+    Array.map
+      (fun (inst : Cgsim.Serialized.kernel_inst) ->
+        let wiring = Tqueue.wire queues inst in
+        let binding =
+          {
+            Cgsim.Kernel.readers = Array.map snd wiring.Cgsim.Netq.inputs;
+            writers = Array.map snd wiring.outputs;
+            context = Cgsim.Kernel.No_context;
+          }
+        in
+        let guard = guard ~who:inst.inst_name ~src:inst.src in
+        let body () =
+          guard (fun () -> inst.kernel.Cgsim.Kernel.body binding);
+          (* Deliver the writer wakes this kernel deferred; its output
+             nets lose one producer each, the last one closes a net,
+             and closure propagates downstream. *)
+          guard wiring.finish
+        in
+        inst.inst_name, Atomic.make false, body)
+      g.kernels
   in
   (* Global I/O rides the kernels' own domains: a reader that finds a
      source net empty pulls the next segment, and a writer that finds a
      sink net full, or closes it, pushes into the sink. *)
   List.iteri (fun i src -> Tqueue.attach_source queues.(g.input_order.(i)) src) sources;
   List.iteri (fun i snk -> Tqueue.attach_sink queues.(g.output_order.(i)) snk) sinks;
-  (* Completion flags, one per kernel: the watchdog snapshots the names
-     still running when the deadline fires — the threaded analogue of the
-     cooperative scheduler's parked-fiber snapshot. *)
-  let flags = List.map (fun (name, _) -> name, Atomic.make false) bodies in
   let t0 = Obs.Clock.now_ns () in
   let all_done = Atomic.make false in
   let deadline_hit = ref None in
@@ -111,17 +90,15 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
       Some
         (Domain.spawn (fun () ->
              let t_end = t0 +. d in
-             let fired = ref false in
-             while (not (Atomic.get all_done)) && not !fired do
+             while (not (Atomic.get all_done)) && !deadline_hit = None do
                let remaining_ns = t_end -. Obs.Clock.now_ns () in
                if remaining_ns <= 0. then begin
-                 fired := true;
-                 let waiting =
-                   List.filter_map
-                     (fun (name, flag) -> if Atomic.get flag then None else Some name)
-                     flags
-                 in
-                 deadline_hit := Some waiting;
+                 deadline_hit :=
+                   Some
+                     (Array.fold_right
+                        (fun (name, finished, _) running ->
+                          if Atomic.get finished then running else name :: running)
+                        kernels []);
                  if !Obs.Trace.on then begin
                    Obs.Trace.instant ~track:"x86sim" ~cat:"sim" "deadline-poison";
                    Obs.Trace.incr_metric "x86.deadline"
@@ -135,19 +112,19 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
      caller's does, so a failure carries its backtrace as under cgsim. *)
   let record_backtrace = Printexc.backtrace_status () in
   let threads =
-    List.map2
-      (fun (name, body) (_, flag) ->
+    Array.map
+      (fun (name, finished, body) ->
         Domain.spawn (fun () ->
             Printexc.record_backtrace record_backtrace;
             (* Label the domain so Tqueue's wait spans land on a named
                track; the thread span frames its whole lifetime. *)
             Obs.Trace.set_thread_label name;
             Fun.protect
-              ~finally:(fun () -> Atomic.set flag true)
+              ~finally:(fun () -> Atomic.set finished true)
               (fun () -> Obs.Trace.with_span ~track:name ~cat:"thread" "thread" body)))
-      bodies flags
+      kernels
   in
-  List.iter Domain.join threads;
+  Array.iter Domain.join threads;
   (* A source net no kernel reads (it may still feed a sink) moves on
      the calling domain. *)
   List.iteri
@@ -158,20 +135,34 @@ let run ?(config = Cgsim.Run_config.default) (g : Cgsim.Serialized.t) ~sources ~
     sources;
   Atomic.set all_done true;
   (match watchdog with Some w -> Domain.join w | None -> ());
-  let wall_ns = Obs.Clock.now_ns () -. t0 in
+  let total_ns = Obs.Clock.now_ns () -. t0 in
+  (* x86sim measures domains and wall time; slices and kernel time read 0. *)
+  let stats ~parked =
+    let spawned = Array.length threads and cancelled = List.length parked in
+    {
+      Cgsim.Sched.spawned;
+      completed = spawned - cancelled;
+      cancelled;
+      failed = [];
+      slices = 0;
+      kernel_ns = 0.;
+      total_ns;
+      stopped = None;
+    }
+  in
   match Atomic.get failure with
   | Some f -> Kernel_failed f
   | None ->
     (match !deadline_hit with
-     | Some waiting -> Deadline_exceeded { graph = g.gname; waiting; wall_ns }
-     | None -> Completed { threads = List.length threads; wall_ns })
-
-let stats_exn = function
-  | Completed stats -> stats
-  | Kernel_failed f -> raise (X86sim_error (Cgsim.Runtime.failure_message f))
-  | Deadline_exceeded { graph; waiting; wall_ns } ->
-    fail "graph %s: wall-clock deadline exceeded after %.1f ms; still running: %s" graph
-      (wall_ns /. 1e6)
-      (match waiting with [] -> "<none>" | ws -> String.concat ", " ws)
-
-let run_exn ?config g ~sources ~sinks = stats_exn (run ?config g ~sources ~sinks)
+     | Some parked ->
+       Deadline_exceeded
+         {
+           Cgsim.Runtime.p_graph = g.gname;
+           p_reason = `Wall_clock;
+           p_parked = parked;
+           p_occupancy = Array.to_list (Array.map (fun q -> Tqueue.name q, Tqueue.occupancy q) queues);
+           p_last_kernel = None;
+           p_stats = stats ~parked;
+           p_flight = Obs.Flight.snapshot ();
+         }
+     | None -> Completed (stats ~parked:[]))

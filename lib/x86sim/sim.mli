@@ -25,10 +25,12 @@
     half a ring per wake instead of one slot.
 
     Queues and kernel endpoints are wired as cgsim wires them
-    ({!Cgsim.Netq.S.wire}), and a failure is cgsim's record, built by
-    {!Cgsim.Runtime.failure_of} on the failing domain.  The first
-    failure ends the run: it poisons every {!Tqueue}, so each domain
-    unwinds with [Terminated] at its next queue touch.
+    ({!Cgsim.Netq.S.wire}), a run returns cgsim's
+    {!Cgsim.Runtime.outcome} and refuses a graph with cgsim's
+    {!Cgsim.Runtime.Runtime_error}, and a failure is cgsim's record,
+    built by {!Cgsim.Runtime.failure_of} on the failing domain.  The
+    first failure ends the run: it poisons every {!Tqueue}, so each
+    domain unwinds with [Terminated] at its next queue touch.
 
     Execution knobs come from the shared {!Cgsim.Run_config.t}; the
     fields that make sense here are [queue_capacity], [lint] and
@@ -38,50 +40,40 @@
     backend, and neither does [auto_capacity] (queues keep their
     declared depths); all are ignored. *)
 
-exception X86sim_error of string
+(** Re-exported because [benchmark/sim_wl.ml] matches on [X86sim.Sim.Completed]. *)
+type outcome = Cgsim.Runtime.outcome =
+  | Completed of Cgsim.Sched.stats
+  | Deadline_exceeded of Cgsim.Runtime.progress
+  | Cancelled
+  | Kernel_failed of Cgsim.Runtime.failure
 
-type stats = {
-  threads : int;  (** Domains run: one per kernel instance. *)
-  wall_ns : float;
-}
-
-type outcome =
-  | Completed of stats
-  | Deadline_exceeded of {
-      graph : string;
-      waiting : string list;
-          (** Kernels that had not finished when the deadline fired. *)
-      wall_ns : float;
-    }
-  | Kernel_failed of Cgsim.Runtime.failure  (** The first to raise. *)
-
-(** ["completed"], ["deadline"] or ["failed"] (metric/JSON key). *)
+(** Re-exported because [benchmark/sim_wl.ml] calls [X86sim.Sim.outcome_label]. *)
 val outcome_label : outcome -> string
 
 (** [run g ~sources ~sinks] executes the graph to completion, deadline
     expiry or first failure, joining every kernel domain (and the
     watchdog domain, spawned only when a deadline is set) before
-    returning.
+    returning cgsim's {!Cgsim.Runtime.outcome}.  Its stats (in
+    [Completed], or [p_stats] at a deadline) count the kernel domains in
+    [spawned], [completed] and [cancelled] (still running at the
+    deadline), and the wall time in [total_ns]; x86sim does not measure
+    [slices] or [kernel_ns], which read 0.  A deadline stops with
+    [`Wall_clock]: [p_parked] names the kernels still running when the
+    watchdog fired, [p_occupancy] holds each queue's occupancy after the
+    join, [p_flight] is the calling domain's flight window and
+    [p_last_kernel] is [None].  x86sim never returns [Cancelled] or a
+    [`Max_steps] stop.
     The graph is compiled by {!Cgsim.Runtime.compile} (validation,
     pre-flight lint, per-net depths), so an invalid graph (two kernels
     under one name, a net with no producer or no consumer among them)
-    or an [`Error]-level lint finding raises {!X86sim_error} up front
-    with cgsim's message; so do wrong source/sink counts
-    ({!Cgsim.Runtime.check_io}). *)
+    or an [`Error]-level lint finding raises
+    {!Cgsim.Runtime.Runtime_error} up front with cgsim's message; so do
+    wrong source/sink counts ({!Cgsim.Runtime.check_io}).
+    {!Cgsim.Runtime.stats_exn} turns any other outcome than [Completed]
+    into the same exception. *)
 val run :
   ?config:Cgsim.Run_config.t ->
   Cgsim.Serialized.t ->
   sources:Cgsim.Io.source list ->
   sinks:Cgsim.Io.sink list ->
   outcome
-
-(** [Completed stats] returns [stats]; other outcomes raise
-    {!X86sim_error} with a message naming the graph. *)
-val stats_exn : outcome -> stats
-
-val run_exn :
-  ?config:Cgsim.Run_config.t ->
-  Cgsim.Serialized.t ->
-  sources:Cgsim.Io.source list ->
-  sinks:Cgsim.Io.sink list ->
-  stats

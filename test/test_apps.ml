@@ -137,7 +137,9 @@ let cgsim_case (h : Apps.Harness.t) reps () =
 let x86sim_case (h : Apps.Harness.t) reps () =
   let g = h.Apps.Harness.graph () in
   let sinks, contents = h.Apps.Harness.make_sinks () in
-  let _stats = X86sim.Sim.run_exn g ~sources:(h.Apps.Harness.sources ~reps) ~sinks in
+  let _stats =
+    Cgsim.Runtime.stats_exn (X86sim.Sim.run g ~sources:(h.Apps.Harness.sources ~reps) ~sinks)
+  in
   check_ok (h.Apps.Harness.name ^ " (x86sim)") (h.Apps.Harness.check ~reps (contents ()))
 
 (* x86sim must produce bit-identical outputs to cgsim. *)
@@ -154,7 +156,7 @@ let test_x86sim_matches_cgsim () =
       let a =
         run_with (fun g sources sinks -> ignore (Cgsim.Runtime.execute_exn g ~sources ~sinks))
       in
-      let b = run_with (fun g sources sinks -> ignore (X86sim.Sim.run_exn g ~sources ~sinks)) in
+      let b = run_with (fun g sources sinks -> ignore (Cgsim.Runtime.stats_exn (X86sim.Sim.run g ~sources ~sinks))) in
       if not (List.for_all2 Cgsim.Value.equal a b) then
         Alcotest.failf "%s: cgsim and x86sim outputs differ" h.Apps.Harness.name)
     Apps.Harness.all

@@ -901,7 +901,7 @@ let test_builder_read_after_output () =
     let sources = [ Cgsim.Io.of_f32_array [| 1.0; 2.0; 3.0 |] ] and sinks = [ mid; y ] in
     (match sim with
      | `Cgsim -> ignore (Cgsim.Runtime.execute_exn g ~sources ~sinks)
-     | `X86sim -> ignore (X86sim.Sim.run_exn g ~sources ~sinks));
+     | `X86sim -> ignore (Cgsim.Runtime.stats_exn (X86sim.Sim.run g ~sources ~sinks)));
     mid_contents (), y_contents ()
   in
   List.iter
@@ -983,7 +983,9 @@ let test_runtime_kernels_per_graph () =
         (Cgsim.Runtime.execute_exn g ~sources:[ Cgsim.Io.of_f32_array input ] ~sinks:[ sink ]);
       Alcotest.(check (array (float 0.))) (what ^ " under cgsim") expected (contents ());
       let sink, contents = Cgsim.Io.f32_buffer () in
-      ignore (X86sim.Sim.run_exn g ~sources:[ Cgsim.Io.of_f32_array input ] ~sinks:[ sink ]);
+      ignore
+        (Cgsim.Runtime.stats_exn
+           (X86sim.Sim.run g ~sources:[ Cgsim.Io.of_f32_array input ] ~sinks:[ sink ]));
       Alcotest.(check (array (float 0.))) (what ^ " under x86sim") expected (contents ()))
     [ doubling, [| 2.0; 4.0; 10.0 |]; tripling, [| 3.0; 6.0; 15.0 |] ]
 
@@ -1054,7 +1056,8 @@ let test_runtime_kernel_contexts () =
   Alcotest.(check (list (pair string string))) "x86sim: no context"
     (each "none" "none")
     (List.sort compare
-       (run_log (fun ~sources ~sinks -> ignore (X86sim.Sim.run_exn g ~sources ~sinks))))
+       (run_log (fun ~sources ~sinks ->
+            ignore (Cgsim.Runtime.stats_exn (X86sim.Sim.run g ~sources ~sinks)))))
 
 let test_runtime_single_shot () =
   let g = diamond_graph () in
@@ -1473,7 +1476,7 @@ let refused_by_both what g ~sources ~sinks needles =
       Alcotest.(check bool) (what ^ " names " ^ needle ^ ": " ^ msg) true (mentions needle msg))
     needles;
   match X86sim.Sim.run g ~sources:(sources ()) ~sinks:(sinks ()) with
-  | exception X86sim.Sim.X86sim_error x86 ->
+  | exception Cgsim.Runtime.Runtime_error x86 ->
     Alcotest.(check string) (what ^ " under x86sim") msg x86
   | _ -> Alcotest.failf "x86sim must refuse the %s graph before running" what
 
@@ -2044,7 +2047,8 @@ let test_lanes_bit_exact () =
   ignore (Cgsim.Runtime.execute_exn (g ()) ~sources:[ Cgsim.Io.of_array input ] ~sinks:[ sink ]);
   Alcotest.(check (list string)) "cgsim lane kernel" expected (List.map show_bits (out ()));
   let sink, out = Cgsim.Io.buffer () in
-  ignore (X86sim.Sim.run_exn (g ()) ~sources:[ Cgsim.Io.of_array input ] ~sinks:[ sink ]);
+  ignore
+    (Cgsim.Runtime.stats_exn (X86sim.Sim.run (g ()) ~sources:[ Cgsim.Io.of_array input ] ~sinks:[ sink ]));
   Alcotest.(check (list string)) "x86sim lane kernel" expected (List.map show_bits (out ()))
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests

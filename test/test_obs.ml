@@ -599,11 +599,12 @@ let test_x86sim_thread_spans () =
     Obs.Trace.with_session (fun () ->
         let sink, contents = Cgsim.Io.int_buffer () in
         let stats =
-          X86sim.Sim.run_exn
-            ~config:Cgsim.Run_config.(with_queue_capacity 4 default)
-            (pipe_graph ())
-            ~sources:[ Cgsim.Io.of_int_array Cgsim.Dtype.I32 (Array.init 200 (fun i -> i)) ]
-            ~sinks:[ sink ]
+          Cgsim.Runtime.stats_exn
+            (X86sim.Sim.run
+               ~config:Cgsim.Run_config.(with_queue_capacity 4 default)
+               (pipe_graph ())
+               ~sources:[ Cgsim.Io.of_int_array Cgsim.Dtype.I32 (Array.init 200 (fun i -> i)) ]
+               ~sinks:[ sink ])
         in
         stats, contents ())
   in
@@ -612,7 +613,7 @@ let test_x86sim_thread_spans () =
   Obs.Ring.iter session.Obs.Trace.ring (fun e ->
       if e.Obs.Event.phase = Obs.Event.Span && String.equal e.Obs.Event.cat "thread" then
         incr thread_spans);
-  Alcotest.(check int) "one lifetime span per OS thread" stats.X86sim.Sim.threads !thread_spans
+  Alcotest.(check int) "one lifetime span per OS thread" stats.Cgsim.Sched.spawned !thread_spans
 
 let () =
   Alcotest.run "obs"

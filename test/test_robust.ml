@@ -478,32 +478,53 @@ let test_pool_chaos_recovers () =
 (* x86sim: watchdog deadline and failure outcomes                      *)
 (* ------------------------------------------------------------------ *)
 
+(* A deadline reads the same under both simulators: a wall-clock stop
+   that names the graph, the kernels still running and every net. *)
 let test_x86_deadline_poisons () =
   let config = Cgsim.Run_config.(with_deadline_ms 100.0 default) in
-  match
-    X86sim.Sim.run ~config (fountain_graph ()) ~sources:[] ~sinks:[ Cgsim.Io.null () ]
-  with
-  | X86sim.Sim.Deadline_exceeded { graph; waiting; _ } ->
-    Alcotest.(check string) "graph named" "robust_fountain_graph" graph;
-    Alcotest.(check bool) "waiting threads named" true (waiting <> [])
-  | o -> Alcotest.failf "expected Deadline_exceeded, got %s" (X86sim.Sim.outcome_label o)
+  let g = fountain_graph () in
+  let nets =
+    Array.to_list
+      (Array.map
+         (fun (n : Cgsim.Serialized.net) ->
+           Printf.sprintf "%s/net%d" g.Cgsim.Serialized.gname n.Cgsim.Serialized.net_id)
+         g.Cgsim.Serialized.nets)
+  in
+  List.iter
+    (fun (sim, run) ->
+      match run g ~sources:[] ~sinks:[ Cgsim.Io.null () ] with
+      | Cgsim.Runtime.Deadline_exceeded p ->
+        Alcotest.(check string) (sim ^ ": graph named") "robust_fountain_graph"
+          p.Cgsim.Runtime.p_graph;
+        (match p.Cgsim.Runtime.p_reason with
+         | `Wall_clock -> ()
+         | `Max_steps -> Alcotest.failf "%s: expected a wall-clock stop" sim);
+        Alcotest.(check bool) (sim ^ ": running kernels named") true
+          (p.Cgsim.Runtime.p_parked <> []);
+        Alcotest.(check (list string)) (sim ^ ": occupancy of every net") nets
+          (List.map fst p.Cgsim.Runtime.p_occupancy);
+        let msg = Cgsim.Runtime.progress_message p in
+        Alcotest.(check bool) (sim ^ ": message names the graph: " ^ msg) true
+          (contains "robust_fountain_graph" msg)
+      | o -> Alcotest.failf "%s: expected Deadline_exceeded, got %a" sim Cgsim.Runtime.pp_outcome o)
+    [ "cgsim", Cgsim.Runtime.execute ~config; "x86sim", X86sim.Sim.run ~config ]
 
 let test_x86_failure_names_graph () =
   (match
      X86sim.Sim.run (boom_graph ()) ~sources:[ chain_input 4 ] ~sinks:[ Cgsim.Io.null () ]
    with
-   | X86sim.Sim.Kernel_failed f as o ->
+   | Cgsim.Runtime.Kernel_failed f as o ->
      Alcotest.(check string) "graph named" "robust_boom_graph" f.Cgsim.Runtime.f_graph;
      Alcotest.(check string) "kernel named" "robust_boom_0" f.Cgsim.Runtime.f_kernel;
      (match f.Cgsim.Runtime.f_exn with
       | Failure msg -> Alcotest.(check string) "exn preserved" "deliberate robustness failure" msg
       | e -> Alcotest.failf "unexpected exn %s" (Printexc.to_string e));
-     (match X86sim.Sim.stats_exn o with
-      | exception X86sim.Sim.X86sim_error msg ->
+     (match Cgsim.Runtime.stats_exn o with
+      | exception Cgsim.Runtime.Runtime_error msg ->
         Alcotest.(check bool) ("names graph: " ^ msg) true (contains "robust_boom_graph" msg);
         Alcotest.(check bool) ("names kernel: " ^ msg) true (contains "robust_boom_0" msg)
       | _ -> Alcotest.fail "stats_exn must raise on Kernel_failed")
-   | o -> Alcotest.failf "expected Kernel_failed, got %s" (X86sim.Sim.outcome_label o))
+   | o -> Alcotest.failf "expected Kernel_failed, got %a" Cgsim.Runtime.pp_outcome o)
 
 (* in -> robust_scale_0 -> robust_boom_0 -> out, where robust_boom_0
    reads one element and raises.  The scale kernel would fill the net
@@ -524,9 +545,9 @@ let test_x86_failure_ends_run () =
   let o = X86sim.Sim.run ~config g ~sources:[ chain_input 20_000 ] ~sinks:[ Cgsim.Io.null () ] in
   let wall_ns = Obs.Clock.now_ns () -. t0 in
   (match o with
-   | X86sim.Sim.Kernel_failed f ->
+   | Cgsim.Runtime.Kernel_failed f ->
      Alcotest.(check string) "the boom instance named" "robust_boom_0" f.Cgsim.Runtime.f_kernel
-   | o -> Alcotest.failf "expected Kernel_failed, got %s" (X86sim.Sim.outcome_label o));
+   | o -> Alcotest.failf "expected Kernel_failed, got %a" Cgsim.Runtime.pp_outcome o);
   if wall_ns >= 2e9 then
     Alcotest.failf "the failure ended the run only after %.3f s" (wall_ns /. 1e9)
 

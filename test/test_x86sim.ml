@@ -186,8 +186,8 @@ let test_tqueue_element_ops_allocate_nothing () =
 
 let test_sim_io_count_mismatch () =
   let g = Apps.Bitonic.graph () in
-  match X86sim.Sim.run_exn g ~sources:[] ~sinks:[ Cgsim.Io.null () ] with
-  | exception X86sim.Sim.X86sim_error _ -> ()
+  match X86sim.Sim.run g ~sources:[] ~sinks:[ Cgsim.Io.null () ] with
+  | exception Cgsim.Runtime.Runtime_error _ -> ()
   | _ -> Alcotest.fail "source count mismatch must be rejected"
 
 let contains needle hay =
@@ -259,7 +259,7 @@ let test_sim_refuses_like_cgsim () =
       Alcotest.(check bool) (what ^ ": " ^ cgsim) true (contains expect cgsim);
       (* The refusal comes before the source and sink counts are checked. *)
       match X86sim.Sim.run g ~sources:[] ~sinks:[] with
-      | exception X86sim.Sim.X86sim_error msg -> Alcotest.(check string) what cgsim msg
+      | exception Cgsim.Runtime.Runtime_error msg -> Alcotest.(check string) what cgsim msg
       | _ -> Alcotest.failf "x86sim must refuse the %s graph" what)
     [
       "two-definitions", two_definitions, "CG-E007";
@@ -283,10 +283,11 @@ let test_sim_kernel_failure_reported () =
         [ out ])
   in
   match
-    X86sim.Sim.run_exn g ~sources:[ Cgsim.Io.of_f32_array [| 1.0; 2.0 |] ]
-      ~sinks:[ Cgsim.Io.null () ]
+    Cgsim.Runtime.stats_exn
+      (X86sim.Sim.run g ~sources:[ Cgsim.Io.of_f32_array [| 1.0; 2.0 |] ]
+         ~sinks:[ Cgsim.Io.null () ])
   with
-  | exception X86sim.Sim.X86sim_error _ -> ()
+  | exception Cgsim.Runtime.Runtime_error _ -> ()
   | _ -> Alcotest.fail "kernel failures must be re-raised after the join"
 
 let test_sim_thread_count () =
@@ -294,9 +295,10 @@ let test_sim_thread_count () =
   let h = Apps.Harness.farrow in
   let sinks, _ = h.Apps.Harness.make_sinks () in
   let stats =
-    X86sim.Sim.run_exn (h.Apps.Harness.graph ()) ~sources:(h.Apps.Harness.sources ~reps:1) ~sinks
+    Cgsim.Runtime.stats_exn
+      (X86sim.Sim.run (h.Apps.Harness.graph ()) ~sources:(h.Apps.Harness.sources ~reps:1) ~sinks)
   in
-  Alcotest.(check int) "threads" 2 stats.X86sim.Sim.threads
+  Alcotest.(check int) "threads" 2 stats.Cgsim.Sched.spawned
 
 let prop_x86sim_random_chain =
   QCheck.Test.make ~name:"x86sim: random chains match cgsim" ~count:10
@@ -318,7 +320,9 @@ let prop_x86sim_random_chain =
       let sink1, out1 = Cgsim.Io.f32_buffer () in
       let _ = Cgsim.Runtime.execute_exn (graph ()) ~sources:[ input () ] ~sinks:[ sink1 ] in
       let sink2, out2 = Cgsim.Io.f32_buffer () in
-      let _ = X86sim.Sim.run_exn (graph ()) ~sources:[ input () ] ~sinks:[ sink2 ] in
+      let _ =
+        Cgsim.Runtime.stats_exn (X86sim.Sim.run (graph ()) ~sources:[ input () ] ~sinks:[ sink2 ])
+      in
       out1 () = out2 ())
 
 (* ------------------------------------------------------------------ *)
@@ -720,17 +724,17 @@ type io_result =
   | Output of V.t list
   | Failed of Cgsim.Runtime.failure  (* the fiber or thread that raised *)
 
-let run_cgsim g src (snk, contents) =
-  match Cgsim.Runtime.execute g ~sources:[ src ] ~sinks:[ snk ] with
-  | Cgsim.Runtime.Completed _ -> Output (contents ())
+(* Both simulators return cgsim's outcome, so one match reads either. *)
+let io_result sim outputs = function
+  | Cgsim.Runtime.Completed _ -> Output (outputs ())
   | Cgsim.Runtime.Kernel_failed f -> Failed f
-  | o -> Alcotest.failf "cgsim: %s" (Format.asprintf "%a" Cgsim.Runtime.pp_outcome o)
+  | o -> Alcotest.failf "%s: %a" sim Cgsim.Runtime.pp_outcome o
+
+let run_cgsim g src (snk, contents) =
+  io_result "cgsim" contents (Cgsim.Runtime.execute g ~sources:[ src ] ~sinks:[ snk ])
 
 let run_x86sim g src (snk, contents) =
-  match X86sim.Sim.run g ~sources:[ src ] ~sinks:[ snk ] with
-  | X86sim.Sim.Completed _ -> Output (contents ())
-  | X86sim.Sim.Kernel_failed f -> Failed f
-  | o -> Alcotest.failf "x86sim: %s" (X86sim.Sim.outcome_label o)
+  io_result "x86sim" contents (X86sim.Sim.run g ~sources:[ src ] ~sinks:[ snk ])
 
 let who (f : Cgsim.Runtime.failure) = f.Cgsim.Runtime.f_kernel
 
@@ -795,15 +799,28 @@ let test_sim_every_io_form () =
         [ Flat; Of_array; Of_list; Rtp ])
     io_dtypes
 
+(* [f ()] with backtrace recording on, then the caller's setting back. *)
+let with_backtraces f =
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace recording) f
+
+(* With backtraces recorded, a failing source keeps its backtrace under
+   both simulators. *)
 let test_sim_payload_mismatch () =
   let g = pass_graph D.I16 in
   let src () = Cgsim.Io.of_f32_array [| 1.0; 2.0; 3.0 |] in
   let name = Cgsim.Io.source_name (src ()) in
-  match run_cgsim g (src ()) (make_sink Buffer), run_x86sim g (src ()) (make_sink Buffer) with
+  match
+    with_backtraces (fun () ->
+        run_cgsim g (src ()) (make_sink Buffer), run_x86sim g (src ()) (make_sink Buffer))
+  with
   | Failed a, Failed b ->
     Alcotest.(check string) "cgsim names the source" name (who a);
     Alcotest.(check bool) "a source has no span" true (a.Cgsim.Runtime.f_src = None);
-    check_same_failure "F32 payload on an I16 net" a b
+    check_same_failure "F32 payload on an I16 net" a b;
+    Alcotest.(check bool) "cgsim records the backtrace" true (a.Cgsim.Runtime.f_backtrace <> "");
+    Alcotest.(check bool) "x86sim records the backtrace" true (b.Cgsim.Runtime.f_backtrace <> "")
   | Output _, _ -> Alcotest.fail "cgsim accepted an F32 payload on an I16 net"
   | _, Output _ -> Alcotest.fail "x86sim accepted an F32 payload on an I16 net"
 
@@ -826,14 +843,10 @@ let test_sim_failure_parity () =
         [ out ])
   in
   let src () = Cgsim.Io.of_f32_array [| 1.0; 2.0; 3.0 |] in
-  let recording = Printexc.backtrace_status () in
-  Printexc.record_backtrace true;
-  let outcomes =
-    Fun.protect
-      ~finally:(fun () -> Printexc.record_backtrace recording)
-      (fun () -> run_cgsim g (src ()) (make_sink Buffer), run_x86sim g (src ()) (make_sink Buffer))
-  in
-  match outcomes with
+  match
+    with_backtraces (fun () ->
+        run_cgsim g (src ()) (make_sink Buffer), run_x86sim g (src ()) (make_sink Buffer))
+  with
   | Failed a, Failed b ->
     Alcotest.(check string) "cgsim names the instance" "x86_parity_boom_0" (who a);
     Alcotest.(check (option string)) "cgsim keeps the span" (Some "parity.cgc:7:3")
@@ -895,17 +908,9 @@ let run_io_shapes ~x86 ~v_sink ~w2_sink =
   let sources = [ Cgsim.Io.of_f32_array xs; Cgsim.Io.of_array vs; Cgsim.Io.of_array ws ] in
   let config = Cgsim.Run_config.(with_queue_capacity 16 default) in
   let g = io_shapes_graph () in
-  let outputs () = Output (List.concat_map (fun (_, contents) -> contents ()) sinks) in
-  if x86 then
-    match X86sim.Sim.run ~config g ~sources ~sinks:(List.map fst sinks) with
-    | X86sim.Sim.Completed _ -> outputs ()
-    | X86sim.Sim.Kernel_failed f -> Failed f
-    | o -> Alcotest.failf "x86sim: %s" (X86sim.Sim.outcome_label o)
-  else
-    match Cgsim.Runtime.execute ~config g ~sources ~sinks:(List.map fst sinks) with
-    | Cgsim.Runtime.Completed _ -> outputs ()
-    | Cgsim.Runtime.Kernel_failed f -> Failed f
-    | o -> Alcotest.failf "cgsim: %s" (Format.asprintf "%a" Cgsim.Runtime.pp_outcome o)
+  let outputs () = List.concat_map (fun (_, contents) -> contents ()) sinks in
+  let sim, run = if x86 then "x86sim", X86sim.Sim.run ~config else "cgsim", Cgsim.Runtime.execute ~config in
+  io_result sim outputs (run g ~sources ~sinks:(List.map fst sinks))
 
 let test_sim_io_shapes () =
   let buffer () = Cgsim.Io.buffer () in
@@ -955,11 +960,12 @@ let test_sim_many_kernels () =
   let inputs = Array.init n (fun i -> Array.init 100 (fun j -> float_of_int ((i * 1000) + j))) in
   let sinks = List.init n (fun _ -> Cgsim.Io.f32_buffer ()) in
   let stats =
-    X86sim.Sim.run_exn g
-      ~sources:(Array.to_list (Array.map Cgsim.Io.of_f32_array inputs))
-      ~sinks:(List.map fst sinks)
+    Cgsim.Runtime.stats_exn
+      (X86sim.Sim.run g
+         ~sources:(Array.to_list (Array.map Cgsim.Io.of_f32_array inputs))
+         ~sinks:(List.map fst sinks))
   in
-  Alcotest.(check int) "one domain per kernel" n stats.X86sim.Sim.threads;
+  Alcotest.(check int) "one domain per kernel" n stats.Cgsim.Sched.spawned;
   List.iteri
     (fun i (_, contents) ->
       Alcotest.(check (array (float 0.))) (Printf.sprintf "output %d" i) inputs.(i) (contents ()))
@@ -1018,8 +1024,8 @@ let test_sim_deferred_wakes_reach_writer () =
    | o -> Alcotest.failf "cgsim: %s" (Format.asprintf "%a" Cgsim.Runtime.pp_outcome o));
   let x86_sink, x86_out = Cgsim.Io.f32_buffer () in
   (match X86sim.Sim.run ~config g ~sources:[ Cgsim.Io.of_f32_array xs ] ~sinks:[ x86_sink ] with
-   | X86sim.Sim.Completed _ -> ()
-   | o -> Alcotest.failf "x86sim: %s" (X86sim.Sim.outcome_label o));
+   | Cgsim.Runtime.Completed _ -> ()
+   | o -> Alcotest.failf "x86sim: %a" Cgsim.Runtime.pp_outcome o);
   Alcotest.(check int) "Q passes on both rounds" (starve_cap + 4)
     (Array.length (cg_out ()));
   Alcotest.(check (array (float 0.))) "x86sim == cgsim" (cg_out ()) (x86_out ())
@@ -1038,8 +1044,8 @@ let test_sim_queue_metrics () =
         X86sim.Sim.run ~config g ~sources:(h.Apps.Harness.sources ~reps:4) ~sinks)
   in
   (match outcome with
-   | X86sim.Sim.Completed _ -> ()
-   | o -> Alcotest.failf "farrow under x86sim: %s" (X86sim.Sim.outcome_label o));
+   | Cgsim.Runtime.Completed _ -> ()
+   | o -> Alcotest.failf "farrow under x86sim: %a" Cgsim.Runtime.pp_outcome o);
   let snap = Obs.Metrics.snapshot session.Obs.Trace.metrics in
   let gauges = List.map (fun (m : Obs.Metrics.gauge_snapshot) -> m.g_name) snap.gauges in
   let histos = List.map (fun (m : Obs.Metrics.histo_snapshot) -> m.h_name) snap.histograms in
